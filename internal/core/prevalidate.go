@@ -72,7 +72,7 @@ func BatchTokenPrehook(tsAddr types.Address, chainID uint64) func([]*evm.Transac
 			if err != nil {
 				continue
 			}
-			if tk.Signature.R == nil || tk.Signature.S == nil || tk.Signature.Validate() != nil {
+			if tk.Signature.Validate() != nil {
 				continue
 			}
 			origin, err := tx.Sender(chainID)

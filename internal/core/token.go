@@ -223,10 +223,10 @@ func SignToken(key *secp256k1.PrivateKey, tp TokenType, expire time.Time, index 
 // the signer/address comparison always runs.
 func (tk *Token) VerifySignature(tsAddr types.Address, b Binding) error {
 	digest := Digest(tk.Type, tk.Expire, tk.Index, b)
-	// Out-of-range scalars skip the cache (Signature.Bytes panics on them);
-	// RecoverAddress below rejects them as ErrBadTokenSig instead.
+	// Missing or out-of-range scalars skip the cache (Signature.Bytes panics
+	// on them); RecoverAddress below rejects them as ErrBadTokenSig instead.
 	var key string
-	if tokenSigCacheOn.Load() && tk.Signature.R != nil && tk.Signature.S != nil && tk.Signature.Validate() == nil {
+	if tokenSigCacheOn.Load() && tk.Signature.Validate() == nil {
 		key = sigcache.Key([32]byte(digest), tk.Signature.Bytes())
 	}
 	signer, ok := types.Address{}, false

@@ -181,7 +181,7 @@ func warmSenderCache(txs []*Transaction, chainID uint64) {
 		keys     []string
 	)
 	for i, tx := range txs {
-		if tx.Sig.R == nil || tx.Sig.S == nil || tx.Sig.Validate() != nil {
+		if tx.Sig.Validate() != nil {
 			continue
 		}
 		digest, err := tx.SigHash(chainID)

@@ -171,12 +171,9 @@ func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
 	if err != nil {
 		return types.Address{}, err
 	}
-	if tx.Sig.R == nil || tx.Sig.S == nil {
-		return types.Address{}, ErrBadTxSignature
-	}
-	// Out-of-range scalars skip the cache: Sig.Bytes (the cache key) panics
-	// on them, and RecoverAddress below reports them as ErrBadTxSignature
-	// exactly as the uncached path always has.
+	// Missing or out-of-range scalars skip the cache: Sig.Bytes (the cache
+	// key) panics on them, and RecoverAddress below reports them as
+	// ErrBadTxSignature exactly as the uncached path always has.
 	cached := senderCacheOn.Load() && tx.Sig.Validate() == nil
 	var sigBytes [secp256k1.SignatureLength]byte
 	var key string

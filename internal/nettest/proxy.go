@@ -216,10 +216,12 @@ func (p *Proxy) pipe(c *proxyConn, src, dst net.Conn) {
 			if !p.throttle() {
 				break // proxy closed while partitioned
 			}
+			// Count before the write: once dst can read the bytes, Stats
+			// must already include them.
+			p.forwarded.Add(uint64(n))
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				break
 			}
-			p.forwarded.Add(uint64(n))
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {

@@ -24,11 +24,11 @@ import (
 // accept — the affected items fall back to per-item Verify, so the
 // result is always element-wise identical to calling Verify n times.
 //
-// RecoverAddressBatch amortizes the two modular inversions of per-item
-// recovery (r⁻¹ mod n and the final Jacobian→affine normalization)
-// across the batch with Montgomery's trick; the per-item ladders remain,
-// so callers that want multicore scaling should additionally shard
-// batches across workers.
+// RecoverAddressBatch amortizes the three inversions of per-item recovery
+// (r⁻¹ mod n, the normalization of R's odd-multiple table, and the final
+// Jacobian→affine conversion) across the batch with Montgomery's trick;
+// the per-item ladders remain, so callers that want multicore scaling
+// should additionally shard batches across workers.
 
 // BatchVerifyItem is one (public key, digest, signature) triple for
 // VerifyBatch.
@@ -48,64 +48,16 @@ const batchCoeffBits = 128
 // all per-point odd-multiple tables are normalized to affine with a
 // single batched inversion, and one shared run of doublings serves every
 // term.
-func multiScalarMult(gScalar *big.Int, points []affinePoint, scalars []*big.Int) jacobianPoint {
+func multiScalarMult(gScalar *big.Int, points []affineVal, scalars []*big.Int) jacobianVal {
 	fastBaseOnce.Do(initFastBaseTables)
-	terms := make([]mulTerm, 0, 2+2*len(points))
-	if gScalar != nil && gScalar.Sign() != 0 {
-		k1, k2 := splitScalar(gScalar)
-		terms = append(terms,
-			newMulTerm(k1, baseWindow, baseOddG),
-			newMulTerm(k2, baseWindow, baseOddLamG))
-	}
-
-	// Build every point's odd-multiple table in Jacobian form first, then
-	// flatten into one batched affine normalization.
-	const tblLen = 1 << (pointWindow - 2)
-	live := make([]int, 0, len(points))
-	jac := make([]jacobianPoint, 0, len(points)*tblLen)
-	for i, p := range points {
-		if p.isInfinity() || scalars[i] == nil || scalars[i].Sign() == 0 {
-			continue
-		}
-		live = append(live, i)
-		jac = append(jac, oddMultiples(p, tblLen)...)
-	}
-	flat := batchToAffine(jac)
-	for j, i := range live {
-		tbl := flat[j*tblLen : (j+1)*tblLen]
-		k1, k2 := splitScalar(scalars[i])
-		terms = append(terms,
-			newMulTerm(k1, pointWindow, tbl),
-			newMulTerm(k2, pointWindow, phiTable(tbl)))
+	terms := appendTerms(make([]mulTerm, 0, 2+2*len(points)), gScalar, baseWindow, baseOddG, baseOddLamG)
+	tables := oddMultipleTables(points, pointTableLen)
+	phis := phiTable(tables)
+	for i, k := range scalars {
+		lo, hi := i*pointTableLen, (i+1)*pointTableLen
+		terms = appendTerms(terms, k, pointWindow, tables[lo:hi], phis[lo:hi])
 	}
 	return shamirLadder(terms)
-}
-
-// recoverEphemeralPoint reconstructs the signing-time ephemeral point R
-// from the signature's r scalar and recovery id.
-func recoverEphemeralPoint(sig Signature) (affinePoint, bool) {
-	x := new(big.Int).Set(sig.R)
-	if sig.V&2 != 0 {
-		x.Add(x, curveN)
-	}
-	if x.Cmp(curveP) >= 0 {
-		return affinePoint{}, false
-	}
-	y2 := new(big.Int).Mul(x, x)
-	y2.Mul(y2, x)
-	y2.Add(y2, curveB)
-	y2.Mod(y2, curveP)
-	y := new(big.Int).ModSqrt(y2, curveP)
-	if y == nil {
-		return affinePoint{}, false
-	}
-	if y.Bit(0) != uint(sig.V&1) {
-		y.Sub(curveP, y)
-	}
-	if !isOnCurve(x, y) {
-		return affinePoint{}, false
-	}
-	return affinePoint{x: x, y: y}, true
 }
 
 // randomBatchCoeff draws a uniform coefficient in [1, 2^batchCoeffBits).
@@ -141,14 +93,15 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 	// per-item path; the rest join the combined check.
 	type member struct {
 		idx    int
-		r      affinePoint
+		q, r   affineVal
 		u1, u2 *big.Int
 	}
 	var fallback []int
 	members := make([]member, 0, len(items))
 	sInv := make([]*big.Int, 0, len(items))
 	for i, it := range items {
-		if !it.Pub.Valid() || it.Sig.validateScalars() != nil {
+		q, valid := it.Pub.point()
+		if !valid || it.Sig.validateScalars() != nil {
 			continue // stays false, matching Verify
 		}
 		r, reconstructed := recoverEphemeralPoint(it.Sig)
@@ -156,7 +109,7 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 			fallback = append(fallback, i)
 			continue
 		}
-		members = append(members, member{idx: i, r: r})
+		members = append(members, member{idx: i, q: q, r: r})
 		sInv = append(sInv, new(big.Int).Set(items[i].Sig.S))
 	}
 	if !batchModInverse(sInv, curveN) {
@@ -177,7 +130,7 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 	combinedOK := false
 	if len(members) > 0 {
 		gScalar := new(big.Int)
-		points := make([]affinePoint, 0, 2*len(members))
+		points := make([]affineVal, 0, 2*len(members))
 		scalars := make([]*big.Int, 0, 2*len(members))
 		randFailed := false
 		for j := range members {
@@ -189,11 +142,10 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 					break
 				}
 			}
-			it := items[members[j].idx]
 			au1 := new(big.Int).Mul(a, members[j].u1)
 			gScalar.Add(gScalar, au1.Mod(au1, curveN))
 			au2 := new(big.Int).Mul(a, members[j].u2)
-			points = append(points, affinePoint{x: it.Pub.X, y: it.Pub.Y})
+			points = append(points, members[j].q)
 			scalars = append(scalars, au2.Mod(au2, curveN))
 			negA := new(big.Int).Sub(curveN, a.Mod(a, curveN))
 			points = append(points, members[j].r)
@@ -201,7 +153,8 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 		}
 		if !randFailed {
 			gScalar.Mod(gScalar, curveN)
-			combinedOK = multiScalarMult(gScalar, points, scalars).isInfinity()
+			sum := multiScalarMult(gScalar, points, scalars)
+			combinedOK = sum.isInfinity()
 		}
 	}
 	if combinedOK {
@@ -254,26 +207,29 @@ func batchModInverse(xs []*big.Int, m *big.Int) bool {
 // RecoverAddressBatch recovers the signer address of every
 // (digest, signature) pair. The i-th address/error pair matches what
 // RecoverAddress(digests[i], sigs[i]) returns; a failed item never
-// affects its neighbours. The two modular inversions of per-item
-// recovery (r⁻¹ and the affine normalization of the recovered point) are
-// amortized across the batch with Montgomery's trick. digests and sigs
-// must have equal length.
+// affects its neighbours. The three inversions of per-item recovery (r⁻¹,
+// the normalization of R's odd-multiple table, and that of the recovered
+// point) are each amortized across the batch with Montgomery's trick.
+// digests and sigs must have equal length.
 func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address, []error) {
 	if len(digests) != len(sigs) {
 		panic("secp256k1: RecoverAddressBatch length mismatch")
 	}
 	addrs := make([]types.Address, len(digests))
 	errs := make([]error, len(digests))
-	if len(digests) == 0 {
+	perItem := func() ([]types.Address, []error) {
+		for i := range digests {
+			addrs[i], errs[i] = RecoverAddress(digests[i], sigs[i])
+		}
 		return addrs, errs
+	}
+	if len(digests) <= 1 || !fastMultOn.Load() {
+		return perItem()
 	}
 
 	// Phase 1: validate and reconstruct each ephemeral point.
-	type member struct {
-		idx int
-		r   affinePoint
-	}
-	members := make([]member, 0, len(digests))
+	idx := make([]int, 0, len(digests))
+	rs := make([]affineVal, 0, len(digests))
 	rInv := make([]*big.Int, 0, len(digests))
 	for i := range digests {
 		if err := sigs[i].validateScalars(); err != nil {
@@ -285,43 +241,34 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 			errs[i] = ErrRecoveryFailed
 			continue
 		}
-		members = append(members, member{idx: i, r: r})
+		idx = append(idx, i)
+		rs = append(rs, r)
 		rInv = append(rInv, new(big.Int).Set(sigs[i].R))
 	}
 
-	// Phase 2: amortized r⁻¹ mod n for every member.
+	// Phase 2: amortized r⁻¹ mod n and odd-multiple tables for every member.
 	if !batchModInverse(rInv, curveN) {
 		// Impossible for validated scalars (n is prime); defensive.
-		for i := range digests {
-			addrs[i], errs[i] = RecoverAddress(digests[i], sigs[i])
-		}
-		return addrs, errs
+		return perItem()
 	}
+	tables := oddMultipleTables(rs, pointTableLen)
 
 	// Phase 3: per-item ladders Q = (−z·r⁻¹)·G + (s·r⁻¹)·R, batching the
 	// final affine normalization.
-	qs := make([]jacobianPoint, len(members))
-	for j, m := range members {
-		z := hashToInt(digests[m.idx])
-		u1 := z.Mul(z, rInv[j])
-		u1.Neg(u1)
-		u1.Mod(u1, curveN)
-		u2 := new(big.Int).Mul(sigs[m.idx].S, rInv[j])
-		u2.Mod(u2, curveN)
-		qs[j] = doubleScalarMult(u1, m.r, u2)
+	qs := make([]jacobianVal, len(idx))
+	for j, i := range idx {
+		u1, u2 := recoverScalars(digests[i], sigs[i], rInv[j])
+		qs[j] = shamirMultTable(u1, tables[j*pointTableLen:(j+1)*pointTableLen], u2)
 	}
-	flat := batchToAffine(qs)
-	for j, m := range members {
-		if qs[j].isInfinity() {
-			errs[m.idx] = ErrRecoveryFailed
+	flat := make([]affineVal, len(qs))
+	batchAffine(flat, qs)
+	for j, i := range idx {
+		if qs[j].isInfinity() || !flat[j].onCurve() {
+			errs[i] = ErrRecoveryFailed
 			continue
 		}
-		pub := PublicKey{X: flat[j].x, Y: flat[j].y}
-		if !pub.Valid() {
-			errs[m.idx] = ErrRecoveryFailed
-			continue
-		}
-		addrs[m.idx] = pub.Address()
+		pub := PublicKey{X: flat[j].x.big(), Y: flat[j].y.big()}
+		addrs[i] = pub.Address()
 	}
 	return addrs, errs
 }

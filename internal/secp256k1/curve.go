@@ -1,15 +1,16 @@
 // Package secp256k1 implements the secp256k1 elliptic curve and the
 // recoverable ECDSA signature scheme used by Ethereum: deterministic
 // (RFC 6979) nonces, low-s normalization, 65-byte r‖s‖v signatures, and
-// public-key recovery (ecrecover). The implementation is pure Go on top of
-// math/big; a precomputed window table accelerates base-point multiplication
-// so that token issuance (signing) is fast enough for throughput benchmarks.
+// public-key recovery (ecrecover). The implementation is pure Go, standard
+// library only. Curve arithmetic runs on an allocation-free 4×64-bit field
+// type (field.go, point.go) under a wNAF/GLV ladder for verification and
+// recovery and a fixed-base comb for signing; *big.Int appears only at the
+// exported boundary (keys and signature scalars), in scalar arithmetic mod
+// the group order, and in the double-and-add reference ladder below, which
+// SetFastMult(false) selects and the differential tests compare against.
 package secp256k1
 
-import (
-	"math/big"
-	"sync"
-)
+import "math/big"
 
 // Curve parameters for secp256k1: y² = x³ + 7 over F_p.
 var (
@@ -17,7 +18,6 @@ var (
 	curveN  = mustBig("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
 	curveGx = mustBig("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
 	curveGy = mustBig("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")
-	curveB  = big.NewInt(7)
 	halfN   = new(big.Int).Rsh(curveN, 1)
 )
 
@@ -180,65 +180,6 @@ func addJacobian(p, q jacobianPoint) jacobianPoint {
 	return jacobianPoint{x: x3, y: y3, z: z3}
 }
 
-// addMixed computes p + q where q is affine (Z = 1), using the dedicated
-// mixed-addition formulas (≈ 8M + 3S instead of 12M + 4S for the general
-// addition); it serves the base-point comb of scalarBaseMult and the table
-// precomputation. The wNAF ladder of fastmult.go carries its own in-place
-// variant of the same formulas (ladderScratch.addMixedInPlace) — keep the
-// two in sync when touching either.
-func addMixed(p jacobianPoint, q affinePoint) jacobianPoint {
-	if q.isInfinity() {
-		return p
-	}
-	if p.isInfinity() {
-		return fromAffine(q)
-	}
-	z1z1 := new(big.Int).Mul(p.z, p.z)
-	modP(z1z1)
-	u2 := new(big.Int).Mul(q.x, z1z1)
-	modP(u2)
-	s2 := new(big.Int).Mul(q.y, p.z)
-	s2.Mul(s2, z1z1)
-	modP(s2)
-
-	h := new(big.Int).Sub(u2, p.x)
-	h.Mod(h, curveP)
-	r := new(big.Int).Sub(s2, p.y)
-	r.Mod(r, curveP)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			return doubleJacobian(p)
-		}
-		return newInfinity()
-	}
-
-	h2 := new(big.Int).Mul(h, h)
-	modP(h2)
-	h3 := new(big.Int).Mul(h2, h)
-	modP(h3)
-	v := new(big.Int).Mul(p.x, h2)
-	modP(v)
-
-	x3 := new(big.Int).Mul(r, r)
-	modP(x3)
-	x3.Sub(x3, h3)
-	x3.Sub(x3, new(big.Int).Lsh(v, 1))
-	x3.Mod(x3, curveP)
-
-	y3 := new(big.Int).Sub(v, x3)
-	y3.Mul(y3, r)
-	modP(y3)
-	y1h3 := new(big.Int).Mul(p.y, h3)
-	modP(y1h3)
-	y3.Sub(y3, y1h3)
-	y3.Mod(y3, curveP)
-
-	z3 := new(big.Int).Mul(p.z, h)
-	modP(z3)
-
-	return jacobianPoint{x: x3, y: y3, z: z3}
-}
-
 // scalarMult computes k·P for an affine point P using a simple left-to-right
 // double-and-add ladder. k is reduced mod the group order by the callers.
 func scalarMult(p affinePoint, k *big.Int) jacobianPoint {
@@ -253,66 +194,31 @@ func scalarMult(p affinePoint, k *big.Int) jacobianPoint {
 	return acc
 }
 
-// baseTable holds 4-bit window multiples of the generator:
-// baseTable[w][d] = d · 16^w · G for d in 1..15. The table is built lazily
-// once and then shared; base-point multiplication becomes 64 mixed
-// additions.
-var (
-	baseTableOnce sync.Once
-	baseTable     [64][16]affinePoint
-)
-
-func initBaseTable() {
-	base := affinePoint{x: new(big.Int).Set(curveGx), y: new(big.Int).Set(curveGy)}
-	for w := 0; w < 64; w++ {
-		acc := fromAffine(base)
-		baseTable[w][1] = base
-		for d := 2; d < 16; d++ {
-			acc = addMixed(acc, base)
-			baseTable[w][d] = toAffine(acc)
-		}
-		// Next window base: 16·(16^w·G) = table[w][15] + table[w][1].
-		next := addMixed(fromAffine(baseTable[w][15]), base)
-		base = toAffine(next)
-	}
-}
-
-// scalarBaseMult computes k·G using the precomputed window table.
+// scalarBaseMult computes k·G on the reference ladder.
 func scalarBaseMult(k *big.Int) jacobianPoint {
-	baseTableOnce.Do(initBaseTable)
-	var kb [32]byte
-	k.FillBytes(kb[:])
-	acc := newInfinity()
-	for w := 0; w < 64; w++ {
-		// Window w covers bits [4w, 4w+4) counted from the least
-		// significant nibble; nibble order in kb is big-endian.
-		b := kb[31-w/2]
-		var digit byte
-		if w%2 == 0 {
-			digit = b & 0x0f
-		} else {
-			digit = b >> 4
-		}
-		if digit != 0 {
-			acc = addMixed(acc, baseTable[w][digit])
-		}
-	}
-	return acc
+	return scalarMult(affinePoint{x: curveGx, y: curveGy}, k)
 }
 
-// isOnCurve reports whether (x, y) satisfies y² = x³ + 7 mod p.
-func isOnCurve(x, y *big.Int) bool {
-	if x == nil || y == nil {
-		return false
+// ref converts p to the reference representation.
+func (p *affineVal) ref() affinePoint {
+	if p.isInfinity() {
+		return affinePoint{}
 	}
-	if x.Sign() < 0 || x.Cmp(curveP) >= 0 || y.Sign() < 0 || y.Cmp(curveP) >= 0 {
-		return false
+	return affinePoint{x: p.x.big(), y: p.y.big()}
+}
+
+// val converts a reference point, whose coordinates are reduced mod p, to
+// the field representation.
+func (p affinePoint) val() affineVal {
+	if p.isInfinity() {
+		return affineVal{}
 	}
-	y2 := new(big.Int).Mul(y, y)
-	y2.Mod(y2, curveP)
-	x3 := new(big.Int).Mul(x, x)
-	x3.Mul(x3, x)
-	x3.Add(x3, curveB)
-	x3.Mod(x3, curveP)
-	return y2.Cmp(x3) == 0
+	return affineVal{x: mustField(p.x), y: mustField(p.y)}
+}
+
+// val normalizes a reference-ladder result and lifts it back to Jacobian
+// coordinates over fieldVal.
+func (p jacobianPoint) val() jacobianVal {
+	a := toAffine(p).val()
+	return a.jacobian()
 }

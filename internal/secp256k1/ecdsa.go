@@ -73,6 +73,9 @@ func ParseSignature(b []byte) (Signature, error) {
 func (sig Signature) Validate() error { return sig.validateScalars() }
 
 func (sig Signature) validateScalars() error {
+	if sig.R == nil || sig.S == nil {
+		return fmt.Errorf("%w: missing scalar", ErrInvalidSignature)
+	}
 	if sig.R.Sign() <= 0 || sig.R.Cmp(curveN) >= 0 {
 		return fmt.Errorf("%w: r out of range", ErrInvalidSignature)
 	}
@@ -98,17 +101,19 @@ func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 		if k == nil {
 			continue
 		}
-		rp := toAffine(scalarBaseMultG(k))
-		r := new(big.Int).Mod(rp.x, curveN)
-		if r.Sign() == 0 {
-			continue
-		}
+		kG := scalarBaseMultG(k)
+		rp := kG.affine()
+		r := rp.x.big()
 		v := byte(0)
-		if rp.y.Bit(0) == 1 {
+		if rp.y.isOdd() {
 			v = 1
 		}
-		if rp.x.Cmp(curveN) >= 0 {
+		if r.Cmp(curveN) >= 0 {
 			v |= 2 // astronomically rare: r overflowed the group order
+			r.Sub(r, curveN)
+		}
+		if r.Sign() == 0 {
+			continue
 		}
 		kInv := new(big.Int).ModInverse(k, curveN)
 		s := new(big.Int).Mul(r, key.D)
@@ -129,7 +134,8 @@ func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 // Verify reports whether sig is a valid (low-s) signature over digest by
 // pub.
 func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
-	if !pub.Valid() || sig.validateScalars() != nil {
+	q, ok := pub.point()
+	if !ok || sig.validateScalars() != nil {
 		return false
 	}
 	z := hashToInt(digest)
@@ -138,13 +144,39 @@ func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
 	u1.Mod(u1, curveN)
 	u2 := new(big.Int).Mul(sig.R, w)
 	u2.Mod(u2, curveN)
-	sum := doubleScalarMult(u1, affinePoint{x: pub.X, y: pub.Y}, u2)
+	sum := doubleScalarMult(u1, &q, u2)
 	if sum.isInfinity() {
 		return false
 	}
-	p := toAffine(sum)
-	x := new(big.Int).Mod(p.x, curveN)
-	return x.Cmp(sig.R) == 0
+	p := sum.affine()
+	x := p.x.big()
+	return x.Mod(x, curveN).Cmp(sig.R) == 0
+}
+
+// recoverEphemeralPoint reconstructs the signing-time ephemeral point R
+// from the signature's r scalar and recovery id: x = r (+ n when the
+// overflow bit is set) must be a field element with x³ + 7 a square, and
+// the parity bit picks the root.
+func recoverEphemeralPoint(sig Signature) (affineVal, bool) {
+	x := sig.R
+	if sig.V&2 != 0 {
+		x = new(big.Int).Add(x, curveN)
+	}
+	var r affineVal
+	if !r.x.setBig(x) {
+		return affineVal{}, false
+	}
+	y2 := curveRHS(&r.x)
+	if !r.y.sqrt(&y2) {
+		return affineVal{}, false
+	}
+	if r.y.isOdd() != (sig.V&1 == 1) {
+		r.y.neg(&r.y)
+	}
+	if !r.onCurve() {
+		return affineVal{}, false
+	}
+	return r, true
 }
 
 // Recover recovers the public key that produced sig over digest. This is
@@ -153,48 +185,36 @@ func Recover(digest [32]byte, sig Signature) (PublicKey, error) {
 	if err := sig.validateScalars(); err != nil {
 		return PublicKey{}, err
 	}
-	// Reconstruct the ephemeral point R from r and the recovery id.
-	x := new(big.Int).Set(sig.R)
-	if sig.V&2 != 0 {
-		x.Add(x, curveN)
-	}
-	if x.Cmp(curveP) >= 0 {
-		return PublicKey{}, ErrRecoveryFailed
-	}
-	y2 := new(big.Int).Mul(x, x)
-	y2.Mul(y2, x)
-	y2.Add(y2, curveB)
-	y2.Mod(y2, curveP)
-	y := new(big.Int).ModSqrt(y2, curveP)
-	if y == nil {
-		return PublicKey{}, ErrRecoveryFailed
-	}
-	if y.Bit(0) != uint(sig.V&1) {
-		y.Sub(curveP, y)
-	}
-	if !isOnCurve(x, y) {
+	r, ok := recoverEphemeralPoint(sig)
+	if !ok {
 		return PublicKey{}, ErrRecoveryFailed
 	}
 
 	// Q = r⁻¹(s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R — one table-driven
 	// base multiplication plus a single generic multiplication.
-	z := hashToInt(digest)
 	rInv := new(big.Int).ModInverse(sig.R, curveN)
-	u1 := new(big.Int).Mul(z, rInv)
-	u1.Neg(u1)
-	u1.Mod(u1, curveN)
-	u2 := new(big.Int).Mul(sig.S, rInv)
-	u2.Mod(u2, curveN)
-	q := doubleScalarMult(u1, affinePoint{x: x, y: y}, u2)
+	u1, u2 := recoverScalars(digest, sig, rInv)
+	q := doubleScalarMult(u1, &r, u2)
 	if q.isInfinity() {
 		return PublicKey{}, ErrRecoveryFailed
 	}
-	qa := toAffine(q)
-	pub := PublicKey{X: qa.x, Y: qa.y}
-	if !pub.Valid() {
+	qa := q.affine()
+	if !qa.onCurve() {
 		return PublicKey{}, ErrRecoveryFailed
 	}
-	return pub, nil
+	return PublicKey{X: qa.x.big(), Y: qa.y.big()}, nil
+}
+
+// recoverScalars returns u1 = −z·r⁻¹ and u2 = s·r⁻¹ (mod n), the
+// multipliers of G and R in public-key recovery.
+func recoverScalars(digest [32]byte, sig Signature, rInv *big.Int) (u1, u2 *big.Int) {
+	u1 = hashToInt(digest)
+	u1.Mul(u1, rInv)
+	u1.Neg(u1)
+	u1.Mod(u1, curveN)
+	u2 = new(big.Int).Mul(sig.S, rInv)
+	u2.Mod(u2, curveN)
+	return u1, u2
 }
 
 // RecoverAddress recovers the Ethereum address of the signer, the common

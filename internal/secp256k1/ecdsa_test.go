@@ -165,24 +165,6 @@ func TestParseSignatureVariants(t *testing.T) {
 	}
 }
 
-func TestScalarBaseMultMatchesGeneric(t *testing.T) {
-	g := affinePoint{x: curveGx, y: curveGy}
-	f := func(raw [32]byte) bool {
-		k := new(big.Int).SetBytes(raw[:])
-		k.Mod(k, curveN)
-		if k.Sign() == 0 {
-			return true
-		}
-		a := toAffine(scalarBaseMult(k))
-		b := toAffine(scalarMult(g, k))
-		return a.x.Cmp(b.x) == 0 && a.y.Cmp(b.y) == 0
-	}
-	cfg := &quick.Config{MaxCount: 20}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickSignRecover(t *testing.T) {
 	key := PrivateKeyFromSeed([]byte("quick"))
 	f := func(msg []byte) bool {

@@ -1,7 +1,9 @@
 package secp256k1
 
 import (
+	"encoding/binary"
 	"math/big"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -16,8 +18,8 @@ import (
 // endomorphism of secp256k1 (φ(x, y) = (β·x, y) acts as multiplication by
 // λ). The split halves the number of doublings (≈ 128 instead of 256) and
 // the wNAF digits cut the number of additions; the additions themselves are
-// mixed (affine tables, see addMixed), with the per-call table for Q
-// normalized by one batched inversion (Montgomery's trick).
+// mixed (affine tables, see jacobianVal.addMixed), with the per-call table
+// for Q normalized by one batched inversion (Montgomery's trick).
 //
 // The naive double-and-add ladder in curve.go (scalarMult) is kept as the
 // reference implementation; differential tests prove the two paths are
@@ -59,108 +61,76 @@ func SetFastMult(on bool) bool { return fastMultOn.Swap(on) }
 // FastMultEnabled reports whether the wNAF/GLV path is active.
 func FastMultEnabled() bool { return fastMultOn.Load() }
 
-// wnafDigits returns the width-w non-adjacent form of k ≥ 0, least
-// significant digit first. Nonzero digits are odd and lie in
+// wnafDigits returns the width-w non-adjacent form of k (0 ≤ k < 2^256),
+// least significant digit first. Nonzero digits are odd and lie in
 // (−2^(w−1), 2^(w−1)); at most one of any w consecutive digits is nonzero.
 func wnafDigits(k *big.Int, w uint) []int8 {
 	if k.Sign() <= 0 {
 		return nil
 	}
-	d := new(big.Int).Set(k)
-	mod := int64(1) << w
-	half := mod >> 1
-	mask := big.NewInt(mod - 1)
-	r := new(big.Int)
-	out := make([]int8, 0, d.BitLen()+1)
-	for d.Sign() > 0 {
-		var digit int64
-		if d.Bit(0) == 1 {
-			digit = r.And(d, mask).Int64()
-			if digit >= half {
-				digit -= mod
-			}
-			if digit >= 0 {
-				d.Sub(d, r.SetInt64(digit))
+	// Five limbs: rounding a digit up can carry one bit past 2^256.
+	var b [32]byte
+	k.FillBytes(b[:])
+	var d [5]uint64
+	for i := 0; i < 4; i++ {
+		d[i] = binary.BigEndian.Uint64(b[24-8*i:])
+	}
+	mod := uint64(1) << w
+	out := make([]int8, 0, k.BitLen()+1)
+	for d != [5]uint64{} {
+		var digit int8
+		if d[0]&1 == 1 {
+			low := d[0] & (mod - 1)
+			if low < mod/2 {
+				digit = int8(low)
+				d[0] -= low
 			} else {
-				d.Add(d, r.SetInt64(-digit))
+				digit = int8(int64(low) - int64(mod))
+				carry := mod - low
+				for i := range d {
+					d[i], carry = bits.Add64(d[i], carry, 0)
+				}
 			}
 		}
-		out = append(out, int8(digit))
-		d.Rsh(d, 1)
+		out = append(out, digit)
+		for i := 0; i < 4; i++ {
+			d[i] = d[i]>>1 | d[i+1]<<63
+		}
+		d[4] >>= 1
 	}
 	return out
 }
 
-// oddMultiples returns [P, 3P, 5P, …, (2n−1)P] in Jacobian coordinates.
-func oddMultiples(p affinePoint, n int) []jacobianPoint {
-	out := make([]jacobianPoint, n)
-	out[0] = fromAffine(p)
-	twoP := doubleJacobian(out[0])
-	for i := 1; i < n; i++ {
-		out[i] = addJacobian(out[i-1], twoP)
+// oddMultipleTables returns, for every point, the n odd multiples
+// [P, 3P, 5P, …, (2n−1)P] in affine form — n consecutive entries per point
+// — sharing one field inversion across all of them.
+func oddMultipleTables(points []affineVal, n int) []affineVal {
+	jac := make([]jacobianVal, len(points)*n)
+	for i := range points {
+		tbl := jac[i*n : (i+1)*n]
+		tbl[0] = points[i].jacobian()
+		twoP := tbl[0]
+		twoP.double()
+		for j := 1; j < n; j++ {
+			tbl[j] = tbl[j-1]
+			tbl[j].add(&twoP)
+		}
 	}
+	out := make([]affineVal, len(jac))
+	batchAffine(out, jac)
 	return out
 }
 
-// batchToAffine normalizes points to affine with a single modular inversion
-// (Montgomery's trick): invert the product of all Z coordinates, then peel
-// off each individual Z⁻¹ with two multiplications.
-func batchToAffine(ps []jacobianPoint) []affinePoint {
-	out := make([]affinePoint, len(ps))
-	prefix := make([]*big.Int, len(ps))
-	acc := big.NewInt(1)
-	for i, p := range ps {
-		if p.isInfinity() {
-			continue
-		}
-		prefix[i] = new(big.Int).Set(acc)
-		acc.Mul(acc, p.z)
-		acc.Mod(acc, curveP)
-	}
-	inv := new(big.Int).ModInverse(acc, curveP)
-	if inv == nil {
-		// Some Z was zero mod p; fall back to per-point conversion (the
-		// infinity entries were skipped above, so this cannot happen for
-		// valid inputs — defensive only).
-		for i, p := range ps {
-			out[i] = toAffine(p)
-		}
-		return out
-	}
-	for i := len(ps) - 1; i >= 0; i-- {
-		p := ps[i]
-		if p.isInfinity() {
-			out[i] = affinePoint{}
-			continue
-		}
-		zInv := new(big.Int).Mul(inv, prefix[i])
-		zInv.Mod(zInv, curveP)
-		inv.Mul(inv, p.z)
-		inv.Mod(inv, curveP)
-		zInv2 := new(big.Int).Mul(zInv, zInv)
-		zInv2.Mod(zInv2, curveP)
-		x := new(big.Int).Mul(p.x, zInv2)
-		x.Mod(x, curveP)
-		zInv3 := zInv2.Mul(zInv2, zInv)
-		zInv3.Mod(zInv3, curveP)
-		y := new(big.Int).Mul(p.y, zInv3)
-		y.Mod(y, curveP)
-		out[i] = affinePoint{x: x, y: y}
-	}
-	return out
-}
+// glvBetaVal is β as a field element.
+var glvBetaVal = mustField(glvBeta)
 
 // phiTable applies the endomorphism to an affine table: φ(T[i]) = λ·T[i]
-// costs one field multiplication per entry.
-func phiTable(tbl []affinePoint) []affinePoint {
-	out := make([]affinePoint, len(tbl))
-	for i, p := range tbl {
-		if p.isInfinity() {
-			continue
-		}
-		x := new(big.Int).Mul(p.x, glvBeta)
-		x.Mod(x, curveP)
-		out[i] = affinePoint{x: x, y: p.y}
+// costs one field multiplication per entry (and maps infinity to itself).
+func phiTable(tbl []affineVal) []affineVal {
+	out := make([]affineVal, len(tbl))
+	for i := range tbl {
+		out[i].x.mul(&tbl[i].x, &glvBetaVal)
+		out[i].y = tbl[i].y
 	}
 	return out
 }
@@ -168,13 +138,12 @@ func phiTable(tbl []affinePoint) []affinePoint {
 // Lazily built odd-multiple tables for G and λG.
 var (
 	fastBaseOnce sync.Once
-	baseOddG     []affinePoint
-	baseOddLamG  []affinePoint
+	baseOddG     []affineVal
+	baseOddLamG  []affineVal
 )
 
 func initFastBaseTables() {
-	g := affinePoint{x: new(big.Int).Set(curveGx), y: new(big.Int).Set(curveGy)}
-	baseOddG = batchToAffine(oddMultiples(g, 1<<(baseWindow-2)))
+	baseOddG = oddMultipleTables([]affineVal{generator}, 1<<(baseWindow-2))
 	baseOddLamG = phiTable(baseOddG)
 }
 
@@ -201,12 +170,22 @@ func splitScalar(k *big.Int) (k1, k2 *big.Int) {
 // over a table of odd multiples [P, 3P, 5P, …].
 type mulTerm struct {
 	naf   []int8
-	table []affinePoint
+	table []affineVal
 	neg   bool // scalar was negative: flip every digit
 }
 
+// appendTerms GLV-splits k and appends its two ladder terms, the half over
+// table and the half over phi = φ(table). A zero scalar adds nothing.
+func appendTerms(terms []mulTerm, k *big.Int, w uint, table, phi []affineVal) []mulTerm {
+	if k.Sign() == 0 {
+		return terms
+	}
+	k1, k2 := splitScalar(k)
+	return append(terms, newMulTerm(k1, w, table), newMulTerm(k2, w, phi))
+}
+
 // newMulTerm builds a ladder term from a signed half-scalar.
-func newMulTerm(k *big.Int, w uint, table []affinePoint) mulTerm {
+func newMulTerm(k *big.Int, w uint, table []affineVal) mulTerm {
 	neg := k.Sign() < 0
 	abs := k
 	if neg {
@@ -215,231 +194,55 @@ func newMulTerm(k *big.Int, w uint, table []affinePoint) mulTerm {
 	return mulTerm{naf: wnafDigits(abs, w), table: table, neg: neg}
 }
 
-// ladderScratch holds the accumulator and temporaries of one ladder run, so
-// the ~130 doublings and ~75 additions of a double-scalar multiplication
-// mutate a fixed set of big.Ints instead of allocating fresh ones — the
-// allocation churn of the generic doubleJacobian/addMixed is what keeps the
-// naive path slow even at equal operation counts.
-type ladderScratch struct {
-	x, y, z                        *big.Int // accumulator (z = 0 ⇒ infinity)
-	t1, t2, t3, t4, t5, t6, t7, ty *big.Int
-	hi                             *big.Int // fold temporary of red
-}
-
-// Fast-reduction constants: p = 2^256 − pFold with pFold = 2^32 + 977, so
-// hi·2^256 + lo ≡ hi·pFold + lo (mod p) — reduction by shift/add instead
-// of division.
-var (
-	pFold    = new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 32), big.NewInt(977))
-	mask256  = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
-	curvePx2 = new(big.Int).Lsh(curveP, 1)
-)
-
-func newLadderScratch() *ladderScratch {
-	s := &ladderScratch{}
-	for _, p := range []**big.Int{&s.x, &s.y, &s.z, &s.t1, &s.t2, &s.t3, &s.t4, &s.t5, &s.t6, &s.t7, &s.ty, &s.hi} {
-		*p = new(big.Int)
-	}
-	return s
-}
-
-func (s *ladderScratch) isInfinity() bool { return s.z.Sign() == 0 }
-
-// red reduces z ≥ 0 (any size up to a few p²) into [0, p) by folding the
-// high limbs: hi·2^256 + lo ≡ hi·(2^32 + 977) + lo (mod p).
-func (s *ladderScratch) red(z *big.Int) {
-	for z.BitLen() > 256 {
-		s.hi.Rsh(z, 256)
-		z.And(z, mask256)
-		z.Add(z, s.hi.Mul(s.hi, pFold))
-	}
-	for z.Cmp(curveP) >= 0 {
-		z.Sub(z, curveP)
-	}
-}
-
-// norm1 lifts a single-subtraction result from (−p, p) into [0, p).
-func norm1(z *big.Int) {
-	if z.Sign() < 0 {
-		z.Add(z, curveP)
-	}
-}
-
-// doubleInPlace doubles the accumulator (a = 0 doubling formulas). All
-// inputs and outputs are reduced to [0, p).
-func (s *ladderScratch) doubleInPlace() {
-	if s.isInfinity() {
-		return
-	}
-	if s.y.Sign() == 0 {
-		s.z.SetInt64(0)
-		return
-	}
-	a, b, c, d, e := s.t1, s.t2, s.t3, s.t4, s.t5
-	a.Mul(s.x, s.x)
-	s.red(a) // A = X²
-	b.Mul(s.y, s.y)
-	s.red(b) // B = Y²
-	c.Mul(b, b)
-	s.red(c) // C = Y⁴
-	d.Add(s.x, b)
-	d.Mul(d, d)
-	s.red(d)
-	d.Sub(d, a)
-	norm1(d)
-	d.Sub(d, c)
-	norm1(d)
-	d.Lsh(d, 1)
-	if d.Cmp(curveP) >= 0 {
-		d.Sub(d, curveP)
-	} // D = 2((X+B)² − A − C)
-	e.Lsh(a, 1)
-	e.Add(e, a)
-	s.red(e) // E = 3A
-
-	s.z.Mul(s.y, s.z)
-	s.red(s.z)
-	s.z.Lsh(s.z, 1)
-	if s.z.Cmp(curveP) >= 0 {
-		s.z.Sub(s.z, curveP)
-	} // Z3 = 2YZ (old Y)
-
-	s.x.Mul(e, e)
-	s.x.Sub(s.x, s.t6.Lsh(d, 1)) // E² − 2D ≥ −2p, then red handles the rest
-	s.x.Add(s.x, curvePx2)
-	s.red(s.x) // X3 = E² − 2D
-
-	s.y.Sub(d, s.x)
-	norm1(s.y)
-	s.y.Mul(s.y, e)
-	s.red(s.y)
-	c.Lsh(c, 3)
-	s.red(c)
-	s.y.Sub(s.y, c)
-	norm1(s.y) // Y3 = E(D − X3) − 8C
-}
-
-// addMixedInPlace adds the affine point q (negated when neg) to the
-// accumulator using the mixed-addition formulas.
-func (s *ladderScratch) addMixedInPlace(q affinePoint, neg bool) {
-	if q.isInfinity() {
-		return
-	}
-	qy := q.y
-	if neg {
-		s.ty.Sub(curveP, q.y)
-		norm1(s.ty)
-		qy = s.ty
-	}
-	if s.isInfinity() {
-		s.x.Set(q.x)
-		s.y.Set(qy)
-		s.z.SetInt64(1)
-		return
-	}
-	z1z1, u2, s2 := s.t1, s.t2, s.t3
-	z1z1.Mul(s.z, s.z)
-	s.red(z1z1)
-	u2.Mul(q.x, z1z1)
-	s.red(u2)
-	s2.Mul(qy, s.z)
-	s.red(s2)
-	s2.Mul(s2, z1z1)
-	s.red(s2)
-
-	h, r := u2, s2 // reuse in place
-	h.Sub(h, s.x)
-	norm1(h)
-	r.Sub(r, s.y)
-	norm1(r)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			s.doubleInPlace()
-			return
-		}
-		s.z.SetInt64(0)
-		return
-	}
-
-	h2, h3, v, yh3 := s.t4, s.t5, s.t6, s.t7
-	h2.Mul(h, h)
-	s.red(h2)
-	h3.Mul(h2, h)
-	s.red(h3)
-	v.Mul(s.x, h2)
-	s.red(v)
-	yh3.Mul(s.y, h3)
-	s.red(yh3) // old Y1·H3, captured before overwriting Y
-
-	s.x.Mul(r, r)
-	s.x.Sub(s.x, h3)
-	s.x.Sub(s.x, h2.Lsh(v, 1)) // h2 is free as a temporary now
-	s.x.Add(s.x, curvePx2)     // lift R² − H3 − 2V (> −3p) toward non-negative
-	norm1(s.x)
-	s.red(s.x) // X3 = R² − H3 − 2V
-
-	s.y.Sub(v, s.x)
-	norm1(s.y)
-	s.y.Mul(s.y, r)
-	s.red(s.y)
-	s.y.Sub(s.y, yh3)
-	norm1(s.y) // Y3 = R(V − X3) − Y1·H3
-
-	s.z.Mul(s.z, h)
-	s.red(s.z) // Z3 = Z1·H
-}
-
 // shamirLadder evaluates Σ k_i·P_i with one shared run of doublings.
-func shamirLadder(terms []mulTerm) jacobianPoint {
+func shamirLadder(terms []mulTerm) jacobianVal {
 	maxLen := 0
 	for _, t := range terms {
 		if len(t.naf) > maxLen {
 			maxLen = len(t.naf)
 		}
 	}
-	s := newLadderScratch()
+	var acc jacobianVal
 	for i := maxLen - 1; i >= 0; i-- {
-		s.doubleInPlace()
-		for _, t := range terms {
+		acc.double()
+		for j := range terms {
+			t := &terms[j]
 			if i >= len(t.naf) || t.naf[i] == 0 {
 				continue
 			}
 			d := int(t.naf[i])
-			if t.neg {
-				d = -d
+			neg := t.neg
+			if d < 0 {
+				d, neg = -d, !neg
 			}
-			if d > 0 {
-				s.addMixedInPlace(t.table[(d-1)/2], false)
-			} else {
-				s.addMixedInPlace(t.table[(-d-1)/2], true)
-			}
+			acc.addMixed(&t.table[(d-1)/2], neg)
 		}
 	}
-	if s.isInfinity() {
-		return newInfinity()
-	}
-	return jacobianPoint{x: s.x, y: s.y, z: s.z}
+	return acc
 }
 
-// doubleScalarMultShamir computes u1·G + u2·P (u1, u2 reduced mod n) via
-// GLV splitting, wNAF digits, and a single interleaved ladder.
-func doubleScalarMultShamir(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint {
+// pointTableLen is the size of a per-call odd-multiple table.
+const pointTableLen = 1 << (pointWindow - 2)
+
+// shamirMultTable computes u1·G + u2·P (u1, u2 reduced mod n) via GLV
+// splitting, wNAF digits, and a single interleaved ladder, given P's
+// odd-multiple table (nil for P = ∞).
+func shamirMultTable(u1 *big.Int, table []affineVal, u2 *big.Int) jacobianVal {
 	fastBaseOnce.Do(initFastBaseTables)
-	terms := make([]mulTerm, 0, 4)
-	if u1.Sign() != 0 {
-		k1, k2 := splitScalar(u1)
-		terms = append(terms,
-			newMulTerm(k1, baseWindow, baseOddG),
-			newMulTerm(k2, baseWindow, baseOddLamG))
-	}
-	if u2.Sign() != 0 && !p.isInfinity() {
-		k1, k2 := splitScalar(u2)
-		pOdd := batchToAffine(oddMultiples(p, 1<<(pointWindow-2)))
-		terms = append(terms,
-			newMulTerm(k1, pointWindow, pOdd),
-			newMulTerm(k2, pointWindow, phiTable(pOdd)))
+	terms := appendTerms(make([]mulTerm, 0, 4), u1, baseWindow, baseOddG, baseOddLamG)
+	if table != nil {
+		terms = appendTerms(terms, u2, pointWindow, table, phiTable(table))
 	}
 	return shamirLadder(terms)
+}
+
+// shamirMult computes u1·G + u2·P, building P's table itself.
+func shamirMult(u1 *big.Int, p *affineVal, u2 *big.Int) jacobianVal {
+	var table []affineVal
+	if u2.Sign() != 0 && !p.isInfinity() {
+		table = oddMultipleTables([]affineVal{*p}, pointTableLen)
+	}
+	return shamirMultTable(u1, table, u2)
 }
 
 // doubleScalarMultRef is the reference evaluation of u1·G + u2·P on top of
@@ -452,9 +255,9 @@ func doubleScalarMultRef(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint 
 
 // doubleScalarMult dispatches between the wNAF/GLV ladder and the naive
 // reference according to SetFastMult.
-func doubleScalarMult(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint {
+func doubleScalarMult(u1 *big.Int, p *affineVal, u2 *big.Int) jacobianVal {
 	if fastMultOn.Load() {
-		return doubleScalarMultShamir(u1, p, u2)
+		return shamirMult(u1, p, u2)
 	}
-	return doubleScalarMultRef(u1, p, u2)
+	return doubleScalarMultRef(u1, p.ref(), u2).val()
 }

@@ -20,7 +20,8 @@ import (
 //
 // The naive double-and-add ladder (scalarBaseMult) remains the reference;
 // the comb is gated behind SetFastMult together with the wNAF/GLV path and
-// differential tests pin the two bit-identical.
+// differential tests pin the two bit-identical. It is the package's only
+// fixed-base table: key derivation uses it as well.
 
 const (
 	combWindow = 4                // bits per window
@@ -29,50 +30,45 @@ const (
 
 var (
 	combOnce  sync.Once
-	combTable [combBlocks][1<<combWindow - 1]affinePoint
+	combTable [combBlocks][1<<combWindow - 1]affineVal
 )
 
 func initCombTable() {
-	// Build every block's odd and even multiples in Jacobian coordinates,
-	// then flatten into one batched affine normalization.
-	jac := make([]jacobianPoint, 0, combBlocks*(1<<combWindow-1))
-	base := fromAffine(affinePoint{x: new(big.Int).Set(curveGx), y: new(big.Int).Set(curveGy)})
+	// Build every block's multiples in Jacobian coordinates, then flatten
+	// into one batched affine normalization.
+	const perBlock = 1<<combWindow - 1
+	jac := make([]jacobianVal, 0, combBlocks*perBlock)
+	base := generator.jacobian()
 	for i := 0; i < combBlocks; i++ {
 		// block[d-1] = d · base
-		jac = append(jac, base)
 		prev := base
-		for d := 2; d < 1<<combWindow; d++ {
-			prev = addJacobian(prev, base)
+		jac = append(jac, prev)
+		for d := 2; d <= perBlock; d++ {
+			prev.add(&base)
 			jac = append(jac, prev)
 		}
 		// Next block base: 2^combWindow · base.
 		for b := 0; b < combWindow; b++ {
-			base = doubleJacobian(base)
+			base.double()
 		}
 	}
-	flat := batchToAffine(jac)
-	for i := 0; i < combBlocks; i++ {
-		copy(combTable[i][:], flat[i*(1<<combWindow-1):(i+1)*(1<<combWindow-1)])
+	flat := make([]affineVal, len(jac))
+	batchAffine(flat, jac)
+	for i := range combTable {
+		copy(combTable[i][:], flat[i*perBlock:])
 	}
 }
 
-// scalarBaseMultComb computes k·G (k reduced mod n) via the fixed-base
-// comb table.
-func scalarBaseMultComb(k *big.Int) jacobianPoint {
+// scalarBaseMultComb computes k·G (any integer k, taken mod n) via the
+// fixed-base comb table.
+func scalarBaseMultComb(k *big.Int) jacobianVal {
 	combOnce.Do(initCombTable)
-	if k.Sign() == 0 {
-		return newInfinity()
-	}
-	kk := k
 	if k.Sign() < 0 || k.BitLen() > 256 {
-		kk = new(big.Int).Mod(k, curveN)
-		if kk.Sign() == 0 {
-			return newInfinity()
-		}
+		k = new(big.Int).Mod(k, curveN)
 	}
 	var kb [32]byte
-	kk.FillBytes(kb[:])
-	s := newLadderScratch()
+	k.FillBytes(kb[:])
+	var acc jacobianVal
 	for i := 0; i < combBlocks; i++ {
 		b := kb[31-i/2]
 		nib := b & 0x0f
@@ -80,20 +76,17 @@ func scalarBaseMultComb(k *big.Int) jacobianPoint {
 			nib = b >> 4
 		}
 		if nib != 0 {
-			s.addMixedInPlace(combTable[i][nib-1], false)
+			acc.addMixed(&combTable[i][nib-1], false)
 		}
 	}
-	if s.isInfinity() {
-		return newInfinity()
-	}
-	return jacobianPoint{x: s.x, y: s.y, z: s.z}
+	return acc
 }
 
 // scalarBaseMultG dispatches between the comb table and the naive
 // reference ladder according to SetFastMult.
-func scalarBaseMultG(k *big.Int) jacobianPoint {
+func scalarBaseMultG(k *big.Int) jacobianVal {
 	if fastMultOn.Load() {
 		return scalarBaseMultComb(k)
 	}
-	return scalarBaseMult(k)
+	return scalarBaseMult(k).val()
 }

@@ -55,10 +55,11 @@ func NewPrivateKey(d *big.Int) (*PrivateKey, error) {
 	if d == nil || d.Sign() <= 0 || d.Cmp(curveN) >= 0 {
 		return nil, ErrInvalidKey
 	}
-	p := toAffine(scalarBaseMult(d))
+	dG := scalarBaseMultG(d)
+	p := dG.affine()
 	return &PrivateKey{
 		D:   new(big.Int).Set(d),
-		Pub: PublicKey{X: p.x, Y: p.y},
+		Pub: PublicKey{X: p.x.big(), Y: p.y.big()},
 	}, nil
 }
 
@@ -83,7 +84,19 @@ func PrivateKeyFromSeed(seed []byte) *PrivateKey {
 
 // Valid reports whether the public key is a valid curve point (and not the
 // point at infinity).
-func (p PublicKey) Valid() bool { return isOnCurve(p.X, p.Y) }
+func (p PublicKey) Valid() bool {
+	_, ok := p.point()
+	return ok
+}
+
+// point converts the key to a field-typed curve point; ok is false unless
+// both coordinates are present, in [0, p), and satisfy the curve equation.
+func (p PublicKey) point() (q affineVal, ok bool) {
+	if !q.x.setBig(p.X) || !q.y.setBig(p.Y) {
+		return affineVal{}, false
+	}
+	return q, q.onCurve()
+}
 
 // Bytes returns the 64-byte uncompressed encoding (X ‖ Y, each 32 bytes,
 // without the 0x04 prefix), matching what Ethereum hashes for address
