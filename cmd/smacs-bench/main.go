@@ -14,9 +14,6 @@
 //	smacs-bench -mode load       # concurrent-issuance load sweep
 //	smacs-bench -mode load -workers 1,4,8 -duration 2s -warmup 250ms \
 //	    -batch 32 -csv out/load.csv
-//	smacs-bench -mode chain      # guarded-tx verification-pipeline sweep
-//	smacs-bench -mode chain -txs 192 -senders 16 -workers 1,4,8 \
-//	    -chainmodes naive,wnaf,cached,batched -csv out/chain.csv
 //	smacs-bench -mode load -store file -fsync-batch 16   # durable WAL-backed counter
 //	smacs-bench -mode e2e        # end-to-end scenarios (HTTP TS → clients → chain)
 //	smacs-bench -mode e2e -scenario adversarial -smoke
@@ -32,8 +29,8 @@
 // per-commit performance without re-running old commits.
 //
 // Flag combinations are validated up front: an unknown -scenario, or
-// unknown entries in -modes/-chainmodes, exit with status 2 and a usage
-// message instead of being silently ignored.
+// unknown entries in -modes, exit with status 2 and a usage message
+// instead of being silently ignored.
 //
 // Interrupting a sweep (SIGINT/SIGTERM) flushes every completed row as a
 // valid partial table/JSON — and partial CSV when -csv is set — before
@@ -67,27 +64,20 @@ func main() {
 		quick    = flag.Bool("quick", false, "smaller workloads (Fig. 9 to 10^3, baseline to 1000)")
 		asJSON   = flag.Bool("json", false, "emit machine-readable JSON instead of the paper-layout tables")
 
-		mode     = flag.String("mode", "", `"load" runs the concurrent-issuance load generator; "chain" runs the guarded-tx verification-pipeline sweep; "e2e" runs the end-to-end scenario harness; "shard" runs the sharded-issuance scaling sweep over replica-group counts`)
-		workers  = flag.String("workers", "1,2,4,8", "load/chain: comma-separated worker counts to sweep")
+		mode     = flag.String("mode", "", `"load" runs the concurrent-issuance load generator; "e2e" runs the end-to-end scenario harness; "shard" runs the sharded-issuance scaling sweep over replica-group counts`)
+		workers  = flag.String("workers", "1,2,4,8", "load: comma-separated worker counts to sweep")
 		duration = flag.Duration("duration", 2*time.Second, "load: measured interval per cell")
 		warmup   = flag.Duration("warmup", 250*time.Millisecond, "load: unmeasured warmup per cell")
 		onetime  = flag.Bool("onetime", true, "load: request one-time tokens (exercises the counter)")
 		rtt      = flag.Duration("rtt", time.Millisecond, "load: modeled quorum round-trip per index allocation (0 = in-process counter); shard: delay injected per replica hop (try 10ms)")
-		batch    = flag.Int("batch", 32, "load: requests per IssueBatch call; chain: txs per ApplyBatch call")
+		batch    = flag.Int("batch", 32, "load: requests per IssueBatch call; shard: tokens per POST /v1/tokens round-trip")
 		modes    = flag.String("modes", "", "load: comma-separated subset of locked,atomic,sharded,batch")
-		csvPath  = flag.String("csv", "", "load/chain/shard: also write the sweep as CSV to this path")
+		csvPath  = flag.String("csv", "", "load/shard: also write the sweep as CSV to this path")
 
 		groups  = flag.String("groups", "1,2,4", "shard: comma-separated replica-group counts to sweep")
 		clients = flag.Int("clients", 16, "shard: concurrent wallet clients, routed to groups by the consistent-hash ring")
 		ops     = flag.Int("ops", 60, "shard: one-time tokens per client")
 		join    = flag.Bool("join", false, "shard: live-resharding cells — a replica group joins mid-run through the membership protocol")
-
-		txs        = flag.Int("txs", 192, "chain: guarded transactions per cell")
-		senders    = flag.Int("senders", 32, "chain: distinct client accounts (= -batch ⇒ conflict-light batches, < -batch ⇒ intra-batch conflicts)")
-		chainModes = flag.String("chainmodes", "", "chain: comma-separated subset of "+strings.Join(bench.ChainModes, ","))
-
-		sched       = flag.String("sched", "", `e2e: Chain.Execute scheduler for the batch submitter ("serial", "prevalidate", "optimistic"; empty = each scenario's own, normally prevalidate)`)
-		metricsDump = flag.String("metrics-dump", "", "chain: after the sweep, write the process metrics registry (Prometheus text format) to this path")
 
 		scenario      = flag.String("scenario", "", "e2e: comma-separated subset of "+strings.Join(bench.ScenarioNames(), ",")+` (or "all", the default)`)
 		smoke         = flag.Bool("smoke", false, "e2e: small deterministic sizing (the scale the CI envelope pins)")
@@ -103,7 +93,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateSelection(*mode, *scenario, *modes, *chainModes, *smoke, *envelopePath, *writeEnvelope, *storeKind, *dirPath, *fsyncBatch, *benchJSON, *tracePath, *sched, *metricsDump); err != nil {
+	if err := validateSelection(*mode, *scenario, *modes, *smoke, *envelopePath, *writeEnvelope, *storeKind, *dirPath, *fsyncBatch, *benchJSON, *tracePath); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -128,11 +118,9 @@ func main() {
 		case "load":
 			err = runLoad(*workers, *duration, *warmup, *onetime, *rtt, *batch, *modes,
 				*storeKind, *dirPath, *fsyncBatch, *csvPath, benchPath, *asJSON, flusher)
-		case "chain":
-			err = runChain(*workers, *txs, *senders, *batch, *chainModes, *csvPath, benchPath, *metricsDump, *asJSON, flusher)
 		case "e2e":
 			err = runE2E(*scenario, *smoke, *envelopePath, *writeEnvelope,
-				*dirPath, *fsyncBatch, *csvPath, benchPath, *tracePath, *sched, *asJSON, flusher)
+				*dirPath, *fsyncBatch, *csvPath, benchPath, *tracePath, *asJSON, flusher)
 		case "shard":
 			err = runShard(*groups, *clients, *ops, *batch, *rtt, *join, *csvPath, benchPath, *asJSON, flusher)
 		}
@@ -153,15 +141,15 @@ func main() {
 }
 
 // validateSelection rejects inconsistent flag combinations before any
-// measurement runs: unknown modes, unknown -scenario / -modes /
-// -chainmodes entries, and e2e-only flags outside -mode e2e. Catching
-// these up front means a typo exits with a usage message instead of
-// silently discarding minutes of completed sweep cells.
-func validateSelection(mode, scenario, modes, chainModes string, smoke bool, envelopePath, writeEnvelope, storeKind, dirPath string, fsyncBatch int, benchJSON, tracePath, sched, metricsDump string) error {
+// measurement runs: unknown modes, unknown -scenario / -modes entries,
+// and e2e-only flags outside -mode e2e. Catching these up front means a
+// typo exits with a usage message instead of silently discarding minutes
+// of completed sweep cells.
+func validateSelection(mode, scenario, modes string, smoke bool, envelopePath, writeEnvelope, storeKind, dirPath string, fsyncBatch int, benchJSON, tracePath string) error {
 	switch mode {
-	case "", "load", "chain", "e2e", "shard":
+	case "", "load", "e2e", "shard":
 	default:
-		return fmt.Errorf("unknown -mode %q (supported: load, chain, e2e, shard)", mode)
+		return fmt.Errorf("unknown -mode %q (supported: load, e2e, shard)", mode)
 	}
 	switch storeKind {
 	case "mem", "file":
@@ -222,32 +210,13 @@ func validateSelection(mode, scenario, modes, chainModes string, smoke bool, env
 			return err
 		}
 	}
-	if chainModes != "" {
-		if mode != "chain" {
-			return fmt.Errorf("-chainmodes requires -mode chain")
-		}
-		if err := checkEntries("-chainmodes", chainModes, bench.ChainModes); err != nil {
-			return err
-		}
-	}
 	if tracePath != "" && mode != "e2e" {
 		return fmt.Errorf("-trace requires -mode e2e")
-	}
-	if sched != "" {
-		if mode != "e2e" {
-			return fmt.Errorf("-sched requires -mode e2e (the chain sweep selects schedulers via -chainmodes)")
-		}
-		if _, err := bench.ParseScheduler(sched); err != nil {
-			return err
-		}
-	}
-	if metricsDump != "" && mode != "chain" {
-		return fmt.Errorf("-metrics-dump requires -mode chain (e2e scenarios use isolated per-scenario registries)")
 	}
 	// "auto" is the default and silently degrades to "no artifact" for the
 	// paper tables; an explicit path outside the sweep modes is a mistake.
 	if benchJSON != "" && benchJSON != "auto" && mode == "" {
-		return fmt.Errorf("-bench-json requires -mode load, chain, e2e, or shard")
+		return fmt.Errorf("-bench-json requires -mode load, e2e, or shard")
 	}
 	return nil
 }
@@ -282,7 +251,7 @@ func splitModes(modes string) []string {
 	return out
 }
 
-// sweepResult is the common shape of the load and chain sweeps: a table
+// sweepResult is the common shape of the sweep modes' results: a table
 // renderer plus a CSV dump.
 type sweepResult interface {
 	Format() string
@@ -340,44 +309,6 @@ func emitSweep(res sweepResult, csvPath string, asJSON bool) error {
 		fmt.Fprintln(os.Stderr, "wrote", csvPath)
 	}
 	return nil
-}
-
-func runChain(workers string, txs, senders, batch int, modes, csvPath, benchPath, metricsDump string, asJSON bool, flusher *partialFlusher) error {
-	cfg := bench.ChainConfig{
-		Txs:       txs,
-		Senders:   senders,
-		BatchSize: batch,
-		Modes:     splitModes(modes),
-	}
-	var err error
-	if cfg.Workers, err = parseWorkers(workers); err != nil {
-		return err
-	}
-	var rows []bench.ChainRow
-	cfg.OnRow = func(r bench.ChainRow) {
-		rows = append(rows, r)
-		flusher.set(&bench.ChainResult{Config: cfg, Rows: append([]bench.ChainRow(nil), rows...)})
-	}
-	res, err := bench.Chain(cfg)
-	if err != nil {
-		return err
-	}
-	if err := emitSweep(res, csvPath, asJSON); err != nil {
-		return err
-	}
-	if metricsDump != "" {
-		// The sweep's chains all report into the process-default registry,
-		// so this snapshot carries the evm_exec_* families CI asserts on.
-		var b strings.Builder
-		if err := metrics.Default().WritePrometheus(&b); err != nil {
-			return fmt.Errorf("render metrics: %w", err)
-		}
-		if err := os.WriteFile(metricsDump, []byte(b.String()), 0o644); err != nil {
-			return fmt.Errorf("write metrics dump: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", metricsDump)
-	}
-	return writeBenchArtifact(benchPath, "chain", res)
 }
 
 func runLoad(workers string, duration, warmup time.Duration, onetime bool, rtt time.Duration, batch int, modes, storeKind, dir string, fsyncBatch int, csvPath, benchPath string, asJSON bool, flusher *partialFlusher) error {
@@ -453,7 +384,7 @@ func runShard(groups string, clients, ops, batch int, rtt time.Duration, join bo
 // runE2E drives the end-to-end scenario harness and, when asked, writes
 // or checks the correctness-count envelope. An envelope mismatch is an
 // error, so CI fails the build on functional drift in the full pipeline.
-func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir string, fsyncBatch int, csvPath, benchPath, tracePath, sched string, asJSON bool, flusher *partialFlusher) error {
+func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir string, fsyncBatch int, csvPath, benchPath, tracePath string, asJSON bool, flusher *partialFlusher) error {
 	if scenario == "all" {
 		scenario = ""
 	}
@@ -462,7 +393,6 @@ func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir string
 		Smoke:      smoke,
 		Dir:        dir,
 		FsyncBatch: fsyncBatch,
-		Scheduler:  sched,
 	}
 	var tracer *metrics.Tracer
 	if tracePath != "" {

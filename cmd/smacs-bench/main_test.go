@@ -140,7 +140,6 @@ func TestValidateSelection(t *testing.T) {
 		mode       string
 		scenario   string
 		modes      string
-		chainModes string
 		smoke      bool
 		envelope   string
 		writeEnv   string
@@ -149,14 +148,11 @@ func TestValidateSelection(t *testing.T) {
 		fsyncBatch int
 		benchJSON  string // "" maps to the "auto" flag default
 		trace      string
-		sched      string
-		dump       string
 		wantErr    string // "" = valid
 	}{
 		{name: "paper tables", mode: ""},
 		{name: "load defaults", mode: "load"},
 		{name: "load subset", mode: "load", modes: "locked,sharded"},
-		{name: "chain subset", mode: "chain", chainModes: "naive,batched"},
 		{name: "e2e defaults", mode: "e2e"},
 		{name: "e2e all", mode: "e2e", scenario: "all", smoke: true},
 		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", smoke: true, envelope: "out/e2e-envelope.json"},
@@ -166,35 +162,27 @@ func TestValidateSelection(t *testing.T) {
 		{name: "unknown scenario", mode: "e2e", scenario: "bogus", wantErr: `unknown -scenario entry "bogus"`},
 		{name: "scenario outside e2e", mode: "load", scenario: "mixed", wantErr: "-scenario requires -mode e2e"},
 		{name: "scenario all outside e2e", mode: "load", scenario: "all", wantErr: "-scenario requires -mode e2e"},
-		{name: "smoke outside e2e", mode: "chain", smoke: true, wantErr: "-smoke requires -mode e2e"},
+		{name: "smoke outside e2e", mode: "load", smoke: true, wantErr: "-smoke requires -mode e2e"},
 		{name: "envelope outside e2e", mode: "", envelope: "x.json", wantErr: "-envelope requires -mode e2e"},
 		{name: "write-envelope outside e2e", mode: "load", writeEnv: "x.json", wantErr: "-write-envelope requires -mode e2e"},
 		{name: "unknown load mode", mode: "load", modes: "locked,turbo", wantErr: `unknown -modes entry "turbo"`},
-		{name: "modes outside load", mode: "chain", modes: "locked", wantErr: "-modes requires -mode load"},
-		{name: "unknown chain mode", mode: "chain", chainModes: "warp", wantErr: `unknown -chainmodes entry "warp"`},
-		{name: "chainmodes outside chain", mode: "e2e", chainModes: "naive", wantErr: "-chainmodes requires -mode chain"},
+		{name: "modes outside load", mode: "shard", modes: "locked", wantErr: "-modes requires -mode load"},
+		{name: "unknown chain mode", mode: "chain", wantErr: `unknown -mode "chain"`},
 
 		{name: "load file store", mode: "load", store: "file", dir: "/tmp/w", fsyncBatch: 16},
 		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w", fsyncBatch: 128},
 		{name: "unknown store", mode: "load", store: "tape", wantErr: `unknown -store "tape"`},
-		{name: "file store outside load", mode: "chain", store: "file", wantErr: "-store file requires -mode load"},
+		{name: "file store outside load", mode: "shard", store: "file", wantErr: "-store file requires -mode load"},
 		{name: "dir without file store", mode: "load", dir: "/tmp/w", wantErr: "-dir requires -store file or -mode e2e"},
-		{name: "fsync-batch without file store", mode: "chain", fsyncBatch: 8, wantErr: "-fsync-batch requires -store file or -mode e2e"},
+		{name: "fsync-batch without file store", mode: "shard", fsyncBatch: 8, wantErr: "-fsync-batch requires -store file or -mode e2e"},
 		{name: "negative fsync-batch", mode: "load", store: "file", fsyncBatch: -1, wantErr: "-fsync-batch must be ≥ 0"},
 
 		{name: "e2e trace", mode: "e2e", smoke: true, trace: "out/trace.json"},
 		{name: "trace outside e2e", mode: "load", trace: "out/trace.json", wantErr: "-trace requires -mode e2e"},
 		{name: "bench-json auto in paper mode", mode: ""}, // default degrades silently
-		{name: "explicit bench-json", mode: "chain", benchJSON: "out/BENCH_chain.json"},
+		{name: "explicit bench-json", mode: "shard", benchJSON: "out/BENCH_shard.json"},
 		{name: "bench-json outside sweep modes", mode: "", benchJSON: "x.json", wantErr: "-bench-json requires -mode"},
 		{name: "smoke outside e2e (shard)", mode: "shard", smoke: true, wantErr: "-smoke requires -mode e2e"},
-
-		{name: "optimistic chain mode", mode: "chain", chainModes: "cached,optimistic"},
-		{name: "e2e sched", mode: "e2e", smoke: true, sched: "optimistic"},
-		{name: "unknown sched", mode: "e2e", sched: "warp", wantErr: `unknown scheduler "warp"`},
-		{name: "sched outside e2e", mode: "chain", sched: "serial", wantErr: "-sched requires -mode e2e"},
-		{name: "chain metrics dump", mode: "chain", dump: "out/metrics.prom"},
-		{name: "metrics dump outside chain", mode: "e2e", dump: "out/metrics.prom", wantErr: "-metrics-dump requires -mode chain"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -206,7 +194,7 @@ func TestValidateSelection(t *testing.T) {
 			if benchJSON == "" {
 				benchJSON = "auto"
 			}
-			err := validateSelection(tt.mode, tt.scenario, tt.modes, tt.chainModes, tt.smoke, tt.envelope, tt.writeEnv, store, tt.dir, tt.fsyncBatch, benchJSON, tt.trace, tt.sched, tt.dump)
+			err := validateSelection(tt.mode, tt.scenario, tt.modes, tt.smoke, tt.envelope, tt.writeEnv, store, tt.dir, tt.fsyncBatch, benchJSON, tt.trace)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -49,11 +49,6 @@ type E2EConfig struct {
 	// CI can sweep timings while any single run stays reproducible. The
 	// correctness counts must be seed-independent — that is the point.
 	ChaosSeed int64 `json:"chaosSeed,omitempty"`
-	// Scheduler, when non-empty, overrides every scenario's Execute
-	// scheduler ("serial", "prevalidate", "optimistic"). Correctness
-	// counts are scheduler-independent, so the same envelope pins all
-	// three.
-	Scheduler string `json:"scheduler,omitempty"`
 }
 
 // E2ECounts are the correctness counts of one scenario run. Every field is
@@ -72,7 +67,7 @@ type E2ECounts struct {
 	TSIssued   int `json:"tsIssued"`
 	TSRejected int `json:"tsRejected"`
 	// TxSubmitted / TxAccepted / TxRejected tally the guarded transactions
-	// fed through Chain.ApplyBatch. The first use of a replayed one-time
+	// fed through Chain.Execute. The first use of a replayed one-time
 	// token is legitimate and counts as accepted.
 	TxSubmitted int `json:"txSubmitted"`
 	TxAccepted  int `json:"txAccepted"`
@@ -127,7 +122,8 @@ type E2ERow struct {
 
 	// Stages breaks the pipeline down: "issue" (TS-side issuance),
 	// "http_tokens" (POST /v1/tokens service time), "prevalidate" and
-	// "commit" (ApplyBatch phases, per batch), "e2e" (per operation).
+	// "commit" (optimistic Execute phases, per batch), "e2e" (per
+	// operation).
 	Stages map[string]StageLatency `json:"stages,omitempty"`
 	// ChaosFaultInjected reports that the scenario's replica fault
 	// actually fired (chaos scenarios only) — a guard against a run so
@@ -153,22 +149,16 @@ type E2EResult struct {
 // E2E runs the end-to-end scenario harness: for every selected scenario it
 // stands up a real Token Service over a loopback HTTP listener, drives the
 // configured wallet clients through tshttp.Client.RequestTokens, feeds the
-// signed guarded transactions into Chain.ApplyBatch (with the parallel
-// prevalidation prehook), and tallies exact accept/reject counts alongside
-// throughput and latency.
+// signed guarded transactions into Chain.Execute (optimistic scheduler,
+// with the parallel prevalidation prehook), and tallies exact
+// accept/reject counts alongside throughput and latency.
 func E2E(cfg E2EConfig) (*E2EResult, error) {
 	scenarios, err := ScenariosFor(cfg.Scenarios, cfg.Smoke)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ParseScheduler(cfg.Scheduler); err != nil {
-		return nil, err
-	}
 	res := &E2EResult{Config: cfg}
 	for _, sc := range scenarios {
-		if cfg.Scheduler != "" {
-			sc.Scheduler = cfg.Scheduler
-		}
 		var row E2ERow
 		if sc.Durable {
 			row, err = runDurable(sc, cfg)
@@ -610,7 +600,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		env.chain.Fund(k.Address(), ether(1000))
 	}
 
-	// The submitter: drains the op channel into ApplyBatch calls of
+	// The submitter: drains the op channel into Execute calls of
 	// TxBatch transactions, running token-signature prevalidation in the
 	// parallel pool outside the chain mutex.
 	subDone := env.startSubmitter(tsKey.Address())
@@ -740,15 +730,11 @@ func cacheRate(h0, m0 uint64, stats func() (uint64, uint64)) float64 {
 }
 
 // startSubmitter launches the batch submitter draining e.sub into
-// Chain.Execute calls of TxBatch transactions under the scenario's
-// scheduler (prevalidate by default), with batched token-signature
-// prevalidation in the parallel pool outside the chain mutex. It returns
-// the channel closed when e.sub has been closed and fully drained.
+// optimistic Chain.Execute calls of TxBatch transactions, with batched
+// token-signature prevalidation in the parallel pool outside the chain
+// mutex. It returns the channel closed when e.sub has been closed and
+// fully drained.
 func (e *e2eEnv) startSubmitter(tsAddr types.Address) chan struct{} {
-	sched, err := ParseScheduler(e.cfg.Scheduler)
-	if err != nil {
-		panic(err) // scenario configs are validated before the run starts
-	}
 	hook := core.BatchTokenPrehook(tsAddr, e.chain.Config().ChainID)
 	subDone := make(chan struct{})
 	go func() {
@@ -763,7 +749,7 @@ func (e *e2eEnv) startSubmitter(tsAddr types.Address) chan struct{} {
 				txs[i] = op.tx
 			}
 			results := e.chain.Execute(txs, evm.ExecOptions{
-				Scheduler:        sched,
+				Scheduler:        evm.SchedulerOptimistic,
 				Workers:          e.cfg.Workers,
 				PrevalidateBatch: hook,
 			})
@@ -815,7 +801,7 @@ func stageSummary(h *metrics.Histogram) StageLatency {
 
 // finishRow folds the aggregate and the scenario registry's latency
 // histograms into the result row. Stage entries with zero observations
-// are dropped (a scenario without ApplyBatch traffic has no commit
+// are dropped (a scenario without batch traffic has no commit
 // stage).
 func finishRow(cfg ScenarioConfig, agg *e2eAgg, elapsed time.Duration,
 	reg *metrics.Registry, senderHitRate, tokenHitRate float64) E2ERow {
@@ -1114,7 +1100,7 @@ func (r *E2EResult) Format() string {
 	if r.Config.Smoke {
 		scale = "smoke"
 	}
-	fmt.Fprintf(&b, "End-to-end scenarios (%s scale): real HTTP Token Service → wallet clients → Chain.ApplyBatch\n", scale)
+	fmt.Fprintf(&b, "End-to-end scenarios (%s scale): real HTTP Token Service → wallet clients → Chain.Execute\n", scale)
 	fmt.Fprintf(&b, "  %-12s %8s %6s %9s %10s %10s %9s %9s %9s\n",
 		"scenario", "clients", "ops", "seconds", "tokens/s", "tx/s", "p50 ms", "p95 ms", "p99 ms")
 	for _, row := range r.Rows {

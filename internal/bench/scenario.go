@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/evm"
 )
 
 // Workload names select the contract topology an e2e scenario drives.
@@ -96,26 +95,6 @@ type ScenarioConfig struct {
 	TxBatch int `json:"txBatch"`
 	// Workers is the worker count handed to Execute (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Scheduler selects the Chain.Execute scheduler for the batch
-	// submitter: "serial", "prevalidate" (the default when empty), or
-	// "optimistic". The correctness envelope is scheduler-independent —
-	// every scheduler is serially equivalent — so CI can pin one envelope
-	// and sweep schedulers against it.
-	Scheduler string `json:"scheduler,omitempty"`
-}
-
-// ParseScheduler maps a scenario/flag scheduler name to the evm enum.
-func ParseScheduler(name string) (evm.Scheduler, error) {
-	switch name {
-	case "", "prevalidate":
-		return evm.SchedulerPrevalidate, nil
-	case "serial":
-		return evm.SchedulerSerial, nil
-	case "optimistic":
-		return evm.SchedulerOptimistic, nil
-	default:
-		return 0, fmt.Errorf("bench: unknown scheduler %q (supported: serial, prevalidate, optimistic)", name)
-	}
 }
 
 // ScenarioNames lists the shipped scenario profiles in run order.

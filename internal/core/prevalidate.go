@@ -7,58 +7,24 @@ import (
 	"repro/internal/types"
 )
 
-// TokenPrehook returns an evm.BatchOptions.Prevalidate hook that verifies a
-// transaction's token signature against the Token Service address during
-// ApplyBatch's parallel prevalidation phase, outside the chain mutex. The
-// recovered signer lands in the token-signer cache, so the authoritative
-// Verifier.Verify run inside the serial commit skips its ecrecover.
+// BatchTokenPrehook returns an evm.ExecOptions.PrevalidateBatch hook
+// that verifies token signatures during Execute's parallel prevalidation
+// phase, outside the chain mutex: it gathers the top-level token
+// signatures of a whole sub-batch and recovers their signers through
+// secp256k1.RecoverAddressBatch, amortizing the modular inversions of
+// per-item recovery, before installing them in the token-signer cache, so
+// the authoritative Verifier.Verify run at execution time skips its
+// ecrecover.
 //
 // The hook only warms the top-level entry (the token tagged with the
 // transaction's target contract); downstream call-chain entries are
 // verified — and cached — when the chain executes them. It is best-effort
-// by design: any malformed or missing token is simply left for the on-chain
-// verification to reject, and gas accounting is untouched because the
-// Verifier charges the full ecrecover cost whether or not the cache hits.
-func TokenPrehook(tsAddr types.Address, chainID uint64) func(*evm.Transaction) {
-	return func(tx *evm.Transaction) {
-		// With the token-signer cache disabled the recovered signer cannot
-		// be handed to the commit phase, so the whole warm-up would be
-		// duplicate work — skip it.
-		if !TokenSigCacheEnabled() || len(tx.Tokens) == 0 {
-			return
-		}
-		tk, err := TokenFor(tx.Tokens, tx.To)
-		if err != nil {
-			return
-		}
-		origin, err := tx.Sender(chainID)
-		if err != nil {
-			return
-		}
-		appData, err := tx.AppData()
-		if err != nil || len(appData) < 4 {
-			return
-		}
-		binding := Binding{Origin: origin, Contract: tx.To, Data: appData}
-		copy(binding.Selector[:], appData[:4])
-		_ = tk.VerifySignature(tsAddr, binding)
-	}
-}
-
-// BatchTokenPrehook is the batch-first form of TokenPrehook, for
-// evm.ExecOptions.PrevalidateBatch: it gathers the top-level token
-// signatures of a whole sub-batch and recovers their signers through
-// secp256k1.RecoverAddressBatch, amortizing the modular inversions of
-// per-item recovery, before installing them in the token-signer cache.
-// Like TokenPrehook it is best-effort and side-effect-only: malformed
-// entries are skipped and the authoritative Verifier.Verify checks run
-// again at execution time. Safe for concurrent use on disjoint
-// sub-batches.
+// and side-effect-only: malformed or missing tokens are skipped and left
+// for the on-chain verification to reject, and gas accounting is untouched
+// because the Verifier charges the full ecrecover cost whether or not the
+// cache hits. Safe for concurrent use on disjoint sub-batches.
 func BatchTokenPrehook(tsAddr types.Address, chainID uint64) func([]*evm.Transaction) {
 	return func(txs []*evm.Transaction) {
-		if !TokenSigCacheEnabled() {
-			return
-		}
 		var (
 			digests [][32]byte
 			sigs    []secp256k1.Signature

@@ -8,7 +8,7 @@ import (
 	"repro/internal/wallet"
 )
 
-func TestTokenPrehookWarmsVerificationCache(t *testing.T) {
+func TestBatchTokenPrehookWarmsVerificationCache(t *testing.T) {
 	f := newFixture(t, 0)
 	opts := f.issue(t, core.MethodType, core.NotOneTime, 1, "act", uint64(0))
 	w := f.env.Wallets[1]
@@ -18,11 +18,12 @@ func TestTokenPrehookWarmsVerificationCache(t *testing.T) {
 	}
 
 	cfg := f.env.Chain.Config()
-	hook := core.TokenPrehook(tsKey.Address(), cfg.ChainID)
+	hook := core.BatchTokenPrehook(tsKey.Address(), cfg.ChainID)
 	hits0, misses0 := core.TokenSigCacheStats()
-	results := f.env.Chain.ApplyBatch([]*evm.Transaction{tx}, evm.BatchOptions{
-		Workers:     2,
-		Prevalidate: hook,
+	results := f.env.Chain.Execute([]*evm.Transaction{tx}, evm.ExecOptions{
+		Scheduler:        evm.SchedulerOptimistic,
+		Workers:          2,
+		PrevalidateBatch: hook,
 	})
 	if results[0].Err != nil {
 		t.Fatalf("batch rejected: %v", results[0].Err)
@@ -46,11 +47,10 @@ func TestTokenPrehookWarmsVerificationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook(plain)
 	bad, err := w.BuildTx(f.addr, "act", opts, uint64(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad.Tokens = [][]byte{{0x01, 0x02}}
-	hook(bad)
+	hook([]*evm.Transaction{plain, bad})
 }

@@ -226,7 +226,7 @@ func (tk *Token) VerifySignature(tsAddr types.Address, b Binding) error {
 	// Missing or out-of-range scalars skip the cache (Signature.Bytes panics
 	// on them); RecoverAddress below rejects them as ErrBadTokenSig instead.
 	var key string
-	if tokenSigCacheOn.Load() && tk.Signature.Validate() == nil {
+	if tk.Signature.Validate() == nil {
 		key = sigcache.Key([32]byte(digest), tk.Signature.Bytes())
 	}
 	signer, ok := types.Address{}, false

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/sigcache"
 	"repro/internal/types"
 )
@@ -16,23 +14,6 @@ import (
 // address, not a verdict, so a hit is still compared against the expected
 // Token Service address.
 var tokenSigCache = sigcache.New[types.Address](4096)
-
-var tokenSigCacheOn atomic.Bool
-
-func init() { tokenSigCacheOn.Store(true) }
-
-// SetTokenSigCache enables or disables token-signer caching and returns the
-// previous setting. Disabling purges the cache.
-func SetTokenSigCache(on bool) bool {
-	prev := tokenSigCacheOn.Swap(on)
-	if !on {
-		tokenSigCache.Purge()
-	}
-	return prev
-}
-
-// TokenSigCacheEnabled reports whether token-signer caching is active.
-func TokenSigCacheEnabled() bool { return tokenSigCacheOn.Load() }
 
 // TokenSigCacheStats returns the cumulative hit/miss counts of the token
 // signer cache.

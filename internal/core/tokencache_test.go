@@ -45,25 +45,6 @@ func TestTokenSignerCached(t *testing.T) {
 	}
 }
 
-func TestTokenSigCacheToggle(t *testing.T) {
-	prev := core.SetTokenSigCache(false)
-	defer core.SetTokenSigCache(prev)
-	if core.TokenSigCacheEnabled() {
-		t.Fatal("cache still enabled after SetTokenSigCache(false)")
-	}
-	key := secp256k1.PrivateKeyFromSeed([]byte("uncached ts"))
-	binding := core.Binding{Origin: types.Address{0xc1}, Contract: types.Address{0x02}}
-	tk, err := core.SignToken(key, core.SuperType, time.Now().Add(time.Hour), core.NotOneTime, binding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := tk.VerifySignature(key.Address(), binding); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestTokenVerifyOutOfRangeScalarsError(t *testing.T) {
 	// Out-of-range scalars must be rejected as ErrBadTokenSig, not panic
 	// inside Signature.Bytes while building the cache key.

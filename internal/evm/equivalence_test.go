@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/evm"
@@ -223,9 +224,10 @@ func equivalenceIterations() int {
 
 // TestOptimisticSerialEquivalenceProperty is the headline property test:
 // 1000 seeded iterations (200 under -race) of conflict-heavy batches,
-// each executed on a serial oracle and an optimistic 4-worker chain, with
-// receipts compared field-by-field and state/height/metrics diffed after
-// every batch.
+// each executed on a serial oracle and an optimistic chain — at 1 worker
+// (a sequential wave, so the repair pass only validates), 2, and 8 (more
+// lanes than cores) in turn — with receipts compared field-by-field and
+// state/height/metrics diffed after every batch.
 func TestOptimisticSerialEquivalenceProperty(t *testing.T) {
 	iterations := equivalenceIterations()
 	if testing.Short() {
@@ -244,7 +246,7 @@ func TestOptimisticSerialEquivalenceProperty(t *testing.T) {
 		txs := p.buildBatch(t, rng)
 
 		serialRes := p.serial.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerSerial})
-		workers := 2 + rng.Intn(3) // 2..4
+		workers := [...]int{1, 2, 8}[iter%3]
 		optRes := p.optimistic.Execute(txs, evm.ExecOptions{
 			Scheduler: evm.SchedulerOptimistic,
 			Workers:   workers,
@@ -308,41 +310,52 @@ func TestOptimisticSchedulerRaceStress(t *testing.T) {
 	p.assertChainsEquivalent(t, "after stress")
 }
 
-// TestOptimisticConflictMetrics pins the new observability series: a
-// conflict-saturated batch must count at least one conflict and register
-// re-executions, and all series must render in the Prometheus output
-// even when zero.
-func TestOptimisticConflictMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	clock := evmtest.NewClock()
-	cfg := evm.DefaultConfig()
-	cfg.Now = clock.Now
-	cfg.Metrics = reg
-	ch := evm.NewChain(cfg)
+// colliderChain is a chain carrying a Collider contract plus one signed
+// collide(i) call per party i, each from its own sender. The handler
+// loads the shared slot 0 and then, with barrier set, blocks on a
+// one-shot barrier until every party's first execution has loaded it
+// too: every execution of the wave observes the base version before
+// anyone publishes, which makes exactly parties−1 stale reads a certainty
+// instead of a scheduling accident; later executions (the repair pass)
+// pass straight through. Serial oracles run without the barrier. After
+// it the handler hands (i, loaded value) to onLoad, which
+// may panic, and stores value+1.
+type colliderChain struct {
+	chain *evm.Chain
+	reg   *metrics.Registry
+	txs   []*evm.Transaction
+	calls atomic.Int64 // handler invocations
+}
 
-	const parties = 6
+func newColliderChain(t testing.TB, parties int, barrier bool, onLoad func(party, v uint64)) *colliderChain {
+	t.Helper()
+	c := &colliderChain{reg: metrics.NewRegistry()}
+	cfg := evm.DefaultConfig()
+	cfg.Now = evmtest.NewClock().Now
+	cfg.Metrics = c.reg
+	c.chain = evm.NewChain(cfg)
+
 	keys := make([]*secp256k1.PrivateKey, parties)
 	for i := range keys {
 		keys[i] = secp256k1.PrivateKeyFromSeed([]byte{byte('c'), byte(i)})
-		ch.Fund(keys[i].Address(), evmtest.Ether(100))
+		c.chain.Fund(keys[i].Address(), evmtest.Ether(100))
 	}
 
-	// The handler loads the shared slot, then blocks on a one-shot
-	// barrier until every first-wave execution has loaded it too. All
-	// parties therefore observe the base version before anyone publishes,
-	// which makes exactly parties−1 first-wave validation failures a
-	// certainty instead of a scheduling accident. Re-executions (arriving
-	// after the barrier released) pass straight through.
 	var (
 		barrierMu sync.Mutex
 		arrived   int
 		release   = make(chan struct{})
 	)
+	if !barrier {
+		close(release)
+	}
 	contract := evm.NewContract("Collider")
 	contract.MustAddMethod(evm.Method{
 		Name:       "collide",
+		Params:     []any{uint64(0)},
 		Visibility: evm.Public,
 		Handler: func(call *evm.Call) ([]any, error) {
+			c.calls.Add(1)
 			v, err := call.LoadUint(gas.CatApp, evm.SlotN(0))
 			if err != nil {
 				return nil, err
@@ -350,66 +363,202 @@ func TestOptimisticConflictMetrics(t *testing.T) {
 			barrierMu.Lock()
 			if arrived < parties {
 				arrived++
-				if arrived == parties {
+				if barrier && arrived == parties {
 					close(release)
 				}
 			}
 			barrierMu.Unlock()
 			<-release
+			if onLoad != nil {
+				onLoad(call.Arg(0).(uint64), v)
+			}
 			if err := call.StoreUint(gas.CatApp, evm.SlotN(0), v+1); err != nil {
 				return nil, err
 			}
 			return nil, nil
 		},
 	})
-	addr, _, err := ch.Deploy(keys[0].Address(), contract)
+	addr, _, err := c.chain.Deploy(keys[0].Address(), contract)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	txs := make([]*evm.Transaction, parties)
+	c.txs = make([]*evm.Transaction, parties)
 	for i, key := range keys {
 		tx := &evm.Transaction{
-			Nonce:    ch.NonceOf(key.Address()),
+			Nonce:    c.chain.NonceOf(key.Address()),
 			To:       addr,
 			Value:    new(big.Int),
 			GasLimit: wallet.DefaultGasLimit,
-			GasPrice: ch.Config().Price.Wei(1),
+			GasPrice: c.chain.Config().Price.Wei(1),
 			Method:   "collide",
+			Args:     []any{uint64(i)},
 		}
-		if err := evm.SignTx(tx, key, ch.Config().ChainID); err != nil {
+		if err := evm.SignTx(tx, key, c.chain.Config().ChainID); err != nil {
 			t.Fatal(err)
 		}
-		txs[i] = tx
+		c.txs[i] = tx
 	}
-	for i, res := range ch.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: parties}) {
-		if res.Err != nil || !res.Receipt.Status {
-			t.Fatalf("tx %d failed: %v / %+v", i, res.Err, res.Receipt)
-		}
-	}
+	return c
+}
 
+// seriesValue reads one unlabeled sample from reg's Prometheus rendering.
+func seriesValue(t testing.TB, reg *metrics.Registry, name string) float64 {
+	t.Helper()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, series := range []string{
-		evm.MetricExecConflicts,
-		evm.MetricExecReexecutions,
-		evm.MetricExecParallelSecs,
-	} {
-		if !strings.Contains(out, series) {
-			t.Errorf("series %s missing from Prometheus rendering", series)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			var v float64
+			if _, err := fmt.Sscanf(line, name+" %f", &v); err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return v
 		}
 	}
-	var conflicts float64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, evm.MetricExecConflicts+" ") {
-			fmt.Sscanf(line, evm.MetricExecConflicts+" %f", &conflicts)
+	t.Fatalf("series %s missing from Prometheus rendering", name)
+	return 0
+}
+
+// TestOptimisticConflictMetrics pins the scheduler's cost on a fully
+// conflicting batch: every party but the first is a conflict, each
+// conflict is repaired by exactly one re-execution, and the handler
+// therefore runs exactly 2·parties−1 times.
+func TestOptimisticConflictMetrics(t *testing.T) {
+	const parties = 6
+	c := newColliderChain(t, parties, true, nil)
+	for i, res := range c.chain.Execute(c.txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: parties}) {
+		if res.Err != nil || !res.Receipt.Status {
+			t.Fatalf("tx %d failed: %v / %+v", i, res.Err, res.Receipt)
 		}
 	}
-	if conflicts < 1 {
-		t.Errorf("conflicts = %v, want ≥ 1 for a chained-nonce batch", conflicts)
+	if got := seriesValue(t, c.reg, evm.MetricExecConflicts); got != parties-1 {
+		t.Errorf("%s = %v, want %d", evm.MetricExecConflicts, got, parties-1)
+	}
+	if got := seriesValue(t, c.reg, evm.MetricExecReexecutions+"_sum"); got != parties-1 {
+		t.Errorf("%s_sum = %v, want %d", evm.MetricExecReexecutions, got, parties-1)
+	}
+	if got := c.calls.Load(); got != 2*parties-1 {
+		t.Errorf("handler ran %d times, want %d", got, 2*parties-1)
+	}
+	if got := seriesValue(t, c.reg, evm.MetricExecParallelSecs+"_count"); got != 1 {
+		t.Errorf("%s_count = %v, want 1", evm.MetricExecParallelSecs, got)
+	}
+}
+
+// TestOptimisticNonceChainBoundedReexecution runs the worst shape for a
+// wave scheduler — one sender, so every transaction depends on the one
+// before it — and checks the 2n execution bound: at most one repair per
+// position, whatever the wave observed.
+func TestOptimisticNonceChainBoundedReexecution(t *testing.T) {
+	const n = 32
+	reg := metrics.NewRegistry()
+	cfg := evm.DefaultConfig()
+	cfg.Now = evmtest.NewClock().Now
+	cfg.Metrics = reg
+	ch := evm.NewChain(cfg)
+	key := secp256k1.PrivateKeyFromSeed([]byte("nonce chain"))
+	ch.Fund(key.Address(), evmtest.Ether(100))
+	addr, _, err := ch.Deploy(key.Address(), newCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := make([]*evm.Transaction, n)
+	for i := range txs {
+		txs[i] = buildIncrement(t, ch, key, addr, ch.NonceOf(key.Address())+uint64(i))
+	}
+	for i, res := range ch.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: 4}) {
+		if res.Err != nil || !res.Receipt.Status {
+			t.Fatalf("tx %d failed: %v / %+v", i, res.Err, res.Receipt)
+		}
+		if got := res.Receipt.Return[0].(uint64); got != uint64(i+1) {
+			t.Fatalf("tx %d returned %d, want %d", i, got, i+1)
+		}
+	}
+	if got := seriesValue(t, reg, evm.MetricExecReexecutions+"_sum"); got > n {
+		t.Errorf("%v re-executions for a %d-long chain: more than 2n executions", got, n)
+	}
+}
+
+// A handler panic raised by a stale speculative read is not a real
+// panic: serial execution never reaches it. Every party but the first
+// panics in the wave (the barrier makes all of them load the base
+// value), the repair pass re-executes them against final state, and the
+// batch completes with receipts identical to the serial oracle's.
+func TestOptimisticStalePanicDoesNotSurface(t *testing.T) {
+	const parties = 6
+	panicIfStale := func(party, v uint64) {
+		if v != party {
+			panic(fmt.Sprintf("party %d loaded stale value %d", party, v))
+		}
+	}
+	serial := newColliderChain(t, parties, false, panicIfStale)
+	opt := newColliderChain(t, parties, true, panicIfStale)
+
+	serialRes := serial.chain.Execute(serial.txs, evm.ExecOptions{Scheduler: evm.SchedulerSerial})
+	optRes := opt.chain.Execute(opt.txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: parties})
+	for i := range serialRes {
+		if sf, of := resultFingerprint(serialRes[i]), resultFingerprint(optRes[i]); sf != of {
+			t.Fatalf("tx %d: receipts diverge\nserial:     %s\noptimistic: %s", i, sf, of)
+		}
+		if !optRes[i].Receipt.Status {
+			t.Fatalf("tx %d reverted: %v", i, optRes[i].Receipt.Err)
+		}
+	}
+	if got := opt.calls.Load(); got != 2*parties-1 {
+		t.Errorf("handler ran %d times, want %d (every loser panicked once, then re-ran)", got, 2*parties-1)
+	}
+	ds, err := serial.chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do, err := opt.chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds != do {
+		t.Errorf("state digests diverge: serial %s, optimistic %s", ds, do)
+	}
+}
+
+// A handler panic that serial execution would hit too propagates out of
+// Execute — whether the panicking position validated as first executed
+// (party 0) or only panicked again when repaired (party 3) — and leaves
+// the chain usable: the mutex is released and no write-set of the
+// aborted batch, not even of the positions below the panic, is visible.
+func TestOptimisticDeterministicPanicPropagates(t *testing.T) {
+	const parties = 6
+	for _, bad := range []uint64{0, 3} {
+		c := newColliderChain(t, parties, true, func(party, _ uint64) {
+			if party == bad {
+				panic("boom")
+			}
+		})
+		before, err := c.chain.StateDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			c.chain.Execute(c.txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: parties})
+		}()
+		if recovered != "boom" {
+			t.Fatalf("party %d: Execute recovered %v, want the handler's panic", bad, recovered)
+		}
+		after, err := c.chain.StateDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before != after {
+			t.Errorf("party %d: aborted batch changed state: %s → %s", bad, before, after)
+		}
+		r, err := c.chain.Apply(c.txs[1])
+		if err != nil || !r.Status {
+			t.Errorf("party %d: Apply after the aborted batch: err=%v receipt=%+v", bad, err, r)
+		}
 	}
 }
 

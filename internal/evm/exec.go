@@ -16,21 +16,20 @@ type Scheduler int
 
 const (
 	// SchedulerSerial applies transactions one at a time under the chain
-	// mutex, exactly like repeated Apply calls. It has no parallel phase
-	// and the lowest constant overhead — the right choice for single
-	// transactions and conflict-saturated batches.
+	// mutex, exactly like repeated Apply calls. It has no parallel phase:
+	// it is what Apply runs, and the oracle every equivalence test
+	// compares against.
 	SchedulerSerial Scheduler = iota
-	// SchedulerPrevalidate runs the expensive state-independent work —
-	// batched sender recovery and the prevalidation hooks — in a parallel
-	// phase outside the chain mutex, then commits serially in slice
-	// order. This is the PR-4 ApplyBatch pipeline.
-	SchedulerPrevalidate
-	// SchedulerOptimistic additionally executes the state transitions
-	// themselves in parallel (Block-STM style): every transaction runs
-	// speculatively against a versioned snapshot, read/write sets are
-	// validated in slice order, and conflicting losers re-execute until
-	// the batch is serially equivalent. Receipts are byte-identical to
-	// serial execution.
+	// SchedulerOptimistic is the batch scheduler. The state-independent
+	// work — batched sender recovery and the prevalidation hook — runs
+	// in a parallel phase outside the chain mutex; then every
+	// transaction executes speculatively in parallel against a versioned
+	// snapshot (Block-STM style), and one in-order pass validates each
+	// read-set and re-executes the transactions an earlier write
+	// invalidated. A batch of n transactions costs at most 2n
+	// executions: conflict-free batches run as one parallel wave, fully
+	// conflicting ones degenerate to a serial in-order commit. Receipts
+	// are byte-identical to serial execution.
 	SchedulerOptimistic
 )
 
@@ -39,13 +38,22 @@ func (s Scheduler) String() string {
 	switch s {
 	case SchedulerSerial:
 		return "serial"
-	case SchedulerPrevalidate:
-		return "prevalidate"
 	case SchedulerOptimistic:
 		return "optimistic"
 	default:
 		return fmt.Sprintf("scheduler(%d)", int(s))
 	}
+}
+
+// BatchResult is the outcome of one transaction in an Execute call:
+// exactly one of Receipt/Err is set, mirroring Apply's return values (a
+// commit that executed but failed to persist carries both).
+type BatchResult struct {
+	// Receipt is the execution receipt of the committed transaction.
+	Receipt *Receipt
+	// Err is the rejection reason for transactions that never executed
+	// (bad signature, nonce mismatch, insufficient balance, …).
+	Err error
 }
 
 // ExecOptions parameterizes Chain.Execute.
@@ -56,19 +64,14 @@ type ExecOptions struct {
 	// Workers bounds the parallel phase (prevalidation pool, optimistic
 	// execution lanes); 0 means GOMAXPROCS. Serial scheduling ignores it.
 	Workers int
-	// Prevalidate, when set, runs once per transaction in the parallel
-	// prevalidation phase, outside the chain mutex. It is a warm-up hook
-	// — core.TokenPrehook uses it to verify token signatures ahead of
-	// commit — and must be safe for concurrent use. It communicates only
+	// PrevalidateBatch, when set, runs in the parallel prevalidation
+	// phase, outside the chain mutex. It receives contiguous sub-batches
+	// (one per worker) so implementations can amortize crypto across
+	// items — core.BatchTokenPrehook feeds them to
+	// secp256k1.RecoverAddressBatch — and may be called concurrently on
+	// disjoint sub-batches. It is a warm-up hook that communicates only
 	// by side effect (warming caches): the authoritative checks run again
 	// at execution time.
-	Prevalidate func(*Transaction)
-	// PrevalidateBatch is the batch-first form of Prevalidate: it
-	// receives contiguous sub-batches (one per worker) so implementations
-	// can amortize crypto across items — core.BatchTokenPrehook feeds
-	// them to secp256k1.RecoverAddressBatch. It may be called
-	// concurrently on disjoint sub-batches. When both hooks are set, the
-	// batch hook runs first.
 	PrevalidateBatch func([]*Transaction)
 }
 
@@ -78,9 +81,6 @@ type ExecOptions struct {
 // receipts, state, and per-sender nonce ordering match applying the slice
 // one transaction at a time. A rejected transaction does not abort the
 // batch; later transactions still commit.
-//
-// Apply and ApplyBatch are thin wrappers over Execute and remain the
-// convenient entry points for the common cases.
 func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 	results := make([]BatchResult, len(txs))
 	if len(txs) == 0 {
@@ -95,6 +95,9 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 		}
 		return results
 	}
+	if opts.Scheduler != SchedulerOptimistic {
+		panic(fmt.Sprintf("evm: unknown scheduler %d", int(opts.Scheduler)))
+	}
 
 	ch.metrics.batchSize.Observe(float64(len(txs)))
 	workers := opts.Workers
@@ -105,38 +108,18 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 		workers = len(txs)
 	}
 
-	ch.prevalidateParallel(txs, workers, opts)
-
-	switch opts.Scheduler {
-	case SchedulerPrevalidate:
-		commitStart := time.Now()
-		ch.mu.Lock()
-		defer func() {
-			ch.mu.Unlock()
-			ch.metrics.commit.ObserveDuration(time.Since(commitStart))
-		}()
-		for i, tx := range txs {
-			results[i].Receipt, results[i].Err = ch.applyLocked(tx)
-		}
-	case SchedulerOptimistic:
-		ch.executeOptimistic(txs, workers, results)
-	default:
-		panic(fmt.Sprintf("evm: unknown scheduler %d", int(opts.Scheduler)))
-	}
+	ch.prevalidateParallel(txs, workers, opts.PrevalidateBatch)
+	ch.executeOptimistic(txs, workers, results)
 	return results
 }
 
 // prevalidateParallel runs the state-independent warm-up phase: batched
 // sender recovery into the shared cache plus the caller's prevalidation
-// hooks, sharded into contiguous per-worker chunks outside the chain
+// hook, sharded into contiguous per-worker chunks outside the chain
 // mutex. Recovery errors are deliberately dropped — execution re-derives
 // them deterministically, keeping scheduler behaviour identical for bad
 // transactions.
-func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, opts ExecOptions) {
-	recoverSenders := senderCacheOn.Load()
-	if !recoverSenders && opts.Prevalidate == nil && opts.PrevalidateBatch == nil {
-		return
-	}
+func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, hook func([]*Transaction)) {
 	start := time.Now()
 	chainID := ch.cfg.ChainID
 	chunk := (len(txs) + workers - 1) / workers
@@ -150,16 +133,9 @@ func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, opts ExecO
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if recoverSenders {
-				warmSenderCache(sub, chainID)
-			}
-			if opts.PrevalidateBatch != nil {
-				opts.PrevalidateBatch(sub)
-			}
-			if opts.Prevalidate != nil {
-				for _, tx := range sub {
-					opts.Prevalidate(tx)
-				}
+			warmSenderCache(sub, chainID)
+			if hook != nil {
+				hook(sub)
 			}
 		}()
 	}

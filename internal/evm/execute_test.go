@@ -32,7 +32,7 @@ func buildIncrement(t testing.TB, ch *evm.Chain, key *secp256k1.PrivateKey, to t
 	return tx
 }
 
-func TestApplyBatchMatchesSerialApply(t *testing.T) {
+func TestExecuteBatchMatchesSerialApply(t *testing.T) {
 	env := evmtest.NewEnv(t, 3)
 	addr := env.Deploy(t, newCounter())
 
@@ -47,7 +47,7 @@ func TestApplyBatchMatchesSerialApply(t *testing.T) {
 	}
 
 	heightBefore := env.Chain.Height()
-	results := env.Chain.ApplyBatch(txs, evm.BatchOptions{Workers: 4})
+	results := env.Chain.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: 4})
 	if len(results) != len(txs) {
 		t.Fatalf("got %d results for %d txs", len(results), len(txs))
 	}
@@ -69,7 +69,7 @@ func TestApplyBatchMatchesSerialApply(t *testing.T) {
 	}
 }
 
-func TestApplyBatchRejectsWithoutAborting(t *testing.T) {
+func TestExecuteBatchRejectsWithoutAborting(t *testing.T) {
 	env := evmtest.NewEnv(t, 2)
 	addr := env.Deploy(t, newCounter())
 	w := env.Wallets[1]
@@ -81,7 +81,7 @@ func TestApplyBatchRejectsWithoutAborting(t *testing.T) {
 	unsigned := &evm.Transaction{Nonce: nonce + 2, To: addr, Value: new(big.Int),
 		GasLimit: wallet.DefaultGasLimit, GasPrice: env.Chain.Config().Price.Wei(1), Method: "increment"}
 
-	results := env.Chain.ApplyBatch([]*evm.Transaction{good1, replay, good2, unsigned}, evm.BatchOptions{})
+	results := env.Chain.Execute([]*evm.Transaction{good1, replay, good2, unsigned}, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("valid txs rejected: %v / %v", results[0].Err, results[2].Err)
 	}
@@ -93,17 +93,17 @@ func TestApplyBatchRejectsWithoutAborting(t *testing.T) {
 	}
 }
 
-func TestApplyBatchEmptyAndDefaults(t *testing.T) {
+func TestExecuteBatchEmptyAndDefaults(t *testing.T) {
 	env := evmtest.NewEnv(t, 1)
-	if res := env.Chain.ApplyBatch(nil, evm.BatchOptions{}); len(res) != 0 {
+	if res := env.Chain.Execute(nil, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic}); len(res) != 0 {
 		t.Errorf("empty batch returned %d results", len(res))
 	}
 }
 
-// TestApplyBatchConcurrent exercises ApplyBatch under -race: several
+// TestExecuteBatchConcurrent exercises Execute under -race: several
 // goroutines submit batches from disjoint senders while others read chain
 // state and submit serial Apply traffic.
-func TestApplyBatchConcurrent(t *testing.T) {
+func TestExecuteBatchConcurrent(t *testing.T) {
 	const (
 		goroutines = 4
 		perSender  = 5
@@ -123,7 +123,7 @@ func TestApplyBatchConcurrent(t *testing.T) {
 			for n := uint64(0); n < perSender; n++ {
 				txs = append(txs, buildIncrement(t, env.Chain, w.Key(), addr, base+n))
 			}
-			for _, res := range env.Chain.ApplyBatch(txs, evm.BatchOptions{Workers: 2}) {
+			for _, res := range env.Chain.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: 2}) {
 				if res.Err != nil {
 					errs[g] = res.Err
 					return
@@ -154,7 +154,7 @@ func TestApplyBatchConcurrent(t *testing.T) {
 	}
 }
 
-func TestApplyBatchPrevalidateHookRuns(t *testing.T) {
+func TestExecuteBatchPrevalidateHookRuns(t *testing.T) {
 	env := evmtest.NewEnv(t, 2)
 	addr := env.Deploy(t, newCounter())
 	w := env.Wallets[1]
@@ -162,10 +162,11 @@ func TestApplyBatchPrevalidateHookRuns(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := 0
-	env.Chain.ApplyBatch([]*evm.Transaction{tx}, evm.BatchOptions{
-		Prevalidate: func(tx *evm.Transaction) {
+	env.Chain.Execute([]*evm.Transaction{tx}, evm.ExecOptions{
+		Scheduler: evm.SchedulerOptimistic,
+		PrevalidateBatch: func(sub []*evm.Transaction) {
 			mu.Lock()
-			seen++
+			seen += len(sub)
 			mu.Unlock()
 			// The hook runs outside the chain mutex: chain reads must not
 			// deadlock.
@@ -175,11 +176,11 @@ func TestApplyBatchPrevalidateHookRuns(t *testing.T) {
 		},
 	})
 	if seen != 1 {
-		t.Errorf("prevalidate hook ran %d times, want 1", seen)
+		t.Errorf("prevalidate hook saw %d transactions, want 1", seen)
 	}
 }
 
-func ExampleChain_ApplyBatch() {
+func ExampleChain_Execute() {
 	chain := evm.NewChain(evm.DefaultConfig())
 	key := secp256k1.PrivateKeyFromSeed([]byte("batch example"))
 	chain.Fund(key.Address(), big.NewInt(1e18))
@@ -193,7 +194,7 @@ func ExampleChain_ApplyBatch() {
 		}
 		txs = append(txs, tx)
 	}
-	results := chain.ApplyBatch(txs, evm.BatchOptions{Workers: 2})
+	results := chain.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: 2})
 	for i, res := range results {
 		fmt.Println(i, res.Err == nil && res.Receipt.Status)
 	}

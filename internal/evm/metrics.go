@@ -39,17 +39,17 @@ func newChainMetrics(reg *metrics.Registry) *chainMetrics {
 	m := &chainMetrics{
 		reg: reg,
 		prevalidate: reg.Histogram(MetricPrevalidateSeconds,
-			"ApplyBatch phase 1: parallel sender recovery and token prevalidation, per batch.", nil),
+			"Batch Execute phase 1: parallel sender recovery and token prevalidation, per batch.", nil),
 		commit: reg.Histogram(MetricCommitSeconds,
-			"ApplyBatch phase 2: serial state commit under the chain mutex, per batch.", nil),
+			"Batch Execute phase 3: in-order state commit under the chain mutex, per batch.", nil),
 		batchSize: reg.Histogram(MetricBatchSize,
-			"Transactions per ApplyBatch call.", metrics.DefSizeBuckets),
+			"Transactions per batch Execute call.", metrics.DefSizeBuckets),
 		conflicts: reg.Counter(MetricExecConflicts,
 			"Optimistic-scheduler validation failures: executions whose read-set was invalidated by an earlier transaction's write."),
 		reexecs: reg.Histogram(MetricExecReexecutions,
-			"Re-executions per optimistic batch (total executions minus batch size).", metrics.DefSizeBuckets),
+			"Re-executions per optimistic batch: one per conflict, so at most the batch size.", metrics.DefSizeBuckets),
 		parallel: reg.Histogram(MetricExecParallelSecs,
-			"Optimistic-scheduler parallel execute+validate phase, per batch.", nil),
+			"Batch Execute phase 2: speculative parallel wave plus in-order validate-and-repair pass, per batch.", nil),
 	}
 	// The recovery caches are process-wide; expose them as scrape-time
 	// funcs so their pre-existing atomics are the single source of truth.
@@ -67,7 +67,7 @@ func (m *chainMetrics) recordOutcome(outcome string) {
 		return
 	}
 	c := m.reg.Counter(MetricTxsTotal,
-		"Transactions fed through Apply/ApplyBatch, by outcome.", metrics.L("outcome", outcome))
+		"Transactions fed through Apply/Execute, by outcome.", metrics.L("outcome", outcome))
 	m.outcomes.Store(outcome, c)
 	c.Inc()
 }

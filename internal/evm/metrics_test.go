@@ -13,7 +13,7 @@ import (
 )
 
 // An isolated registry must see exactly this chain's traffic, labeled by
-// outcome, with batch phases observed once per ApplyBatch call.
+// outcome, with batch phases observed once per optimistic Execute call.
 func TestChainOutcomeMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := evm.DefaultConfig()
@@ -43,7 +43,7 @@ func TestChainOutcomeMetrics(t *testing.T) {
 		buildIncrement(t, chain, rich.Key(), addr, chain.NonceOf(rich.Address())),
 		buildIncrement(t, chain, rich.Key(), addr, chain.NonceOf(rich.Address())+1),
 	}
-	for i, res := range chain.ApplyBatch(txs, evm.BatchOptions{Workers: 2}) {
+	for i, res := range chain.Execute(txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: 2}) {
 		if res.Err != nil || !res.Receipt.Status {
 			t.Fatalf("batch tx %d: err=%v", i, res.Err)
 		}

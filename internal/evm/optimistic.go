@@ -7,28 +7,29 @@ import (
 	"repro/internal/state"
 )
 
-// Optimistic-parallel batch execution (Block-STM style).
+// Optimistic-parallel batch execution (Block-STM style): speculate once,
+// repair in order.
 //
 // Every transaction executes speculatively against its own state.View
 // over a shared multi-version memory: reads resolve to the
 // highest-indexed speculative write below the reader's slice position
 // (falling back to committed state) and are version-tracked; writes
-// buffer in the view and publish on completion. After each wave the
-// batch is validated in slice order — a transaction whose read-set was
-// invalidated by an earlier transaction's write is a conflict and
-// re-executes in the next wave. The transaction at the contiguous
-// validated frontier only ever reads finalized versions, so every wave
-// finalizes at least one transaction and the loop terminates in at most
-// n waves. Once every position validates, write-sets are applied to the
-// committed DB, blocks are mined, and commits persist — in slice order,
-// making the whole batch serially equivalent: receipts are
+// buffer in the view and publish on completion. After that one parallel
+// wave a single pass walks the batch in slice order: a transaction whose
+// read-set was invalidated by an earlier transaction's write is a
+// conflict and re-executes on the spot. Every lower position is final by
+// then, so the re-execution reads only finalized versions and is valid
+// by construction — a batch of n transactions costs at most 2n
+// executions, whatever its conflict rate. Write-sets are then applied to
+// the committed DB, blocks are mined, and commits persist — in slice
+// order, making the whole batch serially equivalent: receipts are
 // byte-identical to executing the slice one transaction at a time.
 //
-// Block timestamps are drawn once per transaction before the first wave
-// (still in slice order), so re-executions see a stable clock; with the
-// default wall clock they differ from serial execution's
-// commit-interleaved timestamps by microseconds, and with the fixed
-// clocks used in tests they are identical.
+// Block timestamps are drawn once per transaction before the wave (still
+// in slice order), so re-executions see a stable clock; with the default
+// wall clock they differ from serial execution's commit-interleaved
+// timestamps by microseconds, and with the fixed clocks used in tests
+// they are identical.
 
 // txExec tracks one transaction's latest speculative execution.
 type txExec struct {
@@ -55,40 +56,19 @@ func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []Ba
 
 	mv := state.NewMultiVersion(ch.db)
 	execs := make([]txExec, n)
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
 
 	parallelStart := time.Now()
-	totalExecs, conflicts := 0, 0
-	for final := 0; final < n; {
-		ch.runWave(mv, txs, times, execs, pending, workers)
-		totalExecs += len(pending)
-		pending = pending[:0]
-
-		// Validate in slice order from the frontier. Positions that stay
-		// valid but sit above a conflict are left executed — they are
-		// revalidated (cheaply) next round rather than re-executed.
-		for i := final; i < n; i++ {
-			e := &execs[i]
-			if !mv.Validate(e.reads, i) {
-				conflicts++
-				pending = append(pending, i)
-				continue
-			}
-			if e.panicked != nil {
-				if i == final {
-					// The frontier transaction read only finalized state,
-					// so a serial execution panics identically: propagate.
-					panic(e.panicked)
-				}
-				pending = append(pending, i)
-				continue
-			}
-			if i == final && len(pending) == 0 {
-				final = i + 1
-			}
+	ch.runWave(mv, txs, times, execs, workers)
+	conflicts := 0
+	for i := 0; i < n; i++ {
+		if !mv.Validate(execs[i].reads, i) {
+			conflicts++
+			ch.execOne(mv, txs, times, execs, i)
+		}
+		// Position i has now read only finalized state, so a serial
+		// execution panics identically: propagate.
+		if p := execs[i].panicked; p != nil {
+			panic(p)
 		}
 	}
 	ch.metrics.parallel.ObserveDuration(time.Since(parallelStart))
@@ -113,20 +93,17 @@ func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []Ba
 	}
 	ch.metrics.commit.ObserveDuration(time.Since(commitStart))
 	ch.metrics.conflicts.Add(uint64(conflicts))
-	ch.metrics.reexecs.Observe(float64(totalExecs - n))
+	ch.metrics.reexecs.Observe(float64(conflicts))
 }
 
-// runWave executes the pending transaction indices in parallel, each
-// against a fresh view, and publishes the resulting write-sets. A panic
-// inside a handler is captured per transaction (and its write-set
-// withdrawn) so the scheduler can decide whether the panic is
-// deterministic — i.e. whether serial execution would hit it too.
-func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []time.Time, execs []txExec, pending []int, workers int) {
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+// runWave executes every transaction once, in parallel, each against a
+// fresh view, and publishes the resulting write-sets. A panic inside a
+// handler is captured per transaction (and its write-set withdrawn): it
+// may stem from a stale speculative read, so the repair pass decides
+// whether serial execution would hit it too.
+func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []time.Time, execs []txExec, workers int) {
 	if workers <= 1 {
-		for _, i := range pending {
+		for i := range txs {
 			ch.execOne(mv, txs, times, execs, i)
 		}
 		return
@@ -142,7 +119,7 @@ func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []tim
 			}
 		}()
 	}
-	for _, i := range pending {
+	for i := range txs {
 		work <- i
 	}
 	close(work)

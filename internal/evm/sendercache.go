@@ -1,8 +1,6 @@
 package evm
 
 import (
-	"sync/atomic"
-
 	"repro/internal/sigcache"
 	"repro/internal/types"
 )
@@ -13,25 +11,6 @@ import (
 // repeatedly — wallet-side preview, batch prevalidation, commit — and
 // mempool-style re-submissions replay exact bytes.
 var senderCache = sigcache.New[types.Address](4096)
-
-// senderCacheOn gates both the shared LRU and the per-transaction memo, so
-// benchmarks can measure the uncached pipeline.
-var senderCacheOn atomic.Bool
-
-func init() { senderCacheOn.Store(true) }
-
-// SetSenderCache enables or disables sender-recovery caching and returns
-// the previous setting. Disabling purges the shared cache.
-func SetSenderCache(on bool) bool {
-	prev := senderCacheOn.Swap(on)
-	if !on {
-		senderCache.Purge()
-	}
-	return prev
-}
-
-// SenderCacheEnabled reports whether sender-recovery caching is active.
-func SenderCacheEnabled() bool { return senderCacheOn.Load() }
 
 // SenderCacheStats returns the cumulative hit/miss counts of the shared
 // sender cache.

@@ -99,30 +99,10 @@ func TestReplacedSignatureInvalidatesMemo(t *testing.T) {
 	}
 }
 
-func TestSenderCacheToggle(t *testing.T) {
-	prev := evm.SetSenderCache(false)
-	defer evm.SetSenderCache(prev)
-	if evm.SenderCacheEnabled() {
-		t.Fatal("cache still enabled after SetSenderCache(false)")
-	}
-	tx := signedTestTx(t, "uncached sender")
-	a1, err := tx.Sender(1337)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := tx.Sender(1337)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("uncached path is not deterministic")
-	}
-}
-
 func TestSenderOutOfRangeScalarsError(t *testing.T) {
 	// Scalars Signature.Bytes cannot serialize (negative, > 2^256) must come
-	// back as ErrBadTxSignature on the cached path, exactly like the
-	// uncached one — not as a FillBytes panic while building the cache key.
+	// back as ErrBadTxSignature — not as a FillBytes panic while building
+	// the cache key.
 	huge := new(big.Int).Lsh(big.NewInt(1), 300)
 	for name, mutate := range map[string]func(*evm.Transaction){
 		"negative r": func(tx *evm.Transaction) { tx.Sig.R = big.NewInt(-1) },

@@ -173,8 +173,8 @@ func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
 	}
 	// Missing or out-of-range scalars skip the cache: Sig.Bytes (the cache
 	// key) panics on them, and RecoverAddress below reports them as
-	// ErrBadTxSignature exactly as the uncached path always has.
-	cached := senderCacheOn.Load() && tx.Sig.Validate() == nil
+	// ErrBadTxSignature.
+	cached := tx.Sig.Validate() == nil
 	var sigBytes [secp256k1.SignatureLength]byte
 	var key string
 	if cached {

@@ -8,7 +8,7 @@ import (
 
 // Span is one named stage of a traced operation's life — "tokens"
 // (wallet → TS round-trip), "queue" (waiting for a batch slot), "commit"
-// (inside Chain.ApplyBatch), and so on.
+// (inside Chain.Execute), and so on.
 type Span struct {
 	// Name identifies the stage.
 	Name string `json:"name"`
