@@ -1,10 +1,11 @@
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +15,10 @@ import (
 
 // TestMain lets this test binary impersonate the smacs-bench CLI: when
 // SMACS_BENCH_BE_MAIN is set, it rewrites os.Args from SMACS_BENCH_ARGS
-// and runs main() instead of the tests. The SIGINT test below re-execs
-// itself through this hook, so the real signal handler is exercised in a
-// real child process without a separate go build step.
+// and runs main() instead of the tests. The tests below re-exec
+// themselves through this hook, so the real signal handler and exit
+// statuses are exercised in a real child process without a separate go
+// build step.
 func TestMain(m *testing.M) {
 	if os.Getenv("SMACS_BENCH_BE_MAIN") == "1" {
 		os.Args = append([]string{"smacs-bench"}, strings.Fields(os.Getenv("SMACS_BENCH_ARGS"))...)
@@ -26,34 +28,75 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// A SIGINT mid-sweep must exit with status 130 AND leave a valid partial
+// mainCmd is this test binary re-exec'd as the smacs-bench CLI (see
+// TestMain) with the given command line.
+func mainCmd(args string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SMACS_BENCH_BE_MAIN=1", "SMACS_BENCH_ARGS="+args)
+	return cmd
+}
+
+// runMain runs smacs-bench to completion and returns its exit code and
+// combined output.
+func runMain(t *testing.T, args string) (int, string) {
+	t.Helper()
+	out, err := mainCmd(args).CombinedOutput()
+	if exitErr, ok := err.(*exec.ExitError); ok {
+		return exitErr.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatalf("smacs-bench %s: %v", args, err)
+	}
+	return 0, string(out)
+}
+
+// A SIGINT mid-run must exit with status 130 AND leave a valid partial
 // CSV behind — the regression was an interrupt discarding every completed
-// cell. The child runs a load sweep sized so that at interrupt time some
-// cells are finished and some are not.
+// row. The child runs every scenario at full scale with quickstart first
+// and durable second; durable creates its store directories under -dir
+// as it starts, so their appearance means the quickstart row is complete
+// and ten scenarios are still to run.
 func TestSIGINTFlushesPartialResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns a multi-second child sweep")
+		t.Skip("spawns a multi-second child run")
 	}
-	csvPath := filepath.Join(t.TempDir(), "partial.csv")
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(),
-		"SMACS_BENCH_BE_MAIN=1",
-		// 4 modes × 2 worker counts ≈ 8 cells of ~1.1 s each: far from
-		// done when the interrupt lands, with several cells completed.
-		"SMACS_BENCH_ARGS=-mode load -workers 1,2 -duration 1s -warmup 100ms -rtt 0 -bench-json= -csv "+csvPath,
-	)
+	tmp := t.TempDir()
+	csvPath := filepath.Join(tmp, "partial.csv")
+	storeDir := filepath.Join(tmp, "stores")
+	order := []string{"quickstart", "durable"}
+	for _, name := range bench.ScenarioNames() {
+		if name != "quickstart" && name != "durable" {
+			order = append(order, name)
+		}
+	}
+	cmd := mainCmd("-mode e2e -scenario " + strings.Join(order, ",") + " -dir " + storeDir + " -csv " + csvPath)
 	var output strings.Builder
 	cmd.Stdout = &output
 	cmd.Stderr = &output
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Enough wall clock for ≥2 cells; the sweep needs ~9 s in total.
-	time.Sleep(3 * time.Second)
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	deadline := time.After(2 * time.Minute)
+	for {
+		if _, err := os.Stat(filepath.Join(storeDir, "ts")); err == nil {
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("child exited before the durable scenario started (err=%v); output:\n%s", err, output.String())
+		case <-deadline:
+			_ = cmd.Process.Kill()
+			<-exited
+			t.Fatalf("durable scenario never started; output:\n%s", output.String())
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatalf("signal: %v", err)
 	}
-	err := cmd.Wait()
+	err := <-exited
 	exitErr, ok := err.(*exec.ExitError)
 	if !ok {
 		t.Fatalf("child did not exit with an error status (err=%v); output:\n%s", err, output.String())
@@ -69,8 +112,14 @@ func TestSIGINTFlushesPartialResults(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("partial CSV has %d lines, want header plus ≥1 completed row:\n%s", len(lines), raw)
 	}
-	if !strings.HasPrefix(lines[0], "mode,workers") {
+	if len(lines) > len(order) {
+		t.Fatalf("partial CSV has %d lines: the run finished before the interrupt landed", len(lines))
+	}
+	if !strings.HasPrefix(lines[0], "scenario,clients") {
 		t.Fatalf("partial CSV header = %q", lines[0])
+	}
+	if !strings.HasPrefix(lines[1], "quickstart,") {
+		t.Errorf("first partial CSV row = %q, want the quickstart scenario", lines[1])
 	}
 	for _, line := range lines[1:] {
 		if cells := strings.Split(line, ","); len(cells) != len(strings.Split(lines[0], ",")) {
@@ -82,119 +131,51 @@ func TestSIGINTFlushesPartialResults(t *testing.T) {
 	}
 }
 
-// The trajectory artifact must carry the mode, a timestamp, and the full
-// sweep result; -bench-json resolution maps "auto" to out/BENCH_<mode>.json
-// and "" to no artifact at all.
-func TestBenchArtifact(t *testing.T) {
-	if got := benchArtifactPath("auto", "e2e"); got != filepath.Join("out", "BENCH_e2e.json") {
-		t.Errorf("auto path = %q", got)
-	}
-	if got := benchArtifactPath("", "load"); got != "" {
-		t.Errorf("disabled path = %q", got)
-	}
-	if got := benchArtifactPath("custom.json", "load"); got != "custom.json" {
-		t.Errorf("explicit path = %q", got)
-	}
-	if err := writeBenchArtifact("", "load", nil); err != nil {
-		t.Fatalf("disabled artifact should be a no-op, got %v", err)
-	}
-
-	path := filepath.Join(t.TempDir(), "nested", "BENCH_e2e.json")
-	res := &bench.E2EResult{Rows: []bench.E2ERow{{Scenario: "quickstart"}}}
-	if err := writeBenchArtifact(path, "e2e", res); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		Mode      string `json:"mode"`
-		Timestamp string `json:"timestamp"`
-		Result    struct {
-			Rows []struct {
-				Scenario string `json:"scenario"`
-			} `json:"rows"`
-		} `json:"result"`
-	}
-	if err := json.Unmarshal(raw, &art); err != nil {
-		t.Fatalf("artifact is not JSON: %v\n%s", err, raw)
-	}
-	if art.Mode != "e2e" {
-		t.Errorf("mode = %q", art.Mode)
-	}
-	if _, err := time.Parse(time.RFC3339, art.Timestamp); err != nil {
-		t.Errorf("timestamp %q: %v", art.Timestamp, err)
-	}
-	if len(art.Result.Rows) != 1 || art.Result.Rows[0].Scenario != "quickstart" {
-		t.Errorf("result rows = %+v", art.Result.Rows)
-	}
-}
-
-// Flag combinations must be rejected up front — an unknown scenario or
-// sweep-mode entry exits with a usage message instead of being silently
-// ignored (or worse, discovered after minutes of completed cells).
+// Flag combinations must be rejected up front — an unknown mode or
+// scenario, or an e2e-only flag outside -mode e2e, exits with a usage
+// message instead of being silently ignored.
 func TestValidateSelection(t *testing.T) {
 	tests := []struct {
 		name       string
 		mode       string
 		scenario   string
-		modes      string
 		smoke      bool
 		envelope   string
 		writeEnv   string
-		store      string // "" maps to the "mem" flag default
 		dir        string
 		fsyncBatch int
-		benchJSON  string // "" maps to the "auto" flag default
+		csv        string
 		trace      string
 		wantErr    string // "" = valid
 	}{
 		{name: "paper tables", mode: ""},
-		{name: "load defaults", mode: "load"},
-		{name: "load subset", mode: "load", modes: "locked,sharded"},
 		{name: "e2e defaults", mode: "e2e"},
 		{name: "e2e all", mode: "e2e", scenario: "all", smoke: true},
 		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", smoke: true, envelope: "out/e2e-envelope.json"},
-		{name: "shard defaults", mode: "shard"},
+		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w", fsyncBatch: 128},
+		{name: "e2e trace", mode: "e2e", smoke: true, trace: "out/trace.json"},
+		{name: "e2e csv", mode: "e2e", smoke: true, csv: "out/e2e.csv"},
 
 		{name: "unknown mode", mode: "warp", wantErr: `unknown -mode "warp"`},
-		{name: "unknown scenario", mode: "e2e", scenario: "bogus", wantErr: `unknown -scenario entry "bogus"`},
-		{name: "scenario outside e2e", mode: "load", scenario: "mixed", wantErr: "-scenario requires -mode e2e"},
-		{name: "scenario all outside e2e", mode: "load", scenario: "all", wantErr: "-scenario requires -mode e2e"},
-		{name: "smoke outside e2e", mode: "load", smoke: true, wantErr: "-smoke requires -mode e2e"},
-		{name: "envelope outside e2e", mode: "", envelope: "x.json", wantErr: "-envelope requires -mode e2e"},
-		{name: "write-envelope outside e2e", mode: "load", writeEnv: "x.json", wantErr: "-write-envelope requires -mode e2e"},
-		{name: "unknown load mode", mode: "load", modes: "locked,turbo", wantErr: `unknown -modes entry "turbo"`},
-		{name: "modes outside load", mode: "shard", modes: "locked", wantErr: "-modes requires -mode load"},
 		{name: "unknown chain mode", mode: "chain", wantErr: `unknown -mode "chain"`},
+		{name: "load mode removed", mode: "load", wantErr: `unknown -mode "load"`},
+		{name: "shard mode removed", mode: "shard", wantErr: `unknown -mode "shard"`},
+		{name: "unknown scenario", mode: "e2e", scenario: "bogus", wantErr: `unknown -scenario entry "bogus"`},
+		{name: "negative fsync-batch", mode: "e2e", fsyncBatch: -1, wantErr: "-fsync-batch must be ≥ 0"},
 
-		{name: "load file store", mode: "load", store: "file", dir: "/tmp/w", fsyncBatch: 16},
-		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w", fsyncBatch: 128},
-		{name: "unknown store", mode: "load", store: "tape", wantErr: `unknown -store "tape"`},
-		{name: "file store outside load", mode: "shard", store: "file", wantErr: "-store file requires -mode load"},
-		{name: "dir without file store", mode: "load", dir: "/tmp/w", wantErr: "-dir requires -store file or -mode e2e"},
-		{name: "fsync-batch without file store", mode: "shard", fsyncBatch: 8, wantErr: "-fsync-batch requires -store file or -mode e2e"},
-		{name: "negative fsync-batch", mode: "load", store: "file", fsyncBatch: -1, wantErr: "-fsync-batch must be ≥ 0"},
-
-		{name: "e2e trace", mode: "e2e", smoke: true, trace: "out/trace.json"},
-		{name: "trace outside e2e", mode: "load", trace: "out/trace.json", wantErr: "-trace requires -mode e2e"},
-		{name: "bench-json auto in paper mode", mode: ""}, // default degrades silently
-		{name: "explicit bench-json", mode: "shard", benchJSON: "out/BENCH_shard.json"},
-		{name: "bench-json outside sweep modes", mode: "", benchJSON: "x.json", wantErr: "-bench-json requires -mode"},
-		{name: "smoke outside e2e (shard)", mode: "shard", smoke: true, wantErr: "-smoke requires -mode e2e"},
+		{name: "scenario outside e2e", scenario: "mixed", wantErr: "-scenario requires -mode e2e"},
+		{name: "scenario all outside e2e", scenario: "all", wantErr: "-scenario requires -mode e2e"},
+		{name: "smoke outside e2e", smoke: true, wantErr: "-smoke requires -mode e2e"},
+		{name: "envelope outside e2e", envelope: "x.json", wantErr: "-envelope requires -mode e2e"},
+		{name: "write-envelope outside e2e", writeEnv: "x.json", wantErr: "-write-envelope requires -mode e2e"},
+		{name: "dir outside e2e", dir: "/tmp/w", wantErr: "-dir requires -mode e2e"},
+		{name: "fsync-batch outside e2e", fsyncBatch: 8, wantErr: "-fsync-batch requires -mode e2e"},
+		{name: "csv outside e2e", csv: "out/x.csv", wantErr: "-csv requires -mode e2e"},
+		{name: "trace outside e2e", trace: "out/trace.json", wantErr: "-trace requires -mode e2e"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			store := tt.store
-			if store == "" {
-				store = "mem"
-			}
-			benchJSON := tt.benchJSON
-			if benchJSON == "" {
-				benchJSON = "auto"
-			}
-			err := validateSelection(tt.mode, tt.scenario, tt.modes, tt.smoke, tt.envelope, tt.writeEnv, store, tt.dir, tt.fsyncBatch, benchJSON, tt.trace)
+			err := validateSelection(tt.mode, tt.scenario, tt.smoke, tt.envelope, tt.writeEnv, tt.dir, tt.fsyncBatch, tt.csv, tt.trace)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -205,5 +186,86 @@ func TestValidateSelection(t *testing.T) {
 				t.Fatalf("err = %v, want containing %q", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// What validateSelection (or the flag package, for a flag that no longer
+// exists) rejects must reach the user as exit status 2 plus the usage
+// text, and must not start a run.
+func TestRejectedSelectionExitsWithUsage(t *testing.T) {
+	for _, args := range []string{
+		"-mode=load",
+		"-mode=shard",
+		"-table 2 -csv " + filepath.Join(t.TempDir(), "x.csv"),
+		"-workers 2",
+	} {
+		code, out := runMain(t, args)
+		if code != 2 {
+			t.Errorf("smacs-bench %s: exit code %d, want 2; output:\n%s", args, code, out)
+		}
+		if !strings.Contains(out, "-write-envelope") {
+			t.Errorf("smacs-bench %s: no usage text; output:\n%s", args, out)
+		}
+	}
+}
+
+// docInvocations returns the argument words of every `smacs-bench …`
+// command line in text: a backslash-newline or a following line that
+// opens with a flag continues the command, a trailing " # comment" does
+// not belong to it, and it ends at a shell operator or the closing
+// backquote of inline code.
+func docInvocations(text string) [][]string {
+	text = strings.ReplaceAll(text, "\\\n", " ")
+	text = regexp.MustCompile(`(?m)[ \t]#.*$`).ReplaceAllString(text, "")
+	text = regexp.MustCompile(`\n\s*(--?[a-z])`).ReplaceAllString(text, " $1")
+	var out [][]string
+	for _, m := range regexp.MustCompile("smacs-bench((?:[ \t]+[^\\s|>;&`)]+)*)").FindAllStringSubmatch(text, -1) {
+		out = append(out, strings.Fields(m[1]))
+	}
+	return out
+}
+
+// The docs, the CI workflow and the verify skill may only name flags the
+// binary registers and -mode values it accepts: a deleted flag left in a
+// document is a command the reader cannot run.
+func TestDocsNameOnlyRealFlags(t *testing.T) {
+	flagWord := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=(.*))?`)
+	for _, path := range []string{
+		"README.md",
+		"docs/BENCHMARKS.md",
+		".claude/skills/verify/SKILL.md",
+		".github/workflows/ci.yml",
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		invocations := docInvocations(string(raw))
+		if len(invocations) == 0 {
+			t.Errorf("%s: no smacs-bench invocation found", path)
+		}
+		for _, words := range invocations {
+			line := "smacs-bench " + strings.Join(words, " ")
+			for i, word := range words {
+				m := flagWord.FindStringSubmatch(word)
+				if m == nil {
+					continue
+				}
+				if flag.CommandLine.Lookup(m[1]) == nil {
+					t.Errorf("%s: %q names -%s, which smacs-bench does not register", path, line, m[1])
+				}
+				if m[1] != "mode" {
+					continue
+				}
+				value := m[2]
+				if value == "" && i+1 < len(words) {
+					value = words[i+1]
+				}
+				value = strings.TrimRight(value, ",.:")
+				if err := validateSelection(value, "", false, "", "", "", 0, "", ""); err != nil {
+					t.Errorf("%s: %q: %v", path, line, err)
+				}
+			}
+		}
 	}
 }

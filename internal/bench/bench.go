@@ -8,11 +8,6 @@
 //	Figure9      — Token Service throughput (Fig. 9 / E5)
 //	RuntimeTools — Hydra / ECFChecker request latency (§ VI-B / E6)
 //	Baseline     — on-chain whitelist baseline (§ II-B motivation / E7)
-//	Load         — concurrent-issuance load sweep (locked vs atomic vs
-//	               sharded vs batch pipelines; beyond the paper, see
-//	               docs/BENCHMARKS.md)
-//	Chain        — guarded-transaction verification-pipeline sweep
-//	               (naive vs wnaf vs cached vs batched)
 //	E2E          — end-to-end scenario harness: a real HTTP Token
 //	               Service, concurrent wallet clients, and batched
 //	               on-chain verification, with exact accept/reject

@@ -81,7 +81,7 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 	if len(items) == 0 {
 		return ok
 	}
-	if len(items) == 1 || !fastMultOn.Load() {
+	if len(items) == 1 {
 		for i, it := range items {
 			ok[i] = Verify(it.Pub, it.Digest, it.Sig)
 		}
@@ -223,7 +223,7 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 		}
 		return addrs, errs
 	}
-	if len(digests) <= 1 || !fastMultOn.Load() {
+	if len(digests) <= 1 {
 		return perItem()
 	}
 

@@ -6,10 +6,8 @@ import (
 	"repro/internal/types"
 )
 
-// The benchmarks below make the crypto-layer speedup reproducible with
-// plain `go test -bench` (the chain-level view lives in smacs-bench
-// -mode chain). The naive/wnaf sub-benchmarks toggle SetFastMult so the
-// reference ladder stays measurable.
+// The benchmarks below make the crypto-layer numbers of
+// docs/BENCHMARKS.md reproducible with plain `go test -bench`.
 
 var benchSink types.Address
 
@@ -36,10 +34,8 @@ func BenchmarkSign(b *testing.B) {
 	}
 }
 
-func benchRecoverAddress(b *testing.B, fast bool) {
+func BenchmarkRecoverAddress(b *testing.B) {
 	_, digest, sig := benchSig(b)
-	prev := SetFastMult(fast)
-	defer SetFastMult(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,15 +47,8 @@ func benchRecoverAddress(b *testing.B, fast bool) {
 	}
 }
 
-func BenchmarkRecoverAddress(b *testing.B) {
-	b.Run("naive", func(b *testing.B) { benchRecoverAddress(b, false) })
-	b.Run("wnaf", func(b *testing.B) { benchRecoverAddress(b, true) })
-}
-
-func benchVerify(b *testing.B, fast bool) {
+func BenchmarkVerify(b *testing.B) {
 	key, digest, sig := benchSig(b)
-	prev := SetFastMult(fast)
-	defer SetFastMult(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,9 +56,4 @@ func benchVerify(b *testing.B, fast bool) {
 			b.Fatal("valid signature rejected")
 		}
 	}
-}
-
-func BenchmarkVerify(b *testing.B) {
-	b.Run("naive", func(b *testing.B) { benchVerify(b, false) })
-	b.Run("wnaf", func(b *testing.B) { benchVerify(b, true) })
 }

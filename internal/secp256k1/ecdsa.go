@@ -101,7 +101,7 @@ func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 		if k == nil {
 			continue
 		}
-		kG := scalarBaseMultG(k)
+		kG := scalarBaseMultComb(k)
 		rp := kG.affine()
 		r := rp.x.big()
 		v := byte(0)
@@ -144,7 +144,7 @@ func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
 	u1.Mod(u1, curveN)
 	u2 := new(big.Int).Mul(sig.R, w)
 	u2.Mod(u2, curveN)
-	sum := doubleScalarMult(u1, &q, u2)
+	sum := shamirMult(u1, &q, u2)
 	if sum.isInfinity() {
 		return false
 	}
@@ -194,7 +194,7 @@ func Recover(digest [32]byte, sig Signature) (PublicKey, error) {
 	// base multiplication plus a single generic multiplication.
 	rInv := new(big.Int).ModInverse(sig.R, curveN)
 	u1, u2 := recoverScalars(digest, sig, rInv)
-	q := doubleScalarMult(u1, &r, u2)
+	q := shamirMult(u1, &r, u2)
 	if q.isInfinity() {
 		return PublicKey{}, ErrRecoveryFailed
 	}

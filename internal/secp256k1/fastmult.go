@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the fast double-scalar multiplication used by
@@ -21,9 +20,8 @@ import (
 // mixed (affine tables, see jacobianVal.addMixed), with the per-call table
 // for Q normalized by one batched inversion (Montgomery's trick).
 //
-// The naive double-and-add ladder in curve.go (scalarMult) is kept as the
-// reference implementation; differential tests prove the two paths are
-// bit-identical, and SetFastMult lets benchmarks toggle between them.
+// The naive double-and-add ladder in reference_test.go (scalarMult) is the
+// reference implementation; differential tests prove the two bit-identical.
 
 // GLV endomorphism constants. λ is a cube root of unity mod n and β the
 // matching cube root of unity mod p: λ·(x, y) = (β·x, y) for every curve
@@ -46,20 +44,6 @@ const (
 	baseWindow  = 8 // 2^(w-2) = 64 precomputed odd multiples of G (and λG)
 	pointWindow = 5 // 8 odd multiples of Q, built per call
 )
-
-// fastMultOn gates the wNAF/GLV path in Verify and Recover. It defaults to
-// on; benchmarks flip it to measure the naive reference ladder.
-var fastMultOn atomic.Bool
-
-func init() { fastMultOn.Store(true) }
-
-// SetFastMult enables or disables the wNAF/GLV double-scalar path and
-// returns the previous setting. It exists for benchmarks and differential
-// tests; production callers never need it.
-func SetFastMult(on bool) bool { return fastMultOn.Swap(on) }
-
-// FastMultEnabled reports whether the wNAF/GLV path is active.
-func FastMultEnabled() bool { return fastMultOn.Load() }
 
 // wnafDigits returns the width-w non-adjacent form of k (0 ≤ k < 2^256),
 // least significant digit first. Nonzero digits are odd and lie in
@@ -243,21 +227,4 @@ func shamirMult(u1 *big.Int, p *affineVal, u2 *big.Int) jacobianVal {
 		table = oddMultipleTables([]affineVal{*p}, pointTableLen)
 	}
 	return shamirMultTable(u1, table, u2)
-}
-
-// doubleScalarMultRef is the reference evaluation of u1·G + u2·P on top of
-// the naive double-and-add ladder; Verify and Recover fall back to it when
-// the fast path is disabled, and the differential tests pin the fast path
-// against it.
-func doubleScalarMultRef(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint {
-	return addJacobian(scalarBaseMult(u1), scalarMult(p, u2))
-}
-
-// doubleScalarMult dispatches between the wNAF/GLV ladder and the naive
-// reference according to SetFastMult.
-func doubleScalarMult(u1 *big.Int, p *affineVal, u2 *big.Int) jacobianVal {
-	if fastMultOn.Load() {
-		return shamirMult(u1, p, u2)
-	}
-	return doubleScalarMultRef(u1, p.ref(), u2).val()
 }

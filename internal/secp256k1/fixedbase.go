@@ -18,9 +18,8 @@ import (
 // is a single table lookup. The 960-point table is built once (lazily) and
 // normalized to affine with one batched inversion.
 //
-// The naive double-and-add ladder (scalarBaseMult) remains the reference;
-// the comb is gated behind SetFastMult together with the wNAF/GLV path and
-// differential tests pin the two bit-identical. It is the package's only
+// Differential tests pin the comb bit-identical to the naive double-and-add
+// ladder (scalarBaseMult in reference_test.go). It is the package's only
 // fixed-base table: key derivation uses it as well.
 
 const (
@@ -80,13 +79,4 @@ func scalarBaseMultComb(k *big.Int) jacobianVal {
 		}
 	}
 	return acc
-}
-
-// scalarBaseMultG dispatches between the comb table and the naive
-// reference ladder according to SetFastMult.
-func scalarBaseMultG(k *big.Int) jacobianVal {
-	if fastMultOn.Load() {
-		return scalarBaseMultComb(k)
-	}
-	return scalarBaseMult(k).val()
 }

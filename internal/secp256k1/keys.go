@@ -55,7 +55,7 @@ func NewPrivateKey(d *big.Int) (*PrivateKey, error) {
 	if d == nil || d.Sign() <= 0 || d.Cmp(curveN) >= 0 {
 		return nil, ErrInvalidKey
 	}
-	dG := scalarBaseMultG(d)
+	dG := scalarBaseMultComb(d)
 	p := dG.affine()
 	return &PrivateKey{
 		D:   new(big.Int).Set(d),

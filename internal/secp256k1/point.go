@@ -2,8 +2,8 @@ package secp256k1
 
 // Value-typed curve points over fieldVal: the one group law every fast
 // path (wNAF/GLV ladder, comb, multi-scalar batch) runs on. Nothing here
-// allocates. The *big.Int ladder in curve.go is the reference these are
-// tested against.
+// allocates. The *big.Int ladder in reference_test.go is the reference
+// these are tested against.
 
 // affineVal is a point in affine coordinates. (0, 0) is not on the curve
 // (b = 7 ≠ 0) and encodes the point at infinity.
@@ -17,7 +17,7 @@ type jacobianVal struct {
 	x, y, z fieldVal
 }
 
-var generator = affinePoint{x: curveGx, y: curveGy}.val()
+var generator = affineVal{x: mustField(curveGx), y: mustField(curveGy)}
 
 func (p *affineVal) isInfinity() bool { return p.x.isZero() && p.y.isZero() }
 

@@ -2,30 +2,25 @@ package secp256k1
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// onBothPaths runs f with the fast ladders on and then off.
-func onBothPaths(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	prev := SetFastMult(true)
-	defer SetFastMult(prev)
-	for _, fast := range []bool{true, false} {
-		SetFastMult(fast)
-		t.Run(fmt.Sprintf("fast=%v", fast), f)
-	}
-}
-
 // assertRecoverFails checks that the single and the batch entry point both
-// reject (digest, sig) with want, without disturbing a valid neighbour.
+// reject (digest, sig) with want, without disturbing a valid neighbour, and
+// that a failed recovery is one the math/big reference cannot complete
+// either.
 func assertRecoverFails(t *testing.T, digest [32]byte, sig Signature, want error) {
 	t.Helper()
 	if _, err := Recover(digest, sig); !errors.Is(err, want) {
 		t.Errorf("Recover: err = %v, want %v", err, want)
+	}
+	if errors.Is(want, ErrRecoveryFailed) {
+		if _, ok := refRecover(digest, sig); ok {
+			t.Error("reference ladder recovers a key where Recover must fail")
+		}
 	}
 	key, goodDigest := PrivateKeyFromSeed([]byte("neighbour")), [32]byte{1}
 	goodSig, err := Sign(key, goodDigest)
@@ -53,38 +48,34 @@ func TestRecoverRejectsNonResidueX(t *testing.T) {
 			xs = append(xs, x)
 		}
 	}
-	onBothPaths(t, func(t *testing.T) {
-		for _, x := range xs {
-			for v := byte(0); v < 2; v++ {
-				sig := Signature{R: x, S: big.NewInt(1), V: v}
-				assertRecoverFails(t, [32]byte{9}, sig, ErrRecoveryFailed)
-			}
+	for _, x := range xs {
+		for v := byte(0); v < 2; v++ {
+			sig := Signature{R: x, S: big.NewInt(1), V: v}
+			assertRecoverFails(t, [32]byte{9}, sig, ErrRecoveryFailed)
 		}
-	})
+	}
 }
 
 func TestRecoverRejectsInfinity(t *testing.T) {
 	// With R = k·G and z = s·k the recovered point r⁻¹(s·R − z·G) is the
 	// point at infinity, which is no public key.
 	rng := rand.New(rand.NewSource(31))
-	onBothPaths(t, func(t *testing.T) {
-		for i := 0; i < 4; i++ {
-			k := randScalar(rng)
-			s := new(big.Int).Rsh(randScalar(rng), 1) // low-s
-			if k.Sign() == 0 || s.Sign() == 0 {
-				continue
-			}
-			rp := toAffine(scalarBaseMult(k))
-			z := new(big.Int).Mul(s, k)
-			var digest [32]byte
-			z.Mod(z, curveN).FillBytes(digest[:])
-			sig := Signature{R: new(big.Int).Mod(rp.x, curveN), S: s, V: byte(rp.y.Bit(0))}
-			if _, ok := recoverEphemeralPoint(sig); !ok {
-				t.Fatal("R itself must reconstruct: the failure under test is the infinity")
-			}
-			assertRecoverFails(t, digest, sig, ErrRecoveryFailed)
+	for i := 0; i < 4; i++ {
+		k := randScalar(rng)
+		s := new(big.Int).Rsh(randScalar(rng), 1) // low-s
+		if k.Sign() == 0 || s.Sign() == 0 {
+			continue
 		}
-	})
+		rp := toAffine(scalarBaseMult(k))
+		z := new(big.Int).Mul(s, k)
+		var digest [32]byte
+		z.Mod(z, curveN).FillBytes(digest[:])
+		sig := Signature{R: new(big.Int).Mod(rp.x, curveN), S: s, V: byte(rp.y.Bit(0))}
+		if _, ok := recoverEphemeralPoint(sig); !ok {
+			t.Fatal("R itself must reconstruct: the failure under test is the infinity")
+		}
+		assertRecoverFails(t, digest, sig, ErrRecoveryFailed)
+	}
 }
 
 func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
@@ -102,24 +93,22 @@ func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
 		{"nil r", Signature{S: good.S, V: good.V}},
 		{"nil s", Signature{R: good.R, V: good.V}},
 	}
-	onBothPaths(t, func(t *testing.T) {
-		for _, tc := range cases {
-			if err := tc.sig.Validate(); !errors.Is(err, ErrInvalidSignature) {
-				t.Errorf("%s: Validate = %v, want ErrInvalidSignature", tc.name, err)
-			}
-			if Verify(key.Pub, digest, tc.sig) {
-				t.Errorf("%s: Verify accepted", tc.name)
-			}
-			assertRecoverFails(t, digest, tc.sig, ErrInvalidSignature)
-			res := VerifyBatch([]BatchVerifyItem{
-				{Pub: key.Pub, Digest: digest, Sig: good},
-				{Pub: key.Pub, Digest: digest, Sig: tc.sig},
-			})
-			if !res[0] || res[1] {
-				t.Errorf("%s: VerifyBatch = %v, want [true false]", tc.name, res)
-			}
+	for _, tc := range cases {
+		if err := tc.sig.Validate(); !errors.Is(err, ErrInvalidSignature) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidSignature", tc.name, err)
 		}
-	})
+		if Verify(key.Pub, digest, tc.sig) {
+			t.Errorf("%s: Verify accepted", tc.name)
+		}
+		assertRecoverFails(t, digest, tc.sig, ErrInvalidSignature)
+		res := VerifyBatch([]BatchVerifyItem{
+			{Pub: key.Pub, Digest: digest, Sig: good},
+			{Pub: key.Pub, Digest: digest, Sig: tc.sig},
+		})
+		if !res[0] || res[1] {
+			t.Errorf("%s: VerifyBatch = %v, want [true false]", tc.name, res)
+		}
+	}
 }
 
 // TestLazyTablesFirstUseIsConcurrent resets the lazily built tables and
