@@ -85,6 +85,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -109,8 +110,8 @@ func main() {
 		lifetime   = flag.Duration("lifetime", time.Hour, "token lifetime")
 		needProof  = flag.Bool("require-proof", false, "demand a proof of possession on every request")
 		storeKind  = flag.String("store", "mem", `one-time counter persistence: "mem" (lost on restart) or "file" (WAL under -dir)`)
-		dirPath    = flag.String("dir", "", "-store file: directory for the counter WAL and snapshots")
-		fsyncBatch = flag.Int("fsync-batch", 0, "-store file: appends coalesced per fsync (0: store default)")
+		dirPath    = flag.String("dir", "", "-store file: directory for the counter WAL and snapshots (with -group-name: for the membership journal)")
+		fsyncBatch = flag.Int("fsync-batch", 0, "appends coalesced per fsync of the journal (-store file, or -group-name with -dir; 0: store default)")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "index counter shards (concurrent issuance lanes)")
 
 		replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API")
@@ -235,9 +236,13 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseGroup parses the "-group i/n" shard position.
+// parseGroup parses the "-group i/n" shard position. The whole value
+// must parse: trailing input ("0/2/3", "0/2x") is rejected, not ignored.
 func parseGroup(s string) (index, count int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &index, &count); err != nil {
+	i, n, ok := strings.Cut(s, "/")
+	index, errI := strconv.Atoi(i)
+	count, errN := strconv.Atoi(n)
+	if !ok || errI != nil || errN != nil {
 		return 0, 0, fmt.Errorf(`-group must look like "i/n" (e.g. 0/2), got %q`, s)
 	}
 	if count < 1 || index < 0 || index >= count {
@@ -311,36 +316,13 @@ func (cs *counterStack) close() error {
 // mark — only safe when contracts' bitmaps are re-deployed too); "file"
 // journals every block lease so a restarted service never re-issues an
 // index; -peers allocates blocks through a majority quorum of counter
-// replicas (durability then lives on the replicas' WALs, not this
-// process), striped either statically by -group or under a dynamic
-// membership view by -group-name.
+// replicas (see openReplicatedCounter).
 func openCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
 	if peers != "" {
-		if groupName != "" {
-			return openMembershipCounter(storeKind, dirPath, fsyncBatch, shards, peers, groupName, initialGroups, ownerToken)
+		if storeKind != "mem" {
+			return nil, fmt.Errorf("-peers moves counter durability to the replicas; drop -store file (with -group-name, -dir holds only the membership journal)")
 		}
-		if storeKind != "mem" || dirPath != "" || fsyncBatch != 0 {
-			return nil, fmt.Errorf("-peers moves counter durability to the replicas; drop -store file/-dir/-fsync-batch (with -group-name, -dir holds only the membership journal)")
-		}
-		coord, err := replicanet.NewCoordinator(splitList(peers), replicanet.Options{})
-		if err != nil {
-			return nil, err
-		}
-		var underlying ts.Counter = coord
-		if group != "" {
-			index, count, err := parseGroup(group)
-			if err != nil {
-				return nil, err
-			}
-			if underlying, err = ring.NewStripe(coord, index, count); err != nil {
-				return nil, err
-			}
-		}
-		sc, err := ts.NewShardedCounter(underlying, shards, counterBlockSize)
-		if err != nil {
-			return nil, err
-		}
-		return &counterStack{counter: sc, sharded: sc}, nil
+		return openReplicatedCounter(dirPath, fsyncBatch, shards, peers, group, groupName, initialGroups, ownerToken)
 	}
 	switch storeKind {
 	case "mem":
@@ -381,29 +363,56 @@ func openCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, group
 	}
 }
 
-// openMembershipCounter builds the dynamic-membership counter stack: a
-// DynamicStripe over the quorum coordinator, the sharded counter on
-// top, and the membership Manager that serves the view-change protocol
-// (plus the /v1/admin/repair recovery op). With -dir, dir/membership
-// journals adopted views AND released block leases — including the
-// reclaim/adopt handshake a drain's lease handoff runs through, so an
-// interrupted handoff is recovered at the next boot (snapshots stay
-// disabled there so no record kind is ever folded away); a restart
-// resumes the last adopted view, not the boot view.
-func openMembershipCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, groupName, initialGroups, ownerToken string) (*counterStack, error) {
-	if storeKind != "mem" {
-		return nil, fmt.Errorf("-group-name keeps counter durability on the replicas; drop -store file (-dir holds the membership journal)")
+// openReplicatedCounter builds the replicated counter stack every -peers
+// frontend runs: the quorum coordinator, a DynamicStripe over it, and
+// the sharded counter on top. Only the stripe's view differs:
+//
+//   - plain -peers: the one-group view {epoch 1, ["0"]}, whose mapping
+//     is the identity;
+//   - -group i/n: the fixed view {epoch 1, ["0"…"n-1"]} at slot i, so
+//     the k-th quorum block maps to (k-1)·n+i+1 and the n frontends
+//     issue disjoint indexes without coordinating;
+//   - -group-name: the bootstrap view from -initial-groups, plus the
+//     membership Manager that serves the view-change protocol (and the
+//     /v1/admin/repair recovery op). With -dir, dir/membership journals
+//     adopted views AND released block leases — including the
+//     reclaim/adopt handshake a drain's lease handoff runs through, so
+//     an interrupted handoff is recovered at the next boot (snapshots
+//     stay disabled there so no record kind is ever folded away); a
+//     restart resumes the last adopted view, not the boot view.
+func openReplicatedCounter(dirPath string, fsyncBatch, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
+	journaled := groupName != "" && dirPath != ""
+	if dirPath != "" && !journaled {
+		return nil, fmt.Errorf("-peers moves counter durability to the replicas; -dir holds only a -group-name membership journal")
 	}
-	groups, urls, err := parseInitialGroups(initialGroups)
-	if err != nil {
-		return nil, err
+	if fsyncBatch != 0 && !journaled {
+		return nil, fmt.Errorf("-fsync-batch needs a journal: -store file, or -group-name with -dir")
 	}
-	view := ring.View{Epoch: 1, Groups: groups}
+	member, view := "0", ring.View{Epoch: 1, Groups: []string{"0"}}
+	var urls map[string]string
+	switch {
+	case group != "":
+		index, count, err := parseGroup(group)
+		if err != nil {
+			return nil, err
+		}
+		view.Groups = make([]string, count)
+		for i := range view.Groups {
+			view.Groups[i] = strconv.Itoa(i)
+		}
+		member = view.Groups[index]
+	case groupName != "":
+		groups, bootURLs, err := parseInitialGroups(initialGroups)
+		if err != nil {
+			return nil, err
+		}
+		member, view.Groups, urls = groupName, groups, bootURLs
+	}
+
+	cs := &counterStack{}
 	var baseK int64
 	var journal store.Backend
-	var reclaims *store.Counter
-	var backend *store.File
-	if dirPath != "" {
+	if journaled {
 		sub := filepath.Join(dirPath, "membership")
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, err
@@ -412,14 +421,14 @@ func openMembershipCounter(storeKind, dirPath string, fsyncBatch, shards int, pe
 		if err != nil {
 			return nil, err
 		}
-		journal, backend = f, f
+		journal, cs.backend = f, f
 		// The file's Replay is single-shot, and the journal has two
 		// readers — replay once and feed both.
 		snap, recs, err := f.Replay()
 		if err != nil {
 			return nil, err
 		}
-		if reclaims, err = store.CounterFrom(f, snap, recs, -1); err != nil {
+		if cs.reclaims, err = store.CounterFrom(f, snap, recs, -1); err != nil {
 			return nil, err
 		}
 		st, ok, err := membership.StateFromRecords(recs)
@@ -434,7 +443,7 @@ func openMembershipCounter(storeKind, dirPath string, fsyncBatch, shards int, pe
 	if err != nil {
 		return nil, err
 	}
-	stripe, err := ring.NewDynamicStripe(coord, groupName, view, baseK)
+	stripe, err := ring.NewDynamicStripe(coord, member, view, baseK)
 	if err != nil {
 		return nil, err
 	}
@@ -442,18 +451,20 @@ func openMembershipCounter(storeKind, dirPath string, fsyncBatch, shards int, pe
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := membership.NewManager(membership.Config{
-		Group:      groupName,
-		Stripe:     stripe,
-		Counter:    sc,
-		Journal:    journal,
-		Reclaims:   reclaims,
-		OwnerToken: ownerToken,
-	}, view, urls, baseK)
-	if err != nil {
-		return nil, err
+	cs.counter, cs.sharded = sc, sc
+	if groupName != "" {
+		cs.manager, err = membership.NewManager(membership.Config{
+			Group:      groupName,
+			Stripe:     stripe,
+			Counter:    sc,
+			Journal:    journal,
+			Reclaims:   cs.reclaims,
+			OwnerToken: ownerToken,
+		}, view, urls, baseK)
+		if err != nil {
+			return nil, err
+		}
 	}
-	cs := &counterStack{counter: sc, sharded: sc, reclaims: reclaims, manager: mgr, backend: backend}
 	if err := cs.adoptPending(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	replicanet "repro/internal/ts/replica/net"
@@ -58,40 +59,80 @@ func TestOpenCounterRejectsBadFlags(t *testing.T) {
 	if _, err := openCounter("mem", "", 0, 1, "http://a,http://b", "", "", "", ""); err == nil {
 		t.Error("even peer count accepted")
 	}
+	// -fsync-batch needs a journal: -store file, or -group-name with -dir.
+	peers3, boot := "http://a,http://b,http://c", "g1=http://fe1.example"
+	if _, err := openCounter("mem", "", 8, 1, peers3, "", "", "", ""); err == nil {
+		t.Error("-fsync-batch on a plain -peers frontend accepted")
+	}
+	if _, err := openCounter("mem", "", 8, 1, peers3, "", "g1", boot, ""); err == nil {
+		t.Error("-fsync-batch on a membership frontend without -dir accepted")
+	}
+	if cs, err := openCounter("mem", t.TempDir(), 8, 1, peers3, "", "g1", boot, ""); err != nil {
+		t.Errorf("-fsync-batch on a journaled membership frontend rejected: %v", err)
+	} else {
+		_ = cs.close()
+	}
 }
 
-// A frontend with -peers allocates through the networked quorum, and
-// -group striping keeps two frontends' indexes disjoint with no
-// coordination between them — the CLI-level view of ring.Stripe over
-// replicanet.Coordinator.
-func TestOpenCounterNetworkedStripedFrontends(t *testing.T) {
-	urls := ""
-	for i := 0; i < 3; i++ {
+// startReplicas serves three volatile counter replicas on loopback and
+// returns their comma-separated base URLs, as -peers takes them.
+func startReplicas(t *testing.T) string {
+	t.Helper()
+	urls := make([]string, 3)
+	for i := range urls {
 		srv, err := replicanet.Serve(replicanet.NewNode(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		if i > 0 {
-			urls += ","
-		}
-		urls += srv.URL()
+		urls[i] = srv.URL()
 	}
+	return strings.Join(urls, ",")
+}
+
+// The three quorum frontend modes are one stack — coordinator, stripe,
+// sharded counter — and keep the index maps they always had: a plain
+// -peers frontend issues the quorum's blocks unchanged, -group i/n
+// issues only blocks ≡ i+1 (mod n), and -group-name adds a membership
+// manager. The cases run one after another on one replica group, so
+// the quorum's block sequence simply continues from case to case.
+func TestOpenCounterNetworkedStripedFrontends(t *testing.T) {
+	peers := startReplicas(t)
 	seen := make(map[int64]string)
-	for _, g := range []string{"0/2", "1/2"} {
-		c, err := openCounter("mem", "", 0, 2, urls, g, "", "", "")
+	for _, tc := range []struct {
+		name, group, groupName, initialGroups string
+		shards                                int
+	}{
+		{name: "plain", shards: 1},
+		{name: "0/2", group: "0/2", shards: 2},
+		{name: "1/2", group: "1/2", shards: 2},
+		{name: "g1", groupName: "g1", initialGroups: "g1=http://fe1.example,g2=http://fe2.example", shards: 2},
+	} {
+		c, err := openCounter("mem", "", 0, tc.shards, peers, tc.group, tc.groupName, tc.initialGroups, "")
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for i := 0; i < 3*counterBlockSize; i++ {
+		if (c.manager != nil) != (tc.groupName != "") {
+			t.Fatalf("%s: membership manager built = %v", tc.name, c.manager != nil)
+		}
+		for i := int64(1); i <= 3*counterBlockSize; i++ {
 			idx, err := c.counter.Next()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if tc.name == "plain" && idx != i {
+				t.Fatalf("plain -peers issued %d as allocation %d, want the identity map", idx, i)
+			}
+			if tc.group != "" {
+				index, count, _ := parseGroup(tc.group)
+				if block := (idx-1)/counterBlockSize + 1; (block-1)%int64(count) != int64(index) {
+					t.Fatalf("-group %s issued %d from block %d, outside its stripe", tc.group, idx, block)
+				}
 			}
 			if other, dup := seen[idx]; dup {
-				t.Fatalf("index %d issued by both frontend %s and %s", idx, other, g)
+				t.Fatalf("index %d issued by both frontend %s and %s", idx, other, tc.name)
 			}
-			seen[idx] = g
+			seen[idx] = tc.name
 		}
 	}
 }
@@ -134,7 +175,7 @@ func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(":8546", "", 4, 0, "", "", "0/2", "", ""); err == nil {
 		t.Error("-group without -peers accepted")
 	}
-	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1"} {
+	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1", "0/2/3", "0/2x", "1/2 junk"} {
 		if err := validateFlags(":8546", "", 4, 0, "", peers3, bad, "", ""); err == nil {
 			t.Errorf("-group %q accepted", bad)
 		}
@@ -232,18 +273,7 @@ func TestOpenCounterCleanShutdownLeavesNoGap(t *testing.T) {
 // under its bootstrap view, and releases its remainders into the
 // membership journal on shutdown, so a restart adopts them back.
 func TestOpenCounterMembershipBootAndRelease(t *testing.T) {
-	urls := ""
-	for i := 0; i < 3; i++ {
-		srv, err := replicanet.Serve(replicanet.NewNode(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		if i > 0 {
-			urls += ","
-		}
-		urls += srv.URL()
-	}
+	urls := startReplicas(t)
 	dir := t.TempDir()
 	boot := "g1=http://fe1.example,g2=http://fe2.example"
 	cs1, err := openCounter("mem", dir, 0, 2, urls, "", "g1", boot, "tok")

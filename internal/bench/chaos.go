@@ -49,14 +49,16 @@ const (
 	ChaosFrontendCrash = "frontend-crash"
 )
 
-// chaosReplicas is the replica-group size of chaos scenarios: the
-// smallest quorum that tolerates one fault.
+// chaosReplicas is the replica-group size of every quorum-backed
+// scenario: the smallest quorum that tolerates one fault.
 const chaosReplicas = 3
 
-// chaosGroup is one chaos scenario's counter backend: WAL-backed
-// replica nodes, their proxies, and the coordinator that only ever
-// dials the proxies.
-type chaosGroup struct {
+// quorumGroup is a scenario's replicated one-time counter backend:
+// WAL-backed replica nodes on loopback, each behind its own nettest
+// proxy (pass-through until a chaos fault is injected), and the
+// coordinator that only ever dials the proxies. The tokensale scenario,
+// every chaos scenario and chaos-join's joining group all run on one.
+type quorumGroup struct {
 	dir      string
 	removeIt bool
 	servers  []*replicanet.Server
@@ -74,35 +76,35 @@ type chaosGroup struct {
 	fireErr error
 }
 
-// startChaosGroup stands the replica group up. Replica WALs live under
-// dir (kept for artifact upload when the caller provided it; a fresh
-// temp dir is removed on Close).
-func startChaosGroup(cfg ScenarioConfig, run E2EConfig) (*chaosGroup, error) {
-	switch cfg.Chaos {
+// checkChaos rejects an unknown ScenarioConfig.Chaos fault name.
+func checkChaos(fault string) error {
+	switch fault {
 	case ChaosKill, ChaosPartition, ChaosSlow, ChaosJoin, ChaosFrontendCrash:
-	default:
-		return nil, fmt.Errorf("unknown chaos fault %q (supported: %s, %s, %s, %s, %s)",
-			cfg.Chaos, ChaosKill, ChaosPartition, ChaosSlow, ChaosJoin, ChaosFrontendCrash)
+		return nil
 	}
-	g := &chaosGroup{}
-	if run.Dir != "" {
-		g.dir = filepath.Join(run.Dir, cfg.Name)
-	} else {
-		tmp, err := os.MkdirTemp("", "smacs-chaos-*")
+	return fmt.Errorf("unknown chaos fault %q (supported: %s, %s, %s, %s, %s)",
+		fault, ChaosKill, ChaosPartition, ChaosSlow, ChaosJoin, ChaosFrontendCrash)
+}
+
+// startQuorumGroup stands a replica group up. Replica WALs live under
+// dir/replica<i> (kept for artifact upload when dir is given; with dir
+// empty a fresh temp dir is used and removed on Close).
+func startQuorumGroup(dir string, fsyncBatch int) (*quorumGroup, error) {
+	g := &quorumGroup{dir: dir}
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "smacs-quorum-*")
 		if err != nil {
 			return nil, err
 		}
-		g.dir = tmp
-		g.removeIt = true
+		g.dir, g.removeIt = tmp, true
 	}
-	urls := make([]string, chaosReplicas)
 	for i := 0; i < chaosReplicas; i++ {
 		nodeDir := filepath.Join(g.dir, fmt.Sprintf("replica%d", i))
 		if err := os.MkdirAll(nodeDir, 0o755); err != nil {
 			g.Close()
 			return nil, err
 		}
-		backend, err := store.OpenFile(nodeDir, store.FileOptions{FsyncBatch: run.FsyncBatch})
+		backend, err := store.OpenFile(nodeDir, store.FileOptions{FsyncBatch: fsyncBatch})
 		if err != nil {
 			g.Close()
 			return nil, err
@@ -125,10 +127,9 @@ func startChaosGroup(cfg ScenarioConfig, run E2EConfig) (*chaosGroup, error) {
 			return nil, err
 		}
 		g.proxies = append(g.proxies, proxy)
-		urls[i] = proxy.URL()
+		g.urls = append(g.urls, proxy.URL())
 	}
-	g.urls = urls
-	coord, err := replicanet.NewCoordinator(urls, replicanet.Options{Timeout: time.Second})
+	coord, err := replicanet.NewCoordinator(g.urls, replicanet.Options{Timeout: time.Second})
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -137,7 +138,7 @@ func startChaosGroup(cfg ScenarioConfig, run E2EConfig) (*chaosGroup, error) {
 	return g, nil
 }
 
-func (g *chaosGroup) Close() {
+func (g *quorumGroup) Close() {
 	for _, p := range g.proxies {
 		_ = p.Close()
 	}
@@ -155,7 +156,7 @@ func (g *chaosGroup) Close() {
 // inject applies the scenario's fault: a proxy fault on the victim for
 // the network faults, or the armed membership action (join/takeover)
 // for the membership faults — those have no victim and nothing to heal.
-func (g *chaosGroup) inject(fault string, victim int) {
+func (g *quorumGroup) inject(fault string, victim int) {
 	p := g.proxies[victim]
 	switch fault {
 	case ChaosKill:
@@ -177,13 +178,13 @@ func (g *chaosGroup) inject(fault string, victim int) {
 
 // FireErr reports whether the armed membership action failed when it
 // fired; runScenario fails the row on it after the producers finish.
-func (g *chaosGroup) FireErr() error {
+func (g *quorumGroup) FireErr() error {
 	g.fireMu.Lock()
 	defer g.fireMu.Unlock()
 	return g.fireErr
 }
 
-func (g *chaosGroup) heal(victim int) { g.proxies[victim].Heal() }
+func (g *quorumGroup) heal(victim int) { g.proxies[victim].Heal() }
 
 // scheduleFault watches the scenario's progress and fires the fault
 // once roughly half the token traffic has happened ("mid-rush"), then
@@ -193,7 +194,7 @@ func (g *chaosGroup) heal(victim int) { g.proxies[victim].Heal() }
 // so CI can sweep timings without losing reproducibility. The returned
 // stop function ends the watcher (healing, if the run finished
 // mid-fault), is idempotent, and reports whether the fault ever fired.
-func (g *chaosGroup) scheduleFault(cfg ScenarioConfig, seed int64, agg *e2eAgg) func() bool {
+func (g *quorumGroup) scheduleFault(cfg ScenarioConfig, seed int64, agg *e2eAgg) func() bool {
 	rng := rand.New(rand.NewSource(seed))
 	victim := rng.Intn(chaosReplicas)
 	expected := cfg.ExpectedCounts().TokenRequests

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/secp256k1"
 	"repro/internal/transform"
 	"repro/internal/ts"
-	"repro/internal/ts/replica"
 	"repro/internal/ts/ring"
 	"repro/internal/tshttp"
 	"repro/internal/types"
@@ -31,11 +31,12 @@ type E2EConfig struct {
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Smoke selects the small deterministic sizing the CI envelope pins.
 	Smoke bool `json:"smoke"`
-	// Dir is where the durable scenario keeps its file-backed stores
-	// (empty: a fresh temp dir, removed afterwards).
+	// Dir is where the durable scenario keeps its file-backed stores and
+	// the quorum-backed scenarios their replica WALs, one subdirectory per
+	// scenario (empty: a fresh temp dir, removed afterwards).
 	Dir string `json:"dir,omitempty"`
-	// FsyncBatch is the group-commit batch of the durable scenario's file
-	// stores (0: the store default).
+	// FsyncBatch is the group-commit batch of those file stores (0: the
+	// store default).
 	FsyncBatch int `json:"fsyncBatch,omitempty"`
 	// OnRow, when non-nil, observes every completed scenario row in run
 	// order; smacs-bench uses it to flush partial results on SIGINT.
@@ -436,25 +437,34 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	ruleSet.SetSenderList(allowed)
 
 	// One-time index counter: sharded, optionally backed by a 3-replica
-	// quorum — in-process (§ VII-B) or, for chaos scenarios, networked
-	// replica processes behind fault-injecting proxies. The membership
-	// faults add a layer each: ChaosJoin allocates through an epoch-aware
-	// dynamic stripe so a second group can join mid-rush, and
+	// quorum (§ VII-B) — WAL-backed replicas on loopback behind proxies
+	// that pass traffic through until a chaos fault is injected. The
+	// membership faults add a layer each: ChaosJoin allocates through an
+	// epoch-aware dynamic stripe so a second group can join mid-rush, and
 	// ChaosFrontendCrash wraps the sharded counter in a switch so the
 	// takeover can swap in a fresh incarnation mid-traffic.
 	var underlying ts.Counter
-	var chaos *chaosGroup
+	var group *quorumGroup
 	var joinStripe *ring.DynamicStripe
 	if cfg.Chaos != "" {
-		if cfg.ReplicatedCounter || cfg.Durable {
-			return E2ERow{}, fmt.Errorf("chaos scenarios bring their own counter backend")
+		if cfg.Durable {
+			return E2ERow{}, fmt.Errorf("chaos scenarios run on a replica quorum, not the durable stores")
 		}
-		g, err := startChaosGroup(cfg, run)
+		if err := checkChaos(cfg.Chaos); err != nil {
+			return E2ERow{}, err
+		}
+	}
+	if cfg.Chaos != "" || cfg.ReplicatedCounter {
+		dir := ""
+		if run.Dir != "" {
+			dir = filepath.Join(run.Dir, cfg.Name)
+		}
+		g, err := startQuorumGroup(dir, run.FsyncBatch)
 		if err != nil {
 			return E2ERow{}, err
 		}
 		defer g.Close()
-		chaos, underlying = g, g.coord
+		group, underlying = g, g.coord
 		if cfg.Chaos == ChaosJoin {
 			joinStripe, err = ring.NewDynamicStripe(g.coord, chaosGroupA,
 				ring.View{Epoch: 1, Groups: []string{chaosGroupA}}, 0)
@@ -463,12 +473,6 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 			}
 			underlying = joinStripe
 		}
-	} else if cfg.ReplicatedCounter {
-		cluster, err := replica.NewCluster(3)
-		if err != nil {
-			return E2ERow{}, err
-		}
-		underlying = cluster.Counter()
 	}
 	counter, err := ts.NewShardedCounter(underlying, shardedCounterShards, shardedCounterBlock)
 	if err != nil {
@@ -610,13 +614,13 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// frontend-crash scenario binds the takeover closure.
 	switch cfg.Chaos {
 	case ChaosJoin:
-		cleanupJoin, err := armJoin(chaos, env, reg, tsKey, ruleSet, cfg, joinStripe, counter)
+		cleanupJoin, err := armJoin(group, env, reg, tsKey, ruleSet, cfg, run.FsyncBatch, joinStripe, counter)
 		if err != nil {
 			return E2ERow{}, err
 		}
 		defer cleanupJoin()
 	case ChaosFrontendCrash:
-		armFrontendCrash(chaos, crashSwitch)
+		armFrontendCrash(group, crashSwitch)
 	}
 
 	// The chaos fault scheduler watches the aggregate's progress and
@@ -625,8 +629,8 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// producers finish collects whether the fault fired; the deferred
 	// one only covers error returns (stop is idempotent).
 	var stopFault func() bool
-	if chaos != nil {
-		stopFault = chaos.scheduleFault(cfg, run.ChaosSeed, env.agg)
+	if cfg.Chaos != "" {
+		stopFault = group.scheduleFault(cfg, run.ChaosSeed, env.agg)
 		defer stopFault()
 	}
 
@@ -674,8 +678,8 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 			return E2ERow{}, err
 		}
 	}
-	if chaos != nil {
-		if err := chaos.FireErr(); err != nil {
+	if cfg.Chaos != "" {
+		if err := group.FireErr(); err != nil {
 			return E2ERow{}, fmt.Errorf("chaos %s action: %w", cfg.Chaos, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -12,15 +13,14 @@ import (
 	"repro/internal/secp256k1"
 	"repro/internal/ts"
 	"repro/internal/ts/membership"
-	"repro/internal/ts/replica"
 	replicanet "repro/internal/ts/replica/net"
 	"repro/internal/ts/ring"
 	"repro/internal/tshttp"
 )
 
 // The chaos-join scenario's replica-group names: the main frontend runs
-// chaosGroupA over the networked (proxied) quorum; chaosGroupJoiner is
-// the group that joins mid-rush, backed by an in-process quorum cluster.
+// chaosGroupA over the scenario's quorum group; chaosGroupJoiner is the
+// group that joins mid-rush, backed by a second quorum group of its own.
 const (
 	chaosGroupA      = "alpha"
 	chaosGroupJoiner = "beta"
@@ -59,15 +59,15 @@ func (s *switchCounter) swap(c *ts.ShardedCounter) {
 // remainders plus the takeover's fresh leases.
 func (s *switchCounter) MaxSpread() int64 { return s.spread }
 
-// armJoin stands the joining frontend up (its own quorum cluster,
+// armJoin stands the joining frontend up (its own quorum group,
 // stripe, sharded counter, membership manager, member endpoints, and a
 // full Token Service listener sharing skTS and the rules) and arms the
 // chaos group's fire hook: at the inject threshold the main frontend's
 // manager admits the joiner through the live join protocol, and honest
 // token traffic starts round-robining across both frontends. The
 // returned cleanup closes everything the joiner opened.
-func armJoin(g *chaosGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1.PrivateKey,
-	ruleSet *rules.RuleSet, cfg ScenarioConfig, stripeA *ring.DynamicStripe, counterA *ts.ShardedCounter) (func(), error) {
+func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1.PrivateKey,
+	ruleSet *rules.RuleSet, cfg ScenarioConfig, fsyncBatch int, stripeA *ring.DynamicStripe, counterA *ts.ShardedCounter) (func(), error) {
 	var cleanups []func()
 	cleanup := func() {
 		for i := len(cleanups) - 1; i >= 0; i-- {
@@ -107,12 +107,14 @@ func armJoin(g *chaosGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1
 	}
 
 	// The joiner boots with the cluster's current view — not containing
-	// itself — and issues only after the join's advance admits it.
-	clusterB, err := replica.NewCluster(chaosReplicas)
+	// itself — and issues only after the join's advance admits it. Its
+	// replica WALs sit beside group A's, so the artifacts keep both.
+	groupB, err := startQuorumGroup(filepath.Join(g.dir, chaosGroupJoiner), fsyncBatch)
 	if err != nil {
 		return fail(err)
 	}
-	stripeB, err := ring.NewDynamicStripe(clusterB.Counter(), chaosGroupJoiner, bootView, 0)
+	cleanups = append(cleanups, groupB.Close)
+	stripeB, err := ring.NewDynamicStripe(groupB.coord, chaosGroupJoiner, bootView, 0)
 	if err != nil {
 		return fail(err)
 	}
@@ -179,7 +181,7 @@ func armJoin(g *chaosGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1
 // incarnation's unexhausted remainders burn — at most one max spread —
 // and can never be reissued, because every replica only grants strictly
 // increasing blocks.
-func armFrontendCrash(g *chaosGroup, sw *switchCounter) {
+func armFrontendCrash(g *quorumGroup, sw *switchCounter) {
 	g.fire = func() error {
 		coord, err := replicanet.NewCoordinator(g.urls, replicanet.Options{Timeout: time.Second})
 		if err != nil {

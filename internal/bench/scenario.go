@@ -61,21 +61,22 @@ type ScenarioConfig struct {
 	// configured lifetime is negative); all must be rejected on-chain.
 	ExpiredOps int `json:"expiredOps,omitempty"`
 	// ReplicatedCounter backs the sharded one-time counter with a
-	// 3-replica quorum cluster (§ VII-B) instead of a local counter.
+	// networked 3-replica quorum group (§ VII-B, internal/ts/replica/net)
+	// instead of a local counter: WAL-backed replica servers on loopback,
+	// each behind a pass-through TCP proxy (internal/nettest).
 	ReplicatedCounter bool `json:"replicatedCounter,omitempty"`
 	// RequireProof demands a proof of possession on every token request,
 	// exercising the client-side request signing over HTTP.
 	RequireProof bool `json:"requireProof,omitempty"`
-	// Chaos backs the sharded one-time counter with a networked
-	// 3-replica quorum group (internal/ts/replica/net) — WAL-backed
-	// replica processes behind fault-injecting TCP proxies
-	// (internal/nettest) — and injects the named fault (ChaosKill,
-	// ChaosPartition, ChaosSlow) into one replica mid-rush, healing it
-	// before the run ends. The group tolerates the single fault, so the
-	// correctness counts must equal a fault-free run's: no one-time
-	// index issued twice, no accepted transaction lost, every denial
-	// carrying its exact reason. Mutually exclusive with
-	// ReplicatedCounter and Durable.
+	// Chaos runs the scenario on the same quorum group as
+	// ReplicatedCounter (implying it) and injects the named fault into it
+	// mid-rush: a network fault (ChaosKill, ChaosPartition, ChaosSlow) on
+	// one replica's proxy, healed before the run ends, or a membership
+	// fault (ChaosJoin, ChaosFrontendCrash) on the frontend layer. The
+	// group tolerates the single fault, so the correctness counts must
+	// equal a fault-free run's: no one-time index issued twice, no
+	// accepted transaction lost, every denial carrying its exact reason.
+	// Mutually exclusive with Durable.
 	Chaos string `json:"chaos,omitempty"`
 	// Durable backs the Token Service counter and the chain with
 	// file-backed stores (internal/store) and crashes the whole world

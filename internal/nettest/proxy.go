@@ -2,8 +2,8 @@
 // distributed-systems failure modes against real network stacks. The
 // chaos e2e scenarios and the networked-replica tests place one Proxy in
 // front of each Token Service replica and then drop, delay, partition,
-// or reset its traffic mid-run — faults the in-process replica model
-// (and the bench -rtt knob) could only pretend to inject.
+// or reset its traffic mid-run, on real sockets rather than a simulated
+// network.
 //
 // Fault semantics, per proxy:
 //

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/ts"
-	"repro/internal/ts/replica"
 	replicanet "repro/internal/ts/replica/net"
 )
 
@@ -176,7 +175,7 @@ func TestShardedCounterLeaseAbandonmentNetworked(t *testing.T) {
 	for {
 		idx, err := sc1.Next()
 		if err != nil {
-			if !errors.Is(err, replica.ErrNoQuorum) {
+			if !errors.Is(err, replicanet.ErrNoQuorum) {
 				t.Fatalf("refill without a quorum failed with %v, want ErrNoQuorum", err)
 			}
 			break

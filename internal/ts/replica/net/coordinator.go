@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,16 +14,17 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/ts/replica"
 )
+
+// ErrNoQuorum is returned when fewer than a majority of replicas respond.
+var ErrNoQuorum = errors.New("replica: quorum unavailable")
 
 const (
 	// DefaultTimeout bounds each replica RPC. A partitioned (blackholed)
 	// replica costs at most this long, and the parallel fan-out with
 	// early majority return means it usually costs nothing.
 	DefaultTimeout = 2 * time.Second
-	// maxProposeRounds bounds grant retries under contention, matching
-	// the in-process QuorumCounter.
+	// maxProposeRounds bounds grant retries under contention.
 	maxProposeRounds = 64
 	// maxFenceRounds bounds epoch escalation against dueling
 	// coordinators. It matches maxProposeRounds: several coordinators
@@ -158,7 +160,7 @@ func (c *Coordinator) majority() int { return len(c.peers)/2 + 1 }
 
 // Next implements ts.Counter: fence if needed, read the majority
 // frontier, and commit max+1 with majority acks. Returns
-// replica.ErrNoQuorum while a majority of replicas is unreachable.
+// ErrNoQuorum while a majority of replicas is unreachable.
 func (c *Coordinator) Next() (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -179,7 +181,7 @@ func (c *Coordinator) Next() (int64, error) {
 			return candidate, nil
 		}
 		if replies < c.majority() {
-			return 0, replica.ErrNoQuorum
+			return 0, ErrNoQuorum
 		}
 		c.grantRetries.Inc()
 		if maxPromised > c.epoch {
@@ -226,7 +228,7 @@ func (c *Coordinator) fenceLocked() error {
 			return nil
 		}
 		if replies < c.majority() {
-			return replica.ErrNoQuorum
+			return ErrNoQuorum
 		}
 		if maxPromised > c.epoch {
 			c.epoch = maxPromised
@@ -321,7 +323,7 @@ func (c *Coordinator) readMaxLocked() (int64, error) {
 		}
 	}
 	if replies < c.majority() {
-		return 0, replica.ErrNoQuorum
+		return 0, ErrNoQuorum
 	}
 	return max, nil
 }

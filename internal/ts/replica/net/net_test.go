@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/ts/replica"
 )
 
 // startGroup serves n fresh volatile nodes and returns their servers
@@ -42,15 +41,19 @@ func newCoordinator(t *testing.T, urls []string) *Coordinator {
 // TestCoordinatorFrontier pins what a membership freeze relies on: the
 // frontier covers every lease any coordinator incarnation ever
 // committed — including one a fresh coordinator (a restarted frontend)
-// has never seen — and fails closed without a quorum.
+// has never seen — and fails closed without a quorum. A lone
+// coordinator on a fresh group allocates the dense sequence 1, 2, 3, …
 func TestCoordinatorFrontier(t *testing.T) {
 	servers, urls := startGroup(t, 3)
 	c1 := newCoordinator(t, urls)
 	var last int64
-	for i := 0; i < 7; i++ {
+	for want := int64(1); want <= 10; want++ {
 		v, err := c1.Next()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if v != want {
+			t.Fatalf("Next = %d, want %d", v, want)
 		}
 		last = v
 	}
@@ -68,7 +71,7 @@ func TestCoordinatorFrontier(t *testing.T) {
 	for _, s := range servers[:2] {
 		_ = s.Close()
 	}
-	if _, err := c2.Frontier(); !errors.Is(err, replica.ErrNoQuorum) {
+	if _, err := c2.Frontier(); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Frontier without quorum = %v, want ErrNoQuorum", err)
 	}
 }
@@ -178,7 +181,7 @@ func TestKillTwoOfThreeNoQuorum(t *testing.T) {
 	}
 	_ = servers[0].Close()
 	_ = servers[2].Close()
-	if _, err := c.Next(); !errors.Is(err, replica.ErrNoQuorum) {
+	if _, err := c.Next(); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("allocation without a quorum returned %v, want ErrNoQuorum", err)
 	}
 }

@@ -46,8 +46,8 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // URL returns the replica base URL coordinators should dial.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close stops the server, severing every open connection — the
-// networked analogue of Cluster.Kill. The node's state machine (and its
+// Close stops the server, severing every open connection — a replica
+// crash as its coordinators see it. The node's state machine (and its
 // backend, if any) is untouched: re-Serve the node to model a rejoin.
 func (s *Server) Close() error {
 	err := s.srv.Close()

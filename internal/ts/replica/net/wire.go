@@ -1,8 +1,11 @@
-// Package net is the networked realization of the replica package's
-// quorum-replicated counter: replica Nodes speak HTTP/JSON and a
-// client-side Coordinator implements ts.Counter by running a lease-based
-// majority-ack protocol against them, with epoch fencing, replica
-// failure detection, and rejoin-with-catchup.
+// Package net implements the quorum-replicated monotonic counter the
+// paper prescribes for highly available Token Services issuing one-time
+// tokens (§ VII-B: "its replicas have to coordinate on the current counter
+// value ... efficiently realized via a replicated counter primitive").
+// Replica Nodes speak HTTP/JSON and a client-side Coordinator implements
+// ts.Counter by running a lease-based majority-ack protocol against them,
+// with epoch fencing, replica failure detection, and rejoin-with-catchup.
+// The group tolerates ⌊(N−1)/2⌋ unreachable replicas.
 //
 // Protocol, per allocation:
 //

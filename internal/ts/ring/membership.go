@@ -12,18 +12,19 @@ import (
 // membership changes, and rebalance-plan computation with exact arc
 // accounting.
 //
-// The static Stripe bakes (index, count) in at construction, so changing
-// the group count would collide new allocations with old ones: block
-// (k-1)*N+i+1 under N groups and block (k'-1)*N'+i'+1 under N' groups
-// can be equal. DynamicStripe removes the collision by giving every
-// membership epoch its own region of the block space: a view change
-// establishes a watermark W — the highest block any group allocated
-// under the old epoch — and the new epoch allocates strictly above it,
-// with each group restarting its epoch-local sequence from a recorded
-// base. Within one epoch, groups stay disjoint exactly like Stripe
-// (distinct residues mod the group count); across epochs, regions are
-// disjoint by the watermark. Both properties together give global
-// uniqueness through any sequence of joins and drains.
+// Striping alone bakes the group count in, so changing it would collide
+// new allocations with old ones: block (k-1)*N+i+1 under N groups and
+// block (k'-1)*N'+i'+1 under N' groups can be equal. DynamicStripe
+// removes the collision by giving every membership epoch its own region
+// of the block space: a view change establishes a watermark W — the
+// highest block any group allocated under the old epoch — and the new
+// epoch allocates strictly above it, with each group restarting its
+// epoch-local sequence from a recorded base. Within one epoch, groups
+// stay disjoint by distinct residues mod the group count; across epochs,
+// regions are disjoint by the watermark. Both properties together give
+// global uniqueness through any sequence of joins and drains. A view
+// that never changes (W = base = 0) is plain striping: slot i of N maps
+// its k-th allocation to (k-1)*N+i+1.
 
 // View is one epoch of the replica-group membership: an ordered group
 // list (a group's slot is its position) plus the block watermark the
@@ -84,19 +85,18 @@ var ErrNotMember = fmt.Errorf("ring: group is not a member of the current view")
 
 // FrontierReader is implemented by underlying counters that can report
 // their durable sequence frontier: the highest value any incarnation of
-// any coordinator ever committed (both quorum coordinator flavors read
-// it from a replica majority). DynamicStripe.Freeze uses it to report a
+// any coordinator ever committed (the quorum coordinator reads it from a
+// replica majority). DynamicStripe.Freeze uses it to report a
 // block frontier that survives frontend restarts — the in-memory highest
 // only covers blocks mapped since boot.
 type FrontierReader interface {
 	Frontier() (int64, error)
 }
 
-// DynamicStripe is the epoch-aware replacement for Stripe: it maps its
-// group's local allocation sequence onto the global block space under
-// the current membership view, and supports live view changes through a
-// freeze → advance → resume protocol driven by a membership controller
-// (see internal/ts/membership).
+// DynamicStripe maps its group's local allocation sequence onto the
+// global block space under the current membership view, and supports
+// live view changes through a freeze → advance → resume protocol driven
+// by a membership controller (see internal/ts/membership).
 //
 // Uniqueness invariant: for a fixed view, group at slot s of N maps its
 // j-th epoch-local allocation to Watermark + (j-1)*N + s + 1 — residues

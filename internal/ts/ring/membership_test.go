@@ -48,6 +48,78 @@ func TestViewValidate(t *testing.T) {
 	}
 }
 
+// fixedView is the one-epoch view of n statically numbered groups
+// "0"…"n-1" — what a frontend started with -group i/n runs under.
+func fixedView(n int) View {
+	v := View{Epoch: 1}
+	for i := 0; i < n; i++ {
+		v.Groups = append(v.Groups, fmt.Sprint(i))
+	}
+	return v
+}
+
+// Striping must partition the index space: under a fixed view, slot i
+// of N maps its k-th allocation to exactly (k-1)*N + i + 1, so it only
+// produces indexes ≡ i+1 (mod N), collision-free across slots, each
+// slot's sequence strictly increasing.
+func TestStripePartitionsIndexSpace(t *testing.T) {
+	const groups, perGroup = 4, 1000
+	v := fixedView(groups)
+	seen := make(map[int64]int, groups*perGroup)
+	for g := 0; g < groups; g++ {
+		st, err := NewDynamicStripe(&seqCounter{}, v.Groups[g], v, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := int64(0)
+		for k := int64(1); k <= perGroup; k++ {
+			idx, err := st.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (k-1)*groups + int64(g) + 1; idx != want {
+				t.Fatalf("slot %d allocation %d mapped to %d, want %d", g, k, idx, want)
+			}
+			if idx <= last {
+				t.Fatalf("slot %d: index %d not increasing after %d", g, idx, last)
+			}
+			last = idx
+			if (idx-1)%groups != int64(g) {
+				t.Fatalf("slot %d produced index %d outside its stripe", g, idx)
+			}
+			if prev, dup := seen[idx]; dup {
+				t.Fatalf("index %d issued by both slot %d and slot %d", idx, prev, g)
+			}
+			seen[idx] = g
+		}
+	}
+}
+
+func TestStripeValidation(t *testing.T) {
+	v := fixedView(3)
+	if _, err := NewDynamicStripe(nil, "0", v, 0); err == nil {
+		t.Error("nil underlying accepted")
+	}
+	if _, err := NewDynamicStripe(&seqCounter{}, "", v, 0); err == nil {
+		t.Error("empty group accepted")
+	}
+	if _, err := NewDynamicStripe(&seqCounter{}, "0", View{Epoch: 1}, 0); err == nil {
+		t.Error("view without groups accepted")
+	}
+	if _, err := NewDynamicStripe(&seqCounter{}, "0", v, -1); err == nil {
+		t.Error("negative base accepted")
+	}
+	// A group outside the view builds (a joiner boots that way) but
+	// must not issue.
+	st, err := NewDynamicStripe(&seqCounter{}, "3", v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Next(); !errors.Is(err, ErrNotMember) {
+		t.Errorf("non-member Next = %v, want ErrNotMember", err)
+	}
+}
+
 // TestDynamicStripeUniquenessAcrossViews drives three groups through a
 // join and a drain while allocating concurrently, and asserts every
 // global block id is issued exactly once — the core safety property of
@@ -199,7 +271,7 @@ func TestDynamicStripeRestartFromPersistedBase(t *testing.T) {
 }
 
 // frontierCounter is a seqCounter that also exposes its durable
-// frontier, as both quorum coordinator flavors do.
+// frontier, as the quorum coordinator does.
 type frontierCounter struct{ seqCounter }
 
 func (c *frontierCounter) Frontier() (int64, error) {

@@ -8,8 +8,11 @@
 //
 // Global index uniqueness across groups does not come from the ring
 // (two groups' counters run independently); it comes from striping:
-// group i of N allocates only indexes ≡ i (mod N) via Stripe, so the
-// groups partition the index space without ever coordinating.
+// under a membership view of N groups, DynamicStripe lets the group at
+// slot i allocate only indexes ≡ i+1 (mod N) above the view's watermark,
+// so the groups partition the index space without ever coordinating. A
+// fixed deployment of n frontends is the one-view case: epoch 1, groups
+// "0"…"n-1", watermark 0.
 package ring
 
 import (
@@ -188,51 +191,9 @@ func (r *Ring) Get(key []byte) (string, error) {
 // GetString is Get for string keys (e.g. hex sender addresses).
 func (r *Ring) GetString(key string) (string, error) { return r.Get([]byte(key)) }
 
-// Counter is the minimal allocator interface Stripe wraps — identical to
-// ts.Counter, restated here so the package has no dependency cycle with
-// ts.
+// Counter is the minimal allocator interface DynamicStripe wraps —
+// identical to ts.Counter, restated here so the package has no dependency
+// cycle with ts.
 type Counter interface {
 	Next() (int64, error)
-}
-
-// Stripe partitions the global index space across groups without
-// coordination: the wrapped counter's k-th allocation maps to index
-// (k-1)*Count + Index + 1, so group i of N only ever produces indexes
-// ≡ i+1 (mod N). Two distinct groups can never collide, which restores
-// the global one-time uniqueness the paper's § IV-C demands even though
-// each group's quorum runs independently.
-//
-// Like ShardedCounter, striped indexes are not globally dense: sizing a
-// one-time bitmap for striped traffic must multiply the per-group spread
-// by Count (see MaxSpread scaling in the bench harness).
-type Stripe struct {
-	// Underlying allocates the group-local sequence 1, 2, 3, …
-	Underlying Counter
-	// Index is this group's stripe (0 ≤ Index < Count).
-	Index int
-	// Count is the total number of groups.
-	Count int
-}
-
-// NewStripe validates and builds a stripe over underlying.
-func NewStripe(underlying Counter, index, count int) (*Stripe, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("ring: stripe count must be positive, got %d", count)
-	}
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("ring: stripe index %d out of range [0,%d)", index, count)
-	}
-	if underlying == nil {
-		return nil, fmt.Errorf("ring: stripe needs an underlying counter")
-	}
-	return &Stripe{Underlying: underlying, Index: index, Count: count}, nil
-}
-
-// Next implements the counter interface with the striped mapping.
-func (s *Stripe) Next() (int64, error) {
-	k, err := s.Underlying.Next()
-	if err != nil {
-		return 0, err
-	}
-	return (k-1)*int64(s.Count) + int64(s.Index) + 1, nil
 }

@@ -168,58 +168,6 @@ func TestRingConcurrentChurn(t *testing.T) {
 	<-done
 }
 
-// Striping must partition the index space: group i of N only produces
-// indexes ≡ i+1 (mod N), collision-free across groups, each group's
-// sequence strictly increasing.
-func TestStripePartitionsIndexSpace(t *testing.T) {
-	const groups, perGroup = 4, 1000
-	seen := make(map[int64]int, groups*perGroup)
-	for g := 0; g < groups; g++ {
-		st, err := NewStripe(&localCounter{}, g, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := int64(0)
-		for i := 0; i < perGroup; i++ {
-			idx, err := st.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx <= last {
-				t.Fatalf("group %d: index %d not increasing after %d", g, idx, last)
-			}
-			last = idx
-			if (idx-1)%groups != int64(g) {
-				t.Fatalf("group %d produced index %d outside its stripe", g, idx)
-			}
-			if prev, dup := seen[idx]; dup {
-				t.Fatalf("index %d issued by both group %d and group %d", idx, prev, g)
-			}
-			seen[idx] = g
-		}
-	}
-}
-
-func TestStripeValidation(t *testing.T) {
-	if _, err := NewStripe(&localCounter{}, 0, 0); err == nil {
-		t.Error("zero count accepted")
-	}
-	if _, err := NewStripe(&localCounter{}, 3, 3); err == nil {
-		t.Error("index ≥ count accepted")
-	}
-	if _, err := NewStripe(nil, 0, 1); err == nil {
-		t.Error("nil underlying accepted")
-	}
-}
-
-// localCounter is a minimal in-memory allocator for stripe tests.
-type localCounter struct{ n int64 }
-
-func (c *localCounter) Next() (int64, error) {
-	c.n++
-	return c.n, nil
-}
-
 func BenchmarkRingGet(b *testing.B) {
 	r := New(0)
 	for g := 0; g < 4; g++ {

@@ -35,10 +35,10 @@ type Validator interface {
 }
 
 // Counter allocates one-time-token indexes. The paper requires replicated
-// TSes to coordinate on it (§ VII-B); see the replica subpackage.
+// TSes to coordinate on it (§ VII-B); see the replica/net subpackage.
 type Counter interface {
 	// Next returns a never-before-issued index ≥ 1. LocalCounter and
-	// replica.QuorumCounter are strictly increasing; ShardedCounter is
+	// the replica/net Coordinator are strictly increasing; ShardedCounter is
 	// increasing only within a shard, with a bounded spread that the
 	// one-time bitmap sizing must budget for (see
 	// ShardedCounter.MaxSpread).

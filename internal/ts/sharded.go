@@ -16,7 +16,8 @@ import (
 // (b-1)*blockSize+1 .. b*blockSize. Because the underlying counter hands
 // out unique block ids, blocks — and therefore all indexes — are unique
 // across shards, across ShardedCounters sharing the underlying counter,
-// and across replicated services driving a replica.QuorumCounter.
+// and across replicated services driving one quorum Coordinator group
+// (internal/ts/replica/net).
 //
 // Indexes are unique and strictly increasing within a shard, but NOT
 // globally ordered: at any moment the issued indexes can span up to

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/ts/replica"
+	replicanet "repro/internal/ts/replica/net"
 )
 
 func TestShardedCounterRejectsBadParameters(t *testing.T) {
@@ -116,12 +117,30 @@ func TestShardedCounterSpreadBound(t *testing.T) {
 	}
 }
 
-func TestShardedCounterOverQuorumCounter(t *testing.T) {
-	cluster, err := replica.NewCluster(3)
+// startQuorum serves three volatile counter replicas on loopback and
+// returns their servers and a coordinator dialing them.
+func startQuorum(t *testing.T) ([]*replicanet.Server, *replicanet.Coordinator) {
+	t.Helper()
+	servers := make([]*replicanet.Server, 3)
+	urls := make([]string, 3)
+	for i := range servers {
+		s, err := replicanet.Serve(replicanet.NewNode(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		servers[i], urls[i] = s, s.URL()
+	}
+	coord, err := replicanet.NewCoordinator(urls, replicanet.Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewShardedCounter(cluster.Counter(), 4, 32)
+	return servers, coord
+}
+
+func TestShardedCounterOverQuorum(t *testing.T) {
+	_, coord := startQuorum(t)
+	c, err := NewShardedCounter(coord, 4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,25 +148,22 @@ func TestShardedCounterOverQuorumCounter(t *testing.T) {
 }
 
 func TestShardedCounterPropagatesUnderlyingErrors(t *testing.T) {
-	cluster, err := replica.NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewShardedCounter(cluster.Counter(), 1, 2)
+	servers, coord := startQuorum(t)
+	c, err := NewShardedCounter(coord, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Next(); err != nil {
 		t.Fatal(err)
 	}
-	cluster.Kill(0)
-	cluster.Kill(1)
+	_ = servers[0].Close()
+	_ = servers[1].Close()
 	// The current lease still has one index; after it drains, the next
 	// lease must surface ErrNoQuorum.
 	if _, err := c.Next(); err != nil {
 		t.Fatalf("leased index after partial crash: %v", err)
 	}
-	if _, err := c.Next(); !errors.Is(err, replica.ErrNoQuorum) {
+	if _, err := c.Next(); !errors.Is(err, replicanet.ErrNoQuorum) {
 		t.Errorf("err = %v, want ErrNoQuorum", err)
 	}
 }

@@ -10,7 +10,7 @@
 //	evm        — the simulated Ethereum substrate (chain, gas, contracts)
 //	core       — tokens, Alg. 1 verification, Alg. 2 one-time bitmap
 //	rules      — white/blacklist ACRs (Fig. 6)
-//	ts         — the Token Service (+ ts/replica for HA counters)
+//	ts         — the Token Service (+ ts/replica/net for HA counters)
 //	tshttp     — the HTTP front end and client
 //	transform  — the legacy→SMACS adoption tool (Fig. 4)
 //	rtverify   — runtime-verification tools (hydra, ecf)
