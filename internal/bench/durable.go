@@ -225,8 +225,9 @@ func runDurable(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	preHeight := w1.env.chain.Height()
 	preNonce := w1.env.chain.NonceOf(replayKey.Address())
 	// The crash: w1's store handles are dropped without Close. Every
-	// outcome counted above is already fsynced (a store Append returns
-	// only once the record is durable), so recovery owes all of it back.
+	// outcome counted above is already fsynced (a lease Append, and the
+	// one AppendBatch behind each chain Execute, return only once their
+	// records are durable), so recovery owes all of it back.
 
 	// Phase 2: recover from the WALs, then replay the spent tokens
 	// against the recovered bitmap state alongside the remaining honest

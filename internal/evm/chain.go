@@ -284,42 +284,27 @@ func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Addres
 }
 
 // Apply verifies and executes a signed transaction, mining it into a new
-// block. It is a thin wrapper over Execute with the serial scheduler; see
-// Execute for the full execution API. Verification mirrors Ethereum:
-// signature recovery, strict nonce match (replay protection), and balance
-// coverage of value + max fee.
+// block. It is Execute of a one-transaction batch with the serial
+// scheduler, so it persists through the same path; see Execute for the
+// full execution API. Verification mirrors Ethereum: signature recovery,
+// strict nonce match (replay protection), and balance coverage of value +
+// max fee.
 func (ch *Chain) Apply(tx *Transaction) (*Receipt, error) {
 	res := ch.Execute([]*Transaction{tx}, ExecOptions{Scheduler: SchedulerSerial})
 	return res[0].Receipt, res[0].Err
 }
 
-// applyLocked is the body of the serial scheduler; the chain mutex must be
-// held.
-func (ch *Chain) applyLocked(tx *Transaction) (*Receipt, error) {
-	receipt, err := ch.applyAtLocked(tx, ch.cfg.Now())
-	// Outcomes are recorded here, not in applyAtLocked, so durable replay
-	// of historical transactions does not inflate the live series.
-	ch.metrics.recordOutcome(txOutcome(receipt, err))
-	return receipt, err
-}
-
 // applyAtLocked executes tx against the committed state at the given block
-// time, then mines and persists it. Durable replay calls it with the
-// logged time of the original execution, so time-dependent checks (token
-// expiry) repeat identically.
+// time and mines it; it does not persist (Execute logs the whole batch
+// once its commit loop is done). Durable replay calls it with the logged
+// time of the original execution, so time-dependent checks (token expiry)
+// repeat identically.
 func (ch *Chain) applyAtLocked(tx *Transaction, blockTime time.Time) (*Receipt, error) {
 	receipt, err := ch.applyOn(ch.db, tx, blockTime)
 	if err != nil {
 		return nil, err
 	}
 	ch.mineLocked(receipt.TxHash, receipt, blockTime)
-
-	// Persist the commit before returning. A transaction that mined a
-	// block (even with a failed execution) changed state — nonce, gas,
-	// possibly a revert-logged receipt — and must survive a crash.
-	if err := ch.persistCommitLocked(tx, blockTime); err != nil {
-		return receipt, err
-	}
 	return receipt, nil
 }
 

@@ -47,7 +47,8 @@ func (s Scheduler) String() string {
 
 // BatchResult is the outcome of one transaction in an Execute call:
 // exactly one of Receipt/Err is set, mirroring Apply's return values (a
-// commit that executed but failed to persist carries both).
+// commit that executed but whose batch failed to persist carries both,
+// the error wrapping ErrChainPoisoned).
 type BatchResult struct {
 	// Receipt is the execution receipt of the committed transaction.
 	Receipt *Receipt
@@ -81,6 +82,12 @@ type ExecOptions struct {
 // receipts, state, and per-sender nonce ordering match applying the slice
 // one transaction at a time. A rejected transaction does not abort the
 // batch; later transactions still commit.
+//
+// With a store attached, Execute returns only once the commit records of
+// every transaction the batch mined are durable — one AppendBatch, so one
+// sync, per call. If that fails the chain is poisoned: the mined
+// transactions carry their receipts and the error, and every later call
+// fails with ErrChainPoisoned until the chain is rebuilt by RecoverChain.
 func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 	results := make([]BatchResult, len(txs))
 	if len(txs) == 0 {
@@ -90,9 +97,14 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 	if opts.Scheduler == SchedulerSerial {
 		ch.mu.Lock()
 		defer ch.mu.Unlock()
-		for i, tx := range txs {
-			results[i].Receipt, results[i].Err = ch.applyLocked(tx)
+		if ch.rejectPoisonedLocked(results) {
+			return results
 		}
+		for i, tx := range txs {
+			results[i].Receipt, results[i].Err = ch.applyAtLocked(tx, ch.cfg.Now())
+		}
+		ch.persistBatchLocked(txs, results)
+		ch.metrics.recordOutcomes(results)
 		return results
 	}
 	if opts.Scheduler != SchedulerOptimistic {

@@ -72,6 +72,15 @@ func (m *chainMetrics) recordOutcome(outcome string) {
 	c.Inc()
 }
 
+// recordOutcomes counts every transaction of a finished batch, in slice
+// order. Durable replay does not come through here, so historical
+// transactions do not inflate the live series.
+func (m *chainMetrics) recordOutcomes(results []BatchResult) {
+	for _, res := range results {
+		m.recordOutcome(txOutcome(res.Receipt, res.Err))
+	}
+}
+
 // revertClassifiers map a failed execution's revert error to an outcome
 // label. The chain's own rejection reasons (nonce, balance, signature)
 // are classified natively; layers above evm — the core token verifier —
@@ -97,7 +106,7 @@ func RegisterRevertClassifier(f func(error) (string, bool)) {
 	}
 }
 
-// txOutcome labels the result of one applyLocked call: "accepted",
+// txOutcome labels the result of one transaction: "accepted",
 // "rejected_*" for transactions that never executed, "reverted_*" for
 // executed-and-failed ones.
 func txOutcome(receipt *Receipt, err error) string {

@@ -21,9 +21,10 @@ import (
 // then, so the re-execution reads only finalized versions and is valid
 // by construction — a batch of n transactions costs at most 2n
 // executions, whatever its conflict rate. Write-sets are then applied to
-// the committed DB, blocks are mined, and commits persist — in slice
-// order, making the whole batch serially equivalent: receipts are
-// byte-identical to executing the slice one transaction at a time.
+// the committed DB and blocks are mined in slice order, making the whole
+// batch serially equivalent: receipts are byte-identical to executing the
+// slice one transaction at a time. The batch's commit records then
+// persist, in that order, through one append.
 //
 // Block timestamps are drawn once per transaction before the wave (still
 // in slice order), so re-executions see a stable clock; with the default
@@ -47,6 +48,9 @@ type txExec struct {
 func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []BatchResult) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if ch.rejectPoisonedLocked(results) {
+		return
+	}
 
 	n := len(txs)
 	times := make([]time.Time, n)
@@ -73,24 +77,21 @@ func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []Ba
 	}
 	ch.metrics.parallel.ObserveDuration(time.Since(parallelStart))
 
-	// Commit phase: apply validated write-sets to the committed DB, mine,
-	// and persist in slice order.
+	// Commit phase: apply validated write-sets to the committed DB and
+	// mine in slice order, then persist the whole batch at once.
 	commitStart := time.Now()
 	for i := 0; i < n; i++ {
 		e := &execs[i]
 		if e.err != nil {
 			results[i].Err = e.err
-			ch.metrics.recordOutcome(txOutcome(nil, e.err))
 			continue
 		}
 		ch.db.ApplyWrites(e.writes)
 		ch.mineLocked(e.receipt.TxHash, e.receipt, times[i])
 		results[i].Receipt = e.receipt
-		if perr := ch.persistCommitLocked(txs[i], times[i]); perr != nil {
-			results[i].Err = perr
-		}
-		ch.metrics.recordOutcome(txOutcome(e.receipt, results[i].Err))
 	}
+	ch.persistBatchLocked(txs, results)
+	ch.metrics.recordOutcomes(results)
 	ch.metrics.commit.ObserveDuration(time.Since(commitStart))
 	ch.metrics.conflicts.Add(uint64(conflicts))
 	ch.metrics.reexecs.Observe(float64(conflicts))

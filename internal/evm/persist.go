@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 )
 
 // Chain durability: an attached store.Backend receives one KindCommit
-// record per mined transaction and periodic whole-state snapshots, so a
-// crashed node recovers by re-executing the logged suffix on top of the
-// last snapshot.
+// record per mined transaction — all of an Execute batch's records in
+// one AppendBatch, so one write and one sync per batch — and periodic
+// whole-state snapshots, so a crashed node recovers by re-executing the
+// logged suffix on top of the last snapshot.
 //
 // Contract handlers are Go closures and cannot be serialized, so
 // recovery splits responsibility:
@@ -26,57 +28,123 @@ import (
 //   - the commit log re-executes with each transaction's original block
 //     time, so token-expiry checks repeat identically.
 //
+// A crash while a batch is being written may leave any prefix of its
+// commit records durable, and replay then re-executes that prefix. None
+// of those transactions was acknowledged (Execute returns only after the
+// whole batch is durable), and a prefix of a serial history is itself a
+// valid serial history, so recovery is still a state some serial
+// execution reaches.
+//
+// Persistence is fail-stop: once a batch or a snapshot fails to persist,
+// the in-memory chain is ahead of its log, so the chain is poisoned and
+// every later Apply/Execute fails with ErrChainPoisoned. The only way
+// forward is RecoverChain, which rebuilds from what is durable.
+//
 // Out-of-band mutations (Fund, Reorg) are NOT logged: perform them in
 // bootstrap, or follow them with SnapshotToStore.
+
+// ErrChainPoisoned is returned by every Apply/Execute (and
+// SnapshotToStore) after the chain failed to persist a batch or a
+// snapshot. The returned error wraps both this sentinel and the original
+// persistence failure.
+var ErrChainPoisoned = errors.New("evm: chain poisoned by a persistence failure; recover with RecoverChain")
 
 // chainStore is the durability state hanging off a Chain.
 type chainStore struct {
 	b store.Backend
-	// snapshotEvery bounds WAL growth: a state snapshot is taken after
-	// this many commits (≤ 0 disables automatic snapshots).
+	// snapshotEvery bounds WAL growth: a state snapshot is taken once
+	// this many commits have accumulated (≤ 0 disables automatic
+	// snapshots).
 	snapshotEvery int
 	sinceSnap     int
-	// replaying suppresses re-logging while the commit log re-executes.
-	replaying bool
+	// poisoned is set by the first persistence failure (wrapping
+	// ErrChainPoisoned) and never cleared.
+	poisoned error
 }
 
-// AttachStore arms commit logging on the chain: every subsequently mined
-// transaction is appended to b before Apply returns, and a state
-// snapshot is written after every snapshotEvery commits (≤ 0 disables
-// the cadence; SnapshotToStore still works). The backend must already be
-// replayed (OpenChain/RecoverChain do this) or fresh.
+// AttachStore arms commit logging on the chain: the transactions every
+// subsequent Execute (or Apply) batch mines are appended to b, in one
+// AppendBatch, before the call returns. A state snapshot is written at
+// the first batch boundary at which snapshotEvery or more commits have
+// accumulated since the last one, so a large batch may overshoot the
+// cadence (≤ 0 disables it; SnapshotToStore still works). The backend
+// must already be replayed (RecoverChain does this) or fresh.
 func (ch *Chain) AttachStore(b store.Backend, snapshotEvery int) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.store = &chainStore{b: b, snapshotEvery: snapshotEvery}
 }
 
-// persistCommitLocked logs a just-mined transaction and advances the
-// snapshot cadence. The chain mutex must be held. No-op without an
-// attached store or during replay.
-func (ch *Chain) persistCommitLocked(tx *Transaction, blockTime time.Time) error {
-	cs := ch.store
-	if cs == nil || cs.replaying {
-		return nil
+// rejectPoisonedLocked fails every transaction of a batch with the
+// sticky persistence error when the chain is poisoned, and reports
+// whether it did. The chain mutex must be held.
+func (ch *Chain) rejectPoisonedLocked(results []BatchResult) bool {
+	if ch.store == nil || ch.store.poisoned == nil {
+		return false
 	}
-	data, err := EncodeCommit(tx, blockTime)
-	if err != nil {
-		return fmt.Errorf("evm: encode commit: %w", err)
+	for i := range results {
+		results[i].Err = ch.store.poisoned
 	}
-	height := ch.blocks[len(ch.blocks)-1].Number
-	if err := cs.b.Append(store.Record{Kind: store.KindCommit, Value: int64(height), Data: data}); err != nil {
-		return fmt.Errorf("evm: persist commit at block %d: %w", height, err)
+	ch.metrics.recordOutcomes(results)
+	return true
+}
+
+// poisonLocked records a persistence failure and returns the error every
+// later call will see. The chain mutex must be held.
+func (ch *Chain) poisonLocked(cause error) error {
+	ch.store.poisoned = fmt.Errorf("%w: %w", ErrChainPoisoned, cause)
+	return ch.store.poisoned
+}
+
+// persistBatchLocked makes the transactions one Execute batch mined
+// durable; it is the chain's only path to the log. On failure the chain
+// is poisoned and every mined transaction of the batch keeps its receipt
+// and carries the error too. The chain mutex must be held; without an
+// attached store it is a no-op.
+func (ch *Chain) persistBatchLocked(txs []*Transaction, results []BatchResult) {
+	if ch.store == nil {
+		return
 	}
-	if cs.snapshotEvery > 0 {
-		cs.sinceSnap++
-		if cs.sinceSnap >= cs.snapshotEvery {
-			cs.sinceSnap = 0
-			if err := ch.snapshotLocked(); err != nil {
-				return err
+	if err := ch.appendCommitsLocked(txs, results); err != nil {
+		err = ch.poisonLocked(err)
+		for i := range results {
+			if results[i].Receipt != nil {
+				results[i].Err = err
 			}
 		}
 	}
-	return nil
+}
+
+// appendCommitsLocked logs one KindCommit record per mined transaction,
+// in commit order, through a single AppendBatch, then advances the
+// snapshot cadence.
+func (ch *Chain) appendCommitsLocked(txs []*Transaction, results []BatchResult) error {
+	cs := ch.store
+	base := ch.blocks[0].Number
+	recs := make([]store.Record, 0, len(txs))
+	for i, res := range results {
+		if res.Receipt == nil {
+			continue
+		}
+		height := res.Receipt.BlockNumber
+		data, err := EncodeCommit(txs[i], ch.blocks[height-base].Time)
+		if err != nil {
+			return fmt.Errorf("evm: encode commit at block %d: %w", height, err)
+		}
+		recs = append(recs, store.Record{Kind: store.KindCommit, Value: int64(height), Data: data})
+	}
+	if err := cs.b.AppendBatch(recs); err != nil {
+		return fmt.Errorf("evm: persist %d commits: %w", len(recs), err)
+	}
+	if cs.snapshotEvery <= 0 || len(recs) == 0 {
+		return nil
+	}
+	cs.sinceSnap += len(recs)
+	if cs.sinceSnap < cs.snapshotEvery {
+		return nil
+	}
+	cs.sinceSnap = 0
+	return ch.snapshotLocked()
 }
 
 // SnapshotToStore writes a full state snapshot to the attached store,
@@ -88,7 +156,13 @@ func (ch *Chain) SnapshotToStore() error {
 	if ch.store == nil {
 		return fmt.Errorf("evm: no store attached")
 	}
-	return ch.snapshotLocked()
+	if ch.store.poisoned != nil {
+		return ch.store.poisoned
+	}
+	if err := ch.snapshotLocked(); err != nil {
+		return ch.poisonLocked(err)
+	}
+	return nil
 }
 
 // snapshotLocked encodes height + world state and rotates the store.
@@ -139,7 +213,8 @@ func RecoverChain(cfg Config, b store.Backend, snapshotEvery int, bootstrap func
 		// empty journal of the decoded DB).
 		ch.blocks = []*Block{{Number: height, Time: ch.cfg.Now()}}
 	}
-	ch.store = &chainStore{b: b, snapshotEvery: snapshotEvery, replaying: true}
+	// applyAtLocked never logs, so replayed commits are not re-appended;
+	// the store is attached only once the log has been re-executed.
 	for _, rec := range recs {
 		if rec.Kind != store.KindCommit {
 			continue
@@ -155,9 +230,7 @@ func RecoverChain(cfg Config, b store.Backend, snapshotEvery int, bootstrap func
 			return nil, fmt.Errorf("evm: replay commit at block %d: %w", rec.Value, err)
 		}
 	}
-	ch.mu.Lock()
-	ch.store.replaying = false
-	ch.mu.Unlock()
+	ch.AttachStore(b, snapshotEvery)
 	return ch, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/evm"
 	"repro/internal/evmtest"
 	"repro/internal/gas"
+	"repro/internal/metrics"
 	"repro/internal/secp256k1"
 	"repro/internal/store"
 	"repro/internal/types"
@@ -352,5 +353,225 @@ func TestRecoverChainOneTimeBitmap(t *testing.T) {
 	}
 	if r, err := w2.Call(*addr, "ping", issue(2)); err != nil || !r.Status {
 		t.Fatalf("fresh index after recovery: %v / %+v", err, r)
+	}
+}
+
+// guardedPings signs n guarded ping calls from persistUser with the
+// consecutive nonces from nonce on, each carrying its own one-time token
+// (indexes from firstIndex on) — a nonce chain the way a block of one
+// busy sender looks.
+func guardedPings(t *testing.T, ch *evm.Chain, target types.Address, nonce uint64, firstIndex int64, n int, expire time.Time) []*evm.Transaction {
+	t.Helper()
+	appData, err := (&evm.Transaction{Method: "ping"}).AppData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binding := core.Binding{Origin: persistUser.Address(), Contract: target, Data: appData}
+	copy(binding.Selector[:], appData[:4])
+	txs := make([]*evm.Transaction, n)
+	for i := range txs {
+		tk, err := core.SignToken(persistTSKey, core.MethodType, expire, firstIndex+int64(i), binding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = &evm.Transaction{
+			Nonce:    nonce + uint64(i),
+			To:       target,
+			Value:    new(big.Int),
+			GasLimit: wallet.DefaultGasLimit,
+			GasPrice: ch.Config().Price.Wei(1),
+			Method:   "ping",
+			Tokens:   wallet.WithTokens(wallet.TokenEntry{Contract: target, Token: tk}).Tokens,
+		}
+		if err := evm.SignTx(txs[i], persistUser, ch.Config().ChainID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return txs
+}
+
+func mustCommitAll(t *testing.T, results []evm.BatchResult) {
+	t.Helper()
+	for i, res := range results {
+		if res.Err != nil || res.Receipt == nil || !res.Receipt.Status {
+			t.Fatalf("tx %d: err=%v receipt=%+v", i, res.Err, res.Receipt)
+		}
+	}
+}
+
+var schedulers = []evm.Scheduler{evm.SchedulerSerial, evm.SchedulerOptimistic}
+
+// TestExecutePersistsOneSyncPerBatch: a 64-transaction Execute batch is
+// logged as 64 KindCommit records behind a single fsync, whatever the
+// scheduler, and the log recovers the live chain exactly.
+func TestExecutePersistsOneSyncPerBatch(t *testing.T) {
+	for _, sched := range schedulers {
+		t.Run(sched.String(), func(t *testing.T) {
+			clock := evmtest.NewClock()
+			cfg := evm.DefaultConfig()
+			cfg.Now = clock.Now
+			boot, addr := counterBoot(persistProtected)
+			dir := t.TempDir()
+			reg := metrics.NewRegistry()
+			f, err := store.OpenFile(dir, store.FileOptions{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := evm.RecoverChain(cfg, f, 0, boot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 64
+			txs := guardedPings(t, ch, *addr, ch.NonceOf(persistUser.Address()), 1, n, clock.Now().Add(time.Hour))
+			fsyncs := reg.Counter(store.MetricWALFsyncs, "")
+			before := fsyncs.Value()
+			mustCommitAll(t, ch.Execute(txs, evm.ExecOptions{Scheduler: sched}))
+			if got := fsyncs.Value() - before; got != 1 {
+				t.Errorf("fsyncs for one %d-tx batch = %d, want 1", n, got)
+			}
+			want, err := ch.StateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantHeight := ch.Height()
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			g, err := store.OpenFile(dir, store.FileOptions{Metrics: metrics.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			_, recs, err := g.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			commits := 0
+			for _, r := range recs {
+				if r.Kind == store.KindCommit {
+					commits++
+				}
+			}
+			if commits != n {
+				t.Errorf("log holds %d commit records, want %d", commits, n)
+			}
+			h, err := store.OpenFile(dir, store.FileOptions{Metrics: metrics.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			rec, err := evm.RecoverChain(cfg, h, 0, boot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := rec.StateDigest(); got != want {
+				t.Errorf("recovered digest %s, live %s", got, want)
+			}
+			if got := rec.Height(); got != wantHeight {
+				t.Errorf("recovered height %d, live %d", got, wantHeight)
+			}
+		})
+	}
+}
+
+var errInjected = errors.New("injected append failure")
+
+// failingBackend is a Memory backend whose failAt-th AppendBatch fails
+// without appending anything.
+type failingBackend struct {
+	*store.Memory
+	failAt, batches int
+}
+
+func (b *failingBackend) AppendBatch(recs []store.Record) error {
+	b.batches++
+	if b.batches == b.failAt {
+		return errInjected
+	}
+	return b.Memory.AppendBatch(recs)
+}
+
+// TestPersistFailurePoisonsChain is the fail-stop contract: when a batch
+// fails to persist, its mined transactions carry their receipts and the
+// error, the chain refuses every later batch with ErrChainPoisoned
+// without touching the log, and RecoverChain over what the log accepted
+// rebuilds exactly the durable prefix.
+func TestPersistFailurePoisonsChain(t *testing.T) {
+	for _, sched := range schedulers {
+		t.Run(sched.String(), func(t *testing.T) {
+			clock := evmtest.NewClock()
+			cfg := evm.DefaultConfig()
+			cfg.Now = clock.Now
+			boot, addr := counterBoot(persistProtected)
+			const failAt, perBatch = 3, 4
+			fb := &failingBackend{Memory: store.NewMemory(), failAt: failAt}
+			ch, err := evm.RecoverChain(cfg, fb, 0, boot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expire := clock.Now().Add(time.Hour)
+			user := persistUser.Address()
+			opts := evm.ExecOptions{Scheduler: sched}
+			batch := func(k int) []*evm.Transaction {
+				return guardedPings(t, ch, *addr, ch.NonceOf(user), int64(k*perBatch+1), perBatch, expire)
+			}
+
+			for k := 1; k < failAt; k++ {
+				clock.Advance(time.Second)
+				mustCommitAll(t, ch.Execute(batch(k), opts))
+			}
+			durable, err := ch.StateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			durableHeight := ch.Height()
+
+			clock.Advance(time.Second)
+			for i, res := range ch.Execute(batch(failAt), opts) {
+				if res.Receipt == nil || !errors.Is(res.Err, evm.ErrChainPoisoned) || !errors.Is(res.Err, errInjected) {
+					t.Fatalf("tx %d of the failed batch: receipt=%v err=%v, want receipt plus a poisoned error wrapping the cause", i, res.Receipt != nil, res.Err)
+				}
+			}
+			live, _ := ch.StateDigest()
+			if live == durable {
+				t.Fatal("failed batch left no trace in memory; the test proves nothing")
+			}
+
+			// Poisoned: the next batch and a single Apply are refused whole,
+			// and nothing more reaches the log.
+			for i, res := range ch.Execute(batch(failAt+1), opts) {
+				if res.Receipt != nil || !errors.Is(res.Err, evm.ErrChainPoisoned) {
+					t.Fatalf("tx %d after poisoning: receipt=%v err=%v, want ErrChainPoisoned", i, res.Receipt != nil, res.Err)
+				}
+			}
+			if _, err := ch.Apply(batch(failAt + 2)[0]); !errors.Is(err, evm.ErrChainPoisoned) {
+				t.Fatalf("Apply after poisoning: %v, want ErrChainPoisoned", err)
+			}
+			if err := ch.SnapshotToStore(); !errors.Is(err, evm.ErrChainPoisoned) {
+				t.Fatalf("SnapshotToStore after poisoning: %v, want ErrChainPoisoned", err)
+			}
+			if fb.batches != failAt {
+				t.Errorf("poisoned chain made %d AppendBatch calls, want %d", fb.batches, failAt)
+			}
+			if got, _ := ch.StateDigest(); got != live {
+				t.Error("poisoned chain's state moved after the failure")
+			}
+
+			rec, err := evm.RecoverChain(cfg, fb.Memory, 0, boot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := rec.StateDigest(); got != durable {
+				t.Errorf("recovered digest %s, want the durable prefix's %s", got, durable)
+			}
+			if got := rec.Height(); got != durableHeight {
+				t.Errorf("recovered height %d, want %d", got, durableHeight)
+			}
+			// The recovered chain resumes where the log ends: the failed
+			// batch's tokens were never spent durably, so it commits again.
+			clock.Advance(time.Second)
+			mustCommitAll(t, rec.Execute(guardedPings(t, rec, *addr, rec.NonceOf(user), failAt*perBatch+1, perBatch, expire), opts))
+		})
 	}
 }

@@ -120,57 +120,61 @@ func encodeRange(kind RecordKind, r IndexRange) Record {
 	return Record{Kind: kind, Value: r.From, Data: data}
 }
 
+// appendRanges validates every range, then journals one kind record per
+// range in a single AppendBatch (one fsync for the whole ledger update).
+// op names the operation in errors.
+func (c *Counter) appendRanges(kind RecordKind, op string, ranges []IndexRange) error {
+	recs := make([]Record, len(ranges))
+	for i, r := range ranges {
+		if r.From < 1 || r.To < r.From {
+			return fmt.Errorf("store: invalid %s range [%d,%d]", op, r.From, r.To)
+		}
+		recs[i] = encodeRange(kind, r)
+	}
+	if err := c.b.AppendBatch(recs); err != nil {
+		return fmt.Errorf("store: persist %d %s ranges: %w", len(ranges), op, err)
+	}
+	return nil
+}
+
 // ReleaseRanges durably records inclusive index ranges handed back by a
 // cleanly shutting-down frontend (the unexhausted remainders of its
 // block leases). The ranges become offerable to the next incarnation via
 // PendingReclaims; until one adopts them, replay keeps offering, and a
-// crash right after this call at worst burns them.
+// crash during or right after this call at worst burns them (a durable
+// prefix of the offers is offered, the rest is burned).
 func (c *Counter) ReleaseRanges(ranges []IndexRange) error {
-	for _, r := range ranges {
-		if r.From < 1 || r.To < r.From {
-			return fmt.Errorf("store: invalid release range [%d,%d]", r.From, r.To)
-		}
-		if err := c.b.Append(encodeRange(KindReclaim, r)); err != nil {
-			return fmt.Errorf("store: persist reclaim [%d,%d]: %w", r.From, r.To, err)
-		}
-	}
-	return nil
+	return c.appendRanges(KindReclaim, "release", ranges)
 }
 
 // AdoptRanges durably consumes reclaim offers on behalf of an external
-// adopter: one KindAdopt record per range is appended before returning,
-// so no later replay offers the range again. A membership drain uses it
-// to close the handoff ledger — the controller journals the drained
-// ranges as offers (ReleaseRanges), consumes them here, and only then
-// hands them to the successor frontend, so a crash anywhere in between
-// re-issues each range at most once.
+// adopter: one KindAdopt record per range is appended, in one batch,
+// before returning, so no later replay offers the range again. A
+// membership drain uses it to close the handoff ledger — the controller
+// journals the drained ranges as offers (ReleaseRanges), consumes them
+// here, and only then hands them to the successor frontend, so a crash
+// anywhere in between re-issues each range at most once. A crash
+// mid-batch leaves a durable prefix of the adopts, which only burns the
+// adopted ranges: none was handed on yet.
 func (c *Counter) AdoptRanges(ranges []IndexRange) error {
-	for _, r := range ranges {
-		if r.From < 1 || r.To < r.From {
-			return fmt.Errorf("store: invalid adopt range [%d,%d]", r.From, r.To)
-		}
-		if err := c.b.Append(encodeRange(KindAdopt, r)); err != nil {
-			return fmt.Errorf("store: persist adopt [%d,%d]: %w", r.From, r.To, err)
-		}
-	}
-	return nil
+	return c.appendRanges(KindAdopt, "adopt", ranges)
 }
 
 // PendingReclaims adopts and returns the index ranges a previous
-// incarnation released. The KindAdopt record for every range is durable
-// BEFORE the range is returned, so the caller may re-issue its indexes
-// immediately: a crash at any later point replays reclaim+adopt and
-// offers nothing again. Calling it twice returns ranges released (and
-// replayed) since the first call — normally none.
+// incarnation released. The KindAdopt records for every range are
+// durable (one batch) BEFORE the ranges are returned, so the caller may
+// re-issue their indexes immediately: a crash at any later point replays
+// reclaim+adopt and offers nothing again, and a crash mid-batch burns
+// the durably adopted prefix and re-offers the rest — none of it was
+// returned yet. Calling it twice returns ranges released (and replayed)
+// since the first call — normally none.
 func (c *Counter) PendingReclaims() ([]IndexRange, error) {
 	c.mu.Lock()
 	pending := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	for _, r := range pending {
-		if err := c.b.Append(encodeRange(KindAdopt, r)); err != nil {
-			return nil, fmt.Errorf("store: persist adopt [%d,%d]: %w", r.From, r.To, err)
-		}
+	if err := c.appendRanges(KindAdopt, "adopt", pending); err != nil {
+		return nil, err
 	}
 	return pending, nil
 }

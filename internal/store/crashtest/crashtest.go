@@ -6,18 +6,19 @@
 //     under the ShardedCounter resumes strictly above every lease any
 //     previous incarnation could have observed, and the on-chain bitmap
 //     still rejects every acknowledged spent index;
-//  2. no committed transaction is lost — every Apply the workload saw
-//     return success is reflected in the recovered account nonce and
-//     chain height.
+//  2. no committed transaction is lost — every Apply or Execute batch the
+//     workload saw return success is reflected in the recovered account
+//     nonce and chain height.
 //
 // The harness re-execs the test binary as a child process running
 // Child(), which appends an acknowledgement line to ack.log after every
-// durability point (token issued, transaction committed), carrying the
-// store.Position() at that moment. The parent SIGKILLs the child at a
-// random point, then simulates the power-loss part a SIGKILL cannot (the
-// page cache survives kill -9): it truncates each WAL to a random offset
-// no lower than the highest acknowledged durable offset — including
-// mid-record cuts — and optionally flips a byte in the discarded-eligible
+// durability point (token issued, transaction or block committed),
+// carrying the store.Position() at that moment. The parent SIGKILLs the
+// child at a random point, then simulates the power-loss part a SIGKILL
+// cannot (the page cache survives kill -9): it truncates each WAL to a
+// random offset no lower than the highest acknowledged durable offset —
+// including mid-record and mid-block cuts, which replay as a prefix of
+// the block — and optionally flips a byte in the discarded-eligible
 // region. Everything past an ack is fair game; everything up to it must
 // survive. Verify() then recovers in-process and asserts the contracts.
 package crashtest
@@ -55,15 +56,20 @@ var (
 
 // Workload geometry. Small blocks force frequent counter leases (more
 // kill-sensitive appends); small snapshot cadences force generation
-// rotations under fire.
+// rotations under fire. The chain cadence is deliberately not a multiple
+// of the 1+blockTxs commits of two workload steps, so unacknowledged
+// blocks regularly sit in the live WAL where a torn cut can split them.
 const (
 	counterShards     = 4
 	counterBlock      = 8
 	counterSnapEvery  = 16
-	chainSnapEvery    = 5
+	chainSnapEvery    = 7
 	bitmapBits        = 1 << 13
 	bitmapBaseSlot    = 1 << 32
 	counterFsyncBatch = 8
+	// blockTxs is the length of the nonce chain every other workload step
+	// commits as one Execute batch.
+	blockTxs = 4
 )
 
 // guarded builds the SMACS-protected target contract: one public method
@@ -167,9 +173,37 @@ func (d *deployment) token(index int64, expire time.Time) (wallet.CallOpts, erro
 	return wallet.WithTokens(wallet.TokenEntry{Contract: d.target, Token: tk}), nil
 }
 
-// Child runs the issuance/apply workload until killed: allocate a
-// one-time index (durable lease), ack it, spend it on-chain (durable
-// commit), ack that too. It never exits on its own short of an error.
+// ping builds and signs the user's guarded ping call with an explicit
+// nonce, spending the one-time token of the given index.
+func (d *deployment) ping(nonce uint64, index int64, expire time.Time) (*evm.Transaction, error) {
+	opts, err := d.token(index, expire)
+	if err != nil {
+		return nil, err
+	}
+	cfg := d.chain.Config()
+	tx := &evm.Transaction{
+		Nonce:    nonce,
+		To:       d.target,
+		Value:    new(big.Int),
+		GasLimit: wallet.DefaultGasLimit,
+		GasPrice: cfg.Price.Wei(1),
+		Method:   "ping",
+		Tokens:   opts.Tokens,
+	}
+	if err := evm.SignTx(tx, userKey, cfg.ChainID); err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
+// Child runs the issuance/apply workload until killed. Each step
+// allocates one-time indexes (durable leases) and acks each, spends them
+// on-chain (durable commits), then acks every spend. Even steps commit a
+// single transaction through Apply's path; odd steps commit a
+// blockTxs-long nonce chain, one token per transaction, as one optimistic
+// Execute batch — one WAL write for the whole block, so a kill or a torn
+// truncation can land inside a block. Spends are acked only after the
+// call returns. It never exits on its own short of an error.
 func Child(dir string) error {
 	d, err := open(dir)
 	if err != nil {
@@ -182,32 +216,43 @@ func Child(dir string) error {
 	}
 	defer ack.Close()
 
-	w := wallet.New(userKey, d.chain)
 	deadline := time.Now().Add(30 * time.Second) // orphan safety net
-	for time.Now().Before(deadline) {
-		index, err := d.sharded.Next()
-		if err != nil {
-			return fmt.Errorf("issue index: %w", err)
+	for step := 0; time.Now().Before(deadline); step++ {
+		n, opts := 1, evm.ExecOptions{Scheduler: evm.SchedulerSerial}
+		if step%2 == 1 {
+			n, opts.Scheduler = blockTxs, evm.SchedulerOptimistic
 		}
-		gen, off := d.tsStore.Position()
-		if _, err := fmt.Fprintf(ack, "I %d %d %d\n", index, gen, off); err != nil {
-			return err
+		nonce := d.chain.NonceOf(userKey.Address())
+		indexes := make([]int64, n)
+		txs := make([]*evm.Transaction, n)
+		for i := range txs {
+			index, err := d.sharded.Next()
+			if err != nil {
+				return fmt.Errorf("issue index: %w", err)
+			}
+			gen, off := d.tsStore.Position()
+			if _, err := fmt.Fprintf(ack, "I %d %d %d\n", index, gen, off); err != nil {
+				return err
+			}
+			indexes[i] = index
+			if txs[i], err = d.ping(nonce+uint64(i), index, time.Now().Add(time.Hour)); err != nil {
+				return err
+			}
 		}
-		opts, err := d.token(index, time.Now().Add(time.Hour))
-		if err != nil {
-			return err
-		}
-		r, err := w.Call(d.target, "ping", opts)
-		if err != nil {
-			return fmt.Errorf("apply index %d: %w", index, err)
-		}
-		if !r.Status {
-			return fmt.Errorf("apply index %d reverted: %v", index, r.Err)
+		for i, res := range d.chain.Execute(txs, opts) {
+			if res.Err != nil {
+				return fmt.Errorf("apply index %d: %w", indexes[i], res.Err)
+			}
+			if !res.Receipt.Status {
+				return fmt.Errorf("apply index %d reverted: %v", indexes[i], res.Receipt.Err)
+			}
 		}
 		cgen, coff := d.chainStore.Position()
-		nonce := d.chain.NonceOf(userKey.Address())
-		if _, err := fmt.Fprintf(ack, "C %d %d %d %d\n", nonce, index, cgen, coff); err != nil {
-			return err
+		nonce = d.chain.NonceOf(userKey.Address())
+		for _, index := range indexes {
+			if _, err := fmt.Fprintf(ack, "C %d %d %d %d\n", nonce, index, cgen, coff); err != nil {
+				return err
+			}
 		}
 	}
 	return errors.New("crashtest child was never killed")
@@ -219,7 +264,8 @@ type Acks struct {
 	// Issued maps acknowledged one-time indexes (token issuance reached
 	// a durable lease).
 	Issued map[int64]bool
-	// Committed maps acknowledged spent indexes (Apply returned).
+	// Committed maps acknowledged spent indexes (Apply or Execute
+	// returned).
 	Committed map[int64]bool
 	// MaxNonce is the highest acknowledged post-commit account nonce.
 	MaxNonce uint64

@@ -45,10 +45,12 @@ type FileOptions struct {
 // finds the highest valid snapshot and reads its WAL, truncating any
 // torn tail in place so later appends extend a clean log.
 //
-// Append is group-committed: a record is written and fsynced before
-// Append returns, but concurrent appends are coalesced under one fsync
-// (bounded by FsyncBatch), which is what makes a WAL-backed counter
-// sustain high issuance rates.
+// Appends are group-committed: records are written and fsynced before
+// Append or AppendBatch returns, but concurrent appends are coalesced
+// under one fsync (bounded by FsyncBatch), which is what makes a
+// WAL-backed counter sustain high issuance rates. An AppendBatch enters
+// the queue as one unit — one write, one fsync for all of its records —
+// which is how the chain makes a whole Execute batch durable at once.
 type File struct {
 	dir     string
 	opts    FileOptions
@@ -242,6 +244,36 @@ func (f *File) Append(rec Record) error {
 	if err != nil {
 		return err
 	}
+	return f.appendFrames(frame, 1)
+}
+
+// AppendBatch implements Backend: every record is framed into one buffer
+// that enters the group-commit queue as a unit, so the batch costs one
+// write and (at most) one fsync, and the call returns only once all of
+// it is durable. An invalid record fails the call before anything is
+// queued. A crash mid-batch leaves a prefix of the batch's frames on
+// disk, which Replay returns like any other torn tail.
+func (f *File) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	size := 0
+	for _, rec := range recs {
+		size += frameHeaderLen + payloadFixedLen + len(rec.Data)
+	}
+	buf := make([]byte, 0, size)
+	for _, rec := range recs {
+		var err error
+		if buf, err = AppendRecord(buf, rec); err != nil {
+			return err
+		}
+	}
+	return f.appendFrames(buf, len(recs))
+}
+
+// appendFrames queues n already-encoded frames and waits until a group
+// commit has synced them.
+func (f *File) appendFrames(frames []byte, n int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -254,13 +286,13 @@ func (f *File) Append(rec Record) error {
 		f.replayed = true // fresh log: appending forfeits Replay
 		f.ensureOffsetLocked()
 	}
-	f.pending = append(f.pending, frame...)
-	f.pendingN++
-	f.queuedOff += int64(len(frame))
-	f.seqQueued += int64(len(frame))
-	f.metrics.appends.Inc()
+	f.pending = append(f.pending, frames...)
+	f.pendingN += n
+	f.queuedOff += int64(len(frames))
+	f.seqQueued += int64(len(frames))
+	f.metrics.appends.Add(uint64(n))
 	// The completion condition uses the monotonic sequence counters, not
-	// the per-WAL offsets: a Snapshot may drain this record into the old
+	// the per-WAL offsets: a Snapshot may drain these records into the old
 	// generation and reset the offsets before this goroutine wakes up.
 	target := f.seqQueued
 	for f.seqSynced < target {

@@ -21,19 +21,32 @@ func NewMemory() *Memory { return &Memory{} }
 
 // Append implements Backend.
 func (m *Memory) Append(rec Record) error {
-	if !rec.Valid() {
-		return ErrBadFrame
+	return m.AppendBatch([]Record{rec})
+}
+
+// AppendBatch implements Backend: the whole batch lands under one lock,
+// and an invalid record rejects the batch before any of it is kept.
+func (m *Memory) AppendBatch(recs []Record) error {
+	for _, rec := range recs {
+		if !rec.Valid() {
+			return ErrBadFrame
+		}
+	}
+	if len(recs) == 0 {
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
-	cp := rec
-	if rec.Data != nil {
-		cp.Data = append([]byte(nil), rec.Data...)
+	for _, rec := range recs {
+		cp := rec
+		if rec.Data != nil {
+			cp.Data = append([]byte(nil), rec.Data...)
+		}
+		m.records = append(m.records, cp)
 	}
-	m.records = append(m.records, cp)
 	return nil
 }
 

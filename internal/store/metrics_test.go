@@ -64,3 +64,38 @@ func TestFileBackendMetrics(t *testing.T) {
 		t.Errorf("replay duration observed %d times, want 1", h.Count())
 	}
 }
+
+// An AppendBatch is one group-commit unit: every record counts as an
+// append, but the batch costs a single fsync covering all of them, and an
+// empty batch costs nothing.
+func TestFileBackendAppendBatchMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	f, err := OpenFile(t.TempDir(), FileOptions{FsyncBatch: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.AppendBatch(nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if c := reg.Counter(MetricWALFsyncs, ""); c.Value() != 0 {
+		t.Fatalf("empty batch synced %d times", c.Value())
+	}
+	batch := []Record{{Kind: KindLease, Value: 1}, {Kind: KindMark, Value: 2, Data: []byte("x")}, {Kind: KindLease, Value: 3}}
+	if err := f.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	body := sb.String()
+	for _, re := range []string{
+		`(?m)^store_wal_appends_total 3$`,
+		`(?m)^store_wal_fsync_total 1$`,
+		`(?m)^store_wal_fsync_batch_records_count 1$`,
+		`(?m)^store_wal_fsync_batch_records_sum 3$`,
+	} {
+		if !regexp.MustCompile(re).MatchString(body) {
+			t.Errorf("registry missing %s\n%s", re, body)
+		}
+	}
+}

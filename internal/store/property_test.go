@@ -9,7 +9,8 @@ import (
 )
 
 // TestFilePropertyVsMemoryOracle drives a file backend and the Memory
-// oracle through the same random interleavings of appends, snapshots,
+// oracle through the same random interleavings of appends, batch
+// appends, snapshots,
 // crashes (reopen without Close, optionally with a torn or corrupted
 // tail), and replays, asserting the file backend always recovers exactly
 // the oracle's state. 1000 seeded iterations; -short runs a prefix.
@@ -41,22 +42,38 @@ func propertyIter(t *testing.T, rng *rand.Rand) {
 	defer func() { f.Close() }()
 
 	var value int64
+	// randomRecord returns a lease or a mark with random payload.
+	randomRecord := func() Record {
+		value++
+		rec := Record{Kind: KindLease, Value: value}
+		if rng.Intn(3) == 0 {
+			rec.Kind = KindMark
+			rec.Data = make([]byte, rng.Intn(64))
+			rng.Read(rec.Data)
+		}
+		return rec
+	}
 	steps := 5 + rng.Intn(40)
 	for s := 0; s < steps; s++ {
 		switch op := rng.Intn(10); {
-		case op < 6: // append a lease or a mark with random payload
-			value++
-			rec := Record{Kind: KindLease, Value: value}
-			if rng.Intn(3) == 0 {
-				rec.Kind = KindMark
-				rec.Data = make([]byte, rng.Intn(64))
-				rng.Read(rec.Data)
-			}
+		case op < 4: // append one record
+			rec := randomRecord()
 			if err := f.Append(rec); err != nil {
 				t.Fatalf("step %d: file append: %v", s, err)
 			}
 			if err := oracle.Append(rec); err != nil {
 				t.Fatalf("step %d: oracle append: %v", s, err)
+			}
+		case op < 6: // append a batch of 0–8 records
+			batch := make([]Record, rng.Intn(9))
+			for i := range batch {
+				batch[i] = randomRecord()
+			}
+			if err := f.AppendBatch(batch); err != nil {
+				t.Fatalf("step %d: file append batch: %v", s, err)
+			}
+			if err := oracle.AppendBatch(batch); err != nil {
+				t.Fatalf("step %d: oracle append batch: %v", s, err)
 			}
 		case op < 8: // snapshot
 			blob := make([]byte, 1+rng.Intn(32))

@@ -12,12 +12,21 @@
 //     tolerates a torn tail: a truncated or corrupted trailing frame is
 //     discarded, never surfaced as a record.
 //
-// The durability contract every consumer builds on: when Append returns
-// nil, the record is on stable storage. A ShardedCounter block lease is
-// appended (and synced) before any index from the block is handed out, so
-// a crash can burn a leased block but never re-issue one; a chain commit
-// record is appended before Apply acknowledges the transaction, so an
+// The durability contract every consumer builds on: when Append or
+// AppendBatch returns nil, every record it was given is on stable
+// storage. A ShardedCounter block lease is appended (and synced) before
+// any index from the block is handed out, so a crash can burn a leased
+// block but never re-issue one; the commit records of a whole
+// Chain.Execute batch are appended in one AppendBatch before Execute (or
+// Apply, a batch of one) acknowledges any of its transactions, so an
 // acknowledged transaction is never lost.
+//
+// A batch is durable as a whole but not atomic: a crash during an
+// AppendBatch may leave any prefix of its records on disk, and replay
+// returns that prefix. Consumers rely only on order — none of the batch
+// was acknowledged, and a prefix of a serial history is itself a valid
+// serial history (a prefix of a block's transactions, a prefix of a
+// range ledger's adoptions).
 package store
 
 import "errors"
@@ -86,14 +95,20 @@ var ErrClosed = errors.New("store: backend is closed")
 // Backend is the durable storage interface: an append-only record log
 // with point-in-time snapshots.
 //
-// Append must be durable on return and safe for concurrent use. Snapshot
-// atomically persists an opaque state blob and logically truncates the
-// log: a subsequent Replay returns the latest snapshot plus only the
-// records appended after it. Replay is intended to be called once, on a
-// freshly opened backend, before any Append.
+// Append and AppendBatch must be durable on return and safe for
+// concurrent use; a batch's records stay contiguous and in order, and an
+// invalid record rejects its whole batch before any of it is queued.
+// Snapshot atomically persists an opaque state blob and logically
+// truncates the log: a subsequent Replay returns the latest snapshot plus
+// only the records appended after it. Replay is intended to be called
+// once, on a freshly opened backend, before any Append.
 type Backend interface {
 	// Append durably adds one record to the log.
 	Append(rec Record) error
+	// AppendBatch durably adds recs to the log, in order, as one write
+	// and one sync. After a crash mid-call, Replay may return any prefix
+	// of recs. An empty batch is a no-op.
+	AppendBatch(recs []Record) error
 	// Snapshot durably persists blob as the new recovery base and drops
 	// records that predate it from future Replays.
 	Snapshot(blob []byte) error

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -86,15 +88,25 @@ func TestDecodeAllStopsAtTornTail(t *testing.T) {
 func TestMemoryBackend(t *testing.T) {
 	m := NewMemory()
 	testBackendBasics(t, m)
+	testBackendLog(t, m)
 }
 
 func TestFileBackend(t *testing.T) {
-	f, err := OpenFile(t.TempDir(), FileOptions{})
+	dir := t.TempDir()
+	f, err := OpenFile(dir, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	testBackendBasics(t, f)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenFile(dir, FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	testBackendLog(t, g)
 }
 
 func testBackendBasics(t *testing.T, b Backend) {
@@ -116,6 +128,91 @@ func testBackendBasics(t *testing.T, b Backend) {
 	}
 	if err := b.Append(Record{Kind: 0}); err == nil {
 		t.Fatal("appending an invalid record should fail")
+	}
+	if err := b.AppendBatch(nil); err != nil {
+		t.Fatalf("empty AppendBatch: %v", err)
+	}
+	if err := b.AppendBatch([]Record{{Kind: KindLease, Value: 7}, {Kind: KindLease, Value: 8}}); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	// One invalid record rejects the whole batch before any of it lands.
+	if err := b.AppendBatch([]Record{{Kind: KindLease, Value: 9}, {Kind: kindEnd}, {Kind: KindLease, Value: 10}}); err == nil {
+		t.Fatal("a batch holding an invalid record should fail")
+	}
+}
+
+// testBackendLog asserts the records Replay returns after
+// testBackendBasics: the post-snapshot mark plus the one valid batch.
+func testBackendLog(t *testing.T, b Backend) {
+	t.Helper()
+	snap, recs, err := b.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(snap) != "state@5" {
+		t.Fatalf("snapshot = %q, want state@5", snap)
+	}
+	var got []int64
+	for _, r := range recs {
+		got = append(got, r.Value)
+	}
+	if fmt.Sprint(got) != "[6 7 8]" {
+		t.Fatalf("replayed values %v, want [6 7 8] (nothing of the rejected batch)", got)
+	}
+}
+
+// TestFileAppendBatchTornTail cuts the WAL at every byte offset inside a
+// 5-record batch: replay must return the records before the batch plus
+// exactly a prefix of the batch — never a gap, never a reordering.
+func TestFileAppendBatchTornTail(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFile(dir, FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append(Record{Kind: KindLease, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, before := f.Position()
+	var batch []Record
+	for v := int64(2); v <= 6; v++ {
+		batch = append(batch, Record{Kind: KindCommit, Value: v, Data: bytes.Repeat([]byte{byte(v)}, int(v))})
+	}
+	if err := f.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	full, err := os.ReadFile(WALPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := int(before); cut <= len(full); cut++ {
+		cdir := t.TempDir()
+		if err := os.WriteFile(WALPath(cdir, 0), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenFile(cdir, FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, recs, err := g.Replay()
+		g.Close()
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if len(recs) == 0 || recs[0].Value != 1 {
+			t.Fatalf("cut %d: record before the batch lost: %+v", cut, recs)
+		}
+		for i, r := range recs[1:] {
+			w := batch[i]
+			if r.Kind != w.Kind || r.Value != w.Value || !bytes.Equal(r.Data, w.Data) {
+				t.Fatalf("cut %d: replayed record %d = %+v, want batch[%d] = %+v", cut, i+1, r, i, w)
+			}
+		}
+		if cut == len(full) && len(recs) != 1+len(batch) {
+			t.Fatalf("uncut WAL replayed %d records, want %d", len(recs), 1+len(batch))
+		}
 	}
 }
 
@@ -454,6 +551,56 @@ func TestCounterAdoptRangesClosesOffers(t *testing.T) {
 	if len(pending) != 0 {
 		t.Fatalf("consumed offers re-offered after replay: %+v", pending)
 	}
+}
+
+// TestCounterRangeLedgerOneSyncPerCall: each range-ledger update —
+// release, external adopt, replayed adopt — journals all of its ranges in
+// one batch, so one fsync per call whatever the number of ranges.
+func TestCounterRangeLedgerOneSyncPerCall(t *testing.T) {
+	dir := t.TempDir()
+	ranges := []IndexRange{{From: 10, To: 19}, {From: 30, To: 39}, {From: 50, To: 59}}
+	open := func() (*Counter, *metrics.Counter, *File) {
+		reg := metrics.NewRegistry()
+		f, err := OpenFile(dir, FileOptions{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCounter(f, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, reg.Counter(MetricWALFsyncs, ""), f
+	}
+	syncsOf := func(fsyncs *metrics.Counter, op func() error) uint64 {
+		t.Helper()
+		before := fsyncs.Value()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return fsyncs.Value() - before
+	}
+
+	c, fsyncs, f := open()
+	if n := syncsOf(fsyncs, func() error { return c.ReleaseRanges(ranges) }); n != 1 {
+		t.Errorf("ReleaseRanges of 3 ranges: %d fsyncs, want 1", n)
+	}
+	f.Close()
+
+	c, fsyncs, f = open()
+	var got []IndexRange
+	if n := syncsOf(fsyncs, func() (err error) { got, err = c.PendingReclaims(); return err }); n != 1 {
+		t.Errorf("PendingReclaims of 3 ranges: %d fsyncs, want 1", n)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ranges) {
+		t.Errorf("PendingReclaims = %v, want %v", got, ranges)
+	}
+	if n := syncsOf(fsyncs, func() error { return c.ReleaseRanges(ranges) }); n != 1 {
+		t.Errorf("second ReleaseRanges: %d fsyncs, want 1", n)
+	}
+	if n := syncsOf(fsyncs, func() error { return c.AdoptRanges(ranges) }); n != 1 {
+		t.Errorf("AdoptRanges of 3 ranges: %d fsyncs, want 1", n)
+	}
+	f.Close()
 }
 
 // TestCounterReclaimCycle drives the release → adopt lease-reclamation
