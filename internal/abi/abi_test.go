@@ -210,3 +210,16 @@ func TestQuickTokenArrayRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkPack is one calldata encoding as a guarded transaction pays it:
+// the selector keccak plus the argument words.
+func BenchmarkPack(b *testing.B) {
+	to := types.BytesToAddress([]byte{0xaa})
+	amount := big.NewInt(1_000_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Pack("transfer", to, amount); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

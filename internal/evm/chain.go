@@ -140,21 +140,25 @@ func (ch *Chain) Config() Config { return ch.cfg }
 // Now returns the current chain time (next block timestamp).
 func (ch *Chain) Now() time.Time { return ch.cfg.Now() }
 
-// Fund credits amount wei to addr — the dev-testnet faucet.
+// Fund credits amount wei to addr — the dev-testnet faucet. It is a setup
+// helper: it is not logged and does not refuse a poisoned chain, so call it
+// in a recovery bootstrap or follow it with SnapshotToStore.
 func (ch *Chain) Fund(addr types.Address, amount *big.Int) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.db.AddBalance(addr, amount)
 }
 
-// Balance returns the current balance of addr.
+// Balance returns the current balance of addr. It only inspects the
+// in-memory state, poisoned or not.
 func (ch *Chain) Balance(addr types.Address) *big.Int {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	return ch.db.Balance(addr)
 }
 
-// NonceOf returns the current account nonce of addr.
+// NonceOf returns the current account nonce of addr. It only inspects the
+// in-memory state, poisoned or not.
 func (ch *Chain) NonceOf(addr types.Address) uint64 {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -234,10 +238,14 @@ func (ch *Chain) BlockByNumber(n uint64) (*Block, bool) {
 // Deploy registers a contract on the chain under a CREATE-style address
 // (keccak(rlp(creator, nonce))[12:]) and charges the creator the deployment
 // gas, including SStoreSet per pre-allocated storage word (the one-time
-// bitmap cost of Table IV).
+// bitmap cost of Table IV). A poisoned chain refuses it with
+// ErrChainPoisoned.
 func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Address, *Receipt, error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if err := ch.poisonedLocked(); err != nil {
+		return types.Address{}, nil, err
+	}
 
 	nonce := ch.db.Nonce(creator)
 	enc, err := rlp.EncodeList(creator.Bytes(), nonce)
@@ -315,7 +323,23 @@ func (ch *Chain) applyAtLocked(tx *Transaction, blockTime time.Time) (*Receipt, 
 // scheduler passes a per-transaction state.View. A nil receipt with a
 // non-nil error means the transaction was rejected before touching state.
 func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (*Receipt, error) {
-	sender, err := tx.Sender(ch.cfg.ChainID)
+	// Encode the calldata once; the sighash, the intrinsic gas and the tx
+	// hash all derive from these bytes. The sighash is still recomputed from
+	// the current fields on every execution, so a transaction tampered with
+	// after an earlier execution recovers a fresh sender.
+	appData, err := tx.AppData()
+	if err != nil {
+		return nil, err
+	}
+	wireData, err := tx.wireData(appData)
+	if err != nil {
+		return nil, err
+	}
+	digest, err := tx.sigHash(wireData, ch.cfg.ChainID)
+	if err != nil {
+		return nil, err
+	}
+	sender, err := tx.senderFor(digest)
 	if err != nil {
 		return nil, err
 	}
@@ -333,16 +357,12 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 		return nil, fmt.Errorf("%w: %s needs %s wei", ErrInsufficientETH, sender, need)
 	}
 
-	wireData, err := tx.WireData()
-	if err != nil {
-		return nil, err
-	}
 	intrinsic := gas.TxBase + gas.CalldataGas(wireData)
 	if intrinsic > tx.GasLimit {
 		return nil, fmt.Errorf("%w: intrinsic %d > limit %d", ErrIntrinsicGas, intrinsic, tx.GasLimit)
 	}
 
-	txHash, err := tx.Hash(ch.cfg.ChainID)
+	txHash, err := tx.hash(wireData, ch.cfg.ChainID)
 	if err != nil {
 		return nil, err
 	}
@@ -368,23 +388,19 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 			sdb.AddBalance(tx.To, tx.Value)
 		}
 	} else {
-		var appData []byte
-		appData, execErr = tx.AppData()
-		if execErr == nil {
-			receipt.Return, execErr = ch.execute(execParams{
-				sdb:       sdb,
-				origin:    sender,
-				caller:    sender,
-				to:        tx.To,
-				value:     tx.Value,
-				appData:   appData,
-				tokens:    tx.Tokens,
-				meter:     meter,
-				depth:     0,
-				blockTime: blockTime,
-				trace:     trace,
-			})
-		}
+		receipt.Return, execErr = ch.execute(execParams{
+			sdb:       sdb,
+			origin:    sender,
+			caller:    sender,
+			to:        tx.To,
+			value:     tx.Value,
+			appData:   appData,
+			tokens:    tx.Tokens,
+			meter:     meter,
+			depth:     0,
+			blockTime: blockTime,
+			trace:     trace,
+		})
 	}
 	if execErr != nil {
 		sdb.RevertToSnapshot(snap)
@@ -404,10 +420,14 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 // StaticCall executes a read-only call (like eth_call): the state is
 // snapshotted and always reverted, and no block is mined. The Token
 // Service's runtime-verification tools use this to simulate requested calls
-// on a forked testnet.
+// on a forked testnet. A poisoned chain refuses it with ErrChainPoisoned:
+// its state is ahead of what the log holds.
 func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, tokens [][]byte) ([]any, *Receipt, error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if err := ch.poisonedLocked(); err != nil {
+		return nil, nil, err
+	}
 
 	appData, err := abi.Pack(method, args...)
 	if err != nil {
@@ -542,10 +562,14 @@ var ErrBadReorg = errors.New("evm: invalid reorg target")
 // Reorg rewinds the chain to the given height, discarding later blocks and
 // reverting their state transitions. It models the 51%-attack scenario of
 // § VII-A: an adversary can erase transactions from history but — as the
-// security tests demonstrate — still cannot forge tokens.
+// security tests demonstrate — still cannot forge tokens. A poisoned chain
+// refuses it with ErrChainPoisoned.
 func (ch *Chain) Reorg(toHeight uint64) error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if err := ch.poisonedLocked(); err != nil {
+		return err
+	}
 	base := ch.blocks[0].Number
 	head := ch.blocks[len(ch.blocks)-1].Number
 	if toHeight < base || toHeight > head {

@@ -37,15 +37,18 @@ import (
 //
 // Persistence is fail-stop: once a batch or a snapshot fails to persist,
 // the in-memory chain is ahead of its log, so the chain is poisoned and
-// every later Apply/Execute fails with ErrChainPoisoned. The only way
-// forward is RecoverChain, which rebuilds from what is durable.
+// every later Apply, Execute, Deploy, Reorg, StaticCall and SnapshotToStore
+// fails with ErrChainPoisoned. The only way forward is RecoverChain, which
+// rebuilds from what is durable. Fund, Balance and NonceOf have no error
+// return and do not check: Fund is a setup helper for bootstrap, Balance
+// and NonceOf only inspect.
 //
 // Out-of-band mutations (Fund, Reorg) are NOT logged: perform them in
 // bootstrap, or follow them with SnapshotToStore.
 
-// ErrChainPoisoned is returned by every Apply/Execute (and
-// SnapshotToStore) after the chain failed to persist a batch or a
-// snapshot. The returned error wraps both this sentinel and the original
+// ErrChainPoisoned is returned by every Apply, Execute, Deploy, Reorg,
+// StaticCall and SnapshotToStore after the chain failed to persist a batch
+// or a snapshot. The returned error wraps both this sentinel and the original
 // persistence failure.
 var ErrChainPoisoned = errors.New("evm: chain poisoned by a persistence failure; recover with RecoverChain")
 
@@ -79,14 +82,24 @@ func (ch *Chain) AttachStore(b store.Backend, snapshotEvery int) {
 // sticky persistence error when the chain is poisoned, and reports
 // whether it did. The chain mutex must be held.
 func (ch *Chain) rejectPoisonedLocked(results []BatchResult) bool {
-	if ch.store == nil || ch.store.poisoned == nil {
+	err := ch.poisonedLocked()
+	if err == nil {
 		return false
 	}
 	for i := range results {
-		results[i].Err = ch.store.poisoned
+		results[i].Err = err
 	}
 	ch.metrics.recordOutcomes(results)
 	return true
+}
+
+// poisonedLocked returns the sticky persistence error, or nil while the
+// chain is healthy or has no store. The chain mutex must be held.
+func (ch *Chain) poisonedLocked() error {
+	if ch.store == nil {
+		return nil
+	}
+	return ch.store.poisoned
 }
 
 // poisonLocked records a persistence failure and returns the error every

@@ -551,6 +551,15 @@ func TestPersistFailurePoisonsChain(t *testing.T) {
 			if err := ch.SnapshotToStore(); !errors.Is(err, evm.ErrChainPoisoned) {
 				t.Fatalf("SnapshotToStore after poisoning: %v, want ErrChainPoisoned", err)
 			}
+			if _, _, err := ch.Deploy(persistOwner.Address(), persistCounter()); !errors.Is(err, evm.ErrChainPoisoned) {
+				t.Fatalf("Deploy after poisoning: %v, want ErrChainPoisoned", err)
+			}
+			if err := ch.Reorg(durableHeight); !errors.Is(err, evm.ErrChainPoisoned) {
+				t.Fatalf("Reorg after poisoning: %v, want ErrChainPoisoned", err)
+			}
+			if _, _, err := ch.StaticCall(user, *addr, "ping", nil, nil); !errors.Is(err, evm.ErrChainPoisoned) {
+				t.Fatalf("StaticCall after poisoning: %v, want ErrChainPoisoned", err)
+			}
 			if fb.batches != failAt {
 				t.Errorf("poisoned chain made %d AppendBatch calls, want %d", fb.batches, failAt)
 			}
@@ -572,6 +581,18 @@ func TestPersistFailurePoisonsChain(t *testing.T) {
 			// batch's tokens were never spent durably, so it commits again.
 			clock.Advance(time.Second)
 			mustCommitAll(t, rec.Execute(guardedPings(t, rec, *addr, rec.NonceOf(user), failAt*perBatch+1, perBatch, expire), opts))
+
+			// Recovery also lifts the refusals of Deploy, StaticCall and Reorg.
+			counter, _, err := rec.Deploy(persistOwner.Address(), persistCounter())
+			if err != nil {
+				t.Fatalf("Deploy on the recovered chain: %v", err)
+			}
+			if got := counterValue(t, rec, counter); got != 0 {
+				t.Errorf("fresh counter reads %d, want 0", got)
+			}
+			if err := rec.Reorg(rec.Height() - 1); err != nil {
+				t.Fatalf("Reorg on the recovered chain: %v", err)
+			}
 		})
 	}
 }

@@ -90,14 +90,21 @@ func (tx *Transaction) WireData() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return tx.wireData(data)
+}
+
+// wireData appends the encoded token array to the application calldata app.
+// The result is built in a fresh buffer: appending onto app could write into
+// the spare capacity of RawData's backing array.
+func (tx *Transaction) wireData(app []byte) ([]byte, error) {
 	if len(tx.Tokens) == 0 {
-		return data, nil
+		return app, nil
 	}
 	blob, err := abi.Encode(tx.Tokens)
 	if err != nil {
 		return nil, err
 	}
-	return append(data, blob...), nil
+	return append(append(make([]byte, 0, len(app)+len(blob)), app...), blob...), nil
 }
 
 // SigHash computes the digest the sender signs: an EIP-155-style RLP of the
@@ -107,13 +114,18 @@ func (tx *Transaction) SigHash(chainID uint64) (types.Hash, error) {
 	if err != nil {
 		return types.Hash{}, err
 	}
+	return tx.sigHash(data, chainID)
+}
+
+// sigHash is SigHash over already-derived wire calldata.
+func (tx *Transaction) sigHash(wire []byte, chainID uint64) (types.Hash, error) {
 	enc, err := rlp.EncodeList(
 		tx.Nonce,
 		tx.GasPrice,
 		tx.GasLimit,
 		tx.To.Bytes(),
 		tx.Value,
-		data,
+		wire,
 		chainID,
 		uint64(0),
 		uint64(0),
@@ -130,13 +142,18 @@ func (tx *Transaction) Hash(chainID uint64) (types.Hash, error) {
 	if err != nil {
 		return types.Hash{}, err
 	}
+	return tx.hash(data, chainID)
+}
+
+// hash is Hash over already-derived wire calldata.
+func (tx *Transaction) hash(wire []byte, chainID uint64) (types.Hash, error) {
 	enc, err := rlp.EncodeList(
 		tx.Nonce,
 		tx.GasPrice,
 		tx.GasLimit,
 		tx.To.Bytes(),
 		tx.Value,
-		data,
+		wire,
 		tx.Sig.Bytes(),
 		chainID,
 	)
@@ -171,6 +188,13 @@ func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
 	if err != nil {
 		return types.Address{}, err
 	}
+	return tx.senderFor(digest)
+}
+
+// senderFor recovers the sender of the signature over digest, which the
+// caller must have just computed from the transaction's current fields:
+// the memo, then the shared sender cache, then ecrecover.
+func (tx *Transaction) senderFor(digest types.Hash) (types.Address, error) {
 	// Missing or out-of-range scalars skip the cache: Sig.Bytes (the cache
 	// key) panics on them, and RecoverAddress below reports them as
 	// ErrBadTxSignature.

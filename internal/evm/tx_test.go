@@ -85,6 +85,16 @@ func TestAppDataVsWireData(t *testing.T) {
 	if !bytes.Equal(app[:4], sel[:]) {
 		t.Errorf("app data selector = %x, want %x", app[:4], sel[:])
 	}
+
+	// Pre-encoded calldata with spare capacity: the token blob must land in
+	// a fresh buffer, never in RawData's backing array.
+	tx.RawData = append(make([]byte, 0, 1024), app...)
+	if _, err := tx.WireData(); err != nil {
+		t.Fatal(err)
+	}
+	if spare := tx.RawData[len(app):cap(tx.RawData)]; !bytes.Equal(spare, make([]byte, len(spare))) {
+		t.Error("WireData wrote the token blob into RawData's spare capacity")
+	}
 }
 
 func TestSenderRequiresSignature(t *testing.T) {

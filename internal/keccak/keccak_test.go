@@ -91,6 +91,52 @@ func TestBlockBoundaryLengths(t *testing.T) {
 	}
 }
 
+// TestSum256BlockBoundaryVectors pins digests around the 136-byte rate, for
+// data[i] = byte(i*31), as the loop-based permutation computed them.
+func TestSum256BlockBoundaryVectors(t *testing.T) {
+	want := map[int]string{
+		135:  "76b35d7ca45fde42bfd23f43f995d718c15b8b041f5e5ecfa78c47d12c38b341",
+		136:  "b26a8c0d3be9cddfb82f82558944fb9a5b9fd35e0dced2b855f100512e9c4ce6",
+		137:  "2a3742e2994779ce26292e82ea490ab61217dd828b4146f2e9d4e1b21507853d",
+		272:  "8cd31dc68624afcb73c861a1a1cfd70627231d1974187815ee2687d93d83d29a",
+		1000: "306a1e0a968f0e0c098156a6315e16c97ff1f5e02fbbf95f31877b217054014f",
+	}
+	for n, w := range want {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 31)
+		}
+		if got := Sum256(data); hex.EncodeToString(got[:]) != w {
+			t.Errorf("Sum256(%d bytes) = %x, want %s", n, got, w)
+		}
+	}
+}
+
+func TestSum256DoesNotAllocate(t *testing.T) {
+	data := make([]byte, 300)
+	cases := map[string]func(){
+		"Sum256":       func() { Sum256(data) },
+		"Sum256Concat": func() { Sum256Concat(data[:100], data[100:]) },
+		"Hasher": func() {
+			var h Hasher
+			h.Write(data) //nolint:errcheck // never fails
+			h.Sum256()
+		},
+	}
+	for name, f := range cases {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
+	}
+}
+
+func BenchmarkKeccakF1600(b *testing.B) {
+	var s [25]uint64
+	for i := 0; i < b.N; i++ {
+		keccakF1600(&s)
+	}
+}
+
 func BenchmarkSum256_32B(b *testing.B) { benchSum(b, 32) }
 func BenchmarkSum256_1K(b *testing.B)  { benchSum(b, 1024) }
 
