@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (one target per table and
-// figure; see DESIGN.md's per-experiment index). Gas figures are attached
+// figure; docs/BENCHMARKS.md, "Paper evaluation modes", lists the matching
+// smacs-bench command for each). Gas figures are attached
 // as custom metrics since they are deterministic per operation; wall-clock
 // throughput comes from the standard ns/op output.
 package smacs_test
@@ -245,7 +246,7 @@ func BenchmarkBaseline_WhitelistAdd(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations: design choices measured against their alternatives ---
 
 // BenchmarkAblationBitmapVsMap compares the two one-time-token registries:
 // the windowed bitmap of Alg. 2 (bounded storage, possible misses) versus

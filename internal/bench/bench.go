@@ -35,7 +35,8 @@ import (
 )
 
 // argNote is sized so the act(...) calldata is 196 bytes — the ballpark of
-// the paper's argument-token experiments (see EXPERIMENTS.md).
+// the calldata behind the paper's argument-token rows (Tab. II–III), whose
+// verification cost grows with every byte of msg.data.
 var argNote = strings.Repeat("x", 64)
 
 // testbed is the shared benchmark environment: a funded chain, a Token

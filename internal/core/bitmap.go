@@ -20,8 +20,7 @@ import (
 //	slot+1: startPtr  (uint64)
 //	slot+2...: the bit words, 256 bits per storage word
 //
-// Two flaws of the printed Alg. 2 are resolved here and documented in
-// DESIGN.md: (a) the reset branch as printed forgets to mark index i used —
+// Two flaws of the printed Alg. 2 are resolved here: (a) the reset branch as printed forgets to mark index i used —
 // we set its bit; (b) the printed seek() picks the smallest j with S[j]=0
 // and i−end ≤ j−startPtr, which can shift startPtr further than the logical
 // window shift; the stale-bit misalignment then both double-accepts used

@@ -121,7 +121,7 @@ func TestBitmapRejectsDoubleUse(t *testing.T) {
 
 func TestBitmapResetBranch(t *testing.T) {
 	// An index far beyond end+n triggers the reset branch, which must also
-	// mark the new index used (the fix documented in DESIGN.md).
+	// mark the new index used (fix (a) in the Bitmap doc comment).
 	env := evmtest.NewEnv(t, 2)
 	addr := env.Deploy(t, newBitmapHarness(t, 8))
 

@@ -76,7 +76,7 @@ func (c *Call) Tokens() [][]byte { return c.tokens }
 func (c *Call) Sig() abi.Selector { return c.method.selector }
 
 // Data returns msg.data: the application calldata (selector ‖ encoded
-// args), excluding the token array. See DESIGN.md, "calldata binding note".
+// args), excluding the token array (see Transaction.AppData for why).
 func (c *Call) Data() []byte { return c.appData }
 
 // MethodName returns the invoked method's bare name.

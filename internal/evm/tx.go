@@ -72,7 +72,9 @@ var (
 
 // AppData returns the application calldata: selector ‖ encoded args,
 // excluding the token array. This is the msg.data that argument tokens bind
-// to (see DESIGN.md, "calldata binding note").
+// to. Calldata binding note: the token array must stay out of it, because
+// a token cannot sign bytes that contain the token itself; the array is
+// still covered by the transaction signature (SigHash).
 func (tx *Transaction) AppData() ([]byte, error) {
 	if tx.RawData != nil {
 		return tx.RawData, nil

@@ -7,173 +7,110 @@ import (
 	"repro/internal/types"
 )
 
-// Batch signature verification and recovery.
-//
-// VerifyBatch folds n signature checks into one multi-scalar
-// multiplication: with random 128-bit coefficients a_i it tests
-//
-//	Σ a_i·(u1_i·G + u2_i·Q_i − R_i) = ∞,
-//
-// where R_i is the ephemeral point reconstructed from (r_i, v_i) exactly
-// as in public-key recovery. A forged signature makes the sum land on ∞
-// with probability ≤ 2⁻¹²⁸ per random draw, and the whole test costs one
-// Straus ladder (shared doublings across every term) instead of n
-// independent double-scalar multiplications. When the combined check
-// fails — or an R_i cannot be reconstructed, e.g. a foreign signature
-// with a mismatched recovery id that classic verification would still
-// accept — the affected items fall back to per-item Verify, so the
-// result is always element-wise identical to calling Verify n times.
+// Batch recovery and known-signer checks.
 //
 // RecoverAddressBatch amortizes the three inversions of per-item recovery
 // (r⁻¹ mod n, the normalization of R's odd-multiple table, and the final
 // Jacobian→affine conversion) across the batch with Montgomery's trick;
 // the per-item ladders remain, so callers that want multicore scaling
 // should additionally shard batches across workers.
+//
+// KnownSigner.RecoverBatchMatches answers the narrower question a
+// verifier that already knows the expected key Q asks: would recovery
+// return Q for every item? Recovery returns Q exactly when
+// R_i = s_i⁻¹·(z_i·G + r_i·Q), so with secret random coefficients a_i it
+// tests the one equation
+//
+//	(Σ a_i·z_i·s_i⁻¹)·G + (Σ a_i·r_i·s_i⁻¹)·Q − Σ a_i·R_i = ∞
+//
+// in one Straus ladder: one G term and one Q term however large the batch,
+// plus one short term per item.
 
-// BatchVerifyItem is one (public key, digest, signature) triple for
-// VerifyBatch.
-type BatchVerifyItem struct {
-	Pub    PublicKey
-	Digest [32]byte
-	Sig    Signature
+// batchCoeffBytes sizes the random coefficients a_i (i ≥ 1): 128 bits
+// bound the chance that a batch holding a wrong item passes by 2⁻¹²⁸,
+// and keep each R_i term half the length of a GLV-split full scalar.
+const batchCoeffBytes = 16
+
+// unitNAF is the digit string of a_0 = 1.
+var unitNAF = []int8{1}
+
+// KnownSigner is a public key prepared for RecoverBatchMatches: its
+// odd-multiple tables and their φ images are built once, at the base
+// point's window, so no check builds a table for it.
+type KnownSigner struct {
+	odd, oddLam []affineVal
 }
 
-// batchCoeffBits sizes the random coefficients: 128 bits keeps the
-// soundness error negligible while halving the wNAF length of the
-// aggregated R and Q scalars' random part.
-const batchCoeffBits = 128
-
-// multiScalarMult evaluates gScalar·G + Σ scalars[i]·points[i] with one
-// interleaved Straus ladder: every scalar is GLV-split and wNAF-encoded,
-// all per-point odd-multiple tables are normalized to affine with a
-// single batched inversion, and one shared run of doublings serves every
-// term.
-func multiScalarMult(gScalar *big.Int, points []affineVal, scalars []*big.Int) jacobianVal {
-	fastBaseOnce.Do(initFastBaseTables)
-	terms := appendTerms(make([]mulTerm, 0, 2+2*len(points)), gScalar, baseWindow, baseOddG, baseOddLamG)
-	tables := oddMultipleTables(points, pointTableLen)
-	phis := phiTable(tables)
-	for i, k := range scalars {
-		lo, hi := i*pointTableLen, (i+1)*pointTableLen
-		terms = appendTerms(terms, k, pointWindow, tables[lo:hi], phis[lo:hi])
+// NewKnownSigner prepares pub for RecoverBatchMatches. It fails with
+// ErrInvalidKey when pub is not a curve point.
+func NewKnownSigner(pub PublicKey) (*KnownSigner, error) {
+	q, ok := pub.point()
+	if !ok {
+		return nil, ErrInvalidKey
 	}
-	return shamirLadder(terms)
+	odd, oddLam := windowTables(q)
+	return &KnownSigner{odd: odd, oddLam: oddLam}, nil
 }
 
-// randomBatchCoeff draws a uniform coefficient in [1, 2^batchCoeffBits).
-func randomBatchCoeff() (*big.Int, error) {
-	max := new(big.Int).Lsh(big.NewInt(1), batchCoeffBits)
-	max.Sub(max, big.NewInt(1))
-	c, err := rand.Int(rand.Reader, max)
-	if err != nil {
-		return nil, err
+// RecoverBatchMatches reports whether RecoverAddress(digests[i], sigs[i])
+// returns the signer's address for every i. A true result is wrong with
+// probability at most 2⁻¹²⁸ per call, over coefficients drawn from
+// crypto/rand that the caller never sees; false says only that some item
+// does not match (or randomness was unavailable), not which. A batch of
+// one needs no randomness and is exact. digests and sigs must have equal
+// length.
+func (k *KnownSigner) RecoverBatchMatches(digests [][32]byte, sigs []Signature) bool {
+	if len(digests) != len(sigs) {
+		panic("secp256k1: RecoverBatchMatches length mismatch")
 	}
-	return c.Add(c, big.NewInt(1)), nil
-}
-
-// VerifyBatch verifies many signatures at once. The i-th result is true
-// exactly when Verify(items[i].Pub, items[i].Digest, items[i].Sig) is —
-// the batch path is an optimization, never a semantic change. Batches of
-// size ≤ 1 and items the combined check cannot cover degrade to per-item
-// verification transparently.
-func VerifyBatch(items []BatchVerifyItem) []bool {
-	ok := make([]bool, len(items))
-	if len(items) == 0 {
-		return ok
+	n := len(sigs)
+	if n == 0 {
+		return true
 	}
-	if len(items) == 1 {
-		for i, it := range items {
-			ok[i] = Verify(it.Pub, it.Digest, it.Sig)
+	rs := make([]affineVal, n)
+	sInv := make([]*big.Int, n)
+	for i, sig := range sigs {
+		if sig.validateScalars() != nil {
+			return false
 		}
-		return ok
-	}
-
-	// Split the batch: items that fail cheap scalar/key validation are
-	// definitively false; items whose R cannot be reconstructed need the
-	// per-item path; the rest join the combined check.
-	type member struct {
-		idx    int
-		q, r   affineVal
-		u1, u2 *big.Int
-	}
-	var fallback []int
-	members := make([]member, 0, len(items))
-	sInv := make([]*big.Int, 0, len(items))
-	for i, it := range items {
-		q, valid := it.Pub.point()
-		if !valid || it.Sig.validateScalars() != nil {
-			continue // stays false, matching Verify
+		r, ok := recoverEphemeralPoint(sig)
+		if !ok {
+			return false
 		}
-		r, reconstructed := recoverEphemeralPoint(it.Sig)
-		if !reconstructed {
-			fallback = append(fallback, i)
-			continue
-		}
-		members = append(members, member{idx: i, q: q, r: r})
-		sInv = append(sInv, new(big.Int).Set(items[i].Sig.S))
+		rs[i], sInv[i] = r, new(big.Int).Set(sig.S)
 	}
 	if !batchModInverse(sInv, curveN) {
-		// Cannot happen for validated scalars; defensive fallback.
-		for i, it := range items {
-			ok[i] = Verify(it.Pub, it.Digest, it.Sig)
-		}
-		return ok
+		return false // unreachable: every s is in [1, n) and n is prime
 	}
-	for j := range members {
-		it := items[members[j].idx]
-		z := hashToInt(it.Digest)
-		members[j].u1 = z.Mul(z, sInv[j]).Mod(z, curveN)
-		u2 := new(big.Int).Mul(it.Sig.R, sInv[j])
-		members[j].u2 = u2.Mod(u2, curveN)
+	// a_0 = 1: one coefficient is free, so a batch of one draws nothing.
+	coeffs := make([]byte, batchCoeffBytes*(n-1))
+	if _, err := rand.Read(coeffs); err != nil {
+		return false
 	}
 
-	combinedOK := false
-	if len(members) > 0 {
-		gScalar := new(big.Int)
-		points := make([]affineVal, 0, 2*len(members))
-		scalars := make([]*big.Int, 0, 2*len(members))
-		randFailed := false
-		for j := range members {
-			a := big.NewInt(1)
-			if j > 0 { // a_0 = 1: one coefficient is free
-				var err error
-				if a, err = randomBatchCoeff(); err != nil {
-					randFailed = true
-					break
-				}
-			}
-			au1 := new(big.Int).Mul(a, members[j].u1)
-			gScalar.Add(gScalar, au1.Mod(au1, curveN))
-			au2 := new(big.Int).Mul(a, members[j].u2)
-			points = append(points, members[j].q)
-			scalars = append(scalars, au2.Mod(au2, curveN))
-			negA := new(big.Int).Sub(curveN, a.Mod(a, curveN))
-			points = append(points, members[j].r)
-			scalars = append(scalars, negA.Mod(negA, curveN))
+	// The R_i terms take the 128-bit a_i as is, over −R_i's table, with
+	// no GLV split; R_0 needs no table, since a_0 = 1 is one addition.
+	fastBaseOnce.Do(initFastBaseTables)
+	const tableLen = 1 << (coeffWindow - 2)
+	tables := oddMultipleTables(rs[1:], tableLen)
+	terms := make([]mulTerm, 0, n+4)
+	terms = append(terms, mulTerm{naf: unitNAF, table: rs[:1], neg: true})
+	gSum, qSum := new(big.Int), new(big.Int)
+	a, t, d, z := big.NewInt(1), new(big.Int), new(big.Int), new(big.Int)
+	for i := range sigs {
+		if i > 0 {
+			a.SetBytes(coeffs[batchCoeffBytes*(i-1) : batchCoeffBytes*i])
+			tbl := tables[(i-1)*tableLen : i*tableLen]
+			terms = append(terms, mulTerm{naf: wnafDigits(a, coeffWindow), table: tbl, neg: true})
 		}
-		if !randFailed {
-			gScalar.Mod(gScalar, curveN)
-			sum := multiScalarMult(gScalar, points, scalars)
-			combinedOK = sum.isInfinity()
-		}
+		t.Mul(a, sInv[i])
+		gSum.Add(gSum, z.Mul(d.SetBytes(digests[i][:]), t))
+		qSum.Add(qSum, z.Mul(sigs[i].R, t))
 	}
-	if combinedOK {
-		for _, m := range members {
-			ok[m.idx] = true
-		}
-	} else {
-		// At least one member is bad (or randomness was unavailable):
-		// locate the survivors individually.
-		for _, m := range members {
-			it := items[m.idx]
-			ok[m.idx] = Verify(it.Pub, it.Digest, it.Sig)
-		}
-	}
-	for _, i := range fallback {
-		it := items[i]
-		ok[i] = Verify(it.Pub, it.Digest, it.Sig)
-	}
-	return ok
+	terms = appendTerms(terms, gSum.Mod(gSum, curveN), baseWindow, baseOddG, baseOddLamG)
+	terms = appendTerms(terms, qSum.Mod(qSum, curveN), baseWindow, k.odd, k.oddLam)
+	sum := shamirLadder(terms)
+	return sum.isInfinity()
 }
 
 // batchModInverse replaces every element of xs with its inverse mod m
@@ -181,25 +118,26 @@ func VerifyBatch(items []BatchVerifyItem) []bool {
 // Returns false (leaving xs unspecified) if any element is not
 // invertible.
 func batchModInverse(xs []*big.Int, m *big.Int) bool {
-	if len(xs) == 0 {
+	switch len(xs) {
+	case 0:
 		return true
+	case 1:
+		return xs[0].ModInverse(xs[0], m) != nil
 	}
-	prefix := make([]*big.Int, len(xs))
-	acc := big.NewInt(1)
+	prefix := make([]big.Int, len(xs))
+	acc, t := big.NewInt(1), new(big.Int)
 	for i, x := range xs {
-		prefix[i] = new(big.Int).Set(acc)
-		acc.Mul(acc, x)
-		acc.Mod(acc, m)
+		prefix[i].Set(acc)
+		acc.Mod(t.Mul(acc, x), m)
 	}
 	inv := new(big.Int).ModInverse(acc, m)
 	if inv == nil {
 		return false
 	}
 	for i := len(xs) - 1; i >= 0; i-- {
-		x := new(big.Int).Mul(inv, prefix[i])
-		inv.Mul(inv, xs[i])
-		inv.Mod(inv, m)
-		xs[i].Set(x.Mod(x, m))
+		t.Mul(inv, &prefix[i])
+		inv.Mod(acc.Mul(inv, xs[i]), m)
+		xs[i].Mod(t, m)
 	}
 	return true
 }

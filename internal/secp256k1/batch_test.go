@@ -1,16 +1,20 @@
 package secp256k1
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/types"
 )
 
-// The batch APIs promise element-wise identical results to their per-item
-// counterparts — the tests below hold them to it on valid, tampered, and
-// malformed inputs, and pin the comb fixed-base path against the naive
-// ladder.
+// The batch APIs promise the results of their per-item counterparts:
+// RecoverAddressBatch item by item, RecoverBatchMatches as "every item
+// recovers to the known key". The tests below hold them to it on valid,
+// tampered, and malformed inputs, and pin the comb fixed-base path against
+// the naive ladder.
 
 func TestScalarBaseMultCombDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -48,104 +52,164 @@ func TestSignIdenticalAcrossBaseMultPaths(t *testing.T) {
 	}
 }
 
-// batchFixture builds n valid (pub, digest, sig) triples from distinct
-// keys.
-func batchFixture(tb testing.TB, n int) []BatchVerifyItem {
+// knownSignerFixture builds n valid (digest, signature) pairs from one key
+// and that key prepared as a KnownSigner.
+func knownSignerFixture(tb testing.TB, n int) (*PrivateKey, *KnownSigner, [][32]byte, []Signature) {
 	tb.Helper()
-	items := make([]BatchVerifyItem, n)
-	for i := range items {
-		key := PrivateKeyFromSeed([]byte(fmt.Sprintf("batch fixture %d", i)))
-		var digest [32]byte
-		copy(digest[:], fmt.Sprintf("batch digest %03d padded to 32 b!", i))
-		sig, err := Sign(key, digest)
-		if err != nil {
+	key := PrivateKeyFromSeed([]byte("known signer"))
+	ks, err := NewKnownSigner(key.Pub)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	digests := make([][32]byte, n)
+	sigs := make([]Signature, n)
+	for i := range digests {
+		copy(digests[i][:], fmt.Sprintf("known digest %03d padded to 32 b!", i))
+		if sigs[i], err = Sign(key, digests[i]); err != nil {
 			tb.Fatal(err)
 		}
-		items[i] = BatchVerifyItem{Pub: key.Pub, Digest: digest, Sig: sig}
 	}
-	return items
+	return key, ks, digests, sigs
 }
 
-// assertBatchMatchesVerify checks VerifyBatch against per-item Verify.
-func assertBatchMatchesVerify(t *testing.T, label string, items []BatchVerifyItem) {
-	t.Helper()
-	got := VerifyBatch(items)
-	for i, it := range items {
-		want := Verify(it.Pub, it.Digest, it.Sig)
-		if got[i] != want {
-			t.Errorf("%s: item %d: VerifyBatch=%v, Verify=%v", label, i, got[i], want)
+// recoverAllMatch is the per-item oracle of RecoverBatchMatches.
+func recoverAllMatch(want types.Address, digests [][32]byte, sigs []Signature) bool {
+	for i := range digests {
+		addr, err := RecoverAddress(digests[i], sigs[i])
+		if err != nil || addr != want {
+			return false
 		}
 	}
+	return true
 }
 
-func TestVerifyBatchAllValid(t *testing.T) {
+func TestRecoverBatchMatchesAllValid(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 33} {
-		items := batchFixture(t, n)
-		res := VerifyBatch(items)
-		if len(res) != n {
-			t.Fatalf("n=%d: got %d results", n, len(res))
+		_, ks, digests, sigs := knownSignerFixture(t, n)
+		if !ks.RecoverBatchMatches(digests, sigs) {
+			t.Errorf("n=%d: valid batch rejected", n)
 		}
-		for i, ok := range res {
-			if !ok {
-				t.Errorf("n=%d: valid item %d rejected", n, i)
+	}
+}
+
+// TestRecoverBatchMatches perturbs one item of a valid batch at a time,
+// at the first, middle and last position, and holds the combined check to
+// the per-item oracle: true exactly when every RecoverAddress returns the
+// known signer's address.
+func TestRecoverBatchMatches(t *testing.T) {
+	foreign := PrivateKeyFromSeed([]byte("foreign signer"))
+	perturbations := []struct {
+		name   string
+		mutate func(digests [][32]byte, sigs []Signature, i int)
+	}{
+		{"wrong v", func(_ [][32]byte, s []Signature, i int) { s[i].V ^= 1 }},
+		{"high s", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Sub(curveN, s[i].S) }},
+		{"bumped s", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Add(s[i].S, big.NewInt(1)) }},
+		{"zero r", func(_ [][32]byte, s []Signature, i int) { s[i].R = new(big.Int) }},
+		{"r = n", func(_ [][32]byte, s []Signature, i int) { s[i].R = new(big.Int).Set(curveN) }},
+		{"s = n", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Set(curveN) }},
+		{"overflowed r", func(_ [][32]byte, s []Signature, i int) { s[i].V |= 2 }},
+		{"digest bit flip", func(d [][32]byte, _ []Signature, i int) { d[i][0] ^= 1 }},
+		{"foreign key", func(d [][32]byte, s []Signature, i int) {
+			sig, err := Sign(foreign, d[i])
+			if err != nil {
+				panic(err)
+			}
+			s[i] = sig
+		}},
+		// A repeated item still recovers the known key: the batch holds.
+		{"duplicate item", func(d [][32]byte, s []Signature, i int) {
+			j := (i + 1) % len(d)
+			d[i], s[i] = d[j], s[j]
+		}},
+	}
+	for _, n := range []int{1, 2, 32, 64} {
+		key, ks, base, baseSigs := knownSignerFixture(t, n)
+		for _, p := range perturbations {
+			for _, i := range []int{0, n / 2, n - 1} {
+				digests := append([][32]byte(nil), base...)
+				sigs := append([]Signature(nil), baseSigs...)
+				p.mutate(digests, sigs, i)
+				want := recoverAllMatch(key.Address(), digests, sigs)
+				if got := ks.RecoverBatchMatches(digests, sigs); got != want {
+					t.Errorf("n=%d %s at %d: RecoverBatchMatches=%v, per-item oracle %v", n, p.name, i, got, want)
+				}
 			}
 		}
 	}
 }
 
-func TestVerifyBatchMatchesVerifyUnderTampering(t *testing.T) {
-	base := batchFixture(t, 12)
-
-	tamper := func(mutate func(items []BatchVerifyItem)) []BatchVerifyItem {
-		items := make([]BatchVerifyItem, len(base))
-		copy(items, base)
-		mutate(items)
-		return items
+func TestRecoverBatchMatchesReferencePath(t *testing.T) {
+	// A true verdict must be one the math/big reference recovery reaches
+	// item by item, and a tampered item must flip it.
+	key, ks, digests, sigs := knownSignerFixture(t, 6)
+	want := toAffine(scalarBaseMult(key.D))
+	for i := range digests {
+		got, ok := refRecover(digests[i], sigs[i])
+		if !ok || got.x.Cmp(want.x) != 0 || got.y.Cmp(want.y) != 0 {
+			t.Fatalf("item %d: reference recovery does not return the key", i)
+		}
 	}
-
-	cases := []struct {
-		name  string
-		items []BatchVerifyItem
-	}{
-		{"flipped digest bit", tamper(func(it []BatchVerifyItem) { it[3].Digest[0] ^= 1 })},
-		{"bumped s", tamper(func(it []BatchVerifyItem) {
-			it[5].Sig.S = new(big.Int).Add(base[5].Sig.S, big.NewInt(1))
-		})},
-		{"swapped pubs", tamper(func(it []BatchVerifyItem) {
-			it[0].Pub, it[1].Pub = it[1].Pub, it[0].Pub
-		})},
-		{"zero r", tamper(func(it []BatchVerifyItem) { it[7].Sig.R = new(big.Int) })},
-		{"s = n", tamper(func(it []BatchVerifyItem) { it[2].Sig.S = new(big.Int).Set(curveN) })},
-		// Flipping the parity bit moves the reconstructed R to its mirror:
-		// the combined check must fail and the per-item fallback must still
-		// accept the item, because classic Verify never looks at v.
-		{"flipped v parity", tamper(func(it []BatchVerifyItem) { it[4].Sig.V ^= 1 })},
-		// v|2 claims r overflowed n, which puts x = r + n beyond the field
-		// prime for any realistic r: R is unreconstructible and the item
-		// must be verified individually (and still accepted).
-		{"overflow v bit", tamper(func(it []BatchVerifyItem) { it[6].Sig.V |= 2 })},
-		{"everything at once", tamper(func(it []BatchVerifyItem) {
-			it[0].Digest[31] ^= 0xff
-			it[4].Sig.V ^= 1
-			it[6].Sig.V |= 2
-			it[8].Sig.R = new(big.Int)
-		})},
+	if !ks.RecoverBatchMatches(digests, sigs) {
+		t.Fatal("batch rejected items the reference recovers to the key")
 	}
-	for _, tc := range cases {
-		assertBatchMatchesVerify(t, tc.name, tc.items)
+	digests[2][0] ^= 1
+	if ks.RecoverBatchMatches(digests, sigs) {
+		t.Fatal("batch accepted an item the reference recovers to another key")
 	}
 }
 
-func TestVerifyBatchNaivePathMatches(t *testing.T) {
-	// Every batch verdict must be the one per-item verification on the
-	// reference ladder reaches.
-	items := batchFixture(t, 6)
-	items[2].Digest[0] ^= 1
-	for i, got := range VerifyBatch(items) {
-		if want := refVerify(items[i].Pub, items[i].Digest, items[i].Sig); got != want {
-			t.Errorf("item %d: batch=%v reference=%v", i, got, want)
-		}
+func TestKnownSignerRejectsInvalidKeyAndMismatch(t *testing.T) {
+	bad := PublicKey{X: big.NewInt(1), Y: big.NewInt(1)}
+	if _, err := NewKnownSigner(bad); !errors.Is(err, ErrInvalidKey) {
+		t.Errorf("NewKnownSigner(off-curve) err = %v, want ErrInvalidKey", err)
 	}
+	_, ks, _, _ := knownSignerFixture(t, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	ks.RecoverBatchMatches(make([][32]byte, 2), make([]Signature, 1))
+}
+
+// FuzzRecoverBatchMatchesDifferential inserts one arbitrary (digest,
+// signature) item into a batch of valid ones at an arbitrary split point;
+// an empty signature stands for the known key's own signature over the
+// digest, so true verdicts stay reachable. The verdict must be the
+// per-item oracle's.
+func FuzzRecoverBatchMatchesDifferential(f *testing.F) {
+	f.Add([]byte("digest"), []byte{}, uint8(0))
+	f.Add([]byte("digest"), []byte{}, uint8(3))
+	f.Add([]byte{1}, make([]byte, 65), uint8(1))
+	key, ks, base, baseSigs := knownSignerFixture(f, 3)
+	good := baseSigs[0].Bytes()
+	flipped := append([]byte(nil), good...)
+	flipped[64] ^= 1
+	f.Add(base[0][:], good, uint8(2))
+	f.Add(base[0][:], flipped, uint8(2))
+	f.Fuzz(func(t *testing.T, digestBytes, sigBytes []byte, split uint8) {
+		var digest [32]byte
+		copy(digest[:], digestBytes)
+		var sig Signature
+		if len(sigBytes) == 0 {
+			var err error
+			if sig, err = Sign(key, digest); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var b [SignatureLength]byte
+			copy(b[:], sigBytes)
+			sig = Signature{R: new(big.Int).SetBytes(b[:32]), S: new(big.Int).SetBytes(b[32:64]), V: b[64]}
+		}
+		at := int(split) % (len(base) + 1)
+		digests := append(append(append([][32]byte(nil), base[:at]...), digest), base[at:]...)
+		sigs := append(append(append([]Signature(nil), baseSigs[:at]...), sig), baseSigs[at:]...)
+		want := recoverAllMatch(key.Address(), digests, sigs)
+		if got := ks.RecoverBatchMatches(digests, sigs); got != want {
+			t.Fatalf("RecoverBatchMatches=%v, per-item oracle %v", got, want)
+		}
+	})
 }
 
 func TestRecoverAddressBatchMatchesPerItem(t *testing.T) {
@@ -228,25 +292,14 @@ func TestBatchModInverse(t *testing.T) {
 	}
 }
 
-func BenchmarkVerifyBatch(b *testing.B) {
-	for _, n := range []int{8, 32} {
-		items := batchFixture(b, n)
-		b.Run(fmt.Sprintf("batch-%d", n), func(b *testing.B) {
+func BenchmarkRecoverBatchMatches(b *testing.B) {
+	for _, n := range []int{1, 8, 32, 64} {
+		_, ks, digests, sigs := knownSignerFixture(b, n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := VerifyBatch(items)
-				if !res[0] {
-					b.Fatal("valid item rejected")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("peritem-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, it := range items {
-					if !Verify(it.Pub, it.Digest, it.Sig) {
-						b.Fatal("valid item rejected")
-					}
+				if !ks.RecoverBatchMatches(digests, sigs) {
+					b.Fatal("valid batch rejected")
 				}
 			}
 		})

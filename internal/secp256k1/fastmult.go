@@ -39,10 +39,12 @@ var (
 
 // Window widths: the base-point tables are precomputed once, so they afford
 // a wide window; the per-call table for Q pays its own precomputation and
-// stays narrow.
+// stays narrow, and the table for a 128-bit batch coefficient's point
+// narrower still, having half the digits to amortize it over.
 const (
 	baseWindow  = 8 // 2^(w-2) = 64 precomputed odd multiples of G (and λG)
 	pointWindow = 5 // 8 odd multiples of Q, built per call
+	coeffWindow = 4 // 4 odd multiples of each R_i in RecoverBatchMatches
 )
 
 // wnafDigits returns the width-w non-adjacent form of k (0 ≤ k < 2^256),
@@ -126,9 +128,13 @@ var (
 	baseOddLamG  []affineVal
 )
 
-func initFastBaseTables() {
-	baseOddG = oddMultipleTables([]affineVal{generator}, 1<<(baseWindow-2))
-	baseOddLamG = phiTable(baseOddG)
+func initFastBaseTables() { baseOddG, baseOddLamG = windowTables(generator) }
+
+// windowTables returns a fixed point's odd-multiple table at baseWindow and
+// its φ image, the pair a GLV-split term over the point reads.
+func windowTables(p affineVal) (odd, oddLam []affineVal) {
+	odd = oddMultipleTables([]affineVal{p}, 1<<(baseWindow-2))
+	return odd, phiTable(odd)
 }
 
 // roundDiv returns round(x / n) for x ≥ 0 and odd n.

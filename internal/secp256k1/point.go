@@ -72,6 +72,9 @@ func (p *jacobianVal) scaled(zInv *fieldVal) affineVal {
 // then peel off each individual Z⁻¹ with two multiplications. Points at
 // infinity are skipped and come out as the affine infinity.
 func batchAffine(out []affineVal, ps []jacobianVal) {
+	if len(ps) == 0 {
+		return
+	}
 	// out[i].x temporarily holds the product of the Z's before ps[i].
 	acc := fieldOne
 	for i := range ps {

@@ -101,12 +101,16 @@ func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
 			t.Errorf("%s: Verify accepted", tc.name)
 		}
 		assertRecoverFails(t, digest, tc.sig, ErrInvalidSignature)
-		res := VerifyBatch([]BatchVerifyItem{
-			{Pub: key.Pub, Digest: digest, Sig: good},
-			{Pub: key.Pub, Digest: digest, Sig: tc.sig},
-		})
-		if !res[0] || res[1] {
-			t.Errorf("%s: VerifyBatch = %v, want [true false]", tc.name, res)
+		ks, err := NewKnownSigner(key.Pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests := [][32]byte{digest, digest}
+		if ks.RecoverBatchMatches(digests, []Signature{good, tc.sig}) {
+			t.Errorf("%s: RecoverBatchMatches accepted", tc.name)
+		}
+		if !ks.RecoverBatchMatches(digests[:1], []Signature{good}) {
+			t.Errorf("%s: RecoverBatchMatches rejected the valid neighbour", tc.name)
 		}
 	}
 }
@@ -115,8 +119,7 @@ func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
 // lets many goroutines race to be their first user through every entry
 // point that reads them. Run with -race -count=10.
 func TestLazyTablesFirstUseIsConcurrent(t *testing.T) {
-	items := batchFixture(t, 4)
-	key := PrivateKeyFromSeed([]byte("batch fixture 0"))
+	key, ks, digests, sigs := knownSignerFixture(t, 4)
 	combOnce, fastBaseOnce = sync.Once{}, sync.Once{}
 
 	var wg sync.WaitGroup
@@ -126,26 +129,24 @@ func TestLazyTablesFirstUseIsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			it := items[g%len(items)]
+			i := g % len(digests)
 			switch g % 4 {
 			case 0:
-				sig, err := Sign(key, items[0].Digest)
-				if err != nil || sig.R.Cmp(items[0].Sig.R) != 0 || sig.S.Cmp(items[0].Sig.S) != 0 {
+				sig, err := Sign(key, digests[0])
+				if err != nil || sig.R.Cmp(sigs[0].R) != 0 || sig.S.Cmp(sigs[0].S) != 0 {
 					t.Errorf("goroutine %d: Sign diverged (err %v)", g, err)
 				}
 			case 1:
-				if !Verify(it.Pub, it.Digest, it.Sig) {
+				if !Verify(key.Pub, digests[i], sigs[i]) {
 					t.Errorf("goroutine %d: Verify rejected", g)
 				}
 			case 2:
-				if addr, err := RecoverAddress(it.Digest, it.Sig); err != nil || addr != it.Pub.Address() {
+				if addr, err := RecoverAddress(digests[i], sigs[i]); err != nil || addr != key.Address() {
 					t.Errorf("goroutine %d: RecoverAddress = %s, %v", g, addr, err)
 				}
 			default:
-				for i, ok := range VerifyBatch(items) {
-					if !ok {
-						t.Errorf("goroutine %d: VerifyBatch rejected item %d", g, i)
-					}
+				if !ks.RecoverBatchMatches(digests, sigs) {
+					t.Errorf("goroutine %d: RecoverBatchMatches rejected", g)
 				}
 			}
 		}(g)

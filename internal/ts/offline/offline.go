@@ -11,7 +11,7 @@
 // rules and signs tokens with the delegated key — the on-chain contract
 // trusts the delegate's address exactly as it would a central TS.
 //
-// TEE simulation note (see DESIGN.md): a real enclave would keep the
+// TEE simulation note: a real enclave would keep the
 // delegated key sealed so the client host never sees it; here the bundle
 // carries the key bytes and the "enclave boundary" is the package API.
 // Everything else — signature-checked rule distribution, local validation,
