@@ -62,7 +62,6 @@ var (
 	envelopePath  = flag.String("envelope", "", "e2e: compare correctness counts against this envelope JSON and fail on drift")
 	writeEnvelope = flag.String("write-envelope", "", "e2e: write the run's correctness counts as an envelope JSON to this path")
 	dirPath       = flag.String("dir", "", "e2e: directory for the durable scenario's WALs and snapshots and the replica WALs of quorum-backed scenarios (empty: a temp dir)")
-	fsyncBatch    = flag.Int("fsync-batch", 0, "e2e: appends coalesced per fsync in file-backed stores (0: store default)")
 	csvPath       = flag.String("csv", "", "e2e: also write the scenario rows as CSV to this path")
 	tracePath     = flag.String("trace", "", "e2e: write sampled per-operation stage traces (token round-trip → batch → commit) as JSON to this path")
 )
@@ -70,7 +69,7 @@ var (
 func main() {
 	flag.Parse()
 
-	if err := validateSelection(*mode, *scenario, *smoke, *envelopePath, *writeEnvelope, *dirPath, *fsyncBatch, *csvPath, *tracePath); err != nil {
+	if err := validateSelection(*mode, *scenario, *smoke, *envelopePath, *writeEnvelope, *dirPath, *csvPath, *tracePath); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -90,7 +89,7 @@ func main() {
 		}()
 
 		if err := runE2E(*scenario, *smoke, *envelopePath, *writeEnvelope,
-			*dirPath, *fsyncBatch, *csvPath, *tracePath, *asJSON, flusher); err != nil {
+			*dirPath, *csvPath, *tracePath, *asJSON, flusher); err != nil {
 			fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 			os.Exit(1)
 		}
@@ -110,14 +109,11 @@ func main() {
 // measurement runs: an unknown -mode or -scenario entry, and e2e-only
 // flags outside -mode e2e. Catching these up front means a typo exits
 // with a usage message instead of being silently ignored.
-func validateSelection(mode, scenario string, smoke bool, envelopePath, writeEnvelope, dirPath string, fsyncBatch int, csvPath, tracePath string) error {
+func validateSelection(mode, scenario string, smoke bool, envelopePath, writeEnvelope, dirPath, csvPath, tracePath string) error {
 	switch mode {
 	case "", "e2e":
 	default:
 		return fmt.Errorf("unknown -mode %q (supported: e2e)", mode)
-	}
-	if fsyncBatch < 0 {
-		return fmt.Errorf("-fsync-batch must be ≥ 0, got %d", fsyncBatch)
 	}
 	if mode != "e2e" {
 		for _, f := range []struct {
@@ -129,7 +125,6 @@ func validateSelection(mode, scenario string, smoke bool, envelopePath, writeEnv
 			{"-envelope", envelopePath != ""},
 			{"-write-envelope", writeEnvelope != ""},
 			{"-dir", dirPath != ""},
-			{"-fsync-batch", fsyncBatch != 0},
 			{"-csv", csvPath != ""},
 			{"-trace", tracePath != ""},
 		} {
@@ -217,15 +212,14 @@ func emitE2E(res *bench.E2EResult, csvPath string, asJSON bool) error {
 // runE2E drives the end-to-end scenario harness and, when asked, writes
 // or checks the correctness-count envelope. An envelope mismatch is an
 // error, so CI fails the build on functional drift in the full pipeline.
-func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir string, fsyncBatch int, csvPath, tracePath string, asJSON bool, flusher *partialFlusher) error {
+func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir, csvPath, tracePath string, asJSON bool, flusher *partialFlusher) error {
 	if scenario == "all" {
 		scenario = ""
 	}
 	cfg := bench.E2EConfig{
-		Scenarios:  splitList(scenario),
-		Smoke:      smoke,
-		Dir:        dir,
-		FsyncBatch: fsyncBatch,
+		Scenarios: splitList(scenario),
+		Smoke:     smoke,
+		Dir:       dir,
 	}
 	var tracer *metrics.Tracer
 	if tracePath != "" {

@@ -5,12 +5,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/doccheck"
 )
 
 // TestMain lets this test binary impersonate the smacs-bench CLI: when
@@ -136,23 +136,22 @@ func TestSIGINTFlushesPartialResults(t *testing.T) {
 // message instead of being silently ignored.
 func TestValidateSelection(t *testing.T) {
 	tests := []struct {
-		name       string
-		mode       string
-		scenario   string
-		smoke      bool
-		envelope   string
-		writeEnv   string
-		dir        string
-		fsyncBatch int
-		csv        string
-		trace      string
-		wantErr    string // "" = valid
+		name     string
+		mode     string
+		scenario string
+		smoke    bool
+		envelope string
+		writeEnv string
+		dir      string
+		csv      string
+		trace    string
+		wantErr  string // "" = valid
 	}{
 		{name: "paper tables", mode: ""},
 		{name: "e2e defaults", mode: "e2e"},
 		{name: "e2e all", mode: "e2e", scenario: "all", smoke: true},
 		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", smoke: true, envelope: "out/e2e-envelope.json"},
-		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w", fsyncBatch: 128},
+		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w"},
 		{name: "e2e trace", mode: "e2e", smoke: true, trace: "out/trace.json"},
 		{name: "e2e csv", mode: "e2e", smoke: true, csv: "out/e2e.csv"},
 
@@ -161,7 +160,6 @@ func TestValidateSelection(t *testing.T) {
 		{name: "load mode removed", mode: "load", wantErr: `unknown -mode "load"`},
 		{name: "shard mode removed", mode: "shard", wantErr: `unknown -mode "shard"`},
 		{name: "unknown scenario", mode: "e2e", scenario: "bogus", wantErr: `unknown -scenario entry "bogus"`},
-		{name: "negative fsync-batch", mode: "e2e", fsyncBatch: -1, wantErr: "-fsync-batch must be ≥ 0"},
 
 		{name: "scenario outside e2e", scenario: "mixed", wantErr: "-scenario requires -mode e2e"},
 		{name: "scenario all outside e2e", scenario: "all", wantErr: "-scenario requires -mode e2e"},
@@ -169,13 +167,12 @@ func TestValidateSelection(t *testing.T) {
 		{name: "envelope outside e2e", envelope: "x.json", wantErr: "-envelope requires -mode e2e"},
 		{name: "write-envelope outside e2e", writeEnv: "x.json", wantErr: "-write-envelope requires -mode e2e"},
 		{name: "dir outside e2e", dir: "/tmp/w", wantErr: "-dir requires -mode e2e"},
-		{name: "fsync-batch outside e2e", fsyncBatch: 8, wantErr: "-fsync-batch requires -mode e2e"},
 		{name: "csv outside e2e", csv: "out/x.csv", wantErr: "-csv requires -mode e2e"},
 		{name: "trace outside e2e", trace: "out/trace.json", wantErr: "-trace requires -mode e2e"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := validateSelection(tt.mode, tt.scenario, tt.smoke, tt.envelope, tt.writeEnv, tt.dir, tt.fsyncBatch, tt.csv, tt.trace)
+			err := validateSelection(tt.mode, tt.scenario, tt.smoke, tt.envelope, tt.writeEnv, tt.dir, tt.csv, tt.trace)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -209,27 +206,16 @@ func TestRejectedSelectionExitsWithUsage(t *testing.T) {
 	}
 }
 
-// docInvocations returns the argument words of every `smacs-bench …`
-// command line in text: a backslash-newline or a following line that
-// opens with a flag continues the command, a trailing " # comment" does
-// not belong to it, and it ends at a shell operator or the closing
-// backquote of inline code.
-func docInvocations(text string) [][]string {
-	text = strings.ReplaceAll(text, "\\\n", " ")
-	text = regexp.MustCompile(`(?m)[ \t]#.*$`).ReplaceAllString(text, "")
-	text = regexp.MustCompile(`\n\s*(--?[a-z])`).ReplaceAllString(text, " $1")
-	var out [][]string
-	for _, m := range regexp.MustCompile("smacs-bench((?:[ \t]+[^\\s|>;&`)]+)*)").FindAllStringSubmatch(text, -1) {
-		out = append(out, strings.Fields(m[1]))
-	}
-	return out
-}
-
 // The docs, the CI workflow and the verify skill may only name flags the
 // binary registers and -mode values it accepts: a deleted flag left in a
 // document is a command the reader cannot run.
 func TestDocsNameOnlyRealFlags(t *testing.T) {
-	flagWord := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=(.*))?`)
+	mode := func(name, value string) error {
+		if name != "mode" {
+			return nil
+		}
+		return validateSelection(value, "", false, "", "", "", "", "")
+	}
 	for _, path := range []string{
 		"README.md",
 		"docs/BENCHMARKS.md",
@@ -240,32 +226,11 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		invocations := docInvocations(string(raw))
-		if len(invocations) == 0 {
+		if len(doccheck.Invocations(string(raw), "smacs-bench")) == 0 {
 			t.Errorf("%s: no smacs-bench invocation found", path)
 		}
-		for _, words := range invocations {
-			line := "smacs-bench " + strings.Join(words, " ")
-			for i, word := range words {
-				m := flagWord.FindStringSubmatch(word)
-				if m == nil {
-					continue
-				}
-				if flag.CommandLine.Lookup(m[1]) == nil {
-					t.Errorf("%s: %q names -%s, which smacs-bench does not register", path, line, m[1])
-				}
-				if m[1] != "mode" {
-					continue
-				}
-				value := m[2]
-				if value == "" && i+1 < len(words) {
-					value = words[i+1]
-				}
-				value = strings.TrimRight(value, ",.:")
-				if err := validateSelection(value, "", false, "", "", "", 0, "", ""); err != nil {
-					t.Errorf("%s: %q: %v", path, line, err)
-				}
-			}
+		for _, err := range doccheck.Check(string(raw), "smacs-bench", flag.CommandLine, mode) {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

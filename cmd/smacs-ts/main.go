@@ -13,7 +13,7 @@
 // resumes strictly above its highest durable lease — no index is ever
 // issued twice across a crash (see internal/store):
 //
-//	smacs-ts -store file -dir /var/lib/smacs-ts -fsync-batch 16
+//	smacs-ts -store file -dir /var/lib/smacs-ts
 //
 // Distributed deployment: the counter can be replicated across
 // processes. Replicas serve the lease-based quorum protocol
@@ -29,9 +29,8 @@
 //
 // Several frontends can share one keyspace without coordinating:
 // -group i/n stripes the quorum-allocated blocks so frontend i of n
-// issues indexes disjoint from every other frontend's (consistent-hash
-// routing of wallets to frontends lives client-side; see
-// internal/ts/ring):
+// issues indexes disjoint from every other frontend's (clients pick a
+// frontend themselves; see internal/ts/ring):
 //
 //	smacs-ts -addr :8546 -peers ... -group 0/2
 //	smacs-ts -addr :8547 -peers ... -group 1/2
@@ -101,40 +100,42 @@ import (
 	"repro/internal/tshttp"
 )
 
+// The flags are package-level so the test binary registers them too:
+// TestDocsNameOnlyRealFlags checks the docs against flag.CommandLine.
+var (
+	addr       = flag.String("addr", ":8546", "listen address")
+	keySeed    = flag.String("key-seed", "", "deterministic seed for skTS (empty: random key)")
+	rulesPath  = flag.String("rules", "", "path to a Fig. 6-style rules JSON file (empty: allow all)")
+	ownerToken = flag.String("owner-token", "", "bearer secret for rule administration (empty: admin disabled)")
+	lifetime   = flag.Duration("lifetime", time.Hour, "token lifetime")
+	needProof  = flag.Bool("require-proof", false, "demand a proof of possession on every request")
+	storeKind  = flag.String("store", "mem", `one-time counter persistence: "mem" (lost on restart) or "file" (WAL under -dir)`)
+	dirPath    = flag.String("dir", "", "-store file: directory for the counter WAL and snapshots (with -group-name: for the membership journal)")
+	shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "index counter shards (concurrent issuance lanes)")
+
+	replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API")
+	peers     = flag.String("peers", "", "comma-separated replica base URLs (odd count): allocate one-time index blocks through a majority quorum of them instead of locally")
+	group     = flag.String("group", "", `"i/n": this frontend is shard i of n sharing the replica group — its blocks are striped so all n issue globally unique indexes with no coordination (requires -peers)`)
+
+	groupName     = flag.String("group-name", "", "dynamic membership: this frontend's named replica group — serve the membership protocol and stripe blocks under an epoch-numbered view that admits joins and drains at runtime (requires -peers and -initial-groups; exclusive with -group)")
+	initialGroups = flag.String("initial-groups", "", `"name=url,...": bootstrap membership view mapping each group to its frontend base URL; a -group-name absent from the list boots as a joiner and serves only after POST /v1/admin/join admits it (ignored when -dir holds a persisted view)`)
+
+	metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this separate listener (empty: the main listener's /metrics)")
+	pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/* on the metrics listener (or the main one without -metrics-addr)")
+)
+
 func main() {
-	var (
-		addr       = flag.String("addr", ":8546", "listen address")
-		keySeed    = flag.String("key-seed", "", "deterministic seed for skTS (empty: random key)")
-		rulesPath  = flag.String("rules", "", "path to a Fig. 6-style rules JSON file (empty: allow all)")
-		ownerToken = flag.String("owner-token", "", "bearer secret for rule administration (empty: admin disabled)")
-		lifetime   = flag.Duration("lifetime", time.Hour, "token lifetime")
-		needProof  = flag.Bool("require-proof", false, "demand a proof of possession on every request")
-		storeKind  = flag.String("store", "mem", `one-time counter persistence: "mem" (lost on restart) or "file" (WAL under -dir)`)
-		dirPath    = flag.String("dir", "", "-store file: directory for the counter WAL and snapshots (with -group-name: for the membership journal)")
-		fsyncBatch = flag.Int("fsync-batch", 0, "appends coalesced per fsync of the journal (-store file, or -group-name with -dir; 0: store default)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "index counter shards (concurrent issuance lanes)")
-
-		replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API")
-		peers     = flag.String("peers", "", "comma-separated replica base URLs (odd count): allocate one-time index blocks through a majority quorum of them instead of locally")
-		group     = flag.String("group", "", `"i/n": this frontend is shard i of n sharing the replica group — its blocks are striped so all n issue globally unique indexes with no coordination (requires -peers)`)
-
-		groupName     = flag.String("group-name", "", "dynamic membership: this frontend's named replica group — serve the membership protocol and stripe blocks under an epoch-numbered view that admits joins and drains at runtime (requires -peers and -initial-groups; exclusive with -group)")
-		initialGroups = flag.String("initial-groups", "", `"name=url,...": bootstrap membership view mapping each group to its frontend base URL; a -group-name absent from the list boots as a joiner and serves only after POST /v1/admin/join admits it (ignored when -dir holds a persisted view)`)
-
-		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this separate listener (empty: the main listener's /metrics)")
-		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/* on the metrics listener (or the main one without -metrics-addr)")
-	)
 	flag.Parse()
-	if err := validateFlags(*addr, *metricsAddr, *shards, *fsyncBatch, *replicaOf, *peers, *group, *groupName, *initialGroups); err != nil {
+	if err := validateFlags(*addr, *metricsAddr, *shards, *replicaOf, *peers, *group, *groupName, *initialGroups); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-ts:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 	var err error
 	if *replicaOf != "" {
-		err = runReplica(*addr, *replicaOf, *storeKind, *dirPath, *fsyncBatch)
+		err = runReplica(*addr, *replicaOf, *storeKind, *dirPath)
 	} else {
-		err = run(*addr, *keySeed, *rulesPath, *ownerToken, *lifetime, *needProof, *storeKind, *dirPath, *fsyncBatch, *shards, *peers, *group, *groupName, *initialGroups, *metricsAddr, *pprofOn)
+		err = run(*addr, *keySeed, *rulesPath, *ownerToken, *lifetime, *needProof, *storeKind, *dirPath, *shards, *peers, *group, *groupName, *initialGroups, *metricsAddr, *pprofOn)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-ts:", err)
@@ -146,15 +147,12 @@ func main() {
 // replication flags up front, so a typo exits with a usage message
 // instead of a half-started daemon (the -store/-dir combinations are
 // validated by openCounter).
-func validateFlags(addr, metricsAddr string, shards, fsyncBatch int, replicaOf, peers, group, groupName, initialGroups string) error {
+func validateFlags(addr, metricsAddr string, shards int, replicaOf, peers, group, groupName, initialGroups string) error {
 	if metricsAddr != "" && metricsAddr == addr {
 		return fmt.Errorf("-metrics-addr %q collides with -addr: the main listener already serves /metrics", metricsAddr)
 	}
 	if shards < 1 {
 		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
-	}
-	if fsyncBatch < 0 {
-		return fmt.Errorf("-fsync-batch must be ≥ 0, got %d", fsyncBatch)
 	}
 	if replicaOf != "" {
 		if peers != "" || group != "" || groupName != "" {
@@ -317,17 +315,17 @@ func (cs *counterStack) close() error {
 // journals every block lease so a restarted service never re-issues an
 // index; -peers allocates blocks through a majority quorum of counter
 // replicas (see openReplicatedCounter).
-func openCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
+func openCounter(storeKind, dirPath string, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
 	if peers != "" {
 		if storeKind != "mem" {
 			return nil, fmt.Errorf("-peers moves counter durability to the replicas; drop -store file (with -group-name, -dir holds only the membership journal)")
 		}
-		return openReplicatedCounter(dirPath, fsyncBatch, shards, peers, group, groupName, initialGroups, ownerToken)
+		return openReplicatedCounter(dirPath, shards, peers, group, groupName, initialGroups, ownerToken)
 	}
 	switch storeKind {
 	case "mem":
-		if dirPath != "" || fsyncBatch != 0 {
-			return nil, fmt.Errorf("-dir and -fsync-batch require -store file")
+		if dirPath != "" {
+			return nil, fmt.Errorf("-dir requires -store file")
 		}
 		sc, err := ts.NewShardedCounter(nil, shards, counterBlockSize)
 		if err != nil {
@@ -341,7 +339,7 @@ func openCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, group
 		if err := os.MkdirAll(dirPath, 0o755); err != nil {
 			return nil, err
 		}
-		f, err := store.OpenFile(dirPath, store.FileOptions{FsyncBatch: fsyncBatch})
+		f, err := store.OpenFile(dirPath, store.FileOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -380,13 +378,10 @@ func openCounter(storeKind, dirPath string, fsyncBatch, shards int, peers, group
 //     an interrupted handoff is recovered at the next boot (snapshots
 //     stay disabled there so no record kind is ever folded away); a
 //     restart resumes the last adopted view, not the boot view.
-func openReplicatedCounter(dirPath string, fsyncBatch, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
+func openReplicatedCounter(dirPath string, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
 	journaled := groupName != "" && dirPath != ""
 	if dirPath != "" && !journaled {
 		return nil, fmt.Errorf("-peers moves counter durability to the replicas; -dir holds only a -group-name membership journal")
-	}
-	if fsyncBatch != 0 && !journaled {
-		return nil, fmt.Errorf("-fsync-batch needs a journal: -store file, or -group-name with -dir")
 	}
 	member, view := "0", ring.View{Epoch: 1, Groups: []string{"0"}}
 	var urls map[string]string
@@ -417,7 +412,7 @@ func openReplicatedCounter(dirPath string, fsyncBatch, shards int, peers, group,
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, err
 		}
-		f, err := store.OpenFile(sub, store.FileOptions{FsyncBatch: fsyncBatch})
+		f, err := store.OpenFile(sub, store.FileOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -476,12 +471,12 @@ func openReplicatedCounter(dirPath string, fsyncBatch, shards int, peers, group,
 // promise and grant before acking so a majority of surviving WALs always
 // covers every committed lease. groupName is the label frontends know
 // the replica group by; it appears only in the banner.
-func runReplica(addr, groupName, storeKind, dirPath string, fsyncBatch int) error {
+func runReplica(addr, groupName, storeKind, dirPath string) error {
 	var node *replicanet.Node
 	switch storeKind {
 	case "mem":
-		if dirPath != "" || fsyncBatch != 0 {
-			return fmt.Errorf("-dir and -fsync-batch require -store file")
+		if dirPath != "" {
+			return fmt.Errorf("-dir requires -store file")
 		}
 		node = replicanet.NewNode()
 	case "file":
@@ -491,7 +486,7 @@ func runReplica(addr, groupName, storeKind, dirPath string, fsyncBatch int) erro
 		if err := os.MkdirAll(dirPath, 0o755); err != nil {
 			return err
 		}
-		f, err := store.OpenFile(dirPath, store.FileOptions{FsyncBatch: fsyncBatch})
+		f, err := store.OpenFile(dirPath, store.FileOptions{})
 		if err != nil {
 			return err
 		}
@@ -513,7 +508,7 @@ func runReplica(addr, groupName, storeKind, dirPath string, fsyncBatch int) erro
 	return srv.ListenAndServe()
 }
 
-func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, needProof bool, storeKind, dirPath string, fsyncBatch, shards int, peers, group, groupName, initialGroups, metricsAddr string, pprofOn bool) error {
+func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, needProof bool, storeKind, dirPath string, shards int, peers, group, groupName, initialGroups, metricsAddr string, pprofOn bool) error {
 	var key *secp256k1.PrivateKey
 	if keySeed != "" {
 		key = secp256k1.PrivateKeyFromSeed([]byte(keySeed))
@@ -536,7 +531,7 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 		}
 	}
 
-	cs, err := openCounter(storeKind, dirPath, fsyncBatch, shards, peers, group, groupName, initialGroups, ownerToken)
+	cs, err := openCounter(storeKind, dirPath, shards, peers, group, groupName, initialGroups, ownerToken)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"flag"
+	"go/parser"
+	"go/token"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/doccheck"
 	replicanet "repro/internal/ts/replica/net"
 )
 
@@ -12,7 +18,7 @@ import (
 // incarnation issued — the CLI-level view of the store.Counter contract.
 func TestOpenCounterFileResumesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := openCounter("file", dir, 4, 2, "", "", "", "", "")
+	c1, err := openCounter("file", dir, 2, "", "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +31,7 @@ func TestOpenCounterFileResumesAcrossRestart(t *testing.T) {
 		issued[idx] = true
 	}
 	// Restart: the old handle is abandoned (no Close), like a crash.
-	c2, err := openCounter("file", dir, 4, 2, "", "", "", "", "")
+	c2, err := openCounter("file", dir, 2, "", "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,36 +47,20 @@ func TestOpenCounterFileResumesAcrossRestart(t *testing.T) {
 }
 
 func TestOpenCounterRejectsBadFlags(t *testing.T) {
-	if _, err := openCounter("file", "", 0, 1, "", "", "", "", ""); err == nil {
+	if _, err := openCounter("file", "", 1, "", "", "", "", ""); err == nil {
 		t.Error("file store without -dir accepted")
 	}
-	if _, err := openCounter("mem", "/tmp/x", 0, 1, "", "", "", "", ""); err == nil {
+	if _, err := openCounter("mem", "/tmp/x", 1, "", "", "", "", ""); err == nil {
 		t.Error("-dir without file store accepted")
 	}
-	if _, err := openCounter("mem", "", 8, 1, "", "", "", "", ""); err == nil {
-		t.Error("-fsync-batch without file store accepted")
-	}
-	if _, err := openCounter("tape", "", 0, 1, "", "", "", "", ""); err == nil {
+	if _, err := openCounter("tape", "", 1, "", "", "", "", ""); err == nil {
 		t.Error("unknown store accepted")
 	}
-	if _, err := openCounter("file", "/tmp/x", 0, 1, "http://a,http://b,http://c", "", "", "", ""); err == nil {
+	if _, err := openCounter("file", "/tmp/x", 1, "http://a,http://b,http://c", "", "", "", ""); err == nil {
 		t.Error("-peers with a local file store accepted: durability would be claimed twice")
 	}
-	if _, err := openCounter("mem", "", 0, 1, "http://a,http://b", "", "", "", ""); err == nil {
+	if _, err := openCounter("mem", "", 1, "http://a,http://b", "", "", "", ""); err == nil {
 		t.Error("even peer count accepted")
-	}
-	// -fsync-batch needs a journal: -store file, or -group-name with -dir.
-	peers3, boot := "http://a,http://b,http://c", "g1=http://fe1.example"
-	if _, err := openCounter("mem", "", 8, 1, peers3, "", "", "", ""); err == nil {
-		t.Error("-fsync-batch on a plain -peers frontend accepted")
-	}
-	if _, err := openCounter("mem", "", 8, 1, peers3, "", "g1", boot, ""); err == nil {
-		t.Error("-fsync-batch on a membership frontend without -dir accepted")
-	}
-	if cs, err := openCounter("mem", t.TempDir(), 8, 1, peers3, "", "g1", boot, ""); err != nil {
-		t.Errorf("-fsync-batch on a journaled membership frontend rejected: %v", err)
-	} else {
-		_ = cs.close()
 	}
 }
 
@@ -108,7 +98,7 @@ func TestOpenCounterNetworkedStripedFrontends(t *testing.T) {
 		{name: "1/2", group: "1/2", shards: 2},
 		{name: "g1", groupName: "g1", initialGroups: "g1=http://fe1.example,g2=http://fe2.example", shards: 2},
 	} {
-		c, err := openCounter("mem", "", 0, tc.shards, peers, tc.group, tc.groupName, tc.initialGroups, "")
+		c, err := openCounter("mem", "", tc.shards, peers, tc.group, tc.groupName, tc.initialGroups, "")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -140,43 +130,40 @@ func TestOpenCounterNetworkedStripedFrontends(t *testing.T) {
 // Bad observability/sizing flag combinations must be rejected before the
 // daemon does any work (main exits 2 with usage on these).
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(":8546", "", 4, 0, "", "", "", "", ""); err != nil {
+	if err := validateFlags(":8546", "", 4, "", "", "", "", ""); err != nil {
 		t.Errorf("default flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "127.0.0.1:9100", 4, 16, "", "", "", "", ""); err != nil {
+	if err := validateFlags(":8546", "127.0.0.1:9100", 4, "", "", "", "", ""); err != nil {
 		t.Errorf("separate metrics listener rejected: %v", err)
 	}
-	if err := validateFlags(":8546", ":8546", 4, 0, "", "", "", "", ""); err == nil {
+	if err := validateFlags(":8546", ":8546", 4, "", "", "", "", ""); err == nil {
 		t.Error("-metrics-addr colliding with -addr accepted")
 	}
-	if err := validateFlags(":8546", "", 0, 0, "", "", "", "", ""); err == nil {
+	if err := validateFlags(":8546", "", 0, "", "", "", "", ""); err == nil {
 		t.Error("-shards 0 accepted")
-	}
-	if err := validateFlags(":8546", "", 4, -1, "", "", "", "", ""); err == nil {
-		t.Error("negative -fsync-batch accepted")
 	}
 
 	peers3 := "http://a:1,http://b:2,http://c:3"
-	if err := validateFlags(":9001", "", 4, 0, "sale", "", "", "", ""); err != nil {
+	if err := validateFlags(":9001", "", 4, "sale", "", "", "", ""); err != nil {
 		t.Errorf("replica mode rejected: %v", err)
 	}
-	if err := validateFlags(":9001", "", 4, 0, "sale", peers3, "", "", ""); err == nil {
+	if err := validateFlags(":9001", "", 4, "sale", peers3, "", "", ""); err == nil {
 		t.Error("-replica-of combined with -peers accepted")
 	}
-	if err := validateFlags(":9001", "127.0.0.1:9100", 4, 0, "sale", "", "", "", ""); err == nil {
+	if err := validateFlags(":9001", "127.0.0.1:9100", 4, "sale", "", "", "", ""); err == nil {
 		t.Error("-metrics-addr in replica mode accepted")
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", peers3, "1/2", "", ""); err != nil {
+	if err := validateFlags(":8546", "", 4, "", peers3, "1/2", "", ""); err != nil {
 		t.Errorf("quorum frontend flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", "http://a:1,http://b:2", "", "", ""); err == nil {
+	if err := validateFlags(":8546", "", 4, "", "http://a:1,http://b:2", "", "", ""); err == nil {
 		t.Error("even -peers count accepted")
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", "", "0/2", "", ""); err == nil {
+	if err := validateFlags(":8546", "", 4, "", "", "0/2", "", ""); err == nil {
 		t.Error("-group without -peers accepted")
 	}
 	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1", "0/2/3", "0/2x", "1/2 junk"} {
-		if err := validateFlags(":8546", "", 4, 0, "", peers3, bad, "", ""); err == nil {
+		if err := validateFlags(":8546", "", 4, "", peers3, bad, "", ""); err == nil {
 			t.Errorf("-group %q accepted", bad)
 		}
 	}
@@ -184,13 +171,13 @@ func TestValidateFlags(t *testing.T) {
 
 // runReplica's store validation must fail before it ever binds a port.
 func TestRunReplicaRejectsBadStores(t *testing.T) {
-	if err := runReplica(":0", "g", "file", "", 0); err == nil {
+	if err := runReplica(":0", "g", "file", ""); err == nil {
 		t.Error("file-backed replica without -dir accepted")
 	}
-	if err := runReplica(":0", "g", "mem", "/tmp/x", 0); err == nil {
+	if err := runReplica(":0", "g", "mem", "/tmp/x"); err == nil {
 		t.Error("-dir without file store accepted")
 	}
-	if err := runReplica(":0", "g", "tape", "", 0); err == nil {
+	if err := runReplica(":0", "g", "tape", ""); err == nil {
 		t.Error("unknown store accepted")
 	}
 }
@@ -221,7 +208,7 @@ func TestMetricsHandlerRoutes(t *testing.T) {
 // restart the issued index set stays gap-free — no range is burned.
 func TestOpenCounterCleanShutdownLeavesNoGap(t *testing.T) {
 	dir := t.TempDir()
-	cs1, err := openCounter("file", dir, 0, 2, "", "", "", "", "")
+	cs1, err := openCounter("file", dir, 2, "", "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +228,7 @@ func TestOpenCounterCleanShutdownLeavesNoGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs2, err := openCounter("file", dir, 0, 2, "", "", "", "", "")
+	cs2, err := openCounter("file", dir, 2, "", "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +263,7 @@ func TestOpenCounterMembershipBootAndRelease(t *testing.T) {
 	urls := startReplicas(t)
 	dir := t.TempDir()
 	boot := "g1=http://fe1.example,g2=http://fe2.example"
-	cs1, err := openCounter("mem", dir, 0, 2, urls, "", "g1", boot, "tok")
+	cs1, err := openCounter("mem", dir, 2, urls, "", "g1", boot, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +288,7 @@ func TestOpenCounterMembershipBootAndRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs2, err := openCounter("mem", dir, 0, 2, urls, "", "g1", boot, "tok")
+	cs2, err := openCounter("mem", dir, 2, urls, "", "g1", boot, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,26 +310,26 @@ func TestOpenCounterMembershipBootAndRelease(t *testing.T) {
 func TestValidateFlagsMembership(t *testing.T) {
 	peers3 := "http://a:1,http://b:2,http://c:3"
 	boot := "g1=http://a:8546,g2=http://b:8546"
-	if err := validateFlags(":8546", "", 4, 0, "", peers3, "", "g1", boot); err != nil {
+	if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", boot); err != nil {
 		t.Errorf("membership frontend flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", "", "", "g1", boot); err == nil {
+	if err := validateFlags(":8546", "", 4, "", "", "", "g1", boot); err == nil {
 		t.Error("-group-name without -peers accepted")
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", peers3, "", "g1", ""); err == nil {
+	if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", ""); err == nil {
 		t.Error("-group-name without -initial-groups accepted")
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", peers3, "0/2", "g1", boot); err == nil {
+	if err := validateFlags(":8546", "", 4, "", peers3, "0/2", "g1", boot); err == nil {
 		t.Error("-group and -group-name together accepted")
 	}
-	if err := validateFlags(":8546", "", 4, 0, "", peers3, "", "", boot); err == nil {
+	if err := validateFlags(":8546", "", 4, "", peers3, "", "", boot); err == nil {
 		t.Error("-initial-groups without -group-name accepted")
 	}
-	if err := validateFlags(":9001", "", 4, 0, "sale", "", "", "g1", boot); err == nil {
+	if err := validateFlags(":9001", "", 4, "sale", "", "", "g1", boot); err == nil {
 		t.Error("-group-name in replica mode accepted")
 	}
 	for _, bad := range []string{"g1", "g1=", "=http://x", "g1=http://a,g1=http://b", " , "} {
-		if err := validateFlags(":8546", "", 4, 0, "", peers3, "", "g1", bad); err == nil {
+		if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", bad); err == nil {
 			t.Errorf("-initial-groups %q accepted", bad)
 		}
 	}
@@ -358,6 +345,40 @@ func TestValidateFlagsMembership(t *testing.T) {
 	for i := range g1 {
 		if g1[i] != g2[i] {
 			t.Fatalf("group order depends on flag order: %v vs %v", g1, g2)
+		}
+	}
+}
+
+// The docs, the CI workflow, the verify skill and this command's own
+// package doc may only name flags smacs-ts registers: a deleted flag
+// left in a document is a command the reader cannot run.
+func TestDocsNameOnlyRealFlags(t *testing.T) {
+	docs := map[string]string{}
+	for _, path := range []string{
+		"README.md",
+		"docs/BENCHMARKS.md",
+		".claude/skills/verify/SKILL.md",
+		".github/workflows/ci.yml",
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[path] = string(raw)
+	}
+	src, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs["cmd/smacs-ts/main.go"] = src.Doc.Text()
+	for path, text := range docs {
+		// docs/BENCHMARKS.md shows no smacs-ts command today; it is
+		// scanned so that one added later is checked too.
+		if len(doccheck.Invocations(text, "smacs-ts")) == 0 && path != "docs/BENCHMARKS.md" {
+			t.Errorf("%s: no smacs-ts invocation found", path)
+		}
+		for _, err := range doccheck.Check(text, "smacs-ts", flag.CommandLine, nil) {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

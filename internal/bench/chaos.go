@@ -89,7 +89,7 @@ func checkChaos(fault string) error {
 // startQuorumGroup stands a replica group up. Replica WALs live under
 // dir/replica<i> (kept for artifact upload when dir is given; with dir
 // empty a fresh temp dir is used and removed on Close).
-func startQuorumGroup(dir string, fsyncBatch int) (*quorumGroup, error) {
+func startQuorumGroup(dir string) (*quorumGroup, error) {
 	g := &quorumGroup{dir: dir}
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "smacs-quorum-*")
@@ -104,7 +104,7 @@ func startQuorumGroup(dir string, fsyncBatch int) (*quorumGroup, error) {
 			g.Close()
 			return nil, err
 		}
-		backend, err := store.OpenFile(nodeDir, store.FileOptions{FsyncBatch: fsyncBatch})
+		backend, err := store.OpenFile(nodeDir, store.FileOptions{})
 		if err != nil {
 			g.Close()
 			return nil, err

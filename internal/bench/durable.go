@@ -149,7 +149,7 @@ func runDurable(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 
 	agg := newE2EAgg(reg)
 	open := func(phaseOps int) (*durableWorld, error) {
-		fileOpts := store.FileOptions{FsyncBatch: run.FsyncBatch, Metrics: reg}
+		fileOpts := store.FileOptions{Metrics: reg}
 		tsFile, err := store.OpenFile(tsDir, fileOpts)
 		if err != nil {
 			return nil, err

@@ -35,9 +35,6 @@ type E2EConfig struct {
 	// the quorum-backed scenarios their replica WALs, one subdirectory per
 	// scenario (empty: a fresh temp dir, removed afterwards).
 	Dir string `json:"dir,omitempty"`
-	// FsyncBatch is the group-commit batch of those file stores (0: the
-	// store default).
-	FsyncBatch int `json:"fsyncBatch,omitempty"`
 	// OnRow, when non-nil, observes every completed scenario row in run
 	// order; smacs-bench uses it to flush partial results on SIGINT.
 	OnRow func(E2ERow) `json:"-"`
@@ -459,7 +456,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		if run.Dir != "" {
 			dir = filepath.Join(run.Dir, cfg.Name)
 		}
-		g, err := startQuorumGroup(dir, run.FsyncBatch)
+		g, err := startQuorumGroup(dir)
 		if err != nil {
 			return E2ERow{}, err
 		}
@@ -614,7 +611,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// frontend-crash scenario binds the takeover closure.
 	switch cfg.Chaos {
 	case ChaosJoin:
-		cleanupJoin, err := armJoin(group, env, reg, tsKey, ruleSet, cfg, run.FsyncBatch, joinStripe, counter)
+		cleanupJoin, err := armJoin(group, env, reg, tsKey, ruleSet, cfg, joinStripe, counter)
 		if err != nil {
 			return E2ERow{}, err
 		}
@@ -754,7 +751,6 @@ func (e *e2eEnv) startSubmitter(tsAddr types.Address) chan struct{} {
 			}
 			results := e.chain.Execute(txs, evm.ExecOptions{
 				Scheduler:        evm.SchedulerOptimistic,
-				Workers:          e.cfg.Workers,
 				PrevalidateBatch: hook,
 			})
 			end := time.Now()

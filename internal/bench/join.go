@@ -67,7 +67,7 @@ func (s *switchCounter) MaxSpread() int64 { return s.spread }
 // token traffic starts round-robining across both frontends. The
 // returned cleanup closes everything the joiner opened.
 func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1.PrivateKey,
-	ruleSet *rules.RuleSet, cfg ScenarioConfig, fsyncBatch int, stripeA *ring.DynamicStripe, counterA *ts.ShardedCounter) (func(), error) {
+	ruleSet *rules.RuleSet, cfg ScenarioConfig, stripeA *ring.DynamicStripe, counterA *ts.ShardedCounter) (func(), error) {
 	var cleanups []func()
 	cleanup := func() {
 		for i := len(cleanups) - 1; i >= 0; i-- {
@@ -109,7 +109,7 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 	// The joiner boots with the cluster's current view — not containing
 	// itself — and issues only after the join's advance admits it. Its
 	// replica WALs sit beside group A's, so the artifacts keep both.
-	groupB, err := startQuorumGroup(filepath.Join(g.dir, chaosGroupJoiner), fsyncBatch)
+	groupB, err := startQuorumGroup(filepath.Join(g.dir, chaosGroupJoiner))
 	if err != nil {
 		return fail(err)
 	}

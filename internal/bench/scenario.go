@@ -94,8 +94,6 @@ type ScenarioConfig struct {
 	// TxBatch is the number of signed transactions per Chain.Execute
 	// call.
 	TxBatch int `json:"txBatch"`
-	// Workers is the worker count handed to Execute (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 }
 
 // ScenarioNames lists the shipped scenario profiles in run order.

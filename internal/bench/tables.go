@@ -135,7 +135,7 @@ func ChainRun(depth int, tp core.TokenType, oneTime bool) (CostRow, error) {
 			return link
 		}
 		verifier.WithBitmap(bm)
-		return transform.Enable(link, verifier, transform.Options{Suffix: " (SMACS)"})
+		return transform.Enable(link, verifier)
 	}
 	deploy := func(c *evm.Contract) (types.Address, error) {
 		addr, _, err := tb.chain.Deploy(tb.owner.Address(), c)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/evm"
@@ -36,7 +35,7 @@ type Bitmap struct {
 
 // ErrNoBitmap is returned when a one-time token reaches a verifier without
 // a configured bitmap.
-var ErrNoBitmap = errors.New("smacs: contract has no one-time-token bitmap")
+var ErrNoBitmap = newOutcomeError("smacs: contract has no one-time-token bitmap", "no_bitmap")
 
 // NewBitmap creates a bitmap descriptor with n bits rooted at baseSlot of
 // the contract's storage. n must be positive.

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/evm"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Token-signature cache metric names.
 const (
@@ -13,28 +8,16 @@ const (
 	MetricTokenCacheMisses = "core_token_sig_cache_misses_total"
 )
 
+// outcomeError is a sentinel error that carries the label the chain
+// counts its reverts under (evm_txs_total{outcome="reverted_<label>"}).
 // evm cannot import core (core builds the SMACS contracts on top of the
-// chain), so the chain's outcome labeling learns about token errors
-// through the classifier hook.
-func init() {
-	evm.RegisterRevertClassifier(func(err error) (string, bool) {
-		switch {
-		case errors.Is(err, ErrTokenExpired):
-			return "token_expired", true
-		case errors.Is(err, ErrTokenUsed):
-			return "token_used", true
-		case errors.Is(err, ErrBadTokenSig):
-			return "bad_token_sig", true
-		case errors.Is(err, ErrNoToken):
-			return "no_token", true
-		case errors.Is(err, ErrMalformedToken):
-			return "malformed_token", true
-		case errors.Is(err, ErrNoBitmap):
-			return "no_bitmap", true
-		}
-		return "", false
-	})
-}
+// chain), so it reads the label through errors.As.
+type outcomeError struct{ msg, outcome string }
+
+func (e *outcomeError) Error() string         { return e.msg }
+func (e *outcomeError) RevertOutcome() string { return e.outcome }
+
+func newOutcomeError(msg, outcome string) error { return &outcomeError{msg, outcome} }
 
 // RegisterCacheMetrics exposes the process-wide token-signature cache on
 // reg as scrape-time counter funcs. The chain registers its own sender

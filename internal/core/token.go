@@ -7,7 +7,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -76,11 +75,11 @@ type Token struct {
 
 // Token parsing and verification errors.
 var (
-	ErrMalformedToken = errors.New("smacs: malformed token")
-	ErrNoToken        = errors.New("smacs: no token for this contract")
-	ErrTokenExpired   = errors.New("smacs: token expired")
-	ErrTokenUsed      = errors.New("smacs: one-time token already used or missed")
-	ErrBadTokenSig    = errors.New("smacs: token signature verification failed")
+	ErrMalformedToken = newOutcomeError("smacs: malformed token", "malformed_token")
+	ErrNoToken        = newOutcomeError("smacs: no token for this contract", "no_token")
+	ErrTokenExpired   = newOutcomeError("smacs: token expired", "token_expired")
+	ErrTokenUsed      = newOutcomeError("smacs: one-time token already used or missed", "token_used")
+	ErrBadTokenSig    = newOutcomeError("smacs: token signature verification failed", "bad_token_sig")
 )
 
 // OneTime reports whether the one-time property is set (Index ≥ 0).

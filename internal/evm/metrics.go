@@ -3,7 +3,6 @@ package evm
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -81,30 +80,11 @@ func (m *chainMetrics) recordOutcomes(results []BatchResult) {
 	}
 }
 
-// revertClassifiers map a failed execution's revert error to an outcome
-// label. The chain's own rejection reasons (nonce, balance, signature)
-// are classified natively; layers above evm — the core token verifier —
-// register theirs, because evm cannot import them. Copy-on-write like
-// the validator list: registration never blocks the commit path.
-var revertClassifiers atomic.Pointer[[]func(error) (string, bool)]
-
-// RegisterRevertClassifier adds a revert-error classifier consulted (in
-// registration order) when labeling reverted transactions. Classifiers
-// must be registered before chains start applying transactions
-// (typically from an init function) and must be safe for concurrent use.
-func RegisterRevertClassifier(f func(error) (string, bool)) {
-	for {
-		old := revertClassifiers.Load()
-		var next []func(error) (string, bool)
-		if old != nil {
-			next = append(next, *old...)
-		}
-		next = append(next, f)
-		if revertClassifiers.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
+// revertOutcome is implemented by revert errors that carry their own
+// outcome label. The chain's own rejection reasons (nonce, balance,
+// signature) are classified natively; layers above evm — the core token
+// verifier — label their errors this way, because evm cannot import them.
+type revertOutcome interface{ RevertOutcome() string }
 
 // txOutcome labels the result of one transaction: "accepted",
 // "rejected_*" for transactions that never executed, "reverted_*" for
@@ -131,12 +111,9 @@ func txOutcome(receipt *Receipt, err error) string {
 	if receipt.Status {
 		return "accepted"
 	}
-	if fs := revertClassifiers.Load(); fs != nil {
-		for _, f := range *fs {
-			if label, ok := f(receipt.Err); ok {
-				return "reverted_" + label
-			}
-		}
+	var labeled revertOutcome
+	if errors.As(receipt.Err, &labeled) {
+		return "reverted_" + labeled.RevertOutcome()
 	}
 	return "reverted_other"
 }

@@ -60,13 +60,12 @@ var (
 // of the 1+blockTxs commits of two workload steps, so unacknowledged
 // blocks regularly sit in the live WAL where a torn cut can split them.
 const (
-	counterShards     = 4
-	counterBlock      = 8
-	counterSnapEvery  = 16
-	chainSnapEvery    = 7
-	bitmapBits        = 1 << 13
-	bitmapBaseSlot    = 1 << 32
-	counterFsyncBatch = 8
+	counterShards    = 4
+	counterBlock     = 8
+	counterSnapEvery = 16
+	chainSnapEvery   = 7
+	bitmapBits       = 1 << 13
+	bitmapBaseSlot   = 1 << 32
 	// blockTxs is the length of the nonce chain every other workload step
 	// commits as one Execute batch.
 	blockTxs = 4
@@ -111,7 +110,7 @@ type deployment struct {
 }
 
 func open(dir string) (*deployment, error) {
-	tsB, err := store.OpenFile(filepath.Join(dir, "ts"), store.FileOptions{FsyncBatch: counterFsyncBatch})
+	tsB, err := store.OpenFile(filepath.Join(dir, "ts"), store.FileOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("open ts store: %w", err)
 	}

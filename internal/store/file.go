@@ -15,16 +15,6 @@ import (
 
 // FileOptions tunes the file backend.
 type FileOptions struct {
-	// FsyncBatch is the maximum number of appends one fsync may cover
-	// (group commit). 1 syncs every append immediately; larger values
-	// let concurrent appenders share a sync at the cost of up to
-	// FlushDelay extra latency while a group forms. Durability is the
-	// same at every setting: Append never returns before its record is
-	// synced. 0 means 1.
-	FsyncBatch int
-	// FlushDelay is how long the group leader waits for a batch to fill
-	// before syncing anyway (default 500µs; ignored when FsyncBatch ≤ 1).
-	FlushDelay time.Duration
 	// Metrics selects the registry the backend's WAL series
 	// (store_wal_appends_total, store_wal_fsync_total, …) are registered
 	// in (nil = metrics.Default()).
@@ -46,14 +36,15 @@ type FileOptions struct {
 // torn tail in place so later appends extend a clean log.
 //
 // Appends are group-committed: records are written and fsynced before
-// Append or AppendBatch returns, but concurrent appends are coalesced
-// under one fsync (bounded by FsyncBatch), which is what makes a
-// WAL-backed counter sustain high issuance rates. An AppendBatch enters
-// the queue as one unit — one write, one fsync for all of its records —
-// which is how the chain makes a whole Execute batch durable at once.
+// Append or AppendBatch returns, and the group clocks itself. The leader
+// writes and fsyncs everything queued, never waiting for more; appends
+// that arrive during that sync queue up and share the next one, so the
+// group size follows the load. That is what makes a WAL-backed counter
+// sustain high issuance rates. An AppendBatch enters the queue as one
+// unit — one write, one fsync for all of its records — which is how the
+// chain makes a whole Execute batch durable at once.
 type File struct {
 	dir     string
-	opts    FileOptions
 	metrics *fileMetrics
 
 	mu        sync.Mutex
@@ -82,16 +73,10 @@ func WALPath(dir string, gen uint64) string { return filepath.Join(dir, walName(
 
 // OpenFile opens (or creates) a file backend rooted at dir.
 func OpenFile(dir string, opts FileOptions) (*File, error) {
-	if opts.FsyncBatch < 1 {
-		opts.FsyncBatch = 1
-	}
-	if opts.FlushDelay <= 0 {
-		opts.FlushDelay = 500 * time.Microsecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	f := &File{dir: dir, opts: opts, metrics: newFileMetrics(metrics.Or(opts.Metrics))}
+	f := &File{dir: dir, metrics: newFileMetrics(metrics.Or(opts.Metrics))}
 	f.cond = sync.NewCond(&f.mu)
 	gen, err := f.latestGen()
 	if err != nil {
@@ -235,9 +220,8 @@ func (f *File) Replay() (snapshot []byte, records []Record, err error) {
 }
 
 // Append implements Backend with leader-based group commit: the first
-// appender to find no flush in flight becomes the leader, optionally
-// waits FlushDelay for a group to form (when FsyncBatch > 1), writes
-// every queued frame, and fsyncs once for the whole group. Append only
+// appender to find no flush in flight becomes the leader, writes every
+// queued frame at once, and fsyncs once for the whole group. Append only
 // returns once its own record is covered by a completed fsync.
 func (f *File) Append(rec Record) error {
 	frame, err := EncodeRecord(rec)
@@ -321,15 +305,10 @@ func (f *File) ensureOffsetLocked() {
 }
 
 // flushLocked runs one group commit as the leader. Called with mu held;
-// temporarily releases it around the batch window and the write+sync.
+// temporarily releases it around the write+sync, during which later
+// appenders queue for the next group.
 func (f *File) flushLocked() {
 	f.flushing = true
-	if f.pendingN < f.opts.FsyncBatch && f.opts.FsyncBatch > 1 {
-		// Let a group form; appenders queue freely while we sleep.
-		f.mu.Unlock()
-		time.Sleep(f.opts.FlushDelay)
-		f.mu.Lock()
-	}
 	buf := f.pending
 	n := f.pendingN
 	f.pending = nil

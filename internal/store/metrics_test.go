@@ -31,7 +31,7 @@ func TestFileBackendMetrics(t *testing.T) {
 	body := sb.String()
 	for _, re := range []string{
 		`(?m)^store_wal_appends_total 3$`,
-		`(?m)^store_wal_fsync_total 3$`, // FsyncBatch 1 ⇒ one sync per append
+		`(?m)^store_wal_fsync_total 3$`, // one appender ⇒ one sync per append
 		`(?m)^store_wal_fsync_batch_records_count 3$`,
 		`(?m)^store_wal_fsync_batch_records_sum 3$`,
 	} {
@@ -70,7 +70,7 @@ func TestFileBackendMetrics(t *testing.T) {
 // empty batch costs nothing.
 func TestFileBackendAppendBatchMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	f, err := OpenFile(t.TempDir(), FileOptions{FsyncBatch: 1, Metrics: reg})
+	f, err := OpenFile(t.TempDir(), FileOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestFilePropertyVsMemoryOracle(t *testing.T) {
 func propertyIter(t *testing.T, rng *rand.Rand) {
 	dir := t.TempDir()
 	oracle := NewMemory()
-	f, err := OpenFile(dir, FileOptions{FsyncBatch: 1 + rng.Intn(8)})
+	f, err := OpenFile(dir, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func propertyIter(t *testing.T, rng *rand.Rand) {
 			}
 		default: // crash: drop the handle, maybe tear the tail, reopen
 			crashFile(t, rng, dir, f)
-			g, err := OpenFile(dir, FileOptions{FsyncBatch: 1 + rng.Intn(8)})
+			g, err := OpenFile(dir, FileOptions{})
 			if err != nil {
 				t.Fatalf("step %d: reopen: %v", s, err)
 			}

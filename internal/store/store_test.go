@@ -321,56 +321,60 @@ func TestFileBackendTornTailTruncated(t *testing.T) {
 }
 
 // TestFileBackendConcurrentAppend drives concurrent appenders through
-// the group-commit path at several batch sizes and checks that every
-// acknowledged record replays.
+// the group-commit path and checks that every acknowledged record
+// replays, and that the fsync groups account for every record exactly
+// once.
 func TestFileBackendConcurrentAppend(t *testing.T) {
-	for _, batch := range []int{1, 16, 128} {
-		batch := batch
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			f, err := OpenFile(dir, FileOptions{FsyncBatch: batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers, perWorker = 8, 50
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						rec := Record{Kind: KindLease, Value: int64(w*perWorker + i + 1)}
-						if err := f.Append(rec); err != nil {
-							t.Errorf("append: %v", err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			f.Close()
-
-			g, err := OpenFile(dir, FileOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			_, recs, err := g.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := make(map[int64]bool, len(recs))
-			for _, rec := range recs {
-				if seen[rec.Value] {
-					t.Fatalf("value %d appears twice", rec.Value)
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	f, err := OpenFile(dir, FileOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				rec := Record{Kind: KindLease, Value: int64(w*perWorker + i + 1)}
+				if err := f.Append(rec); err != nil {
+					t.Errorf("append: %v", err)
+					return
 				}
-				seen[rec.Value] = true
 			}
-			if len(seen) != workers*perWorker {
-				t.Fatalf("replayed %d distinct records, want %d", len(seen), workers*perWorker)
-			}
-		})
+		}(w)
+	}
+	wg.Wait()
+	f.Close()
+
+	groups := reg.Histogram(MetricFsyncBatch, "", nil)
+	if got := groups.Sum(); got != workers*perWorker {
+		t.Errorf("fsync groups covered %v records, want %d", got, workers*perWorker)
+	}
+	if fsyncs := reg.Counter(MetricWALFsyncs, "").Value(); groups.Count() != fsyncs {
+		t.Errorf("%d fsync groups observed for %d fsyncs", groups.Count(), fsyncs)
+	}
+
+	g, err := OpenFile(dir, FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	_, recs, err := g.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool, len(recs))
+	for _, rec := range recs {
+		if seen[rec.Value] {
+			t.Fatalf("value %d appears twice", rec.Value)
+		}
+		seen[rec.Value] = true
+	}
+	if len(seen) != workers*perWorker {
+		t.Fatalf("replayed %d distinct records, want %d", len(seen), workers*perWorker)
 	}
 }
 
@@ -416,7 +420,7 @@ func TestCounterResumesAboveEveryLease(t *testing.T) {
 // goroutines; every value must be unique and must survive replay.
 func TestCounterConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{FsyncBatch: 16})
+	f, err := OpenFile(dir, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

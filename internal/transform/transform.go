@@ -17,13 +17,12 @@ type Options struct {
 	// Skip lists method names to leave unprotected (e.g. free view
 	// methods the owner deliberately exposes).
 	Skip []string
-	// Suffix is appended to the contract name; defaults to " (SMACS)".
-	Suffix string
 }
 
-// Enable returns a SMACS-enabled version of the legacy contract whose
-// dispatchable methods assert verifier.Verify before running the original
-// body. The original contract is not modified. If the verifier carries a
+// Enable returns a SMACS-enabled version of the legacy contract, named
+// with a " (SMACS)" suffix, whose dispatchable methods assert
+// verifier.Verify before running the original body. The original
+// contract is not modified. If the verifier carries a
 // one-time-token bitmap, the new contract pre-allocates its storage words
 // (charged at deployment — Tab. IV).
 //
@@ -37,15 +36,12 @@ func Enable(legacy *evm.Contract, verifier *core.Verifier, opts ...Options) *evm
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	if opt.Suffix == "" {
-		opt.Suffix = " (SMACS)"
-	}
 	skip := make(map[string]bool, len(opt.Skip))
 	for _, name := range opt.Skip {
 		skip[name] = true
 	}
 
-	enabled := evm.NewContract(legacy.Name() + opt.Suffix)
+	enabled := evm.NewContract(legacy.Name() + " (SMACS)")
 	for _, m := range legacy.Methods() {
 		copied := *m
 		enabled.MustAddMethod(copied)

@@ -41,8 +41,6 @@ type Config struct {
 	// other frontends (whose /v1/membership routes sit behind the same
 	// owner guard as this one's).
 	OwnerToken string
-	// Client overrides the HTTP client used for member calls.
-	Client *http.Client
 }
 
 // Manager is one frontend's membership agent: it serves the member
@@ -192,7 +190,7 @@ func (m *Manager) memberFor(group, url string) Member {
 	if group == m.cfg.Group {
 		return local{m}
 	}
-	return &Remote{GroupName: group, Base: url, OwnerToken: m.cfg.OwnerToken, Client: m.cfg.Client}
+	return &Remote{GroupName: group, Base: url, OwnerToken: m.cfg.OwnerToken}
 }
 
 // ChangeResult is what an admin join/drain returns: the adopted view and

@@ -22,14 +22,14 @@ type Remote struct {
 	// OwnerToken, when set, authenticates member calls (the remote's
 	// /v1/membership routes sit behind its owner guard).
 	OwnerToken string
-	// Client overrides the HTTP client (nil = a short-timeout default:
-	// member calls are tiny control-plane round-trips, and a hung member
-	// must not stall a view change forever).
-	Client *http.Client
 }
 
-// DefaultMemberTimeout bounds one member control call.
+// DefaultMemberTimeout bounds one member control call: member calls are
+// tiny control-plane round-trips, and a hung member must not stall a
+// view change forever.
 const DefaultMemberTimeout = 5 * time.Second
+
+var memberClient = &http.Client{Timeout: DefaultMemberTimeout}
 
 func (r *Remote) Group() string { return r.GroupName }
 
@@ -65,24 +65,16 @@ func (r *Remote) AdoptLeases(ranges []ts.IndexRange) error {
 // bootstrap call a joining frontend can use to discover the cluster's
 // view before asking to join.
 func (r *Remote) FetchState() (State, error) {
-	client := r.client()
 	req, err := http.NewRequest(http.MethodGet, r.Base+PathView, nil)
 	if err != nil {
 		return State{}, err
 	}
 	r.auth(req)
 	var st State
-	if err := doJSON(client, req, &st); err != nil {
+	if err := doJSON(req, &st); err != nil {
 		return State{}, fmt.Errorf("membership: fetch view from %s: %w", r.Base, err)
 	}
 	return st, nil
-}
-
-func (r *Remote) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return &http.Client{Timeout: DefaultMemberTimeout}
 }
 
 func (r *Remote) auth(req *http.Request) {
@@ -102,14 +94,14 @@ func (r *Remote) post(path string, body, out any) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	r.auth(req)
-	if err := doJSON(r.client(), req, out); err != nil {
+	if err := doJSON(req, out); err != nil {
 		return fmt.Errorf("membership: %s %s%s: %w", r.GroupName, r.Base, path, err)
 	}
 	return nil
 }
 
-func doJSON(client *http.Client, req *http.Request, out any) error {
-	resp, err := client.Do(req)
+func doJSON(req *http.Request, out any) error {
+	resp, err := memberClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -57,12 +57,6 @@ type Options struct {
 	// Metrics receives coordinator counters (nil = the process default
 	// registry).
 	Metrics *metrics.Registry
-	// BackoffCap bounds a single contention-backoff sleep
-	// (0 = DefaultBackoffCap).
-	BackoffCap time.Duration
-	// BackoffSeed seeds the backoff jitter (0 = derived from the global
-	// source). Fixing it makes contention timing reproducible in tests.
-	BackoffSeed int64
 }
 
 // Coordinator is the client side of the protocol: it implements
@@ -88,10 +82,9 @@ type Coordinator struct {
 	// lease; it drives the exponential backoff that desynchronizes
 	// dueling coordinators.
 	contention int
-	// rng drives backoff jitter; per-coordinator (and mu-guarded) so a
-	// fixed BackoffSeed gives a reproducible delay sequence.
-	rng        *rand.Rand
-	backoffCap time.Duration
+	// rng drives backoff jitter; per-coordinator and mu-guarded, seeded
+	// at random so dueling coordinators draw different delays.
+	rng *rand.Rand
 
 	grantRetries *metrics.Counter
 }
@@ -113,20 +106,12 @@ func NewCoordinator(peers []string, opts Options) (*Coordinator, error) {
 			MaxIdleConnsPerHost: 8,
 		}}
 	}
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = DefaultBackoffCap
-	}
-	seed := opts.BackoffSeed
-	if seed == 0 {
-		seed = rand.Int63()
-	}
 	return &Coordinator{
-		peers:      append([]string(nil), peers...),
-		client:     opts.Client,
-		timeout:    opts.Timeout,
-		fails:      make([]atomic.Int32, len(peers)),
-		rng:        rand.New(rand.NewSource(seed)),
-		backoffCap: opts.BackoffCap,
+		peers:   append([]string(nil), peers...),
+		client:  opts.Client,
+		timeout: opts.Timeout,
+		fails:   make([]atomic.Int32, len(peers)),
+		rng:     rand.New(rand.NewSource(rand.Int63())),
 		grantRetries: metrics.Or(opts.Metrics).Counter(MetricGrantRetries,
 			"Coordinator grant rounds retried after a lost lease race or epoch preemption."),
 	}, nil
@@ -242,7 +227,7 @@ func (c *Coordinator) fenceLocked() error {
 
 // backoffLocked sleeps a jittered duration that grows exponentially
 // with the coordinator's recent preemption count, hard-capped at
-// backoffCap, so coordinators that keep preempting each other
+// DefaultBackoffCap, so coordinators that keep preempting each other
 // desynchronize instead of livelocking — the standard answer to Paxos's
 // dueling proposers. Requires c.mu (the sleep intentionally holds the
 // allocation lock: letting another local allocation barge in would just
@@ -251,7 +236,7 @@ func (c *Coordinator) backoffLocked() {
 	if c.contention < 16 {
 		c.contention++
 	}
-	time.Sleep(backoffDelay(c.contention, c.rng, c.backoffCap))
+	time.Sleep(backoffDelay(c.contention, c.rng, DefaultBackoffCap))
 }
 
 // backoffDelay computes one jittered backoff: uniform in

@@ -1,9 +1,13 @@
 package net
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -409,5 +413,33 @@ func TestNodeProtocolRules(t *testing.T) {
 	}
 	if _, promised := n.State(); promised != 4 {
 		t.Fatalf("grant under epoch 4 left promise at %d", promised)
+	}
+}
+
+// A fence body larger than maxRequestBytes is refused with a 4xx before
+// the decoder finishes it, so the padded epoch is never promised; a
+// normal fence on the same handler still acks.
+func TestNodeRejectsOversizeBody(t *testing.T) {
+	n := NewNode()
+	h := n.Handler()
+	pad := strings.Repeat("x", 2*maxRequestBytes)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathFence,
+		strings.NewReader(`{"epoch":5,"pad":"`+pad+`"}`)))
+	if rec.Code < 400 || rec.Code >= 500 {
+		t.Fatalf("oversize fence: status %d, want 4xx", rec.Code)
+	}
+	if accepted, promised := n.State(); accepted != 0 || promised != 0 {
+		t.Fatalf("oversize fence changed state to (%d, %d)", accepted, promised)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathFence, strings.NewReader(`{"epoch":5}`)))
+	var ack wireAck
+	if err := json.NewDecoder(rec.Body).Decode(&ack); rec.Code != http.StatusOK || err != nil || !ack.OK {
+		t.Fatalf("normal fence: status %d, ack %+v, err %v", rec.Code, ack, err)
+	}
+	if _, promised := n.State(); promised != 5 {
+		t.Fatalf("normal fence left promise at %d, want 5", promised)
 	}
 }
