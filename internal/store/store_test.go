@@ -321,60 +321,77 @@ func TestFileBackendTornTailTruncated(t *testing.T) {
 }
 
 // TestFileBackendConcurrentAppend drives concurrent appenders through
-// the group-commit path and checks that every acknowledged record
-// replays, and that the fsync groups account for every record exactly
-// once.
+// the group-commit path, each appending batch records per call (Append
+// for one, AppendBatch otherwise), and checks that every acknowledged
+// record replays, and that the fsync groups account for every record
+// exactly once.
 func TestFileBackendConcurrentAppend(t *testing.T) {
-	dir := t.TempDir()
-	reg := metrics.NewRegistry()
-	f, err := OpenFile(dir, FileOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, perWorker = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				rec := Record{Kind: KindLease, Value: int64(w*perWorker + i + 1)}
-				if err := f.Append(rec); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
+	for _, batch := range []int{1, 16, 128} {
+		batch := batch
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			reg := metrics.NewRegistry()
+			f, err := OpenFile(dir, FileOptions{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	f.Close()
+			const workers, calls = 8, 50
+			total := workers * calls * batch
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						recs := make([]Record, batch)
+						for j := range recs {
+							recs[j] = Record{Kind: KindLease, Value: int64(((w*calls+i)*batch + j) + 1)}
+						}
+						var err error
+						if batch == 1 {
+							err = f.Append(recs[0])
+						} else {
+							err = f.AppendBatch(recs)
+						}
+						if err != nil {
+							t.Errorf("append: %v", err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			f.Close()
 
-	groups := reg.Histogram(MetricFsyncBatch, "", nil)
-	if got := groups.Sum(); got != workers*perWorker {
-		t.Errorf("fsync groups covered %v records, want %d", got, workers*perWorker)
-	}
-	if fsyncs := reg.Counter(MetricWALFsyncs, "").Value(); groups.Count() != fsyncs {
-		t.Errorf("%d fsync groups observed for %d fsyncs", groups.Count(), fsyncs)
-	}
+			groups := reg.Histogram(MetricFsyncBatch, "", nil)
+			if got := groups.Sum(); got != float64(total) {
+				t.Errorf("fsync groups covered %v records, want %d", got, total)
+			}
+			if fsyncs := reg.Counter(MetricWALFsyncs, "").Value(); groups.Count() != fsyncs {
+				t.Errorf("%d fsync groups observed for %d fsyncs", groups.Count(), fsyncs)
+			}
 
-	g, err := OpenFile(dir, FileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	_, recs, err := g.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]bool, len(recs))
-	for _, rec := range recs {
-		if seen[rec.Value] {
-			t.Fatalf("value %d appears twice", rec.Value)
-		}
-		seen[rec.Value] = true
-	}
-	if len(seen) != workers*perWorker {
-		t.Fatalf("replayed %d distinct records, want %d", len(seen), workers*perWorker)
+			g, err := OpenFile(dir, FileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			_, recs, err := g.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[int64]bool, len(recs))
+			for _, rec := range recs {
+				if seen[rec.Value] {
+					t.Fatalf("value %d appears twice", rec.Value)
+				}
+				seen[rec.Value] = true
+			}
+			if len(seen) != total {
+				t.Fatalf("replayed %d distinct records, want %d", len(seen), total)
+			}
+		})
 	}
 }
 
