@@ -188,8 +188,8 @@ func (g *quorumGroup) heal(victim int) { g.proxies[victim].Heal() }
 
 // scheduleFault watches the scenario's progress and fires the fault
 // once roughly half the token traffic has happened ("mid-rush"), then
-// heals it around the three-quarter mark so the victim's rejoin (and
-// the failure detector's readmission) also runs under live traffic.
+// heals it around the three-quarter mark so the victim's rejoin and
+// catch-up also run under live traffic.
 // The exact thresholds and the victim are derived from the chaos seed,
 // so CI can sweep timings without losing reproducibility. The returned
 // stop function ends the watcher (healing, if the run finished

@@ -138,3 +138,17 @@ func DiffGolden(path, got string) error {
 	}
 	return nil
 }
+
+// Endless answers every request 200 with a JSON string that never ends:
+// a misbehaving server whose reply a client must cap instead of reading
+// without bound. It returns once the client hangs up.
+func Endless(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	chunk := bytes.Repeat([]byte("a"), 64<<10)
+	_, _ = w.Write([]byte(`{"x":"`))
+	for {
+		if _, err := w.Write(chunk); err != nil {
+			return
+		}
+	}
+}

@@ -1,4 +1,4 @@
-package tshttp
+package rpc
 
 import (
 	"errors"
@@ -6,15 +6,16 @@ import (
 	"net"
 )
 
-// TransportError is a connection-level failure talking to the Token
-// Service — dial failures, resets, timeouts — as opposed to a service
-// denial (which arrives as an HTTP status plus wire error). It carries
-// the retry classification the client worked out:
+// TransportError is a connection-level failure talking to a server —
+// dial failures, resets, timeouts — as opposed to a denial (which
+// arrives as an HTTP status plus an {"error": …} body). It carries the
+// retry classification the client worked out:
 //
-//   - Retryable: the request provably never reached the service (the
+//   - Retryable: the request provably never reached the server (the
 //     dial itself failed) or the call is idempotent, so repeating it
 //     cannot double-spend anything. The client already retried these
-//     internally; a surviving retryable error means retries ran out.
+//     up to Client.Retries times; a surviving retryable error means
+//     retries ran out.
 //   - Fatal (Retryable=false): the connection died after the request
 //     may have been written. For POST /v1/token[s] the service may have
 //     issued the token — consuming a one-time counter index — and lost
@@ -44,8 +45,8 @@ func (e *TransportError) Unwrap() error { return e.Err }
 
 // IsRetryable reports whether err is a transport failure that is safe
 // to resubmit verbatim: either the request provably never reached the
-// service or the call was idempotent. Service denials (HTTP-level
-// errors) are never retryable.
+// server or the call was idempotent. Denials (HTTP-level errors) are
+// never retryable.
 func IsRetryable(err error) bool {
 	var te *TransportError
 	return errors.As(err, &te) && te.Retryable
@@ -53,15 +54,15 @@ func IsRetryable(err error) bool {
 
 // classifyTransport wraps a transport error with its retry
 // classification. idempotent marks calls that are safe to repeat even
-// if the first attempt was processed (GETs, rule PUTs).
+// if the first attempt was processed (GETs and PUTs).
 func classifyTransport(op string, err error, idempotent bool) *TransportError {
 	return &TransportError{Op: op, Retryable: idempotent || provablyUnsent(err), Err: err}
 }
 
 // provablyUnsent reports whether the failure happened before any byte
-// of the request could reach the service: the dial itself failed
+// of the request could reach the server: the dial itself failed
 // (connection refused, unreachable host). A reset or EOF after the
-// connection was up is ambiguous — the service may have processed the
+// connection was up is ambiguous — the server may have processed the
 // request and lost only the reply — so it does NOT qualify.
 func provablyUnsent(err error) bool {
 	var op *net.OpError

@@ -1,15 +1,14 @@
 package membership
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 	"repro/internal/store"
 	"repro/internal/ts"
 	"repro/internal/ts/ring"
@@ -517,114 +516,69 @@ type (
 	wireDrainReq struct {
 		Group string `json:"group"`
 	}
-	wireError struct {
-		Error string `json:"error"`
-	}
 )
+
+// maxBodyBytes caps a member or admin request body.
+const maxBodyBytes = 1 << 20
 
 // Handler returns the member + admin endpoints. Mount it behind the
 // frontend's owner-token guard: every route mutates issuance state.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	self := local{m}
-	mux.HandleFunc(PathFreeze, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathFreeze, func(w http.ResponseWriter, r *http.Request) {
 		info, err := self.Freeze()
 		respond(w, info, err)
 	})
-	mux.HandleFunc(PathAdvance, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathAdvance, func(w http.ResponseWriter, r *http.Request) {
 		var req wireAdvanceReq
-		if !decode(w, r, &req) {
-			return
+		if rpc.Decode(w, r, maxBodyBytes, &req) {
+			respond(w, struct{}{}, self.Advance(req.View, req.URLs))
 		}
-		respond(w, struct{}{}, self.Advance(req.View, req.URLs))
 	})
-	mux.HandleFunc(PathResume, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathResume, func(w http.ResponseWriter, r *http.Request) {
 		respond(w, struct{}{}, self.Resume())
 	})
-	mux.HandleFunc(PathRelease, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathRelease, func(w http.ResponseWriter, r *http.Request) {
 		ranges, err := self.ReleaseLeases()
 		respond(w, wireRangesResp{Ranges: ranges}, err)
 	})
-	mux.HandleFunc(PathAdopt, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathAdopt, func(w http.ResponseWriter, r *http.Request) {
 		var req wireAdoptReq
-		if !decode(w, r, &req) {
-			return
+		if rpc.Decode(w, r, maxBodyBytes, &req) {
+			respond(w, struct{}{}, self.AdoptLeases(req.Ranges))
 		}
-		respond(w, struct{}{}, self.AdoptLeases(req.Ranges))
 	})
-	mux.HandleFunc(PathView, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+PathView, func(w http.ResponseWriter, r *http.Request) {
 		respond(w, m.State(), nil)
 	})
-	mux.HandleFunc(PathJoin, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathJoin, func(w http.ResponseWriter, r *http.Request) {
 		var req wireJoinReq
-		if !decode(w, r, &req) {
-			return
+		if rpc.Decode(w, r, maxBodyBytes, &req) {
+			res, err := m.Join(req.Group, req.URL)
+			respond(w, res, err)
 		}
-		res, err := m.Join(req.Group, req.URL)
-		respond(w, res, err)
 	})
-	mux.HandleFunc(PathDrain, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathDrain, func(w http.ResponseWriter, r *http.Request) {
 		var req wireDrainReq
-		if !decode(w, r, &req) {
-			return
+		if rpc.Decode(w, r, maxBodyBytes, &req) {
+			res, err := m.Drain(req.Group)
+			respond(w, res, err)
 		}
-		res, err := m.Drain(req.Group)
-		respond(w, res, err)
 	})
-	mux.HandleFunc(PathRepair, func(w http.ResponseWriter, r *http.Request) {
-		if !postOnly(w, r) {
-			return
-		}
+	mux.HandleFunc("POST "+PathRepair, func(w http.ResponseWriter, r *http.Request) {
 		res, err := m.Repair()
 		respond(w, res, err)
 	})
 	return mux
 }
 
-func postOnly(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
-}
-
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil || json.Unmarshal(body, v) != nil {
-		http.Error(w, "bad request body", http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
+// respond answers a member or admin call: v, or the operation's error
+// as a 409.
 func respond(w http.ResponseWriter, v any, err error) {
-	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
-		w.WriteHeader(http.StatusConflict)
-		_ = json.NewEncoder(w).Encode(wireError{Error: err.Error()})
+		rpc.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	_ = json.NewEncoder(w).Encode(v)
+	rpc.WriteJSON(w, http.StatusOK, v)
 }

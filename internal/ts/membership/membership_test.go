@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/nettest"
 	"repro/internal/store"
 	"repro/internal/ts"
 	"repro/internal/ts/ring"
@@ -278,8 +280,8 @@ func TestAdvanceIdempotentPerEpoch(t *testing.T) {
 	if err := rem.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := rem.FetchState(); err != nil || st.View.Epoch != 2 {
-		t.Fatalf("FetchState = %+v, %v", st, err)
+	if v := f.manager.View(); v.Epoch != 2 {
+		t.Fatalf("view after the advance = %+v, want epoch 2", v)
 	}
 }
 
@@ -500,5 +502,20 @@ func TestChangeGuards(t *testing.T) {
 	}
 	if _, err := f.manager.Join("", ""); err == nil {
 		t.Fatal("empty join accepted")
+	}
+}
+
+// A member whose reply never ends must cost the controller a prompt
+// error at the reply cap, not an unbounded read until the call deadline.
+func TestRemoteCapsEndlessReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(nettest.Endless))
+	t.Cleanup(srv.Close)
+	start := time.Now()
+	_, err := (&Remote{GroupName: "x", Base: srv.URL}).Freeze()
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless reply: err = %v, want the reply cap", err)
+	}
+	if d := time.Since(start); d > DefaultMemberTimeout/2 {
+		t.Fatalf("endless reply took %v to fail", d)
 	}
 }

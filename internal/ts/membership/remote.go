@@ -1,13 +1,11 @@
 package membership
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/ts"
 	"repro/internal/ts/ring"
 )
@@ -29,7 +27,8 @@ type Remote struct {
 // view change forever.
 const DefaultMemberTimeout = 5 * time.Second
 
-var memberClient = &http.Client{Timeout: DefaultMemberTimeout}
+// memberHTTP is the connection pool every Remote shares.
+var memberHTTP = rpc.NewHTTPClient()
 
 func (r *Remote) Group() string { return r.GroupName }
 
@@ -42,11 +41,11 @@ func (r *Remote) Freeze() (FreezeInfo, error) {
 }
 
 func (r *Remote) Advance(v ring.View, urls map[string]string) error {
-	return r.post(PathAdvance, wireAdvanceReq{View: v, URLs: urls}, &struct{}{})
+	return r.post(PathAdvance, wireAdvanceReq{View: v, URLs: urls}, nil)
 }
 
 func (r *Remote) Resume() error {
-	return r.post(PathResume, struct{}{}, &struct{}{})
+	return r.post(PathResume, struct{}{}, nil)
 }
 
 func (r *Remote) ReleaseLeases() ([]ts.IndexRange, error) {
@@ -58,63 +57,10 @@ func (r *Remote) ReleaseLeases() ([]ts.IndexRange, error) {
 }
 
 func (r *Remote) AdoptLeases(ranges []ts.IndexRange) error {
-	return r.post(PathAdopt, wireAdoptReq{Ranges: ranges}, &struct{}{})
-}
-
-// FetchState reads the remote frontend's current membership state — the
-// bootstrap call a joining frontend can use to discover the cluster's
-// view before asking to join.
-func (r *Remote) FetchState() (State, error) {
-	req, err := http.NewRequest(http.MethodGet, r.Base+PathView, nil)
-	if err != nil {
-		return State{}, err
-	}
-	r.auth(req)
-	var st State
-	if err := doJSON(req, &st); err != nil {
-		return State{}, fmt.Errorf("membership: fetch view from %s: %w", r.Base, err)
-	}
-	return st, nil
-}
-
-func (r *Remote) auth(req *http.Request) {
-	if r.OwnerToken != "" {
-		req.Header.Set("Authorization", "Bearer "+r.OwnerToken)
-	}
+	return r.post(PathAdopt, wireAdoptReq{Ranges: ranges}, nil)
 }
 
 func (r *Remote) post(path string, body, out any) error {
-	blob, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, r.Base+path, bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	r.auth(req)
-	if err := doJSON(req, out); err != nil {
-		return fmt.Errorf("membership: %s %s%s: %w", r.GroupName, r.Base, path, err)
-	}
-	return nil
-}
-
-func doJSON(req *http.Request, out any) error {
-	resp, err := memberClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var we wireError
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&we) == nil && we.Error != "" {
-			return fmt.Errorf("status %d: %s", resp.StatusCode, we.Error)
-		}
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	c := rpc.Client{Base: r.Base, HTTP: memberHTTP, Bearer: r.OwnerToken, Timeout: DefaultMemberTimeout}
+	return c.Call(fmt.Sprintf("membership: %s %s%s", r.GroupName, r.Base, path), http.MethodPost, path, body, out)
 }

@@ -1,19 +1,15 @@
 package net
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 )
 
 // ErrNoQuorum is returned when fewer than a majority of replicas respond.
@@ -32,9 +28,6 @@ const (
 	// detector slowing every round) can legitimately collide for
 	// dozens of rounds before the jittered backoff desynchronizes them.
 	maxFenceRounds = 64
-	// downAfter is the consecutive-failure count at which a replica is
-	// suspected down.
-	downAfter = 3
 	// DefaultBackoffCap bounds one contention-backoff sleep. The cap is
 	// what makes chaos timing analyzable: a worst-case grant needs at
 	// most maxProposeRounds sleeps, so the total stall a duel can add is
@@ -52,7 +45,8 @@ const MetricGrantRetries = "coordinator_grant_retries_total"
 type Options struct {
 	// Timeout bounds each replica RPC (0 = DefaultTimeout).
 	Timeout time.Duration
-	// Client overrides the HTTP client (nil = a pooled default).
+	// Client overrides the HTTP client (nil = a pooled default from
+	// rpc.NewHTTPClient).
 	Client *http.Client
 	// Metrics receives coordinator counters (nil = the process default
 	// registry).
@@ -66,14 +60,8 @@ type Options struct {
 // indexes stay unique across all of them). The group tolerates
 // ⌊(N−1)/2⌋ unreachable replicas.
 type Coordinator struct {
-	peers   []string
-	client  *http.Client
-	timeout time.Duration
-
-	// fails[i] counts consecutive failed RPCs to peers[i] — the failure
-	// detector. Atomics because straggler RPCs from an early-returned
-	// round report after the round moved on.
-	fails []atomic.Int32
+	// peers holds one client per replica, sharing one connection pool.
+	peers []rpc.Client
 
 	mu     sync.Mutex
 	epoch  int64
@@ -101,24 +89,19 @@ func NewCoordinator(peers []string, opts Options) (*Coordinator, error) {
 		opts.Timeout = DefaultTimeout
 	}
 	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 8,
-		}}
+		opts.Client = rpc.NewHTTPClient()
+	}
+	clients := make([]rpc.Client, len(peers))
+	for i, url := range peers {
+		clients[i] = rpc.Client{Base: url, HTTP: opts.Client, Timeout: opts.Timeout}
 	}
 	return &Coordinator{
-		peers:   append([]string(nil), peers...),
-		client:  opts.Client,
-		timeout: opts.Timeout,
-		fails:   make([]atomic.Int32, len(peers)),
-		rng:     rand.New(rand.NewSource(rand.Int63())),
+		peers: clients,
+		rng:   rand.New(rand.NewSource(rand.Int63())),
 		grantRetries: metrics.Or(opts.Metrics).Counter(MetricGrantRetries,
 			"Coordinator grant rounds retried after a lost lease race or epoch preemption."),
 	}, nil
 }
-
-// Peers returns the replica base URLs the coordinator speaks to.
-func (c *Coordinator) Peers() []string { return append([]string(nil), c.peers...) }
 
 // Epoch returns the currently established epoch (0 before the first
 // successful fence).
@@ -126,19 +109,6 @@ func (c *Coordinator) Epoch() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.epoch
-}
-
-// Down returns the peers currently suspected down: those whose last
-// downAfter (or more) RPCs all failed. A single successful RPC clears
-// the suspicion — rejoined replicas are readmitted immediately.
-func (c *Coordinator) Down() []string {
-	var down []string
-	for i := range c.fails {
-		if c.fails[i].Load() >= downAfter {
-			down = append(down, c.peers[i])
-		}
-	}
-	return down
 }
 
 func (c *Coordinator) majority() int { return len(c.peers)/2 + 1 }
@@ -285,8 +255,7 @@ func (c *Coordinator) readMaxLocked() (int64, error) {
 	for i := range c.peers {
 		go func(i int) {
 			var st wireState
-			err := c.get(c.peers[i]+PathState, &st)
-			c.note(i, err)
+			err := c.peers[i].Call(PathState, http.MethodGet, PathState, nil, &st)
 			ch <- peerReply{err: err, ack: wireAck{OK: err == nil, State: st}}
 		}(i)
 	}
@@ -322,14 +291,13 @@ type peerReply struct {
 // round broadcasts a POST to every replica in parallel and gathers
 // until a majority acks or everyone answered. Stragglers (e.g. a
 // blackholed replica waiting out its timeout) resolve in the
-// background — the buffered channel absorbs them, and their outcome
-// still feeds the failure detector via note.
+// background — the buffered channel absorbs them.
 func (c *Coordinator) round(path string, req any) (acks, replies int, maxPromised int64) {
 	ch := make(chan peerReply, len(c.peers))
 	for i := range c.peers {
 		go func(i int) {
-			ack, err := c.post(c.peers[i]+path, req)
-			c.note(i, err)
+			var ack wireAck
+			err := c.peers[i].Call(path, http.MethodPost, path, req, &ack)
 			ch <- peerReply{ack: ack, err: err}
 		}(i)
 	}
@@ -350,58 +318,4 @@ func (c *Coordinator) round(path string, req any) (acks, replies int, maxPromise
 		}
 	}
 	return acks, replies, maxPromised
-}
-
-// note feeds the failure detector: errors increment the peer's
-// consecutive-failure count, successes clear it.
-func (c *Coordinator) note(peer int, err error) {
-	if err != nil {
-		c.fails[peer].Add(1)
-	} else {
-		c.fails[peer].Store(0)
-	}
-}
-
-func (c *Coordinator) post(url string, req any) (wireAck, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return wireAck{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return wireAck{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	var ack wireAck
-	if err := c.do(hreq, &ack); err != nil {
-		return wireAck{}, err
-	}
-	return ack, nil
-}
-
-func (c *Coordinator) get(url string, v any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(hreq, v)
-}
-
-func (c *Coordinator) do(req *http.Request, v any) error {
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica/net: %s: status %d", req.URL.Path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

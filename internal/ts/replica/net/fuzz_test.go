@@ -17,7 +17,8 @@ import (
 // byte, and that many body bytes. After every op it checks:
 //
 //   - the handler never panics;
-//   - a malformed fence/grant body gets 400, a wrong method 405;
+//   - a fence/grant body that is not exactly one JSON value of its type
+//     (trailing data included) gets 400, a wrong method 405;
 //   - the replica's accepted lease and promised epoch never decrease;
 //   - every 200 reply's state equals Node.State().
 func FuzzNodeHandler(f *testing.F) {
@@ -27,6 +28,7 @@ func FuzzNodeHandler(f *testing.F) {
 	f.Add(seq(op(4, `{"epoch":3}`), op(4, `{"epoch":2}`), op(5, `{"epoch":2,"lease":9}`),
 		op(5, `{"epoch":4,"lease":-1}`), op(5, `{"epoch":4,"lease":2}`)))
 	f.Add(op(4, `{"epoch":`))
+	f.Add(seq(op(4, `{"epoch":7}garbage`), op(5, `{"epoch":1,"lease":1} `)))
 	f.Add(op(5, `{"epoch":"x","lease":1}`))
 	f.Add(seq(op(1, ""), op(3, ""), op(2, `{"epoch":1,"lease":1}`)))
 
@@ -81,14 +83,14 @@ func FuzzNodeHandler(f *testing.F) {
 	})
 }
 
-// decodes reports whether body is a well-formed request for path, by the
-// same decoder the handler runs.
+// decodes reports whether body is a well-formed request for path: one
+// JSON value of the request type, nothing but whitespace after it.
 func decodes(path string, body []byte) bool {
 	var v any = &wireFenceRequest{}
 	if path == PathGrant {
 		v = &wireGrantRequest{}
 	}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(v) == nil
+	return json.Unmarshal(body, v) == nil
 }
 
 func expectStatus(t *testing.T, rec *httptest.ResponseRecorder, want int, method, path string, body []byte) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nettest"
 	"repro/internal/store"
 )
 
@@ -143,8 +144,7 @@ func TestConcurrentCoordinatorsAllocateUniqueLeases(t *testing.T) {
 	}
 }
 
-// Killing one of three replicas must not stall allocation, and the
-// failure detector must flag the dead peer.
+// Killing one of three replicas must not stall allocation.
 func TestKillOneOfThreeContinues(t *testing.T) {
 	servers, urls := startGroup(t, 3)
 	c := newCoordinator(t, urls)
@@ -165,10 +165,6 @@ func TestKillOneOfThreeContinues(t *testing.T) {
 			t.Fatalf("lease %d not increasing after %d", v, last)
 		}
 		last = v
-	}
-	down := c.Down()
-	if len(down) != 1 || down[0] != urls[1] {
-		t.Fatalf("failure detector reports %v, want [%s]", down, urls[1])
 	}
 }
 
@@ -191,7 +187,7 @@ func TestKillTwoOfThreeNoQuorum(t *testing.T) {
 }
 
 // A killed replica that rejoins at the same address is readmitted by
-// the failure detector and caught up by the first grant it acks.
+// the coordinator and caught up by the first grant it acks.
 func TestRejoinCatchesUp(t *testing.T) {
 	servers, urls := startGroup(t, 3)
 	c := newCoordinator(t, urls)
@@ -211,9 +207,6 @@ func TestRejoinCatchesUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		frontier = v
-	}
-	if len(c.Down()) != 1 {
-		t.Fatalf("failure detector reports %v, want the killed replica", c.Down())
 	}
 
 	// Rejoin: same node state machine, same address. The port can
@@ -235,9 +228,6 @@ func TestRejoinCatchesUp(t *testing.T) {
 		if _, err := c.Next(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if down := c.Down(); len(down) != 0 {
-		t.Fatalf("failure detector still reports %v after rejoin", down)
 	}
 	accepted, _ := node.State()
 	if accepted <= frontier {
@@ -441,5 +431,25 @@ func TestNodeRejectsOversizeBody(t *testing.T) {
 	}
 	if _, promised := n.State(); promised != 5 {
 		t.Fatalf("normal fence left promise at %d, want 5", promised)
+	}
+}
+
+// A replica whose reply never ends must cost the coordinator a prompt
+// failed RPC at the reply cap, not an unbounded read until the RPC
+// deadline.
+func TestCoordinatorCapsEndlessReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(nettest.Endless))
+	t.Cleanup(srv.Close)
+	const timeout = 30 * time.Second
+	c, err := NewCoordinator([]string{srv.URL}, Options{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := c.Next(); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("endless replica: err = %v, want ErrNoQuorum", err)
+	}
+	if d := time.Since(start); d > timeout/2 {
+		t.Fatalf("endless reply took %v to fail", d)
 	}
 }

@@ -1,12 +1,11 @@
 package net
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
+	"repro/internal/rpc"
 	"repro/internal/store"
 )
 
@@ -115,44 +114,27 @@ func (n *Node) Grant(epoch, lease int64) (wireAck, error) {
 // PathGrant).
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathState, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET "+PathState, func(w http.ResponseWriter, r *http.Request) {
 		accepted, promised := n.State()
-		writeJSON(w, wireState{Accepted: accepted, Promised: promised})
+		rpc.WriteJSON(w, http.StatusOK, wireState{Accepted: accepted, Promised: promised})
 	})
-	mux.HandleFunc(PathFence, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+PathFence, func(w http.ResponseWriter, r *http.Request) {
 		var req wireFenceRequest
-		if !readJSON(w, r, &req) {
+		if !rpc.Decode(w, r, maxRequestBytes, &req) {
 			return
 		}
 		ack, err := n.Fence(req.Epoch)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, ack)
+		writeAck(w, ack, err)
 	})
-	mux.HandleFunc(PathGrant, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+PathGrant, func(w http.ResponseWriter, r *http.Request) {
 		var req wireGrantRequest
-		if !readJSON(w, r, &req) {
+		if !rpc.Decode(w, r, maxRequestBytes, &req) {
 			return
 		}
 		ack, err := n.Grant(req.Epoch, req.Lease)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, ack)
+		writeAck(w, ack, err)
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // maxRequestBytes caps a fence or grant body. A legitimate one is two
@@ -160,19 +142,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 // from streaming an unbounded body into the decoder.
 const maxRequestBytes = 4 << 10
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
+// writeAck answers a fence or grant: the ack, or a 500 when the journal
+// refused the promise or lease.
+func writeAck(w http.ResponseWriter, ack wireAck, err error) {
+	if err != nil {
+		rpc.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "bad request: "+err.Error(), status)
-		return false
-	}
-	return true
+	rpc.WriteJSON(w, http.StatusOK, ack)
 }

@@ -4,7 +4,7 @@
 // value ... efficiently realized via a replicated counter primitive").
 // Replica Nodes speak HTTP/JSON and a client-side Coordinator implements
 // ts.Counter by running a lease-based majority-ack protocol against them,
-// with epoch fencing, replica failure detection, and rejoin-with-catchup.
+// with epoch fencing and rejoin-with-catchup.
 // The group tolerates ⌊(N−1)/2⌋ unreachable replicas.
 //
 // Protocol, per allocation:

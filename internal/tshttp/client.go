@@ -1,16 +1,13 @@
 package tshttp
 
 import (
-	"bytes"
-	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/rules"
 	"repro/internal/ts"
 )
@@ -21,14 +18,9 @@ import (
 // requests, so a token per transaction does not cost a TCP (and, in
 // production, TLS) handshake per transaction.
 type Client struct {
-	base string
-	http *http.Client
-	// batch shares http's transport (and connection pool) but carries no
-	// client-wide timeout: batch calls are bounded per call by a context
-	// scaled to the batch size, which Client.Timeout would otherwise cap
-	// at the single-request budget.
-	batch *http.Client
-	owner string
+	// api and owner share one connection pool; only owner calls (the
+	// rule administration routes) carry the bearer secret.
+	api, owner rpc.Client
 }
 
 // singleTimeout bounds one-request calls; batch calls extend it by
@@ -40,98 +32,30 @@ const (
 )
 
 // transportRetries is how many times a call is resubmitted after a
-// transport failure classified retryable (see TransportError) before
-// the error surfaces; retryBackoff spaces the attempts.
-const (
-	transportRetries = 2
-	retryBackoff     = 25 * time.Millisecond
-)
+// transport failure classified retryable (see rpc.TransportError)
+// before the error surfaces.
+const transportRetries = 2
 
 // NewClient creates a client for the service at base (e.g.
 // "http://127.0.0.1:8546"). ownerToken may be empty for pure clients.
 func NewClient(base string, ownerToken string) *Client {
-	// Clone the default transport when possible (keeping proxy and TLS
-	// defaults); a host application may have replaced it with another
-	// RoundTripper, in which case start from a fresh Transport.
-	transport, ok := http.DefaultTransport.(*http.Transport)
-	if ok {
-		transport = transport.Clone()
-	} else {
-		transport = &http.Transport{}
-	}
-	// The default per-host idle cap (2) throttles concurrent wallets and
-	// load generators; keep a healthy pool instead.
-	transport.MaxIdleConns = 256
-	transport.MaxIdleConnsPerHost = 256
-	return &Client{
-		base:  base,
-		http:  &http.Client{Timeout: singleTimeout, Transport: transport},
-		batch: &http.Client{Transport: transport},
-		owner: ownerToken,
-	}
-}
-
-// drainClose consumes any unread remainder of body before closing, so the
-// underlying connection returns to the idle pool instead of being torn
-// down (json.Decoder stops at the end of the value, leaving the trailing
-// newline unread).
-func drainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, body)
-	_ = body.Close()
-}
-
-// doRetry runs fn until it yields a response, resubmitting on transport
-// failures that are safe to retry: idempotent calls always, others only
-// when the request provably never reached the service (dial failures).
-// A non-retryable failure — or retryable ones past transportRetries —
-// surfaces as a *TransportError carrying the classification.
-func doRetry(op string, idempotent bool, fn func() (*http.Response, error)) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := fn()
-		if err == nil {
-			return resp, nil
-		}
-		werr := classifyTransport(op, err, idempotent)
-		if !werr.Retryable || attempt >= transportRetries {
-			return nil, werr
-		}
-		time.Sleep(retryBackoff)
-	}
-}
-
-// errorFromResponse drains a non-200 response's wire error into one
-// formatted error.
-func errorFromResponse(resp *http.Response, what string) error {
-	var we wireError
-	_ = json.NewDecoder(resp.Body).Decode(&we)
-	return fmt.Errorf("%s (%d): %s", what, resp.StatusCode, we.Error)
+	api := rpc.Client{Base: base, HTTP: rpc.NewHTTPClient(), Timeout: singleTimeout, Retries: transportRetries}
+	owner := api
+	owner.Bearer = ownerToken
+	return &Client{api: api, owner: owner}
 }
 
 // RequestToken submits a token request and returns the parsed token.
+// Token issuance is NOT idempotent (a successful issue consumes a
+// one-time index), so only provably-unsent failures are retried.
 func (c *Client) RequestToken(req *core.Request) (core.Token, error) {
 	wr, err := FromRequest(req)
 	if err != nil {
 		return core.Token{}, err
 	}
-	body, err := json.Marshal(wr)
-	if err != nil {
-		return core.Token{}, err
-	}
-	// Token issuance is NOT idempotent (a successful issue consumes a
-	// one-time index), so only provably-unsent failures are retried.
-	resp, err := doRetry("token request", false, func() (*http.Response, error) {
-		return c.http.Post(c.base+"/v1/token", "application/json", bytes.NewReader(body))
-	})
-	if err != nil {
-		return core.Token{}, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return core.Token{}, errorFromResponse(resp, "token request denied")
-	}
 	var wt WireToken
-	if err := json.NewDecoder(resp.Body).Decode(&wt); err != nil {
-		return core.Token{}, fmt.Errorf("token response: %w", err)
+	if err := c.api.Call("token request", http.MethodPost, "/v1/token", wr, &wt); err != nil {
+		return core.Token{}, err
 	}
 	return parseWireToken(&wt)
 }
@@ -158,36 +82,15 @@ func (c *Client) RequestTokens(reqs []*core.Request) ([]ts.Result, error) {
 		}
 		wb.Requests[i] = *wr
 	}
-	body, err := json.Marshal(wb)
-	if err != nil {
-		return nil, err
-	}
-	// A full batch may legitimately take longer than a single request;
-	// extend the deadline per slot instead of relying on the client-wide
-	// single-request timeout.
-	ctx, cancel := context.WithTimeout(context.Background(),
-		singleTimeout+time.Duration(len(reqs))*batchSlotTimeout)
-	defer cancel()
-	// Batch issuance is as non-idempotent as the single path: retry only
-	// failures where no byte can have reached the service.
-	resp, err := doRetry("batch token request", false, func() (*http.Response, error) {
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/tokens", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		return c.batch.Do(httpReq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorFromResponse(resp, "batch token request denied")
-	}
+	// A full batch may legitimately take longer than a single request,
+	// so the deadline grows per slot. Batch issuance is as
+	// non-idempotent as the single path: only provably-unsent failures
+	// are retried.
+	batch := c.api
+	batch.Timeout += time.Duration(len(reqs)) * batchSlotTimeout
 	var wr WireBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return nil, fmt.Errorf("batch token response: %w", err)
+	if err := batch.Call("batch token request", http.MethodPost, "/v1/tokens", wb, &wr); err != nil {
+		return nil, err
 	}
 	if len(wr.Results) != len(reqs) {
 		return nil, fmt.Errorf("batch token response: %d results for %d requests", len(wr.Results), len(reqs))
@@ -219,18 +122,8 @@ type Info struct {
 // transport failures, non-200 responses, and malformed bodies — a zero
 // Info is never silently returned.
 func (c *Client) Info() (Info, error) {
-	resp, err := doRetry("info request", true, func() (*http.Response, error) {
-		return c.http.Get(c.base + "/v1/info")
-	})
-	if err != nil {
-		return Info{}, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return Info{}, errorFromResponse(resp, "info request failed")
-	}
 	var info Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := c.api.Call("info request", http.MethodGet, "/v1/info", nil, &info); err != nil {
 		return Info{}, err
 	}
 	return info, nil
@@ -250,69 +143,24 @@ type Stats struct {
 
 // Stats fetches the service's aggregate issued/rejected counters.
 func (c *Client) Stats() (Stats, error) {
-	resp, err := doRetry("stats request", true, func() (*http.Response, error) {
-		return c.http.Get(c.base + "/v1/stats")
-	})
-	if err != nil {
-		return Stats{}, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return Stats{}, errorFromResponse(resp, "stats request failed")
-	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.api.Call("stats request", http.MethodGet, "/v1/stats", nil, &st); err != nil {
 		return Stats{}, err
 	}
 	return st, nil
 }
 
-// UpdateRules replaces the service's ACRs (owner only).
+// UpdateRules replaces the service's ACRs (owner only). Replacing the
+// rule set is idempotent — resubmitting the same PUT converges to the
+// same state — so any transport failure is retried.
 func (c *Client) UpdateRules(rs *rules.RuleSet) error {
-	body, err := json.Marshal(rs)
-	if err != nil {
-		return err
-	}
-	// Replacing the rule set is idempotent — resubmitting the same PUT
-	// converges to the same state — so any transport failure is retried.
-	resp, err := doRetry("update rules", true, func() (*http.Response, error) {
-		req, err := http.NewRequest(http.MethodPut, c.base+"/v1/rules", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Authorization", "Bearer "+c.owner)
-		req.Header.Set("Content-Type", "application/json")
-		return c.http.Do(req)
-	})
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return errorFromResponse(resp, "update rules")
-	}
-	return nil
+	return c.owner.Call("update rules", http.MethodPut, "/v1/rules", rs, nil)
 }
 
 // FetchRules downloads the current ACRs (owner only).
 func (c *Client) FetchRules() (*rules.RuleSet, error) {
-	resp, err := doRetry("fetch rules", true, func() (*http.Response, error) {
-		req, err := http.NewRequest(http.MethodGet, c.base+"/v1/rules", nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Authorization", "Bearer "+c.owner)
-		return c.http.Do(req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorFromResponse(resp, "fetch rules")
-	}
 	rs := rules.NewRuleSet()
-	if err := json.NewDecoder(resp.Body).Decode(rs); err != nil {
+	if err := c.owner.Call("fetch rules", http.MethodGet, "/v1/rules", nil, rs); err != nil {
 		return nil, err
 	}
 	return rs, nil

@@ -2,7 +2,6 @@ package tshttp
 
 import (
 	"errors"
-	"io"
 	stdnet "net"
 	"net/http"
 	"sync/atomic"
@@ -11,40 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nettest"
+	"repro/internal/rpc"
 	"repro/internal/ts"
 )
-
-func TestTransportClassification(t *testing.T) {
-	dialErr := &stdnet.OpError{Op: "dial", Err: errors.New("connection refused")}
-	readErr := &stdnet.OpError{Op: "read", Err: errors.New("connection reset by peer")}
-
-	if e := classifyTransport("x", dialErr, false); !e.Retryable {
-		t.Error("dial failure on a non-idempotent call classified fatal; nothing was sent")
-	}
-	if e := classifyTransport("x", readErr, false); e.Retryable {
-		t.Error("mid-connection reset on a non-idempotent call classified retryable; the request may have been processed")
-	}
-	if e := classifyTransport("x", readErr, true); !e.Retryable {
-		t.Error("reset on an idempotent call classified fatal")
-	}
-	if e := classifyTransport("x", io.EOF, false); e.Retryable {
-		t.Error("bare EOF classified retryable for a POST")
-	}
-
-	wrapped := classifyTransport("token request", readErr, false)
-	if !errors.As(error(wrapped), new(*TransportError)) {
-		t.Error("classification lost the TransportError type")
-	}
-	if IsRetryable(wrapped) {
-		t.Error("IsRetryable true for a fatal error")
-	}
-	if !IsRetryable(classifyTransport("stats request", readErr, true)) {
-		t.Error("IsRetryable false for a retryable error")
-	}
-	if IsRetryable(errors.New("denied (403): rule")) {
-		t.Error("IsRetryable true for a non-transport error")
-	}
-}
 
 // reservePort returns a loopback address that is currently closed (its
 // listener is opened and immediately released).
@@ -67,7 +35,7 @@ func TestPostDialFailureIsRetryable(t *testing.T) {
 	if err == nil {
 		t.Fatal("request against a closed port succeeded")
 	}
-	if !IsRetryable(err) {
+	if !rpc.IsRetryable(err) {
 		t.Fatalf("dial failure not classified retryable: %v", err)
 	}
 }
@@ -170,11 +138,11 @@ func TestMidRequestResetIsFatalAndNotResubmitted(t *testing.T) {
 	if err == nil {
 		t.Fatal("request survived a mid-flight reset")
 	}
-	var te *TransportError
+	var te *rpc.TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("reset surfaced as %T (%v), want *TransportError", err, err)
 	}
-	if te.Retryable || IsRetryable(err) {
+	if te.Retryable || rpc.IsRetryable(err) {
 		t.Fatalf("mid-request reset classified retryable: %v", err)
 	}
 	if got := posts.Load(); got > warm+1 {

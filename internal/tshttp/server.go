@@ -3,7 +3,6 @@ package tshttp
 import (
 	"crypto/subtle"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 	"repro/internal/rules"
 	"repro/internal/ts"
 )
@@ -78,7 +78,7 @@ func NewServerWithOptions(svc *ts.Service, ownerToken string, opts ServerOptions
 	handle("GET /v1/rules", "/v1/rules", s.ownerOnly(s.handleGetRules))
 	handle("PUT /v1/rules", "/v1/rules", s.ownerOnly(s.handlePutRules))
 	handle("GET /healthz", "/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		rpc.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.Handle("GET /metrics", reg.Handler())
 	if opts.Admin != nil {
@@ -103,13 +103,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) ownerOnly(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.ownerToken == "" {
-			writeJSON(w, http.StatusForbidden, wireError{Error: "rule administration disabled"})
+			rpc.WriteError(w, http.StatusForbidden, "rule administration disabled")
 			return
 		}
 		got := r.Header.Get("Authorization")
 		want := "Bearer " + s.ownerToken
 		if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
-			writeJSON(w, http.StatusUnauthorized, wireError{Error: "owner authorization required"})
+			rpc.WriteError(w, http.StatusUnauthorized, "owner authorization required")
 			return
 		}
 		next(w, r)
@@ -130,13 +130,12 @@ const (
 
 func (s *Server) handleToken(w http.ResponseWriter, r *http.Request) {
 	var wr WireRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTokenBodyBytes)).Decode(&wr); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad JSON: " + err.Error()})
+	if !rpc.Decode(w, r, maxTokenBodyBytes, &wr) {
 		return
 	}
 	req, err := ToRequest(&wr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: err.Error()})
+		rpc.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	tk, err := s.svc.Issue(req)
@@ -145,10 +144,10 @@ func (s *Server) handleToken(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrBadRequest) {
 			status = http.StatusBadRequest
 		}
-		writeJSON(w, status, wireError{Error: err.Error()})
+		rpc.WriteError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, WireToken{
+	rpc.WriteJSON(w, http.StatusOK, WireToken{
 		Token:  hex.EncodeToString(tk.Encode()),
 		Expire: tk.Expire.Unix(),
 		Index:  tk.Index,
@@ -161,17 +160,16 @@ const maxBatchSize = 1024
 
 func (s *Server) handleTokenBatch(w http.ResponseWriter, r *http.Request) {
 	var wb WireBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&wb); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad JSON: " + err.Error()})
+	if !rpc.Decode(w, r, maxBatchBodyBytes, &wb) {
 		return
 	}
 	if len(wb.Requests) == 0 {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "empty batch"})
+		rpc.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(wb.Requests) > maxBatchSize {
-		writeJSON(w, http.StatusBadRequest,
-			wireError{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(wb.Requests), maxBatchSize)})
+		rpc.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d exceeds limit %d", len(wb.Requests), maxBatchSize))
 		return
 	}
 
@@ -201,37 +199,30 @@ func (s *Server) handleTokenBatch(w http.ResponseWriter, r *http.Request) {
 			Index:  res.Token.Index,
 		}
 	}
-	writeJSON(w, http.StatusOK, WireBatchResponse{Results: results})
+	rpc.WriteJSON(w, http.StatusOK, WireBatchResponse{Results: results})
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"address":         s.svc.Address().Hex(),
-		"lifetimeSeconds": int64(s.svc.Lifetime().Seconds()),
+	rpc.WriteJSON(w, http.StatusOK, Info{
+		Address:         s.svc.Address().Hex(),
+		LifetimeSeconds: int64(s.svc.Lifetime().Seconds()),
 	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	issued, rejected := s.svc.Stats()
-	writeJSON(w, http.StatusOK, Stats{Issued: issued, Rejected: rejected})
+	rpc.WriteJSON(w, http.StatusOK, Stats{Issued: issued, Rejected: rejected})
 }
 
 func (s *Server) handleGetRules(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Rules().Snapshot())
+	rpc.WriteJSON(w, http.StatusOK, s.svc.Rules().Snapshot())
 }
 
 func (s *Server) handlePutRules(w http.ResponseWriter, r *http.Request) {
 	rs := rules.NewRuleSet()
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRulesBodyBytes)).Decode(rs); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad rules JSON: " + err.Error()})
+	if !rpc.Decode(w, r, maxRulesBodyBytes, rs) {
 		return
 	}
 	s.svc.ReplaceRules(rs)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "rules replaced"})
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	rpc.WriteJSON(w, http.StatusOK, map[string]string{"status": "rules replaced"})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nettest"
 	"repro/internal/rules"
 	"repro/internal/secp256k1"
 	"repro/internal/ts"
@@ -319,5 +320,20 @@ func TestAdminMountOwnerGuard(t *testing.T) {
 	open := mk("")
 	if code := do(open.URL+"/v1/admin/join", ""); code != http.StatusForbidden {
 		t.Fatalf("adminless daemon served /v1/admin: status %d, want 403", code)
+	}
+}
+
+// A Token Service whose reply never ends must cost the client a prompt
+// error at the reply cap, not an unbounded read until the deadline.
+func TestClientCapsEndlessReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(nettest.Endless))
+	t.Cleanup(srv.Close)
+	start := time.Now()
+	_, err := NewClient(srv.URL, "").Stats()
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless reply: err = %v, want the reply cap", err)
+	}
+	if d := time.Since(start); d > singleTimeout/2 {
+		t.Fatalf("endless reply took %v to fail", d)
 	}
 }

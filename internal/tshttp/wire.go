@@ -66,11 +66,6 @@ type WireBatchResponse struct {
 	Results []WireBatchResult `json:"results"`
 }
 
-// wireError is the JSON error body.
-type wireError struct {
-	Error string `json:"error"`
-}
-
 func parseTokenType(s string) (core.TokenType, error) {
 	switch strings.ToLower(s) {
 	case "super":
