@@ -2,7 +2,7 @@ package secp256k1
 
 import (
 	"crypto/rand"
-	"math/big"
+	"encoding/binary"
 
 	"repro/internal/types"
 )
@@ -30,9 +30,6 @@ import (
 // bound the chance that a batch holding a wrong item passes by 2⁻¹²⁸,
 // and keep each R_i term half the length of a GLV-split full scalar.
 const batchCoeffBytes = 16
-
-// unitNAF is the digit string of a_0 = 1.
-var unitNAF = []int8{1}
 
 // KnownSigner is a public key prepared for RecoverBatchMatches: its
 // odd-multiple tables and their φ images are built once, at the base
@@ -68,7 +65,7 @@ func (k *KnownSigner) RecoverBatchMatches(digests [][32]byte, sigs []Signature) 
 		return true
 	}
 	rs := make([]affineVal, n)
-	sInv := make([]*big.Int, n)
+	sInv := make([]scalarVal, n)
 	for i, sig := range sigs {
 		if sig.validateScalars() != nil {
 			return false
@@ -77,11 +74,10 @@ func (k *KnownSigner) RecoverBatchMatches(digests [][32]byte, sigs []Signature) 
 		if !ok {
 			return false
 		}
-		rs[i], sInv[i] = r, new(big.Int).Set(sig.S)
+		rs[i] = r
+		_, sInv[i] = sig.scalars()
 	}
-	if !batchModInverse(sInv, curveN) {
-		return false // unreachable: every s is in [1, n) and n is prime
-	}
+	batchInverse(sInv)
 	// a_0 = 1: one coefficient is free, so a batch of one draws nothing.
 	coeffs := make([]byte, batchCoeffBytes*(n-1))
 	if _, err := rand.Read(coeffs); err != nil {
@@ -94,52 +90,29 @@ func (k *KnownSigner) RecoverBatchMatches(digests [][32]byte, sigs []Signature) 
 	const tableLen = 1 << (coeffWindow - 2)
 	tables := oddMultipleTables(rs[1:], tableLen)
 	terms := make([]mulTerm, 0, n+4)
-	terms = append(terms, mulTerm{naf: unitNAF, table: rs[:1], neg: true})
-	gSum, qSum := new(big.Int), new(big.Int)
-	a, t, d, z := big.NewInt(1), new(big.Int), new(big.Int), new(big.Int)
+	terms = append(terms, newMulTerm(&scalarOne, true, coeffWindow, rs[:1]))
+	var gSum, qSum scalarVal
+	a := scalarOne
 	for i := range sigs {
 		if i > 0 {
-			a.SetBytes(coeffs[batchCoeffBytes*(i-1) : batchCoeffBytes*i])
+			c := coeffs[batchCoeffBytes*(i-1):]
+			a = scalarVal{binary.LittleEndian.Uint64(c), binary.LittleEndian.Uint64(c[8:])}
 			tbl := tables[(i-1)*tableLen : i*tableLen]
-			terms = append(terms, mulTerm{naf: wnafDigits(a, coeffWindow), table: tbl, neg: true})
+			terms = append(terms, newMulTerm(&a, true, coeffWindow, tbl))
 		}
-		t.Mul(a, sInv[i])
-		gSum.Add(gSum, z.Mul(d.SetBytes(digests[i][:]), t))
-		qSum.Add(qSum, z.Mul(sigs[i].R, t))
+		var t, u scalarVal
+		t.mul(&a, &sInv[i])
+		u = hashToInt(digests[i])
+		u.mul(&u, &t)
+		gSum.add(&gSum, &u)
+		r, _ := sigs[i].scalars()
+		u.mul(&r, &t)
+		qSum.add(&qSum, &u)
 	}
-	terms = appendTerms(terms, gSum.Mod(gSum, curveN), baseWindow, baseOddG, baseOddLamG)
-	terms = appendTerms(terms, qSum.Mod(qSum, curveN), baseWindow, k.odd, k.oddLam)
-	sum := shamirLadder(terms)
+	g1, g2 := splitTerms(&gSum, baseWindow, baseOddG, baseOddLamG)
+	q1, q2 := splitTerms(&qSum, baseWindow, k.odd, k.oddLam)
+	sum := shamirLadder(append(terms, g1, g2, q1, q2))
 	return sum.isInfinity()
-}
-
-// batchModInverse replaces every element of xs with its inverse mod m
-// using Montgomery's trick: one ModInverse plus 3(n−1) multiplications.
-// Returns false (leaving xs unspecified) if any element is not
-// invertible.
-func batchModInverse(xs []*big.Int, m *big.Int) bool {
-	switch len(xs) {
-	case 0:
-		return true
-	case 1:
-		return xs[0].ModInverse(xs[0], m) != nil
-	}
-	prefix := make([]big.Int, len(xs))
-	acc, t := big.NewInt(1), new(big.Int)
-	for i, x := range xs {
-		prefix[i].Set(acc)
-		acc.Mod(t.Mul(acc, x), m)
-	}
-	inv := new(big.Int).ModInverse(acc, m)
-	if inv == nil {
-		return false
-	}
-	for i := len(xs) - 1; i >= 0; i-- {
-		t.Mul(inv, &prefix[i])
-		inv.Mod(acc.Mul(inv, xs[i]), m)
-		xs[i].Mod(t, m)
-	}
-	return true
 }
 
 // RecoverAddressBatch recovers the signer address of every
@@ -168,7 +141,7 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 	// Phase 1: validate and reconstruct each ephemeral point.
 	idx := make([]int, 0, len(digests))
 	rs := make([]affineVal, 0, len(digests))
-	rInv := make([]*big.Int, 0, len(digests))
+	rInv := make([]scalarVal, 0, len(digests))
 	for i := range digests {
 		if err := sigs[i].validateScalars(); err != nil {
 			errs[i] = err
@@ -181,22 +154,21 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 		}
 		idx = append(idx, i)
 		rs = append(rs, r)
-		rInv = append(rInv, new(big.Int).Set(sigs[i].R))
+		rScalar, _ := sigs[i].scalars()
+		rInv = append(rInv, rScalar)
 	}
 
 	// Phase 2: amortized r⁻¹ mod n and odd-multiple tables for every member.
-	if !batchModInverse(rInv, curveN) {
-		// Impossible for validated scalars (n is prime); defensive.
-		return perItem()
-	}
+	batchInverse(rInv)
 	tables := oddMultipleTables(rs, pointTableLen)
 
 	// Phase 3: per-item ladders Q = (−z·r⁻¹)·G + (s·r⁻¹)·R, batching the
 	// final affine normalization.
 	qs := make([]jacobianVal, len(idx))
 	for j, i := range idx {
-		u1, u2 := recoverScalars(digests[i], sigs[i], rInv[j])
-		qs[j] = shamirMultTable(u1, tables[j*pointTableLen:(j+1)*pointTableLen], u2)
+		_, s := sigs[i].scalars()
+		u1, u2 := recoverScalars(digests[i], &s, &rInv[j])
+		qs[j] = shamirMultTable(&u1, tables[j*pointTableLen:(j+1)*pointTableLen], &u2)
 	}
 	flat := make([]affineVal, len(qs))
 	batchAffine(flat, qs)
@@ -205,8 +177,7 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 			errs[i] = ErrRecoveryFailed
 			continue
 		}
-		pub := PublicKey{X: flat[j].x.big(), Y: flat[j].y.big()}
-		addrs[i] = pub.Address()
+		addrs[i] = flat[j].address()
 	}
 	return addrs, errs
 }

@@ -2,11 +2,12 @@
 // recoverable ECDSA signature scheme used by Ethereum: deterministic
 // (RFC 6979) nonces, low-s normalization, 65-byte r‖s‖v signatures, and
 // public-key recovery (ecrecover). The implementation is pure Go, standard
-// library only. Curve arithmetic runs on an allocation-free 4×64-bit field
-// type (field.go, point.go) under a wNAF/GLV ladder for verification and
-// recovery and a fixed-base comb for signing; *big.Int appears only at the
-// exported boundary (keys and signature scalars) and in scalar arithmetic
-// mod the group order.
+// library only. Curve arithmetic runs on allocation-free 4×64-bit types
+// for the field and for scalars mod the group order (field.go, scalar.go,
+// point.go) under a wNAF/GLV ladder for verification and recovery and a
+// fixed-base comb for signing, and the RFC 6979 HMAC hashes stack buffers;
+// *big.Int appears only at the exported boundary (keys and signature
+// scalars).
 package secp256k1
 
 import "math/big"

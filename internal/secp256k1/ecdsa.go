@@ -1,11 +1,11 @@
 package secp256k1
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/types"
 )
@@ -88,46 +88,53 @@ func (sig Signature) validateScalars() error {
 	return nil
 }
 
+// scalars returns r and s as scalars; sig must pass validateScalars.
+func (sig Signature) scalars() (r, s scalarVal) {
+	r.setBig(sig.R)
+	s.setBig(sig.S)
+	return r, s
+}
+
 // Sign produces a deterministic (RFC 6979) recoverable signature over the
-// 32-byte digest.
+// 32-byte digest. It fails with ErrInvalidKey unless key.D is in [1, n−1].
 func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
-	if key == nil || key.D == nil {
+	var d scalarVal
+	if key == nil || !d.setBig(key.D) || d.isZero() {
 		return Signature{}, ErrInvalidKey
 	}
 	z := hashToInt(digest)
-	gen := newNonceGenerator(key.D, digest)
+	gen := newNonceGenerator(&d, &z)
 	for {
-		k := gen.next()
-		if k == nil {
+		k, ok := gen.next()
+		if !ok {
 			continue
 		}
-		kG := scalarBaseMultComb(k)
+		kG := scalarBaseMultComb(&k)
 		rp := kG.affine()
-		r := rp.x.big()
 		v := byte(0)
 		if rp.y.isOdd() {
 			v = 1
 		}
-		if r.Cmp(curveN) >= 0 {
+		var r scalarVal
+		if x := rp.x.bytes(); r.setBytes(&x) {
 			v |= 2 // astronomically rare: r overflowed the group order
-			r.Sub(r, curveN)
 		}
-		if r.Sign() == 0 {
+		if r.isZero() {
 			continue
 		}
-		kInv := new(big.Int).ModInverse(k, curveN)
-		s := new(big.Int).Mul(r, key.D)
-		s.Add(s, z)
-		s.Mul(s, kInv)
-		s.Mod(s, curveN)
-		if s.Sign() == 0 {
+		var s, kInv scalarVal
+		kInv.inv(&k)
+		s.mul(&r, &d)
+		s.add(&s, &z)
+		s.mul(&s, &kInv)
+		if s.isZero() {
 			continue
 		}
-		if s.Cmp(halfN) > 0 {
-			s.Sub(curveN, s)
+		if s.isHigh() {
+			s.neg(&s)
 			v ^= 1
 		}
-		return Signature{R: r, S: s, V: v}, nil
+		return Signature{R: r.big(), S: s.big(), V: v}, nil
 	}
 }
 
@@ -138,32 +145,40 @@ func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
 	if !ok || sig.validateScalars() != nil {
 		return false
 	}
+	r, s := sig.scalars()
 	z := hashToInt(digest)
-	w := new(big.Int).ModInverse(sig.S, curveN)
-	u1 := new(big.Int).Mul(z, w)
-	u1.Mod(u1, curveN)
-	u2 := new(big.Int).Mul(sig.R, w)
-	u2.Mod(u2, curveN)
-	sum := shamirMult(u1, &q, u2)
+	var w, u1, u2 scalarVal
+	w.inv(&s)
+	u1.mul(&z, &w)
+	u2.mul(&r, &w)
+	sum := shamirMult(&u1, &q, &u2)
 	if sum.isInfinity() {
 		return false
 	}
 	p := sum.affine()
-	x := p.x.big()
-	return x.Mod(x, curveN).Cmp(sig.R) == 0
+	var x scalarVal
+	xb := p.x.bytes()
+	x.setBytes(&xb)
+	return x == r
 }
 
 // recoverEphemeralPoint reconstructs the signing-time ephemeral point R
 // from the signature's r scalar and recovery id: x = r (+ n when the
 // overflow bit is set) must be a field element with x³ + 7 a square, and
-// the parity bit picks the root.
+// the parity bit picks the root. sig must pass validateScalars.
 func recoverEphemeralPoint(sig Signature) (affineVal, bool) {
-	x := sig.R
+	x, _ := sig.scalars()
 	if sig.V&2 != 0 {
-		x = new(big.Int).Add(x, curveN)
+		var c uint64
+		for i := range x {
+			x[i], c = bits.Add64(x[i], scalarN[i], c)
+		}
+		if c != 0 {
+			return affineVal{}, false
+		}
 	}
 	var r affineVal
-	if !r.x.setBig(x) {
+	if xb := x.bytes(); !r.x.setBytes(&xb) {
 		return affineVal{}, false
 	}
 	y2 := curveRHS(&r.x)
@@ -182,101 +197,138 @@ func recoverEphemeralPoint(sig Signature) (affineVal, bool) {
 // Recover recovers the public key that produced sig over digest. This is
 // the pure-Go analogue of the EVM's ecrecover precompile.
 func Recover(digest [32]byte, sig Signature) (PublicKey, error) {
-	if err := sig.validateScalars(); err != nil {
+	q, err := recoverPoint(digest, sig)
+	if err != nil {
 		return PublicKey{}, err
+	}
+	return PublicKey{X: q.x.big(), Y: q.y.big()}, nil
+}
+
+// recoverPoint is Recover up to the *big.Int boundary.
+func recoverPoint(digest [32]byte, sig Signature) (affineVal, error) {
+	if err := sig.validateScalars(); err != nil {
+		return affineVal{}, err
 	}
 	r, ok := recoverEphemeralPoint(sig)
 	if !ok {
-		return PublicKey{}, ErrRecoveryFailed
+		return affineVal{}, ErrRecoveryFailed
 	}
 
 	// Q = r⁻¹(s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R — one table-driven
 	// base multiplication plus a single generic multiplication.
-	rInv := new(big.Int).ModInverse(sig.R, curveN)
-	u1, u2 := recoverScalars(digest, sig, rInv)
-	q := shamirMult(u1, &r, u2)
+	rs, ss := sig.scalars()
+	var rInv scalarVal
+	rInv.inv(&rs)
+	u1, u2 := recoverScalars(digest, &ss, &rInv)
+	q := shamirMult(&u1, &r, &u2)
 	if q.isInfinity() {
-		return PublicKey{}, ErrRecoveryFailed
+		return affineVal{}, ErrRecoveryFailed
 	}
 	qa := q.affine()
 	if !qa.onCurve() {
-		return PublicKey{}, ErrRecoveryFailed
+		return affineVal{}, ErrRecoveryFailed
 	}
-	return PublicKey{X: qa.x.big(), Y: qa.y.big()}, nil
+	return qa, nil
 }
 
 // recoverScalars returns u1 = −z·r⁻¹ and u2 = s·r⁻¹ (mod n), the
 // multipliers of G and R in public-key recovery.
-func recoverScalars(digest [32]byte, sig Signature, rInv *big.Int) (u1, u2 *big.Int) {
+func recoverScalars(digest [32]byte, s, rInv *scalarVal) (u1, u2 scalarVal) {
 	u1 = hashToInt(digest)
-	u1.Mul(u1, rInv)
-	u1.Neg(u1)
-	u1.Mod(u1, curveN)
-	u2 = new(big.Int).Mul(sig.S, rInv)
-	u2.Mod(u2, curveN)
+	u1.mul(&u1, rInv)
+	u1.neg(&u1)
+	u2.mul(s, rInv)
 	return u1, u2
 }
 
 // RecoverAddress recovers the Ethereum address of the signer, the common
 // contract-side verification primitive.
 func RecoverAddress(digest [32]byte, sig Signature) (types.Address, error) {
-	pub, err := Recover(digest, sig)
+	q, err := recoverPoint(digest, sig)
 	if err != nil {
 		return types.Address{}, err
 	}
-	return pub.Address(), nil
+	return q.address(), nil
 }
 
 // hashToInt converts a 32-byte digest to a scalar reduced mod n, following
 // the ECDSA convention for a curve whose order has the same bit length as
 // the hash.
-func hashToInt(digest [32]byte) *big.Int {
-	z := new(big.Int).SetBytes(digest[:])
-	return z.Mod(z, curveN)
+func hashToInt(digest [32]byte) (z scalarVal) {
+	z.setBytes(&digest)
+	return z
 }
 
 // nonceGenerator implements the RFC 6979 deterministic nonce derivation
-// with HMAC-SHA256.
+// (section 3.2) with HMAC-SHA256.
 type nonceGenerator struct {
-	k, v []byte
+	k, v [32]byte
 }
 
-func newNonceGenerator(d *big.Int, digest [32]byte) *nonceGenerator {
-	var x [32]byte
-	d.FillBytes(x[:])
-	h := new(big.Int).SetBytes(digest[:])
-	h.Mod(h, curveN)
-	var hb [32]byte
-	h.FillBytes(hb[:])
-
-	g := &nonceGenerator{k: make([]byte, 32), v: make([]byte, 32)}
+// newNonceGenerator seeds the generator from the private scalar d and the
+// reduced digest z (steps b–g).
+func newNonceGenerator(d, z *scalarVal) nonceGenerator {
+	var g nonceGenerator
 	for i := range g.v {
 		g.v[i] = 0x01
 	}
-	g.k = hmacSHA256(g.k, g.v, []byte{0x00}, x[:], hb[:])
-	g.v = hmacSHA256(g.k, g.v)
-	g.k = hmacSHA256(g.k, g.v, []byte{0x01}, x[:], hb[:])
-	g.v = hmacSHA256(g.k, g.v)
+	// V ‖ sep ‖ int2octets(d) ‖ bits2octets(z)
+	var msg [hmacMaxMsg]byte
+	x, h := d.bytes(), z.bytes()
+	copy(msg[33:], x[:])
+	copy(msg[65:], h[:])
+	for sep := byte(0); sep < 2; sep++ {
+		copy(msg[:32], g.v[:])
+		msg[32] = sep
+		g.k = hmacSHA256(&g.k, msg[:])
+		g.v = hmacSHA256(&g.k, g.v[:])
+	}
 	return g
 }
 
-// next produces the next candidate nonce, or nil when the candidate falls
-// outside [1, n-1] (the caller retries).
-func (g *nonceGenerator) next() *big.Int {
-	g.v = hmacSHA256(g.k, g.v)
-	k := new(big.Int).SetBytes(g.v)
-	if k.Sign() > 0 && k.Cmp(curveN) < 0 {
-		return k
+// next produces the next candidate nonce (step h); ok is false when the
+// candidate falls outside [1, n−1] and the caller must retry.
+func (g *nonceGenerator) next() (k scalarVal, ok bool) {
+	g.v = hmacSHA256(&g.k, g.v[:])
+	if !k.setBytes(&g.v) && !k.isZero() {
+		return k, true
 	}
-	g.k = hmacSHA256(g.k, g.v, []byte{0x00})
-	g.v = hmacSHA256(g.k, g.v)
-	return nil
+	g.retry()
+	return scalarVal{}, false
 }
 
-func hmacSHA256(key []byte, chunks ...[]byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	for _, c := range chunks {
-		mac.Write(c)
+// retry moves past a rejected candidate: K = HMAC_K(V ‖ 0x00), then
+// V = HMAC_K(V) (step h.3).
+func (g *nonceGenerator) retry() {
+	var msg [33]byte
+	copy(msg[:], g.v[:])
+	g.k = hmacSHA256(&g.k, msg[:])
+	g.v = hmacSHA256(&g.k, g.v[:])
+}
+
+// hmacMaxMsg is the longest message the nonce derivation authenticates:
+// V ‖ sep ‖ d ‖ z.
+const hmacMaxMsg = 32 + 1 + 32 + 32
+
+// hmacSHA256 returns HMAC-SHA256(key, msg) (RFC 2104) for a 32-byte key
+// and a message of at most hmacMaxMsg bytes. Both passes hash one stack
+// buffer with sha256.Sum256, so nothing is allocated.
+func hmacSHA256(key *[32]byte, msg []byte) [32]byte {
+	const block = 64 // SHA-256 block size; the key is zero-padded to it
+	if len(msg) > hmacMaxMsg {
+		panic("secp256k1: HMAC message too long")
 	}
-	return mac.Sum(nil)
+	var inner [block + hmacMaxMsg]byte
+	var outer [block + sha256.Size]byte
+	for i := 0; i < block; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, b := range key {
+		inner[i] ^= b
+		outer[i] ^= b
+	}
+	n := copy(inner[block:], msg)
+	sum := sha256.Sum256(inner[:block+n])
+	copy(outer[block:], sum[:])
+	return sha256.Sum256(outer[:])
 }

@@ -1,8 +1,6 @@
 package secp256k1
 
 import (
-	"encoding/binary"
-	"math/big"
 	"math/bits"
 	"sync"
 )
@@ -23,19 +21,10 @@ import (
 // The naive double-and-add ladder in reference_test.go (scalarMult) is the
 // reference implementation; differential tests prove the two bit-identical.
 
-// GLV endomorphism constants. λ is a cube root of unity mod n and β the
-// matching cube root of unity mod p: λ·(x, y) = (β·x, y) for every curve
-// point. (a1, b1) and (a2, b2) are short lattice vectors with
-// a_i + b_i·λ ≡ 0 (mod n), so any rounding in splitScalar still yields a
-// congruent decomposition (only the half-scalar magnitudes depend on it).
-var (
-	glvLambda = mustBig("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72")
-	glvBeta   = mustBig("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee")
-	glvA1     = mustBig("3086d221a7d46bcde86c90e49284eb15")
-	glvNegB1  = mustBig("e4437ed6010e88286f547fa90abfe4c3")
-	glvA2     = mustBig("114ca50f7a8e2f3f657c1108d9d44cfd8")
-	glvB2     = mustBig("3086d221a7d46bcde86c90e49284eb15")
-)
+// The GLV endomorphism: β is a cube root of unity mod p and λ (glvLambda,
+// scalar.go) the matching cube root of unity mod n, so λ·(x, y) = (β·x, y)
+// for every curve point.
+var glvBeta = fieldVal{0xc1396c28719501ee, 0x9cf0497512f58995, 0x6e64479eac3434e9, 0x7ae96a2b657c0710}
 
 // Window widths: the base-point tables are precomputed once, so they afford
 // a wide window; the per-call table for Q pays its own precomputation and
@@ -47,23 +36,21 @@ const (
 	coeffWindow = 4 // 4 odd multiples of each R_i in RecoverBatchMatches
 )
 
-// wnafDigits returns the width-w non-adjacent form of k (0 ≤ k < 2^256),
-// least significant digit first. Nonzero digits are odd and lie in
-// (−2^(w−1), 2^(w−1)); at most one of any w consecutive digits is nonzero.
-func wnafDigits(k *big.Int, w uint) []int8 {
-	if k.Sign() <= 0 {
-		return nil
-	}
-	// Five limbs: rounding a digit up can carry one bit past 2^256.
-	var b [32]byte
-	k.FillBytes(b[:])
-	var d [5]uint64
-	for i := 0; i < 4; i++ {
-		d[i] = binary.BigEndian.Uint64(b[24-8*i:])
-	}
+// wnafMaxLen bounds the wNAF length of every scalar the ladder takes: GLV
+// halves and batch coefficients are below 2^128, and a b-bit value has at
+// most b+1 digits.
+const wnafMaxLen = 130
+
+// wnafDigits writes the width-w non-adjacent form of k (k < 2^129) to naf,
+// least significant digit first, and returns the number of digits. Nonzero
+// digits are odd and lie in (−2^(w−1), 2^(w−1)); at most one of any w
+// consecutive digits is nonzero.
+func wnafDigits(naf *[wnafMaxLen]int8, k *scalarVal, w uint) int {
+	// A fourth limb: rounding a digit up can carry one bit past the top.
+	d := [4]uint64{k[0], k[1], k[2], k[3]}
 	mod := uint64(1) << w
-	out := make([]int8, 0, k.BitLen()+1)
-	for d != [5]uint64{} {
+	n := 0
+	for d != [4]uint64{} {
 		var digit int8
 		if d[0]&1 == 1 {
 			low := d[0] & (mod - 1)
@@ -78,13 +65,26 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 				}
 			}
 		}
-		out = append(out, digit)
-		for i := 0; i < 4; i++ {
+		naf[n] = digit
+		n++
+		for i := 0; i < 3; i++ {
 			d[i] = d[i]>>1 | d[i+1]<<63
 		}
-		d[4] >>= 1
+		d[3] >>= 1
 	}
-	return out
+	return n
+}
+
+// oddMultiples writes the odd multiples [P, 3P, 5P, …] of p to tbl in
+// Jacobian form.
+func oddMultiples(tbl []jacobianVal, p *affineVal) {
+	tbl[0] = p.jacobian()
+	twoP := tbl[0]
+	twoP.double()
+	for j := 1; j < len(tbl); j++ {
+		tbl[j] = tbl[j-1]
+		tbl[j].add(&twoP)
+	}
 }
 
 // oddMultipleTables returns, for every point, the n odd multiples
@@ -93,32 +93,21 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 func oddMultipleTables(points []affineVal, n int) []affineVal {
 	jac := make([]jacobianVal, len(points)*n)
 	for i := range points {
-		tbl := jac[i*n : (i+1)*n]
-		tbl[0] = points[i].jacobian()
-		twoP := tbl[0]
-		twoP.double()
-		for j := 1; j < n; j++ {
-			tbl[j] = tbl[j-1]
-			tbl[j].add(&twoP)
-		}
+		oddMultiples(jac[i*n:(i+1)*n], &points[i])
 	}
 	out := make([]affineVal, len(jac))
 	batchAffine(out, jac)
 	return out
 }
 
-// glvBetaVal is β as a field element.
-var glvBetaVal = mustField(glvBeta)
-
-// phiTable applies the endomorphism to an affine table: φ(T[i]) = λ·T[i]
-// costs one field multiplication per entry (and maps infinity to itself).
-func phiTable(tbl []affineVal) []affineVal {
-	out := make([]affineVal, len(tbl))
+// phiTable writes the endomorphism's image of an affine table to out:
+// φ(T[i]) = λ·T[i] costs one field multiplication per entry (and maps
+// infinity to itself).
+func phiTable(out, tbl []affineVal) {
 	for i := range tbl {
-		out[i].x.mul(&tbl[i].x, &glvBetaVal)
+		out[i].x.mul(&tbl[i].x, &glvBeta)
 		out[i].y = tbl[i].y
 	}
-	return out
 }
 
 // Lazily built odd-multiple tables for G and λG.
@@ -134,70 +123,46 @@ func initFastBaseTables() { baseOddG, baseOddLamG = windowTables(generator) }
 // its φ image, the pair a GLV-split term over the point reads.
 func windowTables(p affineVal) (odd, oddLam []affineVal) {
 	odd = oddMultipleTables([]affineVal{p}, 1<<(baseWindow-2))
-	return odd, phiTable(odd)
-}
-
-// roundDiv returns round(x / n) for x ≥ 0 and odd n.
-func roundDiv(x, n *big.Int) *big.Int {
-	r := new(big.Int).Rsh(n, 1)
-	r.Add(r, x)
-	return r.Div(r, n)
-}
-
-// splitScalar decomposes k (mod n) as k ≡ k1 + k2·λ with |k1|, |k2| ≈ √n.
-func splitScalar(k *big.Int) (k1, k2 *big.Int) {
-	c1 := roundDiv(new(big.Int).Mul(glvB2, k), curveN)
-	c2 := roundDiv(new(big.Int).Mul(glvNegB1, k), curveN)
-	k1 = new(big.Int).Mul(c1, glvA1)
-	k1.Add(k1, new(big.Int).Mul(c2, glvA2))
-	k1.Sub(k, k1)
-	k2 = new(big.Int).Mul(c1, glvNegB1)
-	k2.Sub(k2, new(big.Int).Mul(c2, glvB2))
-	return k1, k2
+	oddLam = make([]affineVal, len(odd))
+	phiTable(oddLam, odd)
+	return odd, oddLam
 }
 
 // mulTerm is one component of the interleaved ladder: a wNAF digit string
 // over a table of odd multiples [P, 3P, 5P, …].
 type mulTerm struct {
-	naf   []int8
+	naf   [wnafMaxLen]int8
+	n     int // digits in naf
 	table []affineVal
 	neg   bool // scalar was negative: flip every digit
 }
 
-// appendTerms GLV-splits k and appends its two ladder terms, the half over
-// table and the half over phi = φ(table). A zero scalar adds nothing.
-func appendTerms(terms []mulTerm, k *big.Int, w uint, table, phi []affineVal) []mulTerm {
-	if k.Sign() == 0 {
-		return terms
-	}
-	k1, k2 := splitScalar(k)
-	return append(terms, newMulTerm(k1, w, table), newMulTerm(k2, w, phi))
+// splitTerms GLV-splits k into its two ladder terms, the half over table
+// and the half over phi = φ(table). A zero scalar gives two empty terms.
+func splitTerms(k *scalarVal, w uint, table, phi []affineVal) (t1, t2 mulTerm) {
+	k1, k2, neg1, neg2 := splitScalar(k)
+	return newMulTerm(&k1, neg1, w, table), newMulTerm(&k2, neg2, w, phi)
 }
 
-// newMulTerm builds a ladder term from a signed half-scalar.
-func newMulTerm(k *big.Int, w uint, table []affineVal) mulTerm {
-	neg := k.Sign() < 0
-	abs := k
-	if neg {
-		abs = new(big.Int).Neg(k)
-	}
-	return mulTerm{naf: wnafDigits(abs, w), table: table, neg: neg}
+// newMulTerm builds a ladder term from a half-scalar's magnitude and sign.
+func newMulTerm(k *scalarVal, neg bool, w uint, table []affineVal) (t mulTerm) {
+	t.n = wnafDigits(&t.naf, k, w)
+	t.table, t.neg = table, neg
+	return t
 }
 
 // shamirLadder evaluates Σ k_i·P_i with one shared run of doublings.
 func shamirLadder(terms []mulTerm) jacobianVal {
 	maxLen := 0
-	for _, t := range terms {
-		if len(t.naf) > maxLen {
-			maxLen = len(t.naf)
-		}
+	for j := range terms {
+		maxLen = max(maxLen, terms[j].n)
 	}
 	var acc jacobianVal
 	for i := maxLen - 1; i >= 0; i-- {
 		acc.double()
 		for j := range terms {
 			t := &terms[j]
-			if i >= len(t.naf) || t.naf[i] == 0 {
+			if i >= t.n || t.naf[i] == 0 {
 				continue
 			}
 			d := int(t.naf[i])
@@ -214,23 +179,30 @@ func shamirLadder(terms []mulTerm) jacobianVal {
 // pointTableLen is the size of a per-call odd-multiple table.
 const pointTableLen = 1 << (pointWindow - 2)
 
-// shamirMultTable computes u1·G + u2·P (u1, u2 reduced mod n) via GLV
-// splitting, wNAF digits, and a single interleaved ladder, given P's
-// odd-multiple table (nil for P = ∞).
-func shamirMultTable(u1 *big.Int, table []affineVal, u2 *big.Int) jacobianVal {
+// shamirMultTable computes u1·G + u2·P via GLV splitting, wNAF digits, and
+// a single interleaved ladder, given P's odd-multiple table (nil for
+// P = ∞).
+func shamirMultTable(u1 *scalarVal, table []affineVal, u2 *scalarVal) jacobianVal {
 	fastBaseOnce.Do(initFastBaseTables)
-	terms := appendTerms(make([]mulTerm, 0, 4), u1, baseWindow, baseOddG, baseOddLamG)
-	if table != nil {
-		terms = appendTerms(terms, u2, pointWindow, table, phiTable(table))
+	var terms [4]mulTerm
+	terms[0], terms[1] = splitTerms(u1, baseWindow, baseOddG, baseOddLamG)
+	if table == nil {
+		return shamirLadder(terms[:2])
 	}
-	return shamirLadder(terms)
+	var phi [pointTableLen]affineVal
+	phiTable(phi[:], table)
+	terms[2], terms[3] = splitTerms(u2, pointWindow, table, phi[:])
+	return shamirLadder(terms[:])
 }
 
 // shamirMult computes u1·G + u2·P, building P's table itself.
-func shamirMult(u1 *big.Int, p *affineVal, u2 *big.Int) jacobianVal {
-	var table []affineVal
-	if u2.Sign() != 0 && !p.isInfinity() {
-		table = oddMultipleTables([]affineVal{*p}, pointTableLen)
+func shamirMult(u1 *scalarVal, p *affineVal, u2 *scalarVal) jacobianVal {
+	if u2.isZero() || p.isInfinity() {
+		return shamirMultTable(u1, nil, u2)
 	}
-	return shamirMultTable(u1, table, u2)
+	var jac [pointTableLen]jacobianVal
+	var table [pointTableLen]affineVal
+	oddMultiples(jac[:], p)
+	batchAffine(table[:], jac[:])
+	return shamirMultTable(u1, table[:], u2)
 }

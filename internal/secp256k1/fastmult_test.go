@@ -32,10 +32,20 @@ func refJacobian(p jacobianVal) jacobianPoint {
 	return fromAffine(a.ref())
 }
 
-// doubleScalarMultShamir runs the fast ladder on reference-typed operands.
+// doubleScalarMultShamir runs the fast ladder on reference-typed operands
+// (u1, u2 reduced mod n).
 func doubleScalarMultShamir(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint {
 	q := p.val()
-	return refJacobian(shamirMult(u1, &q, u2))
+	s1, s2 := mustScalar(u1), mustScalar(u2)
+	return refJacobian(shamirMult(&s1, &q, &s2))
+}
+
+// mustScalar converts a big.Int in [0, n) to a scalarVal.
+func mustScalar(v *big.Int) (s scalarVal) {
+	if !s.setBig(v) {
+		panic("not a scalar: " + v.Text(16))
+	}
+	return s
 }
 
 // edgeScalars are the boundary cases the differential tests must cover:
@@ -57,25 +67,47 @@ func edgeScalars() []*big.Int {
 
 func TestGLVConstantsAreConsistent(t *testing.T) {
 	// λ³ ≡ 1 (mod n) and β³ ≡ 1 (mod p).
-	l3 := new(big.Int).Exp(glvLambda, big.NewInt(3), curveN)
+	l3 := new(big.Int).Exp(bigGLVLambda, big.NewInt(3), curveN)
 	if l3.Cmp(big.NewInt(1)) != 0 {
 		t.Error("λ is not a cube root of unity mod n")
 	}
-	b3 := new(big.Int).Exp(glvBeta, big.NewInt(3), curveP)
+	b3 := new(big.Int).Exp(bigGLVBeta, big.NewInt(3), curveP)
 	if b3.Cmp(big.NewInt(1)) != 0 {
 		t.Error("β is not a cube root of unity mod p")
 	}
 	// The lattice vectors satisfy a_i + b_i·λ ≡ 0 (mod n), with
 	// b1 = −glvNegB1 and b2 = glvB2.
-	v1 := new(big.Int).Mul(glvNegB1, glvLambda)
-	v1.Sub(glvA1, v1)
+	v1 := new(big.Int).Mul(bigGLVNegB1, bigGLVLambda)
+	v1.Sub(bigGLVA1, v1)
 	if v1.Mod(v1, curveN).Sign() != 0 {
 		t.Error("a1 + b1·λ ≢ 0 (mod n)")
 	}
-	v2 := new(big.Int).Mul(glvB2, glvLambda)
-	v2.Add(glvA2, v2)
+	v2 := new(big.Int).Mul(bigGLVB2, bigGLVLambda)
+	v2.Add(bigGLVA2, v2)
 	if v2.Mod(v2, curveN).Sign() != 0 {
 		t.Error("a2 + b2·λ ≢ 0 (mod n)")
+	}
+	// The limb constants the shipped split reads are these values, and
+	// g1, g2 are round(2^384·b2/n) and round(2^384·(−b1)/n).
+	g := func(b *big.Int) *big.Int { return refRoundDiv(new(big.Int).Lsh(b, 384), curveN) }
+	minusB2 := new(big.Int).Sub(curveN, bigGLVB2)
+	for _, c := range []struct {
+		name string
+		got  scalarVal
+		want *big.Int
+	}{
+		{"λ", glvLambda, bigGLVLambda},
+		{"−b1", glvMinusB1, bigGLVNegB1},
+		{"−b2", glvMinusB2, minusB2},
+		{"g1", glvG1, g(bigGLVB2)},
+		{"g2", glvG2, g(bigGLVNegB1)},
+	} {
+		if c.got.big().Cmp(c.want) != 0 {
+			t.Errorf("%s = %x, want %x", c.name, c.got.big(), c.want)
+		}
+	}
+	if glvBeta.big().Cmp(bigGLVBeta) != 0 {
+		t.Error("β limbs differ from β")
 	}
 }
 
@@ -84,43 +116,84 @@ func TestEndomorphismMatchesLambdaMult(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
 		p := randPoint(rng)
-		phi := phiTable([]affineVal{p.val()})[0].ref()
-		lam := toAffine(scalarMult(p, glvLambda))
-		if phi.x.Cmp(lam.x) != 0 || phi.y.Cmp(lam.y) != 0 {
+		var phi [1]affineVal
+		phiTable(phi[:], []affineVal{p.val()})
+		lam := toAffine(scalarMult(p, bigGLVLambda))
+		phi0 := phi[0].ref()
+		if phi0.x.Cmp(lam.x) != 0 || phi0.y.Cmp(lam.y) != 0 {
 			t.Fatalf("φ(P) ≠ λ·P for point %d", i)
 		}
 	}
 }
 
+// signedHalf returns a split half as a signed big.Int.
+func signedHalf(k *scalarVal, neg bool) *big.Int {
+	v := k.big()
+	if neg {
+		v.Neg(v)
+	}
+	return v
+}
+
+// checkSplit holds splitScalar(k) to k1 + k2·λ ≡ k (mod n) with
+// |k1|, |k2| < 2^128. With exact set it must also equal the math/big split
+// it replaced; the two round c1 and c2 alike except where b·k mod n lies
+// within about 2^127 of n/2, which random scalars hit with probability
+// 2^−128.
+func checkSplit(t testing.TB, k *big.Int, exact bool) {
+	t.Helper()
+	s := mustScalar(k)
+	a1, a2, n1, n2 := splitScalar(&s)
+	k1, k2 := signedHalf(&a1, n1), signedHalf(&a2, n2)
+	sum := new(big.Int).Mul(k2, bigGLVLambda)
+	sum.Add(sum, k1)
+	sum.Sub(sum, k)
+	if sum.Mod(sum, curveN).Sign() != 0 {
+		t.Fatalf("split of %x does not recompose", k)
+	}
+	if k1.BitLen() > 128 || k2.BitLen() > 128 {
+		t.Fatalf("split of %x is not short: |k1|=%d bits |k2|=%d bits", k, k1.BitLen(), k2.BitLen())
+	}
+	if (n1 && a1.isZero()) || (n2 && a2.isZero()) {
+		t.Fatalf("split of %x has a negative zero", k)
+	}
+	if r1, r2 := refSplitScalar(k); exact && (k1.Cmp(r1) != 0 || k2.Cmp(r2) != 0) {
+		t.Fatalf("split of %x = (%x, %x), reference (%x, %x)", k, k1, k2, r1, r2)
+	}
+}
+
 func TestSplitScalarDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	bound := new(big.Int).Lsh(big.NewInt(1), 129)
-	ks := append(edgeScalars(), make([]*big.Int, 0, 64)...)
-	for i := 0; i < 64; i++ {
-		ks = append(ks, randScalar(rng))
+	for _, k := range edgeScalars() {
+		checkSplit(t, k, true)
 	}
-	for _, k := range ks {
-		k1, k2 := splitScalar(k)
-		// k1 + k2·λ ≡ k (mod n)
-		sum := new(big.Int).Mul(k2, glvLambda)
-		sum.Add(sum, k1)
-		sum.Sub(sum, k)
-		if sum.Mod(sum, curveN).Sign() != 0 {
-			t.Fatalf("split of %s does not recompose", k.Text(16))
-		}
-		if new(big.Int).Abs(k1).Cmp(bound) > 0 || new(big.Int).Abs(k2).Cmp(bound) > 0 {
-			t.Fatalf("split of %s is not short: |k1|=%d bits |k2|=%d bits",
-				k.Text(16), k1.BitLen(), k2.BitLen())
+	for i := 0; i < 20_000; i++ {
+		checkSplit(t, randScalar(rng), true)
+	}
+	// k with b·k ≡ (n ± 1)/2 + δ (mod n) puts b·k/n next to a half
+	// integer, where the fixed-width rounding may pick the other
+	// neighbour.
+	for _, b := range []*big.Int{bigGLVB2, bigGLVNegB1} {
+		bInv := new(big.Int).ModInverse(b, curveN)
+		for d := int64(-2); d <= 3; d++ {
+			k := new(big.Int).Add(halfN, big.NewInt(d))
+			checkSplit(t, k.Mod(k.Mul(k, bInv), curveN), false)
 		}
 	}
 }
 
 func TestWNAFDigitsReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	ks := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 128),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 129), big.NewInt(1))}
+	for i := 0; i < 32; i++ {
+		ks = append(ks, new(big.Int).Rsh(randScalar(rng), 127))
+	}
 	for _, w := range []uint{4, 5, 8} {
-		for i := 0; i < 32; i++ {
-			k := randScalar(rng)
-			digits := wnafDigits(k, w)
+		for _, k := range ks {
+			var naf [wnafMaxLen]int8
+			s := mustScalar(k)
+			digits := naf[:wnafDigits(&naf, &s, w)]
 			acc := new(big.Int)
 			for j := len(digits) - 1; j >= 0; j-- {
 				acc.Lsh(acc, 1)
@@ -129,9 +202,16 @@ func TestWNAFDigitsReconstruct(t *testing.T) {
 				if d != 0 && (d%2 == 0 || d >= 1<<(w-1) || d <= -(1<<(w-1))) {
 					t.Fatalf("w=%d: digit %d out of wNAF range", w, d)
 				}
+				if d != 0 && j+int(w) <= len(digits) {
+					for _, e := range digits[j+1 : j+int(w)] {
+						if e != 0 {
+							t.Fatalf("w=%d: two nonzero digits within a window", w)
+						}
+					}
+				}
 			}
 			if acc.Cmp(k) != 0 {
-				t.Fatalf("w=%d: digits do not reconstruct the scalar", w)
+				t.Fatalf("w=%d: digits do not reconstruct %x", w, k)
 			}
 		}
 	}

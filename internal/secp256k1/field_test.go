@@ -114,7 +114,7 @@ func fieldEdges() []*big.Int {
 		new(big.Int).Lsh(sub(pow(64), 1), 64), new(big.Int).Lsh(sub(pow(64), 1), 128),
 		sub(pow(256), 1<<33), // all-ones top limbs, below p
 		big.NewInt(pFold), big.NewInt(pFold - 1), big.NewInt(pFold + 1),
-		new(big.Int).Set(glvBeta),
+		new(big.Int).Set(bigGLVBeta),
 	}
 }
 

@@ -1,9 +1,6 @@
 package secp256k1
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 // Fixed-base scalar multiplication k·G for the signing hot path.
 //
@@ -58,23 +55,12 @@ func initCombTable() {
 	}
 }
 
-// scalarBaseMultComb computes k·G (any integer k, taken mod n) via the
-// fixed-base comb table.
-func scalarBaseMultComb(k *big.Int) jacobianVal {
+// scalarBaseMultComb computes k·G via the fixed-base comb table.
+func scalarBaseMultComb(k *scalarVal) jacobianVal {
 	combOnce.Do(initCombTable)
-	if k.Sign() < 0 || k.BitLen() > 256 {
-		k = new(big.Int).Mod(k, curveN)
-	}
-	var kb [32]byte
-	k.FillBytes(kb[:])
 	var acc jacobianVal
 	for i := 0; i < combBlocks; i++ {
-		b := kb[31-i/2]
-		nib := b & 0x0f
-		if i%2 == 1 {
-			nib = b >> 4
-		}
-		if nib != 0 {
+		if nib := (k[i*combWindow/64] >> (i * combWindow % 64)) & (1<<combWindow - 1); nib != 0 {
 			acc.addMixed(&combTable[i][nib-1], false)
 		}
 	}

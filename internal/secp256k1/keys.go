@@ -40,22 +40,23 @@ func GenerateKey(rng io.Reader) (*PrivateKey, error) {
 		if _, err := io.ReadFull(rng, buf[:]); err != nil {
 			return nil, fmt.Errorf("generate key: %w", err)
 		}
-		d := new(big.Int).SetBytes(buf[:])
-		d.Mod(d, curveN)
-		if d.Sign() == 0 {
+		var d scalarVal
+		d.setBytes(&buf)
+		if d.isZero() {
 			continue
 		}
-		return NewPrivateKey(d)
+		return NewPrivateKey(d.big())
 	}
 }
 
 // NewPrivateKey builds a private key from the scalar d, validating its
 // range and deriving the public point.
 func NewPrivateKey(d *big.Int) (*PrivateKey, error) {
-	if d == nil || d.Sign() <= 0 || d.Cmp(curveN) >= 0 {
+	var k scalarVal
+	if !k.setBig(d) || k.isZero() {
 		return nil, ErrInvalidKey
 	}
-	dG := scalarBaseMultComb(d)
+	dG := scalarBaseMultComb(&k)
 	p := dG.affine()
 	return &PrivateKey{
 		D:   new(big.Int).Set(d),
@@ -70,10 +71,10 @@ func PrivateKeyFromSeed(seed []byte) *PrivateKey {
 	counter := byte(0)
 	for {
 		h := keccak.Sum256Concat(seed, []byte{counter})
-		d := new(big.Int).SetBytes(h[:])
-		d.Mod(d, curveN)
-		if d.Sign() != 0 {
-			key, err := NewPrivateKey(d)
+		var d scalarVal
+		d.setBytes(&h)
+		if !d.isZero() {
+			key, err := NewPrivateKey(d.big())
 			if err == nil {
 				return key
 			}
@@ -126,7 +127,24 @@ func ParsePublicKey(b []byte) (PublicKey, error) {
 // Address derives the Ethereum address of the key: the low 20 bytes of
 // keccak256(X ‖ Y).
 func (p PublicKey) Address() types.Address {
-	h := keccak.Sum256(p.Bytes())
+	var xy [64]byte
+	p.X.FillBytes(xy[:32])
+	p.Y.FillBytes(xy[32:])
+	return addressOf(&xy)
+}
+
+// address is PublicKey.Address for a field-typed point.
+func (p *affineVal) address() types.Address {
+	var xy [64]byte
+	x, y := p.x.bytes(), p.y.bytes()
+	copy(xy[:32], x[:])
+	copy(xy[32:], y[:])
+	return addressOf(&xy)
+}
+
+// addressOf returns the low 20 bytes of keccak256(X ‖ Y).
+func addressOf(xy *[64]byte) types.Address {
+	h := keccak.Sum256(xy[:])
 	return types.BytesToAddress(h[12:])
 }
 

@@ -1,6 +1,10 @@
 package secp256k1
 
-import "math/big"
+import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"math/big"
+)
 
 // The math/big reference implementation of the group law: a Jacobian
 // double-and-add ladder that shares no code with the fieldVal paths the
@@ -201,11 +205,11 @@ func doubleScalarMultRef(u1 *big.Int, p affinePoint, u2 *big.Int) jacobianPoint 
 	return addJacobian(scalarBaseMult(u1), scalarMult(p, u2))
 }
 
-// refSign is Sign with the ephemeral point k·G taken from the reference
-// ladder: same RFC 6979 nonce stream, same low-s rule.
+// refSign is Sign on math/big throughout: the crypto/hmac nonce stream,
+// the ephemeral point k·G from the reference ladder, the same low-s rule.
 func refSign(key *PrivateKey, digest [32]byte) Signature {
-	z := hashToInt(digest)
-	gen := newNonceGenerator(key.D, digest)
+	z := refHashToInt(digest)
+	gen := newRefNonceGenerator(key.D, digest)
 	for {
 		k := gen.next()
 		if k == nil {
@@ -238,7 +242,7 @@ func refVerify(pub PublicKey, digest [32]byte, sig Signature) bool {
 		return false
 	}
 	w := new(big.Int).ModInverse(sig.S, curveN)
-	u1 := hashToInt(digest)
+	u1 := refHashToInt(digest)
 	u1.Mod(u1.Mul(u1, w), curveN)
 	u2 := new(big.Int).Mul(sig.R, w)
 	u2.Mod(u2, curveN)
@@ -266,7 +270,140 @@ func refRecover(digest [32]byte, sig Signature) (pub affinePoint, ok bool) {
 	if y.Bit(0) != uint(sig.V&1) {
 		y.Sub(curveP, y)
 	}
-	u1, u2 := recoverScalars(digest, sig, new(big.Int).ModInverse(sig.R, curveN))
+	u1, u2 := refRecoverScalars(digest, sig, new(big.Int).ModInverse(sig.R, curveN))
 	pub = toAffine(doubleScalarMultRef(u1, affinePoint{x: x, y: y}, u2))
 	return pub, !pub.isInfinity()
+}
+
+// The math/big scalar arithmetic mod n that scalarVal replaced, kept
+// verbatim (renamed) as the oracle of the scalar, GLV-split and nonce
+// differential tests.
+
+// GLV endomorphism constants. λ is a cube root of unity mod n and β the
+// matching cube root of unity mod p: λ·(x, y) = (β·x, y) for every curve
+// point. (a1, b1) and (a2, b2) are short lattice vectors with
+// a_i + b_i·λ ≡ 0 (mod n), so any rounding in refSplitScalar still yields
+// a congruent decomposition (only the half-scalar magnitudes depend on
+// it).
+var (
+	bigGLVLambda = mustBig("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72")
+	bigGLVBeta   = mustBig("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee")
+	bigGLVA1     = mustBig("3086d221a7d46bcde86c90e49284eb15")
+	bigGLVNegB1  = mustBig("e4437ed6010e88286f547fa90abfe4c3")
+	bigGLVA2     = mustBig("114ca50f7a8e2f3f657c1108d9d44cfd8")
+	bigGLVB2     = mustBig("3086d221a7d46bcde86c90e49284eb15")
+)
+
+// refRoundDiv returns round(x / n) for x ≥ 0 and odd n.
+func refRoundDiv(x, n *big.Int) *big.Int {
+	r := new(big.Int).Rsh(n, 1)
+	r.Add(r, x)
+	return r.Div(r, n)
+}
+
+// refSplitScalar decomposes k (mod n) as k ≡ k1 + k2·λ with |k1|, |k2| ≈ √n.
+func refSplitScalar(k *big.Int) (k1, k2 *big.Int) {
+	c1 := refRoundDiv(new(big.Int).Mul(bigGLVB2, k), curveN)
+	c2 := refRoundDiv(new(big.Int).Mul(bigGLVNegB1, k), curveN)
+	k1 = new(big.Int).Mul(c1, bigGLVA1)
+	k1.Add(k1, new(big.Int).Mul(c2, bigGLVA2))
+	k1.Sub(k, k1)
+	k2 = new(big.Int).Mul(c1, bigGLVNegB1)
+	k2.Sub(k2, new(big.Int).Mul(c2, bigGLVB2))
+	return k1, k2
+}
+
+// refBatchModInverse replaces every element of xs with its inverse mod m
+// using Montgomery's trick: one ModInverse plus 3(n−1) multiplications.
+// Returns false (leaving xs unspecified) if any element is not
+// invertible.
+func refBatchModInverse(xs []*big.Int, m *big.Int) bool {
+	switch len(xs) {
+	case 0:
+		return true
+	case 1:
+		return xs[0].ModInverse(xs[0], m) != nil
+	}
+	prefix := make([]big.Int, len(xs))
+	acc, t := big.NewInt(1), new(big.Int)
+	for i, x := range xs {
+		prefix[i].Set(acc)
+		acc.Mod(t.Mul(acc, x), m)
+	}
+	inv := new(big.Int).ModInverse(acc, m)
+	if inv == nil {
+		return false
+	}
+	for i := len(xs) - 1; i >= 0; i-- {
+		t.Mul(inv, &prefix[i])
+		inv.Mod(acc.Mul(inv, xs[i]), m)
+		xs[i].Mod(t, m)
+	}
+	return true
+}
+
+// refRecoverScalars returns u1 = −z·r⁻¹ and u2 = s·r⁻¹ (mod n), the
+// multipliers of G and R in public-key recovery.
+func refRecoverScalars(digest [32]byte, sig Signature, rInv *big.Int) (u1, u2 *big.Int) {
+	u1 = refHashToInt(digest)
+	u1.Mul(u1, rInv)
+	u1.Neg(u1)
+	u1.Mod(u1, curveN)
+	u2 = new(big.Int).Mul(sig.S, rInv)
+	u2.Mod(u2, curveN)
+	return u1, u2
+}
+
+// refHashToInt converts a 32-byte digest to a scalar reduced mod n,
+// following the ECDSA convention for a curve whose order has the same bit
+// length as the hash.
+func refHashToInt(digest [32]byte) *big.Int {
+	z := new(big.Int).SetBytes(digest[:])
+	return z.Mod(z, curveN)
+}
+
+// refNonceGenerator implements the RFC 6979 deterministic nonce derivation
+// with HMAC-SHA256.
+type refNonceGenerator struct {
+	k, v []byte
+}
+
+func newRefNonceGenerator(d *big.Int, digest [32]byte) *refNonceGenerator {
+	var x [32]byte
+	d.FillBytes(x[:])
+	h := new(big.Int).SetBytes(digest[:])
+	h.Mod(h, curveN)
+	var hb [32]byte
+	h.FillBytes(hb[:])
+
+	g := &refNonceGenerator{k: make([]byte, 32), v: make([]byte, 32)}
+	for i := range g.v {
+		g.v[i] = 0x01
+	}
+	g.k = refHMACSHA256(g.k, g.v, []byte{0x00}, x[:], hb[:])
+	g.v = refHMACSHA256(g.k, g.v)
+	g.k = refHMACSHA256(g.k, g.v, []byte{0x01}, x[:], hb[:])
+	g.v = refHMACSHA256(g.k, g.v)
+	return g
+}
+
+// next produces the next candidate nonce, or nil when the candidate falls
+// outside [1, n-1] (the caller retries).
+func (g *refNonceGenerator) next() *big.Int {
+	g.v = refHMACSHA256(g.k, g.v)
+	k := new(big.Int).SetBytes(g.v)
+	if k.Sign() > 0 && k.Cmp(curveN) < 0 {
+		return k
+	}
+	g.k = refHMACSHA256(g.k, g.v, []byte{0x00})
+	g.v = refHMACSHA256(g.k, g.v)
+	return nil
+}
+
+func refHMACSHA256(key []byte, chunks ...[]byte) []byte {
+	mac := hmac.New(sha256.New, key)
+	for _, c := range chunks {
+		mac.Write(c)
+	}
+	return mac.Sum(nil)
 }
