@@ -14,9 +14,13 @@
 package abi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/keccak"
@@ -51,22 +55,41 @@ func SelectorFor(signature string) Selector {
 
 // TypeName returns the canonical Solidity type name for a Go value.
 func TypeName(v any) (string, error) {
+	name, ok := typeName(v)
+	if !ok {
+		return "", unsupported(v)
+	}
+	return name, nil
+}
+
+func typeName(v any) (string, bool) {
 	switch v.(type) {
 	case types.Address:
-		return "address", nil
+		return "address", true
 	case *big.Int, uint64:
-		return "uint256", nil
+		return "uint256", true
 	case bool:
-		return "bool", nil
+		return "bool", true
 	case []byte:
-		return "bytes", nil
+		return "bytes", true
 	case string:
-		return "string", nil
+		return "string", true
 	case [][]byte:
-		return "bytes[]", nil
+		return "bytes[]", true
 	default:
-		return "", fmt.Errorf("%w: %T", ErrUnsupportedType, v)
+		return "", false
 	}
+}
+
+// unsupported is the ErrUnsupportedType error for v. It names v's type
+// through reflect.TypeOf, as %T does, without handing v itself to fmt:
+// that would make every encoded argument escape to the heap.
+func unsupported(v any) error {
+	name := "<nil>"
+	if v != nil {
+		name = reflect.TypeOf(v).String()
+	}
+	return fmt.Errorf("%w: %s", ErrUnsupportedType, name)
 }
 
 // Signature builds the canonical signature string for a method name and a
@@ -86,66 +109,138 @@ func Signature(method string, args ...any) (string, error) {
 
 // Encode ABI-encodes the arguments using head/tail encoding.
 func Encode(args ...any) ([]byte, error) {
-	headSize := 0
-	for _, a := range args {
-		if _, err := TypeName(a); err != nil {
-			return nil, err
-		}
-		headSize += 32
+	return AppendEncode(nil, args...)
+}
+
+// AppendEncode appends the ABI encoding of args to dst, growing it at
+// most once, and returns the extended buffer. On error dst is not
+// returned.
+func AppendEncode(dst []byte, args ...any) ([]byte, error) {
+	n, err := encodedLen(args)
+	if err != nil {
+		return nil, err
 	}
-	head := make([]byte, 0, headSize)
-	var tail []byte
-	for i, a := range args {
-		switch v := a.(type) {
-		case types.Address:
-			head = append(head, leftPad(v.Bytes())...)
-		case *big.Int:
-			if v == nil {
-				v = new(big.Int)
-			}
-			if v.Sign() < 0 || v.BitLen() > 256 {
-				return nil, fmt.Errorf("abi: argument %d out of uint256 range", i)
-			}
-			var w [32]byte
-			v.FillBytes(w[:])
-			head = append(head, w[:]...)
-		case uint64:
-			var w [32]byte
-			new(big.Int).SetUint64(v).FillBytes(w[:])
-			head = append(head, w[:]...)
-		case bool:
-			var w [32]byte
-			if v {
-				w[31] = 1
-			}
-			head = append(head, w[:]...)
-		case []byte:
-			head = append(head, encodeUintWord(uint64(headSize+len(tail)))...)
-			tail = append(tail, encodeBytes(v)...)
-		case string:
-			head = append(head, encodeUintWord(uint64(headSize+len(tail)))...)
-			tail = append(tail, encodeBytes([]byte(v))...)
-		case [][]byte:
-			head = append(head, encodeUintWord(uint64(headSize+len(tail)))...)
-			tail = append(tail, encodeBytesArray(v)...)
-		}
-	}
-	return append(head, tail...), nil
+	return appendEncoded(slices.Grow(dst, n), args)
+}
+
+// EncodedLen returns len(Encode(args...)) without encoding; an argument
+// Encode rejects counts as one word.
+func EncodedLen(args ...any) int {
+	n, _ := encodedLen(args)
+	return n
 }
 
 // Pack builds calldata for a method: selector ‖ encoded arguments. The
 // signature is derived from the method name and the argument types.
 func Pack(method string, args ...any) ([]byte, error) {
-	sig, err := Signature(method, args...)
+	return AppendPack(nil, method, args...)
+}
+
+// AppendPack appends Pack(method, args...) to dst, growing it at most
+// once, and returns the extended buffer. On error dst is not returned.
+func AppendPack(dst []byte, method string, args ...any) ([]byte, error) {
+	sel, err := selectorOf(method, args)
 	if err != nil {
 		return nil, err
 	}
-	sel := SelectorFor(sig)
-	body, err := Encode(args...)
+	n, err := encodedLen(args)
 	if err != nil {
 		return nil, err
 	}
-	return append(sel[:], body...), nil
+	dst = append(slices.Grow(dst, SelectorLength+n), sel[:]...)
+	return appendEncoded(dst, args)
+}
+
+// selectorOf is SelectorFor(Signature(method, args...)), with the
+// signature built on the stack.
+func selectorOf(method string, args []any) (Selector, error) {
+	var buf [128]byte
+	sig := append(append(buf[:0], method...), '(')
+	for i, a := range args {
+		name, ok := typeName(a)
+		if !ok {
+			return Selector{}, fmt.Errorf("argument %d: %w", i, unsupported(a))
+		}
+		if i > 0 {
+			sig = append(sig, ',')
+		}
+		sig = append(sig, name...)
+	}
+	h := keccak.Sum256(append(sig, ')'))
+	return Selector(h[:SelectorLength]), nil
+}
+
+// encodedLen is the byte length of the encoding of args: one head word
+// each, plus the tails of the dynamic ones.
+func encodedLen(args []any) (int, error) {
+	n := 32 * len(args)
+	for _, a := range args {
+		switch v := a.(type) {
+		case types.Address, *big.Int, uint64, bool:
+		case []byte:
+			n += bytesLen(len(v))
+		case string:
+			n += bytesLen(len(v))
+		case [][]byte:
+			n += bytesArrayLen(v)
+		default:
+			return 32 * len(args), unsupported(a)
+		}
+	}
+	return n, nil
+}
+
+// bytesLen is the encoded length of an n-byte bytes or string value: a
+// length word and the payload padded to whole words.
+func bytesLen(n int) int { return 32 + (n+31)/32*32 }
+
+// bytesArrayLen is the encoded length of a bytes[] value: a length word,
+// one offset word per element, and the elements.
+func bytesArrayLen(arr [][]byte) int {
+	n := 32 + 32*len(arr)
+	for _, el := range arr {
+		n += bytesLen(len(el))
+	}
+	return n
+}
+
+// appendEncoded appends the head/tail encoding of args, whose types
+// encodedLen has checked, to dst. The head words are reserved zeroed and
+// filled in place; the tails are appended behind them.
+func appendEncoded(dst []byte, args []any) ([]byte, error) {
+	base := len(dst)
+	dst = append(dst, make([]byte, 32*len(args))...)
+	for i, a := range args {
+		w := dst[base+32*i : base+32*i+32]
+		switch v := a.(type) {
+		case types.Address:
+			copy(w[32-types.AddressLength:], v[:])
+		case *big.Int:
+			if v == nil {
+				continue
+			}
+			if v.Sign() < 0 || v.BitLen() > 256 {
+				return nil, fmt.Errorf("abi: argument %d out of uint256 range", i)
+			}
+			v.FillBytes(w)
+		case uint64:
+			binary.BigEndian.PutUint64(w[24:], v)
+		case bool:
+			if v {
+				w[31] = 1
+			}
+		case []byte:
+			binary.BigEndian.PutUint64(w[24:], uint64(len(dst)-base))
+			dst = appendBytes(dst, v)
+		case string:
+			binary.BigEndian.PutUint64(w[24:], uint64(len(dst)-base))
+			dst = appendBytes(dst, v)
+		case [][]byte:
+			binary.BigEndian.PutUint64(w[24:], uint64(len(dst)-base))
+			dst = appendBytesArray(dst, v)
+		}
+	}
+	return dst, nil
 }
 
 // Decode decodes ABI data into values shaped like protos; each proto gives
@@ -164,11 +259,11 @@ func Decode(data []byte, protos ...any) ([]any, error) {
 		case *big.Int:
 			out[i] = new(big.Int).SetBytes(word)
 		case uint64:
-			v := new(big.Int).SetBytes(word)
-			if !v.IsUint64() {
+			v, ok := wordUint64(word)
+			if !ok {
 				return nil, fmt.Errorf("%w: value overflows uint64", ErrBadData)
 			}
-			out[i] = v.Uint64()
+			out[i] = v
 		case bool:
 			out[i] = word[31] != 0
 		case []byte:
@@ -196,36 +291,35 @@ func Decode(data []byte, protos ...any) ([]any, error) {
 	return out, nil
 }
 
-func encodeUintWord(v uint64) []byte {
-	var w [32]byte
-	new(big.Int).SetUint64(v).FillBytes(w[:])
-	return w[:]
+// zeroWord supplies the zero padding of words and payload tails.
+var zeroWord [32]byte
+
+// appendUintWord appends v as one big-endian 32-byte word.
+func appendUintWord(dst []byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, zeroWord[:24]...), v)
 }
 
-func leftPad(b []byte) []byte {
-	w := make([]byte, 32)
-	copy(w[32-len(b):], b)
-	return w
-}
-
-func encodeBytes(b []byte) []byte {
-	out := encodeUintWord(uint64(len(b)))
-	out = append(out, b...)
+// appendBytes appends a bytes or string value: its length word, then the
+// payload zero-padded to whole words.
+func appendBytes[T []byte | string](dst []byte, b T) []byte {
+	dst = append(appendUintWord(dst, uint64(len(b))), b...)
 	if pad := len(b) % 32; pad != 0 {
-		out = append(out, make([]byte, 32-pad)...)
+		dst = append(dst, zeroWord[pad:]...)
 	}
-	return out
+	return dst
 }
 
-func encodeBytesArray(arr [][]byte) []byte {
-	out := encodeUintWord(uint64(len(arr)))
-	headSize := 32 * len(arr)
-	var tail []byte
-	for _, el := range arr {
-		out = append(out, encodeUintWord(uint64(headSize+len(tail)))...)
-		tail = append(tail, encodeBytes(el)...)
+// appendBytesArray appends a bytes[] value: its length word, one offset
+// word per element (relative to the first of them), then the elements.
+func appendBytesArray(dst []byte, arr [][]byte) []byte {
+	dst = appendUintWord(dst, uint64(len(arr)))
+	base := len(dst)
+	dst = append(dst, make([]byte, 32*len(arr))...)
+	for i, el := range arr {
+		binary.BigEndian.PutUint64(dst[base+32*i+24:], uint64(len(dst)-base))
+		dst = appendBytes(dst, el)
 	}
-	return append(out, tail...)
+	return dst
 }
 
 func wordAt(data []byte, off int) ([]byte, error) {
@@ -235,12 +329,23 @@ func wordAt(data []byte, off int) ([]byte, error) {
 	return data[off : off+32], nil
 }
 
+// wordUint64 reads a 32-byte word as an integer, reporting whether it
+// fits in 64 bits (its high 24 bytes are zero).
+func wordUint64(word []byte) (uint64, bool) {
+	for _, b := range word[:24] {
+		if b != 0 {
+			return 0, false
+		}
+	}
+	return binary.BigEndian.Uint64(word[24:]), true
+}
+
 func offsetFromWord(word []byte) (int, error) {
-	v := new(big.Int).SetBytes(word)
-	if !v.IsInt64() || v.Int64() < 0 {
+	v, ok := wordUint64(word)
+	if !ok || v > math.MaxInt64 {
 		return 0, fmt.Errorf("%w: invalid offset", ErrBadData)
 	}
-	return int(v.Int64()), nil
+	return int(v), nil
 }
 
 func decodeBytesAt(data, offsetWord []byte) ([]byte, error) {
@@ -248,6 +353,11 @@ func decodeBytesAt(data, offsetWord []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return bytesAt(data, off)
+}
+
+// bytesAt decodes the bytes value whose length word sits at offset off.
+func bytesAt(data []byte, off int) ([]byte, error) {
 	lenWord, err := wordAt(data, off)
 	if err != nil {
 		return nil, err
@@ -291,7 +401,7 @@ func decodeBytesArrayAt(data, offsetWord []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		el, err := decodeBytesAt(data[base:], encodeUintWord(uint64(elOff)))
+		el, err := bytesAt(data[base:], elOff)
 		if err != nil {
 			return nil, err
 		}

@@ -144,7 +144,6 @@ func runDurable(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// the same Prometheus.
 	reg := metrics.NewRegistry()
 	core.RegisterCacheMetrics(reg)
-	senderH0, senderM0 := evm.SenderCacheStats()
 	tokenH0, tokenM0 := core.TokenSigCacheStats()
 
 	agg := newE2EAgg(reg)
@@ -257,7 +256,6 @@ func runDurable(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		return E2ERow{}, err
 	}
 	return finishRow(cfg, agg, time.Since(start), reg,
-		cacheRate(senderH0, senderM0, evm.SenderCacheStats),
 		cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats)), nil
 }
 

@@ -128,12 +128,10 @@ type E2ERow struct {
 	// fast the fault scheduler never got to act, which would make the
 	// pinned counts vacuous.
 	ChaosFaultInjected bool `json:"chaosFaultInjected,omitempty"`
-	// SenderCacheHitRate / TokenCacheHitRate are the process-wide
-	// recovery caches' hit fractions over this scenario's traffic
-	// (measured as before/after deltas; 0 when the scenario made no
-	// lookups).
-	SenderCacheHitRate float64 `json:"senderCacheHitRate"`
-	TokenCacheHitRate  float64 `json:"tokenCacheHitRate"`
+	// TokenCacheHitRate is the process-wide token-signer cache's hit
+	// fraction over this scenario's traffic (measured as a before/after
+	// delta; 0 when the scenario made no lookups).
+	TokenCacheHitRate float64 `json:"tokenCacheHitRate"`
 
 	Counts E2ECounts `json:"counts"`
 }
@@ -488,7 +486,6 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// exactly this scenario's traffic.
 	reg := metrics.NewRegistry()
 	core.RegisterCacheMetrics(reg)
-	senderH0, senderM0 := evm.SenderCacheStats()
 	tokenH0, tokenM0 := core.TokenSigCacheStats()
 
 	svc, err := ts.New(ts.Config{
@@ -697,9 +694,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		return E2ERow{}, err
 	}
 
-	row := finishRow(cfg, env.agg, elapsed, reg,
-		cacheRate(senderH0, senderM0, evm.SenderCacheStats),
-		cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats))
+	row := finishRow(cfg, env.agg, elapsed, reg, cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats))
 	row.ChaosFaultInjected = faultInjected
 	return row, nil
 }
@@ -804,7 +799,7 @@ func stageSummary(h *metrics.Histogram) StageLatency {
 // are dropped (a scenario without batch traffic has no commit
 // stage).
 func finishRow(cfg ScenarioConfig, agg *e2eAgg, elapsed time.Duration,
-	reg *metrics.Registry, senderHitRate, tokenHitRate float64) E2ERow {
+	reg *metrics.Registry, tokenHitRate float64) E2ERow {
 	stages := make(map[string]StageLatency)
 	for name, h := range map[string]*metrics.Histogram{
 		"e2e":         agg.opLat,
@@ -820,19 +815,18 @@ func finishRow(cfg ScenarioConfig, agg *e2eAgg, elapsed time.Duration,
 	e2e := stages["e2e"]
 	counts := agg.counts
 	return E2ERow{
-		Scenario:           cfg.Name,
-		Clients:            cfg.Clients,
-		OpsPerClient:       cfg.Ops,
-		Seconds:            elapsed.Seconds(),
-		TokensPerSec:       float64(counts.TokensIssued) / elapsed.Seconds(),
-		TxPerSec:           float64(counts.TxSubmitted) / elapsed.Seconds(),
-		P50Millis:          e2e.P50Millis,
-		P95Millis:          e2e.P95Millis,
-		P99Millis:          e2e.P99Millis,
-		Stages:             stages,
-		SenderCacheHitRate: senderHitRate,
-		TokenCacheHitRate:  tokenHitRate,
-		Counts:             counts,
+		Scenario:          cfg.Name,
+		Clients:           cfg.Clients,
+		OpsPerClient:      cfg.Ops,
+		Seconds:           elapsed.Seconds(),
+		TokensPerSec:      float64(counts.TokensIssued) / elapsed.Seconds(),
+		TxPerSec:          float64(counts.TxSubmitted) / elapsed.Seconds(),
+		P50Millis:         e2e.P50Millis,
+		P95Millis:         e2e.P95Millis,
+		P99Millis:         e2e.P99Millis,
+		Stages:            stages,
+		TokenCacheHitRate: tokenHitRate,
+		Counts:            counts,
 	}
 }
 

@@ -323,23 +323,14 @@ func (ch *Chain) applyAtLocked(tx *Transaction, blockTime time.Time) (*Receipt, 
 // scheduler passes a per-transaction state.View. A nil receipt with a
 // non-nil error means the transaction was rejected before touching state.
 func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (*Receipt, error) {
-	// Encode the calldata once; the sighash, the intrinsic gas and the tx
-	// hash all derive from these bytes. The sighash is still recomputed from
-	// the current fields on every execution, so a transaction tampered with
-	// after an earlier execution recovers a fresh sender.
-	appData, err := tx.AppData()
+	// Execute prepared the encodings; durable replay and direct callers
+	// encode here. Either way they derive from the current fields, so a
+	// transaction tampered with between calls recovers a fresh sender.
+	p, err := tx.preparedOrNew(ch.cfg.ChainID)
 	if err != nil {
 		return nil, err
 	}
-	wireData, err := tx.wireData(appData)
-	if err != nil {
-		return nil, err
-	}
-	digest, err := tx.sigHash(wireData, ch.cfg.ChainID)
-	if err != nil {
-		return nil, err
-	}
-	sender, err := tx.senderFor(digest)
+	sender, err := tx.senderFor(p.sigHash)
 	if err != nil {
 		return nil, err
 	}
@@ -357,14 +348,16 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 		return nil, fmt.Errorf("%w: %s needs %s wei", ErrInsufficientETH, sender, need)
 	}
 
-	intrinsic := gas.TxBase + gas.CalldataGas(wireData)
+	intrinsic := gas.TxBase + gas.CalldataGas(p.wire)
 	if intrinsic > tx.GasLimit {
 		return nil, fmt.Errorf("%w: intrinsic %d > limit %d", ErrIntrinsicGas, intrinsic, tx.GasLimit)
 	}
 
-	txHash, err := tx.hash(wireData, ch.cfg.ChainID)
-	if err != nil {
-		return nil, err
+	txHash := p.hash
+	if !p.hashed {
+		if txHash, _, err = tx.hash(nil, p.wire, ch.cfg.ChainID); err != nil {
+			return nil, err
+		}
 	}
 
 	// Buy gas up front; refund the unused remainder afterwards.
@@ -394,7 +387,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 			caller:    sender,
 			to:        tx.To,
 			value:     tx.Value,
-			appData:   appData,
+			appData:   p.app,
 			tokens:    tx.Tokens,
 			meter:     meter,
 			depth:     0,

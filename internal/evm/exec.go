@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/secp256k1"
-	"repro/internal/sigcache"
 	"repro/internal/types"
 )
 
@@ -66,9 +65,10 @@ type ExecOptions struct {
 	// execution lanes); 0 means GOMAXPROCS. Serial scheduling ignores it.
 	Workers int
 	// PrevalidateBatch, when set, runs in the parallel prevalidation
-	// phase, outside the chain mutex. It receives contiguous sub-batches
-	// (one per worker) so implementations can amortize crypto across
-	// items — core.BatchTokenPrehook feeds them to
+	// phase, outside the chain mutex, once Execute has encoded the
+	// sub-batch's transactions and recovered their senders. It receives
+	// contiguous sub-batches (one per worker) so implementations can
+	// amortize crypto across items — core.BatchTokenPrehook feeds them to
 	// secp256k1.RecoverAddressBatch — and may be called concurrently on
 	// disjoint sub-batches. It is a warm-up hook that communicates only
 	// by side effect (warming caches): the authoritative checks run again
@@ -88,11 +88,24 @@ type ExecOptions struct {
 // sync, per call. If that fails the chain is poisoned: the mined
 // transactions carry their receipts and the error, and every later call
 // fails with ErrChainPoisoned until the chain is rebuilt by RecoverChain.
+//
+// Execute encodes each transaction once — its calldata, signing digest
+// and hash — and every step of the call reads that record: sender
+// recovery, the PrevalidateBatch hook (through AppData and Sender), each
+// execution and the commit record. The transactions must therefore not be
+// mutated while Execute runs. The record is dropped when Execute returns,
+// panicking or not, and rebuilt by the next call, so a transaction
+// changed between calls is encoded, and its sender recovered, afresh.
 func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 	results := make([]BatchResult, len(txs))
 	if len(txs) == 0 {
 		return results
 	}
+	defer func() {
+		for _, tx := range txs {
+			tx.prep.Store(nil)
+		}
+	}()
 
 	if opts.Scheduler == SchedulerSerial {
 		ch.mu.Lock()
@@ -101,6 +114,7 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 			return results
 		}
 		for i, tx := range txs {
+			tx.storePrepared(ch.cfg.ChainID)
 			results[i].Receipt, results[i].Err = ch.applyAtLocked(tx, ch.cfg.Now())
 		}
 		ch.persistBatchLocked(txs, results)
@@ -125,12 +139,13 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 	return results
 }
 
-// prevalidateParallel runs the state-independent warm-up phase: batched
-// sender recovery into the shared cache plus the caller's prevalidation
-// hook, sharded into contiguous per-worker chunks outside the chain
-// mutex. Recovery errors are deliberately dropped — execution re-derives
-// them deterministically, keeping scheduler behaviour identical for bad
-// transactions.
+// prevalidateParallel runs the state-independent phase, sharded into
+// contiguous per-worker chunks outside the chain mutex: each chunk's
+// transactions are encoded into their prepared records, their senders
+// recovered in one batch, and the chunk handed to the caller's
+// prevalidation hook. Errors are deliberately dropped — execution
+// re-derives them deterministically, keeping scheduler behaviour
+// identical for bad transactions.
 func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, hook func([]*Transaction)) {
 	start := time.Now()
 	chainID := ch.cfg.ChainID
@@ -145,7 +160,10 @@ func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, hook func(
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			warmSenderCache(sub, chainID)
+			for _, tx := range sub {
+				tx.storePrepared(chainID)
+			}
+			recoverSenders(sub, chainID)
 			if hook != nil {
 				hook(sub)
 			}
@@ -155,52 +173,44 @@ func (ch *Chain) prevalidateParallel(txs []*Transaction, workers int, hook func(
 	ch.metrics.prevalidate.ObserveDuration(time.Since(start))
 }
 
-// warmSenderCache recovers the senders of txs with the amortized batch
-// recovery and installs the results in the per-transaction memos and the
-// shared sender cache, so later Sender calls only re-hash and compare.
-// Transactions already memoized or cached are skipped; invalid ones are
-// left for execution to reject with the exact per-item error.
-func warmSenderCache(txs []*Transaction, chainID uint64) {
+// recoverSenders recovers the senders of txs with the amortized batch
+// recovery and installs them in the per-transaction memos, so the Sender
+// calls of the hook and of execution find them there. Transactions
+// already memoized are skipped; invalid ones are left for execution to
+// reject with the exact per-item error.
+func recoverSenders(txs []*Transaction, chainID uint64) {
 	var (
-		idx      []int
-		digests  [][32]byte
-		sigs     []secp256k1.Signature
-		sigBytes [][secp256k1.SignatureLength]byte
-		keys     []string
+		idx     []int
+		digests [][32]byte
+		sigs    []secp256k1.Signature
+		sbs     [][secp256k1.SignatureLength]byte
 	)
 	for i, tx := range txs {
 		if tx.Sig.Validate() != nil {
 			continue
 		}
-		digest, err := tx.SigHash(chainID)
+		digest, err := tx.signingHash(chainID)
 		if err != nil {
 			continue
 		}
-		var sb [secp256k1.SignatureLength]byte
-		copy(sb[:], tx.Sig.Bytes())
+		sb := sigBytes(tx.Sig)
 		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == sb {
-			continue
-		}
-		key := sigcache.Key([32]byte(digest), sb[:])
-		if addr, ok := senderCache.Get(key); ok {
-			tx.memo.Store(&senderMemo{digest: digest, sig: sb, sender: addr})
 			continue
 		}
 		idx = append(idx, i)
 		digests = append(digests, [32]byte(digest))
 		sigs = append(sigs, tx.Sig)
-		sigBytes = append(sigBytes, sb)
-		keys = append(keys, key)
+		sbs = append(sbs, sb)
 	}
 	if len(idx) == 0 {
 		return
 	}
+	senderRecoveries.Add(uint64(len(idx)))
 	addrs, errs := secp256k1.RecoverAddressBatch(digests, sigs)
 	for j, i := range idx {
 		if errs[j] != nil {
 			continue
 		}
-		senderCache.Add(keys[j], addrs[j])
-		txs[i].memo.Store(&senderMemo{digest: types.Hash(digests[j]), sig: sigBytes[j], sender: addrs[j]})
+		txs[i].memo.Store(&senderMemo{digest: types.Hash(digests[j]), sig: sbs[j], sender: addrs[j]})
 	}
 }

@@ -1,5 +1,5 @@
 package evm
 
-// PurgeSenderCache empties the shared sender cache, so a benchmark that
-// re-signs byte-identical transactions on every run still starts cold.
-func PurgeSenderCache() { senderCache.Purge() }
+// SenderRecoveries returns the process-wide count of sender ecrecovers
+// the per-transaction memo did not save.
+func SenderRecoveries() uint64 { return senderRecoveries.Load() }

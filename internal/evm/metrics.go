@@ -13,7 +13,6 @@ const (
 	MetricPrevalidateSeconds = "evm_apply_batch_prevalidate_seconds"
 	MetricCommitSeconds      = "evm_apply_batch_commit_seconds"
 	MetricBatchSize          = "evm_apply_batch_size"
-	MetricSenderCacheHits    = "evm_sender_cache_hits_total"
 	MetricSenderCacheMisses  = "evm_sender_cache_misses_total"
 	MetricExecConflicts      = "evm_exec_conflicts_total"
 	MetricExecReexecutions   = "evm_exec_reexecutions"
@@ -50,12 +49,10 @@ func newChainMetrics(reg *metrics.Registry) *chainMetrics {
 		parallel: reg.Histogram(MetricExecParallelSecs,
 			"Batch Execute phase 2: speculative parallel wave plus in-order validate-and-repair pass, per batch.", nil),
 	}
-	// The recovery caches are process-wide; expose them as scrape-time
-	// funcs so their pre-existing atomics are the single source of truth.
-	reg.CounterFunc(MetricSenderCacheHits, "Shared sender-recovery cache hits.",
-		func() uint64 { h, _ := SenderCacheStats(); return h })
-	reg.CounterFunc(MetricSenderCacheMisses, "Shared sender-recovery cache misses.",
-		func() uint64 { _, mi := SenderCacheStats(); return mi })
+	// The count is process-wide; expose it as a scrape-time func so its
+	// atomic is the single source of truth.
+	reg.CounterFunc(MetricSenderCacheMisses, "Sender ecrecovers the per-transaction memo did not save.",
+		func() uint64 { return senderRecoveries.Load() })
 	return m
 }
 

@@ -257,21 +257,30 @@ func EncodeCommit(tx *Transaction, blockTime time.Time) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tokens := make([]any, len(tx.Tokens))
-	for i, t := range tx.Tokens {
-		tokens[i] = t
+	size := len(appData) + rlpFieldsOverhead
+	for _, t := range tx.Tokens {
+		size += len(t) + 9
 	}
-	return rlp.EncodeList(
-		uint64(blockTime.UnixNano()),
-		tx.Nonce,
-		tx.GasPrice,
-		tx.GasLimit,
-		tx.To.Bytes(),
-		tx.Value,
-		appData,
-		tokens,
-		tx.Sig.Bytes(),
-	)
+	buf, start := rlp.OpenList(make([]byte, 0, size))
+	buf = rlp.AppendUint(buf, uint64(blockTime.UnixNano()))
+	buf = rlp.AppendUint(buf, tx.Nonce)
+	if buf, err = rlp.AppendBigInt(buf, tx.GasPrice); err != nil {
+		return nil, err
+	}
+	buf = rlp.AppendUint(buf, tx.GasLimit)
+	buf = rlp.AppendBytes(buf, tx.To[:])
+	if buf, err = rlp.AppendBigInt(buf, tx.Value); err != nil {
+		return nil, err
+	}
+	buf = rlp.AppendBytes(buf, appData)
+	buf, tokens := rlp.OpenList(buf)
+	for _, t := range tx.Tokens {
+		buf = rlp.AppendBytes(buf, t)
+	}
+	buf = rlp.CloseList(buf, tokens)
+	sig := sigBytes(tx.Sig)
+	buf = rlp.AppendBytes(buf, sig[:])
+	return rlp.CloseList(buf, start), nil
 }
 
 // DecodeCommit parses an EncodeCommit payload back into an executable

@@ -10,7 +10,6 @@ import (
 	"repro/internal/keccak"
 	"repro/internal/rlp"
 	"repro/internal/secp256k1"
-	"repro/internal/sigcache"
 	"repro/internal/types"
 )
 
@@ -49,6 +48,9 @@ type Transaction struct {
 	// and signature bytes so any post-signing mutation forces a fresh
 	// recovery (see Sender).
 	memo atomic.Pointer[senderMemo]
+	// prep holds the encodings of the Execute call in progress, nil
+	// outside one (see prepared).
+	prep atomic.Pointer[prepared]
 }
 
 // senderMemo is one cached sender recovery. The digest and signature are
@@ -75,7 +77,18 @@ var (
 // to. Calldata binding note: the token array must stay out of it, because
 // a token cannot sign bytes that contain the token itself; the array is
 // still covered by the transaction signature (SigHash).
+//
+// During Execute it returns the bytes the call prepared; callers must not
+// modify them.
 func (tx *Transaction) AppData() ([]byte, error) {
+	if p := tx.prep.Load(); p != nil {
+		return p.app, nil
+	}
+	return tx.appData()
+}
+
+// appData encodes the application calldata; RawData is returned as is.
+func (tx *Transaction) appData() ([]byte, error) {
 	if tx.RawData != nil {
 		return tx.RawData, nil
 	}
@@ -88,81 +101,188 @@ func (tx *Transaction) AppData() ([]byte, error) {
 // WireData returns the full calldata as priced and signed: the application
 // calldata followed by the ABI-encoded token array (when present).
 func (tx *Transaction) WireData() ([]byte, error) {
-	data, err := tx.AppData()
-	if err != nil {
-		return nil, err
-	}
-	return tx.wireData(data)
+	_, wire, err := tx.calldata()
+	return wire, err
 }
 
-// wireData appends the encoded token array to the application calldata app.
-// The result is built in a fresh buffer: appending onto app could write into
-// the spare capacity of RawData's backing array.
-func (tx *Transaction) wireData(app []byte) ([]byte, error) {
+// calldata returns the application and the wire calldata. Without tokens
+// they are the same slice. With tokens, wire is built in one buffer that
+// encoded app calldata shares as a capped prefix; it never shares
+// RawData's backing array, whose spare capacity appending could write
+// into.
+func (tx *Transaction) calldata() (app, wire []byte, err error) {
 	if len(tx.Tokens) == 0 {
-		return app, nil
+		app, err = tx.appData()
+		return app, app, err
 	}
-	blob, err := abi.Encode(tx.Tokens)
-	if err != nil {
-		return nil, err
+	size := abi.EncodedLen(tx.Tokens)
+	var buf []byte
+	switch {
+	case tx.RawData != nil:
+		app = tx.RawData
+		buf = append(make([]byte, 0, len(app)+size), app...)
+	case tx.Method != "":
+		size += abi.SelectorLength + abi.EncodedLen(tx.Args...)
+		if buf, err = abi.AppendPack(make([]byte, 0, size), tx.Method, tx.Args...); err != nil {
+			return nil, nil, err
+		}
+		app = buf[:len(buf):len(buf)]
+	default:
+		buf = make([]byte, 0, size)
 	}
-	return append(append(make([]byte, 0, len(app)+len(blob)), app...), blob...), nil
+	wire, err = abi.AppendEncode(buf, tx.Tokens)
+	return app, wire, err
 }
+
+// rlpFieldsOverhead bounds what the RLP of a transaction adds to its wire
+// calldata — list and calldata headers, the fixed fields with 256-bit
+// integers, the chain id and the signature — so one buffer of
+// len(wire)+rlpFieldsOverhead holds either hashed encoding.
+const rlpFieldsOverhead = 256
 
 // SigHash computes the digest the sender signs: an EIP-155-style RLP of the
 // transaction fields plus the chain id.
 func (tx *Transaction) SigHash(chainID uint64) (types.Hash, error) {
-	data, err := tx.WireData()
+	_, wire, err := tx.calldata()
 	if err != nil {
 		return types.Hash{}, err
 	}
-	return tx.sigHash(data, chainID)
+	h, _, err := tx.sigHash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
+	return h, err
 }
 
-// sigHash is SigHash over already-derived wire calldata.
-func (tx *Transaction) sigHash(wire []byte, chainID uint64) (types.Hash, error) {
-	enc, err := rlp.EncodeList(
-		tx.Nonce,
-		tx.GasPrice,
-		tx.GasLimit,
-		tx.To.Bytes(),
-		tx.Value,
-		wire,
-		chainID,
-		uint64(0),
-		uint64(0),
-	)
+// sigHash is SigHash over already-derived wire calldata, encoded in buf;
+// it returns buf for reuse.
+func (tx *Transaction) sigHash(buf, wire []byte, chainID uint64) (types.Hash, []byte, error) {
+	buf, start := rlp.OpenList(buf[:0])
+	buf, err := tx.appendFields(buf, wire)
 	if err != nil {
-		return types.Hash{}, fmt.Errorf("tx sighash: %w", err)
+		return types.Hash{}, buf, fmt.Errorf("tx sighash: %w", err)
 	}
-	return types.Hash(keccak.Sum256(enc)), nil
+	buf = rlp.AppendUint(buf, chainID)
+	buf = rlp.AppendUint(buf, 0)
+	buf = rlp.AppendUint(buf, 0)
+	buf = rlp.CloseList(buf, start)
+	return types.Hash(keccak.Sum256(buf)), buf, nil
 }
 
 // Hash computes the transaction hash (over the signed payload).
 func (tx *Transaction) Hash(chainID uint64) (types.Hash, error) {
-	data, err := tx.WireData()
+	_, wire, err := tx.calldata()
 	if err != nil {
 		return types.Hash{}, err
 	}
-	return tx.hash(data, chainID)
+	h, _, err := tx.hash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
+	return h, err
 }
 
-// hash is Hash over already-derived wire calldata.
-func (tx *Transaction) hash(wire []byte, chainID uint64) (types.Hash, error) {
-	enc, err := rlp.EncodeList(
-		tx.Nonce,
-		tx.GasPrice,
-		tx.GasLimit,
-		tx.To.Bytes(),
-		tx.Value,
-		wire,
-		tx.Sig.Bytes(),
-		chainID,
-	)
+// hash is Hash over already-derived wire calldata, encoded in buf; it
+// returns buf for reuse. Like Signature.Bytes it panics on missing or
+// out-of-range signature scalars.
+func (tx *Transaction) hash(buf, wire []byte, chainID uint64) (types.Hash, []byte, error) {
+	buf, start := rlp.OpenList(buf[:0])
+	buf, err := tx.appendFields(buf, wire)
 	if err != nil {
-		return types.Hash{}, fmt.Errorf("tx hash: %w", err)
+		return types.Hash{}, buf, fmt.Errorf("tx hash: %w", err)
 	}
-	return types.Hash(keccak.Sum256(enc)), nil
+	sig := sigBytes(tx.Sig)
+	buf = rlp.AppendBytes(buf, sig[:])
+	buf = rlp.AppendUint(buf, chainID)
+	buf = rlp.CloseList(buf, start)
+	return types.Hash(keccak.Sum256(buf)), buf, nil
+}
+
+// appendFields appends the RLP items the signing digest and the hash
+// share: nonce, gas price, gas limit, target, value and wire calldata.
+func (tx *Transaction) appendFields(dst, wire []byte) ([]byte, error) {
+	dst = rlp.AppendUint(dst, tx.Nonce)
+	dst, err := rlp.AppendBigInt(dst, tx.GasPrice)
+	if err != nil {
+		return dst, err
+	}
+	dst = rlp.AppendUint(dst, tx.GasLimit)
+	dst = rlp.AppendBytes(dst, tx.To[:])
+	if dst, err = rlp.AppendBigInt(dst, tx.Value); err != nil {
+		return dst, err
+	}
+	return rlp.AppendBytes(dst, wire), nil
+}
+
+// sigBytes is sig.Bytes without the heap: r ‖ s ‖ v. It panics, as
+// Bytes does, on missing or out-of-range scalars.
+func sigBytes(sig secp256k1.Signature) [secp256k1.SignatureLength]byte {
+	var b [secp256k1.SignatureLength]byte
+	sig.R.FillBytes(b[:32])
+	sig.S.FillBytes(b[32:64])
+	b[64] = sig.V
+	return b
+}
+
+// prepared is one transaction's encodings for one Execute call: the
+// application and wire calldata, the signing digest and — when the
+// signature scalars are valid — the transaction hash, all for chainID.
+// Execute builds it once per transaction and clears it on return, so
+// sender recovery, the prevalidation hook, every execution and the commit
+// record share one encoding instead of each re-deriving it.
+type prepared struct {
+	chainID   uint64
+	app, wire []byte
+	sigHash   types.Hash
+	hash      types.Hash
+	hashed    bool
+}
+
+// prepare encodes tx for chainID. It fails exactly where SigHash fails.
+func (tx *Transaction) prepare(chainID uint64) (*prepared, error) {
+	app, wire, err := tx.calldata()
+	if err != nil {
+		return nil, err
+	}
+	sigHash, buf, err := tx.sigHash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
+	if err != nil {
+		return nil, err
+	}
+	p := &prepared{chainID: chainID, app: app, wire: wire, sigHash: sigHash}
+	// Signature.Bytes panics on the scalars Validate rejects; execution
+	// rejects those transactions before it needs the hash.
+	if tx.Sig.Validate() == nil {
+		p.hash, _, err = tx.hash(buf, wire, chainID)
+		p.hashed = err == nil
+	}
+	return p, nil
+}
+
+// storePrepared encodes tx for chainID and keeps the record for the rest
+// of the Execute call. A transaction that fails to encode keeps none, and
+// execution rejects it with the encoding error.
+func (tx *Transaction) storePrepared(chainID uint64) {
+	p, _ := tx.prepare(chainID)
+	tx.prep.Store(p)
+}
+
+// preparedFor returns the record Execute prepared for chainID, or nil.
+func (tx *Transaction) preparedFor(chainID uint64) *prepared {
+	if p := tx.prep.Load(); p != nil && p.chainID == chainID {
+		return p
+	}
+	return nil
+}
+
+// preparedOrNew returns the record Execute prepared for chainID, or
+// builds one (without storing it) when there is none.
+func (tx *Transaction) preparedOrNew(chainID uint64) (*prepared, error) {
+	if p := tx.preparedFor(chainID); p != nil {
+		return p, nil
+	}
+	return tx.prepare(chainID)
+}
+
+// signingHash is SigHash, read from the prepared record when there is one.
+func (tx *Transaction) signingHash(chainID uint64) (types.Hash, error) {
+	if p := tx.preparedFor(chainID); p != nil {
+		return p.sigHash, nil
+	}
+	return tx.SigHash(chainID)
 }
 
 // SignTx signs the transaction in place with the given key.
@@ -179,14 +299,19 @@ func SignTx(tx *Transaction, key *secp256k1.PrivateKey, chainID uint64) error {
 	return nil
 }
 
+// senderRecoveries counts the sender ecrecovers the per-transaction memo
+// did not save, process-wide (evm_sender_cache_misses_total).
+var senderRecoveries atomic.Uint64
+
 // Sender recovers the transaction originator from the signature.
 //
-// The recovery is memoized: the signing digest and signature bytes are
-// always recomputed (so tampering with any signed field after a previous
-// call yields a fresh — different — recovery), but the expensive ecrecover
-// is skipped when both match a prior call or the shared sender cache.
+// The recovery is memoized per transaction: the signing digest and the
+// signature bytes are recomputed on every call outside Execute (inside,
+// the digest is the one Execute prepared), so tampering with any signed
+// field after a previous call yields a fresh — different — recovery, but
+// the expensive ecrecover is skipped when both match the last recovery.
 func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
-	digest, err := tx.SigHash(chainID)
+	digest, err := tx.signingHash(chainID)
 	if err != nil {
 		return types.Address{}, err
 	}
@@ -194,33 +319,27 @@ func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
 }
 
 // senderFor recovers the sender of the signature over digest, which the
-// caller must have just computed from the transaction's current fields:
-// the memo, then the shared sender cache, then ecrecover.
+// caller must have derived from the transaction's current fields: the
+// memo when it holds this digest and signature, else ecrecover.
 func (tx *Transaction) senderFor(digest types.Hash) (types.Address, error) {
-	// Missing or out-of-range scalars skip the cache: Sig.Bytes (the cache
-	// key) panics on them, and RecoverAddress below reports them as
+	// Missing or out-of-range scalars skip the memo: sigBytes (its key)
+	// panics on them, and RecoverAddress below reports them as
 	// ErrBadTxSignature.
-	cached := tx.Sig.Validate() == nil
-	var sigBytes [secp256k1.SignatureLength]byte
-	var key string
-	if cached {
-		copy(sigBytes[:], tx.Sig.Bytes())
-		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == sigBytes {
+	valid := tx.Sig.Validate() == nil
+	var sig [secp256k1.SignatureLength]byte
+	if valid {
+		sig = sigBytes(tx.Sig)
+		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == sig {
 			return m.sender, nil
 		}
-		key = sigcache.Key([32]byte(digest), sigBytes[:])
-		if addr, ok := senderCache.Get(key); ok {
-			tx.memo.Store(&senderMemo{digest: digest, sig: sigBytes, sender: addr})
-			return addr, nil
-		}
+		senderRecoveries.Add(1)
 	}
 	addr, err := secp256k1.RecoverAddress([32]byte(digest), tx.Sig)
 	if err != nil {
 		return types.Address{}, fmt.Errorf("%w: %v", ErrBadTxSignature, err)
 	}
-	if cached {
-		senderCache.Add(key, addr)
-		tx.memo.Store(&senderMemo{digest: digest, sig: sigBytes, sender: addr})
+	if valid {
+		tx.memo.Store(&senderMemo{digest: digest, sig: sig, sender: addr})
 	}
 	return addr, nil
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 var (
@@ -72,7 +73,10 @@ func AppendBytes(dst, s []byte) []byte {
 
 // AppendString appends the RLP encoding of a string to dst.
 func AppendString(dst []byte, s string) []byte {
-	return AppendBytes(dst, []byte(s))
+	if len(s) == 1 && s[0] < 0x80 {
+		return append(dst, s[0])
+	}
+	return append(appendLength(dst, 0x80, len(s)), s...)
 }
 
 // AppendUint appends the canonical RLP encoding of an unsigned integer
@@ -101,7 +105,14 @@ func AppendBigInt(dst []byte, v *big.Int) ([]byte, error) {
 	if v.Sign() < 0 {
 		return nil, errors.New("rlp: cannot encode negative big integer")
 	}
-	return AppendBytes(dst, v.Bytes()), nil
+	if v.IsUint64() {
+		return AppendUint(dst, v.Uint64()), nil
+	}
+	n := (v.BitLen() + 7) / 8
+	dst = appendLength(dst, 0x80, n)
+	dst = append(dst, make([]byte, n)...)
+	v.FillBytes(dst[len(dst)-n:])
+	return dst, nil
 }
 
 // AppendList appends the RLP encoding of a list whose already-encoded
@@ -127,49 +138,129 @@ func appendLength(dst []byte, offset byte, length int) []byte {
 	return append(dst, buf[:n]...)
 }
 
+// maxListHeader is the longest list header: the prefix byte and an
+// eight-byte length.
+const maxListHeader = 9
+
+// OpenList starts a list at the end of dst for a caller that appends the
+// items itself. It reserves room for the longest header and returns the
+// extended buffer and the list's start, which CloseList takes once every
+// item is appended.
+func OpenList(dst []byte) ([]byte, int) {
+	start := len(dst)
+	return append(dst, make([]byte, maxListHeader)...), start
+}
+
+// CloseList ends the list OpenList started at start: it writes the
+// header and moves the items up against it.
+func CloseList(dst []byte, start int) []byte {
+	payload := len(dst) - start - maxListHeader
+	var hdr [maxListHeader]byte
+	h := appendLength(hdr[:0], 0xc0, payload)
+	copy(dst[start:], h)
+	copy(dst[start+len(h):], dst[start+maxListHeader:])
+	return dst[:start+len(h)+payload]
+}
+
 // EncodeList encodes vs as an RLP list. Each element must be one of
 // []byte, string, uint64, int (non-negative), *big.Int, or []any (nested
-// list).
+// list). A length pre-pass sizes the result, so it is built in one
+// allocation.
 func EncodeList(vs ...any) ([]byte, error) {
-	payload, err := encodeItems(vs)
+	n, err := itemsLen(vs)
 	if err != nil {
 		return nil, err
 	}
-	return AppendList(nil, payload), nil
+	dst := make([]byte, 0, headerLen(n)+n)
+	return appendItems(appendLength(dst, 0xc0, n), vs), nil
 }
 
-func encodeItems(vs []any) ([]byte, error) {
-	var payload []byte
-	var err error
+// itemsLen is the length of the encoded items of vs, and the error the
+// first item that cannot be encoded gives.
+func itemsLen(vs []any) (int, error) {
+	n := 0
 	for _, v := range vs {
 		switch x := v.(type) {
 		case []byte:
-			payload = AppendBytes(payload, x)
+			n += bytesLen(x)
 		case string:
-			payload = AppendString(payload, x)
+			n += bytesLen(x)
 		case uint64:
-			payload = AppendUint(payload, x)
+			n += uintLen(x)
 		case int:
 			if x < 0 {
-				return nil, errors.New("rlp: cannot encode negative int")
+				return 0, errors.New("rlp: cannot encode negative int")
 			}
-			payload = AppendUint(payload, uint64(x))
+			n += uintLen(uint64(x))
 		case *big.Int:
-			payload, err = AppendBigInt(payload, x)
-			if err != nil {
-				return nil, err
+			switch {
+			case x == nil:
+				n++
+			case x.Sign() < 0:
+				return 0, errors.New("rlp: cannot encode negative big integer")
+			case x.IsUint64():
+				n += uintLen(x.Uint64())
+			default:
+				b := (x.BitLen() + 7) / 8
+				n += headerLen(b) + b
 			}
 		case []any:
-			inner, err := encodeItems(x)
+			inner, err := itemsLen(x)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			payload = AppendList(payload, inner)
+			n += headerLen(inner) + inner
 		default:
-			return nil, fmt.Errorf("rlp: unsupported type %T", v)
+			return 0, fmt.Errorf("rlp: unsupported type %T", v)
 		}
 	}
-	return payload, nil
+	return n, nil
+}
+
+// appendItems appends the encoded items of vs, which itemsLen accepted.
+func appendItems(dst []byte, vs []any) []byte {
+	for _, v := range vs {
+		switch x := v.(type) {
+		case []byte:
+			dst = AppendBytes(dst, x)
+		case string:
+			dst = AppendString(dst, x)
+		case uint64:
+			dst = AppendUint(dst, x)
+		case int:
+			dst = AppendUint(dst, uint64(x))
+		case *big.Int:
+			dst, _ = AppendBigInt(dst, x)
+		case []any:
+			inner, _ := itemsLen(x)
+			dst = appendItems(appendLength(dst, 0xc0, inner), x)
+		}
+	}
+	return dst
+}
+
+// bytesLen is the encoded length of a byte string.
+func bytesLen[T []byte | string](s T) int {
+	if len(s) == 1 && s[0] < 0x80 {
+		return 1
+	}
+	return headerLen(len(s)) + len(s)
+}
+
+// uintLen is the encoded length of an unsigned integer.
+func uintLen(u uint64) int {
+	if u < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(u)+7)/8
+}
+
+// headerLen is the length of the header of an n-byte payload.
+func headerLen(n int) int {
+	if n < 56 {
+		return 1
+	}
+	return 1 + (bits.Len64(uint64(n))+7)/8
 }
 
 // Decode parses a single top-level RLP item and requires the input to be
