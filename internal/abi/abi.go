@@ -123,8 +123,8 @@ func AppendEncode(dst []byte, args ...any) ([]byte, error) {
 	return appendEncoded(slices.Grow(dst, n), args)
 }
 
-// EncodedLen returns len(Encode(args...)) without encoding; an argument
-// Encode rejects counts as one word.
+// EncodedLen returns len(Encode(args...)) without encoding, for
+// arguments Encode accepts.
 func EncodedLen(args ...any) int {
 	n, _ := encodedLen(args)
 	return n
@@ -184,7 +184,7 @@ func encodedLen(args []any) (int, error) {
 		case [][]byte:
 			n += bytesArrayLen(v)
 		default:
-			return 32 * len(args), unsupported(a)
+			return 0, unsupported(a)
 		}
 	}
 	return n, nil

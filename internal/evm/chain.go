@@ -355,7 +355,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 
 	txHash := p.hash
 	if !p.hashed {
-		if txHash, _, err = tx.hash(nil, p.wire, ch.cfg.ChainID); err != nil {
+		if txHash, err = tx.hash(nil, p.wire, ch.cfg.ChainID); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/abi"
@@ -147,23 +148,21 @@ func (tx *Transaction) SigHash(chainID uint64) (types.Hash, error) {
 	if err != nil {
 		return types.Hash{}, err
 	}
-	h, _, err := tx.sigHash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
-	return h, err
+	return tx.sigHash(nil, wire, chainID)
 }
 
-// sigHash is SigHash over already-derived wire calldata, encoded in buf;
-// it returns buf for reuse.
-func (tx *Transaction) sigHash(buf, wire []byte, chainID uint64) (types.Hash, []byte, error) {
-	buf, start := rlp.OpenList(buf[:0])
+// sigHash is SigHash over already-derived wire calldata. The RLP is built
+// in scratch's backing array when it is large enough (nil allocates).
+func (tx *Transaction) sigHash(scratch, wire []byte, chainID uint64) (types.Hash, error) {
+	buf, start := rlp.OpenList(slices.Grow(scratch[:0], len(wire)+rlpFieldsOverhead))
 	buf, err := tx.appendFields(buf, wire)
 	if err != nil {
-		return types.Hash{}, buf, fmt.Errorf("tx sighash: %w", err)
+		return types.Hash{}, fmt.Errorf("tx sighash: %w", err)
 	}
 	buf = rlp.AppendUint(buf, chainID)
 	buf = rlp.AppendUint(buf, 0)
 	buf = rlp.AppendUint(buf, 0)
-	buf = rlp.CloseList(buf, start)
-	return types.Hash(keccak.Sum256(buf)), buf, nil
+	return types.Hash(keccak.Sum256(rlp.CloseList(buf, start))), nil
 }
 
 // Hash computes the transaction hash (over the signed payload).
@@ -172,24 +171,22 @@ func (tx *Transaction) Hash(chainID uint64) (types.Hash, error) {
 	if err != nil {
 		return types.Hash{}, err
 	}
-	h, _, err := tx.hash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
-	return h, err
+	return tx.hash(nil, wire, chainID)
 }
 
-// hash is Hash over already-derived wire calldata, encoded in buf; it
-// returns buf for reuse. Like Signature.Bytes it panics on missing or
-// out-of-range signature scalars.
-func (tx *Transaction) hash(buf, wire []byte, chainID uint64) (types.Hash, []byte, error) {
-	buf, start := rlp.OpenList(buf[:0])
+// hash is Hash over already-derived wire calldata, built like sigHash.
+// Like Signature.Bytes it panics on missing or out-of-range signature
+// scalars.
+func (tx *Transaction) hash(scratch, wire []byte, chainID uint64) (types.Hash, error) {
+	buf, start := rlp.OpenList(slices.Grow(scratch[:0], len(wire)+rlpFieldsOverhead))
 	buf, err := tx.appendFields(buf, wire)
 	if err != nil {
-		return types.Hash{}, buf, fmt.Errorf("tx hash: %w", err)
+		return types.Hash{}, fmt.Errorf("tx hash: %w", err)
 	}
 	sig := sigBytes(tx.Sig)
 	buf = rlp.AppendBytes(buf, sig[:])
 	buf = rlp.AppendUint(buf, chainID)
-	buf = rlp.CloseList(buf, start)
-	return types.Hash(keccak.Sum256(buf)), buf, nil
+	return types.Hash(keccak.Sum256(rlp.CloseList(buf, start))), nil
 }
 
 // appendFields appends the RLP items the signing digest and the hash
@@ -238,7 +235,8 @@ func (tx *Transaction) prepare(chainID uint64) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigHash, buf, err := tx.sigHash(make([]byte, 0, len(wire)+rlpFieldsOverhead), wire, chainID)
+	scratch := make([]byte, 0, len(wire)+rlpFieldsOverhead)
+	sigHash, err := tx.sigHash(scratch, wire, chainID)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +244,7 @@ func (tx *Transaction) prepare(chainID uint64) (*prepared, error) {
 	// Signature.Bytes panics on the scalars Validate rejects; execution
 	// rejects those transactions before it needs the hash.
 	if tx.Sig.Validate() == nil {
-		p.hash, _, err = tx.hash(buf, wire, chainID)
+		p.hash, err = tx.hash(scratch, wire, chainID)
 		p.hashed = err == nil
 	}
 	return p, nil
