@@ -21,7 +21,6 @@ import (
 	"math/big"
 	"reflect"
 	"slices"
-	"strings"
 
 	"repro/internal/keccak"
 	"repro/internal/types"
@@ -96,15 +95,25 @@ func unsupported(v any) error {
 // set of argument values, e.g. Signature("transfer", addr, amount) =
 // "transfer(address,uint256)".
 func Signature(method string, args ...any) (string, error) {
-	names := make([]string, len(args))
+	sig, err := appendSignature(nil, method, args)
+	return string(sig), err
+}
+
+// appendSignature appends the canonical signature of method and args to
+// dst.
+func appendSignature(dst []byte, method string, args []any) ([]byte, error) {
+	dst = append(append(dst, method...), '(')
 	for i, a := range args {
-		n, err := TypeName(a)
-		if err != nil {
-			return "", fmt.Errorf("argument %d: %w", i, err)
+		name, ok := typeName(a)
+		if !ok {
+			return nil, fmt.Errorf("argument %d: %w", i, unsupported(a))
 		}
-		names[i] = n
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, name...)
 	}
-	return method + "(" + strings.Join(names, ",") + ")", nil
+	return append(dst, ')'), nil
 }
 
 // Encode ABI-encodes the arguments using head/tail encoding.
@@ -155,18 +164,11 @@ func AppendPack(dst []byte, method string, args ...any) ([]byte, error) {
 // signature built on the stack.
 func selectorOf(method string, args []any) (Selector, error) {
 	var buf [128]byte
-	sig := append(append(buf[:0], method...), '(')
-	for i, a := range args {
-		name, ok := typeName(a)
-		if !ok {
-			return Selector{}, fmt.Errorf("argument %d: %w", i, unsupported(a))
-		}
-		if i > 0 {
-			sig = append(sig, ',')
-		}
-		sig = append(sig, name...)
+	sig, err := appendSignature(buf[:0], method, args)
+	if err != nil {
+		return Selector{}, err
 	}
-	h := keccak.Sum256(append(sig, ')'))
+	h := keccak.Sum256(sig)
 	return Selector(h[:SelectorLength]), nil
 }
 

@@ -326,9 +326,12 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	// Execute prepared the encodings; durable replay and direct callers
 	// encode here. Either way they derive from the current fields, so a
 	// transaction tampered with between calls recovers a fresh sender.
-	p, err := tx.preparedOrNew(ch.cfg.ChainID)
-	if err != nil {
-		return nil, err
+	p := tx.preparedFor(ch.cfg.ChainID)
+	if p == nil {
+		var err error
+		if p, err = tx.prepare(ch.cfg.ChainID); err != nil {
+			return nil, err
+		}
 	}
 	sender, err := tx.senderFor(p.sigHash)
 	if err != nil {

@@ -266,15 +266,6 @@ func (tx *Transaction) preparedFor(chainID uint64) *prepared {
 	return nil
 }
 
-// preparedOrNew returns the record Execute prepared for chainID, or
-// builds one (without storing it) when there is none.
-func (tx *Transaction) preparedOrNew(chainID uint64) (*prepared, error) {
-	if p := tx.preparedFor(chainID); p != nil {
-		return p, nil
-	}
-	return tx.prepare(chainID)
-}
-
 // signingHash is SigHash, read from the prepared record when there is one.
 func (tx *Transaction) signingHash(chainID uint64) (types.Hash, error) {
 	if p := tx.preparedFor(chainID); p != nil {
