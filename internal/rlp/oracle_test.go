@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The list encoder the length pre-pass replaced: it encodes every list
+// The list encoder OpenList/CloseList replaced: it encodes every list
 // payload into a fresh buffer, then copies it behind the header. The
 // differential tests and FuzzEncodeListDifferential hold EncodeList
 // byte-for-byte to it.
@@ -128,31 +128,8 @@ func fuzzItems(data *[]byte, depth int) []any {
 	return items
 }
 
-// appendOpenClose encodes vs onto dst through OpenList, the Append
-// primitives and CloseList, the way typed callers build a list in place.
-func appendOpenClose(dst []byte, vs []any) []byte {
-	dst, start := OpenList(dst)
-	for _, v := range vs {
-		switch x := v.(type) {
-		case []byte:
-			dst = AppendBytes(dst, x)
-		case string:
-			dst = AppendString(dst, x)
-		case uint64:
-			dst = AppendUint(dst, x)
-		case int:
-			dst = AppendUint(dst, uint64(x))
-		case *big.Int:
-			dst, _ = AppendBigInt(dst, x)
-		case []any:
-			dst = appendOpenClose(dst, x)
-		}
-	}
-	return CloseList(dst, start)
-}
-
-// checkEncodeListDifferential holds EncodeList, and OpenList/CloseList
-// for the lists it accepts, to the oracle: same bytes, same error text.
+// checkEncodeListDifferential holds EncodeList, and the list appended
+// behind a prefix, to the oracle: same bytes, same error text.
 func checkEncodeListDifferential(t *testing.T, vs []any) {
 	t.Helper()
 	want, wantErr := refEncodeList(vs...)
@@ -164,8 +141,8 @@ func checkEncodeListDifferential(t *testing.T, vs []any) {
 		return
 	}
 	prefix := []byte{0xee, 0xff}
-	if got := appendOpenClose(prefix[:2:2], vs); !bytes.Equal(got, append(prefix, want...)) {
-		t.Fatalf("OpenList/CloseList(%v) = %x, want prefix ‖ %x", vs, got, want)
+	if got, _ := appendList(prefix[:2:2], vs); !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("appendList(%v) = %x, want prefix ‖ %x", vs, got, want)
 	}
 }
 

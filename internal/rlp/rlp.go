@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/bits"
 )
 
 var (
@@ -164,61 +163,16 @@ func CloseList(dst []byte, start int) []byte {
 
 // EncodeList encodes vs as an RLP list. Each element must be one of
 // []byte, string, uint64, int (non-negative), *big.Int, or []any (nested
-// list). A length pre-pass sizes the result, so it is built in one
-// allocation.
+// list).
 func EncodeList(vs ...any) ([]byte, error) {
-	n, err := itemsLen(vs)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]byte, 0, headerLen(n)+n)
-	return appendItems(appendLength(dst, 0xc0, n), vs), nil
+	return appendList(nil, vs)
 }
 
-// itemsLen is the length of the encoded items of vs, and the error the
-// first item that cannot be encoded gives.
-func itemsLen(vs []any) (int, error) {
-	n := 0
-	for _, v := range vs {
-		switch x := v.(type) {
-		case []byte:
-			n += bytesLen(x)
-		case string:
-			n += bytesLen(x)
-		case uint64:
-			n += uintLen(x)
-		case int:
-			if x < 0 {
-				return 0, errors.New("rlp: cannot encode negative int")
-			}
-			n += uintLen(uint64(x))
-		case *big.Int:
-			switch {
-			case x == nil:
-				n++
-			case x.Sign() < 0:
-				return 0, errors.New("rlp: cannot encode negative big integer")
-			case x.IsUint64():
-				n += uintLen(x.Uint64())
-			default:
-				b := (x.BitLen() + 7) / 8
-				n += headerLen(b) + b
-			}
-		case []any:
-			inner, err := itemsLen(x)
-			if err != nil {
-				return 0, err
-			}
-			n += headerLen(inner) + inner
-		default:
-			return 0, fmt.Errorf("rlp: unsupported type %T", v)
-		}
-	}
-	return n, nil
-}
-
-// appendItems appends the encoded items of vs, which itemsLen accepted.
-func appendItems(dst []byte, vs []any) []byte {
+// appendList appends the RLP list of vs to dst, each (nested) list
+// between OpenList and CloseList.
+func appendList(dst []byte, vs []any) ([]byte, error) {
+	dst, start := OpenList(dst)
+	var err error
 	for _, v := range vs {
 		switch x := v.(type) {
 		case []byte:
@@ -228,39 +182,23 @@ func appendItems(dst []byte, vs []any) []byte {
 		case uint64:
 			dst = AppendUint(dst, x)
 		case int:
+			if x < 0 {
+				return nil, errors.New("rlp: cannot encode negative int")
+			}
 			dst = AppendUint(dst, uint64(x))
 		case *big.Int:
-			dst, _ = AppendBigInt(dst, x)
+			if dst, err = AppendBigInt(dst, x); err != nil {
+				return nil, err
+			}
 		case []any:
-			inner, _ := itemsLen(x)
-			dst = appendItems(appendLength(dst, 0xc0, inner), x)
+			if dst, err = appendList(dst, x); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("rlp: unsupported type %T", v)
 		}
 	}
-	return dst
-}
-
-// bytesLen is the encoded length of a byte string.
-func bytesLen[T []byte | string](s T) int {
-	if len(s) == 1 && s[0] < 0x80 {
-		return 1
-	}
-	return headerLen(len(s)) + len(s)
-}
-
-// uintLen is the encoded length of an unsigned integer.
-func uintLen(u uint64) int {
-	if u < 0x80 {
-		return 1
-	}
-	return 1 + (bits.Len64(u)+7)/8
-}
-
-// headerLen is the length of the header of an n-byte payload.
-func headerLen(n int) int {
-	if n < 56 {
-		return 1
-	}
-	return 1 + (bits.Len64(uint64(n))+7)/8
+	return CloseList(dst, start), nil
 }
 
 // Decode parses a single top-level RLP item and requires the input to be
