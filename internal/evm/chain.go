@@ -356,13 +356,6 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 		return nil, fmt.Errorf("%w: intrinsic %d > limit %d", ErrIntrinsicGas, intrinsic, tx.GasLimit)
 	}
 
-	txHash := p.hash
-	if !p.hashed {
-		if txHash, err = tx.hash(nil, p.wire, ch.cfg.ChainID); err != nil {
-			return nil, err
-		}
-	}
-
 	// Buy gas up front; refund the unused remainder afterwards.
 	sdb.IncNonce(sender)
 	if err := sdb.SubBalance(sender, maxFee); err != nil {
@@ -375,7 +368,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	trace := &Trace{}
 	snap := sdb.Snapshot()
 
-	receipt := &Receipt{Trace: trace, TxHash: txHash}
+	receipt := &Receipt{Trace: trace, TxHash: p.hash}
 	var execErr error
 	if tx.Method == "" && tx.RawData == nil {
 		// Plain value transfer.

@@ -216,17 +216,19 @@ func sigBytes(sig secp256k1.Signature) [secp256k1.SignatureLength]byte {
 }
 
 // prepared is one transaction's encodings for one Execute call: the
-// application and wire calldata, the signing digest and — when the
-// signature scalars are valid — the transaction hash, all for chainID.
-// Execute builds it once per transaction and clears it on return, so
-// sender recovery, the prevalidation hook, every execution and the commit
-// record share one encoding instead of each re-deriving it.
+// application and wire calldata, the signing digest and the transaction
+// hash, all for chainID. Execute builds it once per transaction and clears
+// it on return, so sender recovery, the prevalidation hook, every
+// execution and the commit record share one encoding instead of each
+// re-deriving it.
 type prepared struct {
 	chainID   uint64
 	app, wire []byte
 	sigHash   types.Hash
-	hash      types.Hash
-	hashed    bool
+	// hash is only meaningful once the sender has been recovered: prepare
+	// leaves it zero when the signature scalars are invalid, and sender
+	// recovery rejects exactly those transactions.
+	hash types.Hash
 }
 
 // prepare encodes tx for chainID. It fails exactly where SigHash fails.
@@ -242,10 +244,10 @@ func (tx *Transaction) prepare(chainID uint64) (*prepared, error) {
 	}
 	p := &prepared{chainID: chainID, app: app, wire: wire, sigHash: sigHash}
 	// Signature.Bytes panics on the scalars Validate rejects; execution
-	// rejects those transactions before it needs the hash.
+	// rejects those transactions before it needs the hash. The hash
+	// cannot fail once sigHash succeeded: both append the same fields.
 	if tx.Sig.Validate() == nil {
-		p.hash, err = tx.hash(scratch, wire, chainID)
-		p.hashed = err == nil
+		p.hash, _ = tx.hash(scratch, wire, chainID)
 	}
 	return p, nil
 }

@@ -22,7 +22,7 @@ func refEncodeList(vs ...any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AppendList(nil, payload), nil
+	return refAppendList(nil, payload), nil
 }
 
 func encodeItems(vs []any) ([]byte, error) {
@@ -51,12 +51,20 @@ func encodeItems(vs []any) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			payload = AppendList(payload, inner)
+			payload = refAppendList(payload, inner)
 		default:
 			return nil, fmt.Errorf("rlp: unsupported type %T", v)
 		}
 	}
 	return payload, nil
+}
+
+// refAppendList is the removed AppendList, which only refEncodeList still
+// needs: it appends the RLP encoding of a list whose already-encoded
+// payload is given by payload.
+func refAppendList(dst, payload []byte) []byte {
+	dst = appendLength(dst, 0xc0, len(payload))
+	return append(dst, payload...)
 }
 
 // refAppendBigInt is the pre-append AppendBigInt: it appends the canonical RLP encoding of a non-negative big

@@ -114,13 +114,6 @@ func AppendBigInt(dst []byte, v *big.Int) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendList appends the RLP encoding of a list whose already-encoded
-// payload is given by payload.
-func AppendList(dst, payload []byte) []byte {
-	dst = appendLength(dst, 0xc0, len(payload))
-	return append(dst, payload...)
-}
-
 func appendLength(dst []byte, offset byte, length int) []byte {
 	if length < 56 {
 		return append(dst, offset+byte(length))
