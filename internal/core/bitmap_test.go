@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evm"
 	"repro/internal/evmtest"
+	"repro/internal/types"
 	"repro/internal/wallet"
 )
 
@@ -168,6 +169,54 @@ func TestBitmapAtMostOnceProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzBitmapVsNaive holds the windowed bitmap to § IV-C's strawman. The
+// first byte sizes the bitmap (1–32 bits); every later byte is one index
+// presented to both trackers. The bitmap never accepts an index the
+// never-forgetting NaiveTracker rejects, and every index only the bitmap
+// rejects lay below its window: the miss the miss-rate experiment counts,
+// never a fresh in-window token refused.
+func FuzzBitmapVsNaive(f *testing.F) {
+	f.Add([]byte{8, 0, 1, 4, 5, 3, 9, 2, 1, 30, 12}) // § IV-C's n = 8, then advance, miss, reset
+	f.Add([]byte{1, 5, 5, 4, 6, 8, 7})
+	f.Add([]byte{16, 40, 3, 200, 199, 40, 170, 185})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 65 {
+			return // each index costs two signed transactions
+		}
+		bits := 1 + int(data[0]%32)
+		env := evmtest.NewEnv(t, 2)
+		bitmap := env.Deploy(t, newBitmapHarness(t, bits))
+		naive := env.Deploy(t, newNaiveHarness())
+		use := func(addr types.Address, idx uint64) bool {
+			r, err := env.Wallets[1].Call(addr, "use", wallet.CallOpts{}, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Status && !errors.Is(r.Err, core.ErrTokenUsed) {
+				t.Fatalf("use(%d) failed with %v", idx, r.Err)
+			}
+			return r.Status
+		}
+		for _, raw := range data[1:] {
+			idx := uint64(raw)
+			byBitmap, byNaive := use(bitmap, idx), use(naive, idx)
+			switch {
+			case byBitmap && !byNaive:
+				t.Fatalf("n=%d: bitmap accepted index %d the naive tracker rejected (sequence %v)", bits, idx, data[1:])
+			case byNaive && !byBitmap:
+				// A rejected use reverts, so the window is as it was.
+				ret, _, err := env.Chain.StaticCall(env.Wallets[1].Address(), bitmap, "window", nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if start := ret[0].(uint64); idx >= start {
+					t.Fatalf("n=%d: bitmap rejected fresh index %d inside its window (start %d, sequence %v)", bits, idx, start, data[1:])
+				}
+			}
+		}
+	})
 }
 
 func TestBitmapMonotoneSequenceAllAccepted(t *testing.T) {

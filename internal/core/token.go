@@ -109,6 +109,11 @@ func ParseToken(b []byte) (Token, error) {
 	if err != nil {
 		return Token{}, err
 	}
+	// Encode writes recovery ids 0/1 only. ParseSignature also takes
+	// 27/28, which would give one token two encodings.
+	if v := b[TokenLength-1]; v > 1 {
+		return Token{}, fmt.Errorf("%w: recovery id %d", ErrMalformedToken, v)
+	}
 	sig, err := secp256k1.ParseSignature(b[21:])
 	if err != nil {
 		return Token{}, fmt.Errorf("%w: %v", ErrMalformedToken, err)

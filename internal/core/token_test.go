@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,6 +106,13 @@ func TestParseTokenRejectsMalformed(t *testing.T) {
 	}
 	if _, err := ParseToken(bigIdx); err == nil {
 		t.Error("oversized index accepted")
+	}
+
+	// Recovery id 27/28: secp256k1's other spelling of 0/1.
+	wireV := append([]byte(nil), good...)
+	wireV[TokenLength-1] += 27
+	if _, err := ParseToken(wireV); err == nil {
+		t.Error("recovery id 27/28 accepted")
 	}
 }
 
@@ -218,6 +226,71 @@ func TestQuickTokenRoundTrip(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseToken feeds arbitrary bytes through the token decoders, as a
+// token, as an index field and as a token array. Nothing may panic, and
+// everything accepted re-encodes to the bytes it was parsed from.
+func FuzzParseToken(f *testing.F) {
+	for _, index := range []int64{5, NotOneTime} {
+		tk, err := SignToken(testKey, ArgumentType, testExpire, index, testBinding([]byte{1}))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(tk.Encode())
+		f.Add(EncodeEntry(testTarget, tk))
+	}
+	wireV, _ := SignToken(testKey, SuperType, testExpire, 0, testBinding(nil))
+	wireV.Signature.V += 27
+	f.Add(wireV.Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tk, err := ParseToken(b)
+		switch {
+		case err == nil && !bytes.Equal(tk.Encode(), b):
+			t.Fatalf("token re-encodes to %x, parsed from %x", tk.Encode(), b)
+		case err != nil && !errors.Is(err, ErrMalformedToken):
+			t.Fatalf("ParseToken error %v is not ErrMalformedToken", err)
+		}
+
+		if len(b) >= 16 {
+			if index, err := decodeIndex(b[:16]); err == nil {
+				var field [16]byte
+				encodeIndex(field[:], index)
+				if !bytes.Equal(field[:], b[:16]) {
+					t.Fatalf("index %d re-encodes to %x, decoded from %x", index, field, b[:16])
+				}
+			}
+		}
+
+		// The same bytes as a token array of EntryLength entries (the last
+		// one possibly short), searched for the first entry's tag.
+		var tokens [][]byte
+		for rest := b; len(rest) > 0; {
+			n := min(EntryLength, len(rest))
+			tokens, rest = append(tokens, rest[:n]), rest[n:]
+		}
+		var contract types.Address
+		copy(contract[:], b)
+		raw, scanned, err := EntryFor(tokens, contract)
+		if scanned > len(tokens) {
+			t.Fatalf("scanned %d of %d entries", scanned, len(tokens))
+		}
+		if err == nil && (len(raw) != TokenLength || !bytes.Equal(tokens[scanned-1], append(contract.Bytes(), raw...))) {
+			t.Fatalf("entry %d does not hold the token for %s", scanned-1, contract)
+		}
+		viaArray, err2 := TokenFor(tokens, contract)
+		if err != nil {
+			if err2 == nil {
+				t.Fatal("TokenFor found a token EntryFor did not")
+			}
+			return
+		}
+		direct, err3 := ParseToken(raw)
+		if (err2 == nil) != (err3 == nil) || (err2 == nil && !bytes.Equal(viaArray.Encode(), direct.Encode())) {
+			t.Fatalf("TokenFor = %v, %v; ParseToken of its entry = %v, %v", viaArray, err2, direct, err3)
+		}
+	})
 }
 
 func TestSigningDataLayout(t *testing.T) {

@@ -82,8 +82,8 @@ type Receipt struct {
 // stateStore is the state-access surface transaction execution runs
 // against. The committed *state.DB implements it for serial execution;
 // *state.View implements it for optimistic-parallel execution, where each
-// transaction speculates against its own read/write-tracked window onto a
-// multi-version memory (see Execute and internal/state).
+// transaction speculates against its own read/write-tracked window onto
+// the committed DB (see Execute and internal/state).
 type stateStore interface {
 	Exists(addr types.Address) bool
 	Balance(addr types.Address) *big.Int

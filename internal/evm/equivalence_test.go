@@ -225,9 +225,9 @@ func equivalenceIterations() int {
 // TestOptimisticSerialEquivalenceProperty is the headline property test:
 // 1000 seeded iterations (200 under -race) of conflict-heavy batches,
 // each executed on a serial oracle and an optimistic chain — at 1 worker
-// (a sequential wave, so the repair pass only validates), 2, and 8 (more
-// lanes than cores) in turn — with receipts compared field-by-field and
-// state/height/metrics diffed after every batch.
+// (a sequential wave), 2, and 8 (more lanes than cores) in turn — with
+// receipts compared field-by-field and state/height/metrics diffed after
+// every batch.
 func TestOptimisticSerialEquivalenceProperty(t *testing.T) {
 	iterations := equivalenceIterations()
 	if testing.Short() {
@@ -266,7 +266,7 @@ func TestOptimisticSerialEquivalenceProperty(t *testing.T) {
 // TestOptimisticSchedulerRaceStress hammers one chain with large
 // conflict-saturated optimistic batches at high worker counts — its value
 // is under -race, where any unsynchronized access between scheduler
-// workers, the multi-version memory, and the commit phase trips the
+// workers reading the committed state and the commit phase trips the
 // detector. A serial oracle cross-checks the final state.
 func TestOptimisticSchedulerRaceStress(t *testing.T) {
 	p := newEquivPair(t)
@@ -314,10 +314,9 @@ func TestOptimisticSchedulerRaceStress(t *testing.T) {
 // collide(i) call per party i, each from its own sender. The handler
 // loads the shared slot 0 and then, with barrier set, blocks on a
 // one-shot barrier until every party's first execution has loaded it
-// too: every execution of the wave observes the base version before
-// anyone publishes, which makes exactly parties−1 stale reads a certainty
-// instead of a scheduling accident; later executions (the repair pass)
-// pass straight through. Serial oracles run without the barrier. After
+// too, so the whole wave runs at once; later executions (the repair
+// pass) pass straight through. The barrier needs a worker per party;
+// serial oracles and one-worker waves run without it. After
 // it the handler hands (i, loaded value) to onLoad, which
 // may panic, and stores value+1.
 type colliderChain struct {
@@ -479,6 +478,63 @@ func TestOptimisticNonceChainBoundedReexecution(t *testing.T) {
 	}
 	if got := seriesValue(t, reg, evm.MetricExecReexecutions+"_sum"); got > n {
 		t.Errorf("%v re-executions for a %d-long chain: more than 2n executions", got, n)
+	}
+}
+
+// TestOptimisticConflictsAreDeterministic pins conflict counts as a
+// function of the batch. Every wave execution reads the pre-batch state,
+// so however the workers interleave — one worker included — the 6-party
+// collider conflicts at every party but the first, and a single sender's
+// 32-long nonce chain at every link but the first. Each run is undone by
+// a reorg, so the same signed batch runs again.
+func TestOptimisticConflictsAreDeterministic(t *testing.T) {
+	const parties, links, runs = 6, 32, 20
+	collider := newColliderChain(t, parties, false, nil)
+
+	reg := metrics.NewRegistry()
+	cfg := evm.DefaultConfig()
+	cfg.Now = evmtest.NewClock().Now
+	cfg.Metrics = reg
+	nonceChain := evm.NewChain(cfg)
+	key := secp256k1.PrivateKeyFromSeed([]byte("nonce chain"))
+	nonceChain.Fund(key.Address(), evmtest.Ether(100))
+	addr, _, err := nonceChain.Deploy(key.Address(), newCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainTxs := make([]*evm.Transaction, links)
+	for i := range chainTxs {
+		chainTxs[i] = buildIncrement(t, nonceChain, key, addr, nonceChain.NonceOf(key.Address())+uint64(i))
+	}
+
+	shapes := []struct {
+		name  string
+		chain *evm.Chain
+		reg   *metrics.Registry
+		txs   []*evm.Transaction
+		want  float64
+	}{
+		{"collider", collider.chain, collider.reg, collider.txs, parties - 1},
+		{"nonce chain", nonceChain, reg, chainTxs, links - 1},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for run := 0; run < runs; run++ {
+			for _, sh := range shapes {
+				height := sh.chain.Height()
+				before := seriesValue(t, sh.reg, evm.MetricExecConflicts)
+				for i, res := range sh.chain.Execute(sh.txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: workers}) {
+					if res.Err != nil || !res.Receipt.Status {
+						t.Fatalf("%s workers=%d run %d tx %d failed: %v / %+v", sh.name, workers, run, i, res.Err, res.Receipt)
+					}
+				}
+				if got := seriesValue(t, sh.reg, evm.MetricExecConflicts) - before; got != sh.want {
+					t.Fatalf("%s workers=%d run %d: %v conflicts, want %v", sh.name, workers, run, got, sh.want)
+				}
+				if err := sh.chain.Reorg(height); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }
 

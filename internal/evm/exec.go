@@ -22,10 +22,10 @@ const (
 	// SchedulerOptimistic is the batch scheduler. The state-independent
 	// work — batched sender recovery and the prevalidation hook — runs
 	// in a parallel phase outside the chain mutex; then every
-	// transaction executes speculatively in parallel against a versioned
-	// snapshot (Block-STM style), and one in-order pass validates each
-	// read-set and re-executes the transactions an earlier write
-	// invalidated. A batch of n transactions costs at most 2n
+	// transaction executes speculatively in parallel against the
+	// pre-batch state, and one in-order pass re-executes each
+	// transaction whose read-set meets an earlier transaction's writes
+	// and commits it. A batch of n transactions costs at most 2n
 	// executions: conflict-free batches run as one parallel wave, fully
 	// conflicting ones degenerate to a serial in-order commit. Receipts
 	// are byte-identical to serial execution.

@@ -39,15 +39,15 @@ func newChainMetrics(reg *metrics.Registry) *chainMetrics {
 		prevalidate: reg.Histogram(MetricPrevalidateSeconds,
 			"Batch Execute phase 1: parallel sender recovery and token prevalidation, per batch.", nil),
 		commit: reg.Histogram(MetricCommitSeconds,
-			"Batch Execute phase 3: in-order state commit under the chain mutex, per batch.", nil),
+			"Batch Execute phase 3: in-order repair, state commit and persist under the chain mutex, per batch.", nil),
 		batchSize: reg.Histogram(MetricBatchSize,
 			"Transactions per batch Execute call.", metrics.DefSizeBuckets),
 		conflicts: reg.Counter(MetricExecConflicts,
-			"Optimistic-scheduler validation failures: executions whose read-set was invalidated by an earlier transaction's write."),
+			"Optimistic-scheduler conflicts: wave executions whose read-set met an earlier transaction's write."),
 		reexecs: reg.Histogram(MetricExecReexecutions,
 			"Re-executions per optimistic batch: one per conflict, so at most the batch size.", metrics.DefSizeBuckets),
 		parallel: reg.Histogram(MetricExecParallelSecs,
-			"Batch Execute phase 2: speculative parallel wave plus in-order validate-and-repair pass, per batch.", nil),
+			"Batch Execute phase 2: speculative parallel wave against the pre-batch state, per batch.", nil),
 	}
 	// The count is process-wide; expose it as a scrape-time func so its
 	// atomic is the single source of truth.

@@ -7,23 +7,22 @@ import (
 	"repro/internal/state"
 )
 
-// Optimistic-parallel batch execution (Block-STM style): speculate once,
-// repair in order.
+// Optimistic-parallel batch execution: speculate against the pre-state,
+// intersect and repair in order.
 //
-// Every transaction executes speculatively against its own state.View
-// over a shared multi-version memory: reads resolve to the
-// highest-indexed speculative write below the reader's slice position
-// (falling back to committed state) and are version-tracked; writes
-// buffer in the view and publish on completion. After that one parallel
-// wave a single pass walks the batch in slice order: a transaction whose
-// read-set was invalidated by an earlier transaction's write is a
-// conflict and re-executes on the spot. Every lower position is final by
-// then, so the re-execution reads only finalized versions and is valid
-// by construction — a batch of n transactions costs at most 2n
-// executions, whatever its conflict rate. Write-sets are then applied to
-// the committed DB and blocks are mined in slice order, making the whole
-// batch serially equivalent: receipts are byte-identical to executing the
-// slice one transaction at a time. The batch's commit records then
+// Every transaction executes once, in parallel, against its own
+// state.View over the committed DB as it stood before the batch; nothing
+// writes to the DB during that wave. One pass then walks the batch in
+// slice order, keeping the set of locations written by the positions
+// before it. A transaction whose read-set meets that set is a conflict:
+// it re-executes on the spot against the DB, which by then holds every
+// lower position, so the re-execution is valid by construction. Its
+// write-set is then applied and its block mined. A batch of n
+// transactions costs at most 2n executions, whatever its conflict rate,
+// and the conflict count is a function of the batch alone: no execution
+// sees another's speculative write, however the wave was scheduled. The
+// result is serially equivalent: receipts are byte-identical to executing
+// the slice one transaction at a time. The batch's commit records then
 // persist, in that order, through one append.
 //
 // Block timestamps are drawn once per transaction before the wave (still
@@ -32,14 +31,12 @@ import (
 // timestamps by microseconds, and with the fixed clocks used in tests
 // they are identical.
 
-// txExec tracks one transaction's latest speculative execution.
+// txExec is one transaction's latest execution.
 type txExec struct {
 	receipt  *Receipt
 	err      error
-	reads    *state.ReadSet
-	writes   *state.WriteSet
-	inc      int // incarnation: number of executions so far
-	panicked any // recovered panic value of the latest execution, if any
+	view     *state.View // the locations it loaded are the read-set
+	panicked any         // recovered panic value, if the execution panicked
 }
 
 // executeOptimistic runs the optimistic scheduler over txs and fills
@@ -52,41 +49,43 @@ func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []Ba
 		return
 	}
 
-	n := len(txs)
-	times := make([]time.Time, n)
+	times := make([]time.Time, len(txs))
 	for i := range times {
 		times[i] = ch.cfg.Now()
 	}
+	execs := make([]txExec, len(txs))
 
-	mv := state.NewMultiVersion(ch.db)
-	execs := make([]txExec, n)
+	waveStart := time.Now()
+	ch.runWave(txs, times, execs, workers)
+	ch.metrics.parallel.ObserveDuration(time.Since(waveStart))
 
-	parallelStart := time.Now()
-	ch.runWave(mv, txs, times, execs, workers)
+	// The pass applies write-sets as it goes. A panic that serial
+	// execution raises too must leave no trace, so it rolls the DB and the
+	// block list back to where the batch started.
+	commitStart := time.Now()
+	snap, height := ch.db.Snapshot(), len(ch.blocks)
+	written := state.NewWritten()
 	conflicts := 0
-	for i := 0; i < n; i++ {
-		if !mv.Validate(execs[i].reads, i) {
+	for i := range txs {
+		e := &execs[i]
+		if e.view.Meets(written) {
 			conflicts++
-			ch.execOne(mv, txs, times, execs, i)
+			ch.execOne(txs[i], times[i], e)
 		}
-		// Position i has now read only finalized state, so a serial
-		// execution panics identically: propagate.
-		if p := execs[i].panicked; p != nil {
+		// Position i has now read only what serial execution reads, so a
+		// serial execution panics identically: propagate.
+		if p := e.panicked; p != nil {
+			ch.db.RevertToSnapshot(snap)
+			ch.blocks = ch.blocks[:height]
 			panic(p)
 		}
-	}
-	ch.metrics.parallel.ObserveDuration(time.Since(parallelStart))
-
-	// Commit phase: apply validated write-sets to the committed DB and
-	// mine in slice order, then persist the whole batch at once.
-	commitStart := time.Now()
-	for i := 0; i < n; i++ {
-		e := &execs[i]
 		if e.err != nil {
 			results[i].Err = e.err
 			continue
 		}
-		ch.db.ApplyWrites(e.writes)
+		ws := e.view.Writes()
+		ch.db.ApplyWrites(ws)
+		written.Add(ws)
 		ch.mineLocked(e.receipt.TxHash, e.receipt, times[i])
 		results[i].Receipt = e.receipt
 	}
@@ -98,14 +97,13 @@ func (ch *Chain) executeOptimistic(txs []*Transaction, workers int, results []Ba
 }
 
 // runWave executes every transaction once, in parallel, each against a
-// fresh view, and publishes the resulting write-sets. A panic inside a
-// handler is captured per transaction (and its write-set withdrawn): it
-// may stem from a stale speculative read, so the repair pass decides
-// whether serial execution would hit it too.
-func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []time.Time, execs []txExec, workers int) {
+// fresh view of the pre-batch DB. A panic inside a handler is captured
+// per transaction: the in-order pass decides whether serial execution
+// would hit it too.
+func (ch *Chain) runWave(txs []*Transaction, times []time.Time, execs []txExec, workers int) {
 	if workers <= 1 {
 		for i := range txs {
-			ch.execOne(mv, txs, times, execs, i)
+			ch.execOne(txs[i], times[i], &execs[i])
 		}
 		return
 	}
@@ -116,7 +114,7 @@ func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []tim
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				ch.execOne(mv, txs, times, execs, i)
+				ch.execOne(txs[i], times[i], &execs[i])
 			}
 		}()
 	}
@@ -127,30 +125,14 @@ func (ch *Chain) runWave(mv *state.MultiVersion, txs []*Transaction, times []tim
 	wg.Wait()
 }
 
-// execOne runs one speculative execution of txs[i] and publishes its
-// write-set under the next incarnation number.
-func (ch *Chain) execOne(mv *state.MultiVersion, txs []*Transaction, times []time.Time, execs []txExec, i int) {
-	e := &execs[i]
-	e.inc++
-	view := state.NewView(mv, i)
-	e.panicked = nil
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				e.panicked = p
-				e.receipt, e.err = nil, nil
-			}
-		}()
-		e.receipt, e.err = ch.applyOn(view, txs[i], times[i])
+// execOne executes tx on a fresh view of the committed DB and records the
+// outcome in e, replacing the previous execution's.
+func (ch *Chain) execOne(tx *Transaction, at time.Time, e *txExec) {
+	*e = txExec{view: state.NewView(ch.db)}
+	defer func() {
+		if p := recover(); p != nil {
+			e.panicked = p
+		}
 	}()
-	prev := e.writes
-	if e.panicked != nil {
-		// A partial write-set must never be visible to other
-		// transactions: withdraw everything this position published.
-		e.writes = nil
-	} else {
-		e.writes = view.Writes()
-	}
-	e.reads = view.Reads()
-	mv.Publish(i, e.inc, e.writes, prev)
+	e.receipt, e.err = ch.applyOn(e.view, tx, at)
 }

@@ -3,7 +3,10 @@
 // with journaled snapshot/revert so failed calls roll back exactly as in
 // the EVM.
 //
-// The DB is not safe for concurrent use; the chain serializes access.
+// The DB is not safe for concurrent use; the chain serializes access. The
+// one exception is read-only use: while the chain holds its mutex and
+// nothing writes to the DB, many Views may load from it at once (the
+// optimistic scheduler's speculative wave).
 package state
 
 import (
@@ -48,6 +51,17 @@ func (db *DB) account(addr types.Address) *account {
 	db.accounts[addr] = acc
 	db.journal = append(db.journal, func() { delete(db.accounts, addr) })
 	return acc
+}
+
+// peek returns the record of addr without creating it. It only reads, so
+// views may call it concurrently while nothing writes to the DB. The
+// balance aliases live state: callers copy it before mutating.
+func (db *DB) peek(addr types.Address) acctData {
+	acc, ok := db.accounts[addr]
+	if !ok {
+		return acctData{}
+	}
+	return acctData{exists: true, contract: acc.contract, nonce: acc.nonce, balance: acc.balance}
 }
 
 // Exists reports whether the address has ever been touched.
@@ -137,6 +151,7 @@ func (db *DB) SetState(addr types.Address, slot types.Hash, value types.Hash) ty
 	if !ok {
 		s = make(map[types.Hash]types.Hash)
 		db.storage[addr] = s
+		db.journal = append(db.journal, func() { delete(db.storage, addr) })
 	}
 	prev, had := s[slot]
 	s[slot] = value
@@ -181,9 +196,6 @@ func (db *DB) DiscardJournal() { db.journal = db.journal[:0] }
 // call roll the write-set back exactly like individually applied
 // mutations would.
 func (db *DB) ApplyWrites(ws *WriteSet) {
-	if ws == nil {
-		return
-	}
 	for addr, data := range ws.accts {
 		acc := db.account(addr)
 		prevBalance := new(big.Int).Set(acc.balance)

@@ -165,6 +165,24 @@ func TestRevertFreshAccountDisappears(t *testing.T) {
 	}
 }
 
+func TestRevertFreshStorageLeavesDigest(t *testing.T) {
+	db := New()
+	before, err := db.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	db.SetState(addrA, slot1, wordX) // addrA's first word
+	db.RevertToSnapshot(snap)
+	after, err := db.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before != after {
+		t.Error("reverting a contract's first storage write changed the digest")
+	}
+}
+
 func TestQuickSnapshotRoundTrip(t *testing.T) {
 	// Property: any batch of mutations is fully undone by a revert.
 	f := func(amounts []uint8, slots []uint8) bool {

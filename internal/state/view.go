@@ -1,46 +1,28 @@
-// Multi-version memory and per-transaction views for optimistic-parallel
-// execution (Block-STM style).
+// Per-transaction views for optimistic-parallel execution.
 //
-// A MultiVersion sits on top of a committed *DB and holds the speculative
-// writes of every transaction in a batch, keyed by (location, txIndex,
-// incarnation). Each transaction executes against its own View: reads
-// resolve to the highest-indexed speculative write below the reader's own
-// index (falling back to the committed base) and are recorded with the
-// Version they observed; writes buffer locally. After execution the view
-// yields a read-set (for validation) and a write-set (for publication and,
-// once the transaction's position is final, application to the base DB).
+// A View gives one transaction execution an isolated, journaled window
+// onto a committed *DB: the first access to a location loads it from the
+// DB, and every later read and write goes to the view's own copy. The
+// locations a view loaded are its read-set. The locations whose final
+// value differs from the loaded one are its write-set (Writes), which
+// DB.ApplyWrites installs once the transaction's position is final.
+// Whether an execution saw the values serial execution would have is a
+// set intersection: it did unless it loaded a location that a lower
+// transaction of the batch wrote (View.Meets).
 //
-// Locations are tracked at two granularities, matching the base DB:
+// Locations are tracked at two granularities, matching the DB:
 //   - one record per account (existence, balance, nonce, contract flag) —
 //     balance and nonce conflicts on the same account are real conflicts
 //     in this model because fees always rewrite the sender account;
 //   - one record per (contract, slot) storage word.
-//
-// The base *DB must not be mutated while a MultiVersion built on it is in
-// use; the optimistic scheduler guarantees this by holding the chain mutex
-// for the whole run and applying write-sets only after every position has
-// validated.
 package state
 
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"repro/internal/types"
 )
-
-// Version identifies the origin of an observed value: the transaction
-// index whose write was read and that write's incarnation (re-execution
-// count). Reads that fell through to the committed base DB carry
-// BaseVersion.
-type Version struct {
-	Tx  int
-	Inc int
-}
-
-// BaseVersion marks a read served by the committed base DB.
-var BaseVersion = Version{Tx: -1, Inc: 0}
 
 // SlotKey addresses one storage word.
 type SlotKey struct {
@@ -72,247 +54,29 @@ type WriteSet struct {
 	slots map[SlotKey]types.Hash
 }
 
-// Len returns the number of distinct locations written.
-func (ws *WriteSet) Len() int {
-	if ws == nil {
-		return 0
-	}
-	return len(ws.accts) + len(ws.slots)
+// Written is the set of locations a prefix of a batch has written: the
+// union of the write-sets applied so far, without their values.
+type Written struct {
+	accts map[types.Address]struct{}
+	slots map[SlotKey]struct{}
 }
 
-// ReadSet records every location a transaction observed and the Version
-// it observed there.
-type ReadSet struct {
-	accts map[types.Address]Version
-	slots map[SlotKey]Version
-}
-
-// Len returns the number of distinct locations read.
-func (rs *ReadSet) Len() int {
-	if rs == nil {
-		return 0
-	}
-	return len(rs.accts) + len(rs.slots)
-}
-
-const mvShards = 16
-
-type acctEntry struct {
-	tx, inc int
-	data    acctData
-}
-
-type slotEntry struct {
-	tx, inc int
-	val     types.Hash
-}
-
-type mvShard struct {
-	mu    sync.RWMutex
-	accts map[types.Address][]acctEntry // sorted by tx ascending
-	slots map[SlotKey][]slotEntry       // sorted by tx ascending
-}
-
-// MultiVersion is the shared speculative memory of one optimistic batch.
-// Publish/Validate/read may be called concurrently from scheduler workers.
-type MultiVersion struct {
-	base   *DB
-	shards [mvShards]mvShard
-}
-
-// NewMultiVersion creates an empty speculative memory over the committed
-// base state. The base must stay unmodified for the MultiVersion's
-// lifetime.
-func NewMultiVersion(base *DB) *MultiVersion {
-	mv := &MultiVersion{base: base}
-	for i := range mv.shards {
-		mv.shards[i].accts = make(map[types.Address][]acctEntry)
-		mv.shards[i].slots = make(map[SlotKey][]slotEntry)
-	}
-	return mv
-}
-
-func (mv *MultiVersion) acctShard(addr types.Address) *mvShard {
-	return &mv.shards[addr[types.AddressLength-1]%mvShards]
-}
-
-func (mv *MultiVersion) slotShard(k SlotKey) *mvShard {
-	return &mv.shards[(k.Addr[types.AddressLength-1]^k.Slot[types.HashLength-1])%mvShards]
-}
-
-// readAccount resolves an account as seen by the transaction at beforeTx:
-// the highest-indexed speculative write with tx < beforeTx, else the base.
-func (mv *MultiVersion) readAccount(addr types.Address, beforeTx int) (acctData, Version) {
-	sh := mv.acctShard(addr)
-	sh.mu.RLock()
-	entries := sh.accts[addr]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].tx < beforeTx {
-			data, ver := entries[i].data, Version{Tx: entries[i].tx, Inc: entries[i].inc}
-			sh.mu.RUnlock()
-			return data, ver
-		}
-	}
-	sh.mu.RUnlock()
-	return mv.baseAccount(addr), BaseVersion
-}
-
-func (mv *MultiVersion) baseAccount(addr types.Address) acctData {
-	acc, ok := mv.base.accounts[addr]
-	if !ok {
-		return acctData{}
-	}
-	// The balance pointer aliases live base state; callers copy before
-	// mutating. The base is frozen while the MultiVersion is in use.
-	return acctData{exists: true, contract: acc.contract, nonce: acc.nonce, balance: acc.balance}
-}
-
-// readSlot resolves a storage word as seen by the transaction at beforeTx.
-func (mv *MultiVersion) readSlot(k SlotKey, beforeTx int) (types.Hash, Version) {
-	sh := mv.slotShard(k)
-	sh.mu.RLock()
-	entries := sh.slots[k]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].tx < beforeTx {
-			val, ver := entries[i].val, Version{Tx: entries[i].tx, Inc: entries[i].inc}
-			sh.mu.RUnlock()
-			return val, ver
-		}
-	}
-	sh.mu.RUnlock()
-	return mv.base.GetState(k.Addr, k.Slot), BaseVersion
-}
-
-// Publish installs the write-set of one (txIndex, incarnation) execution,
-// replacing the previous incarnation's entries. prev is the write-set of
-// the previous incarnation (nil on first execution); locations written
-// then but not now are withdrawn so stale speculative values cannot be
-// read.
-func (mv *MultiVersion) Publish(txIndex, incarnation int, ws, prev *WriteSet) {
-	if prev != nil {
-		for addr := range prev.accts {
-			if _, still := wsAcct(ws, addr); !still {
-				mv.dropAccount(addr, txIndex)
-			}
-		}
-		for k := range prev.slots {
-			if _, still := wsSlot(ws, k); !still {
-				mv.dropSlot(k, txIndex)
-			}
-		}
-	}
-	if ws == nil {
-		return
-	}
-	for addr, data := range ws.accts {
-		sh := mv.acctShard(addr)
-		sh.mu.Lock()
-		sh.accts[addr] = upsertAcct(sh.accts[addr], acctEntry{tx: txIndex, inc: incarnation, data: data})
-		sh.mu.Unlock()
-	}
-	for k, val := range ws.slots {
-		sh := mv.slotShard(k)
-		sh.mu.Lock()
-		sh.slots[k] = upsertSlot(sh.slots[k], slotEntry{tx: txIndex, inc: incarnation, val: val})
-		sh.mu.Unlock()
+// NewWritten returns an empty set.
+func NewWritten() *Written {
+	return &Written{
+		accts: make(map[types.Address]struct{}),
+		slots: make(map[SlotKey]struct{}),
 	}
 }
 
-func wsAcct(ws *WriteSet, addr types.Address) (acctData, bool) {
-	if ws == nil {
-		return acctData{}, false
+// Add records every location ws writes.
+func (w *Written) Add(ws *WriteSet) {
+	for addr := range ws.accts {
+		w.accts[addr] = struct{}{}
 	}
-	d, ok := ws.accts[addr]
-	return d, ok
-}
-
-func wsSlot(ws *WriteSet, k SlotKey) (types.Hash, bool) {
-	if ws == nil {
-		return types.Hash{}, false
+	for k := range ws.slots {
+		w.slots[k] = struct{}{}
 	}
-	v, ok := ws.slots[k]
-	return v, ok
-}
-
-func (mv *MultiVersion) dropAccount(addr types.Address, txIndex int) {
-	sh := mv.acctShard(addr)
-	sh.mu.Lock()
-	entries := sh.accts[addr]
-	for i, e := range entries {
-		if e.tx == txIndex {
-			sh.accts[addr] = append(entries[:i], entries[i+1:]...)
-			break
-		}
-	}
-	sh.mu.Unlock()
-}
-
-func (mv *MultiVersion) dropSlot(k SlotKey, txIndex int) {
-	sh := mv.slotShard(k)
-	sh.mu.Lock()
-	entries := sh.slots[k]
-	for i, e := range entries {
-		if e.tx == txIndex {
-			sh.slots[k] = append(entries[:i], entries[i+1:]...)
-			break
-		}
-	}
-	sh.mu.Unlock()
-}
-
-func upsertAcct(entries []acctEntry, e acctEntry) []acctEntry {
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].tx == e.tx {
-			entries[i] = e
-			return entries
-		}
-		if entries[i].tx < e.tx {
-			entries = append(entries, acctEntry{})
-			copy(entries[i+2:], entries[i+1:])
-			entries[i+1] = e
-			return entries
-		}
-	}
-	return append([]acctEntry{e}, entries...)
-}
-
-func upsertSlot(entries []slotEntry, e slotEntry) []slotEntry {
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].tx == e.tx {
-			entries[i] = e
-			return entries
-		}
-		if entries[i].tx < e.tx {
-			entries = append(entries, slotEntry{})
-			copy(entries[i+2:], entries[i+1:])
-			entries[i+1] = e
-			return entries
-		}
-	}
-	return append([]slotEntry{e}, entries...)
-}
-
-// Validate re-resolves every location in the read-set as the transaction
-// at txIndex would read it now and reports whether each observation still
-// carries the Version recorded at execution time. A false result means a
-// lower-indexed transaction published (or withdrew) a conflicting write
-// after this transaction read, so its execution is not serially
-// equivalent and must be retried.
-func (mv *MultiVersion) Validate(rs *ReadSet, txIndex int) bool {
-	if rs == nil {
-		return true
-	}
-	for addr, ver := range rs.accts {
-		if _, now := mv.readAccount(addr, txIndex); now != ver {
-			return false
-		}
-	}
-	for k, ver := range rs.slots {
-		if _, now := mv.readSlot(k, txIndex); now != ver {
-			return false
-		}
-	}
-	return true
 }
 
 // viewAcct is a view-local working copy of one account plus the values it
@@ -331,31 +95,25 @@ type viewSlot struct {
 }
 
 // View gives one transaction execution an isolated, journaled window onto
-// the multi-version memory. It implements the same mutation surface as
-// *DB (the subset transaction execution uses) so the EVM layer can run
-// unchanged against either. A View is not safe for concurrent use; each
+// a committed *DB. It implements the same mutation surface as *DB (the
+// subset transaction execution uses) so the EVM layer can run unchanged
+// against either. Its accts and slots maps hold every location it loaded:
+// they are its read-set. A View is not safe for concurrent use; each
 // scheduler worker owns the views it creates.
 type View struct {
-	mv      *MultiVersion
-	txIndex int
+	base    *DB
 	accts   map[types.Address]*viewAcct
 	slots   map[SlotKey]*viewSlot
-	reads   ReadSet
 	journal []func()
 }
 
-// NewView creates a fresh view for the transaction at txIndex. Each
-// incarnation (re-execution) must use a new view.
-func NewView(mv *MultiVersion, txIndex int) *View {
+// NewView creates a fresh view over base. Each execution must use a new
+// view.
+func NewView(base *DB) *View {
 	return &View{
-		mv:      mv,
-		txIndex: txIndex,
-		accts:   make(map[types.Address]*viewAcct, 8),
-		slots:   make(map[SlotKey]*viewSlot, 8),
-		reads: ReadSet{
-			accts: make(map[types.Address]Version, 8),
-			slots: make(map[SlotKey]Version, 8),
-		},
+		base:  base,
+		accts: make(map[types.Address]*viewAcct, 8),
+		slots: make(map[SlotKey]*viewSlot, 8),
 	}
 }
 
@@ -363,8 +121,7 @@ func (v *View) acct(addr types.Address) *viewAcct {
 	if va, ok := v.accts[addr]; ok {
 		return va
 	}
-	data, ver := v.mv.readAccount(addr, v.txIndex)
-	v.reads.accts[addr] = ver
+	data := v.base.peek(addr)
 	bal := new(big.Int).Set(data.balanceOrZero())
 	va := &viewAcct{
 		exists: data.exists, contract: data.contract, nonce: data.nonce,
@@ -442,8 +199,7 @@ func (v *View) slot(k SlotKey) *viewSlot {
 	if vs, ok := v.slots[k]; ok {
 		return vs
 	}
-	val, ver := v.mv.readSlot(k, v.txIndex)
-	v.reads.slots[k] = ver
+	val := v.base.GetState(k.Addr, k.Slot)
 	vs := &viewSlot{cur: val, orig: val}
 	v.slots[k] = vs
 	return vs
@@ -468,8 +224,9 @@ func (v *View) SetState(addr types.Address, slot types.Hash, value types.Hash) t
 func (v *View) Snapshot() int { return len(v.journal) }
 
 // RevertToSnapshot undoes all mutations recorded after the snapshot was
-// taken. Read-set entries are kept: even reverted reads were observed and
-// could have changed the execution path, so they still gate validity.
+// taken. Loaded locations stay in the read-set: even reverted reads were
+// observed and could have changed the execution path, so they still gate
+// validity.
 func (v *View) RevertToSnapshot(id int) {
 	if id < 0 || id > len(v.journal) {
 		return
@@ -480,9 +237,22 @@ func (v *View) RevertToSnapshot(id int) {
 	v.journal = v.journal[:id]
 }
 
-// Reads returns the locations this view observed. Valid until the view is
-// reused.
-func (v *View) Reads() *ReadSet { return &v.reads }
+// Meets reports whether v loaded any location in w. An execution that
+// loaded none of them read the values it would have read after w's
+// writes, so it is the execution serial order gives.
+func (v *View) Meets(w *Written) bool {
+	for addr := range v.accts {
+		if _, ok := w.accts[addr]; ok {
+			return true
+		}
+	}
+	for k := range v.slots {
+		if _, ok := w.slots[k]; ok {
+			return true
+		}
+	}
+	return false
+}
 
 // Writes extracts the net write-set: every location whose final value
 // differs from the value first loaded. Writes that were reverted (or

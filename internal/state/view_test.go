@@ -15,8 +15,7 @@ func TestViewReadsFallThroughToBase(t *testing.T) {
 	base.IncNonce(a)
 	base.SetState(a, slot(0), slot(9))
 
-	mv := NewMultiVersion(base)
-	v := NewView(mv, 3)
+	v := NewView(base)
 	if got := v.Balance(a); got.Cmp(big.NewInt(100)) != 0 {
 		t.Errorf("balance = %s, want 100", got)
 	}
@@ -29,117 +28,48 @@ func TestViewReadsFallThroughToBase(t *testing.T) {
 	if !v.Exists(a) || v.Exists(addr(2)) {
 		t.Error("existence mismatch")
 	}
-	rs := v.Reads()
-	if rs.accts[a] != BaseVersion {
-		t.Errorf("account version = %+v, want base", rs.accts[a])
+	if _, ok := v.accts[a]; !ok {
+		t.Error("account read missing from the read-set")
 	}
-	if rs.slots[SlotKey{Addr: a, Slot: slot(0)}] != BaseVersion {
-		t.Error("slot version should be base")
+	if _, ok := v.slots[SlotKey{Addr: a, Slot: slot(0)}]; !ok {
+		t.Error("slot read missing from the read-set")
+	}
+	if base.Exists(addr(2)) {
+		t.Error("a view's read created an account in the base")
 	}
 }
 
-func TestSpeculativeReadsSeeHighestLowerTx(t *testing.T) {
+// The conflict check is an intersection of what a view loaded with what
+// lower transactions wrote.
+func TestConflictIsReadWriteIntersection(t *testing.T) {
 	base := New()
-	a := addr(1)
-	base.AddBalance(a, big.NewInt(10))
-	mv := NewMultiVersion(base)
+	hot, cold, restored := addr(7), addr(8), addr(9)
+	base.AddBalance(hot, big.NewInt(50))
 
-	// tx 1 and tx 3 publish writes to the same account.
-	for _, tx := range []int{1, 3} {
-		w := NewView(mv, tx)
-		w.AddBalance(a, big.NewInt(int64(tx)))
-		mv.Publish(tx, 1, w.Writes(), nil)
-	}
+	// A lower transaction credits hot and writes restored's slot back to
+	// its original value.
+	lower := NewView(base)
+	lower.AddBalance(hot, big.NewInt(1))
+	lower.SetState(restored, slot(0), slot(4))
+	lower.SetState(restored, slot(0), types.Hash{})
+	written := NewWritten()
+	written.Add(lower.Writes())
 
-	// tx 1 read the base (10) and wrote 11; tx 3 read tx 1's 11 and wrote
-	// 14.
 	cases := []struct {
-		reader int
-		want   int64
-		ver    Version
+		name string
+		read func(v *View)
+		want bool
 	}{
-		{0, 10, BaseVersion}, // below every write: base
-		{1, 10, BaseVersion}, // own index is excluded
-		{2, 11, Version{Tx: 1, Inc: 1}},
-		{4, 14, Version{Tx: 3, Inc: 1}},
+		{"read of a location a lower tx wrote", func(v *View) { v.Balance(hot) }, true},
+		{"read of an untouched location", func(v *View) { v.Balance(cold) }, false},
+		{"read of a write restored to its original value", func(v *View) { v.GetState(restored, slot(0)) }, false},
 	}
 	for _, tc := range cases {
-		v := NewView(mv, tc.reader)
-		if got := v.Balance(a); got.Cmp(big.NewInt(tc.want)) != 0 {
-			t.Errorf("reader %d: balance = %s, want %d", tc.reader, got, tc.want)
+		v := NewView(base)
+		tc.read(v)
+		if got := v.Meets(written); got != tc.want {
+			t.Errorf("%s: Meets = %v, want %v", tc.name, got, tc.want)
 		}
-		if ver := v.Reads().accts[a]; ver != tc.ver {
-			t.Errorf("reader %d: version = %+v, want %+v", tc.reader, ver, tc.ver)
-		}
-	}
-}
-
-func TestValidateDetectsConflictAndWithdrawal(t *testing.T) {
-	base := New()
-	a := addr(7)
-	base.AddBalance(a, big.NewInt(50))
-	mv := NewMultiVersion(base)
-
-	// tx 2 reads the account before tx 1 publishes: version is base.
-	reader := NewView(mv, 2)
-	_ = reader.Balance(a)
-	if !mv.Validate(reader.Reads(), 2) {
-		t.Fatal("clean read-set should validate")
-	}
-
-	// tx 1 publishes a write to the same account: tx 2's read is stale.
-	w := NewView(mv, 1)
-	w.AddBalance(a, big.NewInt(1))
-	ws := w.Writes()
-	mv.Publish(1, 1, ws, nil)
-	if mv.Validate(reader.Reads(), 2) {
-		t.Fatal("stale read-set validated")
-	}
-
-	// Re-execution of tx 2 now observes tx 1's version and validates.
-	reader2 := NewView(mv, 2)
-	_ = reader2.Balance(a)
-	if !mv.Validate(reader2.Reads(), 2) {
-		t.Fatal("refreshed read-set should validate")
-	}
-
-	// Withdrawing tx 1's write (empty next incarnation) invalidates again.
-	mv.Publish(1, 2, nil, ws)
-	if mv.Validate(reader2.Reads(), 2) {
-		t.Fatal("read of a withdrawn write validated")
-	}
-}
-
-func TestPublishReplacesIncarnationAndWithdrawsStaleKeys(t *testing.T) {
-	base := New()
-	a, b := addr(3), addr(4)
-	mv := NewMultiVersion(base)
-
-	// Incarnation 1 writes both accounts.
-	w1 := NewView(mv, 0)
-	w1.AddBalance(a, big.NewInt(5))
-	w1.AddBalance(b, big.NewInt(6))
-	ws1 := w1.Writes()
-	mv.Publish(0, 1, ws1, nil)
-
-	// Incarnation 2 writes only a; b's stale entry must vanish.
-	w2 := NewView(mv, 0)
-	w2.AddBalance(a, big.NewInt(7))
-	ws2 := w2.Writes()
-	mv.Publish(0, 2, ws2, ws1)
-
-	r := NewView(mv, 1)
-	if got := r.Balance(a); got.Cmp(big.NewInt(7)) != 0 {
-		t.Errorf("a = %s, want 7", got)
-	}
-	if ver := r.Reads().accts[a]; ver != (Version{Tx: 0, Inc: 2}) {
-		t.Errorf("a version = %+v", ver)
-	}
-	if got := r.Balance(b); got.Sign() != 0 {
-		t.Errorf("b = %s, want 0 (stale write withdrawn)", got)
-	}
-	if ver := r.Reads().accts[b]; ver != BaseVersion {
-		t.Errorf("b version = %+v, want base", ver)
 	}
 }
 
@@ -147,9 +77,8 @@ func TestViewNetWritesSkipRevertedAndRestoredValues(t *testing.T) {
 	base := New()
 	a, b := addr(1), addr(2)
 	base.AddBalance(a, big.NewInt(100))
-	mv := NewMultiVersion(base)
 
-	v := NewView(mv, 0)
+	v := NewView(base)
 	// A write fully undone by a revert leaves no net entry.
 	snap := v.Snapshot()
 	v.AddBalance(b, big.NewInt(30))
@@ -164,16 +93,15 @@ func TestViewNetWritesSkipRevertedAndRestoredValues(t *testing.T) {
 	}
 
 	ws := v.Writes()
-	if ws.Len() != 1 {
-		t.Fatalf("write-set has %d entries, want 1 (only a's balance)", ws.Len())
+	if n := len(ws.accts) + len(ws.slots); n != 1 {
+		t.Fatalf("write-set has %d entries, want 1 (only a's balance)", n)
 	}
 	if got := ws.accts[a]; got.balance.Cmp(big.NewInt(60)) != 0 {
 		t.Errorf("a's net balance = %s, want 60", got.balance)
 	}
 	// Reverted reads are still reads: b and both slots gate validity.
-	rs := v.Reads()
-	if rs.Len() != 4 {
-		t.Errorf("read-set has %d entries, want 4", rs.Len())
+	if n := len(v.accts) + len(v.slots); n != 4 {
+		t.Errorf("read-set has %d entries, want 4", n)
 	}
 }
 
@@ -181,8 +109,7 @@ func TestViewSubBalanceMatchesDBError(t *testing.T) {
 	base := New()
 	a := addr(9)
 	base.AddBalance(a, big.NewInt(3))
-	mv := NewMultiVersion(base)
-	v := NewView(mv, 0)
+	v := NewView(base)
 
 	verr := v.SubBalance(a, big.NewInt(10))
 	derr := base.SubBalance(a, big.NewInt(10))
@@ -201,9 +128,8 @@ func TestApplyWritesRoundTripsThroughDB(t *testing.T) {
 	base := New()
 	a := addr(5)
 	base.AddBalance(a, big.NewInt(100))
-	mv := NewMultiVersion(base)
 
-	v := NewView(mv, 0)
+	v := NewView(base)
 	if err := v.SubBalance(a, big.NewInt(25)); err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +153,8 @@ func TestApplyWritesIsJournaled(t *testing.T) {
 	base := New()
 	a := addr(6)
 	base.AddBalance(a, big.NewInt(10))
-	mv := NewMultiVersion(base)
 
-	v := NewView(mv, 0)
+	v := NewView(base)
 	v.AddBalance(a, big.NewInt(5))
 	v.IncNonce(a)
 
