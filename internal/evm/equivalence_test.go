@@ -30,12 +30,34 @@ const equivalenceSenders = 6
 
 // equivPair is a serial-oracle chain and an optimistic chain built
 // identically: same fixed clock instant, same funded senders, same
-// deployed counter contract, separate metrics registries.
+// deployed counter contracts, separate metrics registries. The batches
+// hit contract; blank only ever receives zero stores, so it never holds
+// storage.
 type equivPair struct {
 	serial, optimistic *evm.Chain
 	serialReg, optReg  *metrics.Registry
-	contract           types.Address
+	contract, blank    types.Address
 	keys               []*secp256k1.PrivateKey
+}
+
+// newEquivCounter is the counter contract plus zero(slot), which writes
+// a word into the given slot and then clears it, so the transaction's
+// net write is a zero word.
+func newEquivCounter() *evm.Contract {
+	c := newCounter()
+	c.MustAddMethod(evm.Method{
+		Name:       "zero",
+		Params:     []any{uint64(0)},
+		Visibility: evm.Public,
+		Handler: func(call *evm.Call) ([]any, error) {
+			slot := evm.SlotN(call.Arg(0).(uint64))
+			if err := call.StoreUint(gas.CatApp, slot, 1); err != nil {
+				return nil, err
+			}
+			return nil, call.StoreUint(gas.CatApp, slot, 0)
+		},
+	})
+	return c
 }
 
 func newEquivPair(t testing.TB) *equivPair {
@@ -61,18 +83,22 @@ func newEquivPair(t testing.TB) *equivPair {
 		p.optimistic.Fund(key.Address(), evmtest.Ether(1000))
 	}
 	owner := p.keys[0].Address()
-	addrS, _, err := p.serial.Deploy(owner, newCounter())
-	if err != nil {
-		t.Fatal(err)
+	deploy := func() types.Address {
+		addrS, _, err := p.serial.Deploy(owner, newEquivCounter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrO, _, err := p.optimistic.Deploy(owner, newEquivCounter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addrS != addrO {
+			t.Fatalf("contract addresses diverge before any transaction: %s vs %s", addrS, addrO)
+		}
+		return addrS
 	}
-	addrO, _, err := p.optimistic.Deploy(owner, newCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addrS != addrO {
-		t.Fatalf("contract addresses diverge before any transaction: %s vs %s", addrS, addrO)
-	}
-	p.contract = addrS
+	p.contract = deploy()
+	p.blank = deploy()
 	return p
 }
 
@@ -102,8 +128,14 @@ func (p *equivPair) buildBatch(t testing.TB, rng *rand.Rand) []*evm.Transaction 
 		}
 		sign, consume := true, true
 		switch roll := rng.Intn(100); {
-		case roll < 40: // hot-slot counter bump
+		case roll < 35: // hot-slot counter bump
 			tx.Method = "increment"
+		case roll < 40: // zero store: hot slot, fresh slot, or storage-less contract
+			tx.Method = "zero"
+			tx.Args = []any{uint64(rng.Intn(3))}
+			if rng.Intn(2) == 0 {
+				tx.To = p.blank
+			}
 		case roll < 55: // nested invokes on the same hot slot
 			tx.Method = "bumpBy"
 			tx.Args = []any{uint64(1 + rng.Intn(3))}
@@ -580,40 +612,50 @@ func TestOptimisticStalePanicDoesNotSurface(t *testing.T) {
 }
 
 // A handler panic that serial execution would hit too propagates out of
-// Execute — whether the panicking position validated as first executed
-// (party 0) or only panicked again when repaired (party 3) — and leaves
-// the chain usable: the mutex is released and no write-set of the
-// aborted batch, not even of the positions below the panic, is visible.
+// Execute under either scheduler — for the optimistic one, whether the
+// panicking position validated as first executed (party 0) or only
+// panicked again when repaired (party 3) — and leaves the chain usable:
+// the mutex is released, the height is unchanged and no write of the
+// aborted batch is visible, neither of the positions below the panic nor
+// the panicking transaction's own nonce and fee.
 func TestOptimisticDeterministicPanicPropagates(t *testing.T) {
 	const parties = 6
-	for _, bad := range []uint64{0, 3} {
-		c := newColliderChain(t, parties, true, func(party, _ uint64) {
-			if party == bad {
-				panic("boom")
+	for _, sched := range []evm.Scheduler{evm.SchedulerSerial, evm.SchedulerOptimistic} {
+		for _, bad := range []uint64{0, 3} {
+			// The barrier holds every party until all have loaded, which
+			// only a parallel wave can satisfy.
+			c := newColliderChain(t, parties, sched == evm.SchedulerOptimistic, func(party, _ uint64) {
+				if party == bad {
+					panic("boom")
+				}
+			})
+			before, err := c.chain.StateDigest()
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		before, err := c.chain.StateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recovered any
-		func() {
-			defer func() { recovered = recover() }()
-			c.chain.Execute(c.txs, evm.ExecOptions{Scheduler: evm.SchedulerOptimistic, Workers: parties})
-		}()
-		if recovered != "boom" {
-			t.Fatalf("party %d: Execute recovered %v, want the handler's panic", bad, recovered)
-		}
-		after, err := c.chain.StateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if before != after {
-			t.Errorf("party %d: aborted batch changed state: %s → %s", bad, before, after)
-		}
-		r, err := c.chain.Apply(c.txs[1])
-		if err != nil || !r.Status {
-			t.Errorf("party %d: Apply after the aborted batch: err=%v receipt=%+v", bad, err, r)
+			height := c.chain.Height()
+			var recovered any
+			func() {
+				defer func() { recovered = recover() }()
+				c.chain.Execute(c.txs, evm.ExecOptions{Scheduler: sched, Workers: parties})
+			}()
+			if recovered != "boom" {
+				t.Fatalf("%v, party %d: Execute recovered %v, want the handler's panic", sched, bad, recovered)
+			}
+			if got := c.chain.Height(); got != height {
+				t.Errorf("%v, party %d: aborted batch moved the height %d → %d", sched, bad, height, got)
+			}
+			after, err := c.chain.StateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if before != after {
+				t.Errorf("%v, party %d: aborted batch changed state: %s → %s", sched, bad, before, after)
+			}
+			r, err := c.chain.Apply(c.txs[1])
+			if err != nil || !r.Status {
+				t.Errorf("%v, party %d: Apply after the aborted batch: err=%v receipt=%+v", sched, bad, err, r)
+			}
 		}
 	}
 }

@@ -113,6 +113,16 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 		if ch.rejectPoisonedLocked(results) {
 			return results
 		}
+		// A handler panic propagates, but leaves no trace of the batch:
+		// neither the transactions mined before it nor its own writes.
+		snap, height := ch.db.Snapshot(), len(ch.blocks)
+		defer func() {
+			if p := recover(); p != nil {
+				ch.db.RevertToSnapshot(snap)
+				ch.blocks = ch.blocks[:height]
+				panic(p)
+			}
+		}()
 		for i, tx := range txs {
 			tx.storePrepared(ch.cfg.ChainID)
 			results[i].Receipt, results[i].Err = ch.applyAtLocked(tx, ch.cfg.Now())

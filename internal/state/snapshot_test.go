@@ -19,7 +19,7 @@ func populated() *DB {
 	db.IncNonce(addr(1))
 	db.MarkContract(addr(3))
 	db.SetState(addr(3), slot(0), slot(7))
-	db.SetState(addr(3), slot(5), types.Hash{}) // zero value still occupies a word
+	db.SetState(addr(3), slot(5), types.Hash{}) // a zero word is an absent slot
 	db.SetState(addr(4), slot(9), slot(9))
 	return db
 }
@@ -46,8 +46,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.GetState(addr(3), slot(0)) != slot(7) {
 		t.Error("storage word lost")
 	}
-	if got.StorageWords(addr(3)) != 2 {
-		t.Errorf("StorageWords(3) = %d, want 2 (zero-valued words count)", got.StorageWords(addr(3)))
+	if got.StorageWords(addr(3)) != 1 {
+		t.Errorf("StorageWords(3) = %d, want 1 (a zero word is an absent slot)", got.StorageWords(addr(3)))
 	}
 	if !got.Exists(addr(2)) {
 		t.Error("touched account lost")

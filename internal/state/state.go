@@ -145,23 +145,39 @@ func (db *DB) GetState(addr types.Address, slot types.Hash) types.Hash {
 }
 
 // SetState writes a storage word and returns the previous value (used for
-// SSTORE gas pricing).
+// SSTORE gas pricing). As in Ethereum, a zero word is an absent slot:
+// storing zero deletes the key, and a contract whose last word is
+// deleted holds no storage, so the stored keys depend on the values
+// alone and not on the history that reached them.
 func (db *DB) SetState(addr types.Address, slot types.Hash, value types.Hash) types.Hash {
 	s, ok := db.storage[addr]
-	if !ok {
-		s = make(map[types.Hash]types.Hash)
-		db.storage[addr] = s
-		db.journal = append(db.journal, func() { delete(db.storage, addr) })
-	}
 	prev, had := s[slot]
-	s[slot] = value
-	db.journal = append(db.journal, func() {
-		if had {
-			s[slot] = prev
-		} else {
-			delete(s, slot)
+	if value != (types.Hash{}) {
+		if !ok {
+			s = make(map[types.Hash]types.Hash)
+			db.storage[addr] = s
+			db.journal = append(db.journal, func() { delete(db.storage, addr) })
 		}
-	})
+		s[slot] = value
+		db.journal = append(db.journal, func() {
+			if had {
+				s[slot] = prev
+			} else {
+				delete(s, slot)
+			}
+		})
+		return prev
+	}
+	if had {
+		delete(s, slot)
+		if len(s) == 0 {
+			delete(db.storage, addr)
+		}
+		db.journal = append(db.journal, func() {
+			s[slot] = prev
+			db.storage[addr] = s
+		})
+	}
 	return prev
 }
 

@@ -183,6 +183,46 @@ func TestRevertFreshStorageLeavesDigest(t *testing.T) {
 	}
 }
 
+// A zero word is an absent slot: storing it leaves no key, clearing a
+// contract's last word drops its storage, and a revert restores both.
+func TestZeroWordIsAbsentSlot(t *testing.T) {
+	db := New()
+	empty, err := db.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digestIs := func(want types.Hash, label string) {
+		t.Helper()
+		got, err := db.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: digest %s, want %s", label, got, want)
+		}
+	}
+	if prev := db.SetState(addrA, slot1, types.Hash{}); !prev.IsZero() {
+		t.Errorf("prev of fresh slot = %s", prev)
+	}
+	digestIs(empty, "zero into a storage-less contract")
+
+	db.SetState(addrA, slot1, wordX)
+	snap := db.Snapshot()
+	if prev := db.SetState(addrA, slot1, types.Hash{}); prev != wordX {
+		t.Errorf("prev = %s, want %s", prev, wordX)
+	}
+	if n := db.StorageWords(addrA); n != 0 {
+		t.Errorf("StorageWords after clearing the last word = %d, want 0", n)
+	}
+	digestIs(empty, "last word cleared")
+
+	db.RevertToSnapshot(snap)
+	if db.GetState(addrA, slot1) != wordX || db.StorageWords(addrA) != 1 {
+		t.Errorf("revert did not restore the cleared word: %s, %d words",
+			db.GetState(addrA, slot1), db.StorageWords(addrA))
+	}
+}
+
 func TestQuickSnapshotRoundTrip(t *testing.T) {
 	// Property: any batch of mutations is fully undone by a revert.
 	f := func(amounts []uint8, slots []uint8) bool {

@@ -3,7 +3,6 @@ package membership
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
@@ -192,16 +191,15 @@ func (m *Manager) memberFor(group, url string) Member {
 	return &Remote{GroupName: group, Base: url, OwnerToken: m.cfg.OwnerToken}
 }
 
-// ChangeResult is what an admin join/drain returns: the adopted view and
-// the keyspace rebalance plan the change implies.
+// ChangeResult is what an admin join, drain or repair returns.
 type ChangeResult struct {
-	View ring.View  `json:"view"`
-	Plan *ring.Plan `json:"plan"`
+	View ring.View `json:"view"`
 	// LeasesMoved counts one-time indexes handed from the drained group
 	// to its successor (0 for joins).
 	LeasesMoved int64 `json:"leasesMoved"`
-	// Successor is the group that adopted the drained leases, chosen as
-	// the plan's largest transfer target ("" for joins).
+	// Successor is the group that adopted the drained leases: the one at
+	// the next slot after the drained group, wrapping around ("" for
+	// joins).
 	Successor string `json:"successor,omitempty"`
 }
 
@@ -237,20 +235,18 @@ func (m *Manager) Join(group, url string) (*ChangeResult, error) {
 	}
 	nextURLs := copyURLs(urls)
 	nextURLs[group] = url
-	plan, err := ring.PlanChange(cur.Groups, next.Groups, 0)
-	if err != nil {
-		return nil, err
-	}
 	if err := m.runChange(members, cur, &next, nextURLs); err != nil {
 		return nil, err
 	}
-	return &ChangeResult{View: next, Plan: plan}, nil
+	return &ChangeResult{View: next}, nil
 }
 
 // Drain runs the controller side of removing a replica group: after the
 // fresh-epoch view without it is adopted everywhere, the drained group's
-// unexhausted block leases are handed to the successor owning the
-// largest share of its keyspace, so a clean drain burns nothing.
+// unexhausted block leases are handed to the group at the next slot
+// (wrapping around), so a clean drain burns nothing. Any deterministic
+// survivor would do: the handoff is journaled and a failed adoption
+// falls back to the controller.
 func (m *Manager) Drain(group string) (*ChangeResult, error) {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()
@@ -259,7 +255,8 @@ func (m *Manager) Drain(group string) (*ChangeResult, error) {
 	cur := m.view
 	urls := copyURLs(m.urls)
 	m.mu.Unlock()
-	if cur.Slot(group) < 0 {
+	slot := cur.Slot(group)
+	if slot < 0 {
 		return nil, fmt.Errorf("membership: group %q is not a member of view %d", group, cur.Epoch)
 	}
 	if len(cur.Groups) == 1 {
@@ -280,19 +277,15 @@ func (m *Manager) Drain(group string) (*ChangeResult, error) {
 	}
 	nextURLs := copyURLs(urls)
 	delete(nextURLs, group)
-	plan, err := ring.PlanChange(cur.Groups, next.Groups, 0)
-	if err != nil {
-		return nil, err
-	}
 	if err := m.runChange(members, cur, &next, nextURLs); err != nil {
 		return nil, err
 	}
 
 	// Lease handoff: the drained group is out of the view (its stripe
 	// refuses refills), so its remainders are stable — move them to the
-	// successor inheriting most of its keyspace.
-	successor := successorOf(plan, group, next.Groups)
-	res := &ChangeResult{View: next, Plan: plan, Successor: successor}
+	// group at the next slot.
+	successor := cur.Groups[(slot+1)%len(cur.Groups)]
+	res := &ChangeResult{View: next, Successor: successor}
 	ranges, err := drained.ReleaseLeases()
 	if err != nil {
 		return res, fmt.Errorf("membership: release drained leases of %q: %w", group, err)
@@ -383,24 +376,6 @@ func (m *Manager) Repair() (*ChangeResult, error) {
 		return nil, err
 	}
 	return &ChangeResult{View: next}, nil
-}
-
-// successorOf picks the group receiving the largest keyspace transfer
-// from the drained group (ties and empty plans fall back to the first
-// surviving group, deterministically).
-func successorOf(plan *ring.Plan, drained string, survivors []string) string {
-	best, bestFrac := "", -1.0
-	for _, tr := range plan.Transfers {
-		if tr.From == drained && tr.Fraction > bestFrac {
-			best, bestFrac = tr.To, tr.Fraction
-		}
-	}
-	if best == "" {
-		sorted := append([]string(nil), survivors...)
-		sort.Strings(sorted)
-		best = sorted[0]
-	}
-	return best
 }
 
 // runChange executes the freeze → watermark → advance → resume protocol

@@ -2,15 +2,12 @@ package ring
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 )
 
 // This file is the dynamic side of the package: a versioned membership
-// view, an epoch-aware stripe that keeps global block ids unique across
-// membership changes, and rebalance-plan computation with exact arc
-// accounting.
+// view and an epoch-aware stripe that keeps global block ids unique
+// across membership changes.
 //
 // Striping alone bakes the group count in, so changing it would collide
 // new allocations with old ones: block (k-1)*N+i+1 under N groups and
@@ -327,214 +324,4 @@ func (s *DynamicStripe) Resume() {
 	s.frozen = false
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// Transfer is one directed keyspace movement of a rebalance plan: the
-// exact fraction of the hash circle whose ownership moves From → To.
-type Transfer struct {
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	Fraction float64 `json:"fraction"`
-}
-
-// Plan quantifies a membership change on the consistent-hash ring: which
-// arcs move, where they go, and how balanced the resulting split is. It
-// is computed exactly (arc-by-arc over the union of both rings' virtual
-// nodes), not sampled.
-type Plan struct {
-	Before []string `json:"before"`
-	After  []string `json:"after"`
-	// MovedFraction is the total share of the keyspace whose owner
-	// changes. Consistent hashing bounds it near 1/G for a single join or
-	// drain among G groups (the property test pins ≤ 1.5/G).
-	MovedFraction float64 `json:"movedFraction"`
-	// Transfers aggregates the moved arcs per (from, to) pair, sorted for
-	// determinism.
-	Transfers []Transfer `json:"transfers"`
-	// Shares is each surviving group's post-change share of the circle.
-	Shares map[string]float64 `json:"shares"`
-}
-
-// vpoint is a virtual-node position with an interned group id — the
-// plan computation works in ids so the hot loops touch no strings or
-// maps.
-type vpoint struct {
-	hash uint64
-	gid  int32
-}
-
-// mergeRuns k-way-merges per-group sorted vnode runs into one ascending
-// boundary list. k is the group count (single digits), so a linear scan
-// over run heads beats a heap.
-func mergeRuns(runs [][]vpoint) []vpoint {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]vpoint, 0, total)
-	heads := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for r := range runs {
-			if heads[r] >= len(runs[r]) {
-				continue
-			}
-			if best < 0 || runs[r][heads[r]].hash < runs[best][heads[best]].hash ||
-				(runs[r][heads[r]].hash == runs[best][heads[best]].hash &&
-					runs[r][heads[r]].gid < runs[best][heads[best]].gid) {
-				best = r
-			}
-		}
-		out = append(out, runs[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-// successorOwners computes, for every boundary in the merged union, the
-// owner under the sub-ring containing only groups with member[gid] set:
-// the gid of the first member point at or after the boundary, wrapping
-// around. O(len(union)) backwards sweep.
-func successorOwners(union []vpoint, member []bool) []int32 {
-	owners := make([]int32, len(union))
-	next := int32(-1)
-	for _, p := range union { // wrap successor: first member point overall
-		if member[p.gid] {
-			next = p.gid
-			break
-		}
-	}
-	for i := len(union) - 1; i >= 0; i-- {
-		if member[union[i].gid] {
-			next = union[i].gid
-		}
-		owners[i] = next
-	}
-	return owners
-}
-
-// PlanChange computes the exact rebalance plan for a membership change
-// from `before` to `after` (each a non-empty set of group names;
-// vnodes ≤ 0 selects DefaultVirtualNodes). Both rings are overlaid on
-// one merged boundary list: every arc between adjacent boundaries has a
-// constant owner in each ring (keys resolve to the first vnode at or
-// after them), so summing arc widths where the owners differ gives the
-// moved fraction exactly rather than by sampling.
-func PlanChange(before, after []string, vnodes int) (*Plan, error) {
-	if len(before) == 0 || len(after) == 0 {
-		return nil, fmt.Errorf("ring: plan needs non-empty group sets (before %d, after %d)",
-			len(before), len(after))
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-
-	// Intern before ∪ after; a group present in both contributes its
-	// vnode run once (identical positions in both rings — the reason a
-	// change only moves arcs adjacent to the added/removed vnodes).
-	ids := make(map[string]int32, len(before)+len(after))
-	var names []string
-	intern := func(g string) int32 {
-		if id, ok := ids[g]; ok {
-			return id
-		}
-		id := int32(len(names))
-		ids[g] = id
-		names = append(names, g)
-		return id
-	}
-	inBefore := make([]bool, 0, len(before)+len(after))
-	inAfter := make([]bool, 0, len(before)+len(after))
-	mark := func(set []string, dst *[]bool) error {
-		for _, g := range set {
-			id := intern(g)
-			for int32(len(*dst)) <= id {
-				*dst = append(*dst, false)
-			}
-			if (*dst)[id] {
-				return fmt.Errorf("ring: group %q listed twice", g)
-			}
-			(*dst)[id] = true
-		}
-		return nil
-	}
-	if err := mark(before, &inBefore); err != nil {
-		return nil, err
-	}
-	if err := mark(after, &inAfter); err != nil {
-		return nil, err
-	}
-	for int32(len(inBefore)) < int32(len(names)) {
-		inBefore = append(inBefore, false)
-	}
-	for int32(len(inAfter)) < int32(len(names)) {
-		inAfter = append(inAfter, false)
-	}
-
-	runs := make([][]vpoint, len(names))
-	for id, name := range names {
-		run := make([]vpoint, vnodes)
-		for i := range run {
-			run[i] = vpoint{hash: vnodeHash(name, i), gid: int32(id)}
-		}
-		slices.SortFunc(run, func(a, b vpoint) int {
-			switch {
-			case a.hash < b.hash:
-				return -1
-			case a.hash > b.hash:
-				return 1
-			default:
-				return 0
-			}
-		})
-		runs[id] = run
-	}
-	union := mergeRuns(runs)
-
-	ownB := successorOwners(union, inBefore)
-	ownA := successorOwners(union, inAfter)
-
-	const circle = float64(1<<63) * 2 // 2^64 as float
-	moved := 0.0
-	transferByPair := make(map[[2]int32]float64)
-	shareByID := make([]float64, len(names))
-	for i := range union {
-		var width uint64
-		if i == 0 {
-			// Arc from the last boundary, wrapping through 0, to the first.
-			width = union[0].hash - union[len(union)-1].hash // uint64 wraparound
-		} else {
-			width = union[i].hash - union[i-1].hash
-		}
-		frac := float64(width) / circle
-		shareByID[ownA[i]] += frac
-		if ownB[i] != ownA[i] {
-			moved += frac
-			transferByPair[[2]int32{ownB[i], ownA[i]}] += frac
-		}
-	}
-
-	plan := &Plan{
-		Before:        append([]string(nil), before...),
-		After:         append([]string(nil), after...),
-		MovedFraction: moved,
-		Shares:        make(map[string]float64, len(after)),
-	}
-	for id, share := range shareByID {
-		if inAfter[id] {
-			plan.Shares[names[id]] = share
-		}
-	}
-	for pair, frac := range transferByPair {
-		plan.Transfers = append(plan.Transfers, Transfer{
-			From: names[pair[0]], To: names[pair[1]], Fraction: frac,
-		})
-	}
-	sort.Slice(plan.Transfers, func(i, j int) bool {
-		if plan.Transfers[i].From != plan.Transfers[j].From {
-			return plan.Transfers[i].From < plan.Transfers[j].From
-		}
-		return plan.Transfers[i].To < plan.Transfers[j].To
-	})
-	return plan, nil
 }
