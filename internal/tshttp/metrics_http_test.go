@@ -7,9 +7,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/nettest"
+	"repro/internal/rules"
 	"repro/internal/secp256k1"
 	"repro/internal/ts"
 	"repro/internal/types"
@@ -130,5 +133,56 @@ func TestPprofOptIn(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
 		t.Errorf("pprof index with opt-in = %d", resp.StatusCode)
+	}
+}
+
+// TestMetricsExpositionGolden pins the /metrics text after a fixed
+// request mix — 200, 400 and 403 on /v1/token, 200, 400 and 413 on
+// /v1/tokens, 401 on /v1/rules and 200 on /v1/info — against
+// testdata/metrics.txt: the series, their order and every count. Only
+// the timing-dependent values (the buckets and sums of the *_seconds
+// histograms) are masked.
+func TestMetricsExpositionGolden(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rs := rules.NewRuleSet()
+	rs.SetSenderList(rules.NewList(rules.Whitelist, core.ValueKey(httpCli)))
+	svc, err := ts.New(ts.Config{
+		Key: httpTSKey, Rules: rs, Metrics: reg,
+		Now: func() time.Time { return time.Date(2020, 3, 17, 12, 0, 0, 0, time.UTC) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServerWithOptions(svc, "owner-secret", ServerOptions{Registry: reg}).Handler())
+	t.Cleanup(srv.Close)
+	cli := NewClient(srv.URL, "")
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	allowed := &core.Request{Type: core.SuperType, Contract: httpDst, Sender: httpCli}
+	denied := &core.Request{Type: core.SuperType, Contract: httpDst, Sender: types.Address{0xbb}}
+	for _, req := range []*core.Request{allowed, denied, allowed,
+		{Type: core.MethodType, Contract: httpDst, Sender: httpCli}} {
+		_, _ = cli.RequestToken(req)
+	}
+	_, _ = cli.RequestTokens([]*core.Request{allowed, denied})
+	post("/v1/tokens", `{"requests":[]}`)
+	post("/v1/tokens", `{"type":"`+strings.Repeat("a", maxBatchBodyBytes)+`"}`)
+	_, _ = cli.RequestTokens([]*core.Request{allowed})
+	_, _ = cli.FetchRules()
+	if _, err := cli.Info(); err != nil {
+		t.Fatal(err)
+	}
+
+	timing := regexp.MustCompile(`(?m)^(\w+_seconds_(?:bucket|sum)(?:\{[^}]*\})?) \S+$`)
+	got := timing.ReplaceAllString(scrape(t, srv.URL), "$1 _")
+	if err := nettest.DiffGolden("testdata/metrics.txt", got); err != nil {
+		t.Fatal(err)
 	}
 }
