@@ -86,9 +86,6 @@ func uncachedTokens(txs []*evm.Transaction, chainID uint64) tokenBatch {
 		if err != nil {
 			continue
 		}
-		if tk.Signature.Validate() != nil {
-			continue
-		}
 		origin, err := tx.Sender(chainID)
 		if err != nil {
 			continue

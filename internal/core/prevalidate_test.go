@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"math/big"
 	"strings"
 	"sync"
 	"testing"
@@ -272,4 +274,128 @@ func BenchmarkBatchTokenPrehook(b *testing.B) {
 			}
 		})
 	}
+}
+
+// guardOutcome is one guarded transaction's result as Verify shapes it:
+// rejection, status, the revert's outcome class and the gas by category.
+func guardOutcome(res evm.BatchResult) string {
+	if res.Err != nil {
+		return fmt.Sprintf("rejected: %v", res.Err)
+	}
+	r := res.Receipt
+	class := "none"
+	var oe interface{ RevertOutcome() string }
+	switch {
+	case errors.As(r.Err, &oe):
+		class = oe.RevertOutcome()
+	case r.Err != nil:
+		class = "other: " + r.Err.Error()
+	}
+	return fmt.Sprintf("status=%v class=%s gas=%d %v", r.Status, class, r.GasUsed, r.GasByCategory)
+}
+
+// FuzzTokenGuardCacheEquivalence holds the token guard's verdict and gas
+// to the cold-cache path when the token-signer cache was filled first:
+// by the recover-only or the known-signer prehook, or by a different
+// transaction carrying the same token bytes. The token is issued to
+// wallet 1 for act(boundArg) and may be mutated, expired, sent by
+// another wallet, or used for another argument or method; whenever the
+// call does not match what the Token Service signed, it must revert.
+func FuzzTokenGuardCacheEquivalence(f *testing.F) {
+	f.Add(byte(2), uint64(7), uint64(7), byte(0), byte(0), false, false, uint64(7), false)
+	f.Add(byte(2), uint64(7), uint64(8), byte(0), byte(0), false, false, uint64(7), false) // warmed by the bound call
+	f.Add(byte(1), uint64(7), uint64(9), byte(0), byte(0), false, true, uint64(1), false)  // method token on ping
+	f.Add(byte(0), uint64(7), uint64(7), byte(1), byte(0), false, false, uint64(7), false) // another origin
+	f.Add(byte(2), uint64(7), uint64(7), byte(0), byte(1), false, false, uint64(7), false) // wrong v
+	f.Add(byte(2), uint64(7), uint64(7), byte(0), byte(4), false, false, uint64(7), true)  // high s
+	f.Add(byte(1), uint64(7), uint64(7), byte(0), byte(5), false, false, uint64(7), false) // foreign signer
+	f.Add(byte(0), uint64(7), uint64(7), byte(0), byte(0), true, false, uint64(7), false)  // expired
+
+	var fx *fixture // one chain for every input: act is stateless, so gas is too
+	foreign := secp256k1.PrivateKeyFromSeed([]byte("foreign ts"))
+	curveN, _ := new(big.Int).SetString("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141", 16)
+	f.Fuzz(func(t *testing.T, kind byte, boundArg, callArg uint64, sender, mutate byte, expired, ping bool, warmArg uint64, warmPing bool) {
+		if fx == nil {
+			fx = newFixture(t, 0)
+		}
+		chainID := fx.env.Chain.Config().ChainID
+		tp := core.TokenType(kind%3) + core.SuperType
+		data, err := buildAppData("act", boundArg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binding := core.Binding{Origin: fx.env.Wallets[1].Address(), Contract: fx.addr}
+		if tp != core.SuperType {
+			copy(binding.Selector[:], data[:4])
+			binding.Data = data
+		}
+		expire := fx.env.Clock.Now().Add(time.Hour)
+		if expired {
+			expire = fx.env.Clock.Now().Add(-time.Hour)
+		}
+		signer := tsKey
+		if mutate%7 == 5 {
+			signer = foreign
+		}
+		tk, err := core.SignToken(signer, tp, expire, core.NotOneTime, binding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := &tk.Signature
+		switch mutate % 7 {
+		case 1:
+			sig.V ^= 1
+		case 2:
+			sig.R[mutate%32] ^= 1 + mutate>>3
+		case 3:
+			sig.S[mutate%32] ^= 1 + mutate>>3
+		case 4:
+			new(big.Int).Sub(curveN, new(big.Int).SetBytes(sig.S[:])).FillBytes(sig.S[:])
+		case 6:
+			sig.R = [32]byte{}
+		}
+		opts := wallet.WithTokens(wallet.TokenEntry{Contract: fx.addr, Token: tk})
+		from := 1 + int(sender%2)
+		call := func(arg uint64, ping bool) *evm.Transaction {
+			method, args := "act", []any{arg}
+			if ping {
+				method, args = "ping", nil
+			}
+			tx, err := fx.env.Wallets[from].BuildTx(fx.addr, method, opts, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tx
+		}
+		run := func(opts evm.ExecOptions, txs ...*evm.Transaction) string {
+			opts.Scheduler, opts.Workers = evm.SchedulerOptimistic, 2
+			return guardOutcome(fx.env.Chain.Execute(txs, opts)[len(txs)-1])
+		}
+
+		core.PurgeTokenSigCache()
+		cold := run(evm.ExecOptions{}, call(callArg, ping))
+		matches := mutate%7 == 0 && !expired && from == 1 &&
+			(tp == core.SuperType || !ping) && (tp != core.ArgumentType || callArg == boundArg)
+		if !matches && strings.Contains(cold, "status=true") {
+			t.Fatalf("a call the token does not cover passed the guard: %s", cold)
+		}
+		legs := map[string]func() string{
+			"recover-only prehook": func() string {
+				return run(evm.ExecOptions{PrevalidateBatch: core.RecoverOnlyTokenPrehook(chainID)}, call(callArg, ping))
+			},
+			"known-signer prehook": func() string {
+				return run(evm.ExecOptions{PrevalidateBatch: core.BatchTokenPrehook(tsKey.Address(), chainID)}, call(callArg, ping))
+			},
+			"warmed by another tx": func() string {
+				run(evm.ExecOptions{}, call(warmArg, warmPing))
+				return run(evm.ExecOptions{}, call(callArg, ping))
+			},
+		}
+		for name, leg := range legs {
+			core.PurgeTokenSigCache()
+			if got := leg(); got != cold {
+				t.Fatalf("%s: %s\ncold cache: %s", name, got, cold)
+			}
+		}
+	})
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 
 	"repro/internal/abi"
@@ -133,36 +135,42 @@ func (r *Request) Binding() (Binding, error) {
 	}
 	b.Selector = sel
 	if r.Type == ArgumentType {
-		body, err := abi.Encode(r.ArgValues()...)
-		if err != nil {
+		args := r.ArgValues()
+		data := make([]byte, abi.SelectorLength, abi.SelectorLength+abi.EncodedLen(args...))
+		copy(data, sel[:])
+		if b.Data, err = abi.AppendEncode(data, args...); err != nil {
 			return Binding{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		b.Data = append(sel[:], body...)
 	}
 	return b, nil
 }
 
+// proofDomain opens every proof-of-possession digest.
+const proofDomain = "smacs-token-request-v1"
+
 // ProofDigest is the digest a client signs to prove possession of the
 // Sender account: a domain-separated hash over the request's binding
 // fields (type, addresses, method, canonical argument values, one-time
-// flag).
+// flag), each argument as name ‖ 0 ‖ ValueKey(value) ‖ 0.
 func (r *Request) ProofDigest() types.Hash {
-	parts := [][]byte{
-		[]byte("smacs-token-request-v1"),
-		{byte(r.Type)},
-		r.Contract[:],
-		r.Sender[:],
-		[]byte(r.Method),
-	}
+	var h keccak.Hasher
+	var buf [len(proofDomain) + 1 + 2*types.AddressLength]byte
+	b := append(buf[:0], proofDomain...)
+	b = append(b, byte(r.Type))
+	b = append(b, r.Contract[:]...)
+	h.Write(append(b, r.Sender[:]...))
+	h.WriteString(r.Method)
+	var key [96]byte // holds the value key of any address or uint256
 	for _, a := range r.Args {
-		parts = append(parts, []byte(a.Name), []byte{0}, []byte(ValueKey(a.Value)), []byte{0})
+		h.WriteString(a.Name)
+		h.Write(append(AppendValueKey(append(key[:0], 0), a.Value), 0))
 	}
+	flag := [1]byte{0}
 	if r.OneTime {
-		parts = append(parts, []byte{1})
-	} else {
-		parts = append(parts, []byte{0})
+		flag[0] = 1
 	}
-	return types.Hash(keccak.Sum256Concat(parts...))
+	h.Write(flag[:])
+	return types.Hash(h.Sum256())
 }
 
 // SignRequest attaches a proof of possession produced with the client's
@@ -241,26 +249,41 @@ func VerifyProofBatch(reqs []*Request) []error {
 // addresses as 0x-hex, integers in decimal, booleans as true/false, byte
 // slices as 0x-hex, strings verbatim.
 func ValueKey(v any) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	var buf [96]byte
+	return string(AppendValueKey(buf[:0], v))
+}
+
+// AppendValueKey appends ValueKey(v) to dst.
+func AppendValueKey(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case types.Address:
-		return strings.ToLower(x.Hex())
+		return AppendAddressKey(dst, x)
 	case *big.Int:
-		if x == nil {
-			return "0"
+		switch {
+		case x == nil:
+			return append(dst, '0')
+		case x.IsInt64():
+			return strconv.AppendInt(dst, x.Int64(), 10)
 		}
-		return x.String()
+		return x.Append(dst, 10)
 	case uint64:
-		return fmt.Sprintf("%d", x)
+		return strconv.AppendUint(dst, x, 10)
 	case bool:
-		if x {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, x)
 	case []byte:
-		return fmt.Sprintf("0x%x", x)
+		return hex.AppendEncode(append(dst, "0x"...), x)
 	case string:
-		return x
+		return append(dst, x...)
 	default:
-		return fmt.Sprintf("%v", x)
+		return fmt.Appendf(dst, "%v", x)
 	}
+}
+
+// AppendAddressKey appends ValueKey(a) to dst. Unlike AppendValueKey it
+// takes the address unboxed, so a caller's address stays off the heap.
+func AppendAddressKey(dst []byte, a types.Address) []byte {
+	return hex.AppendEncode(append(dst, "0x"...), a[:])
 }

@@ -88,11 +88,17 @@ func (tk *Token) OneTime() bool { return tk.Index >= 0 }
 // Encode serializes the token into the 86-byte layout of Fig. 3.
 func (tk *Token) Encode() []byte {
 	out := make([]byte, TokenLength)
+	tk.put(out)
+	return out
+}
+
+// put writes the encoding to out[:TokenLength]. Encode stays small enough
+// to inline, so a caller that does not keep its result pays no heap.
+func (tk *Token) put(out []byte) {
 	out[0] = byte(tk.Type)
 	binary.BigEndian.PutUint32(out[1:5], uint32(tk.Expire.Unix()))
 	encodeIndex(out[5:21], tk.Index)
 	copy(out[21:], tk.Signature.Bytes())
-	return out
 }
 
 // ParseToken deserializes an 86-byte token.
@@ -180,7 +186,11 @@ type Binding struct {
 //
 // exactly as Alg. 1 reconstructs it on-chain.
 func SigningData(tp TokenType, expire time.Time, index int64, b Binding) []byte {
-	out := make([]byte, 0, 61+4+len(b.Data))
+	return appendSigningData(make([]byte, 0, 61+4+len(b.Data)), tp, expire, index, b)
+}
+
+// appendSigningData appends SigningData to out.
+func appendSigningData(out []byte, tp TokenType, expire time.Time, index int64, b Binding) []byte {
 	out = append(out, byte(tp))
 	var exp [4]byte
 	binary.BigEndian.PutUint32(exp[:], uint32(expire.Unix()))
@@ -203,7 +213,8 @@ func SigningData(tp TokenType, expire time.Time, index int64, b Binding) []byte 
 // Digest hashes the signing data; this is the message signed with skTS and
 // verified on-chain via ecrecover.
 func Digest(tp TokenType, expire time.Time, index int64, b Binding) types.Hash {
-	return types.Hash(keccak.Sum256(SigningData(tp, expire, index, b)))
+	var buf [256]byte // the signing data of any token whose msg.data fits
+	return types.Hash(keccak.Sum256(appendSigningData(buf[:0], tp, expire, index, b)))
 }
 
 // SignToken issues a token of the given type over the binding, signed with
@@ -227,25 +238,15 @@ func SignToken(key *secp256k1.PrivateKey, tp TokenType, expire time.Time, index 
 // the signer/address comparison always runs.
 func (tk *Token) VerifySignature(tsAddr types.Address, b Binding) error {
 	digest := Digest(tk.Type, tk.Expire, tk.Index, b)
-	// Missing or out-of-range scalars skip the cache (Signature.Bytes panics
-	// on them); RecoverAddress below rejects them as ErrBadTokenSig instead.
-	var key string
-	if tk.Signature.Validate() == nil {
-		key = sigcache.Key([32]byte(digest), tk.Signature.Bytes())
-	}
-	signer, ok := types.Address{}, false
-	if key != "" {
-		signer, ok = tokenSigCache.Get(key)
-	}
+	key := sigcache.Key([32]byte(digest), tk.Signature.Bytes())
+	signer, ok := tokenSigCache.Get(key)
 	if !ok {
 		var err error
 		signer, err = secp256k1.RecoverAddress([32]byte(digest), tk.Signature)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadTokenSig, err)
 		}
-		if key != "" {
-			tokenSigCache.Add(key, signer)
-		}
+		tokenSigCache.Add(key, signer)
 	}
 	if signer != tsAddr {
 		return fmt.Errorf("%w: signed by %s, want %s", ErrBadTokenSig, signer, tsAddr)

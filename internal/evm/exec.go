@@ -193,7 +193,6 @@ func recoverSenders(txs []*Transaction, chainID uint64) {
 		idx     []int
 		digests [][32]byte
 		sigs    []secp256k1.Signature
-		sbs     [][secp256k1.SignatureLength]byte
 	)
 	for i, tx := range txs {
 		if tx.Sig.Validate() != nil {
@@ -203,14 +202,12 @@ func recoverSenders(txs []*Transaction, chainID uint64) {
 		if err != nil {
 			continue
 		}
-		sb := sigBytes(tx.Sig)
-		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == sb {
+		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == tx.Sig {
 			continue
 		}
 		idx = append(idx, i)
 		digests = append(digests, [32]byte(digest))
 		sigs = append(sigs, tx.Sig)
-		sbs = append(sbs, sb)
 	}
 	if len(idx) == 0 {
 		return
@@ -221,6 +218,6 @@ func recoverSenders(txs []*Transaction, chainID uint64) {
 		if errs[j] != nil {
 			continue
 		}
-		txs[i].memo.Store(&senderMemo{digest: types.Hash(digests[j]), sig: sbs[j], sender: addrs[j]})
+		txs[i].memo.Store(&senderMemo{digest: types.Hash(digests[j]), sig: sigs[j], sender: addrs[j]})
 	}
 }

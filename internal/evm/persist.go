@@ -278,8 +278,7 @@ func EncodeCommit(tx *Transaction, blockTime time.Time) ([]byte, error) {
 		buf = rlp.AppendBytes(buf, t)
 	}
 	buf = rlp.CloseList(buf, tokens)
-	sig := sigBytes(tx.Sig)
-	buf = rlp.AppendBytes(buf, sig[:])
+	buf = rlp.AppendBytes(buf, tx.Sig.Bytes())
 	return rlp.CloseList(buf, start), nil
 }
 

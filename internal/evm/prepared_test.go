@@ -81,7 +81,7 @@ func TestExecuteRebuildsPreparedRecord(t *testing.T) {
 		}
 	})
 
-	t.Run("unserializable signatures", func(t *testing.T) {
+	t.Run("invalid signatures", func(t *testing.T) {
 		var got []string
 		for _, opts := range bothSchedulers {
 			env := evmtest.NewEnv(t, 3)
@@ -89,19 +89,19 @@ func TestExecuteRebuildsPreparedRecord(t *testing.T) {
 			w1, w2 := env.Wallets[1].Key(), env.Wallets[2].Key()
 			unsigned := buildIncrement(t, env.Chain, w1, addr, 1)
 			unsigned.Sig = secp256k1.Signature{}
-			nilR := buildIncrement(t, env.Chain, w2, addr, 1)
-			nilR.Sig.R = nil
-			hugeS := buildIncrement(t, env.Chain, w2, addr, 1)
-			hugeS.Sig.S = new(big.Int).Lsh(big.NewInt(1), 300)
+			zeroR := buildIncrement(t, env.Chain, w2, addr, 1)
+			zeroR.Sig.R = [32]byte{}
+			maxS := buildIncrement(t, env.Chain, w2, addr, 1)
+			maxS.Sig.S = [32]byte(bytes.Repeat([]byte{0xff}, 32))
 			tokened := buildIncrement(t, env.Chain, w1, addr, 1)
 			tokened.Tokens = [][]byte{{1, 2, 3}}
 			tokened.Sig = secp256k1.Signature{}
 			txs := []*evm.Transaction{
 				buildIncrement(t, env.Chain, w1, addr, 0),
 				unsigned,
-				nilR,
+				zeroR,
 				buildIncrement(t, env.Chain, w2, addr, 0),
-				hugeS,
+				maxS,
 				tokened,
 				buildIncrement(t, env.Chain, w1, addr, 1),
 			}

@@ -75,19 +75,23 @@ func TestReplacedSignatureInvalidatesMemo(t *testing.T) {
 }
 
 func TestSenderOutOfRangeScalarsError(t *testing.T) {
-	// Scalars Signature.Bytes cannot serialize (negative, > 2^256) must come
-	// back as ErrBadTxSignature — not as a FillBytes panic while building
-	// the cache key.
-	huge := new(big.Int).Lsh(big.NewInt(1), 300)
+	// Scalars outside [1, n−1], and high s, must come back as
+	// ErrBadTxSignature on every call: a rejected signature is never
+	// memoized as a sender.
+	curveN, _ := new(big.Int).SetString("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141", 16)
 	for name, mutate := range map[string]func(*evm.Transaction){
-		"negative r": func(tx *evm.Transaction) { tx.Sig.R = big.NewInt(-1) },
-		"huge r":     func(tx *evm.Transaction) { tx.Sig.R = huge },
-		"huge s":     func(tx *evm.Transaction) { tx.Sig.S = huge },
+		"zero r": func(tx *evm.Transaction) { tx.Sig.R = [32]byte{} },
+		"r = n":  func(tx *evm.Transaction) { curveN.FillBytes(tx.Sig.R[:]) },
+		"high s": func(tx *evm.Transaction) {
+			new(big.Int).Sub(curveN, new(big.Int).SetBytes(tx.Sig.S[:])).FillBytes(tx.Sig.S[:])
+		},
 	} {
 		tx := signedTestTx(t, "bad scalars "+name)
 		mutate(tx)
-		if _, err := tx.Sender(1337); !errors.Is(err, evm.ErrBadTxSignature) {
-			t.Errorf("%s: err = %v, want ErrBadTxSignature", name, err)
+		for i := 0; i < 2; i++ {
+			if _, err := tx.Sender(1337); !errors.Is(err, evm.ErrBadTxSignature) {
+				t.Errorf("%s: err = %v, want ErrBadTxSignature", name, err)
+			}
 		}
 	}
 }

@@ -59,7 +59,7 @@ type Transaction struct {
 // match the transaction's current content.
 type senderMemo struct {
 	digest types.Hash
-	sig    [secp256k1.SignatureLength]byte
+	sig    secp256k1.Signature
 	sender types.Address
 }
 
@@ -175,16 +175,13 @@ func (tx *Transaction) Hash(chainID uint64) (types.Hash, error) {
 }
 
 // hash is Hash over already-derived wire calldata, built like sigHash.
-// Like Signature.Bytes it panics on missing or out-of-range signature
-// scalars.
 func (tx *Transaction) hash(scratch, wire []byte, chainID uint64) (types.Hash, error) {
 	buf, start := rlp.OpenList(slices.Grow(scratch[:0], len(wire)+rlpFieldsOverhead))
 	buf, err := tx.appendFields(buf, wire)
 	if err != nil {
 		return types.Hash{}, fmt.Errorf("tx hash: %w", err)
 	}
-	sig := sigBytes(tx.Sig)
-	buf = rlp.AppendBytes(buf, sig[:])
+	buf = rlp.AppendBytes(buf, tx.Sig.Bytes())
 	buf = rlp.AppendUint(buf, chainID)
 	return types.Hash(keccak.Sum256(rlp.CloseList(buf, start))), nil
 }
@@ -205,16 +202,6 @@ func (tx *Transaction) appendFields(dst, wire []byte) ([]byte, error) {
 	return rlp.AppendBytes(dst, wire), nil
 }
 
-// sigBytes is sig.Bytes without the heap: r ‖ s ‖ v. It panics, as
-// Bytes does, on missing or out-of-range scalars.
-func sigBytes(sig secp256k1.Signature) [secp256k1.SignatureLength]byte {
-	var b [secp256k1.SignatureLength]byte
-	sig.R.FillBytes(b[:32])
-	sig.S.FillBytes(b[32:64])
-	b[64] = sig.V
-	return b
-}
-
 // prepared is one transaction's encodings for one Execute call: the
 // application and wire calldata, the signing digest and the transaction
 // hash, all for chainID. Execute builds it once per transaction and clears
@@ -225,10 +212,7 @@ type prepared struct {
 	chainID   uint64
 	app, wire []byte
 	sigHash   types.Hash
-	// hash is only meaningful once the sender has been recovered: prepare
-	// leaves it zero when the signature scalars are invalid, and sender
-	// recovery rejects exactly those transactions.
-	hash types.Hash
+	hash      types.Hash
 }
 
 // prepare encodes tx for chainID. It fails exactly where SigHash fails.
@@ -242,14 +226,10 @@ func (tx *Transaction) prepare(chainID uint64) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &prepared{chainID: chainID, app: app, wire: wire, sigHash: sigHash}
-	// Signature.Bytes panics on the scalars Validate rejects; execution
-	// rejects those transactions before it needs the hash. The hash
-	// cannot fail once sigHash succeeded: both append the same fields.
-	if tx.Sig.Validate() == nil {
-		p.hash, _ = tx.hash(scratch, wire, chainID)
-	}
-	return p, nil
+	// The hash cannot fail once sigHash succeeded: both append the same
+	// fields.
+	hash, _ := tx.hash(scratch, wire, chainID)
+	return &prepared{chainID: chainID, app: app, wire: wire, sigHash: sigHash, hash: hash}, nil
 }
 
 // storePrepared encodes tx for chainID and keeps the record for the rest
@@ -313,24 +293,14 @@ func (tx *Transaction) Sender(chainID uint64) (types.Address, error) {
 // caller must have derived from the transaction's current fields: the
 // memo when it holds this digest and signature, else ecrecover.
 func (tx *Transaction) senderFor(digest types.Hash) (types.Address, error) {
-	// Missing or out-of-range scalars skip the memo: sigBytes (its key)
-	// panics on them, and RecoverAddress below reports them as
-	// ErrBadTxSignature.
-	valid := tx.Sig.Validate() == nil
-	var sig [secp256k1.SignatureLength]byte
-	if valid {
-		sig = sigBytes(tx.Sig)
-		if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == sig {
-			return m.sender, nil
-		}
-		senderRecoveries.Add(1)
+	if m := tx.memo.Load(); m != nil && m.digest == digest && m.sig == tx.Sig {
+		return m.sender, nil
 	}
+	senderRecoveries.Add(1)
 	addr, err := secp256k1.RecoverAddress([32]byte(digest), tx.Sig)
 	if err != nil {
 		return types.Address{}, fmt.Errorf("%w: %v", ErrBadTxSignature, err)
 	}
-	if valid {
-		tx.memo.Store(&senderMemo{digest: digest, sig: sig, sender: addr})
-	}
+	tx.memo.Store(&senderMemo{digest: digest, sig: tx.Sig, sender: addr})
 	return addr, nil
 }

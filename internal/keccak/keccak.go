@@ -97,6 +97,18 @@ func (h *Hasher) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// WriteString absorbs s, as Write([]byte(s)) would without the copy.
+func (h *Hasher) WriteString(s string) {
+	for len(s) > 0 {
+		n := copy(h.buf[h.n:], s)
+		h.n += n
+		s = s[n:]
+		if h.n == rate {
+			h.absorb()
+		}
+	}
+}
+
 func (h *Hasher) absorb() {
 	for i := 0; i < rate/8; i++ {
 		h.state[i] ^= le64(h.buf[8*i:])

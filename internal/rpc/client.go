@@ -123,7 +123,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return 0, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
 	if c.Bearer != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Bearer)
@@ -133,6 +133,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	reply, err := readAtMost(resp.Body, resp.ContentLength, maxResponseBytes+1)
 	return resp.StatusCode, reply, err
 }

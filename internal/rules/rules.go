@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -69,11 +70,31 @@ func (l *List) Len() int { return len(l.entries) }
 
 // Admits reports whether the value passes the list.
 func (l *List) Admits(value string) bool {
-	listed := l.entries[canon(value)]
+	return l.admitsListed(l.entries[canon(value)])
+}
+
+// admitsKey is Admits for a value held in a byte slice. A key canon
+// leaves unchanged, such as every address and integer key, is looked up
+// without becoming a string.
+func (l *List) admitsKey(key []byte) bool {
+	for i, c := range key {
+		if c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' || (i == 0 || i == len(key)-1) && asciiSpace(c) {
+			return l.Admits(string(key))
+		}
+	}
+	return l.admitsListed(l.entries[string(key)])
+}
+
+func (l *List) admitsListed(listed bool) bool {
 	if l.mode == Whitelist {
 		return listed
 	}
 	return !listed
+}
+
+// asciiSpace reports whether c is an ASCII byte strings.TrimSpace trims.
+func asciiSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
 }
 
 // clone deep-copies the list.
@@ -161,23 +182,24 @@ func (rs *RuleSet) Check(req *core.Request) error {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
 
-	sender := core.ValueKey(req.Sender)
-	if rs.sender != nil && !rs.sender.Admits(sender) {
-		return fmt.Errorf("%w: sender %s fails the %s", ErrDenied, sender, rs.sender.mode)
+	var buf, argBuf [96]byte // each holds the key of any address or uint256
+	sender := core.AppendAddressKey(buf[:0], req.Sender)
+	if rs.sender != nil && !rs.sender.admitsKey(sender) {
+		return fmt.Errorf("%w: sender %s fails the %s", ErrDenied, string(sender), rs.sender.mode)
 	}
 	if req.Type != core.SuperType && req.Method != "" {
 		// Owners key method rules by the bare method name.
 		name := req.MethodName()
-		if l, ok := rs.methods[name]; ok && !l.Admits(sender) {
-			return fmt.Errorf("%w: sender %s fails the %s of method %q", ErrDenied, sender, l.mode, name)
+		if l, ok := rs.methods[name]; ok && !l.admitsKey(sender) {
+			return fmt.Errorf("%w: sender %s fails the %s of method %q", ErrDenied, string(sender), l.mode, name)
 		}
 	}
 	if req.Type == core.ArgumentType {
 		for _, arg := range req.Args {
 			if l, ok := rs.arguments[arg.Name]; ok {
-				key := core.ValueKey(arg.Value)
-				if !l.Admits(key) {
-					return fmt.Errorf("%w: argument %s=%s fails the %s", ErrDenied, arg.Name, key, l.mode)
+				key := core.AppendValueKey(argBuf[:0], arg.Value)
+				if !l.admitsKey(key) {
+					return fmt.Errorf("%w: argument %s=%s fails the %s", ErrDenied, arg.Name, string(key), l.mode)
 				}
 			}
 		}

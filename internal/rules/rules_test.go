@@ -230,3 +230,17 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("alice denied after concurrent churn: %v", err)
 	}
 }
+
+// admitsKey must agree with Admits on every value, whether it takes the
+// byte lookup (keys canon leaves unchanged) or falls back to canon.
+func TestAdmitsKeyMatchesAdmits(t *testing.T) {
+	values := []string{"", " ", "0xabc", "0xABC", " 0xabc", "0xabc\t", "a b", "Straße", "ÄBC", "x ", "\u0085x", "42", "true"}
+	for _, mode := range []Mode{Whitelist, Blacklist} {
+		l := NewList(mode, "0xabc", "a b", "straße", "42", "x")
+		for _, v := range values {
+			if got, want := l.admitsKey([]byte(v)), l.Admits(v); got != want {
+				t.Errorf("%s %q: admitsKey = %v, Admits = %v", mode, v, got, want)
+			}
+		}
+	}
+}

@@ -67,7 +67,7 @@ func (k *KnownSigner) RecoverBatchMatches(digests [][32]byte, sigs []Signature) 
 	rs := make([]affineVal, n)
 	sInv := make([]scalarVal, n)
 	for i, sig := range sigs {
-		if sig.validateScalars() != nil {
+		if sig.Validate() != nil {
 			return false
 		}
 		r, ok := recoverEphemeralPoint(sig)
@@ -143,7 +143,7 @@ func RecoverAddressBatch(digests [][32]byte, sigs []Signature) ([]types.Address,
 	rs := make([]affineVal, 0, len(digests))
 	rInv := make([]scalarVal, 0, len(digests))
 	for i := range digests {
-		if err := sigs[i].validateScalars(); err != nil {
+		if err := sigs[i].Validate(); err != nil {
 			errs[i] = err
 			continue
 		}

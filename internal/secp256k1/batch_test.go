@@ -42,7 +42,7 @@ func TestSignIdenticalAcrossBaseMultPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := refSign(key, digest)
-		if got.R.Cmp(want.R) != 0 || got.S.Cmp(want.S) != 0 || got.V != want.V {
+		if got != want {
 			t.Fatalf("trial %d: comb and reference Sign disagree", trial)
 		}
 	}
@@ -99,11 +99,15 @@ func TestRecoverBatchMatches(t *testing.T) {
 		mutate func(digests [][32]byte, sigs []Signature, i int)
 	}{
 		{"wrong v", func(_ [][32]byte, s []Signature, i int) { s[i].V ^= 1 }},
-		{"high s", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Sub(curveN, s[i].S) }},
-		{"bumped s", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Add(s[i].S, big.NewInt(1)) }},
-		{"zero r", func(_ [][32]byte, s []Signature, i int) { s[i].R = new(big.Int) }},
-		{"r = n", func(_ [][32]byte, s []Signature, i int) { s[i].R = new(big.Int).Set(curveN) }},
-		{"s = n", func(_ [][32]byte, s []Signature, i int) { s[i].S = new(big.Int).Set(curveN) }},
+		{"high s", func(_ [][32]byte, s []Signature, i int) {
+			s[i].S = scalarBytes(new(big.Int).Sub(curveN, bigOf(s[i].S)))
+		}},
+		{"bumped s", func(_ [][32]byte, s []Signature, i int) {
+			s[i].S = scalarBytes(new(big.Int).Add(bigOf(s[i].S), big.NewInt(1)))
+		}},
+		{"zero r", func(_ [][32]byte, s []Signature, i int) { s[i].R = [32]byte{} }},
+		{"r = n", func(_ [][32]byte, s []Signature, i int) { s[i].R = scalarBytes(curveN) }},
+		{"s = n", func(_ [][32]byte, s []Signature, i int) { s[i].S = scalarBytes(curveN) }},
 		{"overflowed r", func(_ [][32]byte, s []Signature, i int) { s[i].V |= 2 }},
 		{"digest bit flip", func(d [][32]byte, _ []Signature, i int) { d[i][0] ^= 1 }},
 		{"foreign key", func(d [][32]byte, s []Signature, i int) {
@@ -196,7 +200,7 @@ func FuzzRecoverBatchMatchesDifferential(f *testing.F) {
 		} else {
 			var b [SignatureLength]byte
 			copy(b[:], sigBytes)
-			sig = Signature{R: new(big.Int).SetBytes(b[:32]), S: new(big.Int).SetBytes(b[32:64]), V: b[64]}
+			sig = Signature{R: [32]byte(b[:32]), S: [32]byte(b[32:64]), V: b[64]}
 		}
 		at := int(split) % (len(base) + 1)
 		digests := append(append(append([][32]byte(nil), base[:at]...), digest), base[at:]...)
@@ -222,11 +226,11 @@ func TestRecoverAddressBatchMatchesPerItem(t *testing.T) {
 		sigs[i] = sig
 	}
 	// Corrupt a spread of items in ways that hit every failure class.
-	sigs[1].S = new(big.Int).Add(sigs[1].S, big.NewInt(1)) // recovers a different (valid) key
-	sigs[3].R = new(big.Int)                               // scalar validation error
-	sigs[5].V ^= 1                                         // mirror R: different address, same on both paths
-	sigs[7].V |= 2                                         // unreconstructible R
-	digests[9][0] ^= 1                                     // different digest: different address
+	sigs[1].S = scalarBytes(new(big.Int).Add(bigOf(sigs[1].S), big.NewInt(1))) // recovers a different (valid) key
+	sigs[3].R = [32]byte{}                                                     // scalar validation error
+	sigs[5].V ^= 1                                                             // mirror R: different address, same on both paths
+	sigs[7].V |= 2                                                             // unreconstructible R
+	digests[9][0] ^= 1                                                         // different digest: different address
 
 	addrs, errs := RecoverAddressBatch(digests, sigs)
 	for i := 0; i < n; i++ {

@@ -6,8 +6,8 @@
 // for the field and for scalars mod the group order (field.go, scalar.go,
 // point.go) under a wNAF/GLV ladder for verification and recovery and a
 // fixed-base comb for signing, and the RFC 6979 HMAC hashes stack buffers;
-// *big.Int appears only at the exported boundary (keys and signature
-// scalars).
+// signatures hold their scalars as fixed-width bytes, so *big.Int appears
+// only at the exported key boundary.
 package secp256k1
 
 import "math/big"
@@ -15,10 +15,8 @@ import "math/big"
 // Curve parameters for secp256k1: y² = x³ + 7 over F_p.
 var (
 	curveP  = mustBig("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-	curveN  = mustBig("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
 	curveGx = mustBig("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
 	curveGy = mustBig("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")
-	halfN   = new(big.Int).Rsh(curveN, 1)
 )
 
 func mustBig(hex string) *big.Int {

@@ -20,7 +20,7 @@ func TestSignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.R.Cmp(b.R) != 0 || a.S.Cmp(b.S) != 0 || a.V != b.V {
+	if a != b {
 		t.Error("two signatures over identical input differ")
 	}
 }
@@ -35,10 +35,10 @@ func TestSignaturesDifferAcrossKeysAndMessages(t *testing.T) {
 	s12, _ := Sign(k1, d2)
 	s21, _ := Sign(k2, d1)
 
-	if s11.R.Cmp(s12.R) == 0 {
+	if s11.R == s12.R {
 		t.Error("same nonce reused across messages (catastrophic)")
 	}
-	if s11.R.Cmp(s21.R) == 0 {
+	if s11.R == s21.R {
 		t.Error("same nonce across keys")
 	}
 }

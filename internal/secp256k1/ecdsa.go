@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/big"
 	"math/bits"
 
 	"repro/internal/types"
@@ -18,8 +17,9 @@ const SignatureLength = 65
 // low-s normalized, with a recovery id V in {0, 1} (27/28 on the wire in
 // legacy Ethereum; both conventions are accepted by ParseSignature).
 type Signature struct {
-	// R and S are the ECDSA signature scalars.
-	R, S *big.Int
+	// R and S are the ECDSA signature scalars as 32-byte big-endian
+	// integers.
+	R, S [32]byte
 	// V is the recovery id (0 or 1).
 	V byte
 }
@@ -36,10 +36,16 @@ var (
 // Bytes serializes the signature as r ‖ s ‖ v (65 bytes, v in {0, 1}).
 func (sig Signature) Bytes() []byte {
 	out := make([]byte, SignatureLength)
-	sig.R.FillBytes(out[:32])
-	sig.S.FillBytes(out[32:64])
-	out[64] = sig.V
+	sig.put(out)
 	return out
+}
+
+// put writes r ‖ s ‖ v to out[:SignatureLength]. Bytes stays small enough
+// to inline, so a caller that does not keep its result pays no heap.
+func (sig *Signature) put(out []byte) {
+	copy(out[:32], sig.R[:])
+	copy(out[32:64], sig.S[:])
+	out[64] = sig.V
 }
 
 // ParseSignature parses a 65-byte r ‖ s ‖ v signature. Recovery ids 27/28
@@ -55,43 +61,33 @@ func ParseSignature(b []byte) (Signature, error) {
 	if v > 1 {
 		return Signature{}, fmt.Errorf("%w: recovery id %d", ErrInvalidSignature, b[64])
 	}
-	sig := Signature{
-		R: new(big.Int).SetBytes(b[:32]),
-		S: new(big.Int).SetBytes(b[32:64]),
-		V: v,
-	}
-	if err := sig.validateScalars(); err != nil {
+	sig := Signature{R: [32]byte(b[:32]), S: [32]byte(b[32:64]), V: v}
+	if err := sig.Validate(); err != nil {
 		return Signature{}, err
 	}
 	return sig, nil
 }
 
 // Validate checks that the signature scalars are canonical: 0 < r, s < n
-// and s in low form. Callers that serialize a signature before handing it
-// to Recover/Verify (for example to build a cache key) should gate on this
-// first — Bytes panics on negative or oversized scalars.
-func (sig Signature) Validate() error { return sig.validateScalars() }
-
-func (sig Signature) validateScalars() error {
-	if sig.R == nil || sig.S == nil {
-		return fmt.Errorf("%w: missing scalar", ErrInvalidSignature)
-	}
-	if sig.R.Sign() <= 0 || sig.R.Cmp(curveN) >= 0 {
+// and s in low form.
+func (sig Signature) Validate() error {
+	var r, s scalarVal
+	if r.setBytes(&sig.R) || r.isZero() {
 		return fmt.Errorf("%w: r out of range", ErrInvalidSignature)
 	}
-	if sig.S.Sign() <= 0 || sig.S.Cmp(curveN) >= 0 {
+	if s.setBytes(&sig.S) || s.isZero() {
 		return fmt.Errorf("%w: s out of range", ErrInvalidSignature)
 	}
-	if sig.S.Cmp(halfN) > 0 {
+	if s.isHigh() {
 		return fmt.Errorf("%w: high-s form", ErrInvalidSignature)
 	}
 	return nil
 }
 
-// scalars returns r and s as scalars; sig must pass validateScalars.
-func (sig Signature) scalars() (r, s scalarVal) {
-	r.setBig(sig.R)
-	s.setBig(sig.S)
+// scalars returns r and s as scalars; sig must pass Validate.
+func (sig *Signature) scalars() (r, s scalarVal) {
+	r.setBytes(&sig.R)
+	s.setBytes(&sig.S)
 	return r, s
 }
 
@@ -134,7 +130,7 @@ func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 			s.neg(&s)
 			v ^= 1
 		}
-		return Signature{R: r.big(), S: s.big(), V: v}, nil
+		return Signature{R: r.bytes(), S: s.bytes(), V: v}, nil
 	}
 }
 
@@ -142,7 +138,7 @@ func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 // pub.
 func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
 	q, ok := pub.point()
-	if !ok || sig.validateScalars() != nil {
+	if !ok || sig.Validate() != nil {
 		return false
 	}
 	r, s := sig.scalars()
@@ -165,7 +161,7 @@ func Verify(pub PublicKey, digest [32]byte, sig Signature) bool {
 // recoverEphemeralPoint reconstructs the signing-time ephemeral point R
 // from the signature's r scalar and recovery id: x = r (+ n when the
 // overflow bit is set) must be a field element with x³ + 7 a square, and
-// the parity bit picks the root. sig must pass validateScalars.
+// the parity bit picks the root. sig must pass Validate.
 func recoverEphemeralPoint(sig Signature) (affineVal, bool) {
 	x, _ := sig.scalars()
 	if sig.V&2 != 0 {
@@ -206,7 +202,7 @@ func Recover(digest [32]byte, sig Signature) (PublicKey, error) {
 
 // recoverPoint is Recover up to the *big.Int boundary.
 func recoverPoint(digest [32]byte, sig Signature) (affineVal, error) {
-	if err := sig.validateScalars(); err != nil {
+	if err := sig.Validate(); err != nil {
 		return affineVal{}, err
 	}
 	r, ok := recoverEphemeralPoint(sig)

@@ -1,7 +1,9 @@
 package secp256k1
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -55,10 +57,10 @@ func TestRFC6979KnownVector(t *testing.T) {
 	}
 	wantR := mustBig("934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8")
 	wantS := mustBig("2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5")
-	if sig.R.Cmp(wantR) != 0 {
+	if sig.R != scalarBytes(wantR) {
 		t.Errorf("r = %x, want %x", sig.R, wantR)
 	}
-	if sig.S.Cmp(wantS) != 0 {
+	if sig.S != scalarBytes(wantS) {
 		t.Errorf("s = %x, want %x", sig.S, wantS)
 	}
 }
@@ -101,7 +103,7 @@ func TestVerifyRejectsTampering(t *testing.T) {
 	}
 
 	bad := sig
-	bad.R = new(big.Int).Add(sig.R, big.NewInt(1))
+	bad.R = scalarBytes(new(big.Int).Add(bigOf(sig.R), big.NewInt(1)))
 	if Verify(key.Pub, digest, bad) {
 		t.Error("modified r accepted")
 	}
@@ -115,7 +117,7 @@ func TestLowSNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sig.S.Cmp(halfN) > 0 {
+		if bigOf(sig.S).Cmp(halfN) > 0 {
 			t.Fatalf("signature %d not low-s normalized", i)
 		}
 	}
@@ -134,7 +136,7 @@ func TestParseSignatureVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.R.Cmp(sig.R) != 0 || back.S.Cmp(sig.S) != 0 || back.V != sig.V {
+	if back != sig {
 		t.Error("round trip changed the signature")
 	}
 
@@ -159,7 +161,7 @@ func TestParseSignatureVariants(t *testing.T) {
 	}
 
 	// High-s form must be rejected (Ethereum homestead rule).
-	highS := Signature{R: sig.R, S: new(big.Int).Sub(curveN, sig.S), V: sig.V}
+	highS := Signature{R: sig.R, S: scalarBytes(new(big.Int).Sub(curveN, bigOf(sig.S))), V: sig.V}
 	if _, err := ParseSignature(highS.Bytes()); err == nil {
 		t.Error("high-s signature accepted")
 	}
@@ -215,4 +217,52 @@ func TestParsePublicKey(t *testing.T) {
 	if _, err := ParsePublicKey(enc); err == nil {
 		t.Error("off-curve public key accepted")
 	}
+}
+
+// FuzzSignatureDifferential holds ParseSignature, Validate and Bytes to
+// the math/big Signature they replaced (refSignature in
+// reference_test.go): on any input both parsers accept, or both reject
+// with the same message; an accepted signature serializes to the
+// oracle's bytes; and 65 unparsed bytes validate as the oracle's scalars
+// do and serialize back to themselves.
+func FuzzSignatureDifferential(f *testing.F) {
+	key := PrivateKeyFromSeed([]byte("signature differential"))
+	sig, err := Sign(key, [32]byte{1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := sig.Bytes()
+	legacy := append([]byte(nil), good...)
+	legacy[64] += 27
+	n := scalarBytes(curveN)
+	half := scalarBytes(halfN)
+	for _, seed := range [][]byte{
+		good, legacy, good[:64], make([]byte, SignatureLength), bytes.Repeat([]byte{0xff}, SignatureLength),
+		append(append(n[:], good[32:64]...), 0),
+		append(append(append([]byte(nil), good[:32]...), half[:]...), 1),
+		sigOf(bigOf(sig.R), new(big.Int).Sub(curveN, bigOf(sig.S)), 1).Bytes(),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := ParseSignature(b)
+		want, wantErr := refParseSignature(b)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseSignature: err %v, oracle %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Bytes after parse = %x, oracle %x", got.Bytes(), want.Bytes())
+		}
+		if len(b) != SignatureLength {
+			return
+		}
+		raw := Signature{R: [32]byte(b[:32]), S: [32]byte(b[32:64]), V: b[64]}
+		ref := refOf(raw)
+		if err, wantErr := raw.Validate(), ref.validateScalars(); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Validate: %v, oracle %v", err, wantErr)
+		}
+		if !bytes.Equal(raw.Bytes(), b) || !bytes.Equal(ref.Bytes(), b) {
+			t.Fatalf("Bytes = %x, oracle %x, input %x", raw.Bytes(), ref.Bytes(), b)
+		}
+	})
 }

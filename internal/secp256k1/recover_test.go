@@ -1,6 +1,7 @@
 package secp256k1
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -50,7 +51,7 @@ func TestRecoverRejectsNonResidueX(t *testing.T) {
 	}
 	for _, x := range xs {
 		for v := byte(0); v < 2; v++ {
-			sig := Signature{R: x, S: big.NewInt(1), V: v}
+			sig := sigOf(x, big.NewInt(1), v)
 			assertRecoverFails(t, [32]byte{9}, sig, ErrRecoveryFailed)
 		}
 	}
@@ -70,7 +71,7 @@ func TestRecoverRejectsInfinity(t *testing.T) {
 		z := new(big.Int).Mul(s, k)
 		var digest [32]byte
 		z.Mod(z, curveN).FillBytes(digest[:])
-		sig := Signature{R: new(big.Int).Mod(rp.x, curveN), S: s, V: byte(rp.y.Bit(0))}
+		sig := sigOf(new(big.Int).Mod(rp.x, curveN), s, byte(rp.y.Bit(0)))
 		if _, ok := recoverEphemeralPoint(sig); !ok {
 			t.Fatal("R itself must reconstruct: the failure under test is the infinity")
 		}
@@ -78,8 +79,11 @@ func TestRecoverRejectsInfinity(t *testing.T) {
 	}
 }
 
-func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
-	key := PrivateKeyFromSeed([]byte("nil scalars"))
+// TestOutOfRangeScalarsAreInvalid feeds every entry point scalars
+// outside [1, n−1] or in high-s form: each must reject them as
+// ErrInvalidSignature, and the batch must still accept a valid neighbour.
+func TestOutOfRangeScalarsAreInvalid(t *testing.T) {
+	key := PrivateKeyFromSeed([]byte("out-of-range scalars"))
 	digest := [32]byte{7}
 	good, err := Sign(key, digest)
 	if err != nil {
@@ -90,8 +94,12 @@ func TestNilScalarsAreInvalidNotPanics(t *testing.T) {
 		sig  Signature
 	}{
 		{"zero value", Signature{}},
-		{"nil r", Signature{S: good.S, V: good.V}},
-		{"nil s", Signature{R: good.R, V: good.V}},
+		{"zero r", Signature{S: good.S, V: good.V}},
+		{"zero s", Signature{R: good.R, V: good.V}},
+		{"r = n", Signature{R: scalarBytes(curveN), S: good.S, V: good.V}},
+		{"s = n", Signature{R: good.R, S: scalarBytes(curveN), V: good.V}},
+		{"s = 2²⁵⁶ − 1", Signature{R: good.R, S: [32]byte(bytes.Repeat([]byte{0xff}, 32)), V: good.V}},
+		{"high s", Signature{R: good.R, S: scalarBytes(new(big.Int).Sub(curveN, bigOf(good.S))), V: good.V}},
 	}
 	for _, tc := range cases {
 		if err := tc.sig.Validate(); !errors.Is(err, ErrInvalidSignature) {
@@ -133,7 +141,7 @@ func TestLazyTablesFirstUseIsConcurrent(t *testing.T) {
 			switch g % 4 {
 			case 0:
 				sig, err := Sign(key, digests[0])
-				if err != nil || sig.R.Cmp(sigs[0].R) != 0 || sig.S.Cmp(sigs[0].S) != 0 {
+				if err != nil || sig.R != sigs[0].R || sig.S != sigs[0].S {
 					t.Errorf("goroutine %d: Sign diverged (err %v)", g, err)
 				}
 			case 1:

@@ -3,6 +3,7 @@ package secp256k1
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"fmt"
 	"math/big"
 )
 
@@ -232,12 +233,13 @@ func refSign(key *PrivateKey, digest [32]byte) Signature {
 			s.Sub(curveN, s)
 			v ^= 1
 		}
-		return Signature{R: r, S: s, V: v}
+		return sigOf(r, s, v)
 	}
 }
 
 // refVerify is Verify with u1·G + u2·Q taken from the reference ladder.
-func refVerify(pub PublicKey, digest [32]byte, sig Signature) bool {
+func refVerify(pub PublicKey, digest [32]byte, signature Signature) bool {
+	sig := refOf(signature)
 	if sig.validateScalars() != nil {
 		return false
 	}
@@ -253,7 +255,8 @@ func refVerify(pub PublicKey, digest [32]byte, sig Signature) bool {
 // refRecover is Recover on math/big throughout: R from big.ModSqrt, the
 // public point from the reference ladder. ok is false where Recover must
 // report ErrRecoveryFailed.
-func refRecover(digest [32]byte, sig Signature) (pub affinePoint, ok bool) {
+func refRecover(digest [32]byte, signature Signature) (pub affinePoint, ok bool) {
+	sig := refOf(signature)
 	x := new(big.Int).Set(sig.R)
 	if sig.V&2 != 0 {
 		x.Add(x, curveN)
@@ -273,6 +276,94 @@ func refRecover(digest [32]byte, sig Signature) (pub affinePoint, ok bool) {
 	u1, u2 := refRecoverScalars(digest, sig, new(big.Int).ModInverse(sig.R, curveN))
 	pub = toAffine(doubleScalarMultRef(u1, affinePoint{x: x, y: y}, u2))
 	return pub, !pub.isInfinity()
+}
+
+// The math/big Signature the package shipped before its scalars became
+// fixed-width bytes: parse, validate and serialize kept verbatim
+// (renamed) as the oracle of FuzzSignatureDifferential, and the form the
+// reference sign, verify and recover paths compute on.
+
+// curveN is the group order n, halfN ⌊n/2⌋, the largest low-s value.
+var (
+	curveN = mustBig("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+	halfN  = new(big.Int).Rsh(curveN, 1)
+)
+
+// refSignature is Signature with *big.Int scalars.
+type refSignature struct {
+	// R and S are the ECDSA signature scalars.
+	R, S *big.Int
+	// V is the recovery id (0 or 1).
+	V byte
+}
+
+// Bytes serializes the signature as r ‖ s ‖ v (65 bytes, v in {0, 1}).
+func (sig refSignature) Bytes() []byte {
+	out := make([]byte, SignatureLength)
+	sig.R.FillBytes(out[:32])
+	sig.S.FillBytes(out[32:64])
+	out[64] = sig.V
+	return out
+}
+
+// refParseSignature parses a 65-byte r ‖ s ‖ v signature. Recovery ids
+// 27/28 are normalized to 0/1.
+func refParseSignature(b []byte) (refSignature, error) {
+	if len(b) != SignatureLength {
+		return refSignature{}, fmt.Errorf("%w: length %d, want %d", ErrInvalidSignature, len(b), SignatureLength)
+	}
+	v := b[64]
+	if v >= 27 {
+		v -= 27
+	}
+	if v > 1 {
+		return refSignature{}, fmt.Errorf("%w: recovery id %d", ErrInvalidSignature, b[64])
+	}
+	sig := refSignature{
+		R: new(big.Int).SetBytes(b[:32]),
+		S: new(big.Int).SetBytes(b[32:64]),
+		V: v,
+	}
+	if err := sig.validateScalars(); err != nil {
+		return refSignature{}, err
+	}
+	return sig, nil
+}
+
+func (sig refSignature) validateScalars() error {
+	if sig.R == nil || sig.S == nil {
+		return fmt.Errorf("%w: missing scalar", ErrInvalidSignature)
+	}
+	if sig.R.Sign() <= 0 || sig.R.Cmp(curveN) >= 0 {
+		return fmt.Errorf("%w: r out of range", ErrInvalidSignature)
+	}
+	if sig.S.Sign() <= 0 || sig.S.Cmp(curveN) >= 0 {
+		return fmt.Errorf("%w: s out of range", ErrInvalidSignature)
+	}
+	if sig.S.Cmp(halfN) > 0 {
+		return fmt.Errorf("%w: high-s form", ErrInvalidSignature)
+	}
+	return nil
+}
+
+// refOf returns sig with its scalars as *big.Int.
+func refOf(sig Signature) refSignature {
+	return refSignature{R: bigOf(sig.R), S: bigOf(sig.S), V: sig.V}
+}
+
+// sigOf builds a Signature from scalars in [0, 2²⁵⁶).
+func sigOf(r, s *big.Int, v byte) Signature {
+	return Signature{R: scalarBytes(r), S: scalarBytes(s), V: v}
+}
+
+// bigOf returns the big-endian integer b.
+func bigOf(b [32]byte) *big.Int { return new(big.Int).SetBytes(b[:]) }
+
+// scalarBytes returns v, which must be in [0, 2²⁵⁶), as 32 big-endian
+// bytes; FillBytes panics on any other value.
+func scalarBytes(v *big.Int) (b [32]byte) {
+	v.FillBytes(b[:])
+	return b
 }
 
 // The math/big scalar arithmetic mod n that scalarVal replaced, kept
@@ -344,7 +435,7 @@ func refBatchModInverse(xs []*big.Int, m *big.Int) bool {
 
 // refRecoverScalars returns u1 = −z·r⁻¹ and u2 = s·r⁻¹ (mod n), the
 // multipliers of G and R in public-key recovery.
-func refRecoverScalars(digest [32]byte, sig Signature, rInv *big.Int) (u1, u2 *big.Int) {
+func refRecoverScalars(digest [32]byte, sig refSignature, rInv *big.Int) (u1, u2 *big.Int) {
 	u1 = refHashToInt(digest)
 	u1.Mul(u1, rInv)
 	u1.Neg(u1)

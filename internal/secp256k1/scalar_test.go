@@ -285,7 +285,7 @@ func TestNonceHMACDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := refSign(key, digest)
-		if got.R.Cmp(want.R) != 0 || got.S.Cmp(want.S) != 0 || got.V != want.V {
+		if got != want {
 			t.Fatalf("signature %d differs from the math/big reference", i)
 		}
 	}

@@ -60,13 +60,23 @@ func (c *Client) RequestToken(req *core.Request) (core.Token, error) {
 	return parseWireToken(&wt)
 }
 
-// parseWireToken decodes the hex token of one wire slot.
+// parseWireToken decodes the hex token of one wire slot. A token of the
+// right length is decoded on the stack.
 func parseWireToken(wt *WireToken) (core.Token, error) {
-	raw, err := hex.DecodeString(wt.Token)
-	if err != nil {
+	if len(wt.Token) != 2*core.TokenLength {
+		raw, err := hex.DecodeString(wt.Token)
+		if err != nil {
+			return core.Token{}, fmt.Errorf("token hex: %w", err)
+		}
+		return core.ParseToken(raw)
+	}
+	var digits [2 * core.TokenLength]byte
+	var raw [core.TokenLength]byte
+	copy(digits[:], wt.Token)
+	if _, err := hex.Decode(raw[:], digits[:]); err != nil {
 		return core.Token{}, fmt.Errorf("token hex: %w", err)
 	}
-	return core.ParseToken(raw)
+	return core.ParseToken(raw[:])
 }
 
 // RequestTokens submits all requests in one POST /v1/tokens round-trip

@@ -2,7 +2,6 @@ package tshttp
 
 import (
 	"crypto/subtle"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -147,11 +146,7 @@ func (s *Server) handleToken(w http.ResponseWriter, r *http.Request) {
 		rpc.WriteError(w, status, err.Error())
 		return
 	}
-	rpc.WriteJSON(w, http.StatusOK, WireToken{
-		Token:  hex.EncodeToString(tk.Encode()),
-		Expire: tk.Expire.Unix(),
-		Index:  tk.Index,
-	})
+	rpc.WriteJSON(w, http.StatusOK, wireToken(&tk))
 }
 
 // maxBatchSize bounds POST /v1/tokens so one request cannot monopolize
@@ -193,11 +188,8 @@ func (s *Server) handleTokenBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = res.Err.Error()
 			continue
 		}
-		results[i].Token = &WireToken{
-			Token:  hex.EncodeToString(res.Token.Encode()),
-			Expire: res.Token.Expire.Unix(),
-			Index:  res.Token.Index,
-		}
+		wt := wireToken(&res.Token)
+		results[i].Token = &wt
 	}
 	rpc.WriteJSON(w, http.StatusOK, WireBatchResponse{Results: results})
 }

@@ -81,6 +81,18 @@ func parseTokenType(s string) (core.TokenType, error) {
 
 func tokenTypeName(t core.TokenType) string { return t.String() }
 
+// hexString is hex.EncodeToString with one allocation for inputs up to a
+// token's length: the digits are built on the stack.
+func hexString(b []byte) string {
+	var buf [2 * core.TokenLength]byte
+	return string(hex.AppendEncode(buf[:0], b))
+}
+
+// wireToken is the wire form of an issued token.
+func wireToken(tk *core.Token) WireToken {
+	return WireToken{Token: hexString(tk.Encode()), Expire: tk.Expire.Unix(), Index: tk.Index}
+}
+
 // DecodeArg converts a wire argument into an ABI-encodable Go value.
 func DecodeArg(a WireArg) (any, error) {
 	switch strings.ToLower(a.Kind) {
@@ -182,7 +194,7 @@ func FromRequest(req *core.Request) (*WireRequest, error) {
 		OneTime:  req.OneTime,
 	}
 	if len(req.Proof) > 0 {
-		w.Proof = hex.EncodeToString(req.Proof)
+		w.Proof = hexString(req.Proof)
 	}
 	for _, a := range req.Args {
 		wa, err := EncodeArg(a.Name, a.Value)

@@ -51,11 +51,11 @@ func BytesToHash(b []byte) Hash {
 // Address. It returns an error if the string is not valid hex or is longer
 // than 20 bytes.
 func HexToAddress(s string) (Address, error) {
-	b, err := parseHex(s, AddressLength)
-	if err != nil {
+	var a Address
+	if err := parseHex(a[:], s); err != nil {
 		return Address{}, fmt.Errorf("address %q: %w", s, err)
 	}
-	return BytesToAddress(b), nil
+	return a, nil
 }
 
 // MustHexToAddress is like HexToAddress but panics on error. It is intended
@@ -70,26 +70,33 @@ func MustHexToAddress(s string) Address {
 
 // HexToHash parses a hex string (with or without a 0x prefix) into a Hash.
 func HexToHash(s string) (Hash, error) {
-	b, err := parseHex(s, HashLength)
-	if err != nil {
+	var h Hash
+	if err := parseHex(h[:], s); err != nil {
 		return Hash{}, fmt.Errorf("hash %q: %w", s, err)
 	}
-	return BytesToHash(b), nil
+	return h, nil
 }
 
-func parseHex(s string, maxLen int) ([]byte, error) {
+// parseHex decodes s, with or without a 0x prefix, into the low-order
+// bytes of dst, which must be zero and at most HashLength long; an odd
+// digit count is read with a leading zero.
+func parseHex(dst []byte, s string) error {
 	s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
+	n := len(s) + len(s)%2
+	if n > 2*len(dst) {
+		// Too long: a bad digit anywhere is reported before the length.
+		if _, err := hex.DecodeString(strings.Repeat("0", len(s)%2) + s); err != nil {
+			return err
+		}
+		return fmt.Errorf("value is %d bytes, want at most %d", n/2, len(dst))
+	}
+	var digits [2 * HashLength]byte
 	if len(s)%2 == 1 {
-		s = "0" + s
+		digits[0] = '0'
 	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) > maxLen {
-		return nil, fmt.Errorf("value is %d bytes, want at most %d", len(b), maxLen)
-	}
-	return b, nil
+	copy(digits[len(s)%2:], s)
+	_, err := hex.Decode(dst[len(dst)-n/2:], digits[:n])
+	return err
 }
 
 // Bytes returns the address as a fresh byte slice.
@@ -100,7 +107,10 @@ func (a Address) Bytes() []byte {
 }
 
 // Hex returns the 0x-prefixed lowercase hex encoding of the address.
-func (a Address) Hex() string { return "0x" + hex.EncodeToString(a[:]) }
+func (a Address) Hex() string {
+	var b [2 + 2*AddressLength]byte
+	return string(hex.AppendEncode(append(b[:0], "0x"...), a[:]))
+}
 
 // String implements fmt.Stringer.
 func (a Address) String() string { return a.Hex() }
@@ -116,7 +126,10 @@ func (h Hash) Bytes() []byte {
 }
 
 // Hex returns the 0x-prefixed lowercase hex encoding of the hash.
-func (h Hash) Hex() string { return "0x" + hex.EncodeToString(h[:]) }
+func (h Hash) Hex() string {
+	var b [2 + 2*HashLength]byte
+	return string(hex.AppendEncode(append(b[:0], "0x"...), h[:]))
+}
 
 // String implements fmt.Stringer.
 func (h Hash) String() string { return h.Hex() }
