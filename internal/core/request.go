@@ -249,9 +249,6 @@ func VerifyProofBatch(reqs []*Request) []error {
 // addresses as 0x-hex, integers in decimal, booleans as true/false, byte
 // slices as 0x-hex, strings verbatim.
 func ValueKey(v any) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
 	var buf [96]byte
 	return string(AppendValueKey(buf[:0], v))
 }

@@ -34,18 +34,14 @@ var (
 )
 
 // Bytes serializes the signature as r ‖ s ‖ v (65 bytes, v in {0, 1}).
+// It is small enough to inline, so a caller that does not keep the result
+// pays no heap.
 func (sig Signature) Bytes() []byte {
 	out := make([]byte, SignatureLength)
-	sig.put(out)
-	return out
-}
-
-// put writes r ‖ s ‖ v to out[:SignatureLength]. Bytes stays small enough
-// to inline, so a caller that does not keep its result pays no heap.
-func (sig *Signature) put(out []byte) {
 	copy(out[:32], sig.R[:])
 	copy(out[32:64], sig.S[:])
 	out[64] = sig.V
+	return out
 }
 
 // ParseSignature parses a 65-byte r ‖ s ‖ v signature. Recovery ids 27/28

@@ -140,8 +140,6 @@ func TestIssuancePathAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(50, c.run); got > budget {
 			t.Errorf("%s: %.0f allocs per call, budget %.0f", c.name, got, budget)
-		} else {
-			t.Logf("%s: %.0f allocs per call, budget %.0f", c.name, got, budget)
 		}
 	}
 }

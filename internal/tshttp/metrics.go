@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -19,7 +18,7 @@ const (
 
 // serverMetrics holds the frontend's instrumentation handles. Latency
 // histograms are pre-resolved per route; the per-status counters are
-// resolved on first use and then cached per route (see routeCounters).
+// resolved on first use and then cached per route (see requestCounter).
 type serverMetrics struct {
 	reg      *metrics.Registry
 	inFlight *metrics.Gauge
@@ -48,7 +47,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 	hist := s.metrics.reg.Histogram(MetricLatency,
 		"API request latency by route.", nil, metrics.L("route", route))
-	requests := &routeCounters{reg: s.metrics.reg, route: route}
+	var byCode sync.Map // status code -> *metrics.Counter
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Inc()
 		start := time.Now()
@@ -56,55 +55,20 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFun
 		next(rec, r)
 		hist.ObserveDuration(time.Since(start))
 		s.metrics.inFlight.Dec()
-		requests.forCode(rec.status).Inc()
+		s.requestCounter(&byCode, route, rec.status).Inc()
 	}
 }
 
-// routeCounters caches one route's http_requests_total series by status
-// code. A code's series is registered on the first request that answers
-// with it, as a registry lookup per request would, so the exposition
-// lists the same series in the same order; later requests read the
-// handle from a copy-on-write list without taking a lock.
-type routeCounters struct {
-	reg   *metrics.Registry
-	route string
-	mu    sync.Mutex // serializes registrations
-	codes atomic.Pointer[[]codeCounter]
-}
-
-type codeCounter struct {
-	code    int
-	counter *metrics.Counter
-}
-
-// forCode returns the route's counter for status code.
-func (rc *routeCounters) forCode(code int) *metrics.Counter {
-	if c := rc.lookup(code); c != nil {
-		return c
+// requestCounter returns the route's http_requests_total series for
+// code, cached in byCode. The registry creates a series on its first
+// request, as a lookup per request did, so the cache changes neither
+// the series /metrics lists nor their order.
+func (s *Server) requestCounter(byCode *sync.Map, route string, code int) *metrics.Counter {
+	if c, ok := byCode.Load(code); ok {
+		return c.(*metrics.Counter)
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if c := rc.lookup(code); c != nil {
-		return c
-	}
-	c := rc.reg.Counter(MetricRequests, "API requests by route and status code.",
-		metrics.L("route", rc.route), metrics.L("code", strconv.Itoa(code)))
-	var codes []codeCounter
-	if p := rc.codes.Load(); p != nil {
-		codes = *p
-	}
-	codes = append(codes[:len(codes):len(codes)], codeCounter{code, c})
-	rc.codes.Store(&codes)
+	c := s.metrics.reg.Counter(MetricRequests, "API requests by route and status code.",
+		metrics.L("route", route), metrics.L("code", strconv.Itoa(code)))
+	byCode.Store(code, c)
 	return c
-}
-
-func (rc *routeCounters) lookup(code int) *metrics.Counter {
-	if p := rc.codes.Load(); p != nil {
-		for _, e := range *p {
-			if e.code == code {
-				return e.counter
-			}
-		}
-	}
-	return nil
 }
