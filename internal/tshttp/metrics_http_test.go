@@ -1,11 +1,13 @@
 package tshttp
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +186,47 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	got := timing.ReplaceAllString(scrape(t, srv.URL), "$1 _")
 	if err := nettest.DiffGolden("testdata/metrics.txt", got); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Concurrent first requests of each status code must all land in one
+// series per code: the cached handles are resolved and stored from many
+// handlers at once. Run with -race -count=10.
+func TestRequestCountersConcurrent(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rs := rules.NewRuleSet()
+	rs.SetSenderList(rules.NewList(rules.Whitelist, core.ValueKey(httpCli)))
+	svc, err := ts.New(ts.Config{Key: httpTSKey, Rules: rs, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServerWithOptions(svc, "", ServerOptions{Registry: reg}).Handler())
+	t.Cleanup(srv.Close)
+	cli := NewClient(srv.URL, "")
+	reqs := []*core.Request{
+		{Type: core.SuperType, Contract: httpDst, Sender: httpCli},          // 200
+		{Type: core.SuperType, Contract: httpDst, Sender: types.Address{2}}, // 403
+		{Type: core.MethodType, Contract: httpDst, Sender: httpCli},         // 400
+	}
+	const workers, rounds = 8, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, req := range reqs {
+					_, _ = cli.RequestToken(req)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	body := scrape(t, srv.URL)
+	for _, code := range []string{"200", "403", "400"} {
+		want := fmt.Sprintf("http_requests_total{route=\"/v1/token\",code=%q} %d\n", code, workers*rounds)
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q\n%s", want, body)
+		}
 	}
 }
