@@ -60,9 +60,9 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFun
 }
 
 // requestCounter returns the route's http_requests_total series for
-// code, cached in byCode. The registry creates a series on its first
-// request, as a lookup per request did, so the cache changes neither
-// the series /metrics lists nor their order.
+// code, cached in byCode. A code's series is registered by the first
+// request that answers with it, so /metrics lists only codes the route
+// has answered, in the order it first answered them.
 func (s *Server) requestCounter(byCode *sync.Map, route string, code int) *metrics.Counter {
 	if c, ok := byCode.Load(code); ok {
 		return c.(*metrics.Counter)
