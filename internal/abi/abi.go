@@ -148,7 +148,7 @@ func Pack(method string, args ...any) ([]byte, error) {
 // AppendPack appends Pack(method, args...) to dst, growing it at most
 // once, and returns the extended buffer. On error dst is not returned.
 func AppendPack(dst []byte, method string, args ...any) ([]byte, error) {
-	sel, err := selectorOf(method, args)
+	sel, err := SelectorOf(method, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +160,9 @@ func AppendPack(dst []byte, method string, args ...any) ([]byte, error) {
 	return appendEncoded(dst, args)
 }
 
-// selectorOf is SelectorFor(Signature(method, args...)), with the
-// signature built on the stack.
-func selectorOf(method string, args []any) (Selector, error) {
+// SelectorOf is SelectorFor(Signature(method, args...)), with the
+// signature built on the stack rather than as a string.
+func SelectorOf(method string, args ...any) (Selector, error) {
 	var buf [128]byte
 	sig, err := appendSignature(buf[:0], method, args)
 	if err != nil {

@@ -110,15 +110,19 @@ func (r *Request) MethodName() string {
 // field: directly from a canonical signature, or derived from the argument
 // types for a bare name.
 func (r *Request) MethodSelector() (abi.Selector, error) {
-	sig := r.Method
-	if !strings.Contains(sig, "(") {
-		derived, err := abi.Signature(r.MethodName(), r.ArgValues()...)
-		if err != nil {
-			return abi.Selector{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		sig = derived
+	return r.selector(r.ArgValues())
+}
+
+// selector is MethodSelector given the request's ArgValues.
+func (r *Request) selector(args []any) (abi.Selector, error) {
+	if strings.Contains(r.Method, "(") {
+		return abi.SelectorFor(r.Method), nil
 	}
-	return abi.SelectorFor(sig), nil
+	sel, err := abi.SelectorOf(r.MethodName(), args...)
+	if err != nil {
+		return abi.Selector{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return sel, nil
 }
 
 // Binding builds the cryptographic binding the issued token will carry,
@@ -129,13 +133,13 @@ func (r *Request) Binding() (Binding, error) {
 	if r.Type == SuperType {
 		return b, nil
 	}
-	sel, err := r.MethodSelector()
+	args := r.ArgValues()
+	sel, err := r.selector(args)
 	if err != nil {
 		return Binding{}, err
 	}
 	b.Selector = sel
 	if r.Type == ArgumentType {
-		args := r.ArgValues()
 		data := make([]byte, abi.SelectorLength, abi.SelectorLength+abi.EncodedLen(args...))
 		copy(data, sel[:])
 		if b.Data, err = abi.AppendEncode(data, args...); err != nil {

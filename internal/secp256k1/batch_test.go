@@ -22,6 +22,14 @@ func TestScalarBaseMultCombDifferential(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		scalars = append(scalars, randScalar(rng))
 	}
+	// The first, middle and last entry of every block: d·2^(w·i) for
+	// d = 1, 2^(w−1) and 2^w − 1. n − 1 sets every window at once.
+	for i := 0; i < combBlocks; i++ {
+		for _, d := range []int64{1, 1 << (combWindow - 1), 1<<combWindow - 1} {
+			scalars = append(scalars, new(big.Int).Lsh(big.NewInt(d), uint(combWindow*i)))
+		}
+	}
+	scalars = append(scalars, new(big.Int).Sub(curveN, big.NewInt(1)))
 	for _, k := range scalars {
 		s := mustScalar(k)
 		assertSamePoint(t, "comb k="+k.Text(16),

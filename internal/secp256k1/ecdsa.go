@@ -89,6 +89,10 @@ func (sig *Signature) scalars() (r, s scalarVal) {
 
 // Sign produces a deterministic (RFC 6979) recoverable signature over the
 // 32-byte digest. It fails with ErrInvalidKey unless key.D is in [1, n−1].
+//
+// Its running time depends on the nonce k: the comb skips k's zero
+// windows and indexes its table by k's bytes, and the safegcd inverses of
+// k and of k·G's Z coordinate take time that depends on their inputs.
 func Sign(key *PrivateKey, digest [32]byte) (Signature, error) {
 	var d scalarVal
 	if key == nil || !d.setBig(key.D) || d.isZero() {

@@ -7,14 +7,18 @@ import (
 )
 
 // fieldVal is an element of F_p for the secp256k1 prime
-// p = 2^256 − 2^32 − 977, held as four little-endian 64-bit limbs and
-// always fully reduced to [0, p). It is a plain value: arithmetic never
-// allocates, and every method tolerates its receiver aliasing an operand.
+// p = 2^256 − 2^32 − 977, held as four little-endian 64-bit limbs. It is
+// weakly reduced: any value in [0, 2^256) stands for its residue mod p, so
+// the residues below 2^256 − p have two forms, x and x + p. Arithmetic
+// takes and returns such values and never subtracts p; the canonical value
+// in [0, p) is read only by bytes, isZero, isOdd, equal and inv, each of
+// which normalizes a copy and never its receiver (the shared point tables
+// are read concurrently). It is a plain value: arithmetic never allocates,
+// and every method tolerates its receiver aliasing an operand.
 //
 // Reduction uses 2^256 ≡ pFold (mod p): the high half of a 512-bit product
-// is multiplied by pFold and added to the low half, the (≤ 34-bit) overflow
-// of that sum is folded once more, and one conditional subtraction of p
-// finishes.
+// is multiplied by pFold and added to the low half, and what overflows
+// 2^256 is folded back the same way until nothing does.
 type fieldVal [4]uint64
 
 const pFold = 1<<32 + 977
@@ -22,6 +26,7 @@ const pFold = 1<<32 + 977
 var (
 	fieldOne = fieldVal{1}
 	fieldB   = fieldVal{7}
+	fieldP   = fieldVal{0xfffffffefffffc2f, 0xffffffffffffffff, 0xffffffffffffffff, 0xffffffffffffffff}
 )
 
 // mustField converts a constant or reference-ladder value known to lie in
@@ -52,12 +57,13 @@ func (z *fieldVal) setBytes(b *[32]byte) bool {
 	return true
 }
 
-// bytes returns z as a 32-byte big-endian integer.
+// bytes returns z's canonical value as a 32-byte big-endian integer.
 func (z *fieldVal) bytes() (b [32]byte) {
-	binary.BigEndian.PutUint64(b[0:8], z[3])
-	binary.BigEndian.PutUint64(b[8:16], z[2])
-	binary.BigEndian.PutUint64(b[16:24], z[1])
-	binary.BigEndian.PutUint64(b[24:32], z[0])
+	c := z.canonical()
+	binary.BigEndian.PutUint64(b[0:8], c[3])
+	binary.BigEndian.PutUint64(b[8:16], c[2])
+	binary.BigEndian.PutUint64(b[16:24], c[1])
+	binary.BigEndian.PutUint64(b[24:32], c[0])
 	return b
 }
 
@@ -79,36 +85,57 @@ func (z *fieldVal) big() *big.Int {
 	return new(big.Int).SetBytes(b[:])
 }
 
-func (z *fieldVal) isZero() bool { return z[0]|z[1]|z[2]|z[3] == 0 }
-
-func (z *fieldVal) isOdd() bool { return z[0]&1 == 1 }
-
-// setReduced stores v = carry·2^256 + t, which must be below 2p, reduced to
-// [0, p). v ≥ p exactly when v + pFold reaches 2^256, and then v − p is the
-// low 256 bits of that sum.
-func (z *fieldVal) setReduced(t0, t1, t2, t3, carry uint64) {
-	s0, c := bits.Add64(t0, pFold, 0)
-	s1, c := bits.Add64(t1, 0, c)
-	s2, c := bits.Add64(t2, 0, c)
-	s3, c := bits.Add64(t3, 0, c)
-	m := -(carry | c) // all ones when v ≥ p
-	z[0] = t0 ^ (m & (t0 ^ s0))
-	z[1] = t1 ^ (m & (t1 ^ s1))
-	z[2] = t2 ^ (m & (t2 ^ s2))
-	z[3] = t3 ^ (m & (t3 ^ s3))
+// canonical returns z's residue in [0, p). z < 2^256 < 2p, so at most one
+// p comes off: z ≥ p exactly when z + pFold reaches 2^256, and then z − p
+// is the low 256 bits of that sum.
+func (z *fieldVal) canonical() fieldVal {
+	s0, c := bits.Add64(z[0], pFold, 0)
+	s1, c := bits.Add64(z[1], 0, c)
+	s2, c := bits.Add64(z[2], 0, c)
+	s3, c := bits.Add64(z[3], 0, c)
+	m := -c // all ones when z ≥ p
+	return fieldVal{
+		z[0] ^ (m & (z[0] ^ s0)),
+		z[1] ^ (m & (z[1] ^ s1)),
+		z[2] ^ (m & (z[2] ^ s2)),
+		z[3] ^ (m & (z[3] ^ s3)),
+	}
 }
 
-// add sets z = x + y.
+// isZero reports whether z ≡ 0, whose two forms are 0 and p.
+func (z *fieldVal) isZero() bool {
+	return z[0]|z[1]|z[2]|z[3] == 0 ||
+		(z[0]^fieldP[0])|(z[1]^fieldP[1])|(z[2]^fieldP[2])|(z[3]^fieldP[3]) == 0
+}
+
+// isOdd reports whether z's canonical value is odd.
+func (z *fieldVal) isOdd() bool {
+	c := z.canonical()
+	return c[0]&1 == 1
+}
+
+// equal reports whether z ≡ x. It is the only comparison of field
+// elements: two forms of one residue differ limb by limb.
+func (z *fieldVal) equal(x *fieldVal) bool { return z.canonical() == x.canonical() }
+
+// add sets z = x + y. A carry out of 2^256 is folded back in as pFold;
+// should that carry again, the low limbs are left below pFold, so a second
+// fold cannot.
 func (z *fieldVal) add(x, y *fieldVal) {
 	t0, c := bits.Add64(x[0], y[0], 0)
 	t1, c := bits.Add64(x[1], y[1], c)
 	t2, c := bits.Add64(x[2], y[2], c)
 	t3, c := bits.Add64(x[3], y[3], c)
-	z.setReduced(t0, t1, t2, t3, c)
+	t0, c = bits.Add64(t0, -c&pFold, 0)
+	t1, c = bits.Add64(t1, 0, c)
+	t2, c = bits.Add64(t2, 0, c)
+	t3, c = bits.Add64(t3, 0, c)
+	z[0], z[1], z[2], z[3] = t0+(-c&pFold), t1, t2, t3
 }
 
 // sub sets z = x − y. A borrow leaves x − y + 2^256 in the limbs; taking
-// pFold off that is x − y + p.
+// pFold off that is x − y + p. That borrows again only when x − y + p is
+// negative, and then taking a second pFold off, for x − y + 2p, cannot.
 func (z *fieldVal) sub(x, y *fieldVal) {
 	t0, b := bits.Sub64(x[0], y[0], 0)
 	t1, b := bits.Sub64(x[1], y[1], b)
@@ -117,8 +144,8 @@ func (z *fieldVal) sub(x, y *fieldVal) {
 	t0, b = bits.Sub64(t0, -b&pFold, 0)
 	t1, b = bits.Sub64(t1, 0, b)
 	t2, b = bits.Sub64(t2, 0, b)
-	t3, _ = bits.Sub64(t3, 0, b)
-	z[0], z[1], z[2], z[3] = t0, t1, t2, t3
+	t3, b = bits.Sub64(t3, 0, b)
+	z[0], z[1], z[2], z[3] = t0-(-b&pFold), t1, t2, t3
 }
 
 // neg sets z = −x.
@@ -142,7 +169,9 @@ func mulRow(a, y0, y1, y2, y3 uint64) (t0, t1, t2, t3, t4 uint64) {
 }
 
 // mul sets z = x·y: four rows of the schoolbook product, each added into
-// the running 512-bit result one limb higher than the last.
+// the running 512-bit result one limb higher than the last, then folded
+// mod p. mul and sqr each carry their own copy of the fold: as a function
+// it does not inline, and the call costs about a tenth of a multiply.
 func (z *fieldVal) mul(x, y *fieldVal) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var c uint64
@@ -169,11 +198,28 @@ func (z *fieldVal) mul(x, y *fieldVal) {
 	r6, c = bits.Add64(r6, t3, c)
 	r7 := t4 + c
 
-	z.reduce512(r0, r1, r2, r3, r4, r5, r6, r7)
+	// First fold: lo + hi·pFold fits five limbs, the top one below 2^34.
+	m0, m1, m2, m3, m4 := mulRow(pFold, r4, r5, r6, r7)
+	r0, c = bits.Add64(r0, m0, 0)
+	r1, c = bits.Add64(r1, m1, c)
+	r2, c = bits.Add64(r2, m2, c)
+	r3, c = bits.Add64(r3, m3, c)
+	m4 += c
+	// Second fold: m4·pFold < 2^67, so the sum stays below 2^256 + 2^67.
+	h, l := bits.Mul64(m4, pFold)
+	r0, c = bits.Add64(r0, l, 0)
+	r1, c = bits.Add64(r1, h, c)
+	r2, c = bits.Add64(r2, 0, c)
+	r3, c = bits.Add64(r3, 0, c)
+	// Third fold: a carry out of 2^256 leaves the low limbs below 2^67, so
+	// adding pFold cannot carry past limb 1.
+	r0, c = bits.Add64(r0, -c&pFold, 0)
+	z[0], z[1], z[2], z[3] = r0, r1+c, r2, r3
 }
 
 // sqr sets z = x². The six cross products are summed once and doubled by
-// a one-bit shift before the four squares are added on the diagonal.
+// a one-bit shift before the four squares are added on the diagonal; the
+// fold is mul's.
 func (z *fieldVal) sqr(x *fieldVal) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	h01, r1 := bits.Mul64(x0, x1)
@@ -212,25 +258,19 @@ func (z *fieldVal) sqr(x *fieldVal) {
 	r6, c = bits.Add64(r6, l3, c)
 	r7, _ = bits.Add64(r7, h3, c)
 
-	z.reduce512(r0, r1, r2, r3, r4, r5, r6, r7)
-}
-
-// reduce512 stores the 512-bit value r7…r0 reduced mod p.
-func (z *fieldVal) reduce512(r0, r1, r2, r3, r4, r5, r6, r7 uint64) {
-	// First fold: lo + hi·pFold fits five limbs, the top one below 2^34.
 	m0, m1, m2, m3, m4 := mulRow(pFold, r4, r5, r6, r7)
-	r0, c := bits.Add64(r0, m0, 0)
+	r0, c = bits.Add64(r0, m0, 0)
 	r1, c = bits.Add64(r1, m1, c)
 	r2, c = bits.Add64(r2, m2, c)
 	r3, c = bits.Add64(r3, m3, c)
 	m4 += c
-	// Second fold: m4·pFold < 2^67, so the sum stays below 2^256 + 2^67 < 2p.
 	h, l := bits.Mul64(m4, pFold)
 	r0, c = bits.Add64(r0, l, 0)
 	r1, c = bits.Add64(r1, h, c)
 	r2, c = bits.Add64(r2, 0, c)
 	r3, c = bits.Add64(r3, 0, c)
-	z.setReduced(r0, r1, r2, r3, c)
+	r0, c = bits.Add64(r0, -c&pFold, 0)
+	z[0], z[1], z[2], z[3] = r0, r1+c, r2, r3
 }
 
 // sqrN sets z = x^(2^n).
@@ -241,10 +281,9 @@ func (z *fieldVal) sqrN(x *fieldVal, n int) {
 	}
 }
 
-// pow223 is the shared head of the inversion and square-root addition
-// chains: both exponents, p − 2 and (p + 1)/4, open with a run of 223 one
-// bits, a zero, and a run of 22 one bits. It returns x^(2^n − 1) for
-// n = 2, 22 and 223.
+// pow223 is the head of the square-root addition chain: the exponent
+// (p + 1)/4 opens with a run of 223 one bits, a zero, and a run of 22 one
+// bits. It returns x^(2^n − 1) for n = 2, 22 and 223.
 func pow223(x *fieldVal) (x2, x22, x223 fieldVal) {
 	var x3, x6, x9, x11, x44, x88, x176, x220 fieldVal
 	x2.sqr(x)
@@ -272,23 +311,16 @@ func pow223(x *fieldVal) (x2, x22, x223 fieldVal) {
 	return x2, x22, x223
 }
 
-// inv sets z = x⁻¹ = x^(p−2) (Fermat); the inverse of zero is zero. The
-// low bits of p − 2 after the shared head are 0000 1 011 01.
+// inv sets z = x⁻¹; the inverse of zero is zero. It is modInv on x's
+// canonical value, in time that depends on x.
 func (z *fieldVal) inv(x *fieldVal) {
-	x2, x22, t := pow223(x)
-	t.sqrN(&t, 23)
-	t.mul(&t, &x22)
-	t.sqrN(&t, 5)
-	t.mul(&t, x)
-	t.sqrN(&t, 3)
-	t.mul(&t, &x2)
-	t.sqrN(&t, 2)
-	z.mul(&t, x)
+	c := x.canonical()
+	*z = modInv((*[4]uint64)(&c), &fieldModInfo)
 }
 
 // sqrt sets z to a square root of x and reports whether one exists. Since
 // p ≡ 3 (mod 4) the candidate is x^((p+1)/4), whose low bits after the
-// shared head are 0000 11 00; it is a root exactly when its square is x.
+// head are 0000 11 00; it is a root exactly when its square is x.
 func (z *fieldVal) sqrt(x *fieldVal) bool {
 	x2, x22, t := pow223(x)
 	t.sqrN(&t, 23)
@@ -298,7 +330,7 @@ func (z *fieldVal) sqrt(x *fieldVal) bool {
 	t.sqrN(&t, 2)
 	var check fieldVal
 	check.sqr(&t)
-	ok := check == *x
+	ok := check.equal(x)
 	*z = t
 	return ok
 }

@@ -1,35 +1,66 @@
 package secp256k1
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"testing"
 )
 
 // fieldVal is held to math/big: every operation is recomputed with
-// big.Int modulo p and the canonical 32-byte encodings compared.
+// big.Int modulo p and the canonical 32-byte encodings compared. Operands
+// cover both forms of the residues that have two: x and x + p for
+// x < 2^256 − p = pFold.
 
 var two256 = new(big.Int).Lsh(big.NewInt(1), 256)
 
-// fieldOf converts a reduced big.Int to a fieldVal through setBytes.
-func fieldOf(t testing.TB, v *big.Int) fieldVal {
-	t.Helper()
+// fieldRaw loads any value below 2^256 into the limbs as is, the way a
+// weakly reduced result may hold it.
+func fieldRaw(v *big.Int) (f fieldVal) {
 	var b [32]byte
 	v.FillBytes(b[:])
-	var f fieldVal
-	if !f.setBytes(&b) {
-		t.Fatalf("setBytes rejected %x", b)
+	for i := range f {
+		f[i] = binary.BigEndian.Uint64(b[24-8*i:])
 	}
 	return f
 }
 
-// checkFieldOps compares every cheap fieldVal operation on (a, b), both in
-// [0, p), against math/big; slow additionally covers inv and sqrt.
+// refBig returns the limbs of f as a big.Int, before any reduction.
+func (f *fieldVal) refBig() *big.Int {
+	v := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(f[i]))
+	}
+	return v
+}
+
+// withTwins returns xs followed by x + p for every x in xs below pFold: the
+// second, non-canonical form of the same residue.
+func withTwins(xs []*big.Int) []*big.Int {
+	out := append([]*big.Int(nil), xs...)
+	for _, x := range xs {
+		if x.Cmp(big.NewInt(pFold)) < 0 {
+			out = append(out, new(big.Int).Add(x, curveP))
+		}
+	}
+	return out
+}
+
+// checkFieldOps compares every cheap fieldVal operation on (a, b), both
+// below 2^256 and loaded as is, against math/big on their residues mod p;
+// slow additionally covers inv and sqrt.
 func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 	t.Helper()
-	fa, fb := fieldOf(t, a), fieldOf(t, b)
-	if got := fa.big(); got.Cmp(a) != 0 {
+	fa, fb := fieldRaw(a), fieldRaw(b)
+	ma, mb := new(big.Int).Mod(a, curveP), new(big.Int).Mod(b, curveP)
+	if got := fa.big(); got.Cmp(ma) != 0 {
 		t.Fatalf("bytes/big round trip of %x gave %x", a, got)
+	}
+	if fa.isZero() != (ma.Sign() == 0) || fa.isOdd() != (ma.Bit(0) == 1) {
+		t.Fatalf("isZero/isOdd of %x = %v/%v", a, fa.isZero(), fa.isOdd())
+	}
+	if fa.equal(&fb) != (ma.Cmp(mb) == 0) {
+		t.Fatalf("equal(%x, %x) = %v", a, b, fa.equal(&fb))
 	}
 	want := new(big.Int)
 	check := func(op string, got fieldVal) {
@@ -77,13 +108,13 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 		return
 	}
 	z.inv(&fa)
-	if a.Sign() == 0 {
+	if ma.Sign() == 0 {
 		want.SetInt64(0)
 	} else {
-		want.ModInverse(a, curveP)
+		want.ModInverse(ma, curveP)
 	}
 	check("inv", z)
-	root := new(big.Int).ModSqrt(a, curveP)
+	root := new(big.Int).ModSqrt(ma, curveP)
 	ok := z.sqrt(&fa)
 	if ok != (root != nil) {
 		t.Fatalf("sqrt(%x): residue=%v, math/big says %v", a, ok, root != nil)
@@ -92,7 +123,7 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 		// Either root is acceptable; its square must be a.
 		want.Mul(z.big(), z.big())
 		want.Mod(want, curveP)
-		if want.Cmp(a) != 0 {
+		if want.Cmp(ma) != 0 {
 			t.Fatalf("sqrt(%x) = %x does not square back", a, z.big())
 		}
 	}
@@ -101,7 +132,7 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 // fieldEdges are the operands next to every boundary of the representation:
 // the ends of the range, single saturated limbs, and the factor pairs of
 // 2^256 − 1 and 2^256 − 2^32, whose exact products land in [p, 2^256) and
-// so reach the final conditional subtraction with nothing to fold.
+// so leave mul with nothing to fold and a second form to read.
 func fieldEdges() []*big.Int {
 	sub := func(x *big.Int, d int64) *big.Int { return new(big.Int).Sub(x, big.NewInt(d)) }
 	pow := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
@@ -150,24 +181,27 @@ func TestFieldSetBytesRange(t *testing.T) {
 }
 
 func TestFieldDifferential(t *testing.T) {
-	edges := fieldEdges()
+	edges := withTwins(fieldEdges())
 	for _, a := range edges {
 		for _, b := range edges {
 			checkFieldOps(t, a, b, true)
 		}
 	}
 	// 100k seeded random pairs; each draw is also paired with an edge so
-	// every edge meets many random partners. inv and sqrt (two ~250-step
-	// exponentiations each) run on every 16th pair.
+	// every edge meets many random partners, and every 8th is the second
+	// form of a residue below pFold. inv and sqrt run on every 16th pair.
 	rng := rand.New(rand.NewSource(0x5ec9256))
-	draw := func() *big.Int {
+	draw := func(twin bool) *big.Int {
+		if twin {
+			return new(big.Int).Add(big.NewInt(rng.Int63n(pFold)), curveP)
+		}
 		var buf [32]byte
 		rng.Read(buf[:])
 		v := new(big.Int).SetBytes(buf[:])
 		return v.Mod(v, curveP)
 	}
 	for i := 0; i < 100_000; i++ {
-		a, b := draw(), draw()
+		a, b := draw(i%8 == 1), draw(i%8 == 6)
 		if i%4 == 0 {
 			b = edges[(i/4)%len(edges)]
 		}
@@ -175,55 +209,137 @@ func TestFieldDifferential(t *testing.T) {
 	}
 }
 
-// TestFieldReduce512 drives the reduction with arbitrary 512-bit inputs,
-// including ones no product of two field elements can reach: all-ones makes
-// the second fold itself carry out of 2^256.
-func TestFieldReduce512(t *testing.T) {
-	rng := rand.New(rand.NewSource(512))
-	check := func(r [8]uint64) {
-		t.Helper()
-		want := new(big.Int)
-		for i := 7; i >= 0; i-- {
-			want.Lsh(want, 64)
-			want.Or(want, new(big.Int).SetUint64(r[i]))
+// TestFieldCanonicalReadsKeepReceiver holds the canonical reads to
+// normalizing a copy: the point tables they read are shared between
+// goroutines. p and p + 1 are second forms, of 0 and 1.
+func TestFieldCanonicalReadsKeepReceiver(t *testing.T) {
+	for _, v := range []*big.Int{curveP, new(big.Int).Add(curveP, big.NewInt(1))} {
+		x := fieldRaw(v)
+		var inv fieldVal
+		x.bytes()
+		x.isZero()
+		x.isOdd()
+		x.equal(&fieldOne)
+		inv.inv(&x)
+		if x != fieldRaw(v) {
+			t.Fatalf("a canonical read of %x changed it to %x", v, x)
 		}
-		want.Mod(want, curveP)
-		var z fieldVal
-		z.reduce512(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
-		if z.big().Cmp(want) != 0 {
-			t.Fatalf("reduce512(%x) = %x, want %x", r, z.big(), want)
-		}
-	}
-	ones := ^uint64(0)
-	check([8]uint64{ones, ones, ones, ones, ones, ones, ones, ones})
-	check([8]uint64{0, 0, 0, 0, ones, ones, ones, ones})
-	check([8]uint64{ones, ones, ones, ones, 0, 0, 0, 0})
-	check([8]uint64{ones - pFold + 1, ones, ones, ones, 0, 0, 0, 0}) // p
-	check([8]uint64{ones - pFold, ones, ones, ones, 0, 0, 0, 0})     // p − 1
-	for i := 0; i < 20_000; i++ {
-		var r [8]uint64
-		for j := range r {
-			r[j] = rng.Uint64()
-			// Saturate or clear limbs often: carries chain through them.
-			switch rng.Intn(8) {
-			case 0:
-				r[j] = ones
-			case 1:
-				r[j] = 0
-			}
-		}
-		check(r)
 	}
 }
 
+// checkFieldInverse holds inv to big.Int.ModInverse on a value below 2^256
+// loaded as is; the inverse of zero is zero.
+func checkFieldInverse(t testing.TB, x *big.Int) {
+	t.Helper()
+	fx := fieldRaw(x)
+	r := new(big.Int).Mod(x, curveP)
+	want := new(big.Int)
+	if r.Sign() != 0 {
+		want.ModInverse(r, curveP)
+	}
+	var z fieldVal
+	z.inv(&fx)
+	if z.big().Cmp(want) != 0 {
+		t.Fatalf("inv(%x) = %x, want %x", x, z.big(), want)
+	}
+}
+
+func TestFieldInverseDifferential(t *testing.T) {
+	xs := withTwins(fieldEdges())
+	xs = append(xs, new(big.Int).Sub(two256, big.NewInt(1)))
+	for _, x := range xs {
+		checkFieldInverse(t, x)
+	}
+	rng := rand.New(rand.NewSource(0x1a7e5e))
+	for i := 0; i < 20_000; i++ {
+		var buf [32]byte
+		rng.Read(buf[:])
+		x := new(big.Int).SetBytes(buf[:])
+		switch i % 4 {
+		case 0: // the second form of a residue below pFold
+			x.Add(x.Mod(x, big.NewInt(pFold)), curveP)
+		case 1: // small, so the gcd runs short
+			x.Rsh(x, uint(rng.Intn(256)))
+		}
+		checkFieldInverse(t, x)
+	}
+}
+
+func FuzzFieldInverseDifferential(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1})
+	f.Add(curveP.Bytes())
+	f.Add(new(big.Int).Sub(curveP, big.NewInt(1)).Bytes())
+	f.Add(new(big.Int).Sub(two256, big.NewInt(1)).Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		x := new(big.Int).SetBytes(b)
+		checkFieldInverse(t, x.Mod(x, two256))
+	})
+}
+
+// TestFieldReduce512 drives the 512-bit fold that ends mul and sqr with
+// operands anywhere below 2^256 whose limbs are often saturated or clear,
+// so carries chain through every fold: (2^256 − 1)² has all-ones high
+// limbs, x·1 for x ≥ p reaches the fold with nothing to fold, and
+// (p + 2^32)² carries out of the second fold into the third.
+func TestFieldReduce512(t *testing.T) {
+	rng := rand.New(rand.NewSource(512))
+	check := func(x, y [4]uint64) {
+		t.Helper()
+		a, b := fieldVal(x), fieldVal(y)
+		want := new(big.Int).Mul(a.refBig(), b.refBig())
+		want.Mod(want, curveP)
+		var z fieldVal
+		z.mul(&a, &b)
+		if z.big().Cmp(want) != 0 {
+			t.Fatalf("mul(%x, %x) = %x, want %x", x, y, z.big(), want)
+		}
+		want.Mul(a.refBig(), a.refBig())
+		want.Mod(want, curveP)
+		z.sqr(&a)
+		if z.big().Cmp(want) != 0 {
+			t.Fatalf("sqr(%x) = %x, want %x", x, z.big(), want)
+		}
+	}
+	ones := ^uint64(0)
+	p := [4]uint64(fieldP)
+	check([4]uint64{ones, ones, ones, ones}, [4]uint64{ones, ones, ones, ones})
+	check([4]uint64{ones, ones, ones, ones}, [4]uint64{1})
+	check(p, [4]uint64{1})
+	check([4]uint64{p[0] + 1<<32, ones, ones, ones}, [4]uint64{p[0] + 1<<32, ones, ones, ones})
+	check([4]uint64{p[0] - 1, ones, ones, ones}, [4]uint64{1})
+	limb := func() uint64 {
+		// Saturate or clear limbs often: carries chain through them.
+		switch rng.Intn(8) {
+		case 0:
+			return ones
+		case 1:
+			return 0
+		}
+		return rng.Uint64()
+	}
+	for i := 0; i < 20_000; i++ {
+		check([4]uint64{limb(), limb(), limb(), limb()}, [4]uint64{limb(), limb(), limb(), limb()})
+	}
+}
+
+// FuzzFieldDifferential takes each operand below 2^256 as is, so values
+// in [p, 2^256) are second forms; a set twin flag moves the operand there,
+// to its residue mod pFold plus p.
 func FuzzFieldDifferential(f *testing.F) {
-	f.Add([]byte{0}, []byte{1})
-	f.Add(curveP.Bytes(), new(big.Int).Sub(curveP, big.NewInt(1)).Bytes())
-	f.Add(new(big.Int).Sub(two256, big.NewInt(1)).Bytes(), []byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, ba, bb []byte) {
-		a := new(big.Int).SetBytes(ba)
-		b := new(big.Int).SetBytes(bb)
-		checkFieldOps(t, a.Mod(a, curveP), b.Mod(b, curveP), true)
+	f.Add([]byte{0}, []byte{1}, false, false)
+	f.Add([]byte{0}, []byte{0}, true, false)
+	f.Add(curveP.Bytes(), new(big.Int).Sub(curveP, big.NewInt(1)).Bytes(), false, false)
+	f.Add(new(big.Int).Sub(two256, big.NewInt(1)).Bytes(), []byte{0xff, 0xff, 0xff, 0xff}, false, true)
+	operand := func(b []byte, twin bool) *big.Int {
+		x := new(big.Int).SetBytes(b)
+		if twin {
+			return x.Add(x.Mod(x, big.NewInt(pFold)), curveP)
+		}
+		return x.Mod(x, two256)
+	}
+	f.Fuzz(func(t *testing.T, ba, bb []byte, twinA, twinB bool) {
+		checkFieldOps(t, operand(ba, twinA), operand(bb, twinB), true)
 	})
 }
 
@@ -241,6 +357,34 @@ func BenchmarkFieldSqr(b *testing.B) {
 		x.sqr(&x)
 	}
 	benchField = x
+}
+
+// BenchmarkFieldInverse is BenchmarkScalarInverse's twin, mod p.
+func BenchmarkFieldInverse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]*big.Int, 64)
+	fs := make([]fieldVal, len(xs))
+	for i := range xs {
+		var buf [32]byte
+		rng.Read(buf[:])
+		xs[i] = new(big.Int).Mod(new(big.Int).SetBytes(buf[:]), curveP)
+		fs[i] = fieldRaw(xs[i])
+	}
+	b.Run("safegcd", func(b *testing.B) {
+		b.ReportAllocs()
+		var z fieldVal
+		for i := 0; i < b.N; i++ {
+			z.inv(&fs[i%len(fs)])
+		}
+		benchField = z
+	})
+	b.Run("big.ModInverse", func(b *testing.B) {
+		b.ReportAllocs()
+		z := new(big.Int)
+		for i := 0; i < b.N; i++ {
+			z.ModInverse(xs[i%len(xs)], curveP)
+		}
+	})
 }
 
 var benchField fieldVal

@@ -35,7 +35,8 @@ func curveRHS(x *fieldVal) (rhs fieldVal) {
 func (p *affineVal) onCurve() bool {
 	var lhs fieldVal
 	lhs.sqr(&p.y)
-	return lhs == curveRHS(&p.x)
+	rhs := curveRHS(&p.x)
+	return lhs.equal(&rhs)
 }
 
 // jacobian lifts p to Jacobian coordinates.

@@ -107,7 +107,8 @@ func BenchmarkIssueHTTP(b *testing.B) {
 
 // TestIssuancePathAllocations holds each step of the issuance hop to its
 // allocation budget: the proof digest, signature parsing and signing
-// allocate nothing, a signed request only its Proof, and what remains of
+// allocate nothing, a signed request only its Proof, an argument
+// request's binding its argument values and msg.data, and what remains of
 // a round trip is net/http's and encoding/json's.
 func TestIssuancePathAllocations(t *testing.T) {
 	f := newIssuanceFixture(t)
@@ -130,8 +131,9 @@ func TestIssuancePathAllocations(t *testing.T) {
 		{"ParseSignature", 0, 0, func() { _, _ = secp256k1.ParseSignature(super.Proof) }},
 		{"Sign", 0, 0, func() { _, _ = secp256k1.Sign(key, digest) }},
 		{"SignRequest", 1, 1, func() { _ = core.SignRequest(arg, argKey) }},
+		{"Request.Binding", 2, 3, func() { _, _ = arg.Binding() }},
 		{"Service.Issue", 0, 0, func() { _, _ = f.svc.Issue(super) }},
-		{"Client.RequestToken", 150, 160, func() { f.op(t, i); i++ }},
+		{"Client.RequestToken", 148, 158, func() { f.op(t, i); i++ }},
 	}
 	for _, c := range cases {
 		budget := c.max

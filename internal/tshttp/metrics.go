@@ -37,6 +37,11 @@ type statusRecorder struct {
 	status int
 }
 
+// recorders recycles statusRecorders: one passed to a handler as its
+// http.ResponseWriter escapes, so a fresh one per request would be a heap
+// allocation per request.
+var recorders = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
@@ -51,11 +56,15 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Inc()
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := recorders.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, http.StatusOK
 		next(rec, r)
+		status := rec.status
+		rec.ResponseWriter = nil
+		recorders.Put(rec)
 		hist.ObserveDuration(time.Since(start))
 		s.metrics.inFlight.Dec()
-		s.requestCounter(&byCode, route, rec.status).Inc()
+		s.requestCounter(&byCode, route, status).Inc()
 	}
 }
 
