@@ -61,7 +61,7 @@ var (
 	smoke         = flag.Bool("smoke", false, "e2e: small deterministic sizing (the scale the CI envelope pins)")
 	envelopePath  = flag.String("envelope", "", "e2e: compare correctness counts against this envelope JSON and fail on drift")
 	writeEnvelope = flag.String("write-envelope", "", "e2e: write the run's correctness counts as an envelope JSON to this path")
-	dirPath       = flag.String("dir", "", "e2e: directory for the durable scenario's WALs and snapshots and the replica WALs of quorum-backed scenarios (empty: a temp dir)")
+	dirPath       = flag.String("dir", "", "e2e: directory for the scenarios' stores, one subdirectory per scenario: the durable scenario's WALs and snapshots, the replica WALs of quorum-backed scenarios (empty: a temp dir)")
 	csvPath       = flag.String("csv", "", "e2e: also write the scenario rows as CSV to this path")
 	tracePath     = flag.String("trace", "", "e2e: write sampled per-operation stage traces (token round-trip → batch → commit) as JSON to this path")
 )

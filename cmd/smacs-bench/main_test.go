@@ -53,9 +53,9 @@ func runMain(t *testing.T, args string) (int, string) {
 // A SIGINT mid-run must exit with status 130 AND leave a valid partial
 // CSV behind — the regression was an interrupt discarding every completed
 // row. The child runs every scenario at full scale with quickstart first
-// and durable second; durable creates its store directories under -dir
-// as it starts, so their appearance means the quickstart row is complete
-// and ten scenarios are still to run.
+// and durable second; durable creates its store directories under
+// <dir>/durable as it starts, so their appearance means the quickstart
+// row is complete and ten scenarios are still to run.
 func TestSIGINTFlushesPartialResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a multi-second child run")
@@ -80,7 +80,7 @@ func TestSIGINTFlushesPartialResults(t *testing.T) {
 	go func() { exited <- cmd.Wait() }()
 	deadline := time.After(2 * time.Minute)
 	for {
-		if _, err := os.Stat(filepath.Join(storeDir, "ts")); err == nil {
+		if _, err := os.Stat(filepath.Join(storeDir, "durable", "ts")); err == nil {
 			break
 		}
 		select {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -60,7 +59,6 @@ const chaosReplicas = 3
 // every chaos scenario and chaos-join's joining group all run on one.
 type quorumGroup struct {
 	dir      string
-	removeIt bool
 	servers  []*replicanet.Server
 	backends []*store.File
 	proxies  []*nettest.Proxy
@@ -87,24 +85,11 @@ func checkChaos(fault string) error {
 }
 
 // startQuorumGroup stands a replica group up. Replica WALs live under
-// dir/replica<i> (kept for artifact upload when dir is given; with dir
-// empty a fresh temp dir is used and removed on Close).
+// dir/replica<i>, and Close leaves them there for inspection.
 func startQuorumGroup(dir string) (*quorumGroup, error) {
 	g := &quorumGroup{dir: dir}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "smacs-quorum-*")
-		if err != nil {
-			return nil, err
-		}
-		g.dir, g.removeIt = tmp, true
-	}
 	for i := 0; i < chaosReplicas; i++ {
-		nodeDir := filepath.Join(g.dir, fmt.Sprintf("replica%d", i))
-		if err := os.MkdirAll(nodeDir, 0o755); err != nil {
-			g.Close()
-			return nil, err
-		}
-		backend, err := store.OpenFile(nodeDir, store.FileOptions{})
+		backend, err := store.OpenFile(filepath.Join(g.dir, fmt.Sprintf("replica%d", i)), store.FileOptions{})
 		if err != nil {
 			g.Close()
 			return nil, err
@@ -148,9 +133,6 @@ func (g *quorumGroup) Close() {
 	for _, b := range g.backends {
 		_ = b.Close()
 	}
-	if g.removeIt {
-		_ = os.RemoveAll(g.dir)
-	}
 }
 
 // inject applies the scenario's fault: a proxy fault on the victim for
@@ -177,7 +159,8 @@ func (g *quorumGroup) inject(fault string, victim int) {
 }
 
 // FireErr reports whether the armed membership action failed when it
-// fired; runScenario fails the row on it after the producers finish.
+// fired; the scenario's phase fails the row on it once its producers
+// finish and the submitter drains.
 func (g *quorumGroup) FireErr() error {
 	g.fireMu.Lock()
 	defer g.fireMu.Unlock()

@@ -7,7 +7,9 @@ import (
 	"math/big"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rules"
 	"repro/internal/secp256k1"
+	"repro/internal/store"
 	"repro/internal/transform"
 	"repro/internal/ts"
 	"repro/internal/ts/ring"
@@ -155,12 +158,7 @@ func E2E(cfg E2EConfig) (*E2EResult, error) {
 	}
 	res := &E2EResult{Config: cfg}
 	for _, sc := range scenarios {
-		var row E2ERow
-		if sc.Durable {
-			row, err = runDurable(sc, cfg)
-		} else {
-			row, err = runScenario(sc, cfg)
-		}
+		row, err := runScenario(sc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("e2e %s: %w", sc.Name, err)
 		}
@@ -304,14 +302,13 @@ func (a *e2eAgg) recordTx(op *e2eOp, res evm.BatchResult, end time.Time) {
 	}
 }
 
-// e2eEnv is one scenario's assembled world: the chain with its deployed
-// SMACS-enabled targets, the HTTP Token Service frontends, and the
-// submission pipeline.
+// e2eEnv is one incarnation of a scenario's assembled world: the chain
+// with its deployed SMACS-enabled targets, the HTTP Token Service
+// frontends, and the submission pipeline.
 type e2eEnv struct {
-	cfg     ScenarioConfig
+	cfg     ScenarioConfig // Ops is this incarnation's share
 	chain   *evm.Chain
 	targets []types.Address
-	gasPrc  *big.Int
 
 	client        *tshttp.Client // main Token Service
 	expiredClient *tshttp.Client // negative-lifetime frontend (expired attacks)
@@ -323,9 +320,15 @@ type e2eEnv struct {
 	extra   []*tshttp.Client
 	rr      int
 
-	agg    *e2eAgg
-	sub    chan *e2eOp
-	tracer *metrics.Tracer // nil unless E2EConfig.Tracer is set
+	agg     *e2eAgg
+	sub     chan *e2eOp
+	subDone chan struct{}
+	drained sync.Once
+	tracer  *metrics.Tracer // nil unless E2EConfig.Tracer is set
+
+	stopFault func() bool   // the chaos fault scheduler's stop, if any
+	closers   []func()      // frontends and the joiner's servers, stopped LIFO
+	stores    []*store.File // durable stores: closed at the end, abandoned by a crash
 }
 
 // addClient brings a newly joined frontend into the honest rotation.
@@ -359,6 +362,66 @@ func (e *e2eEnv) allClients() []*tshttp.Client {
 	return append(out, e.extra...)
 }
 
+// serve stands a Token Service frontend up on a loopback listener that
+// shutdown stops, and returns a client for it.
+func (e *e2eEnv) serve(c ts.Config) (*tshttp.Client, error) {
+	svc, err := ts.New(c)
+	if err != nil {
+		return nil, err
+	}
+	base, stop, err := startServer(svc, c.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	e.closers = append(e.closers, stop)
+	return tshttp.NewClient(base, ""), nil
+}
+
+// openStore opens a file-backed store that shutdown closes, or a crash
+// abandons.
+func (e *e2eEnv) openStore(dir string, reg *metrics.Registry) (*store.File, error) {
+	f, err := store.OpenFile(dir, store.FileOptions{Metrics: reg})
+	if err != nil {
+		return nil, err
+	}
+	e.stores = append(e.stores, f)
+	return f, nil
+}
+
+// drain closes the submission pipeline and waits until every queued
+// transaction has executed; only the first call does anything.
+func (e *e2eEnv) drain() {
+	e.drained.Do(func() {
+		close(e.sub)
+		if e.subDone != nil {
+			<-e.subDone
+		}
+	})
+}
+
+// shutdown drains the incarnation, stops its fault scheduler and its
+// frontends, and closes its stores, returning the stores' Close error so
+// the final flush is checked too. A crash leaves the stores open, the
+// state a kill -9 leaves behind: the next open must cope with whatever
+// their WALs hold.
+func (e *e2eEnv) shutdown(crash bool) error {
+	e.drain()
+	if e.stopFault != nil {
+		e.stopFault()
+	}
+	for i := len(e.closers) - 1; i >= 0; i-- {
+		e.closers[i]()
+	}
+	if crash {
+		return nil
+	}
+	errs := make([]error, len(e.stores))
+	for i, f := range e.stores {
+		errs[i] = f.Close()
+	}
+	return errors.Join(errs...)
+}
+
 // shardedCounterShards and shardedCounterBlock configure the one-time
 // index counter: 4 shards leasing 32-index blocks, a spread of 128 the
 // bitmap sizing budgets for.
@@ -367,6 +430,7 @@ const (
 	shardedCounterBlock  = 32
 	e2eBitmapSlack       = 64
 	e2eGasLimit          = 4_000_000
+	e2eGasPrice          = 1
 )
 
 // startServer exposes svc on a loopback listener and returns its base URL
@@ -382,6 +446,10 @@ func startServer(svc *ts.Service, reg *metrics.Registry) (string, func(), error)
 	return "http://" + l.Addr().String(), func() { _ = srv.Close() }, nil
 }
 
+// runScenario runs one scenario. Its world is assembled in one place and
+// built once per incarnation by open; a Durable scenario runs two
+// incarnations with the crash between them (see durable.go), every other
+// scenario one.
 func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	if cfg.Clients < 1 || cfg.Ops < 1 {
 		return E2ERow{}, fmt.Errorf("scenario needs clients and ops, got %d×%d", cfg.Clients, cfg.Ops)
@@ -398,6 +466,36 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	}
 	if depth > 1 && cfg.TamperedOps+cfg.ReplayedOps+cfg.ExpiredOps > 0 {
 		return E2ERow{}, fmt.Errorf("adversarial ops are only supported on single-target workloads")
+	}
+	if cfg.Chaos != "" {
+		if err := checkChaos(cfg.Chaos); err != nil {
+			return E2ERow{}, err
+		}
+	}
+	quorum := cfg.Chaos != "" || cfg.ReplicatedCounter
+	phases := []int{cfg.Ops}
+	if cfg.Durable {
+		if quorum {
+			return E2ERow{}, fmt.Errorf("the durable scenario runs on file-backed stores, not a replica quorum")
+		}
+		if cfg.Ops < 2 || cfg.ReplayedOps < 1 {
+			return E2ERow{}, fmt.Errorf("durable scenario needs ≥2 ops and replayed ops (replay after recovery is its core assertion), got %d and %d",
+				cfg.Ops, cfg.ReplayedOps)
+		}
+		phases = []int{(cfg.Ops + 1) / 2, cfg.Ops / 2}
+	}
+
+	// Every store of the scenario (replica WALs, the durable counter and
+	// chain) lives in its own directory under run.Dir, or in a temp
+	// directory removed afterwards.
+	dir := filepath.Join(run.Dir, cfg.Name)
+	if run.Dir == "" {
+		tmp, err := os.MkdirTemp("", "smacs-e2e-*")
+		if err != nil {
+			return E2ERow{}, err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
 	}
 
 	// Keys: the Token Service, the honest clients, the denied clients,
@@ -417,286 +515,343 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	tamperKey := seedKey("tamper", 0)
 	replayKey := seedKey("replay", 0)
 	expireKey := seedKey("expire", 0)
+	owner := seedKey("owner", 0)
 
 	// ACRs: a sender whitelist admitting honest clients and attackers
 	// (attackers model insiders abusing legitimately issued tokens);
 	// denied clients stay off the list and must be rejected at the TS.
-	allowed := rules.NewList(rules.Whitelist)
-	for _, k := range honest {
-		allowed.Add(core.ValueKey(k.Address()))
-	}
-	for _, k := range []*secp256k1.PrivateKey{tamperKey, replayKey, expireKey} {
-		allowed.Add(core.ValueKey(k.Address()))
+	allowed := slices.Concat(honest, []*secp256k1.PrivateKey{tamperKey, replayKey, expireKey})
+	whitelist := rules.NewList(rules.Whitelist)
+	for _, k := range allowed {
+		whitelist.Add(core.ValueKey(k.Address()))
 	}
 	ruleSet := rules.NewRuleSet()
-	ruleSet.SetSenderList(allowed)
+	ruleSet.SetSenderList(whitelist)
 
-	// One-time index counter: sharded, optionally backed by a 3-replica
-	// quorum (§ VII-B) — WAL-backed replicas on loopback behind proxies
-	// that pass traffic through until a chaos fault is injected. The
-	// membership faults add a layer each: ChaosJoin allocates through an
-	// epoch-aware dynamic stripe so a second group can join mid-rush, and
-	// ChaosFrontendCrash wraps the sharded counter in a switch so the
-	// takeover can swap in a fresh incarnation mid-traffic.
-	var underlying ts.Counter
+	// Every component of this scenario, in every incarnation, reports to
+	// one isolated registry: issuance, HTTP transport, stores, chain, and
+	// the end-to-end histogram, so the row's stage latencies and the
+	// stats cross-check below see exactly this scenario's traffic, the
+	// way a restarted daemon keeps scraping to the same Prometheus.
+	reg := metrics.NewRegistry()
+	core.RegisterCacheMetrics(reg)
+	tokenH0, tokenM0 := core.TokenSigCacheStats()
+	agg := newE2EAgg(reg)
+
+	// A 3-replica quorum (§ VII-B): WAL-backed replicas on loopback
+	// behind proxies that pass traffic through until a chaos fault is
+	// injected.
 	var group *quorumGroup
-	var joinStripe *ring.DynamicStripe
-	if cfg.Chaos != "" {
-		if cfg.Durable {
-			return E2ERow{}, fmt.Errorf("chaos scenarios run on a replica quorum, not the durable stores")
-		}
-		if err := checkChaos(cfg.Chaos); err != nil {
-			return E2ERow{}, err
-		}
-	}
-	if cfg.Chaos != "" || cfg.ReplicatedCounter {
-		dir := ""
-		if run.Dir != "" {
-			dir = filepath.Join(run.Dir, cfg.Name)
-		}
+	if quorum {
 		g, err := startQuorumGroup(dir)
 		if err != nil {
 			return E2ERow{}, err
 		}
 		defer g.Close()
-		group, underlying = g, g.coord
-		if cfg.Chaos == ChaosJoin {
-			joinStripe, err = ring.NewDynamicStripe(g.coord, chaosGroupA,
-				ring.View{Epoch: 1, Groups: []string{chaosGroupA}}, 0)
-			if err != nil {
-				return E2ERow{}, err
-			}
-			underlying = joinStripe
+		group = g
+	}
+
+	// boot deploys the SMACS-enabled targets and funds the whitelisted
+	// wallets. It is deterministic (same keys, same deploy order, same
+	// addresses), so a recovering chain re-registers the contracts' Go
+	// handlers before its snapshot restores their storage.
+	var targets []types.Address
+	boot := func(ch *evm.Chain, verifier *core.Verifier) error {
+		deploy := func(c *evm.Contract) (types.Address, error) {
+			addr, _, err := ch.Deploy(owner.Address(), c)
+			return addr, err
 		}
-	}
-	counter, err := ts.NewShardedCounter(underlying, shardedCounterShards, shardedCounterBlock)
-	if err != nil {
-		return E2ERow{}, err
-	}
-	svcCounter := ts.Counter(counter)
-	var crashSwitch *switchCounter
-	if cfg.Chaos == ChaosFrontendCrash {
-		crashSwitch = newSwitchCounter(counter)
-		svcCounter = crashSwitch
-	}
-
-	// Every component of this scenario reports to one isolated registry:
-	// issuance, HTTP transport, chain, and the end-to-end histogram, so
-	// the row's stage latencies and the stats cross-check below see
-	// exactly this scenario's traffic.
-	reg := metrics.NewRegistry()
-	core.RegisterCacheMetrics(reg)
-	tokenH0, tokenM0 := core.TokenSigCacheStats()
-
-	svc, err := ts.New(ts.Config{
-		Key:          tsKey,
-		Rules:        ruleSet,
-		Counter:      svcCounter,
-		RequireProof: cfg.RequireProof,
-		Metrics:      reg,
-	})
-	if err != nil {
-		return E2ERow{}, err
-	}
-	base, stop, err := startServer(svc, reg)
-	if err != nil {
-		return E2ERow{}, err
-	}
-	defer stop()
-
-	env := &e2eEnv{
-		cfg:    cfg,
-		agg:    newE2EAgg(reg),
-		sub:    make(chan *e2eOp, 4*cfg.TxBatch),
-		client: tshttp.NewClient(base, ""),
-		gasPrc: big.NewInt(1),
-		tracer: run.Tracer,
-	}
-
-	// A second frontend sharing skTS but configured with a negative
-	// lifetime issues already-expired tokens through the full HTTP path —
-	// the deterministic source of the expired-token attack class.
-	var expiredSvc *ts.Service
-	if cfg.ExpiredOps > 0 {
-		expiredSvc, err = ts.New(ts.Config{
-			Key:          tsKey,
-			Rules:        ruleSet,
-			Lifetime:     -time.Hour,
-			RequireProof: cfg.RequireProof,
-			Metrics:      reg,
-		})
+		enable := func(c *evm.Contract) *evm.Contract { return transform.Enable(c, verifier) }
+		var err error
+		switch cfg.Workload {
+		case WorkloadStorage:
+			targets = make([]types.Address, 1)
+			targets[0], err = deploy(enable(contracts.NewSimpleStorage()))
+		case WorkloadSale:
+			targets = make([]types.Address, 1)
+			targets[0], err = deploy(enable(contracts.NewTokenSale(100)))
+		case WorkloadChain:
+			targets, err = contracts.BuildChain(deploy, depth, enable)
+		default:
+			err = fmt.Errorf("unknown workload %q", cfg.Workload)
+		}
 		if err != nil {
-			return E2ERow{}, err
+			return err
 		}
-		expiredBase, stopExpired, err := startServer(expiredSvc, reg)
-		if err != nil {
-			return E2ERow{}, err
+		for _, k := range allowed {
+			ch.Fund(k.Address(), ether(1000))
 		}
-		defer stopExpired()
-		env.expiredClient = tshttp.NewClient(expiredBase, "")
+		return nil
 	}
-
-	// The chain and its SMACS-enabled targets. One-time tokens need the
-	// verifier to carry a bitmap sized for every index the run can issue
-	// plus the sharded counter's spread.
-	chainCfg := evm.DefaultConfig()
-	chainCfg.Metrics = reg
-	env.chain = evm.NewChain(chainCfg)
-	verifier := core.NewVerifier(tsKey.Address())
 	oneTimeTokens := cfg.ReplayedOps
 	if cfg.OneTime {
 		oneTimeTokens += cfg.Clients * cfg.Ops * depth
 	}
-	if oneTimeTokens > 0 {
-		spread := int(counter.MaxSpread())
-		if cfg.Chaos == ChaosJoin || cfg.Chaos == ChaosFrontendCrash {
-			// The membership faults widen the live index window: a second
-			// frontend's in-flight blocks (join), or the crashed
-			// incarnation's burned remainders plus the takeover's fresh
-			// leases (frontend-crash).
-			spread *= 3
+
+	// open builds one incarnation running phaseOps of every client's ops:
+	// the one-time counter, the chain, the submitter, the frontends, and
+	// the chaos fault's arming.
+	open := func(phaseOps int) (env *e2eEnv, err error) {
+		env = &e2eEnv{cfg: cfg, agg: agg, sub: make(chan *e2eOp, 4*cfg.TxBatch), tracer: run.Tracer}
+		env.cfg.Ops = phaseOps
+		defer func() {
+			if err != nil {
+				_ = env.shutdown(false)
+			}
+		}()
+
+		// The sharded counter's backing: a file-backed counter recovered
+		// from its WAL (durable), the quorum group, or a local counter.
+		// ChaosJoin allocates through an epoch-aware dynamic stripe so a
+		// second group can join mid-rush; ChaosFrontendCrash wraps the
+		// sharded counter in a switch so the takeover can swap in a fresh
+		// incarnation mid-traffic.
+		var underlying ts.Counter
+		var joinStripe *ring.DynamicStripe
+		switch {
+		case cfg.Durable:
+			f, err := env.openStore(filepath.Join(dir, "ts"), reg)
+			if err != nil {
+				return nil, err
+			}
+			if underlying, err = store.OpenCounter(f, durableCounterSnapEvery); err != nil {
+				return nil, err
+			}
+		case cfg.Chaos == ChaosJoin:
+			joinStripe, err = ring.NewDynamicStripe(group.coord, chaosGroupA,
+				ring.View{Epoch: 1, Groups: []string{chaosGroupA}}, 0)
+			if err != nil {
+				return nil, err
+			}
+			underlying = joinStripe
+		case quorum:
+			underlying = group.coord
 		}
-		bits := oneTimeTokens + spread + e2eBitmapSlack
-		bm, err := core.NewBitmap(bits, 1<<32)
+		counter, err := ts.NewShardedCounter(underlying, shardedCounterShards, shardedCounterBlock)
 		if err != nil {
-			return E2ERow{}, err
+			return nil, err
 		}
-		verifier.WithBitmap(bm)
-	}
-	owner := seedKey("owner", 0)
-	deploy := func(c *evm.Contract) (types.Address, error) {
-		addr, _, err := env.chain.Deploy(owner.Address(), c)
-		return addr, err
-	}
-	switch cfg.Workload {
-	case WorkloadStorage:
-		addr, err := deploy(transform.Enable(contracts.NewSimpleStorage(), verifier))
-		if err != nil {
-			return E2ERow{}, err
+		svcCounter := ts.Counter(counter)
+		var crashSwitch *switchCounter
+		if cfg.Chaos == ChaosFrontendCrash {
+			crashSwitch = newSwitchCounter(counter)
+			svcCounter = crashSwitch
 		}
-		env.targets = []types.Address{addr}
-	case WorkloadSale:
-		addr, err := deploy(transform.Enable(contracts.NewTokenSale(100), verifier))
-		if err != nil {
-			return E2ERow{}, err
+
+		// One-time tokens need the verifier to carry a bitmap sized for
+		// every index the run can issue plus the counter's spread, once
+		// per incarnation: a crash burns at most one spread of leases.
+		verifier := core.NewVerifier(tsKey.Address())
+		if oneTimeTokens > 0 {
+			spread := int(counter.MaxSpread()) * len(phases)
+			if cfg.Chaos == ChaosJoin || cfg.Chaos == ChaosFrontendCrash {
+				// The membership faults widen the live index window: a second
+				// frontend's in-flight blocks (join), or the crashed
+				// incarnation's burned remainders plus the takeover's fresh
+				// leases (frontend-crash).
+				spread *= 3
+			}
+			bm, err := core.NewBitmap(oneTimeTokens+spread+e2eBitmapSlack, 1<<32)
+			if err != nil {
+				return nil, err
+			}
+			verifier.WithBitmap(bm)
 		}
-		env.targets = []types.Address{addr}
-	case WorkloadChain:
-		env.targets, err = contracts.BuildChain(deploy, depth, func(c *evm.Contract) *evm.Contract {
-			return transform.Enable(c, verifier)
-		})
-		if err != nil {
-			return E2ERow{}, err
+		chainCfg := evm.DefaultConfig()
+		chainCfg.Metrics = reg
+		bootChain := func(ch *evm.Chain) error { return boot(ch, verifier) }
+		if cfg.Durable {
+			f, err := env.openStore(filepath.Join(dir, "chain"), reg)
+			if err != nil {
+				return nil, err
+			}
+			if env.chain, err = evm.RecoverChain(chainCfg, f, durableChainSnapEvery, bootChain); err != nil {
+				return nil, fmt.Errorf("recover chain: %w", err)
+			}
+		} else {
+			env.chain = evm.NewChain(chainCfg)
+			if err := bootChain(env.chain); err != nil {
+				return nil, err
+			}
 		}
-	default:
-		return E2ERow{}, fmt.Errorf("unknown workload %q", cfg.Workload)
-	}
-	for _, k := range honest {
-		env.chain.Fund(k.Address(), ether(1000))
-	}
-	for _, k := range []*secp256k1.PrivateKey{tamperKey, replayKey, expireKey} {
-		env.chain.Fund(k.Address(), ether(1000))
+		env.targets = targets
+		env.subDone = env.startSubmitter(tsKey.Address())
+
+		svcCfg := ts.Config{Key: tsKey, Rules: ruleSet, Counter: svcCounter, RequireProof: cfg.RequireProof, Metrics: reg}
+		if env.client, err = env.serve(svcCfg); err != nil {
+			return nil, err
+		}
+		if cfg.ExpiredOps > 0 {
+			// A second frontend sharing skTS but configured with a negative
+			// lifetime issues already-expired tokens through the full HTTP
+			// path: the deterministic source of the expired-token attack.
+			expiredCfg := svcCfg
+			expiredCfg.Counter, expiredCfg.Lifetime = nil, -time.Hour
+			if env.expiredClient, err = env.serve(expiredCfg); err != nil {
+				return nil, err
+			}
+		}
+
+		// Membership faults need their action armed before the scheduler
+		// starts: the join scenario stands its second frontend up now, the
+		// frontend-crash scenario binds the takeover closure. The fault
+		// scheduler watches the aggregate's progress and fires and heals
+		// the fault mid-rush.
+		switch cfg.Chaos {
+		case ChaosJoin:
+			if err := armJoin(group, env, svcCfg, joinStripe, counter); err != nil {
+				return nil, err
+			}
+		case ChaosFrontendCrash:
+			armFrontendCrash(group, crashSwitch)
+		}
+		if cfg.Chaos != "" {
+			env.stopFault = group.scheduleFault(cfg, run.ChaosSeed, agg)
+		}
+		return env, nil
 	}
 
-	// The submitter: drains the op channel into Execute calls of
-	// TxBatch transactions, running token-signature prevalidation in the
-	// parallel pool outside the chain mutex.
-	subDone := env.startSubmitter(tsKey.Address())
-
-	// Membership faults need their action armed before the scheduler
-	// starts: the join scenario stands its second frontend up now, the
-	// frontend-crash scenario binds the takeover closure.
-	switch cfg.Chaos {
-	case ChaosJoin:
-		cleanupJoin, err := armJoin(group, env, reg, tsKey, ruleSet, cfg, joinStripe, counter)
+	// phase runs incarnation i: honest and denied clients run their share
+	// of ops in every phase, the tamper and expire attackers and the
+	// replay wallet's first uses in the first, the replays in the last.
+	// The last phase closes the stores; an earlier one abandons them.
+	var spent [][]byte // the replay wallet's first-use entries
+	var height, replayNonce uint64
+	var start time.Time
+	var elapsed time.Duration
+	faultInjected := false
+	phase := func(i int) (err error) {
+		first, last := i == 0, i == len(phases)-1
+		env, err := open(phases[i])
 		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := env.shutdown(!last); err == nil {
+				err = cerr
+			}
+		}()
+		if first {
+			start = time.Now()
+		} else {
+			// Every outcome counted before the crash was durable before it
+			// was counted (a lease Append, and the one AppendBatch behind
+			// each chain Execute, return only once their records are
+			// fsynced), so recovery owes all of it back.
+			if h := env.chain.Height(); h != height {
+				return fmt.Errorf("recovered chain height %d, committed %d before the crash", h, height)
+			}
+			if n := env.chain.NonceOf(replayKey.Address()); n != replayNonce {
+				return fmt.Errorf("recovered replay-wallet nonce %d, want %d: committed txs lost", n, replayNonce)
+			}
+		}
+
+		// Producers: honest clients, denied clients, and the attacker
+		// wallets all run concurrently against the live HTTP service.
+		var producers []func() error
+		for _, k := range honest {
+			producers = append(producers, func() error { return env.runHonest(k) })
+		}
+		for _, k := range denied {
+			producers = append(producers, func() error { return env.runDenied(k) })
+		}
+		attacker := func(key *secp256k1.PrivateKey, cl *tshttp.Client, n int, class opClass, mutate func(*core.Token)) {
+			if first && n > 0 {
+				producers = append(producers, func() error {
+					_, err := env.attack(key, env.chain.NonceOf(key.Address()), cl, n, class, mutate)
+					return err
+				})
+			}
+		}
+		// A later expiry breaks the token's signature, not the expiry check.
+		attacker(tamperKey, env.client, cfg.TamperedOps, opTampered,
+			func(tk *core.Token) { tk.Expire = tk.Expire.Add(time.Hour) })
+		attacker(expireKey, env.expiredClient, cfg.ExpiredOps, opExpired, nil)
+		if cfg.ReplayedOps > 0 {
+			producers = append(producers, func() error {
+				nonce := env.chain.NonceOf(replayKey.Address())
+				if first {
+					var err error
+					if spent, err = env.attack(replayKey, nonce, env.client, cfg.ReplayedOps, opReplayFirst, nil); err != nil {
+						return err
+					}
+					nonce += uint64(len(spent))
+				}
+				if !last {
+					return nil
+				}
+				// The bitmap must reject every replay with ErrTokenUsed.
+				replayStart := time.Now()
+				for _, entry := range spent {
+					if err := env.submit(replayKey, nonce, entry, opReplay, replayStart); err != nil {
+						return err
+					}
+					nonce++
+				}
+				return nil
+			})
+		}
+		err = runConcurrently(producers)
+		env.drain()
+		if last {
+			elapsed = time.Since(start)
+		}
+		if env.stopFault != nil {
+			faultInjected = env.stopFault()
+		}
+		if err != nil {
+			return err
+		}
+		if cfg.Chaos != "" {
+			if err := group.FireErr(); err != nil {
+				return fmt.Errorf("chaos %s action: %w", cfg.Chaos, err)
+			}
+		}
+
+		// Cross-check the server-side stats over the same HTTP interface
+		// the clients used, before the frontends go down.
+		for _, cl := range env.allClients() {
+			if cl == nil {
+				continue
+			}
+			if err := agg.addServerStats(cl); err != nil {
+				return err
+			}
+		}
+		height, replayNonce = env.chain.Height(), env.chain.NonceOf(replayKey.Address())
+		return nil
+	}
+	for i := range phases {
+		if err := phase(i); err != nil {
 			return E2ERow{}, err
 		}
-		defer cleanupJoin()
-	case ChaosFrontendCrash:
-		armFrontendCrash(group, crashSwitch)
 	}
 
-	// The chaos fault scheduler watches the aggregate's progress and
-	// fires/heals the fault mid-rush; it stops (healing if necessary)
-	// before the group's deferred Close. The explicit call after the
-	// producers finish collects whether the fault fired; the deferred
-	// one only covers error returns (stop is idempotent).
-	var stopFault func() bool
-	if cfg.Chaos != "" {
-		stopFault = group.scheduleFault(cfg, run.ChaosSeed, env.agg)
-		defer stopFault()
+	// One source of truth: the /v1/stats counters (per-frontend atomics)
+	// must agree with the registry's issuance series, aggregated over
+	// every frontend of every incarnation.
+	if err := checkRegistryStats(reg, agg); err != nil {
+		return E2ERow{}, err
 	}
+	row := finishRow(cfg, agg, elapsed, reg, cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats))
+	row.ChaosFaultInjected = faultInjected
+	return row, nil
+}
 
-	// Producers: honest clients, denied clients, and the attacker wallets
-	// all run concurrently against the live HTTP service.
-	start := time.Now()
-	type producer func() error
-	producers := make([]producer, 0, cfg.Clients+cfg.DeniedClients+3)
-	for _, k := range honest {
-		k := k
-		producers = append(producers, func() error { return env.runHonest(k) })
-	}
-	for _, k := range denied {
-		k := k
-		producers = append(producers, func() error { return env.runDenied(k) })
-	}
-	if cfg.TamperedOps > 0 {
-		producers = append(producers, func() error { return env.runTampered(tamperKey) })
-	}
-	if cfg.ReplayedOps > 0 {
-		producers = append(producers, func() error { return env.runReplay(replayKey) })
-	}
-	if cfg.ExpiredOps > 0 {
-		producers = append(producers, func() error { return env.runExpired(expireKey) })
-	}
+// runConcurrently runs every producer in its own goroutine and joins
+// their errors.
+func runConcurrently(producers []func() error) error {
 	errs := make([]error, len(producers))
 	var wg sync.WaitGroup
 	for i, p := range producers {
 		wg.Add(1)
-		go func(i int, p producer) {
+		go func() {
 			defer wg.Done()
 			errs[i] = p()
-		}(i, p)
+		}()
 	}
 	wg.Wait()
-	close(env.sub)
-	<-subDone
-	elapsed := time.Since(start)
-	faultInjected := false
-	if stopFault != nil {
-		faultInjected = stopFault()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return E2ERow{}, err
-		}
-	}
-	if cfg.Chaos != "" {
-		if err := group.FireErr(); err != nil {
-			return E2ERow{}, fmt.Errorf("chaos %s action: %w", cfg.Chaos, err)
-		}
-	}
-
-	// Cross-check the server-side stats over the same HTTP interface the
-	// clients used.
-	for _, cl := range env.allClients() {
-		if cl == nil {
-			continue
-		}
-		if err := env.agg.addServerStats(cl); err != nil {
-			return E2ERow{}, err
-		}
-	}
-	// One source of truth: the /v1/stats counters (per-frontend atomics)
-	// must agree with the registry's aggregated issuance series.
-	if err := checkRegistryStats(reg, env.agg); err != nil {
-		return E2ERow{}, err
-	}
-
-	row := finishRow(cfg, env.agg, elapsed, reg, cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats))
-	row.ChaosFaultInjected = faultInjected
-	return row, nil
+	return errors.Join(errs...)
 }
 
 // checkRegistryStats asserts that the registry-level issuance counters
@@ -883,7 +1038,7 @@ func (e *e2eEnv) buildTx(key *secp256k1.PrivateKey, nonce uint64, entries [][]by
 		To:       e.targets[0],
 		Value:    new(big.Int),
 		GasLimit: e2eGasLimit,
-		GasPrice: e.gasPrc,
+		GasPrice: big.NewInt(e2eGasPrice),
 		Tokens:   entries,
 	}
 	switch e.cfg.Workload {
@@ -987,102 +1142,50 @@ func (e *e2eEnv) runDenied(key *secp256k1.PrivateKey) error {
 	return nil
 }
 
-// runTampered obtains valid tokens and mutates their expiry before use:
-// the signature no longer covers the token bytes, so every transaction
-// must be rejected with ErrBadTokenSig.
-func (e *e2eEnv) runTampered(key *secp256k1.PrivateKey) error {
-	nonce := uint64(0)
-	for off := 0; off < e.cfg.TamperedOps; off += e.cfg.TokenBatch {
-		n := min(e.cfg.TokenBatch, e.cfg.TamperedOps-off)
+// attack drives one attacker wallet from nonce: n single-token requests,
+// fetched from cl in TokenBatch windows, each issued token passed through
+// mutate (when set) and submitted as one transaction under class. It
+// returns the submitted entries, for a replay's second use.
+func (e *e2eEnv) attack(key *secp256k1.PrivateKey, nonce uint64, cl *tshttp.Client, n int,
+	class opClass, mutate func(*core.Token)) ([][]byte, error) {
+	entries := make([][]byte, 0, n)
+	for off := 0; off < n; off += e.cfg.TokenBatch {
 		start := time.Now()
-		reqs := make([]*core.Request, 0, n)
-		for j := 0; j < n; j++ {
-			reqs = append(reqs, e.opRequests(key.Address(), false)...)
+		reqs := make([]*core.Request, min(e.cfg.TokenBatch, n-off))
+		for j := range reqs {
+			reqs[j] = e.opRequests(key.Address(), false)[0]
+			// A replay needs an index the bitmap remembers as spent.
+			reqs[j].OneTime = reqs[j].OneTime || class == opReplayFirst
 		}
-		res, err := e.fetchTokens(e.client, key, reqs)
+		res, err := e.fetchTokens(cl, key, reqs)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range res {
 			if r.Err != nil {
-				return fmt.Errorf("tamper attacker should be whitelisted: %w", r.Err)
+				return nil, fmt.Errorf("attacker %s should be whitelisted: %w", key.Address().Hex(), r.Err)
 			}
-			tk := r.Token
-			tk.Expire = tk.Expire.Add(time.Hour) // breaks the signature, not the expiry check
-			tx, err := e.buildTx(key, nonce, [][]byte{core.EncodeEntry(e.targets[0], tk)})
-			if err != nil {
-				return err
+			if mutate != nil {
+				mutate(&r.Token)
+			}
+			entry := core.EncodeEntry(e.targets[0], r.Token)
+			if err := e.submit(key, nonce, entry, class, start); err != nil {
+				return nil, err
 			}
 			nonce++
-			e.sub <- &e2eOp{class: opTampered, tx: tx, start: start}
+			entries = append(entries, entry)
 		}
 	}
-	return nil
+	return entries, nil
 }
 
-// runReplay obtains one-time tokens and submits each twice: the first use
-// is legitimate, the duplicate must be rejected by the bitmap with
-// ErrTokenUsed.
-func (e *e2eEnv) runReplay(key *secp256k1.PrivateKey) error {
-	nonce := uint64(0)
-	for off := 0; off < e.cfg.ReplayedOps; off += e.cfg.TokenBatch {
-		n := min(e.cfg.TokenBatch, e.cfg.ReplayedOps-off)
-		start := time.Now()
-		reqs := make([]*core.Request, 0, n)
-		for j := 0; j < n; j++ {
-			req := e.opRequests(key.Address(), false)[0]
-			req.OneTime = true
-			reqs = append(reqs, req)
-		}
-		res, err := e.fetchTokens(e.client, key, reqs)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			if r.Err != nil {
-				return fmt.Errorf("replay attacker should be whitelisted: %w", r.Err)
-			}
-			entries := [][]byte{core.EncodeEntry(e.targets[0], r.Token)}
-			for _, class := range []opClass{opReplayFirst, opReplay} {
-				tx, err := e.buildTx(key, nonce, entries)
-				if err != nil {
-					return err
-				}
-				nonce++
-				e.sub <- &e2eOp{class: class, tx: tx, start: start}
-			}
-		}
+// submit signs one single-token transaction and queues it under class.
+func (e *e2eEnv) submit(key *secp256k1.PrivateKey, nonce uint64, entry []byte, class opClass, start time.Time) error {
+	tx, err := e.buildTx(key, nonce, [][]byte{entry})
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// runExpired obtains already-expired tokens from the negative-lifetime
-// frontend; every transaction must be rejected with ErrTokenExpired.
-func (e *e2eEnv) runExpired(key *secp256k1.PrivateKey) error {
-	nonce := uint64(0)
-	for off := 0; off < e.cfg.ExpiredOps; off += e.cfg.TokenBatch {
-		n := min(e.cfg.TokenBatch, e.cfg.ExpiredOps-off)
-		start := time.Now()
-		reqs := make([]*core.Request, 0, n)
-		for j := 0; j < n; j++ {
-			reqs = append(reqs, e.opRequests(key.Address(), false)...)
-		}
-		res, err := e.fetchTokens(e.expiredClient, key, reqs)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			if r.Err != nil {
-				return fmt.Errorf("expire attacker should be whitelisted: %w", r.Err)
-			}
-			tx, err := e.buildTx(key, nonce, [][]byte{core.EncodeEntry(e.targets[0], r.Token)})
-			if err != nil {
-				return err
-			}
-			nonce++
-			e.sub <- &e2eOp{class: opExpired, tx: tx, start: start}
-		}
-	}
+	e.sub <- &e2eOp{class: class, tx: tx, start: start}
 	return nil
 }
 

@@ -13,19 +13,14 @@ import (
 )
 
 // runScenarioT runs one named scenario at smoke scale and returns its
-// row, dispatching durable profiles the way E2E does.
+// row.
 func runScenarioT(t *testing.T, name string) E2ERow {
 	t.Helper()
 	cfg, err := ScenarioByName(name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var row E2ERow
-	if cfg.Durable {
-		row, err = runDurable(cfg, E2EConfig{Smoke: true, Dir: t.TempDir()})
-	} else {
-		row, err = runScenario(cfg, E2EConfig{Smoke: true})
-	}
+	row, err := runScenario(cfg, E2EConfig{Smoke: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,8 @@ func TestE2EAdversarialFloodRejectsEveryAttack(t *testing.T) {
 // the counts must be indistinguishable from a crash-free run, every
 // pre-crash one-time token replayed after recovery must be rejected with
 // exactly ErrTokenUsed, and nothing adversarial may slip through. The
-// height/nonce continuity assertions live inside runDurable itself.
+// height/nonce continuity assertions run inside runScenario, between the
+// two incarnations.
 func TestE2EDurableRecoversExactly(t *testing.T) {
 	row := runScenarioT(t, "durable")
 	c := row.Counts
@@ -96,6 +92,32 @@ func TestE2EDurableRecoversExactly(t *testing.T) {
 	}
 	if want := cfg.ExpectedCounts(); c != want {
 		t.Errorf("counts across the crash = %+v\nwant crash-free %+v", c, want)
+	}
+}
+
+// E2EConfig.Dir holds one subdirectory per scenario: the durable
+// scenario's stores sit in <dir>/durable/{ts,chain} next to tokensale's
+// replica WALs, not loose at the top.
+func TestE2EDirOneSubdirectoryPerScenario(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := E2E(E2EConfig{Scenarios: []string{"durable", "tokensale"}, Smoke: true, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != "durable,tokensale" {
+		t.Fatalf("top level of Dir holds %v, want one directory per scenario: [durable tokensale]", names)
+	}
+	for _, sub := range []string{"ts", "chain"} {
+		if fi, err := os.Stat(filepath.Join(dir, "durable", sub)); err != nil || !fi.IsDir() {
+			t.Errorf("durable store %s missing: %v", sub, err)
+		}
 	}
 }
 

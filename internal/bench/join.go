@@ -8,14 +8,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
-	"repro/internal/rules"
-	"repro/internal/secp256k1"
 	"repro/internal/ts"
 	"repro/internal/ts/membership"
 	replicanet "repro/internal/ts/replica/net"
 	"repro/internal/ts/ring"
-	"repro/internal/tshttp"
 )
 
 // The chaos-join scenario's replica-group names: the main frontend runs
@@ -54,30 +50,24 @@ func (s *switchCounter) swap(c *ts.ShardedCounter) {
 	s.mu.Unlock()
 }
 
-// MaxSpread reports one incarnation's spread; the bitmap budget in
-// runScenario multiplies it to cover the crashed incarnation's burned
-// remainders plus the takeover's fresh leases.
+// MaxSpread reports one incarnation's spread, for the Token Service's
+// lease-spread gauge. The bitmap budget (runScenario's open) triples the
+// sharded counter's to cover the crashed incarnation's burned remainders
+// plus the takeover's fresh leases.
 func (s *switchCounter) MaxSpread() int64 { return s.spread }
 
 // armJoin stands the joining frontend up (its own quorum group,
 // stripe, sharded counter, membership manager, member endpoints, and a
-// full Token Service listener sharing skTS and the rules) and arms the
-// chaos group's fire hook: at the inject threshold the main frontend's
-// manager admits the joiner through the live join protocol, and honest
-// token traffic starts round-robining across both frontends. The
-// returned cleanup closes everything the joiner opened.
-func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k1.PrivateKey,
-	ruleSet *rules.RuleSet, cfg ScenarioConfig, stripeA *ring.DynamicStripe, counterA *ts.ShardedCounter) (func(), error) {
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	fail := func(err error) (func(), error) {
-		cleanup()
-		return nil, err
-	}
+// full Token Service listener configured like the main frontend's
+// svcCfg apart from its counter) and arms the chaos group's fire hook:
+// at the inject threshold the main frontend's manager admits the joiner
+// through the live join protocol, and honest token traffic starts
+// round-robining across both frontends. Everything the joiner opens
+// joins env's closers, so env's shutdown closes it, even when arming
+// fails half-way.
+func armJoin(g *quorumGroup, env *e2eEnv, svcCfg ts.Config, stripeA *ring.DynamicStripe,
+	counterA *ts.ShardedCounter) error {
+	reg := svcCfg.Metrics
 
 	bootView := ring.View{Epoch: 1, Groups: []string{chaosGroupA}}
 
@@ -85,14 +75,14 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 	// real URLs (the advance request propagates the full map).
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	cleanups = append(cleanups, func() { _ = lnA.Close() })
+	env.closers = append(env.closers, func() { _ = lnA.Close() })
 	lnB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	cleanups = append(cleanups, func() { _ = lnB.Close() })
+	env.closers = append(env.closers, func() { _ = lnB.Close() })
 	urlA := "http://" + lnA.Addr().String()
 	urlB := "http://" + lnB.Addr().String()
 
@@ -103,7 +93,7 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 		Registry: reg,
 	}, bootView, map[string]string{chaosGroupA: urlA}, 0)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	// The joiner boots with the cluster's current view — not containing
@@ -111,16 +101,16 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 	// replica WALs sit beside group A's, so the artifacts keep both.
 	groupB, err := startQuorumGroup(filepath.Join(g.dir, chaosGroupJoiner))
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	cleanups = append(cleanups, groupB.Close)
+	env.closers = append(env.closers, groupB.Close)
 	stripeB, err := ring.NewDynamicStripe(groupB.coord, chaosGroupJoiner, bootView, 0)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	counterB, err := ts.NewShardedCounter(stripeB, shardedCounterShards, shardedCounterBlock)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	mgrB, err := membership.NewManager(membership.Config{
 		Group:    chaosGroupJoiner,
@@ -129,32 +119,21 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 		Registry: reg,
 	}, bootView, map[string]string{chaosGroupA: urlA}, 0)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	srvA := &http.Server{Handler: mgrA.Handler()}
 	go func() { _ = srvA.Serve(lnA) }()
-	cleanups = append(cleanups, func() { _ = srvA.Close() })
+	env.closers = append(env.closers, func() { _ = srvA.Close() })
 	srvB := &http.Server{Handler: mgrB.Handler()}
 	go func() { _ = srvB.Serve(lnB) }()
-	cleanups = append(cleanups, func() { _ = srvB.Close() })
+	env.closers = append(env.closers, func() { _ = srvB.Close() })
 
-	svcB, err := ts.New(ts.Config{
-		Key:          tsKey,
-		Rules:        ruleSet,
-		Counter:      counterB,
-		RequireProof: cfg.RequireProof,
-		Metrics:      reg,
-	})
+	svcCfg.Counter = counterB
+	clientB, err := env.serve(svcCfg)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	baseB, stopB, err := startServer(svcB, reg)
-	if err != nil {
-		return fail(err)
-	}
-	cleanups = append(cleanups, stopB)
-	clientB := tshttp.NewClient(baseB, "")
 
 	g.fire = func() error {
 		res, err := mgrA.Join(chaosGroupJoiner, urlB)
@@ -170,7 +149,7 @@ func armJoin(g *quorumGroup, env *e2eEnv, reg *metrics.Registry, tsKey *secp256k
 		env.addClient(clientB)
 		return nil
 	}
-	return cleanup, nil
+	return nil
 }
 
 // armFrontendCrash arms the epoch-fenced takeover: at the inject

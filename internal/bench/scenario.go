@@ -86,7 +86,8 @@ type ScenarioConfig struct {
 	// are spent before the crash and replayed after recovery, so their
 	// rejection proves the spent-index bitmap state survived it. The
 	// correctness counts are identical to a crash-free run — that is the
-	// durability contract the envelope pins.
+	// durability contract the envelope pins. Mutually exclusive with
+	// Chaos and ReplicatedCounter.
 	Durable bool `json:"durable,omitempty"`
 	// TokenBatch is the number of ops whose tokens a client fetches per
 	// POST /v1/tokens round-trip.

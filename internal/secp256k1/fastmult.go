@@ -50,29 +50,47 @@ func wnafDigits(naf *[wnafMaxLen]int8, k *scalarVal, w uint) int {
 	d := [4]uint64{k[0], k[1], k[2], k[3]}
 	mod := uint64(1) << w
 	n := 0
-	for d != [4]uint64{} {
-		var digit int8
-		if d[0]&1 == 1 {
-			low := d[0] & (mod - 1)
-			if low < mod/2 {
-				digit = int8(low)
-				d[0] -= low
-			} else {
-				digit = int8(int64(low) - int64(mod))
-				carry := mod - low
-				for i := range d {
-					d[i], carry = bits.Add64(d[i], carry, 0)
-				}
+	for {
+		// Skip the run of zero digits below the lowest set bit in one
+		// step: whole zero limbs first, then the trailing zeros of the
+		// lowest nonzero one. A run always ends in a nonzero digit, so it
+		// stays inside naf.
+		z := 0
+		for d[0] == 0 {
+			if d == [4]uint64{} {
+				return n
+			}
+			d = [4]uint64{d[1], d[2], d[3], 0}
+			z += 64
+		}
+		s := bits.TrailingZeros64(d[0])
+		shiftRight(&d, uint(s))
+		z += s
+		clear(naf[n : n+z])
+		n += z
+		// d is odd: one nonzero digit, which leaves d a multiple of 2^w.
+		low := d[0] & (mod - 1)
+		if low < mod/2 {
+			naf[n] = int8(low)
+			d[0] -= low
+		} else {
+			naf[n] = int8(int64(low) - int64(mod))
+			carry := mod - low
+			for i := range d {
+				d[i], carry = bits.Add64(d[i], carry, 0)
 			}
 		}
-		naf[n] = digit
 		n++
-		for i := 0; i < 3; i++ {
-			d[i] = d[i]>>1 | d[i+1]<<63
-		}
-		d[3] >>= 1
+		shiftRight(&d, 1)
 	}
-	return n
+}
+
+// shiftRight shifts the four-limb value d right by s < 64 bits.
+func shiftRight(d *[4]uint64, s uint) {
+	for i := 0; i < 3; i++ {
+		d[i] = d[i]>>s | d[i+1]<<(64-s)
+	}
+	d[3] >>= s
 }
 
 // oddMultiples writes the odd multiples [P, 3P, 5P, …] of p to tbl in

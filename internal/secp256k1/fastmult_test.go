@@ -2,7 +2,9 @@ package secp256k1
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -182,18 +184,61 @@ func TestSplitScalarDecomposition(t *testing.T) {
 	}
 }
 
+// wnafDigitsPerBit is the one-bit-per-turn wNAF expansion wnafDigits
+// replaced: the reference its zero-run skipping must match digit for
+// digit (the wNAF of a value is unique).
+func wnafDigitsPerBit(naf *[wnafMaxLen]int8, k *scalarVal, w uint) int {
+	d := [4]uint64{k[0], k[1], k[2], k[3]}
+	mod := uint64(1) << w
+	n := 0
+	for d != [4]uint64{} {
+		var digit int8
+		if d[0]&1 == 1 {
+			low := d[0] & (mod - 1)
+			if low < mod/2 {
+				digit = int8(low)
+				d[0] -= low
+			} else {
+				digit = int8(int64(low) - int64(mod))
+				carry := mod - low
+				for i := range d {
+					d[i], carry = bits.Add64(d[i], carry, 0)
+				}
+			}
+		}
+		naf[n] = digit
+		n++
+		for i := 0; i < 3; i++ {
+			d[i] = d[i]>>1 | d[i+1]<<63
+		}
+		d[3] >>= 1
+	}
+	return n
+}
+
 func TestWNAFDigitsReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ks := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 128),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 129), big.NewInt(1))}
+	pow2 := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
+	plus := func(a, b *big.Int) *big.Int { return new(big.Int).Add(a, b) }
+	ks := []*big.Int{big.NewInt(0), big.NewInt(1), pow2(128),
+		new(big.Int).Sub(pow2(129), big.NewInt(1)),
+		// Zero runs that cross a limb boundary, and ones of 64 bits or more.
+		plus(pow2(64), big.NewInt(1)), plus(pow2(128), big.NewInt(1)),
+		plus(pow2(128), pow2(63)), pow2(64), plus(pow2(127), pow2(63))}
 	for i := 0; i < 32; i++ {
 		ks = append(ks, new(big.Int).Rsh(randScalar(rng), 127))
 	}
 	for _, w := range []uint{4, 5, 8} {
 		for _, k := range ks {
-			var naf [wnafMaxLen]int8
+			var naf, ref [wnafMaxLen]int8
+			for i := range naf {
+				naf[i] = 0x7f // zero digits must be written, not inherited
+			}
 			s := mustScalar(k)
 			digits := naf[:wnafDigits(&naf, &s, w)]
+			if want := ref[:wnafDigitsPerBit(&ref, &s, w)]; !slices.Equal(digits, want) {
+				t.Fatalf("w=%d, k=%x: digits %v, per-bit reference %v", w, k, digits, want)
+			}
 			acc := new(big.Int)
 			for j := len(digits) - 1; j >= 0; j-- {
 				acc.Lsh(acc, 1)
