@@ -43,7 +43,7 @@ type E2EConfig struct {
 	OnRow func(E2ERow) `json:"-"`
 	// Tracer, when non-nil, receives per-operation pipeline spans
 	// (token-acquisition round-trip, submit-to-commit) keyed by
-	// "<scenario>/<sender>#<op>"; smacs-bench -trace dumps it as JSON.
+	// "<scenario>/<sender>#<nonce>"; smacs-bench -trace dumps it as JSON.
 	Tracer *metrics.Tracer `json:"-"`
 	// ChaosSeed varies the fault timing of chaos scenarios: the victim
 	// replica and the inject/heal progress thresholds derive from it, so
@@ -1110,15 +1110,17 @@ func (e *e2eEnv) runHonest(key *secp256k1.PrivateKey) error {
 			if err != nil {
 				return err
 			}
-			nonce++
 			id := ""
 			if e.tracer != nil {
 				// The token round-trip is batched, so each op in the window
 				// shares the acquisition span; the submitter closes the
-				// trace with the op's own end-to-end span.
-				id = fmt.Sprintf("%s/%s#%d", e.cfg.Name, key.Address().Hex()[:10], off+j)
+				// trace with the op's own end-to-end span. The id is the
+				// tx's nonce, not the op's place in this call, so a client
+				// re-run against a recovered chain opens new traces.
+				id = fmt.Sprintf("%s/%s#%d", e.cfg.Name, key.Address().Hex()[:10], nonce)
 				e.tracer.Span(id, "tokens", start, tokensEnd)
 			}
+			nonce++
 			e.sub <- &e2eOp{class: opWrite, tx: tx, start: start, id: id}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -335,6 +336,37 @@ func TestE2ECSVShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "quickstart,") {
 		t.Errorf("row = %q", lines[1])
+	}
+}
+
+// Each honest write is one trace: the durable scenario re-runs its clients
+// after the crash, and phase 2's writes must not land in phase 1's traces.
+func TestE2EDurableTraceIDsUnique(t *testing.T) {
+	cfg, err := ScenarioByName("durable", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := metrics.NewTracer(1 << 16)
+	if _, err := runScenario(cfg, E2EConfig{Smoke: true, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans; raise its capacity", tr.Dropped())
+	}
+	traces := tr.Traces()
+	if len(traces) == 0 {
+		t.Fatal("no traces recorded")
+	}
+	for _, tc := range traces {
+		n := 0
+		for _, s := range tc.Spans {
+			if s.Name == "tokens" {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("trace %s holds %d tokens spans, want 1: %+v", tc.ID, n, tc.Spans)
+		}
 	}
 }
 

@@ -168,11 +168,13 @@ func mulRow(a, y0, y1, y2, y3 uint64) (t0, t1, t2, t3, t4 uint64) {
 	return t0, t1, t2, t3, h3 + c
 }
 
-// mul sets z = x·y: four rows of the schoolbook product, each added into
-// the running 512-bit result one limb higher than the last, then folded
-// mod p. mul and sqr each carry their own copy of the fold: as a function
-// it does not inline, and the call costs about a tenth of a multiply.
-func (z *fieldVal) mul(x, y *fieldVal) {
+// mulGeneric sets z = x·y: four rows of the schoolbook product, each added
+// into the running 512-bit result one limb higher than the last, then
+// folded mod p. It is fieldVal.mul wherever the amd64 kernel does not run,
+// and the reference that kernel must match limb for limb. mulGeneric and
+// sqrGeneric each carry their own copy of the fold: as a function it does
+// not inline, and the call costs about a tenth of a multiply.
+func mulGeneric(z, x, y *fieldVal) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var c uint64
 	r0, r1, r2, r3, r4 := mulRow(x[0], y0, y1, y2, y3)
@@ -217,10 +219,10 @@ func (z *fieldVal) mul(x, y *fieldVal) {
 	z[0], z[1], z[2], z[3] = r0, r1+c, r2, r3
 }
 
-// sqr sets z = x². The six cross products are summed once and doubled by
-// a one-bit shift before the four squares are added on the diagonal; the
-// fold is mul's.
-func (z *fieldVal) sqr(x *fieldVal) {
+// sqrGeneric sets z = x². The six cross products are summed once and
+// doubled by a one-bit shift before the four squares are added on the
+// diagonal; the fold is mulGeneric's.
+func sqrGeneric(z, x *fieldVal) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	h01, r1 := bits.Mul64(x0, x1)
 	h02, l02 := bits.Mul64(x0, x2)

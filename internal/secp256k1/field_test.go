@@ -70,13 +70,8 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 			t.Fatalf("%s(%x, %x) = %x, want %x", op, a, b, got.big(), want)
 		}
 	}
+	checkMulSqr(t, fa, fb)
 	var z fieldVal
-	z.mul(&fa, &fb)
-	want.Mul(a, b)
-	check("mul", z)
-	z.sqr(&fa)
-	want.Mul(a, a)
-	check("sqr", z)
 	z.add(&fa, &fb)
 	want.Add(a, b)
 	check("add", z)
@@ -91,14 +86,6 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 	check("double", z)
 
 	// Receiver aliasing an operand must not change the result.
-	z = fa
-	z.mul(&z, &fb)
-	want.Mul(a, b)
-	check("mul (aliased)", z)
-	z = fa
-	z.sqr(&z)
-	want.Mul(a, a)
-	check("sqr (aliased)", z)
 	z = fb
 	z.sub(&fa, &z)
 	want.Sub(a, b)
@@ -127,6 +114,52 @@ func checkFieldOps(t testing.TB, a, b *big.Int, slow bool) {
 			t.Fatalf("sqrt(%x) = %x does not square back", a, z.big())
 		}
 	}
+}
+
+// checkMulSqr holds mul and sqr, on amd64 the MULX/ADX kernel, and
+// mulGeneric and sqrGeneric to math/big's residues of a·b and a², and the
+// kernel's limbs to the generic code's: both return the same weakly
+// reduced form, not only the same residue. Each runs once more with its
+// receiver aliasing x, y, or both.
+func checkMulSqr(t testing.TB, fa, fb fieldVal) {
+	t.Helper()
+	a, b := fa.refBig(), fb.refBig()
+	ab, aa := new(big.Int).Mul(a, b), new(big.Int).Mul(a, a)
+	ab.Mod(ab, curveP)
+	aa.Mod(aa, curveP)
+	check := func(op string, kernel, generic fieldVal, want *big.Int) {
+		t.Helper()
+		if kernel != generic {
+			t.Fatalf("%s(%x, %x): kernel limbs %x, generic limbs %x", op, a, b, kernel, generic)
+		}
+		if got := kernel.big(); got.Cmp(want) != 0 {
+			t.Fatalf("%s(%x, %x) = %x, want %x", op, a, b, got, want)
+		}
+	}
+	var k, g fieldVal
+	k.mul(&fa, &fb)
+	mulGeneric(&g, &fa, &fb)
+	check("mul", k, g, ab)
+	k.sqr(&fa)
+	sqrGeneric(&g, &fa)
+	check("sqr", k, g, aa)
+
+	k, g = fa, fa
+	k.mul(&k, &fb)
+	mulGeneric(&g, &g, &fb)
+	check("mul (z = x)", k, g, ab)
+	k, g = fb, fb
+	k.mul(&fa, &k)
+	mulGeneric(&g, &fa, &g)
+	check("mul (z = y)", k, g, ab)
+	k, g = fa, fa
+	k.mul(&k, &k)
+	mulGeneric(&g, &g, &g)
+	check("mul (z = x = y)", k, g, aa)
+	k, g = fa, fa
+	k.sqr(&k)
+	sqrGeneric(&g, &g)
+	check("sqr (z = x)", k, g, aa)
 }
 
 // fieldEdges are the operands next to every boundary of the representation:
@@ -286,20 +319,7 @@ func TestFieldReduce512(t *testing.T) {
 	rng := rand.New(rand.NewSource(512))
 	check := func(x, y [4]uint64) {
 		t.Helper()
-		a, b := fieldVal(x), fieldVal(y)
-		want := new(big.Int).Mul(a.refBig(), b.refBig())
-		want.Mod(want, curveP)
-		var z fieldVal
-		z.mul(&a, &b)
-		if z.big().Cmp(want) != 0 {
-			t.Fatalf("mul(%x, %x) = %x, want %x", x, y, z.big(), want)
-		}
-		want.Mul(a.refBig(), a.refBig())
-		want.Mod(want, curveP)
-		z.sqr(&a)
-		if z.big().Cmp(want) != 0 {
-			t.Fatalf("sqr(%x) = %x, want %x", x, z.big(), want)
-		}
+		checkMulSqr(t, fieldVal(x), fieldVal(y))
 	}
 	ones := ^uint64(0)
 	p := [4]uint64(fieldP)
@@ -343,20 +363,41 @@ func FuzzFieldDifferential(f *testing.F) {
 	})
 }
 
+// BenchmarkFieldMul and BenchmarkFieldSqr time one dependent chain of
+// operations each through the Go code and through mul and sqr, which on
+// amd64 with BMI2 and ADX run the MULX kernel and elsewhere the Go code.
 func BenchmarkFieldMul(b *testing.B) {
-	x, y := generator.x, generator.y
-	for i := 0; i < b.N; i++ {
-		x.mul(&x, &y)
-	}
-	benchField = x
+	b.Run("generic", func(b *testing.B) {
+		x, y := generator.x, generator.y
+		for i := 0; i < b.N; i++ {
+			mulGeneric(&x, &x, &y)
+		}
+		benchField = x
+	})
+	b.Run("kernel", func(b *testing.B) {
+		x, y := generator.x, generator.y
+		for i := 0; i < b.N; i++ {
+			x.mul(&x, &y)
+		}
+		benchField = x
+	})
 }
 
 func BenchmarkFieldSqr(b *testing.B) {
-	x := generator.x
-	for i := 0; i < b.N; i++ {
-		x.sqr(&x)
-	}
-	benchField = x
+	b.Run("generic", func(b *testing.B) {
+		x := generator.x
+		for i := 0; i < b.N; i++ {
+			sqrGeneric(&x, &x)
+		}
+		benchField = x
+	})
+	b.Run("kernel", func(b *testing.B) {
+		x := generator.x
+		for i := 0; i < b.N; i++ {
+			x.sqr(&x)
+		}
+		benchField = x
+	})
 }
 
 // BenchmarkFieldInverse is BenchmarkScalarInverse's twin, mod p.
