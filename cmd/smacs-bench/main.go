@@ -7,7 +7,7 @@
 // Usage:
 //
 //	smacs-bench -all             # everything (Fig. 9 up to 10^5 requests)
-//	smacs-bench -all -quick      # everything, smaller workloads
+//	smacs-bench -all -smoke      # everything, smaller workloads
 //	smacs-bench -table 2         # Tab. II only (also: 3, 4)
 //	smacs-bench -figure 8        # Fig. 8 only (also: 9)
 //	smacs-bench -tools           # § VI-B runtime-verification throughput
@@ -20,8 +20,9 @@
 //	smacs-bench -mode e2e -smoke -csv out/e2e.csv -trace out/trace.json
 //
 // Flag combinations are validated up front: an unknown -mode or
-// -scenario entry, or an e2e-only flag outside -mode e2e, exits with
-// status 2 and a usage message instead of being silently ignored.
+// -scenario entry, an e2e-only flag outside -mode e2e, or a table or
+// figure flag under it, exits with status 2 and a usage message instead
+// of being silently ignored.
 //
 // Interrupting an e2e run (SIGINT/SIGTERM) flushes every completed
 // scenario row as a valid partial table/JSON — and partial CSV when -csv
@@ -53,12 +54,11 @@ var (
 	baseline = flag.Bool("baseline", false, "run the on-chain whitelist baseline (E7)")
 	missrate = flag.Bool("missrate", false, "run the § IV-C bitmap-size vs miss-rate tradeoff")
 	all      = flag.Bool("all", false, "regenerate everything")
-	quick    = flag.Bool("quick", false, "smaller workloads (Fig. 9 to 10^3, baseline to 1000)")
+	smoke    = flag.Bool("smoke", false, "small sizing: Fig. 9 to 10^3 and baseline to 1000, or under -mode e2e the deterministic scale the CI envelope pins")
 	asJSON   = flag.Bool("json", false, "emit machine-readable JSON instead of the paper-layout tables")
 
 	mode          = flag.String("mode", "", `"e2e" runs the end-to-end scenario harness (default: the paper's tables and figures)`)
 	scenario      = flag.String("scenario", "", "e2e: comma-separated subset of "+strings.Join(bench.ScenarioNames(), ",")+` (or "all", the default)`)
-	smoke         = flag.Bool("smoke", false, "e2e: small deterministic sizing (the scale the CI envelope pins)")
 	envelopePath  = flag.String("envelope", "", "e2e: compare correctness counts against this envelope JSON and fail on drift")
 	writeEnvelope = flag.String("write-envelope", "", "e2e: write the run's correctness counts as an envelope JSON to this path")
 	dirPath       = flag.String("dir", "", "e2e: directory for the scenarios' stores, one subdirectory per scenario: the durable scenario's WALs and snapshots, the replica WALs of quorum-backed scenarios (empty: a temp dir)")
@@ -69,7 +69,9 @@ var (
 func main() {
 	flag.Parse()
 
-	if err := validateSelection(*mode, *scenario, *smoke, *envelopePath, *writeEnvelope, *dirPath, *csvPath, *tracePath); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := validateSelection(*mode, *scenario, set); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -99,39 +101,38 @@ func main() {
 	if !*all && *table == 0 && *figure == 0 && !*tools && !*baseline && !*missrate {
 		*all = true
 	}
-	if err := run(*table, *figure, *tools, *baseline, *missrate, *all, *quick, *asJSON); err != nil {
+	if err := run(*table, *figure, *tools, *baseline, *missrate, *all, *smoke, *asJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 		os.Exit(1)
 	}
 }
 
+// The flags only one of the two jobs reads; -smoke and -json serve both.
+var (
+	e2eOnly   = []string{"scenario", "envelope", "write-envelope", "dir", "csv", "trace"}
+	paperOnly = []string{"table", "figure", "tools", "baseline", "missrate", "all"}
+)
+
 // validateSelection rejects inconsistent flag combinations before any
-// measurement runs: an unknown -mode or -scenario entry, and e2e-only
-// flags outside -mode e2e. Catching these up front means a typo exits
-// with a usage message instead of being silently ignored.
-func validateSelection(mode, scenario string, smoke bool, envelopePath, writeEnvelope, dirPath, csvPath, tracePath string) error {
+// measurement runs: an unknown -mode or -scenario entry, an e2e-only
+// flag outside -mode e2e, and a table or figure flag under it. set names
+// the flags given on the command line. Catching these up front means a
+// typo exits with a usage message instead of being silently ignored.
+func validateSelection(mode, scenario string, set []string) error {
 	switch mode {
 	case "", "e2e":
 	default:
 		return fmt.Errorf("unknown -mode %q (supported: e2e)", mode)
 	}
-	if mode != "e2e" {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-scenario", scenario != ""},
-			{"-smoke", smoke},
-			{"-envelope", envelopePath != ""},
-			{"-write-envelope", writeEnvelope != ""},
-			{"-dir", dirPath != ""},
-			{"-csv", csvPath != ""},
-			{"-trace", tracePath != ""},
-		} {
-			if f.set {
-				return fmt.Errorf("%s requires -mode e2e", f.name)
-			}
+	for _, name := range set {
+		switch {
+		case mode != "e2e" && slices.Contains(e2eOnly, name):
+			return fmt.Errorf("-%s requires -mode e2e", name)
+		case mode == "e2e" && slices.Contains(paperOnly, name):
+			return fmt.Errorf("-%s selects a paper table or figure and does not apply to -mode e2e", name)
 		}
+	}
+	if mode != "e2e" {
 		return nil
 	}
 	if scenario != "all" {
@@ -275,7 +276,7 @@ func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir, csvPa
 	return nil
 }
 
-func run(table, figure int, tools, baseline, missrate, all, quick, asJSON bool) error {
+func run(table, figure int, tools, baseline, missrate, all, smoke, asJSON bool) error {
 	type job struct {
 		enabled bool
 		run     func() (interface{ Format() string }, error)
@@ -284,7 +285,7 @@ func run(table, figure int, tools, baseline, missrate, all, quick, asJSON bool) 
 	baselineSizes := []int{100, 1000, 7473, 10000}
 	toolReqs := 100
 	missTokens := 2000
-	if quick {
+	if smoke {
 		fig9Exp = 3
 		baselineSizes = []int{100, 1000}
 		toolReqs = 25

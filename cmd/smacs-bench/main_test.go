@@ -132,47 +132,51 @@ func TestSIGINTFlushesPartialResults(t *testing.T) {
 }
 
 // Flag combinations must be rejected up front — an unknown mode or
-// scenario, or an e2e-only flag outside -mode e2e, exits with a usage
-// message instead of being silently ignored.
+// scenario, an e2e-only flag outside -mode e2e, or a table or figure
+// flag under it, exits with a usage message instead of being silently
+// ignored. -smoke sizes both jobs.
 func TestValidateSelection(t *testing.T) {
 	tests := []struct {
 		name     string
 		mode     string
 		scenario string
-		smoke    bool
-		envelope string
-		writeEnv string
-		dir      string
-		csv      string
-		trace    string
-		wantErr  string // "" = valid
+		set      []string // the flags given, besides -mode
+		wantErr  string   // "" = valid
 	}{
 		{name: "paper tables", mode: ""},
 		{name: "e2e defaults", mode: "e2e"},
-		{name: "e2e all", mode: "e2e", scenario: "all", smoke: true},
-		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", smoke: true, envelope: "out/e2e-envelope.json"},
-		{name: "e2e durable dir", mode: "e2e", scenario: "durable", smoke: true, dir: "/tmp/w"},
-		{name: "e2e trace", mode: "e2e", smoke: true, trace: "out/trace.json"},
-		{name: "e2e csv", mode: "e2e", smoke: true, csv: "out/e2e.csv"},
+		{name: "e2e all", mode: "e2e", scenario: "all", set: []string{"scenario", "smoke"}},
+		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", set: []string{"scenario", "smoke", "envelope"}},
+		{name: "e2e durable dir", mode: "e2e", scenario: "durable", set: []string{"scenario", "smoke", "dir"}},
+		{name: "e2e trace", mode: "e2e", set: []string{"smoke", "trace"}},
+		{name: "e2e csv", mode: "e2e", set: []string{"smoke", "csv"}},
+		{name: "smoke outside e2e", set: []string{"all", "smoke"}},
+		{name: "json either way", mode: "e2e", set: []string{"json"}},
 
 		{name: "unknown mode", mode: "warp", wantErr: `unknown -mode "warp"`},
 		{name: "unknown chain mode", mode: "chain", wantErr: `unknown -mode "chain"`},
 		{name: "load mode removed", mode: "load", wantErr: `unknown -mode "load"`},
 		{name: "shard mode removed", mode: "shard", wantErr: `unknown -mode "shard"`},
-		{name: "unknown scenario", mode: "e2e", scenario: "bogus", wantErr: `unknown -scenario entry "bogus"`},
+		{name: "unknown scenario", mode: "e2e", scenario: "bogus", set: []string{"scenario"}, wantErr: `unknown -scenario entry "bogus"`},
 
-		{name: "scenario outside e2e", scenario: "mixed", wantErr: "-scenario requires -mode e2e"},
-		{name: "scenario all outside e2e", scenario: "all", wantErr: "-scenario requires -mode e2e"},
-		{name: "smoke outside e2e", smoke: true, wantErr: "-smoke requires -mode e2e"},
-		{name: "envelope outside e2e", envelope: "x.json", wantErr: "-envelope requires -mode e2e"},
-		{name: "write-envelope outside e2e", writeEnv: "x.json", wantErr: "-write-envelope requires -mode e2e"},
-		{name: "dir outside e2e", dir: "/tmp/w", wantErr: "-dir requires -mode e2e"},
-		{name: "csv outside e2e", csv: "out/x.csv", wantErr: "-csv requires -mode e2e"},
-		{name: "trace outside e2e", trace: "out/trace.json", wantErr: "-trace requires -mode e2e"},
+		{name: "scenario outside e2e", scenario: "mixed", set: []string{"scenario"}, wantErr: "-scenario requires -mode e2e"},
+		{name: "scenario all outside e2e", scenario: "all", set: []string{"scenario"}, wantErr: "-scenario requires -mode e2e"},
+		{name: "envelope outside e2e", set: []string{"envelope"}, wantErr: "-envelope requires -mode e2e"},
+		{name: "write-envelope outside e2e", set: []string{"write-envelope"}, wantErr: "-write-envelope requires -mode e2e"},
+		{name: "dir outside e2e", set: []string{"dir"}, wantErr: "-dir requires -mode e2e"},
+		{name: "csv outside e2e", set: []string{"csv"}, wantErr: "-csv requires -mode e2e"},
+		{name: "trace outside e2e", set: []string{"trace"}, wantErr: "-trace requires -mode e2e"},
+
+		{name: "table under e2e", mode: "e2e", set: []string{"table"}, wantErr: "-table selects a paper table"},
+		{name: "figure under e2e", mode: "e2e", set: []string{"smoke", "figure"}, wantErr: "-figure selects a paper table"},
+		{name: "tools under e2e", mode: "e2e", set: []string{"tools"}, wantErr: "-tools selects a paper table"},
+		{name: "baseline under e2e", mode: "e2e", set: []string{"baseline"}, wantErr: "-baseline selects a paper table"},
+		{name: "missrate under e2e", mode: "e2e", set: []string{"missrate"}, wantErr: "-missrate selects a paper table"},
+		{name: "all flag under e2e", mode: "e2e", set: []string{"all"}, wantErr: "-all selects a paper table"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := validateSelection(tt.mode, tt.scenario, tt.smoke, tt.envelope, tt.writeEnv, tt.dir, tt.csv, tt.trace)
+			err := validateSelection(tt.mode, tt.scenario, tt.set)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -194,7 +198,9 @@ func TestRejectedSelectionExitsWithUsage(t *testing.T) {
 		"-mode=load",
 		"-mode=shard",
 		"-table 2 -csv " + filepath.Join(t.TempDir(), "x.csv"),
+		"-mode e2e -smoke -all",
 		"-workers 2",
+		"-all -quick",
 	} {
 		code, out := runMain(t, args)
 		if code != 2 {
@@ -214,7 +220,7 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 		if name != "mode" {
 			return nil
 		}
-		return validateSelection(value, "", false, "", "", "", "", "")
+		return validateSelection(value, "", nil)
 	}
 	for _, path := range []string{
 		"README.md",

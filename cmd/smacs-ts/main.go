@@ -7,24 +7,25 @@
 //	smacs-ts -addr :8546 -key-seed my-service -rules rules.json \
 //	         -owner-token s3cret -lifetime 1h
 //
-// With -store file the one-time index counter survives restarts: every
-// leased index block is journaled to a group-commit WAL under -dir
-// before any index from it is handed out, and a restarted service
-// resumes strictly above its highest durable lease — no index is ever
-// issued twice across a crash (see internal/store):
+// With -dir the one-time index counter survives restarts: every leased
+// index block is journaled to a group-commit WAL under -dir before any
+// index from it is handed out, and a restarted service resumes strictly
+// above its highest durable lease — no index is ever issued twice across
+// a crash (see internal/store):
 //
-//	smacs-ts -store file -dir /var/lib/smacs-ts
+//	smacs-ts -dir /var/lib/smacs-ts
 //
 // Distributed deployment: the counter can be replicated across
 // processes. Replicas serve the lease-based quorum protocol
 // (internal/ts/replica/net); frontends allocate index blocks through a
 // majority of them, so any single replica can crash, partition, or lag
 // without stopping issuance — and a majority's WALs are enough to
-// recover, never re-issuing an index:
+// recover, never re-issuing an index. The counter stack every frontend
+// runs is built by internal/ts/stack:
 //
-//	smacs-ts -replica-of sale -addr :9001 -store file -dir /var/lib/r1
-//	smacs-ts -replica-of sale -addr :9002 -store file -dir /var/lib/r2
-//	smacs-ts -replica-of sale -addr :9003 -store file -dir /var/lib/r3
+//	smacs-ts -replica-of sale -addr :9001 -dir /var/lib/r1
+//	smacs-ts -replica-of sale -addr :9002 -dir /var/lib/r2
+//	smacs-ts -replica-of sale -addr :9003 -dir /var/lib/r3
 //	smacs-ts -addr :8546 -peers http://h1:9001,http://h2:9002,http://h3:9003
 //
 // Several frontends can share one keyspace without coordinating:
@@ -50,9 +51,8 @@
 //	         -initial-groups g1=http://h1:8546,g2=http://h2:8546 -dir /var/lib/fe1
 //
 // On SIGTERM the daemon drains in-flight requests and releases its
-// unexhausted block leases (journaled with -store file or -group-name
-// plus -dir), so a clean restart re-issues the remainders instead of
-// burning them.
+// unexhausted block leases (journaled with -dir), so a clean restart
+// re-issues the remainders instead of burning them.
 //
 // Observability: GET /metrics on the main listener renders the process
 // registry (issuance counters, HTTP latency histograms, WAL series) in
@@ -94,9 +94,9 @@ import (
 	"repro/internal/secp256k1"
 	"repro/internal/store"
 	"repro/internal/ts"
-	"repro/internal/ts/membership"
 	replicanet "repro/internal/ts/replica/net"
 	"repro/internal/ts/ring"
+	"repro/internal/ts/stack"
 	"repro/internal/tshttp"
 )
 
@@ -109,8 +109,7 @@ var (
 	ownerToken = flag.String("owner-token", "", "bearer secret for rule administration (empty: admin disabled)")
 	lifetime   = flag.Duration("lifetime", time.Hour, "token lifetime")
 	needProof  = flag.Bool("require-proof", false, "demand a proof of possession on every request")
-	storeKind  = flag.String("store", "mem", `one-time counter persistence: "mem" (lost on restart) or "file" (WAL under -dir)`)
-	dirPath    = flag.String("dir", "", "-store file: directory for the counter WAL and snapshots (with -group-name: for the membership journal)")
+	dirPath    = flag.String("dir", "", "make the state durable: the counter WAL and snapshots, a replica's WAL, or a -group-name frontend's membership journal (empty: in-memory)")
 	shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "index counter shards (concurrent issuance lanes)")
 
 	replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API")
@@ -133,9 +132,13 @@ func main() {
 	}
 	var err error
 	if *replicaOf != "" {
-		err = runReplica(*addr, *replicaOf, *storeKind, *dirPath)
+		err = runReplica(*addr, *replicaOf, *dirPath)
 	} else {
-		err = run(*addr, *keySeed, *rulesPath, *ownerToken, *lifetime, *needProof, *storeKind, *dirPath, *shards, *peers, *group, *groupName, *initialGroups, *metricsAddr, *pprofOn)
+		var counter stack.Config
+		counter, err = counterConfig(*dirPath, *shards, *peers, *group, *groupName, *initialGroups, *ownerToken)
+		if err == nil {
+			err = run(*addr, *keySeed, *rulesPath, *ownerToken, *lifetime, *needProof, counter, *metricsAddr, *pprofOn)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-ts:", err)
@@ -145,8 +148,8 @@ func main() {
 
 // validateFlags rejects inconsistent observability, sizing, and
 // replication flags up front, so a typo exits with a usage message
-// instead of a half-started daemon (the -store/-dir combinations are
-// validated by openCounter).
+// instead of a half-started daemon (-dir on a -peers frontend without
+// -group-name is rejected by stack.Open).
 func validateFlags(addr, metricsAddr string, shards int, replicaOf, peers, group, groupName, initialGroups string) error {
 	if metricsAddr != "" && metricsAddr == addr {
 		return fmt.Errorf("-metrics-addr %q collides with -addr: the main listener already serves /metrics", metricsAddr)
@@ -250,265 +253,72 @@ func parseGroup(s string) (index, count int, err error) {
 }
 
 // counterBlockSize is how many one-time indexes each shard leases per
-// durable allocation; with -store file one fsynced WAL append covers a
+// allocation; with a durable counter one fsynced WAL append covers a
 // whole block, so the fsync cost amortizes across 64 issued tokens.
 const counterBlockSize = 64
 
-// counterStack bundles the service's one-time index counter with the
-// hooks the daemon drives around it: startup adoption of leases a
-// previous incarnation released, clean-shutdown lease release, and the
-// membership manager when the frontend runs a dynamic replica group.
-type counterStack struct {
-	counter  ts.Counter
-	sharded  *ts.ShardedCounter
-	reclaims *store.Counter      // reclaim-offer ledger (nil: releases are lost on exit)
-	manager  *membership.Manager // non-nil only with -group-name
-	backend  *store.File         // closed on clean shutdown to flush batched appends
-}
-
-// adoptPending feeds lease remainders a previous incarnation released
-// into the sharded counter's free-list. PendingReclaims journals the
-// adoption before returning, so the ranges re-issue at most once even
-// if this incarnation crashes mid-way.
-func (cs *counterStack) adoptPending() error {
-	if cs.reclaims == nil {
-		return nil
-	}
-	pending, err := cs.reclaims.PendingReclaims()
-	if err != nil {
-		return err
-	}
-	for _, r := range pending {
-		if err := cs.sharded.Adopt([]ts.IndexRange{{From: r.From, To: r.To}}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// release drains every unexhausted block-lease remainder and journals
-// it as a reclaim offer, so a clean shutdown strands no one-time
-// indexes: the next incarnation adopts and re-issues the remainders
-// instead of burning the blocks.
-func (cs *counterStack) release() error {
-	ranges := cs.sharded.Release()
-	if len(ranges) == 0 || cs.reclaims == nil {
-		return nil
-	}
-	out := make([]store.IndexRange, len(ranges))
-	for i, r := range ranges {
-		out[i] = store.IndexRange{From: r.From, To: r.To}
-	}
-	return cs.reclaims.ReleaseRanges(out)
-}
-
-func (cs *counterStack) close() error {
-	if cs.backend == nil {
-		return nil
-	}
-	return cs.backend.Close()
-}
-
-// openCounter builds the service's one-time index counter stack. "mem"
-// keeps the default in-memory counter (restart forgets the high-water
-// mark — only safe when contracts' bitmaps are re-deployed too); "file"
-// journals every block lease so a restarted service never re-issues an
-// index; -peers allocates blocks through a majority quorum of counter
-// replicas (see openReplicatedCounter).
-func openCounter(storeKind, dirPath string, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
-	if peers != "" {
-		if storeKind != "mem" {
-			return nil, fmt.Errorf("-peers moves counter durability to the replicas; drop -store file (with -group-name, -dir holds only the membership journal)")
-		}
-		return openReplicatedCounter(dirPath, shards, peers, group, groupName, initialGroups, ownerToken)
-	}
-	switch storeKind {
-	case "mem":
-		if dirPath != "" {
-			return nil, fmt.Errorf("-dir requires -store file")
-		}
-		sc, err := ts.NewShardedCounter(nil, shards, counterBlockSize)
-		if err != nil {
-			return nil, err
-		}
-		return &counterStack{counter: sc, sharded: sc}, nil
-	case "file":
-		if dirPath == "" {
-			return nil, fmt.Errorf("-store file requires -dir")
-		}
-		if err := os.MkdirAll(dirPath, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := store.OpenFile(dirPath, store.FileOptions{})
-		if err != nil {
-			return nil, err
-		}
-		c, err := store.OpenCounter(f, store.DefaultCounterSnapshotEvery)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := ts.NewShardedCounter(c, shards, counterBlockSize)
-		if err != nil {
-			return nil, err
-		}
-		cs := &counterStack{counter: sc, sharded: sc, reclaims: c, backend: f}
-		if err := cs.adoptPending(); err != nil {
-			return nil, err
-		}
-		return cs, nil
-	default:
-		return nil, fmt.Errorf("unknown -store %q (supported: mem, file)", storeKind)
-	}
-}
-
-// openReplicatedCounter builds the replicated counter stack every -peers
-// frontend runs: the quorum coordinator, a DynamicStripe over it, and
-// the sharded counter on top. Only the stripe's view differs:
-//
-//   - plain -peers: the one-group view {epoch 1, ["0"]}, whose mapping
-//     is the identity;
-//   - -group i/n: the fixed view {epoch 1, ["0"…"n-1"]} at slot i, so
-//     the k-th quorum block maps to (k-1)·n+i+1 and the n frontends
-//     issue disjoint indexes without coordinating;
-//   - -group-name: the bootstrap view from -initial-groups, plus the
-//     membership Manager that serves the view-change protocol (and the
-//     /v1/admin/repair recovery op). With -dir, dir/membership journals
-//     adopted views AND released block leases — including the
-//     reclaim/adopt handshake a drain's lease handoff runs through, so
-//     an interrupted handoff is recovered at the next boot (snapshots
-//     stay disabled there so no record kind is ever folded away); a
-//     restart resumes the last adopted view, not the boot view.
-func openReplicatedCounter(dirPath string, shards int, peers, group, groupName, initialGroups, ownerToken string) (*counterStack, error) {
-	journaled := groupName != "" && dirPath != ""
-	if dirPath != "" && !journaled {
-		return nil, fmt.Errorf("-peers moves counter durability to the replicas; -dir holds only a -group-name membership journal")
-	}
-	member, view := "0", ring.View{Epoch: 1, Groups: []string{"0"}}
-	var urls map[string]string
+// counterConfig maps the counter flags onto a stack config: -dir makes a
+// local counter durable, or journals a -group-name frontend's membership
+// under dir/membership; -peers allocates blocks through the replica
+// quorum, which -group i/n stripes under the fixed view ["0"…"n-1"] at
+// slot i (the k-th quorum block maps to (k-1)·n+i+1) and -group-name
+// under the -initial-groups view, with a membership Manager.
+func counterConfig(dir string, shards int, peers, group, groupName, initialGroups, ownerToken string) (stack.Config, error) {
+	cfg := stack.Config{Dir: dir, Shards: shards, Block: counterBlockSize, Peers: splitList(peers), OwnerToken: ownerToken}
 	switch {
 	case group != "":
 		index, count, err := parseGroup(group)
 		if err != nil {
-			return nil, err
+			return stack.Config{}, err
 		}
-		view.Groups = make([]string, count)
-		for i := range view.Groups {
-			view.Groups[i] = strconv.Itoa(i)
+		cfg.View = ring.View{Epoch: 1, Groups: make([]string, count)}
+		for i := range cfg.View.Groups {
+			cfg.View.Groups[i] = strconv.Itoa(i)
 		}
-		member = view.Groups[index]
+		cfg.Member = cfg.View.Groups[index]
 	case groupName != "":
-		groups, bootURLs, err := parseInitialGroups(initialGroups)
+		groups, urls, err := parseInitialGroups(initialGroups)
 		if err != nil {
-			return nil, err
+			return stack.Config{}, err
 		}
-		member, view.Groups, urls = groupName, groups, bootURLs
-	}
-
-	cs := &counterStack{}
-	var baseK int64
-	var journal store.Backend
-	if journaled {
-		sub := filepath.Join(dirPath, "membership")
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := store.OpenFile(sub, store.FileOptions{})
-		if err != nil {
-			return nil, err
-		}
-		journal, cs.backend = f, f
-		// The file's Replay is single-shot, and the journal has two
-		// readers — replay once and feed both.
-		snap, recs, err := f.Replay()
-		if err != nil {
-			return nil, err
-		}
-		if cs.reclaims, err = store.CounterFrom(f, snap, recs, -1); err != nil {
-			return nil, err
-		}
-		st, ok, err := membership.StateFromRecords(recs)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			view, baseK, urls = st.View, st.BaseK, st.URLs
+		cfg.Member, cfg.View, cfg.URLs = groupName, ring.View{Epoch: 1, Groups: groups}, urls
+		if dir != "" {
+			cfg.Dir = filepath.Join(dir, "membership")
 		}
 	}
-	coord, err := replicanet.NewCoordinator(splitList(peers), replicanet.Options{})
-	if err != nil {
-		return nil, err
-	}
-	stripe, err := ring.NewDynamicStripe(coord, member, view, baseK)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := ts.NewShardedCounter(stripe, shards, counterBlockSize)
-	if err != nil {
-		return nil, err
-	}
-	cs.counter, cs.sharded = sc, sc
-	if groupName != "" {
-		cs.manager, err = membership.NewManager(membership.Config{
-			Group:      groupName,
-			Stripe:     stripe,
-			Counter:    sc,
-			Journal:    journal,
-			Reclaims:   cs.reclaims,
-			OwnerToken: ownerToken,
-		}, view, urls, baseK)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := cs.adoptPending(); err != nil {
-		return nil, err
-	}
-	return cs, nil
+	return cfg, nil
 }
 
 // runReplica serves the counter quorum protocol on addr: POST
 // /v1/replica/{fence,grant} and GET /v1/replica/state, journaling every
-// promise and grant before acking so a majority of surviving WALs always
-// covers every committed lease. groupName is the label frontends know
-// the replica group by; it appears only in the banner.
-func runReplica(addr, groupName, storeKind, dirPath string) error {
-	var node *replicanet.Node
-	switch storeKind {
-	case "mem":
-		if dirPath != "" {
-			return fmt.Errorf("-dir requires -store file")
-		}
-		node = replicanet.NewNode()
-	case "file":
-		if dirPath == "" {
-			return fmt.Errorf("-store file requires -dir")
-		}
-		if err := os.MkdirAll(dirPath, 0o755); err != nil {
-			return err
-		}
-		f, err := store.OpenFile(dirPath, store.FileOptions{})
+// promise and grant under dir (when set) before acking, so a majority of
+// surviving WALs always covers every committed lease. groupName is the
+// label frontends know the replica group by; it appears only in the
+// banner.
+func runReplica(addr, groupName, dir string) error {
+	node := replicanet.NewNode()
+	if dir != "" {
+		f, err := store.OpenFile(dir, store.FileOptions{})
 		if err != nil {
 			return err
 		}
 		if node, err = replicanet.OpenNode(f); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown -store %q (supported: mem, file)", storeKind)
 	}
 	accepted, promised := node.State()
 	fmt.Printf("SMACS Token Service counter replica (group %q)\n", groupName)
-	if storeKind == "file" {
-		fmt.Printf("  state:       durable (WAL in %s); accepted lease %d, promised epoch %d\n", dirPath, accepted, promised)
+	if dir != "" {
+		fmt.Printf("  state:       durable (WAL in %s); accepted lease %d, promised epoch %d\n", dir, accepted, promised)
 	} else {
-		fmt.Printf("  state:       in-memory — a restart forgets promises; use -store file outside tests\n")
+		fmt.Printf("  state:       in-memory — a restart forgets promises; use -dir outside tests\n")
 	}
 	fmt.Printf("  listening:   %s (POST /v1/replica/{fence,grant}, GET /v1/replica/state)\n", addr)
 	srv := &http.Server{Addr: addr, Handler: node.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	return srv.ListenAndServe()
 }
 
-func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, needProof bool, storeKind, dirPath string, shards int, peers, group, groupName, initialGroups, metricsAddr string, pprofOn bool) error {
+func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, needProof bool, counter stack.Config, metricsAddr string, pprofOn bool) error {
 	var key *secp256k1.PrivateKey
 	if keySeed != "" {
 		key = secp256k1.PrivateKeyFromSeed([]byte(keySeed))
@@ -531,19 +341,19 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 		}
 	}
 
-	cs, err := openCounter(storeKind, dirPath, shards, peers, group, groupName, initialGroups, ownerToken)
+	c, err := stack.Open(counter)
 	if err != nil {
 		return err
 	}
-	ts.RegisterCounterMetrics(nil, cs.counter)
+	ts.RegisterCounterMetrics(nil, c)
 
-	svc, err := ts.New(ts.Config{Key: key, Rules: ruleSet, Lifetime: lifetime, RequireProof: needProof, Counter: cs.counter})
+	svc, err := ts.New(ts.Config{Key: key, Rules: ruleSet, Lifetime: lifetime, RequireProof: needProof, Counter: c})
 	if err != nil {
 		return err
 	}
 	opts := tshttp.ServerOptions{Pprof: pprofOn && metricsAddr == ""}
-	if cs.manager != nil {
-		opts.Admin = cs.manager.Handler()
+	if c.Manager != nil {
+		opts.Admin = c.Manager.Handler()
 	}
 	server := tshttp.NewServerWithOptions(svc, ownerToken, opts)
 
@@ -565,20 +375,20 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 	fmt.Printf("  signing address: %s  (preload this into your contracts' verifier)\n", svc.Address())
 	fmt.Printf("  token lifetime:  %s\n", lifetime)
 	switch {
-	case groupName != "":
-		st := cs.manager.State()
+	case c.Manager != nil:
+		st := c.Manager.State()
 		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards; group %q under membership epoch %d of %d groups)\n",
-			len(splitList(peers)), shards, groupName, st.View.Epoch, len(st.View.Groups))
-	case peers != "":
-		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards", len(splitList(peers)), shards)
-		if group != "" {
-			fmt.Printf(", shard %s of the keyspace", group)
+			len(counter.Peers), counter.Shards, counter.Member, st.View.Epoch, len(st.View.Groups))
+	case c.Coordinator != nil:
+		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards", len(counter.Peers), counter.Shards)
+		if counter.Member != "" {
+			fmt.Printf(", shard %s/%d of the keyspace", counter.Member, len(counter.View.Groups))
 		}
 		fmt.Printf(")\n")
-	case storeKind == "file":
-		fmt.Printf("  index counter:   durable (WAL in %s, %d shards)\n", dirPath, shards)
+	case c.Store != nil:
+		fmt.Printf("  index counter:   durable (WAL in %s, %d shards)\n", counter.Dir, counter.Shards)
 	default:
-		fmt.Printf("  index counter:   in-memory (%d shards; restart forgets the high-water mark)\n", shards)
+		fmt.Printf("  index counter:   in-memory (%d shards; restart forgets the high-water mark)\n", counter.Shards)
 	}
 	fmt.Printf("  listening on:    %s\n", addr)
 	if metricsAddr != "" {
@@ -592,7 +402,7 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 	fmt.Printf("\n")
 	if ownerToken == "" {
 		fmt.Printf("  rule admin:      disabled (set -owner-token to enable)\n")
-		if cs.manager != nil {
+		if c.Manager != nil {
 			fmt.Printf("  membership:      endpoints mounted but unreachable without -owner-token\n")
 		}
 	}
@@ -615,11 +425,7 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 		if err := srv.Shutdown(shutCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "smacs-ts: shutdown:", err)
 		}
-		if err := cs.release(); err != nil {
-			_ = cs.close()
-			return fmt.Errorf("release block leases: %w", err)
-		}
-		return cs.close()
+		return c.Close(true)
 	}
 }
 

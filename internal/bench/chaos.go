@@ -8,9 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/nettest"
 	"repro/internal/store"
 	replicanet "repro/internal/ts/replica/net"
+	"repro/internal/ts/stack"
 )
 
 // Chaos fault names a ScenarioConfig.Chaos can select. Each scenario
@@ -54,16 +56,15 @@ const chaosReplicas = 3
 
 // quorumGroup is a scenario's replicated one-time counter backend:
 // WAL-backed replica nodes on loopback, each behind its own nettest
-// proxy (pass-through until a chaos fault is injected), and the
-// coordinator that only ever dials the proxies. The tokensale scenario,
-// every chaos scenario and chaos-join's joining group all run on one.
+// proxy (pass-through until a chaos fault is injected). Frontends only
+// ever dial the proxies. The tokensale scenario, every chaos scenario
+// and chaos-join's joining group all run on one.
 type quorumGroup struct {
 	dir      string
 	servers  []*replicanet.Server
 	backends []*store.File
 	proxies  []*nettest.Proxy
 	urls     []string
-	coord    *replicanet.Coordinator
 
 	// fire, when set, is the membership action (group join or epoch-fenced
 	// takeover) the fault scheduler runs at the inject threshold instead
@@ -114,13 +115,14 @@ func startQuorumGroup(dir string) (*quorumGroup, error) {
 		g.proxies = append(g.proxies, proxy)
 		g.urls = append(g.urls, proxy.URL())
 	}
-	coord, err := replicanet.NewCoordinator(g.urls, replicanet.Options{Timeout: time.Second})
-	if err != nil {
-		g.Close()
-		return nil, err
-	}
-	g.coord = coord
 	return g, nil
+}
+
+// counterConfig is the counter stack of a frontend over g: its sharded
+// counter allocates blocks through a coordinator dialing g's proxies,
+// with a replica RPC timeout well inside a scenario's run.
+func (g *quorumGroup) counterConfig(reg *metrics.Registry) stack.Config {
+	return stack.Config{Peers: g.urls, Timeout: time.Second, Shards: shardedCounterShards, Block: shardedCounterBlock, Registry: reg}
 }
 
 func (g *quorumGroup) Close() {

@@ -23,7 +23,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/transform"
 	"repro/internal/ts"
-	"repro/internal/ts/ring"
+	"repro/internal/ts/stack"
 	"repro/internal/tshttp"
 	"repro/internal/types"
 )
@@ -326,9 +326,10 @@ type e2eEnv struct {
 	drained sync.Once
 	tracer  *metrics.Tracer // nil unless E2EConfig.Tracer is set
 
-	stopFault func() bool   // the chaos fault scheduler's stop, if any
-	closers   []func()      // frontends and the joiner's servers, stopped LIFO
-	stores    []*store.File // durable stores: closed at the end, abandoned by a crash
+	stopFault func() bool    // the chaos fault scheduler's stop, if any
+	closers   []func()       // frontends and the joiner's servers, stopped LIFO
+	counter   *stack.Counter // closed at the end, abandoned by a crash
+	stores    []*store.File  // durable stores: likewise
 }
 
 // addClient brings a newly joined frontend into the honest rotation.
@@ -377,6 +378,16 @@ func (e *e2eEnv) serve(c ts.Config) (*tshttp.Client, error) {
 	return tshttp.NewClient(base, ""), nil
 }
 
+// listen binds a loopback listener that shutdown closes.
+func (e *e2eEnv) listen() (net.Listener, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	e.closers = append(e.closers, func() { _ = ln.Close() })
+	return ln, nil
+}
+
 // openStore opens a file-backed store that shutdown closes, or a crash
 // abandons.
 func (e *e2eEnv) openStore(dir string, reg *metrics.Registry) (*store.File, error) {
@@ -415,9 +426,12 @@ func (e *e2eEnv) shutdown(crash bool) error {
 	if crash {
 		return nil
 	}
-	errs := make([]error, len(e.stores))
-	for i, f := range e.stores {
-		errs[i] = f.Close()
+	var errs []error
+	if e.counter != nil {
+		errs = append(errs, e.counter.Close(false))
+	}
+	for _, f := range e.stores {
+		errs = append(errs, f.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -591,8 +605,8 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// open builds one incarnation running phaseOps of every client's ops:
 	// the one-time counter, the chain, the submitter, the frontends, and
 	// the chaos fault's arming.
-	open := func(phaseOps int) (env *e2eEnv, err error) {
-		env = &e2eEnv{cfg: cfg, agg: agg, sub: make(chan *e2eOp, 4*cfg.TxBatch), tracer: run.Tracer}
+	open := func(phaseOps int) (_ *e2eEnv, err error) {
+		env := &e2eEnv{cfg: cfg, agg: agg, sub: make(chan *e2eOp, 4*cfg.TxBatch), tracer: run.Tracer}
 		env.cfg.Ops = phaseOps
 		defer func() {
 			if err != nil {
@@ -600,37 +614,29 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 			}
 		}()
 
-		// The sharded counter's backing: a file-backed counter recovered
-		// from its WAL (durable), the quorum group, or a local counter.
-		// ChaosJoin allocates through an epoch-aware dynamic stripe so a
-		// second group can join mid-rush; ChaosFrontendCrash wraps the
-		// sharded counter in a switch so the takeover can swap in a fresh
-		// incarnation mid-traffic.
-		var underlying ts.Counter
-		var joinStripe *ring.DynamicStripe
+		// The one-time counter: file-backed and recovered from its WAL
+		// (durable), over the quorum group, or local. ChaosJoin stripes
+		// group A's blocks under a membership view, with its manager's
+		// listener bound first, so a second group can join mid-rush;
+		// ChaosFrontendCrash wraps the sharded counter in a switch so the
+		// takeover can swap in a fresh incarnation mid-traffic.
+		counterCfg := stack.Config{Shards: shardedCounterShards, Block: shardedCounterBlock, Registry: reg}
+		var lnA net.Listener
 		switch {
 		case cfg.Durable:
-			f, err := env.openStore(filepath.Join(dir, "ts"), reg)
-			if err != nil {
-				return nil, err
-			}
-			if underlying, err = store.OpenCounter(f, durableCounterSnapEvery); err != nil {
-				return nil, err
-			}
+			counterCfg.Dir, counterCfg.SnapshotEvery = filepath.Join(dir, "ts"), durableCounterSnapEvery
 		case cfg.Chaos == ChaosJoin:
-			joinStripe, err = ring.NewDynamicStripe(group.coord, chaosGroupA,
-				ring.View{Epoch: 1, Groups: []string{chaosGroupA}}, 0)
-			if err != nil {
+			if lnA, err = env.listen(); err != nil {
 				return nil, err
 			}
-			underlying = joinStripe
+			counterCfg = group.memberConfig(reg, chaosGroupA, lnA)
 		case quorum:
-			underlying = group.coord
+			counterCfg = group.counterConfig(reg)
 		}
-		counter, err := ts.NewShardedCounter(underlying, shardedCounterShards, shardedCounterBlock)
-		if err != nil {
+		if env.counter, err = stack.Open(counterCfg); err != nil {
 			return nil, err
 		}
+		counter := env.counter.ShardedCounter
 		svcCounter := ts.Counter(counter)
 		var crashSwitch *switchCounter
 		if cfg.Chaos == ChaosFrontendCrash {
@@ -699,11 +705,11 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		// the fault mid-rush.
 		switch cfg.Chaos {
 		case ChaosJoin:
-			if err := armJoin(group, env, svcCfg, joinStripe, counter); err != nil {
+			if err := armJoin(group, env, svcCfg, lnA, env.counter.Manager); err != nil {
 				return nil, err
 			}
 		case ChaosFrontendCrash:
-			armFrontendCrash(group, crashSwitch)
+			armFrontendCrash(group, crashSwitch, reg)
 		}
 		if cfg.Chaos != "" {
 			env.stopFault = group.scheduleFault(cfg, run.ChaosSeed, agg)

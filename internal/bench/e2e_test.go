@@ -267,6 +267,24 @@ func copyTree(src, dst string) error {
 	})
 }
 
+// An incarnation that cannot be built fails its scenario with an error:
+// open shuts the half-built incarnation down, it does not dereference a
+// nil one. A regular file where the scenario's store directory belongs
+// makes the durable counter's store fail to open.
+func TestE2EOpenFailureIsAnError(t *testing.T) {
+	cfg, err := ScenarioByName("durable", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runScenario(cfg, E2EConfig{Smoke: true, Dir: blocker}); err == nil {
+		t.Fatal("scenario with an unopenable store succeeded")
+	}
+}
+
 func TestE2EUnknownScenario(t *testing.T) {
 	if _, err := E2E(E2EConfig{Scenarios: []string{"nope"}, Smoke: true}); err == nil {
 		t.Fatal("unknown scenario should fail")

@@ -6,12 +6,12 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
-	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/ts"
 	"repro/internal/ts/membership"
-	replicanet "repro/internal/ts/replica/net"
 	"repro/internal/ts/ring"
+	"repro/internal/ts/stack"
 )
 
 // The chaos-join scenario's replica-group names: the main frontend runs
@@ -56,71 +56,46 @@ func (s *switchCounter) swap(c *ts.ShardedCounter) {
 // plus the takeover's fresh leases.
 func (s *switchCounter) MaxSpread() int64 { return s.spread }
 
-// armJoin stands the joining frontend up (its own quorum group,
-// stripe, sharded counter, membership manager, member endpoints, and a
-// full Token Service listener configured like the main frontend's
-// svcCfg apart from its counter) and arms the chaos group's fire hook:
-// at the inject threshold the main frontend's manager admits the joiner
-// through the live join protocol, and honest token traffic starts
+// memberConfig is the counter stack of a chaos-join frontend of group
+// over g: striped under the boot view, whose one group, alpha, serves
+// its member endpoints on lnA. The joiner boots with that view too — not
+// containing itself — and issues only after the join's advance admits
+// it.
+func (g *quorumGroup) memberConfig(reg *metrics.Registry, group string, lnA net.Listener) stack.Config {
+	c := g.counterConfig(reg)
+	c.Member, c.View = group, ring.View{Epoch: 1, Groups: []string{chaosGroupA}}
+	c.URLs = map[string]string{chaosGroupA: "http://" + lnA.Addr().String()}
+	return c
+}
+
+// armJoin stands the joining frontend up (its own quorum group, counter
+// stack with membership manager, member endpoints, and a full Token
+// Service listener configured like the main frontend's svcCfg apart from
+// its counter), serves the main frontend's manager mgrA on lnA, and arms
+// the chaos group's fire hook: at the inject threshold mgrA admits the
+// joiner through the live join protocol, and honest token traffic starts
 // round-robining across both frontends. Everything the joiner opens
 // joins env's closers, so env's shutdown closes it, even when arming
 // fails half-way.
-func armJoin(g *quorumGroup, env *e2eEnv, svcCfg ts.Config, stripeA *ring.DynamicStripe,
-	counterA *ts.ShardedCounter) error {
-	reg := svcCfg.Metrics
-
-	bootView := ring.View{Epoch: 1, Groups: []string{chaosGroupA}}
-
-	// Pre-bind both member listeners so the managers can be built with
-	// real URLs (the advance request propagates the full map).
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+func armJoin(g *quorumGroup, env *e2eEnv, svcCfg ts.Config, lnA net.Listener, mgrA *membership.Manager) error {
+	lnB, err := env.listen()
 	if err != nil {
 		return err
 	}
-	env.closers = append(env.closers, func() { _ = lnA.Close() })
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	env.closers = append(env.closers, func() { _ = lnB.Close() })
-	urlA := "http://" + lnA.Addr().String()
 	urlB := "http://" + lnB.Addr().String()
 
-	mgrA, err := membership.NewManager(membership.Config{
-		Group:    chaosGroupA,
-		Stripe:   stripeA,
-		Counter:  counterA,
-		Registry: reg,
-	}, bootView, map[string]string{chaosGroupA: urlA}, 0)
-	if err != nil {
-		return err
-	}
-
-	// The joiner boots with the cluster's current view — not containing
-	// itself — and issues only after the join's advance admits it. Its
-	// replica WALs sit beside group A's, so the artifacts keep both.
+	// The joiner's replica WALs sit beside group A's, so the artifacts
+	// keep both.
 	groupB, err := startQuorumGroup(filepath.Join(g.dir, chaosGroupJoiner))
 	if err != nil {
 		return err
 	}
 	env.closers = append(env.closers, groupB.Close)
-	stripeB, err := ring.NewDynamicStripe(groupB.coord, chaosGroupJoiner, bootView, 0)
+	counterB, err := stack.Open(groupB.memberConfig(svcCfg.Metrics, chaosGroupJoiner, lnA))
 	if err != nil {
 		return err
 	}
-	counterB, err := ts.NewShardedCounter(stripeB, shardedCounterShards, shardedCounterBlock)
-	if err != nil {
-		return err
-	}
-	mgrB, err := membership.NewManager(membership.Config{
-		Group:    chaosGroupJoiner,
-		Stripe:   stripeB,
-		Counter:  counterB,
-		Registry: reg,
-	}, bootView, map[string]string{chaosGroupA: urlA}, 0)
-	if err != nil {
-		return err
-	}
+	mgrB := counterB.Manager
 
 	srvA := &http.Server{Handler: mgrA.Handler()}
 	go func() { _ = srvA.Serve(lnA) }()
@@ -160,24 +135,20 @@ func armJoin(g *quorumGroup, env *e2eEnv, svcCfg ts.Config, stripeA *ring.Dynami
 // incarnation's unexhausted remainders burn — at most one max spread —
 // and can never be reissued, because every replica only grants strictly
 // increasing blocks.
-func armFrontendCrash(g *quorumGroup, sw *switchCounter) {
+func armFrontendCrash(g *quorumGroup, sw *switchCounter, reg *metrics.Registry) {
 	g.fire = func() error {
-		coord, err := replicanet.NewCoordinator(g.urls, replicanet.Options{Timeout: time.Second})
+		c, err := stack.Open(g.counterConfig(reg))
 		if err != nil {
 			return err
 		}
-		epoch, err := coord.Fence()
+		epoch, err := c.Coordinator.Fence()
 		if err != nil {
 			return fmt.Errorf("takeover fence: %w", err)
 		}
 		if epoch < 2 {
 			return fmt.Errorf("takeover fenced epoch %d, want ≥ 2", epoch)
 		}
-		sc, err := ts.NewShardedCounter(coord, shardedCounterShards, shardedCounterBlock)
-		if err != nil {
-			return err
-		}
-		sw.swap(sc)
+		sw.swap(c.ShardedCounter)
 		return nil
 	}
 }

@@ -1,7 +1,7 @@
 // Package sigcache provides the small concurrency-safe LRU used to memoize
-// ECDSA recovery results on the runtime-verification hot path: the evm
-// package caches recovered transaction senders and the core package caches
-// recovered token signers, both keyed by signing digest ‖ signature. An
+// ECDSA recovery results on the runtime-verification hot path. Its one
+// user is the core package's token-signer cache (core/tokencache.go),
+// which maps signing digest ‖ signature to the recovered token signer. An
 // ecrecover costs hundreds of microseconds even on the wNAF/GLV fast path;
 // a hit costs one map lookup.
 package sigcache

@@ -40,7 +40,7 @@ import (
 	"repro/internal/evm"
 	"repro/internal/secp256k1"
 	"repro/internal/store"
-	"repro/internal/ts"
+	"repro/internal/ts/stack"
 	"repro/internal/types"
 	"repro/internal/wallet"
 )
@@ -101,26 +101,21 @@ func ether(n int64) *big.Int {
 
 // deployment is one recovered (or fresh) durable SMACS node.
 type deployment struct {
-	tsStore    *store.File
+	counter    *stack.Counter
 	chainStore *store.File
-	counter    *store.Counter
-	sharded    *ts.ShardedCounter
 	chain      *evm.Chain
 	target     types.Address
 }
 
 func open(dir string) (*deployment, error) {
-	tsB, err := store.OpenFile(filepath.Join(dir, "ts"), store.FileOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("open ts store: %w", err)
-	}
-	counter, err := store.OpenCounter(tsB, counterSnapEvery)
+	counter, err := stack.Open(stack.Config{
+		Dir:           filepath.Join(dir, "ts"),
+		SnapshotEvery: counterSnapEvery,
+		Shards:        counterShards,
+		Block:         counterBlock,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("recover counter: %w", err)
-	}
-	sharded, err := ts.NewShardedCounter(counter, counterShards, counterBlock)
-	if err != nil {
-		return nil, err
 	}
 	chainB, err := store.OpenFile(filepath.Join(dir, "chain"), store.FileOptions{})
 	if err != nil {
@@ -141,17 +136,15 @@ func open(dir string) (*deployment, error) {
 		return nil, fmt.Errorf("recover chain: %w", err)
 	}
 	return &deployment{
-		tsStore:    tsB,
-		chainStore: chainB,
 		counter:    counter,
-		sharded:    sharded,
+		chainStore: chainB,
 		chain:      chain,
 		target:     target,
 	}, nil
 }
 
 func (d *deployment) close() {
-	d.tsStore.Close()
+	d.counter.Close(false)
 	d.chainStore.Close()
 }
 
@@ -225,11 +218,11 @@ func Child(dir string) error {
 		indexes := make([]int64, n)
 		txs := make([]*evm.Transaction, n)
 		for i := range txs {
-			index, err := d.sharded.Next()
+			index, err := d.counter.Next()
 			if err != nil {
 				return fmt.Errorf("issue index: %w", err)
 			}
-			gen, off := d.tsStore.Position()
+			gen, off := d.counter.Store.Position()
 			if _, err := fmt.Fprintf(ack, "I %d %d %d\n", index, gen, off); err != nil {
 				return err
 			}
@@ -405,7 +398,7 @@ func Verify(dir string, acks *Acks, rng *rand.Rand) error {
 	// indexes come from freshly leased blocks strictly above every
 	// durable lease, so they must clear every acknowledged index.
 	for i := 0; i < 3*counterBlock; i++ {
-		idx, err := d.sharded.Next()
+		idx, err := d.counter.Next()
 		if err != nil {
 			return fmt.Errorf("post-recovery issue: %w", err)
 		}
@@ -457,7 +450,7 @@ func Verify(dir string, acks *Acks, rng *rand.Rand) error {
 	}
 
 	// And the deployment still works: a fresh index is accepted.
-	idx, err := d.sharded.Next()
+	idx, err := d.counter.Next()
 	if err != nil {
 		return err
 	}

@@ -61,9 +61,10 @@ type Manager struct {
 }
 
 // NewManager builds the frontend's membership agent from its boot state
-// (either the -initial-groups flag or a persisted State replayed via
-// LoadState). urls must map every group in v — plus this frontend's own
-// group, even when it is still joining and not yet a member.
+// (either the bootstrap view or a persisted State read back through
+// StateFromRecords). urls must map every group in v — plus this
+// frontend's own group, even when it is still joining and not yet a
+// member.
 func NewManager(cfg Config, v ring.View, urls map[string]string, baseK int64) (*Manager, error) {
 	if cfg.Group == "" {
 		return nil, fmt.Errorf("membership: config needs a group name")
@@ -174,11 +175,11 @@ func (l local) Resume() error {
 	return nil
 }
 
-func (l local) ReleaseLeases() ([]ts.IndexRange, error) {
+func (l local) ReleaseLeases() ([]store.IndexRange, error) {
 	return l.m.cfg.Counter.Release(), nil
 }
 
-func (l local) AdoptLeases(ranges []ts.IndexRange) error {
+func (l local) AdoptLeases(ranges []store.IndexRange) error {
 	return l.m.cfg.Counter.Adopt(ranges)
 }
 
@@ -304,10 +305,9 @@ func (m *Manager) Drain(group string) (*ChangeResult, error) {
 	// offers already durable are recovered at the next boot, the rest
 	// burn; failing toward burn, never toward duplication.
 	if m.cfg.Reclaims != nil {
-		rs := storeRanges(ranges)
-		err := m.cfg.Reclaims.ReleaseRanges(rs)
+		err := m.cfg.Reclaims.ReleaseRanges(ranges)
 		if err == nil {
-			err = m.cfg.Reclaims.AdoptRanges(rs)
+			err = m.cfg.Reclaims.AdoptRanges(ranges)
 		}
 		if err != nil {
 			res.Successor = ""
@@ -334,17 +334,7 @@ func (m *Manager) Drain(group string) (*ChangeResult, error) {
 	return res, nil
 }
 
-// storeRanges converts sharded-counter lease ranges to the store's wire
-// type for the reclaim journal.
-func storeRanges(ranges []ts.IndexRange) []store.IndexRange {
-	out := make([]store.IndexRange, len(ranges))
-	for i, r := range ranges {
-		out[i] = store.IndexRange{From: r.From, To: r.To}
-	}
-	return out
-}
-
-func countIndexes(ranges []ts.IndexRange) int64 {
+func countIndexes(ranges []store.IndexRange) int64 {
 	var n int64
 	for _, r := range ranges {
 		n += r.To - r.From + 1
@@ -479,10 +469,10 @@ type (
 		URLs map[string]string `json:"urls"`
 	}
 	wireRangesResp struct {
-		Ranges []ts.IndexRange `json:"ranges"`
+		Ranges []store.IndexRange `json:"ranges"`
 	}
 	wireAdoptReq struct {
-		Ranges []ts.IndexRange `json:"ranges"`
+		Ranges []store.IndexRange `json:"ranges"`
 	}
 	wireJoinReq struct {
 		Group string `json:"group"`

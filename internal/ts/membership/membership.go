@@ -50,7 +50,6 @@ import (
 	"fmt"
 
 	"repro/internal/store"
-	"repro/internal/ts"
 	"repro/internal/ts/ring"
 )
 
@@ -94,10 +93,10 @@ type Member interface {
 	// ReleaseLeases drains the member's unexhausted block-lease
 	// remainders and returns them — called on a draining group after it
 	// left the view.
-	ReleaseLeases() ([]ts.IndexRange, error)
+	ReleaseLeases() ([]store.IndexRange, error)
 	// AdoptLeases feeds released remainders into the member's free-list,
 	// to be issued before fresh blocks.
-	AdoptLeases([]ts.IndexRange) error
+	AdoptLeases([]store.IndexRange) error
 }
 
 // State is the durable membership state a frontend persists on every
@@ -128,24 +127,10 @@ func persistState(journal store.Backend, st State) error {
 	return nil
 }
 
-// LoadState replays the journal and returns the highest-epoch persisted
-// membership state, or ok=false when none was ever recorded. Backends
-// whose Replay is single-shot (store.File) and shared with another
-// reader must replay once and use StateFromRecords instead.
-func LoadState(journal store.Backend) (State, bool, error) {
-	if journal == nil {
-		return State{}, false, nil
-	}
-	_, recs, err := journal.Replay()
-	if err != nil {
-		return State{}, false, fmt.Errorf("membership: replay views: %w", err)
-	}
-	return StateFromRecords(recs)
-}
-
 // StateFromRecords extracts the highest-epoch persisted membership state
-// from an already-replayed record stream, skipping every non-view kind
-// (the journal may interleave lease-reclaim records).
+// from a replayed journal, or ok=false when none was ever recorded. It
+// skips every non-view kind: the journal interleaves lease-reclaim
+// records, and internal/ts/stack replays it once for both readers.
 func StateFromRecords(recs []store.Record) (st State, ok bool, err error) {
 	for _, rec := range recs {
 		if rec.Kind != store.KindView {

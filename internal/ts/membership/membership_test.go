@@ -226,9 +226,13 @@ func TestJoinDrainLifecycle(t *testing.T) {
 
 	// Persistence: frontend a journaled every adopted view; a restart
 	// resumes from epoch 3 with the post-drain URL map.
-	st, ok, err := LoadState(fa.manager.cfg.Journal)
+	_, recs, err := fa.manager.cfg.Journal.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok, err := StateFromRecords(recs)
 	if err != nil || !ok {
-		t.Fatalf("LoadState: ok=%v err=%v", ok, err)
+		t.Fatalf("StateFromRecords: ok=%v err=%v", ok, err)
 	}
 	if st.View.Epoch != 3 || st.View.Slot("b") >= 0 {
 		t.Fatalf("persisted view = %+v, want epoch 3 without b", st.View)

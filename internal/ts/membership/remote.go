@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
-	"repro/internal/ts"
+	"repro/internal/store"
 	"repro/internal/ts/ring"
 )
 
@@ -48,7 +48,7 @@ func (r *Remote) Resume() error {
 	return r.post(PathResume, struct{}{}, nil)
 }
 
-func (r *Remote) ReleaseLeases() ([]ts.IndexRange, error) {
+func (r *Remote) ReleaseLeases() ([]store.IndexRange, error) {
 	var resp wireRangesResp
 	if err := r.post(PathRelease, struct{}{}, &resp); err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (r *Remote) ReleaseLeases() ([]ts.IndexRange, error) {
 	return resp.Ranges, nil
 }
 
-func (r *Remote) AdoptLeases(ranges []ts.IndexRange) error {
+func (r *Remote) AdoptLeases(ranges []store.IndexRange) error {
 	return r.post(PathAdopt, wireAdoptReq{Ranges: ranges}, nil)
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/store"
 )
 
 // ShardedCounter allocates one-time-token indexes from per-shard leased
@@ -52,15 +54,8 @@ type ShardedCounter struct {
 	// drain the free-list before leasing fresh blocks, so reclaimed
 	// indexes are reused instead of burned.
 	freeMu    sync.Mutex
-	free      []IndexRange
+	free      []store.IndexRange
 	reclaimed atomic.Int64
-}
-
-// IndexRange is an inclusive range of one-time indexes moving between
-// counter incarnations during lease release and adoption.
-type IndexRange struct {
-	From int64 `json:"from"`
-	To   int64 `json:"to"`
 }
 
 // shard is one lease holder. The mutex only guards lease refills and the
@@ -127,11 +122,11 @@ func (c *ShardedCounter) Next() (int64, error) {
 }
 
 // popFree takes one adopted range off the free-list.
-func (c *ShardedCounter) popFree() (IndexRange, bool) {
+func (c *ShardedCounter) popFree() (store.IndexRange, bool) {
 	c.freeMu.Lock()
 	defer c.freeMu.Unlock()
 	if len(c.free) == 0 {
-		return IndexRange{}, false
+		return store.IndexRange{}, false
 	}
 	r := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
@@ -146,7 +141,7 @@ func (c *ShardedCounter) popFree() (IndexRange, bool) {
 // ranges sit below the current allocation frontier, so they widen the
 // issued-index spread beyond MaxSpread by the span down to the lowest
 // adopted index — sliding-window bitmap sizing must budget for it.
-func (c *ShardedCounter) Adopt(ranges []IndexRange) error {
+func (c *ShardedCounter) Adopt(ranges []store.IndexRange) error {
 	for _, r := range ranges {
 		if r.From < 1 || r.To < r.From {
 			return fmt.Errorf("ts: invalid adopted range [%d,%d]", r.From, r.To)
@@ -168,13 +163,13 @@ func (c *ShardedCounter) Adopt(ranges []IndexRange) error {
 // store.Counter.ReleaseRanges) so a successor can Adopt instead of
 // burning them. Concurrent Next calls are safe but may race a remainder
 // back into use, so callers should stop issuance first.
-func (c *ShardedCounter) Release() []IndexRange {
-	var out []IndexRange
+func (c *ShardedCounter) Release() []store.IndexRange {
+	var out []store.IndexRange
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		if sh.next != 0 && sh.next <= sh.end {
-			out = append(out, IndexRange{From: sh.next, To: sh.end})
+			out = append(out, store.IndexRange{From: sh.next, To: sh.end})
 		}
 		sh.next, sh.end = 0, 0
 		sh.mu.Unlock()

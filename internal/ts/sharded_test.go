@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	replicanet "repro/internal/ts/replica/net"
 )
 
@@ -230,7 +231,7 @@ func TestShardedCounterReleaseAdopt(t *testing.T) {
 		}
 	}
 
-	if err := second.Adopt([]IndexRange{{From: 9, To: 3}}); err == nil {
+	if err := second.Adopt([]store.IndexRange{{From: 9, To: 3}}); err == nil {
 		t.Fatal("invalid adopted range accepted")
 	}
 }
