@@ -69,7 +69,7 @@ func BatchTokenPrehook(tsAddr types.Address, chainID uint64) func([]*evm.Transac
 type tokenBatch struct {
 	digests  [][32]byte
 	sigs     []secp256k1.Signature
-	keys     []string
+	keys     []sigcache.SigKey
 	overflow bool // some signature claims an overflowed r (v ≥ 2), which ParseSignature rejects
 }
 

@@ -13,7 +13,7 @@ import (
 // the same array entries at every hop. The cache stores the recovered
 // address, not a verdict, so a hit is still compared against the expected
 // Token Service address.
-var tokenSigCache = sigcache.New[types.Address](4096)
+var tokenSigCache = sigcache.New[sigcache.SigKey, types.Address](4096)
 
 // TokenSigCacheStats returns the cumulative hit/miss counts of the token
 // signer cache.

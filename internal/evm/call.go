@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -107,16 +108,15 @@ func (c *Call) UseGas(amount uint64) error {
 // Slot derives the storage slot of a mapping entry: keccak256(key ‖ base),
 // following Solidity's storage layout.
 func Slot(base uint64, key []byte) types.Hash {
-	var baseWord [32]byte
-	new(big.Int).SetUint64(base).FillBytes(baseWord[:])
+	baseWord := SlotN(base)
 	return types.Hash(keccak.Sum256Concat(key, baseWord[:]))
 }
 
 // SlotN returns the storage slot for a fixed variable index.
 func SlotN(n uint64) types.Hash {
-	var w [32]byte
-	new(big.Int).SetUint64(n).FillBytes(w[:])
-	return types.Hash(w)
+	var w types.Hash
+	binary.BigEndian.PutUint64(w[24:], n)
+	return w
 }
 
 // Load reads one of the contract's storage words, charging SLOAD gas to the
@@ -156,20 +156,19 @@ func (c *Call) StoreAs(cat gas.Category, slot, word types.Hash) error {
 	return nil
 }
 
-// LoadUint / StoreUint are word helpers for counters and pointers.
+// LoadUint / StoreUint are word helpers for counters and pointers. A
+// word wider than 64 bits loads as its low 64 bits.
 func (c *Call) LoadUint(cat gas.Category, slot types.Hash) (uint64, error) {
 	w, err := c.LoadAs(cat, slot)
 	if err != nil {
 		return 0, err
 	}
-	return new(big.Int).SetBytes(w[:]).Uint64(), nil
+	return binary.BigEndian.Uint64(w[24:]), nil
 }
 
 // StoreUint writes a uint64 into a storage word.
 func (c *Call) StoreUint(cat gas.Category, slot types.Hash, v uint64) error {
-	var w [32]byte
-	new(big.Int).SetUint64(v).FillBytes(w[:])
-	return c.StoreAs(cat, slot, types.Hash(w))
+	return c.StoreAs(cat, slot, SlotN(v))
 }
 
 // BalanceOf reads an account balance (charged like the BALANCE opcode).

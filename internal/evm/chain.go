@@ -84,11 +84,16 @@ type Receipt struct {
 // *state.View implements it for optimistic-parallel execution, where each
 // transaction speculates against its own read/write-tracked window onto
 // the committed DB (see Execute and internal/state).
+// Contracts see balances as *big.Int; the fee path moves fixed-width
+// state.Wei amounts, which cost no allocation.
 type stateStore interface {
 	Exists(addr types.Address) bool
 	Balance(addr types.Address) *big.Int
 	AddBalance(addr types.Address, amount *big.Int)
 	SubBalance(addr types.Address, amount *big.Int) error
+	BalanceWei(addr types.Address) state.Wei
+	AddWei(addr types.Address, amount state.Wei)
+	SubWei(addr types.Address, amount state.Wei) error
 	Nonce(addr types.Address) uint64
 	IncNonce(addr types.Address)
 	GetState(addr types.Address, slot types.Hash) types.Hash
@@ -142,7 +147,9 @@ func (ch *Chain) Now() time.Time { return ch.cfg.Now() }
 
 // Fund credits amount wei to addr — the dev-testnet faucet. It is a setup
 // helper: it is not logged and does not refuse a poisoned chain, so call it
-// in a recovery bootstrap or follow it with SnapshotToStore.
+// in a recovery bootstrap or follow it with SnapshotToStore. A balance
+// holds at most 2²⁵⁶−1 wei: Fund panics on a negative amount or one that
+// would pass that bound.
 func (ch *Chain) Fund(addr types.Address, amount *big.Int) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -339,16 +346,19 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	}
 	switch nonce := sdb.Nonce(sender); {
 	case tx.Nonce < nonce:
-		return nil, fmt.Errorf("%w: tx nonce %d, account nonce %d", ErrNonceTooLow, tx.Nonce, nonce)
+		return nil, &nonceError{ErrNonceTooLow, tx.Nonce, nonce}
 	case tx.Nonce > nonce:
-		return nil, fmt.Errorf("%w: tx nonce %d, account nonce %d", ErrNonceTooHigh, tx.Nonce, nonce)
+		return nil, &nonceError{ErrNonceTooHigh, tx.Nonce, nonce}
 	}
 
-	gasPrice := cpBig(tx.GasPrice)
-	maxFee := new(big.Int).Mul(gasPrice, new(big.Int).SetUint64(tx.GasLimit))
-	need := new(big.Int).Add(maxFee, cpBig(tx.Value))
-	if sdb.Balance(sender).Cmp(need) < 0 {
-		return nil, fmt.Errorf("%w: %s needs %s wei", ErrInsufficientETH, sender, need)
+	// A price or value past 256 bits is never covered by a balance.
+	gasPrice, okPrice := state.WeiOf(tx.GasPrice)
+	value, okValue := state.WeiOf(tx.Value)
+	maxFee, okFee := gasPrice.MulUint64(tx.GasLimit)
+	need, okNeed := maxFee.Add(value)
+	if !(okPrice && okValue && okFee && okNeed) || sdb.BalanceWei(sender).Cmp(need) < 0 {
+		need := new(big.Int).Mul(cpBig(tx.GasPrice), new(big.Int).SetUint64(tx.GasLimit))
+		return nil, fmt.Errorf("%w: %s needs %s wei", ErrInsufficientETH, sender, need.Add(need, cpBig(tx.Value)))
 	}
 
 	intrinsic := gas.TxBase + gas.CalldataGas(p.wire)
@@ -358,23 +368,23 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 
 	// Buy gas up front; refund the unused remainder afterwards.
 	sdb.IncNonce(sender)
-	if err := sdb.SubBalance(sender, maxFee); err != nil {
+	if err := sdb.SubWei(sender, maxFee); err != nil {
 		return nil, err
 	}
 
 	meter := gas.NewMeter(tx.GasLimit)
 	_ = meter.Charge(gas.CatIntrinsic, intrinsic) // checked above
 
-	trace := &Trace{}
+	trace := newTrace()
 	snap := sdb.Snapshot()
 
 	receipt := &Receipt{Trace: trace, TxHash: p.hash}
 	var execErr error
 	if tx.Method == "" && tx.RawData == nil {
 		// Plain value transfer.
-		execErr = sdb.SubBalance(sender, tx.Value)
+		execErr = sdb.SubWei(sender, value)
 		if execErr == nil {
-			sdb.AddBalance(tx.To, tx.Value)
+			sdb.AddWei(tx.To, value)
 		}
 	} else {
 		receipt.Return, execErr = ch.execute(execParams{
@@ -400,11 +410,25 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	receipt.GasByCategory = meter.ByCategory()
 	receipt.FeeUSD = ch.cfg.Price.USD(meter.Used())
 
-	// Refund unused gas.
-	unused := new(big.Int).SetUint64(meter.Remaining())
-	sdb.AddBalance(sender, unused.Mul(unused, gasPrice))
+	// Refund unused gas: at most maxFee, so it cannot overflow.
+	refund, _ := gasPrice.MulUint64(meter.Remaining())
+	sdb.AddWei(sender, refund)
 	return receipt, nil
 }
+
+// nonceError is a nonce mismatch: ErrNonceTooLow or ErrNonceTooHigh with
+// both nonces. The speculative wave meets one on every chained
+// transaction and discards it, so its text is formatted only when read.
+type nonceError struct {
+	kind          error
+	tx, onAccount uint64
+}
+
+func (e *nonceError) Error() string {
+	return fmt.Sprintf("%v: tx nonce %d, account nonce %d", e.kind, e.tx, e.onAccount)
+}
+
+func (e *nonceError) Unwrap() error { return e.kind }
 
 // StaticCall executes a read-only call (like eth_call): the state is
 // snapshotted and always reverted, and no block is mined. The Token
@@ -423,7 +447,7 @@ func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, t
 		return nil, nil, err
 	}
 	meter := gas.NewMeter(ch.cfg.BlockGasLimit)
-	trace := &Trace{}
+	trace := newTrace()
 	snap := ch.db.Snapshot()
 	ret, execErr := ch.execute(execParams{
 		sdb:       ch.db,

@@ -2,6 +2,7 @@ package evm_test
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -134,6 +135,9 @@ func TestNonceReplayProtection(t *testing.T) {
 	if !errors.Is(err, evm.ErrNonceTooLow) {
 		t.Errorf("replay err = %v, want ErrNonceTooLow", err)
 	}
+	if want := fmt.Sprintf("%v: tx nonce %d, account nonce %d", evm.ErrNonceTooLow, tx.Nonce, tx.Nonce+1); err.Error() != want {
+		t.Errorf("replay err text %q, want %q", err, want)
+	}
 	// A future nonce is also rejected.
 	tx2, err := env.Wallets[1].BuildTx(addr, "increment", wallet.CallOpts{})
 	if err != nil {
@@ -141,8 +145,12 @@ func TestNonceReplayProtection(t *testing.T) {
 	}
 	tx2.Nonce += 5
 	_ = evm.SignTx(tx2, env.Wallets[1].Key(), env.Chain.Config().ChainID)
-	if _, err := env.Chain.Apply(tx2); !errors.Is(err, evm.ErrNonceTooHigh) {
+	_, err = env.Chain.Apply(tx2)
+	if !errors.Is(err, evm.ErrNonceTooHigh) {
 		t.Errorf("future nonce err = %v, want ErrNonceTooHigh", err)
+	}
+	if want := fmt.Sprintf("%v: tx nonce %d, account nonce %d", evm.ErrNonceTooHigh, tx2.Nonce, tx2.Nonce-5); err.Error() != want {
+		t.Errorf("future nonce err text %q, want %q", err, want)
 	}
 }
 

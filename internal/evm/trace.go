@@ -65,6 +65,18 @@ type TraceEvent struct {
 type Trace struct {
 	// Events in execution order.
 	Events []TraceEvent
+
+	// inline backs Events until it grows past a one-frame call's call
+	// and return events and two storage events between them.
+	inline [4]TraceEvent
+}
+
+// newTrace returns an empty trace whose first events need no allocation
+// of their own.
+func newTrace() *Trace {
+	t := &Trace{}
+	t.Events = t.inline[:0]
+	return t
 }
 
 func (t *Trace) add(e TraceEvent) {

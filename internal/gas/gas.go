@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Gas schedule constants (Istanbul-era values, matching the paper's 2019/2020
@@ -67,17 +68,47 @@ const (
 // ErrOutOfGas is returned by Meter.Charge when the limit is exhausted.
 var ErrOutOfGas = errors.New("gas: out of gas")
 
+// categories are the predefined categories, whose sums a Meter keeps in
+// a fixed array.
+var categories = [...]Category{CatIntrinsic, CatVerify, CatBitmap, CatParse, CatMisc, CatApp}
+
+// index returns c's position in categories, or -1.
+func (c Category) index() int {
+	for i, p := range categories {
+		if p == c {
+			return i
+		}
+	}
+	return -1
+}
+
 // Meter tracks gas consumption against a limit, keeping a per-category
 // breakdown.
 type Meter struct {
 	limit uint64
 	used  uint64
-	byCat map[Category]uint64
+	sums  [len(categories)]uint64
+	// charged has bit i set once categories[i] was charged, even with
+	// zero gas: such a category still appears in ByCategory.
+	charged uint8
+	other   map[Category]uint64 // categories outside the predefined set
 }
 
 // NewMeter creates a meter with the given gas limit.
 func NewMeter(limit uint64) *Meter {
-	return &Meter{limit: limit, byCat: make(map[Category]uint64, 6)}
+	return &Meter{limit: limit}
+}
+
+func (m *Meter) add(cat Category, amount uint64) {
+	if i := cat.index(); i >= 0 {
+		m.sums[i] += amount
+		m.charged |= 1 << i
+		return
+	}
+	if m.other == nil {
+		m.other = make(map[Category]uint64)
+	}
+	m.other[cat] += amount
 }
 
 // Charge consumes amount gas under the given category. It returns
@@ -87,12 +118,12 @@ func NewMeter(limit uint64) *Meter {
 func (m *Meter) Charge(cat Category, amount uint64) error {
 	if m.used+amount > m.limit || m.used+amount < m.used {
 		remaining := m.limit - m.used
-		m.byCat[cat] += remaining
+		m.add(cat, remaining)
 		m.used = m.limit
 		return fmt.Errorf("%w: need %d, %d remaining", ErrOutOfGas, amount, remaining)
 	}
 	m.used += amount
-	m.byCat[cat] += amount
+	m.add(cat, amount)
 	return nil
 }
 
@@ -105,11 +136,17 @@ func (m *Meter) Limit() uint64 { return m.limit }
 // Remaining returns the gas left.
 func (m *Meter) Remaining() uint64 { return m.limit - m.used }
 
-// ByCategory returns a copy of the per-category breakdown.
+// ByCategory returns a copy of the per-category breakdown: every category
+// charged so far, zero charges included.
 func (m *Meter) ByCategory() map[Category]uint64 {
-	out := make(map[Category]uint64, len(m.byCat))
-	for k, v := range m.byCat {
-		out[k] = v
+	out := make(map[Category]uint64, bits.OnesCount8(m.charged)+len(m.other))
+	for i, cat := range categories {
+		if m.charged&(1<<i) != 0 {
+			out[cat] = m.sums[i]
+		}
+	}
+	for cat, v := range m.other {
+		out[cat] = v
 	}
 	return out
 }

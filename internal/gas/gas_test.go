@@ -113,3 +113,35 @@ func TestWei(t *testing.T) {
 		t.Errorf("Wei(1000) = %s", wei)
 	}
 }
+
+// The breakdown lists every category charged, zero charges and
+// categories outside the predefined set included, and nothing else.
+func TestByCategoryKeys(t *testing.T) {
+	m := NewMeter(1000)
+	_ = m.Charge(CatMisc, 0)
+	_ = m.Charge(CatApp, 7)
+	_ = m.Charge(Category("custom"), 5)
+	_ = m.Charge(CatApp, 3)
+	got := m.ByCategory()
+	want := map[Category]uint64{CatMisc: 0, CatApp: 10, "custom": 5}
+	if len(got) != len(want) {
+		t.Fatalf("breakdown = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("breakdown = %v, want %v", got, want)
+		}
+	}
+}
+
+// Charging a predefined category allocates nothing.
+func TestChargeAllocations(t *testing.T) {
+	m := NewMeter(math.MaxUint64)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, c := range categories {
+			_ = m.Charge(c, 1)
+		}
+	}); n != 0 {
+		t.Errorf("Charge allocated %.0f times", n)
+	}
+}

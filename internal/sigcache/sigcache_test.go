@@ -7,7 +7,7 @@ import (
 )
 
 func TestGetAddBasics(t *testing.T) {
-	c := New[int](4)
+	c := New[string, int](4)
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache reported a hit")
 	}
@@ -27,7 +27,7 @@ func TestGetAddBasics(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](3)
+	c := New[string, int](3)
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Add("c", 3)
@@ -47,7 +47,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	c := New[string](8)
+	c := New[string, string](8)
 	c.Add("a", "x")
 	c.Get("a")
 	c.Purge()
@@ -74,7 +74,7 @@ func TestKeyUniqueness(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New[int](64)
+	c := New[string, int](64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -90,5 +90,20 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 64 {
 		t.Errorf("len = %d exceeds capacity", c.Len())
+	}
+}
+
+// Building a signature key and looking it up allocate nothing.
+func TestSigKeyAllocations(t *testing.T) {
+	c := New[SigKey, int](4)
+	var digest [32]byte
+	sig := make([]byte, SigLength)
+	c.Add(Key(digest, sig), 1)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get(Key(digest, sig)); !ok {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Errorf("Key + Get allocated %.0f times", n)
 	}
 }

@@ -33,7 +33,7 @@ func (db *DB) EncodeSnapshot() ([]byte, error) {
 		if acc.contract {
 			flag = 1
 		}
-		accounts = append(accounts, []any{addr.Bytes(), acc.balance, acc.nonce, flag})
+		accounts = append(accounts, []any{addr.Bytes(), acc.balance.Big(), acc.nonce, flag})
 	}
 
 	saddrs := make([]types.Address, 0, len(db.storage))
@@ -93,9 +93,13 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 			return nil, fmt.Errorf("state: snapshot account %d has bad address", i)
 		}
 		addr := types.BytesToAddress(item.List[0].Bytes)
-		balance, err := item.List[1].BigInt()
+		raw, err := item.List[1].BigInt()
 		if err != nil {
 			return nil, fmt.Errorf("state: snapshot account %d balance: %w", i, err)
+		}
+		balance, ok := WeiOf(raw)
+		if !ok {
+			return nil, fmt.Errorf("state: snapshot account %d balance is wider than 256 bits", i)
 		}
 		nonce, err := item.List[2].Uint()
 		if err != nil {

@@ -3,6 +3,18 @@
 // with journaled snapshot/revert so failed calls roll back exactly as in
 // the EVM.
 //
+// Both the DB and the per-transaction View (view.go) undo through a typed
+// journal: a slice of plain entries, each naming the kind of mutation,
+// the location it hit and the value before it, which RevertToSnapshot
+// replays newest first. A mutation appends one entry, with no closure
+// and no separately allocated value behind it. Balances are 256-bit Wei values;
+// *big.Int appears only in the exported methods that take or return one,
+// and only a returned one is allocated. A negative amount, and a credit
+// that is wider than 256 bits or would take a balance past 2²⁵⁶−1, is a
+// caller bug and panics: no transaction can mint wei, so only a faucet
+// credit can reach that bound. A debit wider than 256 bits is an
+// insufficient balance.
+//
 // The DB is not safe for concurrent use; the chain serializes access. The
 // one exception is read-only use: while the chain holds its mutex and
 // nothing writes to the DB, many Views may load from it at once (the
@@ -22,17 +34,76 @@ import (
 // balance.
 var ErrInsufficientBalance = errors.New("state: insufficient balance")
 
+// insufficient builds a failed debit's error. Only the error path formats
+// the amounts, so a debit that succeeds allocates nothing.
+func insufficient(addr types.Address, has Wei, needs fmt.Stringer) error {
+	return fmt.Errorf("%w: %s has %s, needs %s", ErrInsufficientBalance, addr, has, needs)
+}
+
+// creditOf converts a credit amount, panicking on one no balance can hold.
+func creditOf(addr types.Address, amount *big.Int) Wei {
+	w, ok := WeiOf(amount)
+	if !ok {
+		panic(fmt.Sprintf("state: credit of %s to %s is not a 256-bit amount", amount, addr))
+	}
+	return w
+}
+
+// credited returns balance + amount, panicking past 2²⁵⁶−1.
+func credited(addr types.Address, balance, amount Wei) Wei {
+	sum, ok := balance.Add(amount)
+	if !ok {
+		panic(fmt.Sprintf("state: balance of %s overflows 256 bits", addr))
+	}
+	return sum
+}
+
+// debitOf converts a debit amount; wide reports one beyond 256 bits,
+// which exceeds every balance.
+func debitOf(addr types.Address, amount *big.Int) (w Wei, wide bool) {
+	w, ok := WeiOf(amount)
+	if !ok && amount.Sign() < 0 {
+		panic(fmt.Sprintf("state: debit of %s from %s is negative", amount, addr))
+	}
+	return w, !ok
+}
+
 type account struct {
-	balance  *big.Int
+	balance  Wei
 	nonce    uint64
 	contract bool
+}
+
+// changeKind names the mutation a journal entry undoes.
+type changeKind uint8
+
+const (
+	chCreate   changeKind = iota + 1 // an account came into existence
+	chBalance                        // a balance changed
+	chNonce                          // a nonce changed
+	chContract                       // an account was flagged as a contract
+	chAccount                        // ApplyWrites replaced a whole account record
+	chSlot                           // a storage word changed
+)
+
+// dbChange is one entry of the DB's undo journal: the kind of mutation,
+// the location it hit, and the value before it.
+type dbChange struct {
+	kind     changeKind
+	contract bool // the previous contract flag (chContract, chAccount)
+	addr     types.Address
+	slot     types.Hash // chSlot
+	nonce    uint64     // chNonce, chAccount
+	// prev is the previous balance as a word (chBalance, chAccount), or
+	// the previous storage word, zero for an absent slot (chSlot).
+	prev types.Hash
 }
 
 // DB is the mutable world state.
 type DB struct {
 	accounts map[types.Address]*account
 	storage  map[types.Address]map[types.Hash]types.Hash
-	journal  []func()
+	journal  []dbChange
 }
 
 // New creates an empty world state.
@@ -47,21 +118,20 @@ func (db *DB) account(addr types.Address) *account {
 	if acc, ok := db.accounts[addr]; ok {
 		return acc
 	}
-	acc := &account{balance: new(big.Int)}
+	acc := &account{}
 	db.accounts[addr] = acc
-	db.journal = append(db.journal, func() { delete(db.accounts, addr) })
+	db.journal = append(db.journal, dbChange{kind: chCreate, addr: addr})
 	return acc
 }
 
 // peek returns the record of addr without creating it. It only reads, so
-// views may call it concurrently while nothing writes to the DB. The
-// balance aliases live state: callers copy it before mutating.
-func (db *DB) peek(addr types.Address) acctData {
+// views may call it concurrently while nothing writes to the DB.
+func (db *DB) peek(addr types.Address) acctVal {
 	acc, ok := db.accounts[addr]
 	if !ok {
-		return acctData{}
+		return acctVal{}
 	}
-	return acctData{exists: true, contract: acc.contract, nonce: acc.nonce, balance: acc.balance}
+	return acctVal{exists: true, contract: acc.contract, nonce: acc.nonce, balance: acc.balance}
 }
 
 // Exists reports whether the address has ever been touched.
@@ -70,40 +140,58 @@ func (db *DB) Exists(addr types.Address) bool {
 	return ok
 }
 
-// Balance returns a copy of the account balance (zero for fresh accounts).
-func (db *DB) Balance(addr types.Address) *big.Int {
+// BalanceWei returns the account balance (zero for fresh accounts).
+func (db *DB) BalanceWei(addr types.Address) Wei {
 	if acc, ok := db.accounts[addr]; ok {
-		return new(big.Int).Set(acc.balance)
+		return acc.balance
 	}
-	return new(big.Int)
+	return Wei{}
+}
+
+// Balance returns a copy of the account balance (zero for fresh accounts).
+func (db *DB) Balance(addr types.Address) *big.Int { return db.BalanceWei(addr).Big() }
+
+// AddWei credits amount to addr, touching the account even when amount is
+// zero.
+func (db *DB) AddWei(addr types.Address, amount Wei) {
+	acc := db.account(addr)
+	if amount.IsZero() {
+		return
+	}
+	sum := credited(addr, acc.balance, amount)
+	db.journal = append(db.journal, dbChange{kind: chBalance, addr: addr, prev: acc.balance.word()})
+	acc.balance = sum
 }
 
 // AddBalance credits amount to addr.
 func (db *DB) AddBalance(addr types.Address, amount *big.Int) {
-	if amount == nil || amount.Sign() == 0 {
-		db.account(addr) // still touch the account
-		return
+	db.AddWei(addr, creditOf(addr, amount))
+}
+
+// SubWei debits amount from addr, failing if the balance is insufficient.
+// A failed or zero debit touches nothing.
+func (db *DB) SubWei(addr types.Address, amount Wei) error {
+	if amount.IsZero() {
+		return nil
 	}
-	acc := db.account(addr)
-	prev := new(big.Int).Set(acc.balance)
-	acc.balance.Add(acc.balance, amount)
-	db.journal = append(db.journal, func() { acc.balance.Set(prev) })
+	bal := db.BalanceWei(addr)
+	if bal.Cmp(amount) < 0 {
+		return insufficient(addr, bal, amount)
+	}
+	acc := db.accounts[addr] // exists: its balance covers a nonzero amount
+	db.journal = append(db.journal, dbChange{kind: chBalance, addr: addr, prev: bal.word()})
+	acc.balance = bal.Sub(amount)
+	return nil
 }
 
 // SubBalance debits amount from addr, failing if the balance is
 // insufficient.
 func (db *DB) SubBalance(addr types.Address, amount *big.Int) error {
-	if amount == nil || amount.Sign() == 0 {
-		return nil
+	w, wide := debitOf(addr, amount)
+	if wide {
+		return insufficient(addr, db.BalanceWei(addr), amount)
 	}
-	acc := db.account(addr)
-	if acc.balance.Cmp(amount) < 0 {
-		return fmt.Errorf("%w: %s has %s, needs %s", ErrInsufficientBalance, addr, acc.balance, amount)
-	}
-	prev := new(big.Int).Set(acc.balance)
-	acc.balance.Sub(acc.balance, amount)
-	db.journal = append(db.journal, func() { acc.balance.Set(prev) })
-	return nil
+	return db.SubWei(addr, w)
 }
 
 // Nonce returns the account nonce.
@@ -117,17 +205,15 @@ func (db *DB) Nonce(addr types.Address) uint64 {
 // IncNonce increments the account nonce (after a transaction is accepted).
 func (db *DB) IncNonce(addr types.Address) {
 	acc := db.account(addr)
-	prev := acc.nonce
+	db.journal = append(db.journal, dbChange{kind: chNonce, addr: addr, nonce: acc.nonce})
 	acc.nonce++
-	db.journal = append(db.journal, func() { acc.nonce = prev })
 }
 
 // MarkContract flags addr as a contract account.
 func (db *DB) MarkContract(addr types.Address) {
 	acc := db.account(addr)
-	prev := acc.contract
+	db.journal = append(db.journal, dbChange{kind: chContract, addr: addr, contract: acc.contract})
 	acc.contract = true
-	db.journal = append(db.journal, func() { acc.contract = prev })
 }
 
 // IsContract reports whether addr is a contract account.
@@ -150,35 +236,31 @@ func (db *DB) GetState(addr types.Address, slot types.Hash) types.Hash {
 // deleted holds no storage, so the stored keys depend on the values
 // alone and not on the history that reached them.
 func (db *DB) SetState(addr types.Address, slot types.Hash, value types.Hash) types.Hash {
-	s, ok := db.storage[addr]
-	prev, had := s[slot]
-	if value != (types.Hash{}) {
-		if !ok {
-			s = make(map[types.Hash]types.Hash)
-			db.storage[addr] = s
-			db.journal = append(db.journal, func() { delete(db.storage, addr) })
-		}
-		s[slot] = value
-		db.journal = append(db.journal, func() {
-			if had {
-				s[slot] = prev
-			} else {
-				delete(s, slot)
-			}
-		})
+	prev := db.storage[addr][slot]
+	if value == (types.Hash{}) && prev == (types.Hash{}) {
 		return prev
 	}
-	if had {
+	db.journal = append(db.journal, dbChange{kind: chSlot, addr: addr, slot: slot, prev: prev})
+	db.putWord(addr, slot, value)
+	return prev
+}
+
+// putWord stores value at (addr, slot), deleting the key for a zero word
+// and the contract's storage with its last key.
+func (db *DB) putWord(addr types.Address, slot types.Hash, value types.Hash) {
+	s, ok := db.storage[addr]
+	if value == (types.Hash{}) {
 		delete(s, slot)
-		if len(s) == 0 {
+		if ok && len(s) == 0 {
 			delete(db.storage, addr)
 		}
-		db.journal = append(db.journal, func() {
-			s[slot] = prev
-			db.storage[addr] = s
-		})
+		return
 	}
-	return prev
+	if !ok {
+		s = make(map[types.Hash]types.Hash)
+		db.storage[addr] = s
+	}
+	s[slot] = value
 }
 
 // StorageWords returns the number of distinct storage words a contract
@@ -198,7 +280,21 @@ func (db *DB) RevertToSnapshot(id int) {
 		return
 	}
 	for i := len(db.journal) - 1; i >= id; i-- {
-		db.journal[i]()
+		c := &db.journal[i]
+		switch c.kind {
+		case chCreate:
+			delete(db.accounts, c.addr)
+		case chBalance:
+			db.accounts[c.addr].balance = weiOfWord(c.prev)
+		case chNonce:
+			db.accounts[c.addr].nonce = c.nonce
+		case chContract:
+			db.accounts[c.addr].contract = c.contract
+		case chAccount:
+			*db.accounts[c.addr] = account{balance: weiOfWord(c.prev), nonce: c.nonce, contract: c.contract}
+		case chSlot:
+			db.putWord(c.addr, c.slot, c.prev)
+		}
 	}
 	db.journal = db.journal[:id]
 }
@@ -211,23 +307,21 @@ func (db *DB) DiscardJournal() { db.journal = db.journal[:0] }
 // execution. Each mutation is journaled, so snapshots taken before the
 // call roll the write-set back exactly like individually applied
 // mutations would.
-func (db *DB) ApplyWrites(ws *WriteSet) {
-	for addr, data := range ws.accts {
-		acc := db.account(addr)
-		prevBalance := new(big.Int).Set(acc.balance)
-		prevNonce := acc.nonce
-		prevContract := acc.contract
-		acc.balance.Set(data.balanceOrZero())
-		acc.nonce = data.nonce
-		acc.contract = data.contract
-		db.journal = append(db.journal, func() {
-			acc.balance.Set(prevBalance)
-			acc.nonce = prevNonce
-			acc.contract = prevContract
-		})
+func (db *DB) ApplyWrites(ws WriteSet) {
+	for i := range ws.v.accts {
+		r := &ws.v.accts[i]
+		if !r.written() {
+			continue
+		}
+		acc := db.account(r.addr)
+		db.journal = append(db.journal, dbChange{kind: chAccount, addr: r.addr,
+			prev: acc.balance.word(), nonce: acc.nonce, contract: acc.contract})
+		*acc = account{balance: r.cur.balance, nonce: r.cur.nonce, contract: r.cur.contract}
 	}
-	for k, val := range ws.slots {
-		db.SetState(k.Addr, k.Slot, val)
+	for i := range ws.v.slots {
+		if r := &ws.v.slots[i]; r.written() {
+			db.SetState(r.key.Addr, r.key.Slot, r.cur)
+		}
 	}
 }
 

@@ -252,3 +252,28 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A credit, a debit, a nonce increment and a storage write to an
+// existing account journal typed entries: with the journal's capacity
+// reused across a revert, none of them allocates, *big.Int amounts
+// included.
+func TestDBMutationAllocations(t *testing.T) {
+	db := New()
+	db.AddBalance(addrA, big.NewInt(1e18))
+	db.SetState(addrA, slot1, wordX)
+	amount := big.NewInt(12345)
+	run := func() {
+		snap := db.Snapshot()
+		db.AddBalance(addrA, amount)
+		if err := db.SubBalance(addrA, amount); err != nil {
+			t.Fatal(err)
+		}
+		db.IncNonce(addrA)
+		db.SetState(addrA, slot1, wordY)
+		db.RevertToSnapshot(snap)
+	}
+	run()
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Errorf("mutate and revert allocated %.0f times, want 0", got)
+	}
+}

@@ -8,6 +8,34 @@ import (
 	"repro/internal/types"
 )
 
+// readSet lists the locations v loaded, with their current values.
+func readSet(v *View) (map[types.Address]acctVal, map[SlotKey]types.Hash) {
+	accts, slots := map[types.Address]acctVal{}, map[SlotKey]types.Hash{}
+	for _, r := range v.accts {
+		accts[r.addr] = r.cur
+	}
+	for _, r := range v.slots {
+		slots[r.key] = r.cur
+	}
+	return accts, slots
+}
+
+// writeSet lists the locations ws writes, with their final values.
+func writeSet(ws WriteSet) (map[types.Address]acctVal, map[SlotKey]types.Hash) {
+	accts, slots := readSet(ws.v)
+	for _, r := range ws.v.accts {
+		if !r.written() {
+			delete(accts, r.addr)
+		}
+	}
+	for _, r := range ws.v.slots {
+		if !r.written() {
+			delete(slots, r.key)
+		}
+	}
+	return accts, slots
+}
+
 func TestViewReadsFallThroughToBase(t *testing.T) {
 	base := New()
 	a := addr(1)
@@ -28,10 +56,11 @@ func TestViewReadsFallThroughToBase(t *testing.T) {
 	if !v.Exists(a) || v.Exists(addr(2)) {
 		t.Error("existence mismatch")
 	}
-	if _, ok := v.accts[a]; !ok {
+	accts, slots := readSet(v)
+	if _, ok := accts[a]; !ok {
 		t.Error("account read missing from the read-set")
 	}
-	if _, ok := v.slots[SlotKey{Addr: a, Slot: slot(0)}]; !ok {
+	if _, ok := slots[SlotKey{Addr: a, Slot: slot(0)}]; !ok {
 		t.Error("slot read missing from the read-set")
 	}
 	if base.Exists(addr(2)) {
@@ -92,16 +121,16 @@ func TestViewNetWritesSkipRevertedAndRestoredValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := v.Writes()
-	if n := len(ws.accts) + len(ws.slots); n != 1 {
+	wa, ws := writeSet(v.Writes())
+	if n := len(wa) + len(ws); n != 1 {
 		t.Fatalf("write-set has %d entries, want 1 (only a's balance)", n)
 	}
-	if got := ws.accts[a]; got.balance.Cmp(big.NewInt(60)) != 0 {
+	if got := wa[a]; got.balance != (Wei{60}) {
 		t.Errorf("a's net balance = %s, want 60", got.balance)
 	}
 	// Reverted reads are still reads: b and both slots gate validity.
-	if n := len(v.accts) + len(v.slots); n != 4 {
-		t.Errorf("read-set has %d entries, want 4", n)
+	if ra, rs := readSet(v); len(ra)+len(rs) != 4 {
+		t.Errorf("read-set has %d entries, want 4", len(ra)+len(rs))
 	}
 }
 
@@ -197,5 +226,73 @@ func TestDigestTracksStateChanges(t *testing.T) {
 	}
 	if d1b != d2b {
 		t.Error("equal states digest differently")
+	}
+}
+
+// A View is one allocation: loading accounts and slots, mutating and
+// reverting them, checking the read-set and extracting the write-set all
+// work on records and journal entries held inside it.
+func TestViewAllocations(t *testing.T) {
+	base := New()
+	sender, contract := addr(1), addr(2)
+	base.AddBalance(sender, big.NewInt(1e18))
+	base.MarkContract(contract)
+	base.SetState(contract, slot(0), slot(7))
+	fee, value := big.NewInt(21000), big.NewInt(5)
+	written := NewWritten()
+	run := func() *View {
+		v := NewView(base)
+		v.IncNonce(sender)
+		_ = v.SubBalance(sender, fee)
+		snap := v.Snapshot()
+		_ = v.SubBalance(sender, value)
+		v.AddBalance(contract, value)
+		for k := byte(0); k < 4; k++ {
+			v.SetState(contract, slot(k), slot(k+1))
+		}
+		v.RevertToSnapshot(snap)
+		v.SetState(contract, slot(9), slot(1))
+		_ = v.GetState(contract, slot(0))
+		v.AddBalance(sender, value)
+		if v.Meets(written) {
+			t.Fatal("an empty set met the view")
+		}
+		_ = v.Writes()
+		return v
+	}
+	accts, slots := writeSet(run().Writes())
+	if len(accts) != 1 || len(slots) != 1 {
+		t.Fatalf("write-set holds %d accounts and %d slots, want 1 and 1", len(accts), len(slots))
+	}
+	if got := testing.AllocsPerRun(100, func() { run() }); got > 1 {
+		t.Errorf("a view's load, mutate, revert and write-set cost %.0f allocations, budget 1 (the view)", got)
+	}
+}
+
+// Past indexAbove records a view looks locations up through a map; the
+// records, the read-set and the write-set are the same either way.
+func TestViewManyLocations(t *testing.T) {
+	base := New()
+	c := addr(3)
+	const n = 3 * indexAbove
+	v := NewView(base)
+	for k := 0; k < n; k++ {
+		v.SetState(c, slot(byte(k)), slot(byte(k+1)))
+		v.AddBalance(addr(byte(100+k)), big.NewInt(int64(k+1)))
+	}
+	for k := 0; k < n; k++ {
+		if v.GetState(c, slot(byte(k))) != slot(byte(k+1)) {
+			t.Fatalf("slot %d lost", k)
+		}
+		if v.BalanceWei(addr(byte(100+k))) != (Wei{uint64(k + 1)}) {
+			t.Fatalf("balance %d lost", k)
+		}
+	}
+	if len(v.slots) != n || len(v.accts) != n {
+		t.Errorf("records: %d slots, %d accounts, want %d each", len(v.slots), len(v.accts), n)
+	}
+	base.ApplyWrites(v.Writes())
+	if base.StorageWords(c) != n || base.Balance(addr(100+n-1)).Int64() != n {
+		t.Errorf("applied %d words and balance %s", base.StorageWords(c), base.Balance(addr(100+n-1)))
 	}
 }

@@ -224,14 +224,21 @@ func TestRejoinCatchesUp(t *testing.T) {
 	}
 	defer revived.Close()
 
-	for i := 0; i < 5; i++ {
+	// The coordinator returns on the first majority, which the two
+	// replicas that never left can form alone: keep allocating until a
+	// grant reaches the revived one, under a deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
 		if _, err := c.Next(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	accepted, _ := node.State()
-	if accepted <= frontier {
-		t.Fatalf("rejoined replica accepted=%d, want caught up past %d", accepted, frontier)
+		accepted, _ := node.State()
+		if accepted > frontier {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rejoined replica accepted=%d, want caught up past %d", accepted, frontier)
+		}
 	}
 }
 
