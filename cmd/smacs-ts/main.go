@@ -28,24 +28,26 @@
 //	smacs-ts -replica-of sale -addr :9003 -dir /var/lib/r3
 //	smacs-ts -addr :8546 -peers http://h1:9001,http://h2:9002,http://h3:9003
 //
-// Several frontends can share one keyspace without coordinating:
-// -group i/n stripes the quorum-allocated blocks so frontend i of n
-// issues indexes disjoint from every other frontend's (clients pick a
-// frontend themselves; see internal/ts/ring):
+// Several frontends can share one quorum without coordinating: the
+// quorum grants every coordinator distinct blocks, so plain -peers
+// frontends issue disjoint indexes and together advance the index
+// frontier only as fast as they issue (clients pick a frontend
+// themselves):
 //
-//	smacs-ts -addr :8546 -peers ... -group 0/2
-//	smacs-ts -addr :8547 -peers ... -group 1/2
+//	smacs-ts -addr :8546 -peers ...
+//	smacs-ts -addr :8547 -peers ...
 //
-// Dynamic membership replaces the fixed -group i/n striping with named
-// replica groups that can join and drain at runtime. Each frontend
-// names its group and the bootstrap membership; an operator then drives
-// changes through the owner-guarded admin endpoints
-// (POST /v1/admin/{join,drain}) on any live frontend, and every member
-// adopts the new epoch-numbered view without ever issuing a duplicate
-// one-time index (see internal/ts/membership). With -dir the adopted
-// views and released block leases are journaled under dir/membership,
-// so a restarted frontend resumes its last view instead of its boot
-// view:
+// Frontends on distinct quorums stripe the index space under dynamic
+// membership: named replica groups under an epoch-numbered view (see
+// internal/ts/ring). Each frontend names its group and the bootstrap
+// membership; an operator then drives joins and drains through the
+// owner-guarded admin endpoints (POST /v1/admin/{join,drain}) on any
+// live frontend, and every member adopts the new view without ever
+// issuing a duplicate one-time index (see internal/ts/membership).
+// Without -owner-token the boot view never changes: a fixed multi-quorum
+// deployment. With -dir the adopted views and released block leases are
+// journaled under dir/membership, so a restarted frontend resumes its
+// last view instead of its boot view:
 //
 //	smacs-ts -addr :8546 -peers ... -group-name g1 \
 //	         -initial-groups g1=http://h1:8546,g2=http://h2:8546 -dir /var/lib/fe1
@@ -83,8 +85,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -110,13 +111,11 @@ var (
 	lifetime   = flag.Duration("lifetime", time.Hour, "token lifetime")
 	needProof  = flag.Bool("require-proof", false, "demand a proof of possession on every request")
 	dirPath    = flag.String("dir", "", "make the state durable: the counter WAL and snapshots, a replica's WAL, or a -group-name frontend's membership journal (empty: in-memory)")
-	shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "index counter shards (concurrent issuance lanes)")
 
-	replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API")
-	peers     = flag.String("peers", "", "comma-separated replica base URLs (odd count): allocate one-time index blocks through a majority quorum of them instead of locally")
-	group     = flag.String("group", "", `"i/n": this frontend is shard i of n sharing the replica group — its blocks are striped so all n issue globally unique indexes with no coordination (requires -peers)`)
+	replicaOf = flag.String("replica-of", "", "run as a counter replica for the named group: serve the quorum protocol (fence/grant/state) on -addr instead of the token API (takes only -addr and -dir)")
+	peers     = flag.String("peers", "", "comma-separated replica base URLs (odd count): allocate one-time index blocks through a majority quorum of them instead of locally; frontends sharing one quorum issue disjoint indexes")
 
-	groupName     = flag.String("group-name", "", "dynamic membership: this frontend's named replica group — serve the membership protocol and stripe blocks under an epoch-numbered view that admits joins and drains at runtime (requires -peers and -initial-groups; exclusive with -group)")
+	groupName     = flag.String("group-name", "", "dynamic membership: this frontend's named replica group — serve the membership protocol and stripe blocks under an epoch-numbered view that admits joins and drains at runtime (requires -peers and -initial-groups)")
 	initialGroups = flag.String("initial-groups", "", `"name=url,...": bootstrap membership view mapping each group to its frontend base URL; a -group-name absent from the list boots as a joiner and serves only after POST /v1/admin/join admits it (ignored when -dir holds a persisted view)`)
 
 	metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this separate listener (empty: the main listener's /metrics)")
@@ -125,7 +124,9 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := validateFlags(*addr, *metricsAddr, *shards, *replicaOf, *peers, *group, *groupName, *initialGroups); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := validateFlags(set, *addr, *metricsAddr, *replicaOf, *peers, *groupName, *initialGroups); err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-ts:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -135,7 +136,7 @@ func main() {
 		err = runReplica(*addr, *replicaOf, *dirPath)
 	} else {
 		var counter stack.Config
-		counter, err = counterConfig(*dirPath, *shards, *peers, *group, *groupName, *initialGroups, *ownerToken)
+		counter, err = counterConfig(*dirPath, *peers, *groupName, *initialGroups, *ownerToken)
 		if err == nil {
 			err = run(*addr, *keySeed, *rulesPath, *ownerToken, *lifetime, *needProof, counter, *metricsAddr, *pprofOn)
 		}
@@ -146,40 +147,29 @@ func main() {
 	}
 }
 
-// validateFlags rejects inconsistent observability, sizing, and
-// replication flags up front, so a typo exits with a usage message
-// instead of a half-started daemon (-dir on a -peers frontend without
-// -group-name is rejected by stack.Open).
-func validateFlags(addr, metricsAddr string, shards int, replicaOf, peers, group, groupName, initialGroups string) error {
-	if metricsAddr != "" && metricsAddr == addr {
-		return fmt.Errorf("-metrics-addr %q collides with -addr: the main listener already serves /metrics", metricsAddr)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
-	}
+// replicaFlags are the only flags a -replica-of process reads.
+var replicaFlags = []string{"addr", "dir", "replica-of"}
+
+// validateFlags rejects inconsistent observability and replication
+// flags up front, so a typo exits with a usage message instead of a
+// half-started daemon (-dir on a -peers frontend without -group-name is
+// rejected by stack.Open). set names the flags given on the command
+// line: a replica takes none of the frontend's.
+func validateFlags(set []string, addr, metricsAddr, replicaOf, peers, groupName, initialGroups string) error {
 	if replicaOf != "" {
-		if peers != "" || group != "" || groupName != "" {
-			return fmt.Errorf("-replica-of runs the quorum protocol server; -peers, -group, and -group-name belong on frontends")
-		}
-		if metricsAddr != "" {
-			return fmt.Errorf("-metrics-addr is not served in replica mode")
+		for _, name := range set {
+			if !slices.Contains(replicaFlags, name) {
+				return fmt.Errorf("-%s belongs on a frontend: -replica-of serves only the quorum protocol and takes just -addr and -dir", name)
+			}
 		}
 		return nil
+	}
+	if metricsAddr != "" && metricsAddr == addr {
+		return fmt.Errorf("-metrics-addr %q collides with -addr: the main listener already serves /metrics", metricsAddr)
 	}
 	if peers != "" {
 		if n := len(splitList(peers)); n%2 == 0 {
 			return fmt.Errorf("-peers needs an odd replica count for majority quorums, got %d", n)
-		}
-	}
-	if group != "" {
-		if peers == "" {
-			return fmt.Errorf("-group stripes quorum-allocated blocks and requires -peers")
-		}
-		if groupName != "" {
-			return fmt.Errorf("-group (static striping) and -group-name (dynamic membership) are mutually exclusive")
-		}
-		if _, _, err := parseGroup(group); err != nil {
-			return err
 		}
 	}
 	if groupName != "" {
@@ -222,7 +212,7 @@ func parseInitialGroups(s string) ([]string, map[string]string, error) {
 	for g := range urls {
 		groups = append(groups, g)
 	}
-	sort.Strings(groups)
+	slices.Sort(groups)
 	return groups, urls, nil
 }
 
@@ -237,46 +227,20 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseGroup parses the "-group i/n" shard position. The whole value
-// must parse: trailing input ("0/2/3", "0/2x") is rejected, not ignored.
-func parseGroup(s string) (index, count int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	index, errI := strconv.Atoi(i)
-	count, errN := strconv.Atoi(n)
-	if !ok || errI != nil || errN != nil {
-		return 0, 0, fmt.Errorf(`-group must look like "i/n" (e.g. 0/2), got %q`, s)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("-group %q out of range: need 0 ≤ i < n", s)
-	}
-	return index, count, nil
-}
-
 // counterBlockSize is how many one-time indexes each shard leases per
 // allocation; with a durable counter one fsynced WAL append covers a
 // whole block, so the fsync cost amortizes across 64 issued tokens.
 const counterBlockSize = 64
 
-// counterConfig maps the counter flags onto a stack config: -dir makes a
-// local counter durable, or journals a -group-name frontend's membership
-// under dir/membership; -peers allocates blocks through the replica
-// quorum, which -group i/n stripes under the fixed view ["0"…"n-1"] at
-// slot i (the k-th quorum block maps to (k-1)·n+i+1) and -group-name
-// under the -initial-groups view, with a membership Manager.
-func counterConfig(dir string, shards int, peers, group, groupName, initialGroups, ownerToken string) (stack.Config, error) {
-	cfg := stack.Config{Dir: dir, Shards: shards, Block: counterBlockSize, Peers: splitList(peers), OwnerToken: ownerToken}
-	switch {
-	case group != "":
-		index, count, err := parseGroup(group)
-		if err != nil {
-			return stack.Config{}, err
-		}
-		cfg.View = ring.View{Epoch: 1, Groups: make([]string, count)}
-		for i := range cfg.View.Groups {
-			cfg.View.Groups[i] = strconv.Itoa(i)
-		}
-		cfg.Member = cfg.View.Groups[index]
-	case groupName != "":
+// counterConfig maps the counter flags onto a stack config with one
+// issuance lane per GOMAXPROCS: -dir makes a local counter durable, or
+// journals a -group-name frontend's membership under dir/membership;
+// -peers allocates blocks through the replica quorum and issues them
+// unchanged, and -group-name stripes them under the -initial-groups
+// view, with a membership Manager.
+func counterConfig(dir, peers, groupName, initialGroups, ownerToken string) (stack.Config, error) {
+	cfg := stack.Config{Dir: dir, Shards: runtime.GOMAXPROCS(0), Block: counterBlockSize, Peers: splitList(peers), OwnerToken: ownerToken}
+	if groupName != "" {
 		groups, urls, err := parseInitialGroups(initialGroups)
 		if err != nil {
 			return stack.Config{}, err
@@ -380,11 +344,7 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards; group %q under membership epoch %d of %d groups)\n",
 			len(counter.Peers), counter.Shards, counter.Member, st.View.Epoch, len(st.View.Groups))
 	case c.Coordinator != nil:
-		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards", len(counter.Peers), counter.Shards)
-		if counter.Member != "" {
-			fmt.Printf(", shard %s/%d of the keyspace", counter.Member, len(counter.View.Groups))
-		}
-		fmt.Printf(")\n")
+		fmt.Printf("  index counter:   replicated (quorum of %d peers, %d shards)\n", len(counter.Peers), counter.Shards)
 	case c.Store != nil:
 		fmt.Printf("  index counter:   durable (WAL in %s, %d shards)\n", counter.Dir, counter.Shards)
 	default:

@@ -7,25 +7,28 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/doccheck"
 )
 
 // The counter flags map onto the stack config the deployment needs:
-// -group i/n stripes under the fixed view ["0"…"n-1"] at slot i, and a
-// -group-name frontend keeps its membership journal under dir/membership.
+// plain -peers issues the quorum's blocks unchanged, and a -group-name
+// frontend stripes under its bootstrap view and keeps its membership
+// journal under dir/membership.
 func TestCounterConfig(t *testing.T) {
 	peers := "http://a:1,http://b:2,http://c:3"
-	cfg, err := counterConfig("", 4, peers, "1/3", "", "", "")
+	cfg, err := counterConfig("", peers, "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Member != "1" || !slices.Equal(cfg.View.Groups, []string{"0", "1", "2"}) || len(cfg.Peers) != 3 || cfg.URLs != nil {
-		t.Errorf("-group 1/3 = %+v", cfg)
+	if cfg.Member != "" || cfg.URLs != nil || len(cfg.Peers) != 3 || cfg.Shards != runtime.GOMAXPROCS(0) {
+		t.Errorf("-peers = %+v", cfg)
 	}
-	cfg, err = counterConfig("fe1", 4, peers, "", "g2", "g2=http://b,g1=http://a", "tok")
+	cfg, err = counterConfig("fe1", peers, "g2", "g2=http://b,g1=http://a", "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,50 +36,56 @@ func TestCounterConfig(t *testing.T) {
 		cfg.Dir != filepath.Join("fe1", "membership") || cfg.OwnerToken != "tok" {
 		t.Errorf("-group-name g2 -dir fe1 = %+v", cfg)
 	}
-	if cfg, _ := counterConfig("wal", 4, "", "", "", "", ""); cfg.Dir != "wal" || cfg.Peers != nil || cfg.Member != "" {
+	if cfg, _ := counterConfig("wal", "", "", "", ""); cfg.Dir != "wal" || cfg.Peers != nil || cfg.Member != "" {
 		t.Errorf("-dir wal = %+v", cfg)
 	}
 }
 
-// Bad observability/sizing flag combinations must be rejected before the
-// daemon does any work (main exits 2 with usage on these).
+// Bad observability and replication flag combinations must be rejected
+// before the daemon does any work (main exits 2 with usage on these).
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(":8546", "", 4, "", "", "", "", ""); err != nil {
+	if err := validateFlags(nil, ":8546", "", "", "", "", ""); err != nil {
 		t.Errorf("default flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "127.0.0.1:9100", 4, "", "", "", "", ""); err != nil {
+	if err := validateFlags([]string{"metrics-addr"}, ":8546", "127.0.0.1:9100", "", "", "", ""); err != nil {
 		t.Errorf("separate metrics listener rejected: %v", err)
 	}
-	if err := validateFlags(":8546", ":8546", 4, "", "", "", "", ""); err == nil {
+	if err := validateFlags([]string{"metrics-addr"}, ":8546", ":8546", "", "", "", ""); err == nil {
 		t.Error("-metrics-addr colliding with -addr accepted")
-	}
-	if err := validateFlags(":8546", "", 0, "", "", "", "", ""); err == nil {
-		t.Error("-shards 0 accepted")
 	}
 
 	peers3 := "http://a:1,http://b:2,http://c:3"
-	if err := validateFlags(":9001", "", 4, "sale", "", "", "", ""); err != nil {
+	if err := validateFlags([]string{"replica-of", "addr", "dir"}, ":9001", "", "sale", "", "", ""); err != nil {
 		t.Errorf("replica mode rejected: %v", err)
 	}
-	if err := validateFlags(":9001", "", 4, "sale", peers3, "", "", ""); err == nil {
-		t.Error("-replica-of combined with -peers accepted")
-	}
-	if err := validateFlags(":9001", "127.0.0.1:9100", 4, "sale", "", "", "", ""); err == nil {
-		t.Error("-metrics-addr in replica mode accepted")
-	}
-	if err := validateFlags(":8546", "", 4, "", peers3, "1/2", "", ""); err != nil {
+	if err := validateFlags([]string{"peers"}, ":8546", "", "", peers3, "", ""); err != nil {
 		t.Errorf("quorum frontend flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "", 4, "", "http://a:1,http://b:2", "", "", ""); err == nil {
+	if err := validateFlags([]string{"peers"}, ":8546", "", "", "http://a:1,http://b:2", "", ""); err == nil {
 		t.Error("even -peers count accepted")
 	}
-	if err := validateFlags(":8546", "", 4, "", "", "0/2", "", ""); err == nil {
-		t.Error("-group without -peers accepted")
+}
+
+// A replica serves only the quorum protocol: every frontend flag given
+// alongside -replica-of is rejected, not silently ignored. The table
+// must cover every registered flag a replica does not read.
+func TestValidateFlagsReplicaMode(t *testing.T) {
+	frontendOnly := []string{
+		"key-seed", "rules", "owner-token", "lifetime", "require-proof",
+		"peers", "group-name", "initial-groups", "metrics-addr", "pprof",
 	}
-	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1", "0/2/3", "0/2x", "1/2 junk"} {
-		if err := validateFlags(":8546", "", 4, "", peers3, bad, "", ""); err == nil {
-			t.Errorf("-group %q accepted", bad)
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") && !slices.Contains(replicaFlags, f.Name) && !slices.Contains(frontendOnly, f.Name) {
+			t.Errorf("flag -%s is missing from the frontend-only table", f.Name)
 		}
+	})
+	for _, name := range frontendOnly {
+		t.Run(name, func(t *testing.T) {
+			set := []string{"replica-of", "addr", name, "dir"}
+			if err := validateFlags(set, ":9001", "", "sale", "", "", ""); err == nil {
+				t.Errorf("-replica-of with -%s accepted", name)
+			}
+		})
 	}
 }
 
@@ -104,26 +113,20 @@ func TestMetricsHandlerRoutes(t *testing.T) {
 func TestValidateFlagsMembership(t *testing.T) {
 	peers3 := "http://a:1,http://b:2,http://c:3"
 	boot := "g1=http://a:8546,g2=http://b:8546"
-	if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", boot); err != nil {
+	if err := validateFlags(nil, ":8546", "", "", peers3, "g1", boot); err != nil {
 		t.Errorf("membership frontend flags rejected: %v", err)
 	}
-	if err := validateFlags(":8546", "", 4, "", "", "", "g1", boot); err == nil {
+	if err := validateFlags(nil, ":8546", "", "", "", "g1", boot); err == nil {
 		t.Error("-group-name without -peers accepted")
 	}
-	if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", ""); err == nil {
+	if err := validateFlags(nil, ":8546", "", "", peers3, "g1", ""); err == nil {
 		t.Error("-group-name without -initial-groups accepted")
 	}
-	if err := validateFlags(":8546", "", 4, "", peers3, "0/2", "g1", boot); err == nil {
-		t.Error("-group and -group-name together accepted")
-	}
-	if err := validateFlags(":8546", "", 4, "", peers3, "", "", boot); err == nil {
+	if err := validateFlags(nil, ":8546", "", "", peers3, "", boot); err == nil {
 		t.Error("-initial-groups without -group-name accepted")
 	}
-	if err := validateFlags(":9001", "", 4, "sale", "", "", "g1", boot); err == nil {
-		t.Error("-group-name in replica mode accepted")
-	}
 	for _, bad := range []string{"g1", "g1=", "=http://x", "g1=http://a,g1=http://b", " , "} {
-		if err := validateFlags(":8546", "", 4, "", peers3, "", "g1", bad); err == nil {
+		if err := validateFlags(nil, ":8546", "", "", peers3, "g1", bad); err == nil {
 			t.Errorf("-initial-groups %q accepted", bad)
 		}
 	}

@@ -34,8 +34,15 @@ func TestCrashChild(t *testing.T) {
 // Knobs (all via environment, so CI can pin them):
 //
 //	SMACS_CRASHTEST_RUNS       number of kill/recover cycles (default 12, 4 with -short)
-//	SMACS_CRASHTEST_SEED       RNG seed (default: time-derived, logged for replay)
+//	SMACS_CRASHTEST_SEED       RNG seed (default: time-derived, logged)
 //	SMACS_CRASHTEST_ARTIFACTS  directory to copy the WALs of a failed run into
+//
+// The seed fixes each run's ack target and torn truncations, not the
+// kill: that lands on wall-clock time (a 1 ms ack-log poll plus sleep
+// jitter), so rerunning a seed does not reproduce the WAL a failing run
+// saw. The copied artifacts do; ROADMAP item 23 (crash points on a
+// simulated disk, replayable from a seed and an operation count) is the
+// replayable form.
 func TestCrashRecovery(t *testing.T) {
 	if os.Getenv("SMACS_CRASHTEST_DIR") != "" {
 		t.Skip("child process must not recurse into the parent sweep")
@@ -59,7 +66,7 @@ func TestCrashRecovery(t *testing.T) {
 		}
 		seed = n
 	}
-	t.Logf("crashtest seed %d (set SMACS_CRASHTEST_SEED to replay)", seed)
+	t.Logf("crashtest seed %d (SMACS_CRASHTEST_SEED pins the ack targets and truncations)", seed)
 	rng := rand.New(rand.NewSource(seed))
 	for run := 0; run < runs; run++ {
 		runSeed := rng.Int63()

@@ -82,7 +82,7 @@ func NewManager(cfg Config, v ring.View, urls map[string]string, baseK int64) (*
 	}
 	m := &Manager{
 		cfg:   cfg,
-		gauge: metrics.Or(cfg.Registry).Gauge(ts.MetricMembershipEpoch, "Replica-group membership view epoch in effect (0 = static membership)."),
+		gauge: metrics.Or(cfg.Registry).Gauge(ts.MetricMembershipEpoch, "Replica-group membership view epoch in effect (0 = no membership view)."),
 		view:  v,
 		urls:  copyURLs(urls),
 		baseK: baseK,

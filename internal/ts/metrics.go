@@ -25,7 +25,7 @@ const (
 	// several Services can front one counter.
 	MetricLeaseReclaimed = "ts_lease_reclaimed_total"
 	// MetricMembershipEpoch is the replica-group membership view epoch
-	// this frontend serves under (0 = static membership, no view
+	// this frontend serves under (0 = no membership manager, no view
 	// adopted).
 	MetricMembershipEpoch = "ts_membership_epoch"
 )
@@ -87,8 +87,8 @@ func denyReason(err error) string {
 // ts_lease_reclaimed_total reads the counter's Reclaimed total at scrape
 // time (0 when the counter does not reclaim, so the series — and the CI
 // metrics-smoke grep — always renders), and ts_membership_epoch is
-// registered at its static-membership zero, to be raised by a membership
-// manager when a view is adopted. Call it once per registry, from
+// registered at zero, to be raised by a membership manager when a view
+// is adopted. Call it once per registry, from
 // whoever owns the counter.
 func RegisterCounterMetrics(reg *metrics.Registry, counter Counter) {
 	reg = metrics.Or(reg)
@@ -99,7 +99,7 @@ func RegisterCounterMetrics(reg *metrics.Registry, counter Counter) {
 	reg.CounterFunc(MetricLeaseReclaimed,
 		"One-time indexes adopted back from released block leases instead of burned.", src)
 	reg.Gauge(MetricMembershipEpoch,
-		"Replica-group membership view epoch in effect (0 = static membership).")
+		"Replica-group membership view epoch in effect (0 = no membership view).")
 }
 
 // RegistryStats reads the registry-level issuance totals — the sum over

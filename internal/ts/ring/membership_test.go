@@ -46,8 +46,8 @@ func TestViewValidate(t *testing.T) {
 	}
 }
 
-// fixedView is the one-epoch view of n statically numbered groups
-// "0"…"n-1" — what a frontend started with -group i/n runs under.
+// fixedView is the one-epoch view of n groups "0"…"n-1": a membership
+// view before its first join or drain.
 func fixedView(n int) View {
 	v := View{Epoch: 1}
 	for i := 0; i < n; i++ {

@@ -4,9 +4,11 @@
 // striping: under a membership view of N groups, DynamicStripe lets the
 // group at slot i allocate only indexes ≡ i+1 (mod N) above the view's
 // watermark, so the groups partition the index space without ever
-// coordinating. A fixed deployment of n frontends is the one-view case:
-// epoch 1, groups "0"…"n-1", watermark 0. Nothing routes requests by
-// group: clients pick a frontend themselves.
+// coordinating. Only a membership Manager drives a stripe
+// (internal/ts/membership): frontends that share one quorum need none,
+// since the quorum already grants each of them distinct blocks, and a
+// fixed set of groups is a membership view that never changes. Nothing
+// routes requests by group: clients pick a frontend themselves.
 package ring
 
 // Counter is the minimal allocator interface DynamicStripe wraps —

@@ -1,9 +1,9 @@
 // Package stack opens the Token Service's one-time index counter (§ IV-C)
 // in every deployment shape: the sharded counter over nothing (in-memory),
-// over a file-backed store.Counter, or over the § VII-B replica quorum,
-// optionally striped under a membership view that a Manager changes at
-// runtime. The daemon, the e2e harness and the crash test all build their
-// counters here, so the durability protocol has one home: a journal is
+// over a file-backed store.Counter, over the § VII-B replica quorum, or
+// over the quorum striped under a membership view that a Manager changes
+// at runtime. The daemon, the e2e harness and the crash test all build
+// their counters here, so the durability protocol has one home: a journal is
 // replayed once and feeds both the reclaim ledger and the membership
 // view, lease remainders a previous incarnation released are adopted
 // before the counter serves, and Close(true) releases this incarnation's
@@ -31,8 +31,8 @@ type Config struct {
 	Shards, Block int
 
 	// Dir makes the stack durable. Without Peers it holds the counter's
-	// WAL and snapshots; with URLs it holds the membership journal
-	// (adopted views plus the lease-reclaim ledger). Peers without URLs
+	// WAL and snapshots; with Member it holds the membership journal
+	// (adopted views plus the lease-reclaim ledger). Peers without Member
 	// leave durability to the replicas and take no Dir.
 	Dir string
 	// SnapshotEvery is the file-backed counter's lease count between
@@ -46,16 +46,16 @@ type Config struct {
 	Peers   []string
 	Timeout time.Duration
 
-	// Member stripes the quorum's blocks: it draws its slot's blocks
-	// under View (ring.DynamicStripe). Empty, the quorum's blocks are
-	// issued unchanged.
+	// Member runs dynamic membership over the quorum: this frontend's
+	// group draws its slot's blocks under View (ring.DynamicStripe), and
+	// a membership Manager changes View at runtime. URLs maps each group
+	// of View to its frontend base URL and comes with Member, never
+	// without. A view persisted in Dir replaces View and URLs. Empty,
+	// the quorum's blocks are issued unchanged: frontends sharing one
+	// quorum already issue disjoint indexes.
 	Member string
 	View   ring.View
-
-	// URLs runs a membership Manager for Member, mapping each group of
-	// View to its frontend base URL. A view persisted in Dir replaces
-	// View and URLs.
-	URLs map[string]string
+	URLs   map[string]string
 	// OwnerToken is the bearer secret the Manager sends on member calls
 	// to other frontends.
 	OwnerToken string
@@ -72,7 +72,7 @@ type Counter struct {
 	// Coordinator allocates blocks through the replica quorum (nil
 	// without Peers).
 	Coordinator *replicanet.Coordinator
-	// Manager serves the membership protocol (nil without URLs).
+	// Manager serves the membership protocol (nil without Member).
 	Manager *membership.Manager
 	// Store is the WAL under Dir (nil without Dir).
 	Store *store.File
@@ -86,12 +86,12 @@ type Counter struct {
 // once even if this incarnation crashes. On error, whatever Open opened
 // is closed again.
 func Open(cfg Config) (_ *Counter, err error) {
-	membered := cfg.URLs != nil
+	membered := cfg.Member != ""
 	switch {
-	case len(cfg.Peers) == 0 && (cfg.Member != "" || membered):
-		return nil, errors.New("stack: a stripe or a membership manager needs Peers")
-	case membered && cfg.Member == "":
-		return nil, errors.New("stack: a membership manager needs a Member")
+	case membered != (cfg.URLs != nil):
+		return nil, errors.New("stack: Member and URLs go together: a stripe runs only under a membership manager")
+	case membered && len(cfg.Peers) == 0:
+		return nil, errors.New("stack: a membership manager needs Peers")
 	case len(cfg.Peers) > 0 && cfg.Dir != "" && !membered:
 		return nil, errors.New("stack: Peers move counter durability to the replicas; Dir holds only a membership journal")
 	}
@@ -144,7 +144,7 @@ func Open(cfg Config) (_ *Counter, err error) {
 		under = c.reclaims
 	}
 	var stripe *ring.DynamicStripe
-	if cfg.Member != "" {
+	if membered {
 		if stripe, err = ring.NewDynamicStripe(under, cfg.Member, view, baseK); err != nil {
 			return nil, err
 		}

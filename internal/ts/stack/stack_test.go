@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	replicanet "repro/internal/ts/replica/net"
@@ -104,47 +106,86 @@ func TestCleanShutdownLeavesNoGap(t *testing.T) {
 	}
 }
 
-// The quorum stacks keep their index maps: without a Member the quorum's
-// blocks are issued unchanged, Member i of n issues only blocks ≡ i+1
-// (mod n), and URLs add a membership manager. The cases run one after
+// The quorum stacks keep their index maps: a plain stack issues the
+// quorum's blocks unchanged, two plain stacks sharing the quorum draw
+// disjoint indexes while they allocate concurrently, and a Member
+// stripes only under a membership manager. The cases run one after
 // another on one replica group, so the quorum's block sequence simply
-// continues from case to case.
+// continues from case to case and every index must be new.
 func TestQuorumStripes(t *testing.T) {
 	peers := startReplicas(t)
-	halves := ring.View{Epoch: 1, Groups: []string{"0", "1"}}
 	seen := make(map[int64]string)
-	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		stripe int // slot of 2, or -1 for no stripe check
-	}{
-		{"plain", Config{Shards: 1}, -1},
-		{"0/2", Config{Shards: 2, Member: "0", View: halves}, 0},
-		{"1/2", Config{Shards: 2, Member: "1", View: halves}, 1},
-		{"g1", Config{Shards: 2, Member: "g1", View: ring.View{Epoch: 1, Groups: []string{"g1", "g2"}},
-			URLs: map[string]string{"g1": "http://fe1.example", "g2": "http://fe2.example"}}, -1},
-	} {
-		tc.cfg.Peers, tc.cfg.Block = peers, block
-		c := open(t, tc.cfg)
-		if (c.Manager != nil) != (tc.cfg.URLs != nil) {
-			t.Fatalf("%s: membership manager built = %v", tc.name, c.Manager != nil)
+	record := func(name string, idx int64) {
+		t.Helper()
+		if other, dup := seen[idx]; dup {
+			t.Fatalf("index %d issued by both %s and %s", idx, other, name)
 		}
-		for i := int64(1); i <= 3*block; i++ {
-			idx, err := c.Next()
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if tc.name == "plain" && idx != i {
-				t.Fatalf("plain quorum issued %d as allocation %d, want the identity map", idx, i)
-			}
-			if b := (idx-1)/block + 1; tc.stripe >= 0 && (b-1)%2 != int64(tc.stripe) {
-				t.Fatalf("member %s issued %d from block %d, outside its stripe", tc.cfg.Member, idx, b)
-			}
-			if other, dup := seen[idx]; dup {
-				t.Fatalf("index %d issued by both %s and %s", idx, other, tc.name)
-			}
-			seen[idx] = tc.name
+		seen[idx] = name
+	}
+
+	plain := open(t, Config{Peers: peers, Shards: 1, Block: block})
+	for i := int64(1); i <= 3*block; i++ {
+		idx, err := plain.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if idx != i {
+			t.Fatalf("plain quorum issued %d as allocation %d, want the identity map", idx, i)
+		}
+		record("plain", idx)
+	}
+
+	// Two frontends on one quorum need no stripe: the quorum grants each
+	// coordinator distinct blocks.
+	var (
+		wg     sync.WaitGroup
+		issued [2][]int64
+		errs   [2]error
+	)
+	for i := range issued {
+		c := open(t, Config{Peers: peers, Shards: 2, Block: block})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 * block {
+				idx, err := c.Next()
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				issued[i] = append(issued[i], idx)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range issued {
+		if errs[i] != nil {
+			t.Fatalf("shared-quorum stack %d: %v", i, errs[i])
+		}
+		for _, idx := range issued[i] {
+			record(fmt.Sprintf("shared-quorum stack %d", i), idx)
+		}
+	}
+
+	g1 := open(t, Config{Peers: peers, Shards: 2, Block: block,
+		Member: "g1", View: ring.View{Epoch: 1, Groups: []string{"g1", "g2"}},
+		URLs: map[string]string{"g1": "http://fe1.example", "g2": "http://fe2.example"}})
+	if g1.Manager == nil {
+		t.Fatal("membership stack built no manager")
+	}
+	for range 3 * block {
+		idx, err := g1.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("g1", idx)
+	}
+
+	// A stripe without a manager is the sole-consumer hazard: rejected.
+	if c, err := Open(Config{Peers: peers, Shards: 2, Block: block,
+		Member: "0", View: ring.View{Epoch: 1, Groups: []string{"0", "1"}}}); err == nil {
+		_ = c.Close(false)
+		t.Fatal("a Member without URLs opened")
 	}
 }
 
@@ -198,10 +239,10 @@ func TestOpenRejectsBadCombinations(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"dir with peers but no membership": {Dir: t.TempDir(), Peers: peers},
 		"even peer count":                  {Peers: peers[:2]},
-		"stripe without peers":             {Member: "g1", View: view},
+		"member without URLs":              {Peers: peers, Member: "g1", View: view},
 		"membership without peers":         {Member: "g1", View: view, URLs: urls},
 		"membership without member":        {Peers: peers, View: view, URLs: urls},
-		"stripe without a view":            {Peers: peers, Member: "g1"},
+		"membership without a view":        {Peers: peers, Member: "g1", URLs: urls},
 	} {
 		cfg.Shards, cfg.Block = 1, block
 		if c, err := Open(cfg); err == nil {
