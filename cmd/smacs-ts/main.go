@@ -305,17 +305,21 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 		}
 	}
 
+	// One registry holds every layer's series: the counter stack's, the
+	// service's and the HTTP frontend's; both /metrics routes render it.
+	reg := metrics.NewRegistry()
+	counter.Registry = reg
 	c, err := stack.Open(counter)
 	if err != nil {
 		return err
 	}
-	ts.RegisterCounterMetrics(nil, c)
+	ts.RegisterCounterMetrics(reg, c)
 
-	svc, err := ts.New(ts.Config{Key: key, Rules: ruleSet, Lifetime: lifetime, RequireProof: needProof, Counter: c})
+	svc, err := ts.New(ts.Config{Key: key, Rules: ruleSet, Lifetime: lifetime, RequireProof: needProof, Counter: c, Metrics: reg})
 	if err != nil {
 		return err
 	}
-	opts := tshttp.ServerOptions{Pprof: pprofOn && metricsAddr == ""}
+	opts := tshttp.ServerOptions{Registry: reg, Pprof: pprofOn && metricsAddr == ""}
 	if c.Manager != nil {
 		opts.Admin = c.Manager.Handler()
 	}
@@ -329,7 +333,7 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		go func() {
-			if err := http.Serve(ln, metricsHandler(pprofOn)); err != nil {
+			if err := http.Serve(ln, metricsHandler(reg, pprofOn)); err != nil {
 				fmt.Fprintln(os.Stderr, "smacs-ts: metrics listener:", err)
 			}
 		}()
@@ -389,12 +393,11 @@ func run(addr, keySeed, rulesPath, ownerToken string, lifetime time.Duration, ne
 	}
 }
 
-// metricsHandler serves the process-default registry (the one the service,
-// store, and HTTP frontend all record into when no explicit registry is
-// configured) on the dedicated observability listener.
-func metricsHandler(pprofOn bool) http.Handler {
+// metricsHandler serves reg, the registry every layer of the frontend
+// records into, on the dedicated observability listener.
+func metricsHandler(reg *metrics.Registry, pprofOn bool) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", metrics.Default().Handler())
+	mux.Handle("GET /metrics", reg.Handler())
 	if pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/doccheck"
+	"repro/internal/metrics"
 )
 
 // The counter flags map onto the stack config the deployment needs:
@@ -89,9 +90,11 @@ func TestValidateFlagsReplicaMode(t *testing.T) {
 	}
 }
 
-// The dedicated metrics listener serves the default registry and only
-// mounts pprof when asked.
+// The dedicated metrics listener serves the registry it is given and
+// only mounts pprof when asked.
 func TestMetricsHandlerRoutes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("smoke_total", "A series only this registry holds.").Inc()
 	for _, tc := range []struct {
 		pprofOn    bool
 		path       string
@@ -103,9 +106,12 @@ func TestMetricsHandlerRoutes(t *testing.T) {
 		{true, "/metrics", 200},
 	} {
 		rec := httptest.NewRecorder()
-		metricsHandler(tc.pprofOn).ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+		metricsHandler(reg, tc.pprofOn).ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
 		if rec.Code != tc.wantStatus {
 			t.Errorf("pprof=%v GET %s = %d, want %d", tc.pprofOn, tc.path, rec.Code, tc.wantStatus)
+		}
+		if tc.path == "/metrics" && !strings.Contains(rec.Body.String(), "smoke_total 1") {
+			t.Errorf("pprof=%v GET /metrics does not render the given registry:\n%s", tc.pprofOn, rec.Body)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/gas"
 	"repro/internal/keccak"
+	"repro/internal/state"
 	"repro/internal/types"
 )
 
@@ -25,7 +26,7 @@ var ErrMaxCallDepth = errors.New("evm: max call depth exceeded")
 // (msg.value). All storage and compute performed through it is gas-charged.
 type Call struct {
 	chain     *Chain
-	sdb       stateStore
+	view      *state.View
 	origin    types.Address
 	caller    types.Address
 	self      types.Address
@@ -130,7 +131,7 @@ func (c *Call) LoadAs(cat gas.Category, slot types.Hash) (types.Hash, error) {
 	if err := c.meter.Charge(cat, gas.SLoad); err != nil {
 		return types.Hash{}, err
 	}
-	word := c.sdb.GetState(c.self, slot)
+	word := c.view.GetState(c.self, slot)
 	c.trace.add(TraceEvent{Kind: TraceSLoad, Depth: c.depth, From: c.self, To: c.self, Slot: slot, Word: word})
 	return word, nil
 }
@@ -143,7 +144,7 @@ func (c *Call) Store(slot, word types.Hash) error {
 
 // StoreAs is Store with an explicit gas category.
 func (c *Call) StoreAs(cat gas.Category, slot, word types.Hash) error {
-	prev := c.sdb.GetState(c.self, slot)
+	prev := c.view.GetState(c.self, slot)
 	cost := gas.SStoreReset
 	if prev.IsZero() && !word.IsZero() {
 		cost = gas.SStoreSet
@@ -151,7 +152,7 @@ func (c *Call) StoreAs(cat gas.Category, slot, word types.Hash) error {
 	if err := c.meter.Charge(cat, cost); err != nil {
 		return err
 	}
-	c.sdb.SetState(c.self, slot, word)
+	c.view.SetState(c.self, slot, word)
 	c.trace.add(TraceEvent{Kind: TraceSStore, Depth: c.depth, From: c.self, To: c.self, Slot: slot, Word: word})
 	return nil
 }
@@ -176,7 +177,7 @@ func (c *Call) BalanceOf(addr types.Address) (*big.Int, error) {
 	if err := c.meter.Charge(gas.CatApp, 700); err != nil {
 		return nil, err
 	}
-	return c.sdb.Balance(addr), nil
+	return c.view.Balance(addr), nil
 }
 
 // CallContract performs a message call from this frame to another contract
@@ -195,7 +196,7 @@ func (c *Call) CallContract(to types.Address, method string, value *big.Int, arg
 		return nil, err
 	}
 	return c.chain.execute(execParams{
-		sdb:       c.sdb,
+		view:      c.view,
 		origin:    c.origin,
 		caller:    c.self,
 		to:        to,
@@ -219,7 +220,7 @@ func (c *Call) Transfer(to types.Address, amount *big.Int) error {
 	cost := gas.Call
 	if amount != nil && amount.Sign() > 0 {
 		cost += gas.CallValue
-		if !c.sdb.Exists(to) {
+		if !c.view.Exists(to) {
 			cost += gas.NewAccount
 		}
 	}
@@ -227,10 +228,10 @@ func (c *Call) Transfer(to types.Address, amount *big.Int) error {
 		return err
 	}
 	c.trace.add(TraceEvent{Kind: TraceTransfer, Depth: c.depth, From: c.self, To: to, Amount: cpBig(amount)})
-	if err := c.sdb.SubBalance(c.self, amount); err != nil {
+	if err := c.view.SubBalance(c.self, amount); err != nil {
 		return err
 	}
-	c.sdb.AddBalance(to, amount)
+	c.view.AddBalance(to, amount)
 
 	target, ok := c.chain.contracts[to]
 	if !ok || target.fallback == nil {
@@ -239,7 +240,7 @@ func (c *Call) Transfer(to types.Address, amount *big.Int) error {
 	// Run the fallback in a fresh frame; its failure reverts the transfer.
 	inner := &Call{
 		chain:     c.chain,
-		sdb:       c.sdb,
+		view:      c.view,
 		origin:    c.origin,
 		caller:    c.self,
 		self:      to,
@@ -275,7 +276,7 @@ func (c *Call) Invoke(method string, args ...any) ([]any, error) {
 	}
 	inner := &Call{
 		chain:     c.chain,
-		sdb:       c.sdb,
+		view:      c.view,
 		origin:    c.origin,
 		caller:    c.caller, // internal calls preserve msg.sender
 		self:      c.self,

@@ -29,7 +29,7 @@ type Config struct {
 	Now func() time.Time
 	// Metrics selects the registry the chain's instrumentation series
 	// (evm_txs_total, evm_apply_batch_*_seconds, …) are registered in
-	// (nil = metrics.Default()).
+	// (nil = a private registry nothing scrapes).
 	Metrics *metrics.Registry
 }
 
@@ -79,31 +79,10 @@ type Receipt struct {
 	TxHash types.Hash
 }
 
-// stateStore is the state-access surface transaction execution runs
-// against. The committed *state.DB implements it for serial execution;
-// *state.View implements it for optimistic-parallel execution, where each
-// transaction speculates against its own read/write-tracked window onto
-// the committed DB (see Execute and internal/state).
-// Contracts see balances as *big.Int; the fee path moves fixed-width
-// state.Wei amounts, which cost no allocation.
-type stateStore interface {
-	Exists(addr types.Address) bool
-	Balance(addr types.Address) *big.Int
-	AddBalance(addr types.Address, amount *big.Int)
-	SubBalance(addr types.Address, amount *big.Int) error
-	BalanceWei(addr types.Address) state.Wei
-	AddWei(addr types.Address, amount state.Wei)
-	SubWei(addr types.Address, amount state.Wei) error
-	Nonce(addr types.Address) uint64
-	IncNonce(addr types.Address)
-	GetState(addr types.Address, slot types.Hash) types.Hash
-	SetState(addr types.Address, slot types.Hash, value types.Hash) types.Hash
-	Snapshot() int
-	RevertToSnapshot(id int)
-}
-
 // Chain is a single-node simulated Ethereum chain. All methods are safe for
-// concurrent use.
+// concurrent use. Every block keeps its receipt and its undo entries in
+// the DB journal for Reorg, so memory grows with height; no daemon hosts
+// a chain.
 type Chain struct {
 	mu         sync.Mutex
 	cfg        Config
@@ -149,11 +128,14 @@ func (ch *Chain) Now() time.Time { return ch.cfg.Now() }
 // helper: it is not logged and does not refuse a poisoned chain, so call it
 // in a recovery bootstrap or follow it with SnapshotToStore. A balance
 // holds at most 2²⁵⁶−1 wei: Fund panics on a negative amount or one that
-// would pass that bound.
+// would pass that bound. The credit commits like a transaction's effects:
+// on a view, through ApplyWrites.
 func (ch *Chain) Fund(addr types.Address, amount *big.Int) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	ch.db.AddBalance(addr, amount)
+	v := state.NewView(ch.db)
+	v.AddBalance(addr, amount)
+	ch.db.ApplyWrites(v.Writes())
 }
 
 // Balance returns the current balance of addr. It only inspects the
@@ -243,10 +225,12 @@ func (ch *Chain) BlockByNumber(n uint64) (*Block, bool) {
 }
 
 // Deploy registers a contract on the chain under a CREATE-style address
-// (keccak(rlp(creator, nonce))[12:]) and charges the creator the deployment
-// gas, including SStoreSet per pre-allocated storage word (the one-time
-// bitmap cost of Table IV). A poisoned chain refuses it with
-// ErrChainPoisoned.
+// (keccak(rlp(creator, nonce))[12:]), bumps the creator's nonce and flags
+// the address as a contract — on a view, committed through ApplyWrites —
+// and mines a block. Its receipt reports the deployment gas, including
+// SStoreSet per pre-allocated storage word (the one-time bitmap cost of
+// Table IV), but the creator is debited nothing: the gas is accounted,
+// not paid. A poisoned chain refuses it with ErrChainPoisoned.
 func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Address, *Receipt, error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -254,8 +238,8 @@ func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Addres
 		return types.Address{}, nil, err
 	}
 
-	nonce := ch.db.Nonce(creator)
-	enc, err := rlp.EncodeList(creator.Bytes(), nonce)
+	v := state.NewView(ch.db)
+	enc, err := rlp.EncodeList(creator.Bytes(), v.Nonce(creator))
 	if err != nil {
 		return types.Address{}, nil, fmt.Errorf("deploy: %w", err)
 	}
@@ -282,8 +266,9 @@ func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Addres
 		}
 	}
 
-	ch.db.IncNonce(creator)
-	ch.db.MarkContract(addr)
+	v.IncNonce(creator)
+	v.MarkContract(addr)
+	ch.db.ApplyWrites(v.Writes())
 	ch.contracts[addr] = contract
 	ch.deployedAt[addr] = ch.blocks[len(ch.blocks)-1].Number + 1
 	ch.deployerOf[addr] = creator
@@ -309,27 +294,13 @@ func (ch *Chain) Apply(tx *Transaction) (*Receipt, error) {
 	return res[0].Receipt, res[0].Err
 }
 
-// applyAtLocked executes tx against the committed state at the given block
-// time and mines it; it does not persist (Execute logs the whole batch
-// once its commit loop is done). Durable replay calls it with the logged
-// time of the original execution, so time-dependent checks (token expiry)
-// repeat identically.
-func (ch *Chain) applyAtLocked(tx *Transaction, blockTime time.Time) (*Receipt, error) {
-	receipt, err := ch.applyOn(ch.db, tx, blockTime)
-	if err != nil {
-		return nil, err
-	}
-	ch.mineLocked(receipt.TxHash, receipt, blockTime)
-	return receipt, nil
-}
-
 // applyOn runs the full state transition of one transaction — signature,
 // nonce, and balance checks, gas purchase, execution, revert handling, and
-// gas refund — against an arbitrary state store, without mining a block or
-// persisting. The serial path passes the committed DB; the optimistic
-// scheduler passes a per-transaction state.View. A nil receipt with a
-// non-nil error means the transaction was rejected before touching state.
-func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (*Receipt, error) {
+// gas refund — on v, a fresh view of the committed state, without
+// touching the DB, mining a block or persisting: the caller commits v's
+// write-set (see commitLocked). A nil receipt with a non-nil error means
+// the transaction was rejected and v holds no write.
+func (ch *Chain) applyOn(v *state.View, tx *Transaction, blockTime time.Time) (*Receipt, error) {
 	// Execute prepared the encodings; durable replay and direct callers
 	// encode here. Either way they derive from the current fields, so a
 	// transaction tampered with between calls recovers a fresh sender.
@@ -344,7 +315,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	if err != nil {
 		return nil, err
 	}
-	switch nonce := sdb.Nonce(sender); {
+	switch nonce := v.Nonce(sender); {
 	case tx.Nonce < nonce:
 		return nil, &nonceError{ErrNonceTooLow, tx.Nonce, nonce}
 	case tx.Nonce > nonce:
@@ -356,7 +327,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	value, okValue := state.WeiOf(tx.Value)
 	maxFee, okFee := gasPrice.MulUint64(tx.GasLimit)
 	need, okNeed := maxFee.Add(value)
-	if !(okPrice && okValue && okFee && okNeed) || sdb.BalanceWei(sender).Cmp(need) < 0 {
+	if !(okPrice && okValue && okFee && okNeed) || v.BalanceWei(sender).Cmp(need) < 0 {
 		need := new(big.Int).Mul(cpBig(tx.GasPrice), new(big.Int).SetUint64(tx.GasLimit))
 		return nil, fmt.Errorf("%w: %s needs %s wei", ErrInsufficientETH, sender, need.Add(need, cpBig(tx.Value)))
 	}
@@ -367,8 +338,8 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	}
 
 	// Buy gas up front; refund the unused remainder afterwards.
-	sdb.IncNonce(sender)
-	if err := sdb.SubWei(sender, maxFee); err != nil {
+	v.IncNonce(sender)
+	if err := v.SubWei(sender, maxFee); err != nil {
 		return nil, err
 	}
 
@@ -376,19 +347,19 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 	_ = meter.Charge(gas.CatIntrinsic, intrinsic) // checked above
 
 	trace := newTrace()
-	snap := sdb.Snapshot()
+	snap := v.Snapshot()
 
 	receipt := &Receipt{Trace: trace, TxHash: p.hash}
 	var execErr error
 	if tx.Method == "" && tx.RawData == nil {
 		// Plain value transfer.
-		execErr = sdb.SubWei(sender, value)
+		execErr = v.SubWei(sender, value)
 		if execErr == nil {
-			sdb.AddWei(tx.To, value)
+			v.AddWei(tx.To, value)
 		}
 	} else {
 		receipt.Return, execErr = ch.execute(execParams{
-			sdb:       sdb,
+			view:      v,
 			origin:    sender,
 			caller:    sender,
 			to:        tx.To,
@@ -402,7 +373,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 		})
 	}
 	if execErr != nil {
-		sdb.RevertToSnapshot(snap)
+		v.RevertToSnapshot(snap)
 		receipt.Err = execErr
 	}
 	receipt.Status = execErr == nil
@@ -412,7 +383,7 @@ func (ch *Chain) applyOn(sdb stateStore, tx *Transaction, blockTime time.Time) (
 
 	// Refund unused gas: at most maxFee, so it cannot overflow.
 	refund, _ := gasPrice.MulUint64(meter.Remaining())
-	sdb.AddWei(sender, refund)
+	v.AddWei(sender, refund)
 	return receipt, nil
 }
 
@@ -430,11 +401,12 @@ func (e *nonceError) Error() string {
 
 func (e *nonceError) Unwrap() error { return e.kind }
 
-// StaticCall executes a read-only call (like eth_call): the state is
-// snapshotted and always reverted, and no block is mined. The Token
-// Service's runtime-verification tools use this to simulate requested calls
-// on a forked testnet. A poisoned chain refuses it with ErrChainPoisoned:
-// its state is ahead of what the log holds.
+// StaticCall executes a read-only call (like eth_call) on a view of the
+// committed state that it then drops: it never writes, snapshots or
+// reverts the DB, and mines no block. The Token Service's
+// runtime-verification tools use this to simulate requested calls on a
+// forked testnet. A poisoned chain refuses it with ErrChainPoisoned: its
+// state is ahead of what the log holds.
 func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, tokens [][]byte) ([]any, *Receipt, error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -448,9 +420,8 @@ func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, t
 	}
 	meter := gas.NewMeter(ch.cfg.BlockGasLimit)
 	trace := newTrace()
-	snap := ch.db.Snapshot()
 	ret, execErr := ch.execute(execParams{
-		sdb:       ch.db,
+		view:      state.NewView(ch.db),
 		origin:    from,
 		caller:    from,
 		to:        to,
@@ -462,7 +433,6 @@ func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, t
 		blockTime: ch.cfg.Now(),
 		trace:     trace,
 	})
-	ch.db.RevertToSnapshot(snap)
 	receipt := &Receipt{
 		Status:        execErr == nil,
 		Err:           execErr,
@@ -477,7 +447,7 @@ func (ch *Chain) StaticCall(from, to types.Address, method string, args []any, t
 
 // execParams carries the inputs of one call frame execution.
 type execParams struct {
-	sdb                stateStore
+	view               *state.View
 	origin, caller, to types.Address
 	value              *big.Int
 	appData            []byte
@@ -490,8 +460,7 @@ type execParams struct {
 
 // execute runs one call frame: resolves the contract and method, moves
 // value, runs the handler, and reverts the frame's state changes on error.
-// All state access goes through p.sdb; when that is the committed DB the
-// chain mutex must be held.
+// All state access goes through p.view.
 func (ch *Chain) execute(p execParams) ([]any, error) {
 	contract, ok := ch.contracts[p.to]
 	if !ok {
@@ -516,17 +485,17 @@ func (ch *Chain) execute(p execParams) ([]any, error) {
 		return nil, fmt.Errorf("decode args of %s.%s: %w", contract.name, method.Name, err)
 	}
 
-	snap := p.sdb.Snapshot()
+	snap := p.view.Snapshot()
 	if value.Sign() > 0 {
-		if err := p.sdb.SubBalance(p.caller, value); err != nil {
+		if err := p.view.SubBalance(p.caller, value); err != nil {
 			return nil, err
 		}
-		p.sdb.AddBalance(p.to, value)
+		p.view.AddBalance(p.to, value)
 	}
 
 	frame := &Call{
 		chain:     ch,
-		sdb:       p.sdb,
+		view:      p.view,
 		origin:    p.origin,
 		caller:    p.caller,
 		self:      p.to,
@@ -545,7 +514,7 @@ func (ch *Chain) execute(p execParams) ([]any, error) {
 	ret, err := method.Handler(frame)
 	p.trace.add(TraceEvent{Kind: TraceReturn, Depth: p.depth, From: p.to, To: p.caller, Method: method.Name, Err: errString(err)})
 	if err != nil {
-		p.sdb.RevertToSnapshot(snap)
+		p.view.RevertToSnapshot(snap)
 		return nil, err
 	}
 	return ret, nil

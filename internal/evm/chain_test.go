@@ -361,6 +361,40 @@ func TestReorgRemovesLaterContracts(t *testing.T) {
 	}
 }
 
+// Reorg rewinds the DB, not only the contract map: a deployment's nonce
+// bump and contract flag and a faucet credit made after the target
+// block leave no trace in the state digest.
+func TestReorgUndoesDeployAndFund(t *testing.T) {
+	env := evmtest.NewEnv(t, 1)
+	env.Deploy(t, newCounter()) // a mined block, whose snapshot follows the env's funding
+	h := env.Chain.Height()
+	before, err := env.Chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	creator, funded := types.Address{0xc4, 0xea}, types.Address{0xf0, 0x0d}
+	if _, _, err := env.Chain.Deploy(creator, newCounter()); err != nil {
+		t.Fatal(err)
+	}
+	env.Chain.Fund(funded, big.NewInt(1e18))
+	if d, err := env.Chain.StateDigest(); err != nil || d == before {
+		t.Fatalf("Deploy and Fund left the digest at %s (err %v)", d, err)
+	}
+	if err := env.Chain.Reorg(h); err != nil {
+		t.Fatal(err)
+	}
+	after, err := env.Chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("digest after Reorg(%d) = %s, want %s as read at that height", h, after, before)
+	}
+	if n, b := env.Chain.NonceOf(creator), env.Chain.Balance(funded); n != 0 || b.Sign() != 0 {
+		t.Errorf("after the reorg: creator nonce %d, funded balance %s", n, b)
+	}
+}
+
 func TestTraceRecordsEvents(t *testing.T) {
 	env := evmtest.NewEnv(t, 2)
 	addr := env.Deploy(t, newCounter())

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/secp256k1"
+	"repro/internal/state"
 	"repro/internal/types"
 )
 
@@ -14,18 +15,20 @@ import (
 type Scheduler int
 
 const (
-	// SchedulerSerial applies transactions one at a time under the chain
-	// mutex, exactly like repeated Apply calls. It has no parallel phase:
-	// it is what Apply runs, and the oracle every equivalence test
-	// compares against.
+	// SchedulerSerial is Execute's in-order commit loop with no wave:
+	// under the chain mutex, each position is encoded, drawn its block
+	// time, executed on a fresh view and committed before the next one
+	// runs, exactly like repeated Apply calls. It has no parallel phase
+	// and records none of the optimistic-only series: it is what Apply
+	// runs, and the oracle every equivalence test compares against.
 	SchedulerSerial Scheduler = iota
 	// SchedulerOptimistic is the batch scheduler. The state-independent
 	// work — batched sender recovery and the prevalidation hook — runs
 	// in a parallel phase outside the chain mutex; then every
 	// transaction executes speculatively in parallel against the
-	// pre-batch state, and one in-order pass re-executes each
-	// transaction whose read-set meets an earlier transaction's writes
-	// and commits it. A batch of n transactions costs at most 2n
+	// pre-batch state, and the same in-order commit loop re-executes
+	// each transaction whose read-set meets an earlier transaction's
+	// writes and commits it. A batch of n transactions costs at most 2n
 	// executions: conflict-free batches run as one parallel wave, fully
 	// conflicting ones degenerate to a serial in-order commit. Receipts
 	// are byte-identical to serial execution.
@@ -81,7 +84,11 @@ type ExecOptions struct {
 // order. Whatever the scheduler, the outcome is serially equivalent:
 // receipts, state, and per-sender nonce ordering match applying the slice
 // one transaction at a time. A rejected transaction does not abort the
-// batch; later transactions still commit.
+// batch; later transactions still commit. Both schedulers end in one
+// in-order commit loop (commitLocked): every transaction executes on a
+// state.View and reaches the DB through ApplyWrites, and a handler panic
+// that serial execution raises propagates after the batch is rolled
+// back. The optimistic scheduler runs its parallel phases first.
 //
 // With a store attached, Execute returns only once the commit records of
 // every transaction the batch mined are durable — one AppendBatch, so one
@@ -107,46 +114,120 @@ func (ch *Chain) Execute(txs []*Transaction, opts ExecOptions) []BatchResult {
 		}
 	}()
 
-	if opts.Scheduler == SchedulerSerial {
-		ch.mu.Lock()
-		defer ch.mu.Unlock()
-		if ch.rejectPoisonedLocked(results) {
-			return results
-		}
-		// A handler panic propagates, but leaves no trace of the batch:
-		// neither the transactions mined before it nor its own writes.
-		snap, height := ch.db.Snapshot(), len(ch.blocks)
-		defer func() {
-			if p := recover(); p != nil {
-				ch.db.RevertToSnapshot(snap)
-				ch.blocks = ch.blocks[:height]
-				panic(p)
-			}
-		}()
-		for i, tx := range txs {
-			tx.storePrepared(ch.cfg.ChainID)
-			results[i].Receipt, results[i].Err = ch.applyAtLocked(tx, ch.cfg.Now())
-		}
-		ch.persistBatchLocked(txs, results)
-		ch.metrics.recordOutcomes(results)
-		return results
-	}
-	if opts.Scheduler != SchedulerOptimistic {
+	optimistic := opts.Scheduler == SchedulerOptimistic
+	if !optimistic && opts.Scheduler != SchedulerSerial {
 		panic(fmt.Sprintf("evm: unknown scheduler %d", int(opts.Scheduler)))
 	}
-
-	ch.metrics.batchSize.Observe(float64(len(txs)))
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
+	if optimistic {
+		ch.metrics.batchSize.Observe(float64(len(txs)))
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = min(workers, len(txs))
+		ch.prevalidateParallel(txs, workers, opts.PrevalidateBatch)
 	}
 
-	ch.prevalidateParallel(txs, workers, opts.PrevalidateBatch)
-	ch.executeOptimistic(txs, workers, results)
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if ch.rejectPoisonedLocked(results) {
+		return results
+	}
+	var (
+		times []time.Time
+		execs []txExec
+	)
+	if optimistic {
+		times, execs = ch.speculateLocked(txs, workers)
+	}
+	commitStart := time.Now()
+	conflicts := ch.commitLocked(txs, times, execs, results)
+	ch.persistBatchLocked(txs, results)
+	ch.metrics.recordOutcomes(results)
+	if optimistic {
+		ch.metrics.commit.ObserveDuration(time.Since(commitStart))
+		ch.metrics.conflicts.Add(uint64(conflicts))
+		ch.metrics.reexecs.Observe(float64(conflicts))
+	}
 	return results
+}
+
+// txExec is one transaction's latest execution.
+type txExec struct {
+	receipt  *Receipt
+	err      error
+	view     *state.View // the locations it loaded are the read-set
+	panicked any         // recovered panic value, if the execution panicked
+}
+
+// execOne executes tx on a fresh view of the committed DB and records the
+// outcome in e, replacing the previous execution's.
+func (ch *Chain) execOne(tx *Transaction, at time.Time, e *txExec) {
+	*e = txExec{view: state.NewView(ch.db)}
+	defer func() {
+		if p := recover(); p != nil {
+			e.panicked = p
+		}
+	}()
+	e.receipt, e.err = ch.applyOn(e.view, tx, at)
+}
+
+// commitLocked is the in-order commit loop: Execute's, under either
+// scheduler, and RecoverChain's replay. It walks txs in slice order. A
+// position executes here, on a fresh view of the DB as every lower
+// position left it, when it has no speculative execution (execs nil) or
+// when its speculation's read-set Meets the locations lower positions
+// wrote; so the execution it commits is the one serial order gives. Its
+// block time is times[i], or, with times nil, drawn when the position
+// runs. A position that was not rejected then installs its write-set
+// with ApplyWrites and mines its block. A handler panic — which by then
+// serial execution raises too — rolls the DB and the block list back to
+// where the batch started and propagates. It returns the number of
+// speculative executions it repeated.
+func (ch *Chain) commitLocked(txs []*Transaction, times []time.Time, execs []txExec, results []BatchResult) (conflicts int) {
+	snap, height := ch.db.Snapshot(), len(ch.blocks)
+	var written *state.Written
+	if execs != nil {
+		written = state.NewWritten()
+	}
+	var own txExec
+	for i, tx := range txs {
+		var at time.Time
+		if times != nil {
+			at = times[i]
+		} else {
+			at = ch.cfg.Now()
+		}
+		e := &own
+		switch {
+		case execs == nil:
+			tx.storePrepared(ch.cfg.ChainID)
+			ch.execOne(tx, at, e)
+		case execs[i].view.Meets(written):
+			e = &execs[i]
+			conflicts++
+			ch.execOne(tx, at, e)
+		default:
+			e = &execs[i]
+		}
+		if p := e.panicked; p != nil {
+			ch.db.RevertToSnapshot(snap)
+			ch.blocks = ch.blocks[:height]
+			panic(p)
+		}
+		if e.err != nil {
+			results[i].Err = e.err
+			continue
+		}
+		ws := e.view.Writes()
+		ch.db.ApplyWrites(ws)
+		if written != nil {
+			written.Add(ws)
+		}
+		ch.mineLocked(e.receipt.TxHash, e.receipt, at)
+		results[i].Receipt = e.receipt
+	}
+	return conflicts
 }
 
 // prevalidateParallel runs the state-independent phase, sharded into

@@ -226,8 +226,16 @@ func RecoverChain(cfg Config, b store.Backend, snapshotEvery int, bootstrap func
 		// empty journal of the decoded DB).
 		ch.blocks = []*Block{{Number: height, Time: ch.cfg.Now()}}
 	}
-	// applyAtLocked never logs, so replayed commits are not re-appended;
-	// the store is attached only once the log has been re-executed.
+	// The logged commits re-execute in order through the commit loop, at
+	// their logged block times, so time-dependent checks (token expiry)
+	// repeat identically. The loop never logs, so replayed commits are not
+	// re-appended; the store is attached only once the log has been
+	// re-executed.
+	var (
+		txs     []*Transaction
+		times   []time.Time
+		heights []int64
+	)
 	for _, rec := range recs {
 		if rec.Kind != store.KindCommit {
 			continue
@@ -236,11 +244,15 @@ func RecoverChain(cfg Config, b store.Backend, snapshotEvery int, bootstrap func
 		if err != nil {
 			return nil, fmt.Errorf("evm: decode commit at block %d: %w", rec.Value, err)
 		}
-		ch.mu.Lock()
-		_, err = ch.applyAtLocked(tx, blockTime)
-		ch.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("evm: replay commit at block %d: %w", rec.Value, err)
+		txs, times, heights = append(txs, tx), append(times, blockTime), append(heights, rec.Value)
+	}
+	results := make([]BatchResult, len(txs))
+	ch.mu.Lock()
+	ch.commitLocked(txs, times, nil, results)
+	ch.mu.Unlock()
+	for i, res := range results {
+		if res.Err != nil {
+			return nil, fmt.Errorf("evm: replay commit at block %d: %w", heights[i], res.Err)
 		}
 	}
 	ch.AttachStore(b, snapshotEvery)

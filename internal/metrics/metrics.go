@@ -113,8 +113,9 @@ type family struct {
 }
 
 // Registry holds named metric families and renders them in Prometheus
-// text exposition format. The zero value is not usable; use NewRegistry
-// or the package Default.
+// text exposition format. The zero value is not usable; use NewRegistry.
+// There is no process-wide registry: whoever owns a stack builds one and
+// hands it to every layer whose series one scrape should cover.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -126,19 +127,12 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// defaultRegistry is the process-wide registry most callers share; a
-// subsystem that wants isolation (the e2e harness runs one registry per
-// scenario) passes its own.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
-// Or returns r, or the process-wide default when r is nil — the idiom
-// every Config-embedded *Registry field resolves through.
+// Or returns r, or a fresh private registry when r is nil — the idiom
+// every Config-embedded *Registry field resolves through. A component
+// given no registry still records, into series nothing scrapes.
 func Or(r *Registry) *Registry {
 	if r == nil {
-		return defaultRegistry
+		return NewRegistry()
 	}
 	return r
 }

@@ -109,7 +109,7 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("state: snapshot account %d contract flag: %w", i, err)
 		}
-		db.accounts[addr] = &account{balance: balance, nonce: nonce, contract: flag == 1}
+		db.accounts[addr] = acctVal{balance: balance, nonce: nonce, exists: true, contract: flag == 1}
 	}
 
 	storage := top.List[1]

@@ -13,14 +13,16 @@ func slot(b byte) types.Hash    { return types.BytesToHash([]byte{b}) }
 
 func populated() *DB {
 	db := New()
-	db.AddBalance(addr(1), big.NewInt(1_000_000))
-	db.AddBalance(addr(2), big.NewInt(42))
-	db.IncNonce(addr(1))
-	db.IncNonce(addr(1))
-	db.MarkContract(addr(3))
-	db.SetState(addr(3), slot(0), slot(7))
-	db.SetState(addr(3), slot(5), types.Hash{}) // a zero word is an absent slot
-	db.SetState(addr(4), slot(9), slot(9))
+	commit(db, func(v *View) {
+		v.AddBalance(addr(1), big.NewInt(1_000_000))
+		v.AddBalance(addr(2), big.NewInt(42))
+		v.IncNonce(addr(1))
+		v.IncNonce(addr(1))
+		v.MarkContract(addr(3))
+		v.SetState(addr(3), slot(0), slot(7))
+		v.SetState(addr(3), slot(5), types.Hash{}) // a zero word is an absent slot
+		v.SetState(addr(4), slot(9), slot(9))
+	})
 	return db
 }
 
@@ -60,14 +62,18 @@ func TestSnapshotDeterministic(t *testing.T) {
 	// a fixed point.
 	a := populated()
 	b := New()
-	b.SetState(addr(4), slot(9), slot(9))
-	b.MarkContract(addr(3))
-	b.SetState(addr(3), slot(5), types.Hash{})
-	b.SetState(addr(3), slot(0), slot(7))
-	b.AddBalance(addr(2), big.NewInt(42))
-	b.IncNonce(addr(1))
-	b.AddBalance(addr(1), big.NewInt(1_000_000))
-	b.IncNonce(addr(1))
+	for _, f := range []func(v *View){
+		func(v *View) { v.SetState(addr(4), slot(9), slot(9)) },
+		func(v *View) { v.MarkContract(addr(3)) },
+		func(v *View) { v.SetState(addr(3), slot(5), types.Hash{}) },
+		func(v *View) { v.SetState(addr(3), slot(0), slot(7)) },
+		func(v *View) { v.AddBalance(addr(2), big.NewInt(42)) },
+		func(v *View) { v.IncNonce(addr(1)) },
+		func(v *View) { v.AddBalance(addr(1), big.NewInt(1_000_000)) },
+		func(v *View) { v.IncNonce(addr(1)) },
+	} {
+		commit(b, f)
+	}
 
 	encA, err := a.EncodeSnapshot()
 	if err != nil {

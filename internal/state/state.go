@@ -1,19 +1,25 @@
 // Package state implements the world state of the simulated chain:
-// accounts (balance, nonce, contract flag) and per-contract word storage,
-// with journaled snapshot/revert so failed calls roll back exactly as in
-// the EVM.
+// accounts (balance, nonce, contract flag) and per-contract word storage.
 //
-// Both the DB and the per-transaction View (view.go) undo through a typed
-// journal: a slice of plain entries, each naming the kind of mutation,
-// the location it hit and the value before it, which RevertToSnapshot
-// replays newest first. A mutation appends one entry, with no closure
-// and no separately allocated value behind it. Balances are 256-bit Wei values;
-// *big.Int appears only in the exported methods that take or return one,
-// and only a returned one is allocated. A negative amount, and a credit
-// that is wider than 256 bits or would take a balance past 2²⁵⁶−1, is a
-// caller bug and panics: no transaction can mint wei, so only a faucet
-// credit can reach that bound. A debit wider than 256 bits is an
-// insufficient balance.
+// There is one way to mutate it. Every execution runs on a View
+// (view.go), an isolated, journaled window onto the committed DB, where
+// nested Snapshot/RevertToSnapshot roll failed calls back exactly as in
+// the EVM. The DB itself changes only through ApplyWrites, which installs
+// a view's net write-set, and RevertToSnapshot. The DB's journal exists
+// for block-level undo: the chain rewinds it on a reorg, and when a batch
+// panics, back to where the batch started.
+//
+// Both journals are typed: a slice of plain entries, each naming the
+// location it restores and the value before the write, which
+// RevertToSnapshot replays newest first. An entry restores either a
+// whole account record (an absent account included) or a storage word,
+// with no closure and no separately allocated value behind it. Balances
+// are 256-bit Wei values; *big.Int appears only in the exported methods
+// that take or return one, and only a returned one is allocated. A
+// negative amount, and a credit that is wider than 256 bits or would
+// take a balance past 2²⁵⁶−1, is a caller bug and panics: no transaction
+// can mint wei, so only a faucet credit can reach that bound. A debit
+// wider than 256 bits is an insufficient balance.
 //
 // The DB is not safe for concurrent use; the chain serializes access. The
 // one exception is read-only use: while the chain holds its mutex and
@@ -68,40 +74,52 @@ func debitOf(addr types.Address, amount *big.Int) (w Wei, wide bool) {
 	return w, !ok
 }
 
-type account struct {
+// acctVal is the value of one account record. The DB holds one per
+// existing account; a view's records hold one per account they loaded,
+// exists false for an absent one.
+type acctVal struct {
 	balance  Wei
 	nonce    uint64
+	exists   bool
 	contract bool
 }
 
-// changeKind names the mutation a journal entry undoes.
-type changeKind uint8
-
-const (
-	chCreate   changeKind = iota + 1 // an account came into existence
-	chBalance                        // a balance changed
-	chNonce                          // a nonce changed
-	chContract                       // an account was flagged as a contract
-	chAccount                        // ApplyWrites replaced a whole account record
-	chSlot                           // a storage word changed
-)
-
-// dbChange is one entry of the DB's undo journal: the kind of mutation,
-// the location it hit, and the value before it.
-type dbChange struct {
-	kind     changeKind
-	contract bool // the previous contract flag (chContract, chAccount)
-	addr     types.Address
-	slot     types.Hash // chSlot
-	nonce    uint64     // chNonce, chAccount
-	// prev is the previous balance as a word (chBalance, chAccount), or
-	// the previous storage word, zero for an absent slot (chSlot).
-	prev types.Hash
+// change is one undo-journal entry: what a write replaced, either a
+// whole account record (its balance kept as a word, exists false for an
+// absent account) or a storage word (zero for an absent slot). A view's
+// journal names the record by index; the DB's (dbChange) by location.
+type change struct {
+	word             types.Hash // the balance, or the storage word
+	nonce            uint64
+	idx              int32 // the view record it restores
+	isSlot           bool
+	exists, contract bool
 }
 
-// DB is the mutable world state.
+func acctChange(idx int32, a acctVal) change {
+	return change{word: a.balance.word(), nonce: a.nonce, idx: idx, exists: a.exists, contract: a.contract}
+}
+
+func slotChange(idx int32, w types.Hash) change { return change{word: w, idx: idx, isSlot: true} }
+
+// acct is the account record an account entry restores.
+func (c *change) acct() acctVal {
+	return acctVal{balance: weiOfWord(c.word), nonce: c.nonce, exists: c.exists, contract: c.contract}
+}
+
+// dbChange is one entry of the DB's undo journal: a location ApplyWrites
+// wrote and what it held before.
+type dbChange struct {
+	change
+	addr types.Address
+	slot types.Hash // storage entries
+}
+
+// DB is the committed world state. Its reads serve views and the
+// chain's accessors; its only writes are ApplyWrites and
+// RevertToSnapshot.
 type DB struct {
-	accounts map[types.Address]*account
+	accounts map[types.Address]acctVal // every record has exists set
 	storage  map[types.Address]map[types.Hash]types.Hash
 	journal  []dbChange
 }
@@ -109,144 +127,35 @@ type DB struct {
 // New creates an empty world state.
 func New() *DB {
 	return &DB{
-		accounts: make(map[types.Address]*account),
+		accounts: make(map[types.Address]acctVal),
 		storage:  make(map[types.Address]map[types.Hash]types.Hash),
 	}
 }
 
-func (db *DB) account(addr types.Address) *account {
-	if acc, ok := db.accounts[addr]; ok {
-		return acc
-	}
-	acc := &account{}
-	db.accounts[addr] = acc
-	db.journal = append(db.journal, dbChange{kind: chCreate, addr: addr})
-	return acc
-}
-
-// peek returns the record of addr without creating it. It only reads, so
-// views may call it concurrently while nothing writes to the DB.
-func (db *DB) peek(addr types.Address) acctVal {
-	acc, ok := db.accounts[addr]
-	if !ok {
-		return acctVal{}
-	}
-	return acctVal{exists: true, contract: acc.contract, nonce: acc.nonce, balance: acc.balance}
-}
-
 // Exists reports whether the address has ever been touched.
-func (db *DB) Exists(addr types.Address) bool {
-	_, ok := db.accounts[addr]
-	return ok
-}
+func (db *DB) Exists(addr types.Address) bool { return db.accounts[addr].exists }
 
 // BalanceWei returns the account balance (zero for fresh accounts).
-func (db *DB) BalanceWei(addr types.Address) Wei {
-	if acc, ok := db.accounts[addr]; ok {
-		return acc.balance
-	}
-	return Wei{}
-}
+func (db *DB) BalanceWei(addr types.Address) Wei { return db.accounts[addr].balance }
 
 // Balance returns a copy of the account balance (zero for fresh accounts).
 func (db *DB) Balance(addr types.Address) *big.Int { return db.BalanceWei(addr).Big() }
 
-// AddWei credits amount to addr, touching the account even when amount is
-// zero.
-func (db *DB) AddWei(addr types.Address, amount Wei) {
-	acc := db.account(addr)
-	if amount.IsZero() {
-		return
-	}
-	sum := credited(addr, acc.balance, amount)
-	db.journal = append(db.journal, dbChange{kind: chBalance, addr: addr, prev: acc.balance.word()})
-	acc.balance = sum
-}
-
-// AddBalance credits amount to addr.
-func (db *DB) AddBalance(addr types.Address, amount *big.Int) {
-	db.AddWei(addr, creditOf(addr, amount))
-}
-
-// SubWei debits amount from addr, failing if the balance is insufficient.
-// A failed or zero debit touches nothing.
-func (db *DB) SubWei(addr types.Address, amount Wei) error {
-	if amount.IsZero() {
-		return nil
-	}
-	bal := db.BalanceWei(addr)
-	if bal.Cmp(amount) < 0 {
-		return insufficient(addr, bal, amount)
-	}
-	acc := db.accounts[addr] // exists: its balance covers a nonzero amount
-	db.journal = append(db.journal, dbChange{kind: chBalance, addr: addr, prev: bal.word()})
-	acc.balance = bal.Sub(amount)
-	return nil
-}
-
-// SubBalance debits amount from addr, failing if the balance is
-// insufficient.
-func (db *DB) SubBalance(addr types.Address, amount *big.Int) error {
-	w, wide := debitOf(addr, amount)
-	if wide {
-		return insufficient(addr, db.BalanceWei(addr), amount)
-	}
-	return db.SubWei(addr, w)
-}
-
 // Nonce returns the account nonce.
-func (db *DB) Nonce(addr types.Address) uint64 {
-	if acc, ok := db.accounts[addr]; ok {
-		return acc.nonce
-	}
-	return 0
-}
-
-// IncNonce increments the account nonce (after a transaction is accepted).
-func (db *DB) IncNonce(addr types.Address) {
-	acc := db.account(addr)
-	db.journal = append(db.journal, dbChange{kind: chNonce, addr: addr, nonce: acc.nonce})
-	acc.nonce++
-}
-
-// MarkContract flags addr as a contract account.
-func (db *DB) MarkContract(addr types.Address) {
-	acc := db.account(addr)
-	db.journal = append(db.journal, dbChange{kind: chContract, addr: addr, contract: acc.contract})
-	acc.contract = true
-}
+func (db *DB) Nonce(addr types.Address) uint64 { return db.accounts[addr].nonce }
 
 // IsContract reports whether addr is a contract account.
-func (db *DB) IsContract(addr types.Address) bool {
-	acc, ok := db.accounts[addr]
-	return ok && acc.contract
-}
+func (db *DB) IsContract(addr types.Address) bool { return db.accounts[addr].contract }
 
 // GetState reads a storage word of a contract.
 func (db *DB) GetState(addr types.Address, slot types.Hash) types.Hash {
-	if s, ok := db.storage[addr]; ok {
-		return s[slot]
-	}
-	return types.Hash{}
+	return db.storage[addr][slot]
 }
 
-// SetState writes a storage word and returns the previous value (used for
-// SSTORE gas pricing). As in Ethereum, a zero word is an absent slot:
-// storing zero deletes the key, and a contract whose last word is
-// deleted holds no storage, so the stored keys depend on the values
-// alone and not on the history that reached them.
-func (db *DB) SetState(addr types.Address, slot types.Hash, value types.Hash) types.Hash {
-	prev := db.storage[addr][slot]
-	if value == (types.Hash{}) && prev == (types.Hash{}) {
-		return prev
-	}
-	db.journal = append(db.journal, dbChange{kind: chSlot, addr: addr, slot: slot, prev: prev})
-	db.putWord(addr, slot, value)
-	return prev
-}
-
-// putWord stores value at (addr, slot), deleting the key for a zero word
-// and the contract's storage with its last key.
+// putWord stores value at (addr, slot). As in Ethereum, a zero word is an
+// absent slot: storing zero deletes the key, and a contract whose last
+// word is deleted holds no storage, so the stored keys depend on the
+// values alone and not on the history that reached them.
 func (db *DB) putWord(addr types.Address, slot types.Hash, value types.Hash) {
 	s, ok := db.storage[addr]
 	if value == (types.Hash{}) {
@@ -263,6 +172,15 @@ func (db *DB) putWord(addr types.Address, slot types.Hash, value types.Hash) {
 	s[slot] = value
 }
 
+// putAcct installs an account record, deleting an absent one.
+func (db *DB) putAcct(addr types.Address, a acctVal) {
+	if a.exists {
+		db.accounts[addr] = a
+	} else {
+		delete(db.accounts, addr)
+	}
+}
+
 // StorageWords returns the number of distinct storage words a contract
 // occupies (used to size the one-time-token bitmap cost in Table IV).
 func (db *DB) StorageWords(addr types.Address) int {
@@ -270,10 +188,10 @@ func (db *DB) StorageWords(addr types.Address) int {
 }
 
 // Snapshot returns an identifier that can later be passed to
-// RevertToSnapshot to roll back every mutation made since.
+// RevertToSnapshot to roll back every write-set applied since.
 func (db *DB) Snapshot() int { return len(db.journal) }
 
-// RevertToSnapshot undoes all mutations recorded after the snapshot was
+// RevertToSnapshot undoes every write-set applied after the snapshot was
 // taken. Reverting to a stale (already reverted) snapshot is a no-op.
 func (db *DB) RevertToSnapshot(id int) {
 	if id < 0 || id > len(db.journal) {
@@ -281,47 +199,39 @@ func (db *DB) RevertToSnapshot(id int) {
 	}
 	for i := len(db.journal) - 1; i >= id; i-- {
 		c := &db.journal[i]
-		switch c.kind {
-		case chCreate:
-			delete(db.accounts, c.addr)
-		case chBalance:
-			db.accounts[c.addr].balance = weiOfWord(c.prev)
-		case chNonce:
-			db.accounts[c.addr].nonce = c.nonce
-		case chContract:
-			db.accounts[c.addr].contract = c.contract
-		case chAccount:
-			*db.accounts[c.addr] = account{balance: weiOfWord(c.prev), nonce: c.nonce, contract: c.contract}
-		case chSlot:
-			db.putWord(c.addr, c.slot, c.prev)
+		if c.isSlot {
+			db.putWord(c.addr, c.slot, c.word)
+		} else {
+			db.putAcct(c.addr, c.acct())
 		}
 	}
 	db.journal = db.journal[:id]
 }
 
-// DiscardJournal drops undo history up to the current point (e.g., at block
-// boundaries once a block is final). Snapshots taken earlier become stale.
-func (db *DB) DiscardJournal() { db.journal = db.journal[:0] }
-
-// ApplyWrites installs the net write-set of a validated optimistic
-// execution. Each mutation is journaled, so snapshots taken before the
-// call roll the write-set back exactly like individually applied
-// mutations would.
+// ApplyWrites installs the net write-set of an execution on a view of
+// db: the only way execution results reach the committed state. It
+// journals each location's previous value, so a snapshot taken before
+// the call rolls the write-set back.
 func (db *DB) ApplyWrites(ws WriteSet) {
 	for i := range ws.v.accts {
 		r := &ws.v.accts[i]
 		if !r.written() {
 			continue
 		}
-		acc := db.account(r.addr)
-		db.journal = append(db.journal, dbChange{kind: chAccount, addr: r.addr,
-			prev: acc.balance.word(), nonce: acc.nonce, contract: acc.contract})
-		*acc = account{balance: r.cur.balance, nonce: r.cur.nonce, contract: r.cur.contract}
+		db.journal = append(db.journal, dbChange{change: acctChange(0, db.accounts[r.addr]), addr: r.addr})
+		db.putAcct(r.addr, r.cur)
 	}
 	for i := range ws.v.slots {
-		if r := &ws.v.slots[i]; r.written() {
-			db.SetState(r.key.Addr, r.key.Slot, r.cur)
+		r := &ws.v.slots[i]
+		if !r.written() {
+			continue
 		}
+		prev := db.GetState(r.key.Addr, r.key.Slot)
+		if prev == r.cur {
+			continue
+		}
+		db.journal = append(db.journal, dbChange{change: slotChange(0, prev), addr: r.key.Addr, slot: r.key.Slot})
+		db.putWord(r.key.Addr, r.key.Slot, r.cur)
 	}
 }
 

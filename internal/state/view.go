@@ -1,14 +1,15 @@
-// Per-transaction views for optimistic-parallel execution.
+// Per-transaction views: the one place execution mutates state.
 //
-// A View gives one transaction execution an isolated, journaled window
-// onto a committed *DB: the first access to a location loads it from the
-// DB into a record, and every later read and write goes to that record.
+// A View gives one execution an isolated, journaled window onto a
+// committed *DB: the first access to a location loads it from the DB
+// into a record, and every later read and write goes to that record.
 // The locations a view loaded are its read-set. The records whose final
 // value differs from the loaded one are its write-set (Writes), which
-// DB.ApplyWrites installs once the transaction's position is final.
-// Whether an execution saw the values serial execution would have is a
-// set intersection: it did unless it loaded a location that a lower
-// transaction of the batch wrote (View.Meets).
+// DB.ApplyWrites installs once the execution's position is final. Serial
+// and optimistic execution, a deployment and a faucet credit all commit
+// this way. Whether a speculative execution saw the values serial
+// execution would have is a set intersection: it did unless it loaded a
+// location that a lower transaction of the batch wrote (View.Meets).
 //
 // Locations are tracked at two granularities, matching the DB:
 //   - one record per account (existence, balance, nonce, contract flag) —
@@ -36,14 +37,6 @@ type SlotKey struct {
 	Slot types.Hash
 }
 
-// acctVal is the value of one account record.
-type acctVal struct {
-	balance  Wei
-	nonce    uint64
-	exists   bool
-	contract bool
-}
-
 // acctRec is a view's record of one account: its current value and the
 // value it was loaded with.
 type acctRec struct {
@@ -61,17 +54,6 @@ type slotRec struct {
 
 func (r *slotRec) written() bool { return r.cur != r.orig }
 
-// viewChange is one entry of a view's undo journal: the kind of mutation,
-// the index of the record it hit, and the value before it.
-type viewChange struct {
-	kind  changeKind
-	idx   int32
-	nonce uint64 // chNonce
-	// prev is the previous balance as a word (chBalance), or the
-	// previous storage word (chSlot).
-	prev types.Hash
-}
-
 // Records and journal entries a View holds before its slices first
 // grow; a view past indexAbove records of a kind looks them up through
 // a map instead of a scan.
@@ -82,17 +64,16 @@ const (
 	indexAbove    = 32
 )
 
-// View gives one transaction execution an isolated, journaled window onto
-// a committed *DB. It implements the same mutation surface as *DB (the
-// subset transaction execution uses) so the EVM layer can run unchanged
-// against either. Its records are every location it loaded: they are its
-// read-set. A View is not safe for concurrent use; each scheduler worker
-// owns the views it creates.
+// View gives one execution an isolated, journaled window onto a
+// committed *DB. It carries the whole mutation surface transaction
+// execution uses; the DB has none of it. Its records are every location
+// it loaded: they are its read-set. A View is not safe for concurrent
+// use; each scheduler worker owns the views it creates.
 type View struct {
 	base    *DB
 	accts   []acctRec
 	slots   []slotRec
-	journal []viewChange
+	journal []change
 
 	// Built only once a view holds more than indexAbove records of a
 	// kind, so that a transaction touching thousands of locations does
@@ -102,7 +83,7 @@ type View struct {
 
 	acctBuf    [inlineAccts]acctRec
 	slotBuf    [inlineSlots]slotRec
-	journalBuf [inlineJournal]viewChange
+	journalBuf [inlineJournal]change
 }
 
 // NewView creates a fresh view over base. Each execution must use a new
@@ -128,7 +109,7 @@ func (v *View) acct(addr types.Address) int32 {
 			}
 		}
 	}
-	val := v.base.peek(addr)
+	val := v.base.accounts[addr]
 	i := int32(len(v.accts))
 	v.accts = append(v.accts, acctRec{addr: addr, cur: val, orig: val})
 	switch {
@@ -180,28 +161,25 @@ func (v *View) BalanceWei(addr types.Address) Wei { return v.accts[v.acct(addr)]
 // Balance returns a copy of the account balance (zero for fresh accounts).
 func (v *View) Balance(addr types.Address) *big.Int { return v.BalanceWei(addr).Big() }
 
-// touch marks record i as existing, mirroring DB.account's
-// create-on-access journal entry.
-func (v *View) touch(i int32) {
-	if v.accts[i].cur.exists {
-		return
-	}
-	v.journal = append(v.journal, viewChange{kind: chCreate, idx: i})
-	v.accts[i].cur.exists = true
+// setAcct journals record i's current value and replaces it with val,
+// which exists: every account mutation creates the account.
+func (v *View) setAcct(i int32, val acctVal) {
+	r := &v.accts[i]
+	v.journal = append(v.journal, acctChange(i, r.cur))
+	val.exists = true
+	r.cur = val
 }
 
 // AddWei credits amount to addr, touching the account even when amount is
 // zero.
 func (v *View) AddWei(addr types.Address, amount Wei) {
 	i := v.acct(addr)
-	v.touch(i)
-	if amount.IsZero() {
+	cur := v.accts[i].cur
+	if amount.IsZero() && cur.exists {
 		return
 	}
-	r := &v.accts[i]
-	sum := credited(addr, r.cur.balance, amount)
-	v.journal = append(v.journal, viewChange{kind: chBalance, idx: i, prev: r.cur.balance.word()})
-	r.cur.balance = sum
+	cur.balance = credited(addr, cur.balance, amount)
+	v.setAcct(i, cur)
 }
 
 // AddBalance credits amount to addr.
@@ -216,13 +194,12 @@ func (v *View) SubWei(addr types.Address, amount Wei) error {
 		return nil
 	}
 	i := v.acct(addr)
-	bal := v.accts[i].cur.balance
-	if bal.Cmp(amount) < 0 {
-		return insufficient(addr, bal, amount)
+	cur := v.accts[i].cur
+	if cur.balance.Cmp(amount) < 0 {
+		return insufficient(addr, cur.balance, amount)
 	}
-	v.touch(i)
-	v.journal = append(v.journal, viewChange{kind: chBalance, idx: i, prev: bal.word()})
-	v.accts[i].cur.balance = bal.Sub(amount)
+	cur.balance = cur.balance.Sub(amount)
+	v.setAcct(i, cur)
 	return nil
 }
 
@@ -242,10 +219,17 @@ func (v *View) Nonce(addr types.Address) uint64 { return v.accts[v.acct(addr)].c
 // IncNonce increments the account nonce.
 func (v *View) IncNonce(addr types.Address) {
 	i := v.acct(addr)
-	v.touch(i)
-	r := &v.accts[i]
-	v.journal = append(v.journal, viewChange{kind: chNonce, idx: i, nonce: r.cur.nonce})
-	r.cur.nonce++
+	cur := v.accts[i].cur
+	cur.nonce++
+	v.setAcct(i, cur)
+}
+
+// MarkContract flags addr as a contract account.
+func (v *View) MarkContract(addr types.Address) {
+	i := v.acct(addr)
+	cur := v.accts[i].cur
+	cur.contract = true
+	v.setAcct(i, cur)
 }
 
 // IsContract reports whether addr is a contract account.
@@ -261,7 +245,7 @@ func (v *View) SetState(addr types.Address, slot types.Hash, value types.Hash) t
 	i := v.slot(SlotKey{Addr: addr, Slot: slot})
 	r := &v.slots[i]
 	prev := r.cur
-	v.journal = append(v.journal, viewChange{kind: chSlot, idx: i, prev: prev})
+	v.journal = append(v.journal, slotChange(i, prev))
 	r.cur = value
 	return prev
 }
@@ -280,15 +264,10 @@ func (v *View) RevertToSnapshot(id int) {
 	}
 	for i := len(v.journal) - 1; i >= id; i-- {
 		c := &v.journal[i]
-		switch c.kind {
-		case chCreate:
-			v.accts[c.idx].cur.exists = false
-		case chBalance:
-			v.accts[c.idx].cur.balance = weiOfWord(c.prev)
-		case chNonce:
-			v.accts[c.idx].cur.nonce = c.nonce
-		case chSlot:
-			v.slots[c.idx].cur = c.prev
+		if c.isSlot {
+			v.slots[c.idx].cur = c.word
+		} else {
+			v.accts[c.idx].cur = c.acct()
 		}
 	}
 	v.journal = v.journal[:id]

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"errors"
 	"math/big"
 	"testing"
 
@@ -39,9 +38,11 @@ func writeSet(ws WriteSet) (map[types.Address]acctVal, map[SlotKey]types.Hash) {
 func TestViewReadsFallThroughToBase(t *testing.T) {
 	base := New()
 	a := addr(1)
-	base.AddBalance(a, big.NewInt(100))
-	base.IncNonce(a)
-	base.SetState(a, slot(0), slot(9))
+	commit(base, func(v *View) {
+		v.AddBalance(a, big.NewInt(100))
+		v.IncNonce(a)
+		v.SetState(a, slot(0), slot(9))
+	})
 
 	v := NewView(base)
 	if got := v.Balance(a); got.Cmp(big.NewInt(100)) != 0 {
@@ -73,7 +74,7 @@ func TestViewReadsFallThroughToBase(t *testing.T) {
 func TestConflictIsReadWriteIntersection(t *testing.T) {
 	base := New()
 	hot, cold, restored := addr(7), addr(8), addr(9)
-	base.AddBalance(hot, big.NewInt(50))
+	commit(base, func(v *View) { v.AddBalance(hot, big.NewInt(50)) })
 
 	// A lower transaction credits hot and writes restored's slot back to
 	// its original value.
@@ -105,7 +106,7 @@ func TestConflictIsReadWriteIntersection(t *testing.T) {
 func TestViewNetWritesSkipRevertedAndRestoredValues(t *testing.T) {
 	base := New()
 	a, b := addr(1), addr(2)
-	base.AddBalance(a, big.NewInt(100))
+	commit(base, func(v *View) { v.AddBalance(a, big.NewInt(100)) })
 
 	v := NewView(base)
 	// A write fully undone by a revert leaves no net entry.
@@ -134,29 +135,10 @@ func TestViewNetWritesSkipRevertedAndRestoredValues(t *testing.T) {
 	}
 }
 
-func TestViewSubBalanceMatchesDBError(t *testing.T) {
-	base := New()
-	a := addr(9)
-	base.AddBalance(a, big.NewInt(3))
-	v := NewView(base)
-
-	verr := v.SubBalance(a, big.NewInt(10))
-	derr := base.SubBalance(a, big.NewInt(10))
-	if verr == nil || derr == nil {
-		t.Fatal("expected insufficient-balance errors")
-	}
-	if !errors.Is(verr, ErrInsufficientBalance) {
-		t.Error("view error does not wrap ErrInsufficientBalance")
-	}
-	if verr.Error() != derr.Error() {
-		t.Errorf("error text diverges:\nview: %s\ndb:   %s", verr, derr)
-	}
-}
-
 func TestApplyWritesRoundTripsThroughDB(t *testing.T) {
 	base := New()
 	a := addr(5)
-	base.AddBalance(a, big.NewInt(100))
+	commit(base, func(v *View) { v.AddBalance(a, big.NewInt(100)) })
 
 	v := NewView(base)
 	if err := v.SubBalance(a, big.NewInt(25)); err != nil {
@@ -166,7 +148,6 @@ func TestApplyWritesRoundTripsThroughDB(t *testing.T) {
 	v.SetState(a, slot(3), slot(1))
 
 	base.ApplyWrites(v.Writes())
-	base.DiscardJournal()
 	if got := base.Balance(a); got.Cmp(big.NewInt(75)) != 0 {
 		t.Errorf("balance = %s, want 75", got)
 	}
@@ -181,7 +162,7 @@ func TestApplyWritesRoundTripsThroughDB(t *testing.T) {
 func TestApplyWritesIsJournaled(t *testing.T) {
 	base := New()
 	a := addr(6)
-	base.AddBalance(a, big.NewInt(10))
+	commit(base, func(v *View) { v.AddBalance(a, big.NewInt(10)) })
 
 	v := NewView(base)
 	v.AddBalance(a, big.NewInt(5))
@@ -211,7 +192,7 @@ func TestDigestTracksStateChanges(t *testing.T) {
 	if d1a != d2a {
 		t.Error("empty DBs digest differently")
 	}
-	db1.AddBalance(addr(1), big.NewInt(1))
+	commit(db1, func(v *View) { v.AddBalance(addr(1), big.NewInt(1)) })
 	d1b, err := db1.Digest()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +200,7 @@ func TestDigestTracksStateChanges(t *testing.T) {
 	if d1b == d1a {
 		t.Error("digest did not change with state")
 	}
-	db2.AddBalance(addr(1), big.NewInt(1))
+	commit(db2, func(v *View) { v.AddBalance(addr(1), big.NewInt(1)) })
 	d2b, err := db2.Digest()
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +216,11 @@ func TestDigestTracksStateChanges(t *testing.T) {
 func TestViewAllocations(t *testing.T) {
 	base := New()
 	sender, contract := addr(1), addr(2)
-	base.AddBalance(sender, big.NewInt(1e18))
-	base.MarkContract(contract)
-	base.SetState(contract, slot(0), slot(7))
+	commit(base, func(v *View) {
+		v.AddBalance(sender, big.NewInt(1e18))
+		v.MarkContract(contract)
+		v.SetState(contract, slot(0), slot(7))
+	})
 	fee, value := big.NewInt(21000), big.NewInt(5)
 	written := NewWritten()
 	run := func() *View {

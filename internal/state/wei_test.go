@@ -86,61 +86,54 @@ func mustPanic(t *testing.T, label, want string, f func()) {
 	f()
 }
 
-// A balance holds at most 2^256-1: a credit past it panics on a DB and
-// on a View and leaves the balance as it was, and a debit wider than 256
-// bits is an ordinary insufficient balance with the same text on both.
+// A balance holds at most 2^256-1: a credit past it panics and leaves
+// the balance as it was, and a debit wider than 256 bits is an ordinary
+// insufficient balance.
 func TestBalanceOverflow(t *testing.T) {
 	max := new(big.Int).Sub(two256, big.NewInt(1))
 	db := New()
-	db.AddBalance(addrA, max)
+	commit(db, func(v *View) { v.AddBalance(addrA, max) })
 	v := NewView(db)
-	for _, s := range []struct {
-		name    string
-		add     func(*big.Int)
-		balance func() *big.Int
-		sub     func(*big.Int) error
-	}{
-		{"db", func(x *big.Int) { db.AddBalance(addrA, x) }, func() *big.Int { return db.Balance(addrA) },
-			func(x *big.Int) error { return db.SubBalance(addrA, x) }},
-		{"view", func(x *big.Int) { v.AddBalance(addrA, x) }, func() *big.Int { return v.Balance(addrA) },
-			func(x *big.Int) error { return v.SubBalance(addrA, x) }},
-	} {
-		mustPanic(t, s.name+" credit past 2^256-1", "overflows 256 bits", func() { s.add(big.NewInt(1)) })
-		mustPanic(t, s.name+" credit of 2^256", "not a 256-bit amount", func() { s.add(two256) })
-		mustPanic(t, s.name+" negative credit", "not a 256-bit amount", func() { s.add(big.NewInt(-1)) })
-		if got := s.balance(); got.Cmp(max) != 0 {
-			t.Errorf("%s: balance after the failed credits = %s, want 2^256-1", s.name, got)
-		}
-		err := s.sub(two256)
-		if !errors.Is(err, ErrInsufficientBalance) {
-			t.Fatalf("%s: debit of 2^256 = %v", s.name, err)
-		}
-		want := "state: insufficient balance: " + addrA.String() + " has " + max.String() + ", needs " + two256.String()
-		if err.Error() != want {
-			t.Errorf("%s: error text\n got %s\nwant %s", s.name, err, want)
-		}
-		mustPanic(t, s.name+" negative debit", "negative", func() { _ = s.sub(big.NewInt(-1)) })
+	mustPanic(t, "credit past 2^256-1", "overflows 256 bits", func() { v.AddBalance(addrA, big.NewInt(1)) })
+	mustPanic(t, "credit of 2^256", "not a 256-bit amount", func() { v.AddBalance(addrA, two256) })
+	mustPanic(t, "negative credit", "not a 256-bit amount", func() { v.AddBalance(addrA, big.NewInt(-1)) })
+	if got := v.Balance(addrA); got.Cmp(max) != 0 {
+		t.Errorf("balance after the failed credits = %s, want 2^256-1", got)
 	}
-	if err := db.SubBalance(addrA, max); err != nil || db.Balance(addrA).Sign() != 0 {
-		t.Errorf("debit of the whole balance: %v, left %s", err, db.Balance(addrA))
+	err := v.SubBalance(addrA, two256)
+	if !errors.Is(err, ErrInsufficientBalance) {
+		t.Fatalf("debit of 2^256 = %v", err)
+	}
+	want := "state: insufficient balance: " + addrA.String() + " has " + max.String() + ", needs " + two256.String()
+	if err.Error() != want {
+		t.Errorf("error text\n got %s\nwant %s", err, want)
+	}
+	mustPanic(t, "negative debit", "negative", func() { _ = v.SubBalance(addrA, big.NewInt(-1)) })
+	if wa, ws := writeSet(v.Writes()); len(wa)+len(ws) != 0 {
+		t.Errorf("failed credits and debits wrote %d accounts and %d slots", len(wa), len(ws))
+	}
+	if err := v.SubBalance(addrA, max); err != nil {
+		t.Fatalf("debit of the whole balance: %v", err)
+	}
+	db.ApplyWrites(v.Writes())
+	if got := db.Balance(addrA); got.Sign() != 0 {
+		t.Errorf("debit of the whole balance left %s", got)
 	}
 }
 
-// A failed debit touches nothing, on a DB as on a View: a fresh account
-// stays absent.
+// A failed debit touches nothing: a fresh account stays absent in the
+// view and in the DB it commits to.
 func TestFailedDebitCreatesNoAccount(t *testing.T) {
 	db := New()
-	if err := db.SubBalance(addrB, big.NewInt(1)); !errors.Is(err, ErrInsufficientBalance) {
-		t.Fatalf("debit of a fresh account = %v", err)
-	}
+	commit(db, func(v *View) {
+		if err := v.SubBalance(addrB, big.NewInt(1)); !errors.Is(err, ErrInsufficientBalance) {
+			t.Fatalf("debit of a fresh account = %v", err)
+		}
+		if v.Exists(addrB) {
+			t.Error("failed debit created the account in the view")
+		}
+	})
 	if db.Exists(addrB) {
 		t.Error("failed debit created the account in the DB")
-	}
-	v := NewView(db)
-	if err := v.SubBalance(addrB, big.NewInt(1)); !errors.Is(err, ErrInsufficientBalance) {
-		t.Fatalf("view debit of a fresh account = %v", err)
-	}
-	if v.Exists(addrB) {
-		t.Error("failed debit created the account in the view")
 	}
 }

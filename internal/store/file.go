@@ -17,7 +17,7 @@ import (
 type FileOptions struct {
 	// Metrics selects the registry the backend's WAL series
 	// (store_wal_appends_total, store_wal_fsync_total, …) are registered
-	// in (nil = metrics.Default()).
+	// in (nil = a private registry nothing scrapes).
 	Metrics *metrics.Registry
 }
 

@@ -15,8 +15,7 @@ const (
 )
 
 // fileMetrics holds the file backend's instrumentation handles. Backends
-// sharing a registry (several stores on metrics.Default) aggregate into
-// the same series.
+// sharing a registry aggregate into the same series.
 type fileMetrics struct {
 	appends       *metrics.Counter
 	bytes         *metrics.Counter

@@ -33,7 +33,8 @@ type Config struct {
 	// crash is recovered at the next boot instead of silently burning
 	// the ranges. Nil = volatile handoff.
 	Reclaims *store.Counter
-	// Registry receives the ts_membership_epoch gauge (nil = default).
+	// Registry receives the ts_membership_epoch gauge (nil = a private
+	// registry nothing scrapes).
 	Registry *metrics.Registry
 	// OwnerToken, when set, is sent as a Bearer token on member calls to
 	// other frontends (whose /v1/membership routes sit behind the same

@@ -48,8 +48,8 @@ type Options struct {
 	// Client overrides the HTTP client (nil = a pooled default from
 	// rpc.NewHTTPClient).
 	Client *http.Client
-	// Metrics receives coordinator counters (nil = the process default
-	// registry).
+	// Metrics receives coordinator counters (nil = a private registry
+	// nothing scrapes).
 	Metrics *metrics.Registry
 }
 

@@ -97,9 +97,9 @@ type Config struct {
 	RequireProof bool
 	// Metrics selects the registry the service's instrumentation series
 	// (ts_tokens_issued_total, ts_issue_seconds, …) are registered in
-	// (nil = metrics.Default()). Services sharing a registry aggregate
-	// into the same series; per-instance totals remain available via
-	// Stats.
+	// (nil = a private registry nothing scrapes). Services sharing a
+	// registry aggregate into the same series; per-instance totals
+	// remain available via Stats.
 	Metrics *metrics.Registry
 }
 

@@ -61,7 +61,7 @@ type Config struct {
 	OwnerToken string
 
 	// Registry receives the store, coordinator and membership series
-	// (nil = the process default).
+	// (nil = a private registry nothing scrapes).
 	Registry *metrics.Registry
 }
 

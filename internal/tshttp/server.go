@@ -40,7 +40,7 @@ type Server struct {
 // ServerOptions tunes the HTTP frontend's observability surface.
 type ServerOptions struct {
 	// Registry is where the server's HTTP series live and what GET
-	// /metrics renders (nil = metrics.Default()). Pass the same registry
+	// /metrics renders (nil = a private one). Pass the same registry
 	// the wrapped ts.Service was configured with so one scrape covers
 	// issuance and transport.
 	Registry *metrics.Registry
