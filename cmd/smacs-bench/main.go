@@ -6,28 +6,22 @@
 //
 // Usage:
 //
-//	smacs-bench -all             # everything (Fig. 9 up to 10^5 requests)
-//	smacs-bench -all -smoke      # everything, smaller workloads
+//	smacs-bench                  # every table and figure (Fig. 9 up to 10^5 requests)
+//	smacs-bench -smoke           # every table and figure, smaller workloads
 //	smacs-bench -table 2         # Tab. II only (also: 3, 4)
 //	smacs-bench -figure 8        # Fig. 8 only (also: 9)
 //	smacs-bench -tools           # § VI-B runtime-verification throughput
 //	smacs-bench -baseline        # E7 on-chain whitelist baseline
 //	smacs-bench -missrate        # § IV-C bitmap-size vs miss-rate tradeoff
 //	smacs-bench -mode e2e        # end-to-end scenarios (HTTP TS → clients → chain)
-//	smacs-bench -mode e2e -scenario adversarial -smoke
-//	smacs-bench -mode e2e -scenario durable -smoke       # crash + WAL recovery mid-run
-//	smacs-bench -mode e2e -smoke -envelope out/e2e-envelope.json   # CI gate
-//	smacs-bench -mode e2e -smoke -csv out/e2e.csv -trace out/trace.json
+//	smacs-bench -mode e2e -scenario adversarial
+//	smacs-bench -mode e2e -scenario durable              # crash + WAL recovery mid-run
+//	smacs-bench -mode e2e -envelope out/e2e-envelope.json   # CI gate
 //
 // Flag combinations are validated up front: an unknown -mode or
-// -scenario entry, an e2e-only flag outside -mode e2e, or a table or
-// figure flag under it, exits with status 2 and a usage message instead
-// of being silently ignored.
-//
-// Interrupting an e2e run (SIGINT/SIGTERM) flushes every completed
-// scenario row as a valid partial table/JSON — and partial CSV when -csv
-// is set — before exiting with status 130, so a long run never discards
-// finished scenarios.
+// -scenario entry, an e2e-only flag outside -mode e2e, or a paper flag
+// (a table or figure selection, or -smoke) under it, exits with status 2
+// and a usage message instead of being silently ignored.
 package main
 
 import (
@@ -35,14 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
-	"sync"
-	"syscall"
 
 	"repro/internal/bench"
-	"repro/internal/metrics"
 )
 
 // The flags are package-level so the test binary registers them too:
@@ -53,8 +43,7 @@ var (
 	tools    = flag.Bool("tools", false, "regenerate the § VI-B tool measurements")
 	baseline = flag.Bool("baseline", false, "run the on-chain whitelist baseline (E7)")
 	missrate = flag.Bool("missrate", false, "run the § IV-C bitmap-size vs miss-rate tradeoff")
-	all      = flag.Bool("all", false, "regenerate everything")
-	smoke    = flag.Bool("smoke", false, "small sizing: Fig. 9 to 10^3 and baseline to 1000, or under -mode e2e the deterministic scale the CI envelope pins")
+	smoke    = flag.Bool("smoke", false, "small sizing of the paper's workloads: Fig. 9 to 10^3 requests, baseline to 1000 entries")
 	asJSON   = flag.Bool("json", false, "emit machine-readable JSON instead of the paper-layout tables")
 
 	mode          = flag.String("mode", "", `"e2e" runs the end-to-end scenario harness (default: the paper's tables and figures)`)
@@ -62,8 +51,6 @@ var (
 	envelopePath  = flag.String("envelope", "", "e2e: compare correctness counts against this envelope JSON and fail on drift")
 	writeEnvelope = flag.String("write-envelope", "", "e2e: write the run's correctness counts as an envelope JSON to this path")
 	dirPath       = flag.String("dir", "", "e2e: directory for the scenarios' stores, one subdirectory per scenario: the durable scenario's WALs and snapshots, the replica WALs of quorum-backed scenarios (empty: a temp dir)")
-	csvPath       = flag.String("csv", "", "e2e: also write the scenario rows as CSV to this path")
-	tracePath     = flag.String("trace", "", "e2e: write sampled per-operation stage traces (token round-trip → batch → commit) as JSON to this path")
 )
 
 func main() {
@@ -77,45 +64,27 @@ func main() {
 		os.Exit(2)
 	}
 
+	var err error
 	if *mode == "e2e" {
-		// A SIGINT (or SIGTERM) mid-run flushes every completed row as a
-		// valid partial table/JSON/CSV before exiting, instead of
-		// discarding minutes of finished scenarios.
-		flusher := &partialFlusher{csvPath: *csvPath, asJSON: *asJSON}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			flusher.flush()
-			os.Exit(130)
-		}()
-
-		if err := runE2E(*scenario, *smoke, *envelopePath, *writeEnvelope,
-			*dirPath, *csvPath, *tracePath, *asJSON, flusher); err != nil {
-			fmt.Fprintln(os.Stderr, "smacs-bench:", err)
-			os.Exit(1)
-		}
-		return
+		err = runE2E(*scenario, *envelopePath, *writeEnvelope, *dirPath, *asJSON)
+	} else {
+		err = run(*table, *figure, *tools, *baseline, *missrate, *smoke, *asJSON)
 	}
-
-	if !*all && *table == 0 && *figure == 0 && !*tools && !*baseline && !*missrate {
-		*all = true
-	}
-	if err := run(*table, *figure, *tools, *baseline, *missrate, *all, *smoke, *asJSON); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// The flags only one of the two jobs reads; -smoke and -json serve both.
+// The flags only one of the two jobs reads; -json serves both.
 var (
-	e2eOnly   = []string{"scenario", "envelope", "write-envelope", "dir", "csv", "trace"}
-	paperOnly = []string{"table", "figure", "tools", "baseline", "missrate", "all"}
+	e2eOnly   = []string{"scenario", "envelope", "write-envelope", "dir"}
+	paperOnly = []string{"table", "figure", "tools", "baseline", "missrate", "smoke"}
 )
 
 // validateSelection rejects inconsistent flag combinations before any
 // measurement runs: an unknown -mode or -scenario entry, an e2e-only
-// flag outside -mode e2e, and a table or figure flag under it. set names
+// flag outside -mode e2e, and a paper flag under it. set names
 // the flags given on the command line. Catching these up front means a
 // typo exits with a usage message instead of being silently ignored.
 func validateSelection(mode, scenario string, set []string) error {
@@ -129,7 +98,7 @@ func validateSelection(mode, scenario string, set []string) error {
 		case mode != "e2e" && slices.Contains(e2eOnly, name):
 			return fmt.Errorf("-%s requires -mode e2e", name)
 		case mode == "e2e" && slices.Contains(paperOnly, name):
-			return fmt.Errorf("-%s selects a paper table or figure and does not apply to -mode e2e", name)
+			return fmt.Errorf("-%s applies only to the paper's tables and figures, not to -mode e2e", name)
 		}
 	}
 	if mode != "e2e" {
@@ -157,97 +126,19 @@ func splitList(list string) []string {
 	return out
 }
 
-// partialFlusher holds a snapshot of the completed scenario rows so the
-// signal handler can emit a valid partial result — table or JSON, plus
-// the -csv file — when the process is interrupted mid-run. runE2E updates
-// it from E2EConfig.OnRow; set copies nothing (each snapshot is freshly
-// built by the caller), it only swaps the pointer under the mutex the
-// handler reads through.
-type partialFlusher struct {
-	mu      sync.Mutex
-	res     *bench.E2EResult
-	csvPath string
-	asJSON  bool
-}
-
-func (p *partialFlusher) set(res *bench.E2EResult) {
-	p.mu.Lock()
-	p.res = res
-	p.mu.Unlock()
-}
-
-func (p *partialFlusher) flush() {
-	p.mu.Lock()
-	res := p.res
-	p.mu.Unlock()
-	if res == nil {
-		fmt.Fprintln(os.Stderr, "smacs-bench: interrupted before any scenario row completed")
-		return
-	}
-	fmt.Fprintln(os.Stderr, "smacs-bench: interrupted; flushing completed rows")
-	if err := emitE2E(res, p.csvPath, p.asJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "smacs-bench:", err)
-	}
-}
-
-// emitE2E prints a run (table or JSON) and optionally writes its CSV.
-func emitE2E(res *bench.E2EResult, csvPath string, asJSON bool) error {
-	if asJSON {
-		enc, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(enc))
-	} else {
-		fmt.Println(res.Format())
-	}
-	if csvPath != "" {
-		if err := os.WriteFile(csvPath, []byte(res.CSV()), 0o644); err != nil {
-			return fmt.Errorf("write CSV: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", csvPath)
-	}
-	return nil
-}
-
 // runE2E drives the end-to-end scenario harness and, when asked, writes
 // or checks the correctness-count envelope. An envelope mismatch is an
 // error, so CI fails the build on functional drift in the full pipeline.
-func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir, csvPath, tracePath string, asJSON bool, flusher *partialFlusher) error {
+func runE2E(scenario, envelopePath, writeEnvelope, dir string, asJSON bool) error {
 	if scenario == "all" {
 		scenario = ""
 	}
-	cfg := bench.E2EConfig{
-		Scenarios: splitList(scenario),
-		Smoke:     smoke,
-		Dir:       dir,
-	}
-	var tracer *metrics.Tracer
-	if tracePath != "" {
-		tracer = metrics.NewTracer(0)
-		cfg.Tracer = tracer
-	}
-	var rows []bench.E2ERow
-	cfg.OnRow = func(r bench.E2ERow) {
-		rows = append(rows, r)
-		flusher.set(&bench.E2EResult{Config: cfg, Rows: append([]bench.E2ERow(nil), rows...)})
-	}
-	res, err := bench.E2E(cfg)
+	res, err := bench.E2E(bench.E2EConfig{Scenarios: splitList(scenario), Dir: dir})
 	if err != nil {
 		return err
 	}
-	if err := emitE2E(res, csvPath, asJSON); err != nil {
+	if err := emit(res, asJSON); err != nil {
 		return err
-	}
-	if tracePath != "" {
-		dump, err := tracer.DumpJSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(tracePath, append(dump, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", tracePath, "(", tracer.Len(), "traces )")
 	}
 	if writeEnvelope != "" {
 		enc, err := json.MarshalIndent(res.Envelope(), "", "  ")
@@ -276,7 +167,10 @@ func runE2E(scenario string, smoke bool, envelopePath, writeEnvelope, dir, csvPa
 	return nil
 }
 
-func run(table, figure int, tools, baseline, missrate, all, smoke, asJSON bool) error {
+// run regenerates the selected paper tables and figures; an empty
+// selection runs every one of them.
+func run(table, figure int, tools, baseline, missrate, smoke, asJSON bool) error {
+	all := table == 0 && figure == 0 && !tools && !baseline && !missrate
 	type job struct {
 		enabled bool
 		run     func() (interface{ Format() string }, error)
@@ -312,19 +206,27 @@ func run(table, figure int, tools, baseline, missrate, all, smoke, asJSON bool) 
 		if err != nil {
 			return err
 		}
-		if asJSON {
-			enc, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(enc))
-		} else {
-			fmt.Println(res.Format())
+		if err := emit(res, asJSON); err != nil {
+			return err
 		}
 		ran = true
 	}
 	if !ran {
 		return fmt.Errorf("nothing selected: table=%d figure=%d", table, figure)
 	}
+	return nil
+}
+
+// emit prints one result, as JSON or in its paper layout.
+func emit(res interface{ Format() string }, asJSON bool) error {
+	if !asJSON {
+		fmt.Println(res.Format())
+		return nil
+	}
+	enc, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(enc))
 	return nil
 }

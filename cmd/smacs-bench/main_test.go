@@ -7,18 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/doccheck"
 )
 
 // TestMain lets this test binary impersonate the smacs-bench CLI: when
 // SMACS_BENCH_BE_MAIN is set, it rewrites os.Args from SMACS_BENCH_ARGS
 // and runs main() instead of the tests. The tests below re-exec
-// themselves through this hook, so the real signal handler and exit
-// statuses are exercised in a real child process without a separate go
-// build step.
+// themselves through this hook, so the real exit statuses are exercised
+// in a real child process without a separate go build step.
 func TestMain(m *testing.M) {
 	if os.Getenv("SMACS_BENCH_BE_MAIN") == "1" {
 		os.Args = append([]string{"smacs-bench"}, strings.Fields(os.Getenv("SMACS_BENCH_ARGS"))...)
@@ -50,91 +47,10 @@ func runMain(t *testing.T, args string) (int, string) {
 	return 0, string(out)
 }
 
-// A SIGINT mid-run must exit with status 130 AND leave a valid partial
-// CSV behind — the regression was an interrupt discarding every completed
-// row. The child runs every scenario at full scale with quickstart first
-// and durable second; durable creates its store directories under
-// <dir>/durable as it starts, so their appearance means the quickstart
-// row is complete and ten scenarios are still to run.
-func TestSIGINTFlushesPartialResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a multi-second child run")
-	}
-	tmp := t.TempDir()
-	csvPath := filepath.Join(tmp, "partial.csv")
-	storeDir := filepath.Join(tmp, "stores")
-	order := []string{"quickstart", "durable"}
-	for _, name := range bench.ScenarioNames() {
-		if name != "quickstart" && name != "durable" {
-			order = append(order, name)
-		}
-	}
-	cmd := mainCmd("-mode e2e -scenario " + strings.Join(order, ",") + " -dir " + storeDir + " -csv " + csvPath)
-	var output strings.Builder
-	cmd.Stdout = &output
-	cmd.Stderr = &output
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	deadline := time.After(2 * time.Minute)
-	for {
-		if _, err := os.Stat(filepath.Join(storeDir, "durable", "ts")); err == nil {
-			break
-		}
-		select {
-		case err := <-exited:
-			t.Fatalf("child exited before the durable scenario started (err=%v); output:\n%s", err, output.String())
-		case <-deadline:
-			_ = cmd.Process.Kill()
-			<-exited
-			t.Fatalf("durable scenario never started; output:\n%s", output.String())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatalf("signal: %v", err)
-	}
-	err := <-exited
-	exitErr, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("child did not exit with an error status (err=%v); output:\n%s", err, output.String())
-	}
-	if code := exitErr.ExitCode(); code != 130 {
-		t.Fatalf("exit code %d, want 130; output:\n%s", code, output.String())
-	}
-	raw, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatalf("interrupt flushed no CSV: %v; output:\n%s", err, output.String())
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("partial CSV has %d lines, want header plus ≥1 completed row:\n%s", len(lines), raw)
-	}
-	if len(lines) > len(order) {
-		t.Fatalf("partial CSV has %d lines: the run finished before the interrupt landed", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "scenario,clients") {
-		t.Fatalf("partial CSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "quickstart,") {
-		t.Errorf("first partial CSV row = %q, want the quickstart scenario", lines[1])
-	}
-	for _, line := range lines[1:] {
-		if cells := strings.Split(line, ","); len(cells) != len(strings.Split(lines[0], ",")) {
-			t.Fatalf("ragged partial CSV row %q", line)
-		}
-	}
-	if !strings.Contains(output.String(), "flushing completed rows") {
-		t.Errorf("child did not announce the partial flush; output:\n%s", output.String())
-	}
-}
-
 // Flag combinations must be rejected up front — an unknown mode or
-// scenario, an e2e-only flag outside -mode e2e, or a table or figure
-// flag under it, exits with a usage message instead of being silently
-// ignored. -smoke sizes both jobs.
+// scenario, an e2e-only flag outside -mode e2e, or a paper flag under
+// it, exits with a usage message instead of being silently ignored.
+// -smoke sizes the paper's workloads only.
 func TestValidateSelection(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -145,12 +61,10 @@ func TestValidateSelection(t *testing.T) {
 	}{
 		{name: "paper tables", mode: ""},
 		{name: "e2e defaults", mode: "e2e"},
-		{name: "e2e all", mode: "e2e", scenario: "all", set: []string{"scenario", "smoke"}},
-		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", set: []string{"scenario", "smoke", "envelope"}},
-		{name: "e2e durable dir", mode: "e2e", scenario: "durable", set: []string{"scenario", "smoke", "dir"}},
-		{name: "e2e trace", mode: "e2e", set: []string{"smoke", "trace"}},
-		{name: "e2e csv", mode: "e2e", set: []string{"smoke", "csv"}},
-		{name: "smoke outside e2e", set: []string{"all", "smoke"}},
+		{name: "e2e all", mode: "e2e", scenario: "all", set: []string{"scenario"}},
+		{name: "e2e subset", mode: "e2e", scenario: "adversarial,mixed", set: []string{"scenario", "envelope"}},
+		{name: "e2e durable dir", mode: "e2e", scenario: "durable", set: []string{"scenario", "dir"}},
+		{name: "smoke outside e2e", set: []string{"smoke"}},
 		{name: "json either way", mode: "e2e", set: []string{"json"}},
 
 		{name: "unknown mode", mode: "warp", wantErr: `unknown -mode "warp"`},
@@ -164,15 +78,13 @@ func TestValidateSelection(t *testing.T) {
 		{name: "envelope outside e2e", set: []string{"envelope"}, wantErr: "-envelope requires -mode e2e"},
 		{name: "write-envelope outside e2e", set: []string{"write-envelope"}, wantErr: "-write-envelope requires -mode e2e"},
 		{name: "dir outside e2e", set: []string{"dir"}, wantErr: "-dir requires -mode e2e"},
-		{name: "csv outside e2e", set: []string{"csv"}, wantErr: "-csv requires -mode e2e"},
-		{name: "trace outside e2e", set: []string{"trace"}, wantErr: "-trace requires -mode e2e"},
 
-		{name: "table under e2e", mode: "e2e", set: []string{"table"}, wantErr: "-table selects a paper table"},
-		{name: "figure under e2e", mode: "e2e", set: []string{"smoke", "figure"}, wantErr: "-figure selects a paper table"},
-		{name: "tools under e2e", mode: "e2e", set: []string{"tools"}, wantErr: "-tools selects a paper table"},
-		{name: "baseline under e2e", mode: "e2e", set: []string{"baseline"}, wantErr: "-baseline selects a paper table"},
-		{name: "missrate under e2e", mode: "e2e", set: []string{"missrate"}, wantErr: "-missrate selects a paper table"},
-		{name: "all flag under e2e", mode: "e2e", set: []string{"all"}, wantErr: "-all selects a paper table"},
+		{name: "table under e2e", mode: "e2e", set: []string{"table"}, wantErr: "-table applies only to the paper's"},
+		{name: "figure under e2e", mode: "e2e", set: []string{"figure"}, wantErr: "-figure applies only to the paper's"},
+		{name: "tools under e2e", mode: "e2e", set: []string{"tools"}, wantErr: "-tools applies only to the paper's"},
+		{name: "baseline under e2e", mode: "e2e", set: []string{"baseline"}, wantErr: "-baseline applies only to the paper's"},
+		{name: "missrate under e2e", mode: "e2e", set: []string{"missrate"}, wantErr: "-missrate applies only to the paper's"},
+		{name: "smoke under e2e", mode: "e2e", set: []string{"smoke"}, wantErr: "-smoke applies only to the paper's"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -197,10 +109,13 @@ func TestRejectedSelectionExitsWithUsage(t *testing.T) {
 	for _, args := range []string{
 		"-mode=load",
 		"-mode=shard",
-		"-table 2 -csv " + filepath.Join(t.TempDir(), "x.csv"),
-		"-mode e2e -smoke -all",
+		"-table 2 -dir " + t.TempDir(),
+		"-mode e2e -smoke",
+		"-mode e2e -csv x.csv",
+		"-trace t.json",
+		"-all",
 		"-workers 2",
-		"-all -quick",
+		"-quick",
 	} {
 		code, out := runMain(t, args)
 		if code != 2 {
@@ -213,8 +128,9 @@ func TestRejectedSelectionExitsWithUsage(t *testing.T) {
 }
 
 // The docs, the CI workflow and the verify skill may only name flags the
-// binary registers and -mode values it accepts: a deleted flag left in a
-// document is a command the reader cannot run.
+// binary registers, -mode values it accepts and flag combinations
+// validateSelection allows: a deleted flag left in a document, or a
+// paper flag shown under -mode e2e, is a command the reader cannot run.
 func TestDocsNameOnlyRealFlags(t *testing.T) {
 	mode := func(name, value string) error {
 		if name != "mode" {
@@ -238,5 +154,32 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 		for _, err := range doccheck.Check(string(raw), "smacs-bench", flag.CommandLine, mode) {
 			t.Errorf("%s: %v", path, err)
 		}
+		for _, words := range doccheck.Invocations(string(raw), "smacs-bench") {
+			if err := validateSelection(selectionOf(words)); err != nil {
+				t.Errorf("%s: smacs-bench %s: %v", path, strings.Join(words, " "), err)
+			}
+		}
 	}
+}
+
+// selectionOf reads the -mode and -scenario values and the names of the
+// flags given in one documented command line.
+func selectionOf(words []string) (mode, scenario string, set []string) {
+	for i, word := range words {
+		if !strings.HasPrefix(word, "-") {
+			continue
+		}
+		name, value, hasValue := strings.Cut(strings.TrimLeft(word, "-"), "=")
+		if !hasValue && i+1 < len(words) {
+			value = words[i+1]
+		}
+		switch name {
+		case "mode":
+			mode = value
+		case "scenario":
+			scenario = value
+		}
+		set = append(set, name)
+	}
+	return mode, scenario, set
 }

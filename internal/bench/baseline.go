@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/contracts"
 	"repro/internal/core"
-	"repro/internal/evm"
 	"repro/internal/types"
 	"repro/internal/wallet"
 )
@@ -70,7 +69,7 @@ func Baseline(sizes []int) (*BaselineResult, error) {
 }
 
 func baselineRun(n int) (BaselineRow, error) {
-	chain := evm.NewChain(evm.DefaultConfig())
+	chain := newPaperChain()
 	owner := wallet.FromSeed("baseline owner", chain)
 	member := wallet.FromSeed("baseline member", chain)
 	chain.Fund(owner.Address(), ether(1_000_000))

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -12,6 +14,34 @@ import (
 // are the paper values quoted beside each assertion; only the super and
 // method Verify cells (Tab. II) are pinned exactly, because the gas model
 // is calibrated to them.
+
+// The gas tables read no wall clock: two runs on either side of a second
+// boundary give identical rows. A token whose expiry came from the wall
+// clock would carry another signature in the second run, and with it
+// another count of zero calldata bytes.
+func TestGasTablesReproducible(t *testing.T) {
+	tables := func() []any {
+		t.Helper()
+		ii, err := TableII()
+		if err != nil {
+			t.Fatal(err)
+		}
+		iii, err := TableIII()
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, err := TableIV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{ii, iii, iv}
+	}
+	first := tables()
+	time.Sleep(time.Until(time.Now().Truncate(time.Second).Add(time.Second + 10*time.Millisecond)))
+	if second := tables(); !reflect.DeepEqual(first, second) {
+		t.Errorf("gas tables differ between runs:\n%+v\n%+v", first, second)
+	}
+}
 
 func TestTableIIShape(t *testing.T) {
 	res, err := TableII()

@@ -16,8 +16,8 @@ package bench
 // tokens keep being accepted).
 
 // durableChainSnapEvery / durableCounterSnapEvery are the snapshot
-// cadences of the durable scenario's stores: small enough that even a
-// smoke run crosses at least one rotation, so recovery exercises the
+// cadences of the durable scenario's stores: small enough that the
+// scenario's run crosses at least one rotation, so recovery exercises the
 // snapshot-plus-log-suffix path rather than pure log replay.
 const (
 	durableChainSnapEvery   = 8

@@ -32,19 +32,10 @@ import (
 type E2EConfig struct {
 	// Scenarios restricts the run (nil = every profile of ScenarioNames).
 	Scenarios []string `json:"scenarios,omitempty"`
-	// Smoke selects the small deterministic sizing the CI envelope pins.
-	Smoke bool `json:"smoke"`
 	// Dir is where the durable scenario keeps its file-backed stores and
 	// the quorum-backed scenarios their replica WALs, one subdirectory per
 	// scenario (empty: a fresh temp dir, removed afterwards).
 	Dir string `json:"dir,omitempty"`
-	// OnRow, when non-nil, observes every completed scenario row in run
-	// order; smacs-bench uses it to flush partial results on SIGINT.
-	OnRow func(E2ERow) `json:"-"`
-	// Tracer, when non-nil, receives per-operation pipeline spans
-	// (token-acquisition round-trip, submit-to-commit) keyed by
-	// "<scenario>/<sender>#<nonce>"; smacs-bench -trace dumps it as JSON.
-	Tracer *metrics.Tracer `json:"-"`
 	// ChaosSeed varies the fault timing of chaos scenarios: the victim
 	// replica and the inject/heal progress thresholds derive from it, so
 	// CI can sweep timings while any single run stays reproducible. The
@@ -54,8 +45,7 @@ type E2EConfig struct {
 
 // E2ECounts are the correctness counts of one scenario run. Every field is
 // deterministic for a given ScenarioConfig, so the whole struct is compared
-// exactly against the CI envelope; throughput and latency live in E2ERow
-// and are advisory-only.
+// exactly against the CI envelope.
 type E2ECounts struct {
 	// TokenRequests is the number of request slots clients submitted.
 	TokenRequests int `json:"tokenRequests"`
@@ -93,48 +83,18 @@ type E2ECounts struct {
 	RejExpired  int `json:"rejectedExpired"`
 }
 
-// StageLatency summarizes one pipeline stage's latency histogram.
-// Percentiles are nearest-rank over fixed buckets (capped at the observed
-// maximum), so they are advisory like every latency number here.
-type StageLatency struct {
-	Count     uint64  `json:"count"`
-	P50Millis float64 `json:"p50Millis"`
-	P95Millis float64 `json:"p95Millis"`
-	P99Millis float64 `json:"p99Millis"`
-	MaxMillis float64 `json:"maxMillis"`
-}
-
-// E2ERow is one scenario's measurement: exact correctness counts plus
-// advisory throughput and end-to-end latency percentiles. Latency is
-// measured per operation from the start of its token-acquisition
-// round-trip to the commit of its transaction (or completion of its
-// static call), and sourced from the scenario's isolated metrics
-// registry — the same histograms GET /metrics would expose.
+// E2ERow is one scenario's outcome: its sizing and its exact correctness
+// counts. The harness measures no time; performance is the repo
+// benchmark's job (benchmark/README.md).
 type E2ERow struct {
-	Scenario     string  `json:"scenario"`
-	Clients      int     `json:"clients"`
-	OpsPerClient int     `json:"opsPerClient"`
-	Seconds      float64 `json:"seconds"`
-	TokensPerSec float64 `json:"tokensPerSec"`
-	TxPerSec     float64 `json:"txPerSec"`
-	P50Millis    float64 `json:"p50Millis"`
-	P95Millis    float64 `json:"p95Millis"`
-	P99Millis    float64 `json:"p99Millis"`
-
-	// Stages breaks the pipeline down: "issue" (TS-side issuance),
-	// "http_tokens" (POST /v1/tokens service time), "prevalidate" and
-	// "commit" (optimistic Execute phases, per batch), "e2e" (per
-	// operation).
-	Stages map[string]StageLatency `json:"stages,omitempty"`
+	Scenario     string `json:"scenario"`
+	Clients      int    `json:"clients"`
+	OpsPerClient int    `json:"opsPerClient"`
 	// ChaosFaultInjected reports that the scenario's replica fault
 	// actually fired (chaos scenarios only) — a guard against a run so
 	// fast the fault scheduler never got to act, which would make the
 	// pinned counts vacuous.
 	ChaosFaultInjected bool `json:"chaosFaultInjected,omitempty"`
-	// TokenCacheHitRate is the process-wide token-signer cache's hit
-	// fraction over this scenario's traffic (measured as a before/after
-	// delta; 0 when the scenario made no lookups).
-	TokenCacheHitRate float64 `json:"tokenCacheHitRate"`
 
 	Counts E2ECounts `json:"counts"`
 }
@@ -150,9 +110,9 @@ type E2EResult struct {
 // configured wallet clients through tshttp.Client.RequestTokens, feeds the
 // signed guarded transactions into Chain.Execute (optimistic scheduler,
 // with the parallel prevalidation prehook), and tallies exact
-// accept/reject counts alongside throughput and latency.
+// accept/reject counts.
 func E2E(cfg E2EConfig) (*E2EResult, error) {
-	scenarios, err := ScenariosFor(cfg.Scenarios, cfg.Smoke)
+	scenarios, err := ScenariosFor(cfg.Scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -163,9 +123,6 @@ func E2E(cfg E2EConfig) (*E2EResult, error) {
 			return nil, fmt.Errorf("e2e %s: %w", sc.Name, err)
 		}
 		res.Rows = append(res.Rows, row)
-		if cfg.OnRow != nil {
-			cfg.OnRow(row)
-		}
 	}
 	return res, nil
 }
@@ -182,23 +139,17 @@ const (
 	opExpired
 )
 
-// e2eOp is one in-flight guarded transaction with its end-to-end start
-// time (the beginning of its token-acquisition round-trip). id is empty
-// unless a Tracer is attached.
+// e2eOp is one in-flight guarded transaction.
 type e2eOp struct {
 	class opClass
 	tx    *evm.Transaction
-	start time.Time
-	id    string
 }
 
 // e2eAgg accumulates counts from concurrent clients and the batch
-// submitter; end-to-end latency goes straight into a registry histogram,
-// which finishRow later summarizes.
+// submitter.
 type e2eAgg struct {
 	mu     sync.Mutex
 	counts E2ECounts
-	opLat  *metrics.Histogram
 	// oneTime tracks every one-time counter index seen on an issued
 	// token; a repeat increments DupOneTimeIndexes. The map lives on the
 	// aggregate (not the env) so it spans every frontend and — for the
@@ -206,16 +157,8 @@ type e2eAgg struct {
 	oneTime map[int64]bool
 }
 
-// e2eOpSeconds is the end-to-end operation latency series of the
-// scenario registry.
-const e2eOpSeconds = "e2e_op_seconds"
-
-func newE2EAgg(reg *metrics.Registry) *e2eAgg {
-	return &e2eAgg{
-		opLat: reg.Histogram(e2eOpSeconds,
-			"End-to-end operation latency: token acquisition through commit.", nil),
-		oneTime: make(map[int64]bool),
-	}
+func newE2EAgg() *e2eAgg {
+	return &e2eAgg{oneTime: make(map[int64]bool)}
 }
 
 // addResults tallies one batch round-trip's outcomes and audits the
@@ -248,8 +191,7 @@ func (a *e2eAgg) tokenRequests() int {
 	return a.counts.TokenRequests
 }
 
-func (a *e2eAgg) recordRead(start time.Time, ok bool) {
-	a.opLat.ObserveDuration(time.Since(start))
+func (a *e2eAgg) recordRead(ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if ok {
@@ -263,8 +205,7 @@ func (a *e2eAgg) recordRead(start time.Time, ok bool) {
 // toward their attack class when the chain reported exactly the expected
 // reason, so a drift in rejection semantics shows up as an envelope
 // mismatch even though the transaction was still rejected.
-func (a *e2eAgg) recordTx(op *e2eOp, res evm.BatchResult, end time.Time) {
-	a.opLat.ObserveDuration(end.Sub(op.start))
+func (a *e2eAgg) recordTx(op *e2eOp, res evm.BatchResult) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.counts.TxSubmitted++
@@ -324,7 +265,6 @@ type e2eEnv struct {
 	sub     chan *e2eOp
 	subDone chan struct{}
 	drained sync.Once
-	tracer  *metrics.Tracer // nil unless E2EConfig.Tracer is set
 
 	stopFault func() bool    // the chaos fault scheduler's stop, if any
 	closers   []func()       // frontends and the joiner's servers, stopped LIFO
@@ -543,14 +483,12 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	ruleSet.SetSenderList(whitelist)
 
 	// Every component of this scenario, in every incarnation, reports to
-	// one isolated registry: issuance, HTTP transport, stores, chain, and
-	// the end-to-end histogram, so the row's stage latencies and the
-	// stats cross-check below see exactly this scenario's traffic, the
-	// way a restarted daemon keeps scraping to the same Prometheus.
+	// one isolated registry: issuance, HTTP transport, stores and chain,
+	// so the stats cross-check below sees exactly this scenario's
+	// traffic, the way a restarted daemon keeps scraping to the same
+	// Prometheus.
 	reg := metrics.NewRegistry()
-	core.RegisterCacheMetrics(reg)
-	tokenH0, tokenM0 := core.TokenSigCacheStats()
-	agg := newE2EAgg(reg)
+	agg := newE2EAgg()
 
 	// A 3-replica quorum (§ VII-B): WAL-backed replicas on loopback
 	// behind proxies that pass traffic through until a chaos fault is
@@ -606,7 +544,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// the one-time counter, the chain, the submitter, the frontends, and
 	// the chaos fault's arming.
 	open := func(phaseOps int) (_ *e2eEnv, err error) {
-		env := &e2eEnv{cfg: cfg, agg: agg, sub: make(chan *e2eOp, 4*cfg.TxBatch), tracer: run.Tracer}
+		env := &e2eEnv{cfg: cfg, agg: agg, sub: make(chan *e2eOp, 4*cfg.TxBatch)}
 		env.cfg.Ops = phaseOps
 		defer func() {
 			if err != nil {
@@ -723,8 +661,6 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	// The last phase closes the stores; an earlier one abandons them.
 	var spent [][]byte // the replay wallet's first-use entries
 	var height, replayNonce uint64
-	var start time.Time
-	var elapsed time.Duration
 	faultInjected := false
 	phase := func(i int) (err error) {
 		first, last := i == 0, i == len(phases)-1
@@ -737,9 +673,7 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 				err = cerr
 			}
 		}()
-		if first {
-			start = time.Now()
-		} else {
+		if !first {
 			// Every outcome counted before the crash was durable before it
 			// was counted (a lease Append, and the one AppendBatch behind
 			// each chain Execute, return only once their records are
@@ -787,9 +721,8 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 					return nil
 				}
 				// The bitmap must reject every replay with ErrTokenUsed.
-				replayStart := time.Now()
 				for _, entry := range spent {
-					if err := env.submit(replayKey, nonce, entry, opReplay, replayStart); err != nil {
+					if err := env.submit(replayKey, nonce, entry, opReplay); err != nil {
 						return err
 					}
 					nonce++
@@ -799,9 +732,6 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 		}
 		err = runConcurrently(producers)
 		env.drain()
-		if last {
-			elapsed = time.Since(start)
-		}
 		if env.stopFault != nil {
 			faultInjected = env.stopFault()
 		}
@@ -839,9 +769,13 @@ func runScenario(cfg ScenarioConfig, run E2EConfig) (E2ERow, error) {
 	if err := checkRegistryStats(reg, agg); err != nil {
 		return E2ERow{}, err
 	}
-	row := finishRow(cfg, agg, elapsed, reg, cacheRate(tokenH0, tokenM0, core.TokenSigCacheStats))
-	row.ChaosFaultInjected = faultInjected
-	return row, nil
+	return E2ERow{
+		Scenario:           cfg.Name,
+		Clients:            cfg.Clients,
+		OpsPerClient:       cfg.Ops,
+		ChaosFaultInjected: faultInjected,
+		Counts:             agg.counts,
+	}, nil
 }
 
 // runConcurrently runs every producer in its own goroutine and joins
@@ -862,28 +796,24 @@ func runConcurrently(producers []func() error) error {
 
 // checkRegistryStats asserts that the registry-level issuance counters
 // (summed over every frontend reporting to reg) match the /v1/stats
-// totals the harness collected over HTTP — one pipeline, two views, no
-// drift.
+// totals the harness collected over HTTP, and that the issuance
+// histogram observed every one of those requests — one pipeline, three
+// views, no drift.
 func checkRegistryStats(reg *metrics.Registry, agg *e2eAgg) error {
 	issued, denied := ts.RegistryStats(reg)
+	observed := reg.Histogram(ts.MetricIssueSeconds, "", nil).Count()
 	agg.mu.Lock()
 	defer agg.mu.Unlock()
-	if int(issued) != agg.counts.TSIssued || int(denied) != agg.counts.TSRejected {
+	c := agg.counts
+	if int(issued) != c.TSIssued || int(denied) != c.TSRejected {
 		return fmt.Errorf("registry issuance series (%d issued, %d denied) disagree with /v1/stats (%d, %d)",
-			issued, denied, agg.counts.TSIssued, agg.counts.TSRejected)
+			issued, denied, c.TSIssued, c.TSRejected)
+	}
+	if int(observed) != c.TSIssued+c.TSRejected {
+		return fmt.Errorf("%s observed %d requests, /v1/stats saw %d",
+			ts.MetricIssueSeconds, observed, c.TSIssued+c.TSRejected)
 	}
 	return nil
-}
-
-// cacheRate computes a process-wide cache's hit fraction over the
-// scenario's own traffic, as a delta against the run-start snapshot.
-func cacheRate(h0, m0 uint64, stats func() (uint64, uint64)) float64 {
-	h1, m1 := stats()
-	dh, dm := h1-h0, m1-m0
-	if dh+dm == 0 {
-		return 0
-	}
-	return float64(dh) / float64(dh+dm)
 }
 
 // startSubmitter launches the batch submitter draining e.sub into
@@ -909,12 +839,8 @@ func (e *e2eEnv) startSubmitter(tsAddr types.Address) chan struct{} {
 				Scheduler:        evm.SchedulerOptimistic,
 				PrevalidateBatch: hook,
 			})
-			end := time.Now()
 			for i, res := range results {
-				e.agg.recordTx(pending[i], res, end)
-				if op := pending[i]; op.id != "" {
-					e.tracer.Span(op.id, "e2e", op.start, end)
-				}
+				e.agg.recordTx(pending[i], res)
 			}
 			pending = pending[:0]
 		}
@@ -942,53 +868,6 @@ func (a *e2eAgg) addServerStats(cl *tshttp.Client) error {
 	a.counts.TSIssued += int(st.Issued)
 	a.counts.TSRejected += int(st.Rejected)
 	return nil
-}
-
-// stageSummary extracts a StageLatency from one registry histogram.
-func stageSummary(h *metrics.Histogram) StageLatency {
-	return StageLatency{
-		Count:     h.Count(),
-		P50Millis: h.Quantile(0.50) * 1000,
-		P95Millis: h.Quantile(0.95) * 1000,
-		P99Millis: h.Quantile(0.99) * 1000,
-		MaxMillis: h.Max() * 1000,
-	}
-}
-
-// finishRow folds the aggregate and the scenario registry's latency
-// histograms into the result row. Stage entries with zero observations
-// are dropped (a scenario without batch traffic has no commit
-// stage).
-func finishRow(cfg ScenarioConfig, agg *e2eAgg, elapsed time.Duration,
-	reg *metrics.Registry, tokenHitRate float64) E2ERow {
-	stages := make(map[string]StageLatency)
-	for name, h := range map[string]*metrics.Histogram{
-		"e2e":         agg.opLat,
-		"issue":       reg.Histogram(ts.MetricIssueSeconds, "", nil),
-		"http_tokens": reg.Histogram(tshttp.MetricLatency, "", nil, metrics.L("route", "/v1/tokens")),
-		"prevalidate": reg.Histogram(evm.MetricPrevalidateSeconds, "", nil),
-		"commit":      reg.Histogram(evm.MetricCommitSeconds, "", nil),
-	} {
-		if s := stageSummary(h); s.Count > 0 {
-			stages[name] = s
-		}
-	}
-	e2e := stages["e2e"]
-	counts := agg.counts
-	return E2ERow{
-		Scenario:          cfg.Name,
-		Clients:           cfg.Clients,
-		OpsPerClient:      cfg.Ops,
-		Seconds:           elapsed.Seconds(),
-		TokensPerSec:      float64(counts.TokensIssued) / elapsed.Seconds(),
-		TxPerSec:          float64(counts.TxSubmitted) / elapsed.Seconds(),
-		P50Millis:         e2e.P50Millis,
-		P95Millis:         e2e.P95Millis,
-		P99Millis:         e2e.P99Millis,
-		Stages:            stages,
-		TokenCacheHitRate: tokenHitRate,
-		Counts:            counts,
-	}
 }
 
 // opRequests builds the token requests one operation needs: one per
@@ -1087,7 +966,6 @@ func (e *e2eEnv) runHonest(key *secp256k1.PrivateKey) error {
 	nonce := e.chain.NonceOf(key.Address())
 	for off := 0; off < e.cfg.Ops; off += e.cfg.TokenBatch {
 		n := min(e.cfg.TokenBatch, e.cfg.Ops-off)
-		start := time.Now()
 		reads := make([]bool, n)
 		reqs := make([]*core.Request, 0, n*perOp)
 		for j := 0; j < n; j++ {
@@ -1101,7 +979,6 @@ func (e *e2eEnv) runHonest(key *secp256k1.PrivateKey) error {
 		if err != nil {
 			return err
 		}
-		tokensEnd := time.Now()
 		for j := 0; j < n; j++ {
 			entries, err := e.entriesFor(res[j*perOp : (j+1)*perOp])
 			if err != nil {
@@ -1109,25 +986,15 @@ func (e *e2eEnv) runHonest(key *secp256k1.PrivateKey) error {
 			}
 			if reads[j] {
 				_, rec, _ := e.chain.StaticCall(key.Address(), e.targets[0], "get", nil, entries)
-				e.agg.recordRead(start, rec != nil && rec.Status)
+				e.agg.recordRead(rec != nil && rec.Status)
 				continue
 			}
 			tx, err := e.buildTx(key, nonce, entries)
 			if err != nil {
 				return err
 			}
-			id := ""
-			if e.tracer != nil {
-				// The token round-trip is batched, so each op in the window
-				// shares the acquisition span; the submitter closes the
-				// trace with the op's own end-to-end span. The id is the
-				// tx's nonce, not the op's place in this call, so a client
-				// re-run against a recovered chain opens new traces.
-				id = fmt.Sprintf("%s/%s#%d", e.cfg.Name, key.Address().Hex()[:10], nonce)
-				e.tracer.Span(id, "tokens", start, tokensEnd)
-			}
 			nonce++
-			e.sub <- &e2eOp{class: opWrite, tx: tx, start: start, id: id}
+			e.sub <- &e2eOp{class: opWrite, tx: tx}
 		}
 	}
 	return nil
@@ -1158,7 +1025,6 @@ func (e *e2eEnv) attack(key *secp256k1.PrivateKey, nonce uint64, cl *tshttp.Clie
 	class opClass, mutate func(*core.Token)) ([][]byte, error) {
 	entries := make([][]byte, 0, n)
 	for off := 0; off < n; off += e.cfg.TokenBatch {
-		start := time.Now()
 		reqs := make([]*core.Request, min(e.cfg.TokenBatch, n-off))
 		for j := range reqs {
 			reqs[j] = e.opRequests(key.Address(), false)[0]
@@ -1177,7 +1043,7 @@ func (e *e2eEnv) attack(key *secp256k1.PrivateKey, nonce uint64, cl *tshttp.Clie
 				mutate(&r.Token)
 			}
 			entry := core.EncodeEntry(e.targets[0], r.Token)
-			if err := e.submit(key, nonce, entry, class, start); err != nil {
+			if err := e.submit(key, nonce, entry, class); err != nil {
 				return nil, err
 			}
 			nonce++
@@ -1188,84 +1054,49 @@ func (e *e2eEnv) attack(key *secp256k1.PrivateKey, nonce uint64, cl *tshttp.Clie
 }
 
 // submit signs one single-token transaction and queues it under class.
-func (e *e2eEnv) submit(key *secp256k1.PrivateKey, nonce uint64, entry []byte, class opClass, start time.Time) error {
+func (e *e2eEnv) submit(key *secp256k1.PrivateKey, nonce uint64, entry []byte, class opClass) error {
 	tx, err := e.buildTx(key, nonce, [][]byte{entry})
 	if err != nil {
 		return err
 	}
-	e.sub <- &e2eOp{class: class, tx: tx, start: start}
+	e.sub <- &e2eOp{class: class, tx: tx}
 	return nil
 }
 
 // Format renders the run as the end-to-end scenario table of
-// docs/BENCHMARKS.md plus one correctness-count line per scenario.
+// docs/BENCHMARKS.md: one row of exact correctness counts per scenario.
 func (r *E2EResult) Format() string {
 	var b strings.Builder
-	scale := "full"
-	if r.Config.Smoke {
-		scale = "smoke"
-	}
-	fmt.Fprintf(&b, "End-to-end scenarios (%s scale): real HTTP Token Service → wallet clients → Chain.Execute\n", scale)
-	fmt.Fprintf(&b, "  %-12s %8s %6s %9s %10s %10s %9s %9s %9s\n",
-		"scenario", "clients", "ops", "seconds", "tokens/s", "tx/s", "p50 ms", "p95 ms", "p99 ms")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-12s %8d %6d %9.3f %10.1f %10.1f %9.2f %9.2f %9.2f\n",
-			row.Scenario, row.Clients, row.OpsPerClient, row.Seconds,
-			row.TokensPerSec, row.TxPerSec, row.P50Millis, row.P95Millis, row.P99Millis)
-	}
+	b.WriteString("End-to-end scenarios: real HTTP Token Service → wallet clients → Chain.Execute\n")
 	b.WriteString("Correctness counts (exact; pinned by out/e2e-envelope.json in CI):\n")
+	fmt.Fprintf(&b, "  %-20s %7s %4s %14s %10s %9s %21s %4s %4s %5s\n", "scenario", "clients", "ops",
+		"tokens iss/den", "tx acc/rej", "reads ok", "rejected tamp/rep/exp", "adv", "dup", "fault")
+	pair := func(a, b int) string { return fmt.Sprintf("%d/%d", a, b) }
 	for _, row := range r.Rows {
 		c := row.Counts
-		fmt.Fprintf(&b, "  %-12s tokens %d/%d issued/denied, tx %d/%d accepted/rejected",
-			row.Scenario, c.TokensIssued, c.TokensDenied, c.TxAccepted, c.TxRejected)
-		if c.ReadsOK+c.ReadsFailed > 0 {
-			fmt.Fprintf(&b, ", reads %d ok", c.ReadsOK)
+		fault := "-"
+		if row.ChaosFaultInjected {
+			fault = "fired"
 		}
-		if c.RejTampered+c.RejReplayed+c.RejExpired > 0 || c.AdvAccepted > 0 {
-			fmt.Fprintf(&b, ", attacks rejected %d tampered / %d replayed / %d expired, %d accepted",
-				c.RejTampered, c.RejReplayed, c.RejExpired, c.AdvAccepted)
-		}
-		if c.DupOneTimeIndexes > 0 {
-			fmt.Fprintf(&b, ", %d DUPLICATE one-time indexes", c.DupOneTimeIndexes)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CSV renders the run as machine-readable rows (one line per scenario).
-func (r *E2EResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("scenario,clients,ops_per_client,seconds,tokens_per_sec,tx_per_sec,p50_ms,p95_ms,p99_ms," +
-		"token_requests,tokens_issued,tokens_denied,ts_issued,ts_rejected," +
-		"tx_submitted,tx_accepted,tx_rejected,reads_ok,reads_failed," +
-		"adversarial_accepted,rejected_tampered,rejected_replayed,rejected_expired,dup_one_time_indexes\n")
-	for _, row := range r.Rows {
-		c := row.Counts
-		fmt.Fprintf(&b, "%s,%d,%d,%.3f,%.1f,%.1f,%.2f,%.2f,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			row.Scenario, row.Clients, row.OpsPerClient, row.Seconds,
-			row.TokensPerSec, row.TxPerSec, row.P50Millis, row.P95Millis, row.P99Millis,
-			c.TokenRequests, c.TokensIssued, c.TokensDenied, c.TSIssued, c.TSRejected,
-			c.TxSubmitted, c.TxAccepted, c.TxRejected, c.ReadsOK, c.ReadsFailed,
-			c.AdvAccepted, c.RejTampered, c.RejReplayed, c.RejExpired, c.DupOneTimeIndexes)
+		fmt.Fprintf(&b, "  %-20s %7d %4d %14s %10s %9s %21s %4d %4d %5s\n",
+			row.Scenario, row.Clients, row.OpsPerClient,
+			pair(c.TokensIssued, c.TokensDenied), pair(c.TxAccepted, c.TxRejected), pair(c.ReadsOK, c.ReadsFailed),
+			fmt.Sprintf("%d/%d/%d", c.RejTampered, c.RejReplayed, c.RejExpired),
+			c.AdvAccepted, c.DupOneTimeIndexes, fault)
 	}
 	return b.String()
 }
 
 // Envelope is the CI regression gate: the exact correctness counts of a
-// smoke run, checked into out/e2e-envelope.json. Throughput and latency
-// are deliberately excluded — they vary by machine and are advisory-only.
+// run, checked into out/e2e-envelope.json.
 type Envelope struct {
-	// Smoke records the scale the envelope was captured at; comparing a
-	// run at a different scale is always an error.
-	Smoke bool `json:"smoke"`
 	// Scenarios maps scenario name to its pinned counts.
 	Scenarios map[string]E2ECounts `json:"scenarios"`
 }
 
 // Envelope captures the run's counts as an envelope.
 func (r *E2EResult) Envelope() *Envelope {
-	env := &Envelope{Smoke: r.Config.Smoke, Scenarios: make(map[string]E2ECounts, len(r.Rows))}
+	env := &Envelope{Scenarios: make(map[string]E2ECounts, len(r.Rows))}
 	for _, row := range r.Rows {
 		env.Scenarios[row.Scenario] = row.Counts
 	}
@@ -1277,9 +1108,6 @@ func (r *E2EResult) Envelope() *Envelope {
 // covering every shipped scenario additionally requires the envelope to
 // contain exactly that scenario set.
 func (r *E2EResult) CheckEnvelope(env *Envelope) error {
-	if env.Smoke != r.Config.Smoke {
-		return fmt.Errorf("envelope scale mismatch: envelope smoke=%t, run smoke=%t", env.Smoke, r.Config.Smoke)
-	}
 	var diffs []string
 	ran := make(map[string]bool, len(r.Rows))
 	for _, row := range r.Rows {

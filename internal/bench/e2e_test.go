@@ -9,19 +9,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
-// runScenarioT runs one named scenario at smoke scale and returns its
-// row.
+// runScenarioT runs one named scenario and returns its row.
 func runScenarioT(t *testing.T, name string) E2ERow {
 	t.Helper()
-	cfg, err := ScenarioByName(name, true)
+	cfg, err := ScenarioByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := runScenario(cfg, E2EConfig{Smoke: true})
+	row, err := runScenario(cfg, E2EConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +27,13 @@ func runScenarioT(t *testing.T, name string) E2ERow {
 }
 
 // Every shipped scenario must produce exactly its expected correctness
-// counts at smoke scale — the same invariant the CI envelope pins, asserted
-// here per scenario so a drift is attributed to the failing profile.
+// counts — the same invariant the CI envelope pins, asserted here per
+// scenario so a drift is attributed to the failing profile.
 func TestE2EScenarioCounts(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg, err := ScenarioByName(name, true)
+			cfg, err := ScenarioByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +79,7 @@ func TestE2EAdversarialFloodRejectsEveryAttack(t *testing.T) {
 func TestE2EDurableRecoversExactly(t *testing.T) {
 	row := runScenarioT(t, "durable")
 	c := row.Counts
-	cfg, err := ScenarioByName("durable", true)
+	cfg, err := ScenarioByName("durable")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestE2EDurableRecoversExactly(t *testing.T) {
 // replica WALs, not loose at the top.
 func TestE2EDirOneSubdirectoryPerScenario(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := E2E(E2EConfig{Scenarios: []string{"durable", "tokensale"}, Smoke: true, Dir: dir}); err != nil {
+	if _, err := E2E(E2EConfig{Scenarios: []string{"durable", "tokensale"}, Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -150,12 +148,12 @@ func TestE2EChaosScenariosSeeded(t *testing.T) {
 		"chaos-join", "chaos-frontend-crash"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg, err := ScenarioByName(name, true)
+			cfg, err := ScenarioByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			row, runErr := runScenario(cfg, E2EConfig{Smoke: true, Dir: dir, ChaosSeed: seed})
+			row, runErr := runScenario(cfg, E2EConfig{Dir: dir, ChaosSeed: seed})
 			switch {
 			case runErr != nil:
 				t.Errorf("seed %d: %v", seed, runErr)
@@ -272,7 +270,7 @@ func copyTree(src, dst string) error {
 // nil one. A regular file where the scenario's store directory belongs
 // makes the durable counter's store fail to open.
 func TestE2EOpenFailureIsAnError(t *testing.T) {
-	cfg, err := ScenarioByName("durable", true)
+	cfg, err := ScenarioByName("durable")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,26 +278,26 @@ func TestE2EOpenFailureIsAnError(t *testing.T) {
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runScenario(cfg, E2EConfig{Smoke: true, Dir: blocker}); err == nil {
+	if _, err := runScenario(cfg, E2EConfig{Dir: blocker}); err == nil {
 		t.Fatal("scenario with an unopenable store succeeded")
 	}
 }
 
 func TestE2EUnknownScenario(t *testing.T) {
-	if _, err := E2E(E2EConfig{Scenarios: []string{"nope"}, Smoke: true}); err == nil {
+	if _, err := E2E(E2EConfig{Scenarios: []string{"nope"}}); err == nil {
 		t.Fatal("unknown scenario should fail")
 	}
-	if _, err := ScenariosFor([]string{"mixed", "mixed"}, true); err == nil {
+	if _, err := ScenariosFor([]string{"mixed", "mixed"}); err == nil {
 		t.Fatal("duplicate scenario should fail")
 	}
 }
 
-// CheckEnvelope must flag drifted counts, missing scenarios, and scale
-// mismatches — the exact failure modes the CI gate exists for.
+// CheckEnvelope must flag drifted counts, missing scenarios, and stale
+// entries — the exact failure modes the CI gate exists for.
 func TestE2ECheckEnvelope(t *testing.T) {
-	res := &E2EResult{Config: E2EConfig{Smoke: true}}
+	res := &E2EResult{}
 	for _, name := range ScenarioNames() {
-		cfg, err := ScenarioByName(name, true)
+		cfg, err := ScenarioByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,81 +327,5 @@ func TestE2ECheckEnvelope(t *testing.T) {
 	extra.Scenarios["retired"] = E2ECounts{}
 	if err := res.CheckEnvelope(extra); err == nil {
 		t.Fatal("stale envelope entry should fail when all scenarios ran")
-	}
-
-	scale := res.Envelope()
-	scale.Smoke = false
-	if err := res.CheckEnvelope(scale); err == nil {
-		t.Fatal("scale mismatch should fail")
-	}
-}
-
-// The CSV must carry one line per scenario plus the header, with the
-// correctness columns intact (CI uploads it as a workflow artifact).
-func TestE2ECSVShape(t *testing.T) {
-	row := runScenarioT(t, "quickstart")
-	res := &E2EResult{Config: E2EConfig{Smoke: true}, Rows: []E2ERow{row}}
-	lines := strings.Split(strings.TrimSpace(res.CSV()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want header + 1 row", len(lines))
-	}
-	header := strings.Split(lines[0], ",")
-	cells := strings.Split(lines[1], ",")
-	if len(header) != len(cells) {
-		t.Fatalf("header has %d columns, row has %d", len(header), len(cells))
-	}
-	if !strings.HasPrefix(lines[1], "quickstart,") {
-		t.Errorf("row = %q", lines[1])
-	}
-}
-
-// Each honest write is one trace: the durable scenario re-runs its clients
-// after the crash, and phase 2's writes must not land in phase 1's traces.
-func TestE2EDurableTraceIDsUnique(t *testing.T) {
-	cfg, err := ScenarioByName("durable", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := metrics.NewTracer(1 << 16)
-	if _, err := runScenario(cfg, E2EConfig{Smoke: true, Tracer: tr}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d spans; raise its capacity", tr.Dropped())
-	}
-	traces := tr.Traces()
-	if len(traces) == 0 {
-		t.Fatal("no traces recorded")
-	}
-	for _, tc := range traces {
-		n := 0
-		for _, s := range tc.Spans {
-			if s.Name == "tokens" {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Errorf("trace %s holds %d tokens spans, want 1: %+v", tc.ID, n, tc.Spans)
-		}
-	}
-}
-
-// Stage latencies and the registry cross-check ride on the scenario's
-// isolated registry: a quickstart run must report every pipeline stage
-// with consistent observation counts.
-func TestE2EStageLatencies(t *testing.T) {
-	row := runScenarioT(t, "quickstart")
-	for _, stage := range []string{"e2e", "issue", "http_tokens", "prevalidate", "commit"} {
-		s, ok := row.Stages[stage]
-		if !ok {
-			t.Fatalf("stage %q missing from row: %v", stage, row.Stages)
-		}
-		if s.Count == 0 || s.P99Millis < s.P50Millis || s.MaxMillis < s.P99Millis {
-			t.Errorf("stage %q summary inconsistent: %+v", stage, s)
-		}
-	}
-	if n := int(row.Stages["issue"].Count); n != row.Counts.TSIssued+row.Counts.TSRejected {
-		t.Errorf("issue stage observed %d requests, /v1/stats saw %d",
-			n, row.Counts.TSIssued+row.Counts.TSRejected)
 	}
 }

@@ -117,6 +117,7 @@ func Figure9(maxExp int) (*Figure9Result, error) {
 	svc, err := ts.New(ts.Config{
 		Key:   secp256k1.PrivateKeyFromSeed([]byte("fig9 ts key")),
 		Rules: rs,
+		Now:   paperNow,
 	})
 	if err != nil {
 		return nil, err
@@ -254,7 +255,7 @@ func RuntimeTools(nRequests int) (*ToolsResult, error) {
 // ecfMirror builds the TS-local testnet of § V-B: the legacy Bank with a
 // funded depositor.
 func ecfMirror() (chain *evm.Chain, bank, victim types.Address, err error) {
-	c := evm.NewChain(evm.DefaultConfig())
+	c := newPaperChain()
 	owner := wallet.FromSeed("ecf owner", c)
 	depositor := wallet.FromSeed("ecf victim", c)
 	c.Fund(owner.Address(), ether(1000))

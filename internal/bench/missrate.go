@@ -100,7 +100,7 @@ func missRateRun(bits int, workload []redemption) (MissRateRow, error) {
 	if err != nil {
 		return MissRateRow{}, err
 	}
-	chain := evm.NewChain(evm.DefaultConfig())
+	chain := newPaperChain()
 	owner := wallet.FromSeed("missrate owner", chain)
 	chain.Fund(owner.Address(), ether(1_000_000))
 

@@ -103,24 +103,18 @@ func ScenarioNames() []string {
 		"chaos-kill", "chaos-partition", "chaos-slow", "chaos-join", "chaos-frontend-crash"}
 }
 
-// ScenarioByName returns the named scenario profile at smoke scale (small,
-// deterministic, CI-friendly) or full scale (large enough for meaningful
-// throughput numbers).
-func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
-	pick := func(smokeN, fullN int) int {
-		if smoke {
-			return smokeN
-		}
-		return fullN
-	}
+// ScenarioByName returns the named scenario profile, sized small enough
+// that the whole set runs in well under a second and large enough that
+// every fault and every attack class lands mid-traffic.
+func ScenarioByName(name string) (ScenarioConfig, error) {
 	switch name {
 	case "quickstart":
 		return ScenarioConfig{
 			Name:        "quickstart",
 			Description: "single-rule whitelist, method tokens, guarded set() writes",
 			Workload:    WorkloadStorage,
-			Clients:     pick(4, 8),
-			Ops:         pick(6, 150),
+			Clients:     4,
+			Ops:         6,
 			TokenType:   core.MethodType,
 			TokenBatch:  8,
 			TxBatch:     16,
@@ -131,11 +125,11 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 			Description: "sale rush: one-time super tokens, proof of possession, " +
 				"replica-quorum counter, non-whitelisted buyers denied",
 			Workload:          WorkloadSale,
-			Clients:           pick(4, 12),
-			Ops:               pick(5, 75),
+			Clients:           4,
+			Ops:               5,
 			TokenType:         core.SuperType,
 			OneTime:           true,
-			DeniedClients:     pick(2, 4),
+			DeniedClients:     2,
 			ReplicatedCounter: true,
 			RequireProof:      true,
 			TokenBatch:        5,
@@ -146,8 +140,8 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 			Name:        "callchain",
 			Description: "multi-contract relay chain, one method token per hop",
 			Workload:    WorkloadChain,
-			Clients:     pick(3, 6),
-			Ops:         pick(4, 60),
+			Clients:     3,
+			Ops:         4,
 			TokenType:   core.MethodType,
 			ChainDepth:  3,
 			TokenBatch:  4,
@@ -159,12 +153,12 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 			Description: "flood of tampered, replayed, and expired tokens " +
 				"riding alongside honest traffic; every attack must be rejected",
 			Workload:    WorkloadStorage,
-			Clients:     pick(2, 4),
-			Ops:         pick(4, 50),
+			Clients:     2,
+			Ops:         4,
 			TokenType:   core.MethodType,
-			TamperedOps: pick(6, 100),
-			ReplayedOps: pick(6, 100),
-			ExpiredOps:  pick(6, 100),
+			TamperedOps: 6,
+			ReplayedOps: 6,
+			ExpiredOps:  6,
 			TokenBatch:  6,
 			TxBatch:     16,
 		}, nil
@@ -173,8 +167,8 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 			Name:        "mixed",
 			Description: "interleaved read/write workload: guarded set() txs and get() static calls",
 			Workload:    WorkloadStorage,
-			Clients:     pick(4, 8),
-			Ops:         pick(8, 120),
+			Clients:     4,
+			Ops:         8,
 			TokenType:   core.MethodType,
 			ReadEvery:   2,
 			TokenBatch:  8,
@@ -186,30 +180,30 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 			Description: "file-backed stores killed mid-run: recovery must keep every " +
 				"committed write and reject every replayed one-time token",
 			Workload:    WorkloadStorage,
-			Clients:     pick(3, 6),
-			Ops:         pick(6, 60),
+			Clients:     3,
+			Ops:         6,
 			TokenType:   core.MethodType,
 			OneTime:     true,
-			ReplayedOps: pick(5, 30),
+			ReplayedOps: 5,
 			Durable:     true,
 			TokenBatch:  6,
 			TxBatch:     8,
 		}, nil
 	case "chaos-kill":
 		return chaosScenario(name, ChaosKill,
-			"replica killed mid-rush: connections reset, rejoin under live traffic", pick), nil
+			"replica killed mid-rush: connections reset, rejoin under live traffic"), nil
 	case "chaos-partition":
 		return chaosScenario(name, ChaosPartition,
-			"replica partitioned mid-rush: traffic blackholed until the partition heals", pick), nil
+			"replica partitioned mid-rush: traffic blackholed until the partition heals"), nil
 	case "chaos-slow":
 		return chaosScenario(name, ChaosSlow,
-			"replica degraded mid-rush: every byte through it delayed", pick), nil
+			"replica degraded mid-rush: every byte through it delayed"), nil
 	case "chaos-join":
 		return chaosScenario(name, ChaosJoin,
-			"replica group joins mid-rush: live reshard, traffic spreads across both frontends", pick), nil
+			"replica group joins mid-rush: live reshard, traffic spreads across both frontends"), nil
 	case "chaos-frontend-crash":
 		return chaosScenario(name, ChaosFrontendCrash,
-			"frontend crashes mid-rush: epoch-fenced takeover resumes issuance, remainders burn", pick), nil
+			"frontend crashes mid-rush: epoch-fenced takeover resumes issuance, remainders burn"), nil
 	default:
 		return ScenarioConfig{}, fmt.Errorf("bench: unknown scenario %q (supported: %s)",
 			name, strings.Join(ScenarioNames(), ", "))
@@ -224,17 +218,17 @@ func ScenarioByName(name string, smoke bool) (ScenarioConfig, error) {
 // (kill/partition/slow) or a membership fault on the frontend layer
 // (join/frontend-crash); either way the correctness counts must match
 // a fault-free run exactly.
-func chaosScenario(name, fault, desc string, pick func(int, int) int) ScenarioConfig {
+func chaosScenario(name, fault, desc string) ScenarioConfig {
 	return ScenarioConfig{
 		Name:          name,
 		Description:   desc,
 		Workload:      WorkloadSale,
-		Clients:       pick(4, 8),
-		Ops:           pick(6, 60),
+		Clients:       4,
+		Ops:           6,
 		TokenType:     core.SuperType,
 		OneTime:       true,
-		DeniedClients: pick(2, 3),
-		ReplayedOps:   pick(5, 24),
+		DeniedClients: 2,
+		ReplayedOps:   5,
 		Chaos:         fault,
 		TokenBatch:    5,
 		TxBatch:       16,
@@ -243,7 +237,7 @@ func chaosScenario(name, fault, desc string, pick func(int, int) int) ScenarioCo
 
 // ScenariosFor resolves a list of scenario names (nil or empty = all
 // profiles) into configs, rejecting unknown and duplicate names.
-func ScenariosFor(names []string, smoke bool) ([]ScenarioConfig, error) {
+func ScenariosFor(names []string) ([]ScenarioConfig, error) {
 	if len(names) == 0 {
 		names = ScenarioNames()
 	}
@@ -254,7 +248,7 @@ func ScenariosFor(names []string, smoke bool) ([]ScenarioConfig, error) {
 			return nil, fmt.Errorf("bench: scenario %q listed twice", name)
 		}
 		seen[name] = true
-		cfg, err := ScenarioByName(name, smoke)
+		cfg, err := ScenarioByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -264,9 +258,9 @@ func ScenariosFor(names []string, smoke bool) ([]ScenarioConfig, error) {
 }
 
 // ExpectedCounts returns the correctness counts a healthy pipeline must
-// produce for the scenario: what the CI envelope pins and the smoke tests
+// produce for the scenario: what the CI envelope pins and the tests
 // assert. Token and transaction outcomes are fully determined by the
-// config; throughput and latency are not (and are advisory-only).
+// config.
 func (c ScenarioConfig) ExpectedCounts() E2ECounts {
 	tokensPerOp := 1
 	if c.Workload == WorkloadChain {

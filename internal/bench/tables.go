@@ -257,7 +257,7 @@ func TableIV() (*TableIVResult, error) {
 			return nil, err
 		}
 
-		chain := evm.NewChain(evm.DefaultConfig())
+		chain := newPaperChain()
 		owner := wallet.FromSeed("tab4 owner", chain)
 		chain.Fund(owner.Address(), ether(1000))
 		c := evm.NewContract(fmt.Sprintf("Bitmap%.2gtps", rate))

@@ -21,8 +21,8 @@ func newOutcomeError(msg, outcome string) error { return &outcomeError{msg, outc
 
 // RegisterCacheMetrics exposes the process-wide token-signature cache on
 // reg as scrape-time counter funcs. The chain registers its own sender
-// cache; callers that want both series on one registry (the bench
-// harness, smacs-ts with a local chain) call this once per registry.
+// cache; a caller that wants both series on one registry (the repo
+// benchmark's stack) calls this once per registry.
 func RegisterCacheMetrics(reg *metrics.Registry) {
 	reg = metrics.Or(reg)
 	reg.CounterFunc(MetricTokenCacheHits, "Shared token-signature cache hits.",

@@ -52,7 +52,11 @@ type Block struct {
 	// Receipt is the execution receipt of the included transaction.
 	Receipt *Receipt
 
-	stateSnapshot int
+	// undo is the DB journal length right before the block's own
+	// writes: Reorg to a lower height reverts to the first discarded
+	// block's undo, so a change made between two blocks (a Fund) belongs
+	// to the block it follows.
+	undo int
 }
 
 // Receipt reports the outcome of a transaction or deployment.
@@ -268,7 +272,6 @@ func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Addres
 
 	v.IncNonce(creator)
 	v.MarkContract(addr)
-	ch.db.ApplyWrites(v.Writes())
 	ch.contracts[addr] = contract
 	ch.deployedAt[addr] = ch.blocks[len(ch.blocks)-1].Number + 1
 	ch.deployerOf[addr] = creator
@@ -279,7 +282,7 @@ func (ch *Chain) Deploy(creator types.Address, contract *Contract) (types.Addres
 		GasByCategory: meter.ByCategory(),
 		FeeUSD:        ch.cfg.Price.USD(meter.Used()),
 	}
-	ch.mineLocked(types.Hash{}, receipt, ch.cfg.Now())
+	ch.mineLocked(v.Writes(), types.Hash{}, receipt, ch.cfg.Now())
 	return addr, receipt, nil
 }
 
@@ -520,18 +523,19 @@ func (ch *Chain) execute(p execParams) ([]any, error) {
 	return ret, nil
 }
 
-// mineLocked appends a block containing the given transaction. Block
-// numbers continue from the previous head rather than len(blocks): after
-// a durable recovery the block slice restarts at the snapshot height.
-func (ch *Chain) mineLocked(txHash types.Hash, receipt *Receipt, at time.Time) {
-	snap := ch.db.Snapshot()
+// mineLocked installs ws, the write-set of the given transaction, and
+// appends a block containing it. Block numbers continue from the
+// previous head rather than len(blocks): after a durable recovery the
+// block slice restarts at the snapshot height.
+func (ch *Chain) mineLocked(ws state.WriteSet, txHash types.Hash, receipt *Receipt, at time.Time) {
 	blk := &Block{
-		Number:        ch.blocks[len(ch.blocks)-1].Number + 1,
-		Time:          at,
-		TxHash:        txHash,
-		Receipt:       receipt,
-		stateSnapshot: snap,
+		Number:  ch.blocks[len(ch.blocks)-1].Number + 1,
+		Time:    at,
+		TxHash:  txHash,
+		Receipt: receipt,
+		undo:    ch.db.Snapshot(),
 	}
+	ch.db.ApplyWrites(ws)
 	if receipt != nil {
 		receipt.BlockNumber = blk.Number
 	}
@@ -542,7 +546,8 @@ func (ch *Chain) mineLocked(txHash types.Hash, receipt *Receipt, at time.Time) {
 var ErrBadReorg = errors.New("evm: invalid reorg target")
 
 // Reorg rewinds the chain to the given height, discarding later blocks and
-// reverting their state transitions. It models the 51%-attack scenario of
+// reverting their state transitions: the state is again the one read at
+// that height, setup funding of the genesis block included. It models the 51%-attack scenario of
 // § VII-A: an adversary can erase transactions from history but — as the
 // security tests demonstrate — still cannot forge tokens. A poisoned chain
 // refuses it with ErrChainPoisoned.
@@ -557,12 +562,10 @@ func (ch *Chain) Reorg(toHeight uint64) error {
 	if toHeight < base || toHeight > head {
 		return fmt.Errorf("%w: height %d, chain spans %d..%d", ErrBadReorg, toHeight, base, head)
 	}
-	// The target block's stateSnapshot captured the state right after it
-	// was mined (the base block of a recovered chain carries snapshot 0,
-	// the empty journal).
 	idx := toHeight - base
-	target := ch.blocks[idx]
-	ch.db.RevertToSnapshot(target.stateSnapshot)
+	if idx+1 < uint64(len(ch.blocks)) {
+		ch.db.RevertToSnapshot(ch.blocks[idx+1].undo)
+	}
 	for addr, height := range ch.deployedAt {
 		if height > toHeight {
 			delete(ch.contracts, addr)

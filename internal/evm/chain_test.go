@@ -395,6 +395,34 @@ func TestReorgUndoesDeployAndFund(t *testing.T) {
 	}
 }
 
+// Reorg(0) rewinds to the state read at height 0, which includes the
+// funding the env made before the first mined block.
+func TestReorgToGenesisKeepsSetupFunding(t *testing.T) {
+	env := evmtest.NewEnv(t, 1)
+	if h := env.Chain.Height(); h != 0 {
+		t.Fatalf("fresh env at height %d, want 0", h)
+	}
+	before, err := env.Chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	funded := env.Chain.Balance(env.Wallets[0].Address())
+	env.Deploy(t, newCounter())
+	if err := env.Chain.Reorg(0); err != nil {
+		t.Fatal(err)
+	}
+	after, err := env.Chain.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("digest after Reorg(0) = %s, want %s as read at height 0", after, before)
+	}
+	if b := env.Chain.Balance(env.Wallets[0].Address()); b.Cmp(funded) != 0 || b.Sign() == 0 {
+		t.Errorf("wallet balance after Reorg(0) = %s, want the setup funding %s", b, funded)
+	}
+}
+
 func TestTraceRecordsEvents(t *testing.T) {
 	env := evmtest.NewEnv(t, 2)
 	addr := env.Deploy(t, newCounter())

@@ -220,11 +220,10 @@ func (ch *Chain) commitLocked(txs []*Transaction, times []time.Time, execs []txE
 			continue
 		}
 		ws := e.view.Writes()
-		ch.db.ApplyWrites(ws)
+		ch.mineLocked(ws, e.receipt.TxHash, e.receipt, at)
 		if written != nil {
 			written.Add(ws)
 		}
-		ch.mineLocked(e.receipt.TxHash, e.receipt, at)
 		results[i].Receipt = e.receipt
 	}
 	return conflicts

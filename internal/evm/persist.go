@@ -222,8 +222,7 @@ func RecoverChain(cfg Config, b store.Backend, snapshotEvery int, bootstrap func
 		ch.db = db
 		// Contracts registered by bootstrap survive; the block history
 		// below the snapshot is gone, so the chain restarts from a single
-		// base block at the snapshot height (stateSnapshot 0 = the fresh
-		// empty journal of the decoded DB).
+		// base block at the snapshot height.
 		ch.blocks = []*Block{{Number: height, Time: ch.cfg.Now()}}
 	}
 	// The logged commits re-execute in order through the commit loop, at

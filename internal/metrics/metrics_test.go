@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // Concurrent increments across counters, gauges, and histograms must
@@ -140,44 +139,5 @@ func TestCounterFuncReadsAtScrape(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "cache_hits_total 42") {
 		t.Errorf("func counter not read at scrape time:\n%s", b.String())
-	}
-}
-
-func TestTracerRecordsAndBounds(t *testing.T) {
-	tr := NewTracer(2)
-	t0 := time.Unix(1000, 0)
-	tr.Span("op1", "tokens", t0, t0.Add(2*time.Millisecond))
-	tr.Span("op1", "commit", t0.Add(2*time.Millisecond), t0.Add(3*time.Millisecond))
-	tr.Span("op2", "tokens", t0, t0.Add(time.Millisecond))
-	tr.Span("op3", "tokens", t0, t0.Add(time.Millisecond)) // over capacity
-	tr.Span("op1", "extra", t0, t0.Add(time.Millisecond))  // known ID still appends
-
-	if tr.Len() != 2 {
-		t.Fatalf("tracer held %d traces, want 2", tr.Len())
-	}
-	if tr.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", tr.Dropped())
-	}
-	traces := tr.Traces()
-	if traces[0].ID != "op1" || len(traces[0].Spans) != 3 {
-		t.Errorf("op1 trace = %+v", traces[0])
-	}
-	if traces[0].Spans[0].DurMicros != 2000 {
-		t.Errorf("span duration = %d µs, want 2000", traces[0].Spans[0].DurMicros)
-	}
-	dump, err := tr.DumpJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"op1"`, `"tokens"`, `"droppedSpans": 1`} {
-		if !strings.Contains(string(dump), want) {
-			t.Errorf("trace dump missing %s:\n%s", want, dump)
-		}
-	}
-
-	var nilTracer *Tracer
-	nilTracer.Span("x", "y", t0, t0) // must not panic
-	if nilTracer.Len() != 0 || nilTracer.Traces() != nil {
-		t.Error("nil tracer should be inert")
 	}
 }
