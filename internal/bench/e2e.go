@@ -1104,14 +1104,19 @@ func (r *E2EResult) Envelope() *Envelope {
 }
 
 // CheckEnvelope compares the run's correctness counts against a pinned
-// envelope and returns a field-level description of every drift. A result
-// covering every shipped scenario additionally requires the envelope to
-// contain exactly that scenario set.
+// envelope and returns a field-level description of every drift. A chaos
+// scenario whose fault never fired is a drift too: a fault-free run
+// matches the pinned counts by design, so they would prove nothing. A
+// result covering every shipped scenario additionally requires the
+// envelope to contain exactly that scenario set.
 func (r *E2EResult) CheckEnvelope(env *Envelope) error {
 	var diffs []string
 	ran := make(map[string]bool, len(r.Rows))
 	for _, row := range r.Rows {
 		ran[row.Scenario] = true
+		if cfg, err := ScenarioByName(row.Scenario); err == nil && cfg.Chaos != "" && !row.ChaosFaultInjected {
+			diffs = append(diffs, fmt.Sprintf("scenario %q: the %s fault never fired", row.Scenario, cfg.Chaos))
+		}
 		want, ok := env.Scenarios[row.Scenario]
 		if !ok {
 			diffs = append(diffs, fmt.Sprintf("scenario %q missing from envelope", row.Scenario))

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -292,8 +293,9 @@ func TestE2EUnknownScenario(t *testing.T) {
 	}
 }
 
-// CheckEnvelope must flag drifted counts, missing scenarios, and stale
-// entries — the exact failure modes the CI gate exists for.
+// CheckEnvelope must flag drifted counts, missing scenarios, stale
+// entries and chaos faults that never fired — the exact failure modes
+// the CI gate exists for.
 func TestE2ECheckEnvelope(t *testing.T) {
 	res := &E2EResult{}
 	for _, name := range ScenarioNames() {
@@ -301,7 +303,8 @@ func TestE2ECheckEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Rows = append(res.Rows, E2ERow{Scenario: name, Counts: cfg.ExpectedCounts()})
+		res.Rows = append(res.Rows, E2ERow{Scenario: name, Counts: cfg.ExpectedCounts(),
+			ChaosFaultInjected: cfg.Chaos != ""})
 	}
 	env := res.Envelope()
 	if err := res.CheckEnvelope(env); err != nil {
@@ -327,5 +330,12 @@ func TestE2ECheckEnvelope(t *testing.T) {
 	extra.Scenarios["retired"] = E2ECounts{}
 	if err := res.CheckEnvelope(extra); err == nil {
 		t.Fatal("stale envelope entry should fail when all scenarios ran")
+	}
+
+	kill := slices.IndexFunc(res.Rows, func(r E2ERow) bool { return r.Scenario == "chaos-kill" })
+	res.Rows[kill].ChaosFaultInjected = false
+	err = res.CheckEnvelope(env)
+	if err == nil || !strings.Contains(err.Error(), `"chaos-kill": the kill fault never fired`) {
+		t.Fatalf("chaos scenario whose fault never fired should fail, got %v", err)
 	}
 }

@@ -22,16 +22,13 @@ var DefLatencyBuckets = []float64{
 var DefSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Histogram is a fixed-bucket histogram. Observe is lock-free: one
-// binary search over the (immutable) bounds plus four atomic updates, no
+// binary search over the (immutable) bounds plus three atomic updates, no
 // allocation — cheap enough for every request on the issuance hot path.
-// Quantiles are reconstructed from the bucket counts, so p50/p95/p99 are
-// resolved to bucket granularity (and capped at the true observed max).
 type Histogram struct {
 	bounds []float64       // sorted upper bounds; one overflow bucket past the last
 	counts []atomic.Uint64 // len(bounds)+1
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-	max    atomic.Uint64 // float64 bits
 }
 
 // NewHistogram builds a histogram over the given sorted upper bounds
@@ -58,15 +55,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	for {
-		old := h.max.Load()
-		if math.Float64frombits(old) >= v {
-			break
-		}
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
 }
 
 // ObserveDuration records a duration in seconds.
@@ -78,11 +66,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Max returns the largest observed value (0 when empty).
-func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
-
 // HistogramSnapshot is a consistent-enough copy of a histogram for
-// rendering: per-bucket counts (non-cumulative), total count, sum, max.
+// rendering: per-bucket counts (non-cumulative), total count and sum.
 // Under concurrent observation the fields may be offset by in-flight
 // Observes; treat cross-field arithmetic as approximate.
 type HistogramSnapshot struct {
@@ -90,7 +75,6 @@ type HistogramSnapshot struct {
 	Counts  []uint64  // per-bucket (non-cumulative); the overflow bucket is folded into Count
 	Count   uint64
 	Sum     float64
-	Max     float64
 }
 
 // Snapshot copies the histogram state.
@@ -100,45 +84,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Counts:  make([]uint64, len(h.bounds)),
 		Count:   h.count.Load(),
 		Sum:     h.Sum(),
-		Max:     h.Max(),
 	}
 	for i := range h.bounds {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts:
-// it returns the upper bound of the bucket containing the target rank,
-// capped at the observed max (so a single observation reports itself,
-// and the overflow bucket reports the max rather than +Inf). Returns 0
-// for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	cum := uint64(0)
-	maxv := h.Max()
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if float64(cum) >= rank {
-			if h.bounds[i] > maxv {
-				return maxv
-			}
-			return h.bounds[i]
-		}
-	}
-	// Target rank lives in the overflow bucket: the max is the best bound.
-	return maxv
 }

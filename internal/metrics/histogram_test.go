@@ -1,39 +1,34 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(nil)
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Errorf("empty histogram not zeroed: count=%d sum=%g max=%g", h.Count(), h.Sum(), h.Max())
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v := h.Quantile(q); v != 0 {
-			t.Errorf("empty Quantile(%g) = %g, want 0", q, v)
-		}
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Errorf("empty histogram not zeroed: count=%d sum=%g", h.Count(), h.Sum())
 	}
 }
 
-// A single sample must report itself at every quantile: the bucket bound
-// is capped at the observed max.
+// A single sample lands in the first bucket whose bound is at or above
+// it, and the sum reports it exactly.
 func TestHistogramSingleSample(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	h.Observe(0.004)
-	for _, q := range []float64{0, 0.5, 0.95, 1} {
-		if v := h.Quantile(q); v != 0.004 {
-			t.Errorf("Quantile(%g) = %g, want the observed 0.004", q, v)
-		}
+	snap := h.Snapshot()
+	if snap.Count != 1 || snap.Sum != 0.004 {
+		t.Errorf("count=%d sum=%g, want 1 and 0.004", snap.Count, snap.Sum)
 	}
-	if h.Max() != 0.004 {
-		t.Errorf("Max = %g, want 0.004", h.Max())
+	if want := []uint64{0, 1, 0}; !slices.Equal(snap.Counts, want) {
+		t.Errorf("buckets %v, want %v", snap.Counts, want)
 	}
 }
 
-// Values past the last bound land in the overflow bucket; quantiles that
-// resolve there must report the observed max, never +Inf.
+// Values past the last bound land in the overflow bucket, which only
+// the total count holds.
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.01})
 	h.Observe(0.0005)
@@ -45,12 +40,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if got := snap.Counts[0] + snap.Counts[1]; got != 1 {
 		t.Errorf("bounded buckets hold %d, want 1", got)
-	}
-	if v := h.Quantile(0.99); v != 7 {
-		t.Errorf("p99 in overflow bucket = %g, want the max 7", v)
-	}
-	if v := h.Quantile(0.3); v != 0.001 {
-		t.Errorf("p30 = %g, want first bucket bound 0.001", v)
 	}
 }
 
@@ -64,29 +53,8 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 	h.Observe(1)
 	h.Observe(4)
-	if got := h.Quantile(1); got != 4 {
-		t.Errorf("p100 = %g, want 4", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("p0 = %g, want first nonempty bucket bound 1", got)
-	}
-}
-
-func TestHistogramQuantileDistribution(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i%10) + 0.5) // 0.5 .. 9.5 uniform
-	}
-	p50 := h.Quantile(0.50)
-	if p50 < 4 || p50 > 6 {
-		t.Errorf("p50 of uniform 0.5..9.5 = %g, want ≈5", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 9 || p99 > 10 {
-		t.Errorf("p99 = %g, want ≈10", p99)
-	}
-	if h.Quantile(0.5) > h.Quantile(0.95) {
-		t.Error("quantiles are not monotonic")
+	if got, want := h.Snapshot().Counts, []uint64{1, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("buckets %v, want %v", got, want)
 	}
 }
 

@@ -17,8 +17,9 @@ var ErrNoQuorum = errors.New("replica: quorum unavailable")
 
 const (
 	// DefaultTimeout bounds each replica RPC. A partitioned (blackholed)
-	// replica costs at most this long, and the parallel fan-out with
-	// early majority return means it usually costs nothing.
+	// replica costs at most this long, and deciding each round at the
+	// first majority means it costs nothing unless the live replicas
+	// split their votes or the round is a coordinator's first fence.
 	DefaultTimeout = 2 * time.Second
 	// maxProposeRounds bounds grant retries under contention.
 	maxProposeRounds = 64
@@ -66,6 +67,14 @@ type Coordinator struct {
 	mu     sync.Mutex
 	epoch  int64
 	fenced bool
+	// known is the highest accepted lease any fence or grant reply has
+	// shown: once fenced, the next free slot is known+1 without a read.
+	known int64
+	// caughtUp is set by the first successful fence, which waits for
+	// every replica instead of the first majority: a predecessor that
+	// lost its quorum mid-grant can leave a lease on a minority, and a
+	// new coordinator starts above it rather than commit it.
+	caughtUp bool
 	// contention grows on every preemption and resets on a committed
 	// lease; it drives the exponential backoff that desynchronizes
 	// dueling coordinators.
@@ -113,9 +122,13 @@ func (c *Coordinator) Epoch() int64 {
 
 func (c *Coordinator) majority() int { return len(c.peers)/2 + 1 }
 
-// Next implements ts.Counter: fence if needed, read the majority
-// frontier, and commit max+1 with majority acks. Returns
-// ErrNoQuorum while a majority of replicas is unreachable.
+// Next implements ts.Counter: fence if needed, then commit known+1
+// with majority acks — one majority round per lease while the epoch
+// holds, with no state read (a stable leader already knows the next
+// free slot). A grant that loses a lease race learns the frontier from
+// its nacks and retries above it; one that lost its epoch refences
+// first, and the fence replies carry the frontier. Returns ErrNoQuorum
+// while a majority of replicas is unreachable.
 func (c *Coordinator) Next() (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,12 +138,8 @@ func (c *Coordinator) Next() (int64, error) {
 				return 0, err
 			}
 		}
-		max, err := c.readMaxLocked()
-		if err != nil {
-			return 0, err
-		}
-		candidate := max + 1
-		acks, replies, maxPromised := c.round(PathGrant, wireGrantRequest{Epoch: c.epoch, Lease: candidate})
+		candidate := c.known + 1
+		acks, replies, maxPromised := c.round(PathGrant, wireGrantRequest{Epoch: c.epoch, Lease: candidate}, false)
 		if acks >= c.majority() {
 			c.contention = 0
 			return candidate, nil
@@ -148,8 +157,8 @@ func (c *Coordinator) Next() (int64, error) {
 			c.fenced = false
 			c.backoffLocked()
 		}
-		// Otherwise we lost a lease race under a valid epoch; loop with a
-		// fresh read.
+		// Otherwise we lost a lease race under a valid epoch; the
+		// replies raised known to the winner's lease, so retry above it.
 	}
 	return 0, fmt.Errorf("replica/net: no progress after %d rounds", maxProposeRounds)
 }
@@ -176,10 +185,11 @@ func (c *Coordinator) Fence() (int64, error) {
 func (c *Coordinator) fenceLocked() error {
 	for round := 0; round < maxFenceRounds; round++ {
 		candidate := c.epoch + 1
-		acks, replies, maxPromised := c.round(PathFence, wireFenceRequest{Epoch: candidate})
+		acks, replies, maxPromised := c.round(PathFence, wireFenceRequest{Epoch: candidate}, !c.caughtUp)
 		if acks >= c.majority() {
 			c.epoch = candidate
 			c.fenced = true
+			c.caughtUp = true
 			return nil
 		}
 		if replies < c.majority() {
@@ -288,11 +298,15 @@ type peerReply struct {
 	err error
 }
 
-// round broadcasts a POST to every replica in parallel and gathers
-// until a majority acks or everyone answered. Stragglers (e.g. a
+// round broadcasts a POST to every replica in parallel and returns as
+// soon as the round is decided: a majority acked, or a majority nacked
+// (then no majority can ack). Only when neither happens, or when every
+// is set, does it wait for every replica. Every reply raises c.known to
+// the replica's accepted lease; since any committed lease lives on a
+// majority, a decided round has seen the frontier. Stragglers (e.g. a
 // blackholed replica waiting out its timeout) resolve in the
-// background — the buffered channel absorbs them.
-func (c *Coordinator) round(path string, req any) (acks, replies int, maxPromised int64) {
+// background — the buffered channel absorbs them. Requires c.mu.
+func (c *Coordinator) round(path string, req any, every bool) (acks, replies int, maxPromised int64) {
 	ch := make(chan peerReply, len(c.peers))
 	for i := range c.peers {
 		go func(i int) {
@@ -313,8 +327,11 @@ func (c *Coordinator) round(path string, req any) (acks, replies int, maxPromise
 		if r.ack.State.Promised > maxPromised {
 			maxPromised = r.ack.State.Promised
 		}
-		if acks >= c.majority() {
-			return acks, replies, maxPromised
+		if r.ack.State.Accepted > c.known {
+			c.known = r.ack.State.Accepted
+		}
+		if !every && (acks >= c.majority() || replies-acks >= c.majority()) {
+			break
 		}
 	}
 	return acks, replies, maxPromised

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/nettest"
 	"repro/internal/store"
 )
@@ -458,5 +459,188 @@ func TestCoordinatorCapsEndlessReply(t *testing.T) {
 	}
 	if d := time.Since(start); d > timeout/2 {
 		t.Fatalf("endless reply took %v to fail", d)
+	}
+}
+
+// rpcCounter counts the requests a replica group receives, by method
+// and path, across every node it wraps.
+type rpcCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (rc *rpcCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc.mu.Lock()
+		rc.n[r.Method+" "+r.URL.Path]++
+		rc.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+func (rc *rpcCounter) get(key string) int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.n[key]
+}
+
+// settle waits until key has been received want times — a round
+// returns at the first majority, so the last replica's request may
+// still be in flight — and fails if it never is.
+func (rc *rpcCounter) settle(t *testing.T, key string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for rc.get(key) < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := rc.get(key); got != want {
+		t.Fatalf("%s received %d times, want %d", key, got, want)
+	}
+}
+
+// startCountedGroup serves n fresh volatile nodes behind one rpcCounter.
+func startCountedGroup(t *testing.T, n int) (*rpcCounter, []string) {
+	t.Helper()
+	rc := &rpcCounter{n: make(map[string]int)}
+	urls := make([]string, n)
+	for i := range urls {
+		srv := httptest.NewServer(rc.wrap(NewNode().Handler()))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	return rc, urls
+}
+
+const (
+	rpcState = http.MethodGet + " " + PathState
+	rpcFence = http.MethodPost + " " + PathFence
+	rpcGrant = http.MethodPost + " " + PathGrant
+)
+
+// A fenced coordinator commits a lease in one majority round: the first
+// Next sends one fence and one grant to each replica, every later Next
+// one grant each, and none reads replica state.
+func TestCoordinatorOneRoundPerLease(t *testing.T) {
+	rc, urls := startCountedGroup(t, 3)
+	c := newCoordinator(t, urls)
+	for i := 1; i <= 5; i++ {
+		v, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != int64(i) {
+			t.Fatalf("Next = %d, want %d", v, i)
+		}
+		rc.settle(t, rpcGrant, 3*i)
+		rc.settle(t, rpcFence, 3)
+		rc.settle(t, rpcState, 0)
+	}
+}
+
+// A coordinator whose known frontier went stale (another coordinator
+// committed past it) learns the frontier from its nacks: one retried
+// grant round, a refence, and the next lease above the other's, with
+// no state read.
+func TestCoordinatorLearnsStaleFrontierFromNacks(t *testing.T) {
+	rc, urls := startCountedGroup(t, 3)
+	reg := metrics.NewRegistry()
+	a, err := NewCoordinator(urls, Options{Timeout: 2 * time.Second, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newCoordinator(t, urls)
+	if _, err := a.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	for i := 0; i < 5; i++ {
+		if last, err = b.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retries := reg.Counter(MetricGrantRetries, "")
+	before := retries.Value()
+	v, err := a.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != last+1 {
+		t.Fatalf("stale coordinator committed %d, want %d", v, last+1)
+	}
+	if got := retries.Value() - before; got != 1 {
+		t.Fatalf("%s rose by %d, want 1", MetricGrantRetries, got)
+	}
+	if got := rc.get(rpcState); got != 0 {
+		t.Fatalf("%d state reads, want 0", got)
+	}
+}
+
+// Two coordinators taking turns while one replica is blackholed: every
+// Next is decided by the two live replicas — a majority of nacks ends a
+// lost round at once — and never waits out the RPC timeout for the
+// silent third. Both coordinators start (and catch up) before the
+// blackhole: a coordinator's first fence waits for every replica.
+func TestDuelingCoordinatorsBlackholedReplica(t *testing.T) {
+	_, urls := startGroup(t, 3)
+	proxy, err := nettest.NewProxy(strings.TrimPrefix(urls[2], "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	peers := []string{urls[0], urls[1], proxy.URL()}
+	const timeout = 2 * time.Second
+	var coords [2]*Coordinator
+	var last int64
+	for i := range coords {
+		if coords[i], err = NewCoordinator(peers, Options{Timeout: timeout}); err != nil {
+			t.Fatal(err)
+		}
+		if last, err = coords[i].Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.SetPartition(true)
+	for i := 0; i < 8; i++ {
+		start := time.Now()
+		v, err := coords[i%2].Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > timeout/4 {
+			t.Fatalf("Next %d took %v with one replica blackholed (RPC timeout %v)", i, d, timeout)
+		}
+		if v <= last {
+			t.Fatalf("Next %d = %d, not above %d", i, v, last)
+		}
+		last = v
+	}
+}
+
+// A predecessor that lost its quorum mid-grant can leave a lease on a
+// minority. A new coordinator's first fence waits for every replica —
+// here the minority replica answers last, behind a delaying proxy — so
+// it starts above that lease instead of committing it again.
+func TestCoordinatorStartsAboveMinorityLease(t *testing.T) {
+	servers, urls := startGroup(t, 3)
+	minority := servers[0].Node()
+	if ack, _ := minority.Fence(1); !ack.OK {
+		t.Fatal("fence on a fresh node rejected")
+	}
+	if ack, _ := minority.Grant(1, 5); !ack.OK {
+		t.Fatal("grant on a fresh node rejected")
+	}
+	proxy, err := nettest.NewProxy(servers[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	proxy.SetDelay(50 * time.Millisecond)
+	c := newCoordinator(t, []string{proxy.URL(), urls[1], urls[2]})
+	v, err := c.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 6 {
+		t.Fatalf("first lease = %d, want 6: above the minority's lease 5", v)
 	}
 }

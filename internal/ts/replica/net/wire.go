@@ -14,12 +14,17 @@
 //     the epoch iff it is strictly greater than any epoch it already
 //     promised — persisting the promise before acking — and returns its
 //     highest accepted lease either way. A majority of promises
-//     establishes the epoch.
-//  2. Grant: the coordinator reads a majority's accepted leases, picks
-//     candidate = max+1, and asks every replica to grant it under its
-//     epoch. A replica grants iff the epoch is ≥ its promise and the
-//     lease is strictly greater than anything it accepted — persisting
-//     the lease before acking. A majority of grants commits the lease.
+//     establishes the epoch. A coordinator's first fence waits for
+//     every replica, so it starts above any lease a predecessor left
+//     on a minority.
+//  2. Grant: the coordinator proposes candidate = known+1, where known
+//     is the highest accepted lease any fence or grant reply showed it,
+//     and asks every replica to grant it under its epoch. A replica
+//     grants iff the epoch is ≥ its promise and the lease is strictly
+//     greater than anything it accepted — persisting the lease before
+//     acking. A majority of grants commits the lease; a majority of
+//     nacks decides the round too, and their states carry the frontier
+//     the retry proposes above. Once fenced, a lease is one round.
 //
 // Safety does not rest on the epochs: because grants are strictly
 // monotonic per replica and any two majorities intersect, two
@@ -30,7 +35,7 @@
 //
 // Rejoin-with-catchup needs no extra machinery: a replica restarting
 // from its WAL replays its accepted lease and promised epoch, and
-// because coordinators propose absolute values read from a live
+// because coordinators propose absolute values learned from a live
 // majority, the first grant a rejoined (possibly stale) replica acks
 // snaps it forward to the cluster's frontier.
 package net

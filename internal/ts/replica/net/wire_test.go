@@ -11,9 +11,9 @@ import (
 
 // TestWireBytes pins the exact bytes of the replica protocol against
 // testdata/wire.txt, headers included — replica.bytes_per_round counts
-// them through the benchmark's proxies: a coordinator's fence, state
-// read and grant, and a node's replies to every failure class it
-// answers.
+// them through the benchmark's proxies: a coordinator's fence and
+// grant (a fenced Next sends no state read), a standalone state read,
+// and a node's replies to every failure class it answers.
 func TestWireBytes(t *testing.T) {
 	mem := store.NewMemory()
 	node, err := OpenNode(mem)
@@ -52,9 +52,9 @@ func TestWireBytes(t *testing.T) {
 	}
 
 	_, err = c.Next()
-	exchange("Next: fence, state, grant", err)
+	exchange("Next: fence, grant", err)
 	_, err = c.Next()
-	exchange("Next: state, grant", err)
+	exchange("Next: grant", err)
 	exchange("GET state", raw(http.MethodGet, PathState, ""))
 	exchange("POST fence stale epoch", raw(http.MethodPost, PathFence, `{"epoch":1}`))
 	exchange("POST fence malformed", raw(http.MethodPost, PathFence, `{"epoch":`))
